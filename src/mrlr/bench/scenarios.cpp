@@ -61,11 +61,12 @@
 #include "mrlr/jobs/worker.hpp"
 #include "mrlr/serve/client.hpp"
 #include "mrlr/serve/protocol.hpp"
-#include "mrlr/serve/server.hpp"
+#include "mrlr/serve/spawn.hpp"
 #include "mrlr/seq/misra_gries.hpp"
 #include "mrlr/setcover/generators.hpp"
 #include "mrlr/setcover/validate.hpp"
 #include "mrlr/util/math.hpp"
+#include "mrlr/util/stats.hpp"
 
 namespace mrlr::bench {
 namespace {
@@ -1883,15 +1884,17 @@ void add_large(Registry& r) {
 
 // ------------------------------------------------------- serve ----
 
-// Service-mode throughput and correctness: an in-process ServeDaemon on
-// an ephemeral loopback port executes 8 pinned jobs submitted by C
+// Service-mode throughput and correctness: a ServeDaemon forked on an
+// ephemeral loopback port executes 8 pinned jobs submitted by C
 // concurrent clients through the full submit -> admission -> fork ->
 // result pipeline. Standalone run_job fingerprints are computed untimed
 // first, and the scenario fails if any daemon-returned result deviates
-// by a byte. The determinism hash mixes only the standalone
-// fingerprints, so serve/jobs/c1 and serve/jobs/c4 must report the
-// identical hash — admission and concurrency must be invisible in the
-// answers. jobs_per_sec is informational (extra, never diffed).
+// by a byte or the daemon does not exit 0. The determinism hash mixes
+// only the standalone fingerprints, so serve/jobs/c1 and serve/jobs/c4
+// must report the identical hash — admission and concurrency must be
+// invisible in the answers. jobs_per_sec and the latency percentiles
+// (submit-to-result p50/p99, queue-wait and run p50) are informational
+// (extra, never diffed).
 void add_serve(Registry& r) {
   struct Cfg {
     std::uint64_t clients;
@@ -1946,25 +1949,34 @@ void add_serve(Registry& r) {
 
              serve::ServeOptions opts;
              opts.max_running = std::max<std::uint64_t>(cfg.clients, 1);
-             serve::ServeDaemon daemon("127.0.0.1", 0, opts);
-             std::thread runner([&daemon] { daemon.run(); });
-             const exec::Endpoint ep{"127.0.0.1", daemon.port()};
+             // Forked before any client thread exists.
+             serve::SpawnedDaemon daemon(opts);
 
              std::atomic<bool> mismatch{false};
+             // Per client, in seconds: submit-to-result latency and the
+             // daemon's queue-wait / run split of it.
+             std::vector<std::vector<double>> latency(cfg.clients),
+                 queue_wait(cfg.clients), run(cfg.clients);
              Timer t;
              std::vector<std::thread> clients;
              for (std::uint64_t ci = 0; ci < cfg.clients; ++ci) {
                clients.emplace_back([&, ci] {
                  try {
-                   serve::ServeClient client(ep);
+                   serve::ServeClient client(daemon.endpoint());
                    for (std::size_t j = ci; j < specs.size();
                         j += cfg.clients) {
+                     const Timer job;
                      if (!client.submit(specs[j]).accepted) {
                        mismatch = true;
                        return;
                      }
                      const serve::ResultReply reply =
                          client.wait_result();
+                     latency[ci].push_back(job.elapsed());
+                     queue_wait[ci].push_back(
+                         static_cast<double>(reply.queue_wait_ns) / 1e9);
+                     run[ci].push_back(static_cast<double>(reply.run_ns) /
+                                       1e9);
                      if (!reply.ok ||
                          jobs::fingerprint(
                              serve::ServeClient::decode_result(reply)) !=
@@ -1980,10 +1992,8 @@ void add_serve(Registry& r) {
              }
              for (std::thread& th : clients) th.join();
              res.wall_seconds = t.elapsed();
-             daemon.request_shutdown();
-             runner.join();
 
-             res.failed = mismatch.load();
+             res.failed = !daemon.shutdown() || mismatch.load();
              res.quality = quality;
              res.determinism_hash = h.value();
              res.extra["clients"] = static_cast<double>(cfg.clients);
@@ -1992,6 +2002,18 @@ void add_serve(Registry& r) {
                res.extra["jobs_per_sec"] =
                    static_cast<double>(specs.size()) / res.wall_seconds;
              }
+             const auto ms = [](const std::vector<std::vector<double>>& v,
+                                double q) {
+               std::vector<double> all;
+               for (const std::vector<double>& c : v) {
+                 all.insert(all.end(), c.begin(), c.end());
+               }
+               return all.empty() ? 0.0 : 1e3 * mrlr::percentile(all, q);
+             };
+             res.extra["latency_ms_p50"] = ms(latency, 0.5);
+             res.extra["latency_ms_p99"] = ms(latency, 0.99);
+             res.extra["queue_wait_ms_p50"] = ms(queue_wait, 0.5);
+             res.extra["run_ms_p50"] = ms(run, 0.5);
              return res;
            }});
   }

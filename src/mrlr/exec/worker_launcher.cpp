@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include "mrlr/exec/shard_worker.hpp"
+#include "mrlr/util/require.hpp"
+#include "mrlr/util/threads.hpp"
 
 namespace mrlr::exec {
 
@@ -19,6 +21,9 @@ LaunchedWorker ForkLauncher::launch(std::uint32_t shard,
                                     std::uint64_t nonce) {
   auto [parent_end, child_end] = make_socketpair_channel();
   std::fflush(nullptr);  // no buffered stdio duplicated into workers
+  // Shard-local pools start only after every worker has forked.
+  MRLR_DEBUG_REQUIRE(single_threaded(),
+                     "fork launcher: fork from a multithreaded process");
   const pid_t pid = ::fork();
   if (pid < 0) {
     const int err = errno;

@@ -26,6 +26,8 @@
 #include "mrlr/graph/validate.hpp"
 #include "mrlr/setcover/validate.hpp"
 #include "mrlr/util/mix64.hpp"
+#include "mrlr/util/require.hpp"
+#include "mrlr/util/threads.hpp"
 
 namespace mrlr::jobs {
 
@@ -450,6 +452,8 @@ ScopedTcpLoopback::ScopedTcpLoopback(unsigned workers) {
   }
   for (unsigned i = 0; i < workers; ++i) {
     std::fflush(nullptr);
+    MRLR_DEBUG_REQUIRE(single_threaded(),
+                       "loopback: fork from a multithreaded process");
     const pid_t pid = ::fork();
     if (pid < 0) {
       throw exec::TransportError(exec::TransportError::Kind::kIo,

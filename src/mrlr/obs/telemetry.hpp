@@ -12,11 +12,11 @@
 // change any determinism hash (tests pin this).
 //
 // Process model: the recorder is a process-wide singleton. The
-// process-sharded backend forks workers per round; each worker inherits
-// the recorder state (including the enabled flag and the clock epoch —
-// steady_clock is CLOCK_MONOTONIC, shared by all processes on a host),
-// takes a Mark at shard start, records spans attributed to its shard,
-// and ships everything after the Mark back to the coordinator as a
+// process-sharded backend forks its workers once per job; each worker
+// inherits the recorder state (including the enabled flag and the clock
+// epoch — steady_clock is CLOCK_MONOTONIC, shared by all processes on a
+// host), records spans attributed to its shard, and after every round
+// ships the events since a per-round Mark back to the coordinator as a
 // kShardTelemetry frame. merge_remote() validates the payload
 // (exec::TransportError(kBadPayload) on anything malformed) and appends
 // the spans with their original shard/round attribution, so a K=4 run

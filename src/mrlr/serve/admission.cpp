@@ -16,15 +16,6 @@ namespace {
                              "admission: " + what);
 }
 
-std::uint32_t header_u32(std::span<const std::byte> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(in[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 std::uint64_t instance_dimension(const jobs::JobSpec& spec) {
@@ -36,10 +27,12 @@ std::uint64_t instance_dimension(const jobs::JobSpec& spec) {
     if (spec.instance.size() < 32) {
       bad_instance("graph instance shorter than the .mgb header");
     }
-    if (header_u32(spec.instance, 0) != graph::kMgbMagic) {
+    // Little-endian u32 magic, then u32 version.
+    const std::uint64_t magic_version = exec::read_u64(spec.instance, 0);
+    if (static_cast<std::uint32_t>(magic_version) != graph::kMgbMagic) {
       bad_instance("graph instance does not start with the MGB1 magic");
     }
-    if (header_u32(spec.instance, 4) != graph::kMgbVersion) {
+    if ((magic_version >> 32) != graph::kMgbVersion) {
       bad_instance("graph instance has an unsupported .mgb version");
     }
     return exec::read_u64(spec.instance, 8);

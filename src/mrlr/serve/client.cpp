@@ -50,27 +50,21 @@ jobs::JobResult ServeClient::decode_result(const ResultReply& reply) {
   return jobs::decode_job_result(reply.result);
 }
 
-StatsReply ServeClient::stats() {
+exec::Frame ServeClient::request(exec::FrameKind kind) {
   const std::uint64_t seq = next_sequence_++;
-  exec::write_frame(ch_, exec::FrameKind::kServeStats, 0, seq, {});
-  const exec::Frame reply =
-      exec::expect_frame(ch_, exec::FrameKind::kServeStats, 0, seq);
-  return decode_stats_reply(reply.payload);
+  exec::write_frame(ch_, kind, 0, seq, {});
+  return exec::expect_frame(ch_, kind, 0, seq);
+}
+
+StatsReply ServeClient::stats() {
+  return decode_stats_reply(request(exec::FrameKind::kServeStats).payload);
 }
 
 HealthReply ServeClient::health() {
-  const std::uint64_t seq = next_sequence_++;
-  exec::write_frame(ch_, exec::FrameKind::kServeHealth, 0, seq, {});
-  const exec::Frame reply =
-      exec::expect_frame(ch_, exec::FrameKind::kServeHealth, 0, seq);
-  return decode_health_reply(reply.payload);
+  return decode_health_reply(request(exec::FrameKind::kServeHealth).payload);
 }
 
-void ServeClient::shutdown() {
-  const std::uint64_t seq = next_sequence_++;
-  exec::write_frame(ch_, exec::FrameKind::kServeShutdown, 0, seq, {});
-  (void)exec::expect_frame(ch_, exec::FrameKind::kServeShutdown, 0, seq);
-}
+void ServeClient::shutdown() { (void)request(exec::FrameKind::kServeShutdown); }
 
 void ServeClient::abandon() { ch_.close_now(); }
 

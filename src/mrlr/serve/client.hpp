@@ -52,6 +52,9 @@ class ServeClient {
   void abandon();
 
  private:
+  /// One payload-less request and its reply of the same kind.
+  exec::Frame request(exec::FrameKind kind);
+
   exec::TcpChannel ch_;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t last_submit_sequence_ = 0;

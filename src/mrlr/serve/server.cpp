@@ -2,20 +2,26 @@
 
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/syscall.h>
+#include <sys/ioctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <memory>
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
+#include <deque>
+#include <map>
 #include <utility>
+#include <vector>
 
-#include "mrlr/exec/shard_transport.hpp"
-#include "mrlr/jobs/job_spec.hpp"
+#include "mrlr/exec/shard_channel.hpp"
 #include "mrlr/jobs/worker.hpp"
 #include "mrlr/obs/telemetry.hpp"
 #include "mrlr/serve/admission.hpp"
+#include "mrlr/serve/protocol.hpp"
+#include "mrlr/util/require.hpp"
+#include "mrlr/util/threads.hpp"
 
 namespace mrlr::serve {
 
@@ -23,130 +29,109 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
+std::uint64_t ns_since(Clock::time_point t) {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t)
+          .count());
 }
 
-/// Non-destructive liveness probe: has the peer closed its end? Peeked
-/// bytes stay queued, so a pipelining client is never corrupted.
-enum class PeerState { kQuiet, kReadable, kGone };
+/// Nanoseconds since `start`, also recorded as a `phase` span ending now
+/// (the span is a no-op with telemetry off).
+std::uint64_t span_since(obs::Phase phase, Clock::time_point start) {
+  const std::uint64_t ns = ns_since(start);
+  obs::Telemetry& t = obs::Telemetry::instance();
+  const std::uint64_t end = t.now_ns();
+  t.record_span(phase, end - std::min(end, ns), end);
+  return ns;
+}
 
-PeerState peek_peer(int fd) {
-  char b;
-  const ::ssize_t rc = ::recv(fd, &b, 1, MSG_PEEK | MSG_DONTWAIT);
-  if (rc == 0) return PeerState::kGone;
-  if (rc > 0) return PeerState::kReadable;
-  if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-    return PeerState::kQuiet;
+/// The job process: runs the spec, writes its ResultReply frame, exits.
+[[noreturn]] void job_child_main(exec::FdChannel& ch, std::uint64_t job_id,
+                                 const jobs::JobSpec& spec) {
+  ResultReply reply;  // the daemon stamps job id and timings
+  try {
+    reply.result = jobs::encode_job_result(jobs::run_job(spec));
+    reply.ok = true;
+  } catch (const std::exception& e) {
+    reply.error = e.what();
   }
-  return PeerState::kGone;
-}
-
-/// Post-fork descriptor hygiene for the job child. fork() copies every
-/// descriptor the daemon holds: the listener, every other client's
-/// connection, other running jobs' result socketpairs, and — when the
-/// submitting client lives in the same process, as embedded daemons
-/// do — the peer end of this very job's client socket. Any such copy
-/// keeps the underlying socket open, so a client close() would not
-/// surface as EOF at the daemon until this child exits, defeating
-/// disconnect cancellation. Close everything except stdio and the
-/// result channel.
-void close_all_fds_except(int keep) {
-  const auto range_close = [](unsigned lo, unsigned hi) -> bool {
-#ifdef SYS_close_range
-    return ::syscall(SYS_close_range, lo, hi, 0u) == 0;
-#else
-    (void)lo;
-    (void)hi;
-    return false;
-#endif
-  };
-  bool ok = true;
-  if (keep > 3) ok = range_close(3, static_cast<unsigned>(keep) - 1);
-  ok = range_close(static_cast<unsigned>(keep) + 1, ~0u) && ok;
-  if (!ok) {
-    // Pre-5.9 kernel (or no wrapper): walk the descriptor table.
-    const long open_max = ::sysconf(_SC_OPEN_MAX);
-    const int limit = open_max > 0 ? static_cast<int>(open_max) : 1024;
-    for (int fd = 3; fd < limit; ++fd) {
-      if (fd != keep) ::close(fd);
-    }
+  try {
+    exec::write_frame(ch, exec::FrameKind::kJobResult, 0, job_id,
+                      encode_result_reply(reply));
+  } catch (...) {
+    ::_exit(3);
   }
+  ::_exit(0);
 }
 
-/// poll() one descriptor for readability/hangup; returns true when it
-/// has an event, false on timeout. EINTR counts as a timeout.
-bool poll_readable(int fd, int timeout_ms) {
-  struct pollfd p {};
-  p.fd = fd;
-  p.events = POLLIN;
-  const int rc = ::poll(&p, 1, timeout_ms);
-  return rc > 0 && (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-}
+/// An admitted job, queued or running.
+struct Job {
+  std::uint64_t id = 0;
+  int client = -1;  ///< its connection's descriptor
+  jobs::JobSpec spec;
+  std::uint64_t words = 0;  ///< reserved projected words
+  std::uint64_t reply_sequence = 0;
+  Clock::time_point admitted;
+};
+
+struct RunningJob {
+  Job job;
+  ::pid_t pid = -1;
+  exec::FdChannel result;
+  Clock::time_point started;
+  std::uint64_t queue_wait_ns = 0;
+};
+
+struct Connection {
+  exec::TcpChannel ch;
+  bool greeted = false;  ///< handshake done
+  bool busy = false;     ///< has a job queued or running
+};
 
 }  // namespace
 
 struct ServeDaemon::Impl {
-  explicit Impl(const std::string& host, std::uint16_t port,
-                ServeOptions opts)
-      : options(std::move(opts)),
-        listener(host, port),
-        started(Clock::now()) {}
+  Impl(const std::string& host, std::uint16_t port, ServeOptions opts)
+      : options(std::move(opts)), listener(host, port) {}
 
   ServeOptions options;
-  exec::TcpListener listener;
-  Clock::time_point started;
-
-  std::atomic<bool> shutting_down{false};
-
-  mutable std::mutex mu;
-  std::condition_variable slot_free;
+  exec::TcpListener listener;  ///< closed on shutdown / max_connections
+  Clock::time_point started = Clock::now();
+  std::map<int, Connection> conns;    ///< by client descriptor
+  std::deque<Job> queue;              ///< admitted, FIFO
+  std::map<int, RunningJob> running;  ///< by result descriptor
+  std::vector<::pid_t> exiting;       ///< reported, not yet reaped
+  std::uint64_t accepted_conns = 0;
+  bool shutting_down = false;
   std::uint64_t next_job_id = 0;
   std::uint64_t words_in_use = 0;
-  std::uint64_t running = 0;
-  std::uint64_t queued = 0;
-  std::uint64_t jobs_submitted = 0;
-  std::uint64_t jobs_accepted = 0;
-  std::uint64_t jobs_rejected = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t jobs_cancelled = 0;
+  StatsReply counters;  ///< the jobs_* totals; the rest is filled live
 
   void log(const std::string& line) {
     if (options.log) options.log(line);
   }
 
-  std::uint64_t uptime_ms() const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                              started)
-            .count());
-  }
+  std::uint64_t uptime_ms() const { return ns_since(started) / 1000000; }
 
-  StatsReply stats_snapshot() const {
-    std::lock_guard<std::mutex> lk(mu);
-    StatsReply s;
-    s.jobs_submitted = jobs_submitted;
-    s.jobs_accepted = jobs_accepted;
-    s.jobs_rejected = jobs_rejected;
-    s.jobs_completed = jobs_completed;
-    s.jobs_failed = jobs_failed;
-    s.jobs_cancelled = jobs_cancelled;
-    s.jobs_running = running;
-    s.jobs_queued = queued;
+  StatsReply stats() const {
+    StatsReply s = counters;
+    s.jobs_running = running.size();
+    s.jobs_queued = queue.size();
     s.words_budget = options.words_budget;
     s.words_in_use = words_in_use;
     s.uptime_ms = uptime_ms();
     return s;
   }
 
-  void release_words(std::uint64_t words) {
-    std::lock_guard<std::mutex> lk(mu);
-    words_in_use -= words <= words_in_use ? words : words_in_use;
+  /// run() returns once it stopped listening and either every
+  /// connection is gone or a drain has nothing left to run.
+  bool done() const {
+    return listener.fd() < 0 &&
+           (conns.empty() ||
+            (shutting_down && queue.empty() && running.empty()));
   }
 
-  // ------------------------------------------------- submit handling --
+  // ------------------------------------------------------- admission --
 
   /// Decides accept-or-reject and reserves the words on accept. Fills
   /// the reply's space fields either way.
@@ -166,11 +151,9 @@ struct ServeDaemon::Impl {
       return reply;
     }
     reply.projected_words = projected;
-
-    std::lock_guard<std::mutex> lk(mu);
     reply.budget_words = options.words_budget;
     reply.words_in_use = words_in_use;
-    if (shutting_down.load(std::memory_order_relaxed)) {
+    if (shutting_down) {
       reply.reason = RejectReason::kShuttingDown;
       reply.message = "daemon is shutting down";
       return reply;
@@ -198,302 +181,254 @@ struct ServeDaemon::Impl {
     return reply;
   }
 
-  /// Blocks the connection thread until an executor slot frees up (or
-  /// the client vanishes — checked between waits so a dead submitter
-  /// never squats in the queue). Returns false when cancelled.
-  bool wait_for_slot(int client_fd) {
-    obs::ScopedSpan span(obs::Phase::kQueueWait);
-    std::unique_lock<std::mutex> lk(mu);
-    ++queued;
-    while (running >= options.max_running) {
-      slot_free.wait_for(lk, std::chrono::milliseconds(50));
-      if (running >= options.max_running) {
-        lk.unlock();
-        const bool gone = peek_peer(client_fd) == PeerState::kGone;
-        lk.lock();
-        if (gone) {
-          --queued;
-          return false;
-        }
-      }
-    }
-    --queued;
-    ++running;
-    return true;
-  }
-
-  void release_slot() {
-    std::lock_guard<std::mutex> lk(mu);
-    --running;
-    slot_free.notify_all();
-  }
-
-  /// Forks the job into its own process group and relays its result
-  /// frame to the client. Returns false when the connection is done
-  /// (client vanished mid-job). Counter updates happen here — exactly
-  /// one of completed/failed/cancelled per admitted job.
-  bool run_admitted_job(exec::TcpChannel& ch, const jobs::JobSpec& spec,
-                        std::uint64_t job_id, std::uint64_t reply_sequence,
-                        std::uint64_t queue_wait_ns) {
-    obs::ScopedSpan span(obs::Phase::kJobRun);
-    const Clock::time_point run_start = Clock::now();
-    auto [parent_ch, child_ch] = exec::make_socketpair_channel();
-
-    const ::pid_t pid = ::fork();
-    if (pid < 0) {
-      throw exec::TransportError(exec::TransportError::Kind::kIo,
-                                 "serve: fork failed");
-    }
-    if (pid == 0) {
-      // Job process: own process group (so a cancel kills any helpers
-      // the backend forks too), no daemon descriptors.
-      ::setpgid(0, 0);
-      parent_ch.close_now();
-      close_all_fds_except(child_ch.fd());
-      ResultReply reply;
-      reply.job_id = job_id;
-      try {
-        const jobs::JobResult result = jobs::run_job(spec);
-        reply.ok = true;
-        reply.result = jobs::encode_job_result(result);
-      } catch (const std::exception& e) {
-        reply.ok = false;
-        reply.error = e.what();
-      }
-      try {
-        const std::vector<std::byte> payload = encode_result_reply(reply);
-        exec::write_frame(child_ch, exec::FrameKind::kJobResult, 0, job_id,
-                          payload);
-      } catch (...) {
-        ::_exit(3);
-      }
-      ::_exit(0);
-    }
-
-    // Daemon side.
-    ::setpgid(pid, pid);  // either side may win this race; both set it
-    child_ch.close_now();
-
-    bool client_alive = true;
-    bool client_watchable = true;  // stop peeking once it pipelines
-    for (;;) {
-      struct pollfd fds[2];
-      fds[0].fd = parent_ch.fd();
-      fds[0].events = POLLIN;
-      fds[1].fd = ch.fd();
-      fds[1].events = client_watchable ? POLLIN : 0;
-      const int rc = ::poll(fds, 2, 200);
-      if (rc < 0 && errno != EINTR) break;
-
-      if (client_watchable && rc > 0 &&
-          (fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        const PeerState st = peek_peer(ch.fd());
-        if (st == PeerState::kGone) {
-          client_alive = false;
-          break;
-        }
-        // Bytes before our result: the client is pipelining. Leave the
-        // data queued and stop watching, or poll() would spin.
-        client_watchable = false;
-      }
-
-      if (rc > 0 && (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        break;  // result frame ready, or the child died — read below
-      }
-    }
-
-    if (!client_alive) {
-      ::kill(-pid, SIGKILL);
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        ++jobs_cancelled;
-      }
-      obs::count("serve.jobs_cancelled");
-      log("job " + std::to_string(job_id) +
-          " cancelled: client disconnected");
-      return false;
-    }
-
-    ResultReply reply;
-    try {
-      exec::Frame frame = exec::expect_frame(
-          parent_ch, exec::FrameKind::kJobResult, 0, job_id);
-      reply = decode_result_reply(frame.payload);
-    } catch (const exec::TransportError&) {
-      reply.job_id = job_id;
-      reply.ok = false;
-      reply.error = "job process died before reporting a result";
-    }
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-
-    reply.queue_wait_ns = queue_wait_ns;
-    reply.run_ns = ns_between(run_start, Clock::now());
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      if (reply.ok) {
-        ++jobs_completed;
-      } else {
-        ++jobs_failed;
-      }
-    }
-    obs::count(reply.ok ? "serve.jobs_completed" : "serve.jobs_failed");
-    log("job " + std::to_string(job_id) +
-        (reply.ok ? " completed" : " failed: " + reply.error));
-
-    const std::vector<std::byte> payload = encode_result_reply(reply);
-    try {
-      exec::write_frame(ch, exec::FrameKind::kJobResult, 0, reply_sequence,
-                        payload);
-    } catch (const exec::TransportError&) {
-      return false;  // client vanished between the poll and the write
-    }
-    return true;
-  }
-
-  /// One kJobSubmit frame, start to finish. Returns false when the
-  /// connection should close.
-  bool handle_submit(exec::TcpChannel& ch, const exec::Frame& frame) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      ++jobs_submitted;
-    }
+  /// One kJobSubmit: typed reject, or admission into the queue.
+  void submit(int fd, Connection& c, const exec::Frame& frame) {
+    ++counters.jobs_submitted;
     jobs::JobSpec spec;
     AdmissionReply admission;
-    bool decoded = false;
     try {
       spec = jobs::decode_job_spec(frame.payload);
-      decoded = true;
+      admission = admit(spec);
     } catch (const exec::TransportError& e) {
       admission.reason = RejectReason::kMalformedSpec;
       admission.message = e.what();
     }
-    if (decoded) admission = admit(spec);
-
-    if (!admission.accepted) {
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        ++jobs_rejected;
-      }
+    if (admission.accepted) {
+      ++counters.jobs_accepted;
+      obs::count("serve.jobs_accepted");
+      log("job " + std::to_string(admission.job_id) + " admitted (" +
+          spec.algorithm + ", " +
+          std::to_string(admission.projected_words) + " words projected)");
+      queue.push_back(Job{admission.job_id, fd, std::move(spec),
+                          admission.projected_words, frame.sequence,
+                          Clock::now()});
+      c.busy = true;
+    } else {
+      ++counters.jobs_rejected;
       obs::count("serve.jobs_rejected");
       log("submit rejected (" +
           std::string(reject_reason_name(admission.reason)) +
           "): " + admission.message);
-      exec::write_frame(ch, exec::FrameKind::kJobAdmission, 0,
-                        frame.sequence, encode_admission_reply(admission));
-      return true;
     }
-
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      ++jobs_accepted;
-    }
-    obs::count("serve.jobs_accepted");
-    log("job " + std::to_string(admission.job_id) + " admitted (" +
-        spec.algorithm + ", " + std::to_string(admission.projected_words) +
-        " words projected)");
-    exec::write_frame(ch, exec::FrameKind::kJobAdmission, 0, frame.sequence,
-                      encode_admission_reply(admission));
-
-    const Clock::time_point wait_start = Clock::now();
-    if (!wait_for_slot(ch.fd())) {
-      release_words(admission.projected_words);
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        ++jobs_cancelled;
-      }
-      obs::count("serve.jobs_cancelled");
-      log("job " + std::to_string(admission.job_id) +
-          " cancelled in queue: client disconnected");
-      return false;
-    }
-    const std::uint64_t queue_wait_ns =
-        ns_between(wait_start, Clock::now());
-
-    bool keep;
-    try {
-      keep = run_admitted_job(ch, spec, admission.job_id, frame.sequence,
-                              queue_wait_ns);
-    } catch (...) {
-      release_slot();
-      release_words(admission.projected_words);
-      throw;
-    }
-    release_slot();
-    release_words(admission.projected_words);
-    return keep;
+    exec::write_frame(c.ch, exec::FrameKind::kJobAdmission, 0,
+                      frame.sequence, encode_admission_reply(admission));
   }
 
-  // --------------------------------------------------- connection loop --
+  // ------------------------------------------------------------ jobs --
 
-  void serve_connection(exec::TcpChannel ch) {
+  /// Forks queued jobs into free executor slots, oldest first.
+  void start_queued() {
+    while (!queue.empty() && running.size() < options.max_running) {
+      Job job = std::move(queue.front());
+      queue.pop_front();
+      const std::uint64_t queue_wait_ns =
+          span_since(obs::Phase::kQueueWait, job.admitted);
+      auto [parent_ch, child_ch] = exec::make_socketpair_channel();
+      MRLR_DEBUG_REQUIRE(single_threaded(),
+                         "serve: job fork from a multithreaded daemon");
+      const ::pid_t pid = ::fork();
+      if (pid == 0) {
+        // Job process: own process group, so a cancel kills any helpers
+        // the backend forks too. It drops every daemon descriptor: a
+        // surviving copy of a client socket would keep that socket open
+        // and hide the client's hang-up from the daemon.
+        ::setpgid(0, 0);
+        listener.close_now();
+        conns.clear();
+        running.clear();
+        parent_ch.close_now();
+        job_child_main(child_ch, job.id, job.spec);
+      }
+      if (pid < 0) {
+        ResultReply reply;
+        reply.error = std::string("fork failed: ") + std::strerror(errno);
+        finish(job, reply, queue_wait_ns, 0);
+        continue;
+      }
+      ::setpgid(pid, pid);  // either side may win this race; both set it
+      const int fd = parent_ch.fd();
+      running.emplace(fd, RunningJob{std::move(job), pid, std::move(parent_ch),
+                                     Clock::now(), queue_wait_ns});
+    }
+  }
+
+  /// A running job's socketpair turned readable: its result frame, or
+  /// EOF because it died first.
+  void collect(int fd) {
+    auto it = running.find(fd);
+    RunningJob r = std::move(it->second);
+    running.erase(it);
+    ResultReply reply;
     try {
-      ch.set_read_timeout(std::chrono::seconds(5));
-      exec::handshake_accept(
-          ch, [](const exec::HandshakeHello&) {
-            return exec::HandshakeStatus::kOk;
-          });
-      ch.set_read_timeout(std::chrono::milliseconds(0));
+      reply = decode_result_reply(
+          exec::expect_frame(r.result, exec::FrameKind::kJobResult, 0,
+                             r.job.id)
+              .payload);
+    } catch (const exec::TransportError&) {
+      reply.error = "job process died before reporting a result";
+    }
+    exiting.push_back(r.pid);
+    finish(r.job, reply, r.queue_wait_ns,
+           span_since(obs::Phase::kJobRun, r.started));
+  }
 
-      for (;;) {
-        if (shutting_down.load(std::memory_order_relaxed)) return;
-        if (!poll_readable(ch.fd(), 200)) continue;
-        if (peek_peer(ch.fd()) == PeerState::kGone) return;
+  /// Counts, releases and relays one job's result; its connection goes
+  /// back to taking requests.
+  void finish(const Job& job, ResultReply& reply, std::uint64_t queue_wait_ns,
+              std::uint64_t run_ns) {
+    words_in_use -= job.words;
+    reply.job_id = job.id;
+    reply.queue_wait_ns = queue_wait_ns;
+    reply.run_ns = run_ns;
+    ++(reply.ok ? counters.jobs_completed : counters.jobs_failed);
+    obs::count(reply.ok ? "serve.jobs_completed" : "serve.jobs_failed");
+    log("job " + std::to_string(job.id) +
+        (reply.ok ? " completed" : " failed: " + reply.error));
 
-        const exec::Frame frame = exec::read_frame(ch);
-        switch (frame.kind) {
-          case exec::FrameKind::kJobSubmit:
-            if (!handle_submit(ch, frame)) return;
-            break;
-          case exec::FrameKind::kServeStats:
-            exec::write_frame(ch, exec::FrameKind::kServeStats, 0,
-                              frame.sequence,
-                              encode_stats_reply(stats_snapshot()));
-            break;
-          case exec::FrameKind::kServeHealth: {
-            HealthReply h;
-            h.shutting_down =
-                shutting_down.load(std::memory_order_relaxed);
-            {
-              std::lock_guard<std::mutex> lk(mu);
-              h.jobs_running = running;
-            }
-            h.uptime_ms = uptime_ms();
-            exec::write_frame(ch, exec::FrameKind::kServeHealth, 0,
-                              frame.sequence, encode_health_reply(h));
-            break;
-          }
-          case exec::FrameKind::kServeShutdown:
-            exec::write_frame(ch, exec::FrameKind::kServeShutdown, 0,
-                              frame.sequence, {});
-            log("shutdown requested by client");
-            request_shutdown_impl();
-            return;
-          default:
-            throw exec::TransportError(
-                exec::TransportError::Kind::kUnexpected,
-                "serve: frame kind " +
-                    std::to_string(static_cast<unsigned>(frame.kind)) +
-                    " is not a serve request");
-        }
+    Connection& c = conns.at(job.client);
+    c.busy = false;
+    try {
+      exec::write_frame(c.ch, exec::FrameKind::kJobResult, 0,
+                        job.reply_sequence, encode_result_reply(reply));
+    } catch (const exec::TransportError&) {
+      conns.erase(job.client);  // client vanished before its result
+    }
+  }
+
+  /// Closes a connection, cancelling its queued or running job first.
+  void drop(int client) {
+    const auto cancelled = [&](const Job& job, const char* why) {
+      words_in_use -= job.words;
+      ++counters.jobs_cancelled;
+      obs::count("serve.jobs_cancelled");
+      log("job " + std::to_string(job.id) + why);
+    };
+    const auto queued = std::find_if(
+        queue.begin(), queue.end(),
+        [&](const Job& j) { return j.client == client; });
+    if (queued != queue.end()) {
+      span_since(obs::Phase::kQueueWait, queued->admitted);
+      cancelled(*queued, " cancelled in queue: client disconnected");
+      queue.erase(queued);
+    }
+    const auto run = std::find_if(
+        running.begin(), running.end(),
+        [&](const auto& r) { return r.second.job.client == client; });
+    if (run != running.end()) {
+      ::kill(-run->second.pid, SIGKILL);
+      ::waitpid(run->second.pid, nullptr, 0);
+      span_since(obs::Phase::kJobRun, run->second.started);
+      cancelled(run->second.job, " cancelled: client disconnected");
+      running.erase(run);
+    }
+    conns.erase(client);
+  }
+
+  // ----------------------------------------------------- connections --
+
+  void accept_one() {
+    exec::TcpChannel ch = listener.accept_channel();
+    ch.set_read_timeout(std::chrono::seconds(5));
+    const int fd = ch.fd();
+    conns.emplace(fd, Connection{std::move(ch), false, false});
+    if (options.max_connections > 0 &&
+        ++accepted_conns >= options.max_connections) {
+      listener.close_now();
+    }
+  }
+
+  /// One request on an idle connection.
+  void serve_request(int fd, Connection& c, const exec::Frame& frame) {
+    switch (frame.kind) {
+      case exec::FrameKind::kJobSubmit:
+        submit(fd, c, frame);
+        return;
+      case exec::FrameKind::kServeStats:
+        exec::write_frame(c.ch, exec::FrameKind::kServeStats, 0,
+                          frame.sequence, encode_stats_reply(stats()));
+        return;
+      case exec::FrameKind::kServeHealth: {
+        HealthReply h;
+        h.shutting_down = shutting_down;
+        h.jobs_running = running.size();
+        h.uptime_ms = uptime_ms();
+        exec::write_frame(c.ch, exec::FrameKind::kServeHealth, 0,
+                          frame.sequence, encode_health_reply(h));
+        return;
+      }
+      case exec::FrameKind::kServeShutdown:
+        exec::write_frame(c.ch, exec::FrameKind::kServeShutdown, 0,
+                          frame.sequence, {});
+        log("shutdown requested by client");
+        shutting_down = true;
+        listener.close_now();
+        return;
+      default:
+        throw exec::TransportError(
+            exec::TransportError::Kind::kUnexpected,
+            "serve: frame kind " +
+                std::to_string(static_cast<unsigned>(frame.kind)) +
+                " is not a serve request");
+    }
+  }
+
+  void on_client(int fd, short revents) {
+    auto it = conns.find(fd);
+    if (it == conns.end()) return;  // dropped earlier in this iteration
+    Connection& c = it->second;
+    int unread = 0;
+    if ((revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0 &&
+        (c.busy || ::ioctl(fd, FIONREAD, &unread) != 0 || unread == 0)) {
+      drop(fd);  // peer closed
+      return;
+    }
+    if (c.busy) return;
+    try {
+      if (c.greeted) {
+        serve_request(fd, c, exec::read_frame(c.ch));
+      } else {
+        exec::handshake_accept(c.ch, [](const exec::HandshakeHello&) {
+          return exec::HandshakeStatus::kOk;
+        });
+        c.greeted = true;
       }
     } catch (const std::exception& e) {
       // A misbehaving client costs its own connection, never the
       // daemon.
       log(std::string("connection dropped: ") + e.what());
+      drop(fd);
     }
   }
 
-  void request_shutdown_impl() {
-    shutting_down.store(true, std::memory_order_relaxed);
-    // shutdown(2), not close(2): closing a descriptor another thread is
-    // blocked in accept(2) on does NOT wake that thread on Linux;
-    // shutting the listening socket down does (accept fails EINVAL).
-    // The descriptor itself is released by the listener's destructor.
-    if (listener.fd() >= 0) ::shutdown(listener.fd(), SHUT_RDWR);
-    slot_free.notify_all();
+  void poll_once() {
+    std::vector<pollfd> fds;
+    for (const auto& [fd, r] : running) fds.push_back({fd, POLLIN, 0});
+    for (const auto& [fd, c] : conns) {
+      // A busy connection is watched for hang-up only: bytes it
+      // pipelines wait in the socket until its job is done.
+      fds.push_back({fd, short(c.busy ? POLLRDHUP : POLLIN | POLLRDHUP), 0});
+    }
+    if (listener.fd() >= 0) fds.push_back({listener.fd(), POLLIN, 0});
+    const std::size_t jobs_end = running.size();
+    const std::size_t conns_end = jobs_end + conns.size();
+
+    if (::poll(fds.data(), fds.size(), -1) < 0 && errno != EINTR) {
+      throw exec::TransportError(exec::TransportError::Kind::kIo,
+                                 std::string("serve: poll failed: ") +
+                                     std::strerror(errno));
+    }
+    // No handler opens a descriptor before the listener's turn, so one
+    // freed by an earlier handler cannot alias a later entry.
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      if (i < jobs_end) {
+        if (running.count(fds[i].fd) != 0) collect(fds[i].fd);
+      } else if (i < conns_end) {
+        on_client(fds[i].fd, fds[i].revents);
+      } else if (listener.fd() >= 0) {
+        accept_one();
+      }
+    }
   }
 };
 
@@ -506,35 +441,21 @@ ServeDaemon::~ServeDaemon() = default;
 std::uint16_t ServeDaemon::port() const { return impl_->listener.port(); }
 
 void ServeDaemon::run() {
-  std::vector<std::thread> connections;
-  std::uint64_t accepted = 0;
+  // A job process that has reported is reaped without blocking the
+  // loop on its exit; the last ones are waited for on the way out.
+  const auto reap = [&](int flags) {
+    std::erase_if(impl_->exiting, [&](::pid_t pid) {
+      return ::waitpid(pid, nullptr, flags) != 0;
+    });
+  };
   for (;;) {
-    if (impl_->shutting_down.load(std::memory_order_relaxed)) break;
-    if (impl_->options.max_connections > 0 &&
-        accepted >= impl_->options.max_connections) {
-      break;
-    }
-    try {
-      exec::TcpChannel ch = impl_->listener.accept_channel();
-      ++accepted;
-      connections.emplace_back(
-          [impl = impl_.get(), c = std::move(ch)]() mutable {
-            impl->serve_connection(std::move(c));
-          });
-    } catch (const exec::TransportError&) {
-      // request_shutdown() closes the listener under us — the accept
-      // failure is the wakeup.
-      if (impl_->shutting_down.load(std::memory_order_relaxed)) break;
-      throw;
-    }
+    reap(WNOHANG);
+    impl_->start_queued();
+    if (impl_->done()) break;
+    impl_->poll_once();
   }
-  impl_->shutting_down.store(true, std::memory_order_relaxed);
-  impl_->slot_free.notify_all();
-  for (std::thread& t : connections) t.join();
+  reap(0);
+  impl_->conns.clear();
 }
-
-void ServeDaemon::request_shutdown() { impl_->request_shutdown_impl(); }
-
-StatsReply ServeDaemon::stats() const { return impl_->stats_snapshot(); }
 
 }  // namespace mrlr::serve

@@ -2,41 +2,24 @@
 // The mrlr_serve daemon: a long-running process that accepts job
 // submissions over the serve protocol (serve/protocol.hpp), admits
 // them against a per-machine space budget (serve/admission.hpp), runs
-// each admitted job in its own forked process, and streams the
+// each admitted job in its own forked process group, and relays the
 // JobResult back to the submitting client.
 //
-// Job lifecycle:
+// Job lifecycle: submit --> admission (typed reject, or a job id with
+// its projected words reserved) --> queued --> running --> completed /
+// failed / cancelled (its client disconnected: the job leaves the queue
+// or its process group is killed and reaped; its words are released).
 //
-//   submit --> admission (typed reject or job id)
-//          --> queued    (admitted, waiting for an executor slot;
-//                         the projected words are already reserved)
-//          --> running   (forked into its own process group; the
-//                         connection thread relays the child's result
-//                         frame back to the client)
-//          --> completed / failed / cancelled
-//
-// Cancellation: if the client disconnects while its job is queued or
-// running, the daemon kills the job's whole process group, reaps it,
-// releases its reserved words, and counts it cancelled — a vanished
-// client never leaks a running job or its budget reservation.
-//
-// Concurrency model: one std::thread per connection; jobs are
-// processes, so a crashing algorithm takes down its own fork, not the
-// daemon. All shared state (budget ledger, counters, executor slots)
-// lives behind one mutex; connection threads never hold it across a
-// blocking syscall.
+// Concurrency model: none. run() is one poll(2) loop over the listener,
+// every client connection, and every running job's result socketpair,
+// so every job fork() comes from a single-threaded process. Requests
+// are read whole when their socket turns readable, each read bounded
+// by a 5 s timeout. docs/ARCHITECTURE.md §6 has the details.
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
-
-#include "mrlr/exec/shard_channel.hpp"
-#include "mrlr/serve/protocol.hpp"
 
 namespace mrlr::serve {
 
@@ -48,9 +31,8 @@ struct ServeOptions {
   /// Executor slots: admitted jobs beyond this wait in the queue.
   std::uint64_t max_running = 2;
 
-  /// Accept at most this many connections, then stop (0 = serve until
-  /// shutdown). Lets tests and smoke scripts bound the daemon's life
-  /// without signals.
+  /// Accept at most this many connections, serve them, and return from
+  /// run() once the last one closes (0 = serve until shutdown).
   std::uint64_t max_connections = 0;
 
   /// Optional line logger (stderr in the CLI, captured in tests).
@@ -70,18 +52,11 @@ class ServeDaemon {
 
   std::uint16_t port() const;
 
-  /// Accept loop: serves connections until request_shutdown() or the
-  /// max_connections bound. Joins every connection thread before
-  /// returning, so when run() returns no job process survives.
+  /// The event loop. After a kServeShutdown request it closes the
+  /// listener, rejects new submissions, and returns once every queued
+  /// and running job has finished; with max_connections it returns once
+  /// the last connection closes. No job process outlives it.
   void run();
-
-  /// Thread-safe: stops the accept loop and refuses new submissions
-  /// (running jobs finish; queued jobs still run). Safe to call from a
-  /// connection thread (the shutdown frame handler) or another thread.
-  void request_shutdown();
-
-  /// Live counter snapshot (what the kServeStats reply carries).
-  StatsReply stats() const;
 
  private:
   struct Impl;

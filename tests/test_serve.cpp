@@ -2,7 +2,8 @@
 // projected space budget, byte-identical results through the daemon vs
 // standalone run_job, client-disconnect cancellation (job killed and
 // reaped, budget released, daemon healthy), typed rejection of
-// malformed submissions, and the shutdown drain.
+// malformed submissions, the shutdown drain, and the max_connections
+// bound. Every daemon runs in its own forked process and must exit 0.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +19,11 @@
 #include "mrlr/jobs/job_result.hpp"
 #include "mrlr/jobs/job_spec.hpp"
 #include "mrlr/jobs/worker.hpp"
+#include "mrlr/obs/telemetry.hpp"
 #include "mrlr/serve/admission.hpp"
 #include "mrlr/serve/client.hpp"
 #include "mrlr/serve/protocol.hpp"
-#include "mrlr/serve/server.hpp"
+#include "mrlr/serve/spawn.hpp"
 #include "mrlr/setcover/generators.hpp"
 #include "mrlr/util/rng.hpp"
 
@@ -49,11 +51,10 @@ jobs::JobSpec mis_spec(std::uint64_t n, std::uint64_t seed) {
   return jobs::graph_job("mis", g, params);
 }
 
-/// An in-process daemon on an ephemeral loopback port, run() on its own
-/// thread, drained and joined at scope exit.
+/// A daemon forked on an ephemeral loopback port, drained at scope exit,
+/// where it must exit 0.
 struct Daemon {
-  serve::ServeDaemon daemon;
-  std::thread runner;
+  serve::SpawnedDaemon forked;
 
   static serve::ServeOptions with_log(serve::ServeOptions opts) {
     opts.log = [](const std::string& l) {
@@ -62,25 +63,84 @@ struct Daemon {
     return opts;
   }
   explicit Daemon(serve::ServeOptions opts = {})
-      : daemon("127.0.0.1", 0, with_log(std::move(opts))),
-        runner([this] { daemon.run(); }) {}
+      : forked(with_log(std::move(opts))) {}
 
-  ~Daemon() {
-    daemon.request_shutdown();
-    if (runner.joinable()) runner.join();
+  ~Daemon() { EXPECT_TRUE(forked.shutdown()) << "daemon exit code"; }
+
+  exec::Endpoint endpoint() const { return forked.endpoint(); }
+  serve::StatsReply stats() const {
+    return serve::ServeClient(endpoint()).stats();
   }
-
-  exec::Endpoint endpoint() const { return {"127.0.0.1", daemon.port()}; }
 };
 
 /// Polls the daemon's stats until `pred` holds or ~5s pass.
 template <typename Pred>
 bool eventually(const Daemon& d, Pred pred) {
+  serve::ServeClient client(d.endpoint());
   for (int i = 0; i < 250; ++i) {
-    if (pred(d.daemon.stats())) return true;
+    if (pred(client.stats())) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return false;
+}
+
+/// Four distinct jobs (different seeds and algorithms).
+std::vector<jobs::JobSpec> four_specs() {
+  std::vector<jobs::JobSpec> specs;
+  specs.push_back(graph_spec(150, 1));
+  specs.push_back(graph_spec(150, 2, "filtering-matching"));
+  specs.push_back(mis_spec(150, 3));
+  specs.push_back(graph_spec(120, 4, "vertex-cover"));
+  {  // vertex-cover needs weights
+    Rng wr(99);
+    auto& w = specs[3].extras["w"];
+    for (std::size_t v = 0; v < 120; ++v) {
+      w.push_back(core::pack_double(
+          1.0 + static_cast<double>(wr() % 1000) / 250.0));
+    }
+  }
+  return specs;
+}
+
+/// Submits each spec from its own client thread and checks every result
+/// equals its standalone run.
+void expect_concurrent_clients_match_standalone(
+    const Daemon& d, const std::vector<jobs::JobSpec>& specs) {
+  std::vector<std::string> standalone;
+  for (const jobs::JobSpec& s : specs) {
+    standalone.push_back(jobs::fingerprint(jobs::run_job(s)));
+  }
+
+  std::vector<std::string> remote(specs.size());
+  std::vector<std::string> errors(specs.size());
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    clients.emplace_back([&, i] {
+      try {
+        serve::ServeClient client(d.endpoint());
+        const serve::AdmissionReply admission = client.submit(specs[i]);
+        if (!admission.accepted) {
+          errors[i] = "rejected: " + admission.message;
+          return;
+        }
+        const serve::ResultReply reply = client.wait_result();
+        if (!reply.ok) {
+          errors[i] = "failed: " + reply.error;
+          return;
+        }
+        remote[i] =
+            jobs::fingerprint(serve::ServeClient::decode_result(reply));
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(errors[i], "") << specs[i].algorithm;
+    EXPECT_EQ(remote[i], standalone[i]) << specs[i].algorithm;
+  }
 }
 
 TEST(ServeAdmission, ProjectionReadsInstanceHeaderOnly) {
@@ -199,68 +259,34 @@ TEST(ServeDaemon, SingleSubmitMatchesStandaloneByteForByte) {
 }
 
 TEST(ServeDaemon, FourConcurrentClientsByteIdenticalToStandalone) {
-  // Four distinct jobs (different seeds and algorithms), each submitted
-  // from its own client thread while the daemon multiplexes two
-  // executor slots. Every result must equal its standalone run — the
-  // acceptance bar for service mode.
-  std::vector<jobs::JobSpec> specs;
-  specs.push_back(graph_spec(150, 1));
-  specs.push_back(graph_spec(150, 2, "filtering-matching"));
-  specs.push_back(mis_spec(150, 3));
-  specs.push_back(graph_spec(120, 4, "vertex-cover"));
-  {  // vertex-cover needs weights
-    Rng wr(99);
-    auto& w = specs[3].extras["w"];
-    for (std::size_t v = 0; v < 120; ++v) {
-      w.push_back(core::pack_double(
-          1.0 + static_cast<double>(wr() % 1000) / 250.0));
-    }
-  }
-
-  std::vector<std::string> standalone;
-  for (const jobs::JobSpec& s : specs) {
-    standalone.push_back(jobs::fingerprint(jobs::run_job(s)));
-  }
-
+  // Each job submitted from its own client thread while the daemon
+  // multiplexes two executor slots. Every result must equal its
+  // standalone run — the acceptance bar for service mode.
   serve::ServeOptions opts;
   opts.max_running = 2;
   Daemon d(std::move(opts));
+  expect_concurrent_clients_match_standalone(d, four_specs());
 
-  std::vector<std::string> remote(specs.size());
-  std::vector<std::string> errors(specs.size());
-  std::vector<std::thread> clients;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    clients.emplace_back([&, i] {
-      try {
-        serve::ServeClient client(d.endpoint());
-        const serve::AdmissionReply admission = client.submit(specs[i]);
-        if (!admission.accepted) {
-          errors[i] = "rejected: " + admission.message;
-          return;
-        }
-        const serve::ResultReply reply = client.wait_result();
-        if (!reply.ok) {
-          errors[i] = "failed: " + reply.error;
-          return;
-        }
-        remote[i] =
-            jobs::fingerprint(serve::ServeClient::decode_result(reply));
-      } catch (const std::exception& e) {
-        errors[i] = e.what();
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
+  // The reservation is released before the result is relayed.
+  const serve::StatsReply stats = d.stats();
+  EXPECT_EQ(stats.jobs_completed, 4u);
+  EXPECT_EQ(stats.words_in_use, 0u);
+}
 
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(errors[i], "") << specs[i].algorithm;
-    EXPECT_EQ(remote[i], standalone[i]) << specs[i].algorithm;
+TEST(ServeDaemon, FourConcurrentClientsWithTelemetryOn) {
+  // Regression: with telemetry on, a daemon that forked jobs while
+  // other threads of its process were recording could fork under the
+  // recorder's mutex, and the job child then blocked forever. The
+  // daemon inherits the enabled recorder here while four client
+  // threads record frame counters in this process.
+  obs::Telemetry::instance().enable();
+  {
+    serve::ServeOptions opts;
+    opts.max_running = 4;
+    Daemon d(std::move(opts));
+    expect_concurrent_clients_match_standalone(d, four_specs());
   }
-  // The reply frame is written before the reservation is released, so
-  // a client can observe stats a beat ahead of the bookkeeping.
-  EXPECT_TRUE(eventually(d, [](const serve::StatsReply& s) {
-    return s.jobs_completed == 4 && s.words_in_use == 0;
-  }));
+  obs::Telemetry::instance().disable();
 }
 
 TEST(ServeDaemon, RejectsJobThatNeverFitsTheBudget) {
@@ -309,8 +335,7 @@ TEST(ServeDaemon, RejectsSecondJobOverBudgetWhileFirstRuns) {
 
   // With the first job finished its words are back; a resubmission of
   // the same spec now fits — kOverBudget really did mean "retry later".
-  ASSERT_TRUE(eventually(
-      d, [](const serve::StatsReply& s) { return s.words_in_use == 0; }));
+  ASSERT_EQ(d.stats().words_in_use, 0u);
   const serve::AdmissionReply a3 = second.submit(spec);
   EXPECT_TRUE(a3.accepted) << a3.message;
   EXPECT_TRUE(second.wait_result().ok);
@@ -374,7 +399,7 @@ TEST(ServeDaemon, MalformedSubmitRejectsTypedWithoutKillingConnection) {
       exec::expect_frame(ch, exec::FrameKind::kJobResult, 0, 1);
   EXPECT_TRUE(serve::decode_result_reply(result.payload).ok);
 
-  const serve::StatsReply stats = d.daemon.stats();
+  const serve::StatsReply stats = d.stats();
   EXPECT_EQ(stats.jobs_rejected, 1u);
   EXPECT_EQ(stats.jobs_completed, 1u);
 }
@@ -396,20 +421,57 @@ TEST(ServeDaemon, ShutdownDrainsAndStopsAccepting) {
     serve::ServeClient client(d.endpoint());
     EXPECT_TRUE(client.submit(graph_spec(150, 1)).accepted);
     EXPECT_TRUE(client.wait_result().ok);
+    EXPECT_EQ(client.stats().jobs_completed, 1u);
     client.shutdown();  // returns only after the daemon acknowledged
   }
-  d.daemon.request_shutdown();  // idempotent
-  d.runner.join();
+  // Nothing left to drain: the daemon exits 0 by itself.
+  EXPECT_TRUE(d.forked.wait());
 
   // The listener is gone: a new client cannot connect.
   EXPECT_THROW(serve::ServeClient(d.endpoint(),
                                   std::chrono::milliseconds(300)),
                exec::TransportError);
+}
 
-  // Submissions after the flag flips are refused typed, not raced: the
-  // admission path re-checks under the ledger lock.
-  const serve::StatsReply stats = d.daemon.stats();
-  EXPECT_EQ(stats.jobs_completed, 1u);
+TEST(ServeDaemon, ShutdownRunsQueuedJobsBeforeExiting) {
+  // One executor slot: the second job is still queued when the shutdown
+  // lands. The drain runs it rather than cancelling it, and refuses new
+  // submissions typed meanwhile.
+  serve::ServeOptions opts;
+  opts.max_running = 1;
+  Daemon d(std::move(opts));
+  serve::ServeClient first(d.endpoint());
+  serve::ServeClient second(d.endpoint());
+  serve::ServeClient late(d.endpoint());
+  ASSERT_TRUE(first.submit(mis_spec(12000, 6)).accepted);
+  ASSERT_TRUE(second.submit(graph_spec(150, 1)).accepted);
+  ASSERT_TRUE(eventually(d, [](const serve::StatsReply& s) {
+    return s.jobs_running == 1 && s.jobs_queued == 1;
+  }));
+  serve::ServeClient(d.endpoint()).shutdown();
+
+  const serve::AdmissionReply refused = late.submit(graph_spec(150, 2));
+  EXPECT_FALSE(refused.accepted);
+  EXPECT_EQ(refused.reason, serve::RejectReason::kShuttingDown);
+  EXPECT_TRUE(first.wait_result().ok);
+  EXPECT_TRUE(second.wait_result().ok);
+  EXPECT_TRUE(d.forked.wait());
+}
+
+TEST(ServeDaemon, MaxConnectionsServesTheLastConnectionThenExits) {
+  // Regression: the daemon used to stop right after accepting its Nth
+  // connection, which then lost its first request.
+  serve::ServeOptions opts;
+  opts.max_connections = 1;
+  Daemon d(std::move(opts));
+  {
+    serve::ServeClient client(d.endpoint());
+    const serve::AdmissionReply admission = client.submit(graph_spec(150, 1));
+    ASSERT_TRUE(admission.accepted) << admission.message;
+    EXPECT_TRUE(client.wait_result().ok);
+  }
+  // run() returns once that connection has closed.
+  EXPECT_TRUE(d.forked.wait());
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
-// Unit tests for the util module: RNG, math helpers, statistics, tables.
+// Unit tests for the util module: RNG, math helpers, statistics, tables,
+// the fork-safety thread count.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "mrlr/util/math.hpp"
 #include "mrlr/util/rng.hpp"
 #include "mrlr/util/stats.hpp"
 #include "mrlr/util/table.hpp"
+#include "mrlr/util/threads.hpp"
 
 namespace mrlr {
 namespace {
@@ -294,6 +298,23 @@ TEST(Table, NumRows) {
   EXPECT_EQ(t.num_rows(), 0u);
   t.row().cell("x");
   EXPECT_EQ(t.num_rows(), 1u);
+}
+
+// ------------------------------------------------------------ threads --
+
+TEST(Threads, CountsLiveThreads) {
+#ifdef __SANITIZE_THREAD__
+  GTEST_SKIP() << "TSan's runtime adds a thread of its own";
+#endif
+  ASSERT_EQ(thread_count(), 1u);
+  EXPECT_TRUE(single_threaded());
+  std::promise<void> release;
+  std::thread t([f = release.get_future()]() mutable { f.wait(); });
+  EXPECT_EQ(thread_count(), 2u);
+  EXPECT_FALSE(single_threaded());
+  release.set_value();
+  t.join();
+  EXPECT_TRUE(single_threaded());  // a joined thread may linger briefly
 }
 
 }  // namespace

@@ -262,19 +262,32 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_id,
 
   // Ship every worker its round: id, invoke params, and the inbox state
   // of its machine range. Workers start their machines while shard 0
-  // runs below.
+  // runs below. Every frame is encoded into, and later read into, the
+  // one reused frame_ buffer.
   std::uint64_t shipped = 0;
+  std::vector<std::byte>& payload = frame_.payload;
   for (Worker& w : workers_) {
-    std::vector<std::byte> payload;
+    std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
+    payload.clear();
     append_u64(payload, round_id);
     append_u64(payload, params.size());
     for (const std::uint64_t p : params) append_u64(payload, p);
     plane->serialize_round_input(w.first, w.last, payload);
+    if (telemetry) {
+      const std::uint64_t t1 = tel.now_ns();
+      tel.record_span(obs::Phase::kShardSerialize, t0, t1, sequence - 1,
+                      "shard " + std::to_string(w.shard));
+      t0 = t1;
+    }
     try {
       write_frame(*w.channel, FrameKind::kRoundControl, w.shard, sequence,
                   payload);
     } catch (const ExecError& e) {
       fail_job(w.shard, sequence, e.what());
+    }
+    if (telemetry) {
+      tel.record_span(obs::Phase::kShardTransport, t0, tel.now_ns(),
+                      sequence - 1, "shard " + std::to_string(w.shard));
     }
     shipped += payload.size();
   }
@@ -297,24 +310,28 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_id,
   for (Worker& w : workers_) {
     try {
       const std::uint64_t wait_start = telemetry ? tel.now_ns() : 0;
-      Frame data = expect_frame(*w.channel, FrameKind::kShardData, w.shard,
-                                sequence);
+      expect_frame(*w.channel, frame_, FrameKind::kShardData, w.shard,
+                   sequence);
+      std::uint64_t apply_start = 0;
       if (telemetry) {
-        tel.record_span(obs::Phase::kWorkerWait, wait_start, tel.now_ns(),
+        apply_start = tel.now_ns();
+        tel.record_span(obs::Phase::kWorkerWait, wait_start, apply_start,
                         sequence - 1, "shard " + std::to_string(w.shard));
       }
-      plane->apply_machines(w.first, w.last, data.payload);
+      plane->apply_machines(w.first, w.last, frame_.payload);
       if (telemetry) {
+        tel.record_span(obs::Phase::kShardApply, apply_start, tel.now_ns(),
+                        sequence - 1, "shard " + std::to_string(w.shard));
         // The worker only sends its span buffer when the bootstrap's
         // telemetry flag was set, which is exactly when job_telemetry_
         // is: the protocol shape is deterministic on both ends.
-        Frame spans = expect_frame(*w.channel, FrameKind::kShardTelemetry,
-                                   w.shard, sequence);
-        tel.merge_remote(spans.payload, w.shard);
+        expect_frame(*w.channel, frame_, FrameKind::kShardTelemetry,
+                     w.shard, sequence);
+        tel.merge_remote(frame_.payload, w.shard);
       }
-      Frame status = expect_frame(*w.channel, FrameKind::kShardStatus,
-                                  w.shard, sequence);
-      std::span<const std::byte> p = status.payload;
+      expect_frame(*w.channel, frame_, FrameKind::kShardStatus, w.shard,
+                   sequence);
+      std::span<const std::byte> p = frame_.payload;
       if (p.size() < 16) {
         throw TransportError(TransportError::Kind::kBadPayload,
                              "process-shard: status frame shorter than "
@@ -399,6 +416,7 @@ void ProcessShardExecutor::end_job() {
   // The pool dies with the job: the next start_job forks its workers
   // before rebuilding it, keeping forks free of live pool threads.
   local_pool_.reset();
+  std::vector<std::byte>().swap(frame_.payload);
   job_active_ = false;
   job_failed_ = false;
   local_range_ = {0, 0};

@@ -144,6 +144,12 @@ class ProcessShardExecutor final : public Executor {
   // decided once per job and both ends always agree, even if the
   // coordinator's recorder is toggled mid-job.
   bool job_telemetry_ = false;
+  // The one frame buffer of the job: every kRoundControl is encoded
+  // into its payload and every worker frame read into it, so
+  // steady-state rounds reuse its capacity. One buffer for all workers,
+  // not one each: frames are handled one at a time, and per-worker
+  // buffers would each grow to the largest frame. Freed at end_job.
+  Frame frame_;
 };
 
 }  // namespace mrlr::exec

@@ -18,6 +18,9 @@ namespace mrlr::exec {
 namespace {
 
 constexpr std::uint64_t kChecksumSeed = 0x6D726C722E6D7366ull;  // "mrlr.msf"
+// Seed distance between the four checksum chains (the splitmix64
+// golden-ratio increment).
+constexpr std::uint64_t kChecksumLaneStep = 0x9E3779B97F4A7C15ull;
 
 [[noreturn]] void io_fail(const char* op, int err) {
   throw TransportError(TransportError::Kind::kIo,
@@ -110,24 +113,44 @@ void append_u64(std::vector<std::byte>& out, std::uint64_t v) {
   std::memcpy(out.data() + n, &v, 8);
 }
 
-std::uint64_t read_u64(std::span<const std::byte> in, std::size_t offset) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, in.data() + offset, 8);
-  return v;
-}
-
 std::uint64_t frame_checksum(std::span<const std::byte> payload) {
-  std::uint64_t h = kChecksumSeed;
+  const std::byte* p = payload.data();
+  const std::size_t n = payload.size();
+  std::uint64_t h0 = kChecksumSeed;
+  std::uint64_t h1 = kChecksumSeed + kChecksumLaneStep;
+  std::uint64_t h2 = kChecksumSeed + 2 * kChecksumLaneStep;
+  std::uint64_t h3 = kChecksumSeed + 3 * kChecksumLaneStep;
   std::size_t i = 0;
-  for (; i + 8 <= payload.size(); i += 8) {
-    h = mix64(h ^ get_u64(payload.data() + i));
+  for (; i + 32 <= n; i += 32) {
+    h0 = mix64(h0 ^ get_u64(p + i));
+    h1 = mix64(h1 ^ get_u64(p + i + 8));
+    h2 = mix64(h2 ^ get_u64(p + i + 16));
+    h3 = mix64(h3 ^ get_u64(p + i + 24));
   }
-  if (i < payload.size()) {
+  // At most three whole words remain; they continue the interleave.
+  if (i + 8 <= n) {
+    h0 = mix64(h0 ^ get_u64(p + i));
+    i += 8;
+  }
+  if (i + 8 <= n) {
+    h1 = mix64(h1 ^ get_u64(p + i));
+    i += 8;
+  }
+  if (i + 8 <= n) {
+    h2 = mix64(h2 ^ get_u64(p + i));
+    i += 8;
+  }
+  if (i < n) {
     std::uint64_t tail = 0;
-    std::memcpy(&tail, payload.data() + i, payload.size() - i);
-    h = mix64(h ^ tail);
+    std::memcpy(&tail, p + i, n - i);
+    h0 = mix64(h0 ^ tail);
   }
-  return mix64(h ^ static_cast<std::uint64_t>(payload.size()));
+  // Ordered fold: the chains are not interchangeable.
+  std::uint64_t h = mix64(h0);
+  h = mix64(h ^ h1);
+  h = mix64(h ^ h2);
+  h = mix64(h ^ h3);
+  return mix64(h ^ static_cast<std::uint64_t>(n));
 }
 
 void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
@@ -148,7 +171,7 @@ void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
   obs::count("exec.wire_bytes_out", kHeaderBytes + payload.size());
 }
 
-Frame read_frame(ShardChannel& ch, std::uint64_t max_payload) {
+void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
   std::byte header[kHeaderBytes];
   read_exact(ch, header, kHeaderBytes, "frame header");
 
@@ -191,16 +214,20 @@ Frame read_frame(ShardChannel& ch, std::uint64_t max_payload) {
                              std::to_string(max_payload));
   }
 
-  Frame f;
-  f.kind = static_cast<FrameKind>(kind_raw);
-  f.shard = get_u32(header + 8);
-  f.sequence = get_u64(header + 16);
-  f.payload.resize(payload_len);
+  into.kind = static_cast<FrameKind>(kind_raw);
+  into.shard = get_u32(header + 8);
+  into.sequence = get_u64(header + 16);
+  // Cleared first so a growing resize never copies the previous
+  // payload into the new allocation; a shrinking one keeps capacity.
+  // The checksum covers exactly payload_len bytes, so stale bytes past
+  // the end of this frame can never validate it.
+  into.payload.clear();
+  into.payload.resize(payload_len);
   if (payload_len > 0) {
-    read_exact(ch, f.payload.data(), payload_len, "frame payload");
+    read_exact(ch, into.payload.data(), payload_len, "frame payload");
   }
   const std::uint64_t expected = get_u64(header + 32);
-  const std::uint64_t actual = frame_checksum(f.payload);
+  const std::uint64_t actual = frame_checksum(into.payload);
   if (expected != actual) {
     throw TransportError(TransportError::Kind::kBadChecksum,
                          "shard transport: frame checksum mismatch "
@@ -208,23 +235,36 @@ Frame read_frame(ShardChannel& ch, std::uint64_t max_payload) {
   }
   obs::count("exec.frames_received");
   obs::count("exec.wire_bytes_in", kHeaderBytes + payload_len);
+}
+
+Frame read_frame(ShardChannel& ch, std::uint64_t max_payload) {
+  Frame f;
+  read_frame(ch, f, max_payload);
   return f;
 }
 
-Frame expect_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
-                   std::uint64_t sequence, std::uint64_t max_payload) {
-  Frame f = read_frame(ch, max_payload);
-  if (f.kind != kind || f.shard != shard || f.sequence != sequence) {
+void expect_frame(ShardChannel& ch, Frame& into, FrameKind kind,
+                  std::uint32_t shard, std::uint64_t sequence,
+                  std::uint64_t max_payload) {
+  read_frame(ch, into, max_payload);
+  if (into.kind != kind || into.shard != shard ||
+      into.sequence != sequence) {
     throw TransportError(
         TransportError::Kind::kUnexpected,
         "shard transport: unexpected frame (kind " +
-            std::to_string(static_cast<int>(f.kind)) + ", shard " +
-            std::to_string(f.shard) + ", seq " +
-            std::to_string(f.sequence) + ") while expecting (kind " +
+            std::to_string(static_cast<int>(into.kind)) + ", shard " +
+            std::to_string(into.shard) + ", seq " +
+            std::to_string(into.sequence) + ") while expecting (kind " +
             std::to_string(static_cast<int>(kind)) + ", shard " +
             std::to_string(shard) + ", seq " + std::to_string(sequence) +
             ") — reordered or misrouted");
   }
+}
+
+Frame expect_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
+                   std::uint64_t sequence, std::uint64_t max_payload) {
+  Frame f;
+  expect_frame(ch, f, kind, shard, sequence, max_payload);
   return f;
 }
 

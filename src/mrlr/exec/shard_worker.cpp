@@ -225,8 +225,19 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
         static_cast<unsigned>(b.threads));
   }
 
+  // Both buffers keep their capacity from round to round.
+  Frame frame;
+  std::vector<std::byte> bytes;
+  // Each round ships the telemetry recorded since the previous round's
+  // snapshot, so the frames written after a snapshot (that round's
+  // telemetry and status frames) and the next control frame read all
+  // land in the next window: every wire byte reaches the coordinator's
+  // counters from both ends, except the last round's trailing frames.
+  obs::Telemetry::Mark tel_mark;
+  if (telemetry) tel_mark = tel.mark();
+
   for (;;) {
-    Frame frame = read_frame(ch);
+    read_frame(ch, frame);
     if (frame.kind == FrameKind::kJobTeardown) return;
     if (frame.kind != FrameKind::kRoundControl || frame.shard != shard) {
       throw TransportError(
@@ -264,15 +275,16 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
     }
     p = p.subspan(param_count * 8);
 
-    obs::Telemetry::Mark tel_mark;
-    if (telemetry) tel_mark = tel.mark();
-
+    std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
     plane.apply_round_input(first, last, p);
+    if (telemetry) {
+      tel.record_span(obs::Phase::kShardApply, t0, tel.now_ns(), round_ix);
+      t0 = tel.now_ns();
+    }
 
     std::uint64_t error_machine = 0;
     bool failed = false;
     std::string error_what;
-    std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
     std::exception_ptr error;
     run_shard_range(
         pool.get(), first, last,
@@ -294,7 +306,7 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
                           std::to_string(last) + ")");
     }
 
-    std::vector<std::byte> bytes;
+    bytes.clear();
     t0 = telemetry ? tel.now_ns() : 0;
     plane.serialize_machines(first, last, bytes);
     if (telemetry) {
@@ -306,12 +318,11 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
     if (telemetry) {
       tel.record_span(obs::Phase::kShardTransport, t0, tel.now_ns(),
                       round_ix);
-      // Everything this worker recorded this round ships back for the
-      // coordinator's merged profile. The telemetry and status frames
-      // themselves are written after this snapshot, so their wire
-      // counters are only visible on the coordinator's receive side.
-      write_frame(ch, FrameKind::kShardTelemetry, shard, sequence,
-                  tel.serialize_since(tel_mark));
+      // Everything this worker recorded since the last snapshot ships
+      // back for the coordinator's merged profile.
+      const std::vector<std::byte> window = tel.serialize_since(tel_mark);
+      tel_mark = tel.mark();
+      write_frame(ch, FrameKind::kShardTelemetry, shard, sequence, window);
     }
 
     std::vector<std::byte> status;

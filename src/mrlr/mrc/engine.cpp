@@ -306,7 +306,23 @@ std::uint64_t Engine::inbox_size(MachineId m) const {
 
 namespace {
 
-using exec::append_u64;
+using exec::store_u64;
+
+/// Grows `out` by `lanes` u64 lanes in one step and returns where they
+/// start: the encoders size their output exactly, then store through a
+/// moving pointer instead of growing the buffer field by field.
+std::byte* grow(std::vector<std::byte>& out, std::uint64_t lanes) {
+  const std::size_t start = out.size();
+  out.resize(start + lanes * 8);
+  return out.data() + start;
+}
+
+std::byte* store_words(std::byte* at, const Word* words,
+                       std::uint64_t count) {
+  if (count == 0) return at;
+  std::memcpy(at, words, count * sizeof(Word));
+  return at + count * sizeof(Word);
+}
 
 [[noreturn]] void bad_payload(const std::string& what) {
   throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
@@ -341,25 +357,30 @@ struct Cursor {
 
 void Engine::serialize_machines(std::uint64_t first, std::uint64_t last,
                                 std::vector<std::byte>& out) const {
+  // Per machine: 4 accounting/count lanes, 3 lanes per frame, the arena
+  // word count, then the arena words verbatim.
+  std::uint64_t lanes = 0;
+  for (std::uint64_t m = first; m < last; ++m) {
+    lanes += 5 + 3 * staging_[m].frames.size() + staging_[m].words.size();
+  }
+  std::byte* p = grow(out, lanes);
   for (std::uint64_t m = first; m < last; ++m) {
     const Outbox& o = staging_[m];
-    append_u64(out, outbox_words_[m]);
-    append_u64(out, resident_words_[m]);
-    append_u64(out, writer_open_[m]);
-    append_u64(out, o.frames.size());
+    p = store_u64(p, outbox_words_[m]);
+    p = store_u64(p, resident_words_[m]);
+    p = store_u64(p, writer_open_[m]);
+    p = store_u64(p, o.frames.size());
     for (const Frame& f : o.frames) {
-      append_u64(out, f.to);
-      append_u64(out, f.offset);
-      append_u64(out, f.len);
+      p = store_u64(p, f.to);
+      p = store_u64(p, f.offset);
+      p = store_u64(p, f.len);
     }
-    const auto n = out.size();
-    const auto bytes = o.words.size() * sizeof(Word);
-    append_u64(out, o.words.size());
-    out.resize(n + 8 + bytes);
-    if (bytes > 0) {
-      std::memcpy(out.data() + n + 8, o.words.data(), bytes);
-    }
+    p = store_u64(p, o.words.size());
+    p = store_words(p, o.words.data(), o.words.size());
   }
+  MRLR_DEBUG_REQUIRE(p == out.data() + out.size(),
+                     "serialize_machines wrote a different size than it "
+                     "computed");
 }
 
 void Engine::apply_machines(std::uint64_t first, std::uint64_t last,
@@ -378,30 +399,31 @@ void Engine::apply_machines(std::uint64_t first, std::uint64_t last,
     if (frame_count > cur.in.size() / 24) {
       bad_payload("frame count exceeds remaining payload");
     }
-    Outbox& o = staging_[m];
-    o.frames.clear();
-    o.frames.reserve(frame_count);
-    for (std::uint64_t i = 0; i < frame_count; ++i) {
-      const std::uint64_t to = cur.u64("frame destination");
-      const std::uint64_t offset = cur.u64("frame offset");
-      const std::uint64_t len = cur.u64("frame length");
-      if (to >= num_machines()) {
-        bad_payload("frame destination " + std::to_string(to) +
-                    " out of range");
-      }
-      o.frames.push_back({static_cast<MachineId>(to), offset, len});
-    }
+    // The arena word count follows the frame index; reading it first
+    // lets one pass over the index check every frame completely.
+    const std::span<const std::byte> index = cur.in.first(frame_count * 24);
+    cur.in = cur.in.subspan(index.size());
     const std::uint64_t word_count = cur.u64("arena word count");
     if (word_count > cur.in.size() / sizeof(Word)) {
       bad_payload("arena word count exceeds remaining payload");
     }
-    cur.words(o.words, word_count);
-    for (const Frame& f : o.frames) {
-      if (f.len > word_count || f.offset > word_count - f.len) {
-        bad_payload("frame extent [" + std::to_string(f.offset) + ", +" +
-                    std::to_string(f.len) + ") outside the arena");
+    Outbox& o = staging_[m];
+    o.frames.resize(frame_count);
+    for (std::uint64_t i = 0; i < frame_count; ++i) {
+      const std::uint64_t to = exec::read_u64(index, i * 24);
+      const std::uint64_t offset = exec::read_u64(index, i * 24 + 8);
+      const std::uint64_t len = exec::read_u64(index, i * 24 + 16);
+      if (to >= num_machines()) {
+        bad_payload("frame destination " + std::to_string(to) +
+                    " out of range");
       }
+      if (len > word_count || offset > word_count - len) {
+        bad_payload("frame extent [" + std::to_string(offset) + ", +" +
+                    std::to_string(len) + ") outside the arena");
+      }
+      o.frames[i] = {static_cast<MachineId>(to), offset, len};
     }
+    cur.words(o.words, word_count);
   }
   if (!cur.in.empty()) bad_payload("trailing bytes after the last machine");
 }
@@ -410,20 +432,25 @@ void Engine::apply_machines(std::uint64_t first, std::uint64_t last,
 
 void Engine::serialize_round_input(std::uint64_t first, std::uint64_t last,
                                    std::vector<std::byte>& out) const {
+  // Per machine: the inbox word total and frame count, then 2 lanes per
+  // message plus its words (which sum to the inbox word total).
+  std::uint64_t lanes = 0;
   for (std::uint64_t m = first; m < last; ++m) {
-    append_u64(out, inbox_words_[m]);
-    append_u64(out, inbox_frames_[m].size());
+    lanes += 2 + 2 * inbox_frames_[m].size() + inbox_words_[m];
+  }
+  std::byte* p = grow(out, lanes);
+  for (std::uint64_t m = first; m < last; ++m) {
+    p = store_u64(p, inbox_words_[m]);
+    p = store_u64(p, inbox_frames_[m].size());
     for (const InboxFrame& f : inbox_frames_[m]) {
-      append_u64(out, f.from);
-      append_u64(out, f.len);
-      const auto n = out.size();
-      out.resize(n + f.len * sizeof(Word));
-      if (f.len > 0) {
-        std::memcpy(out.data() + n, slabs_[f.from].words.data() + f.offset,
-                    f.len * sizeof(Word));
-      }
+      p = store_u64(p, f.from);
+      p = store_u64(p, f.len);
+      p = store_words(p, slabs_[f.from].words.data() + f.offset, f.len);
     }
   }
+  MRLR_DEBUG_REQUIRE(p == out.data() + out.size(),
+                     "serialize_round_input wrote a different size than it "
+                     "computed");
 }
 
 void Engine::apply_round_input(std::uint64_t first, std::uint64_t last,

@@ -12,7 +12,7 @@ namespace {
 constexpr std::string_view kPhaseNames[kNumPhases] = {
     "round",           "callback",        "arena_merge", "central",
     "shard_serialize", "shard_transport", "worker_wait", "io_load",
-    "queue_wait",      "job_run",
+    "queue_wait",      "job_run",         "shard_apply",
 };
 
 // Wire format version for serialize_since/merge_remote payloads —

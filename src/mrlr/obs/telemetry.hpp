@@ -21,9 +21,10 @@
 // (exec::TransportError(kBadPayload) on anything malformed) and appends
 // the spans with their original shard/round attribution, so a K=4 run
 // yields one coherent profile. Counter deltas recorded after the Mark
-// merge additively; the telemetry and status frames a worker writes
-// *after* serializing are the one wire cost not attributed to the
-// worker (the coordinator's receive-side counters still see them).
+// merge additively. A worker starts each round's window where the
+// previous snapshot ended, so the telemetry and status frames it writes
+// after a snapshot ship with the next round; only the last round's
+// trailing frames never reach the coordinator's send-side counters.
 //
 // Threading: record_span/add_counter take a mutex (contention is
 // negligible — a handful of events per round); enable/disable/clear are
@@ -50,14 +51,20 @@ enum class Phase : std::uint8_t {
   kCallback,         ///< per-machine user callbacks (executor dispatch)
   kArenaMerge,       ///< sender-id-ordered frame merge after the barrier
   kCentral,          ///< a central-only round's callback phase
-  kShardSerialize,   ///< worker: ShardDataPlane::serialize_machines
-  kShardTransport,   ///< worker: shipping the data frame over the channel
+  kShardSerialize,   ///< worker: ShardDataPlane::serialize_machines;
+                     ///< coordinator: encoding one worker's round control
+  kShardTransport,   ///< worker: shipping the data frame over the channel;
+                     ///< coordinator: shipping one worker's round control
   kWorkerWait,       ///< coordinator: waiting on one shard's frames
   kIoLoad,           ///< graph file ingestion (.mgb or text)
   kQueueWait,        ///< serve: admitted job waiting for an executor slot
   kJobRun,           ///< serve: one job's execution (fork to result)
+  kShardApply,       ///< coordinator: apply_machines of one shard's data;
+                     ///< worker: apply_round_input of its round control
+                     ///< (appended last so earlier wire ids keep their
+                     ///< values)
 };
-inline constexpr std::size_t kNumPhases = 10;
+inline constexpr std::size_t kNumPhases = 11;
 
 /// Spans outside any engine round (e.g. io_load) carry this round id.
 inline constexpr std::uint64_t kNoRound = ~std::uint64_t{0};

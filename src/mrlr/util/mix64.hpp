@@ -1,9 +1,10 @@
 #pragma once
 // The splitmix64 finalizer, shared by every on-disk / on-wire checksum
-// in the library (the .mgb container trailer and the shard-transport
-// frame checksums use the same rolling construction: h = mix64(h ^ x)).
-// Centralized so the formats provably agree on the mix and a future
-// change cannot silently fork them.
+// in the library. The formats share only this mix, not the
+// construction around it: the .mgb container trailer is one rolling
+// chain (h = mix64(h ^ x)), while the shard-transport frame checksum
+// runs four interleaved chains and folds them (exec::frame_checksum).
+// Centralized so a change to the mix cannot silently fork the formats.
 
 #include <cstdint>
 

@@ -473,6 +473,97 @@ TEST(Engine, PendingInboxBoundsChecked) {
   }
 }
 
+// ------------------------------------------------ shard wire layouts --
+
+/// Runs registered rounds serially and captures, per round, the engine's
+/// round-input encoding of every machine before the callbacks and its
+/// staged-arena encoding after them — the exact bytes a kRoundControl
+/// and a kShardData frame carry. Both buffers start with a 3-byte
+/// prefix: the encoders append, and the prefix must survive unaligned.
+class WireCaptureExecutor final : public exec::Executor {
+ public:
+  static constexpr std::byte kPrefix[3] = {std::byte{0xA1}, std::byte{0xA2},
+                                           std::byte{0xA3}};
+
+  void run_machines(std::uint64_t first, std::uint64_t last,
+                    const MachineFn& fn) override {
+    for (std::uint64_t m = first; m < last; ++m) fn(m);
+  }
+  void run_job_round(std::uint64_t, std::span<const std::uint64_t>,
+                     std::uint64_t num_machines, const MachineFn& fn,
+                     exec::ShardJobPlane* plane) override {
+    std::vector<std::byte> in(std::begin(kPrefix), std::end(kPrefix));
+    plane->serialize_round_input(0, num_machines, in);
+    round_inputs.push_back(std::move(in));
+    run_machines(0, num_machines, fn);
+    std::vector<std::byte> out(std::begin(kPrefix), std::end(kPrefix));
+    plane->serialize_machines(0, num_machines, out);
+    machine_outputs.push_back(std::move(out));
+  }
+  std::string_view name() const override { return "wire-capture"; }
+  unsigned num_threads() const override { return 1; }
+
+  std::vector<std::vector<std::byte>> round_inputs;
+  std::vector<std::vector<std::byte>> machine_outputs;
+};
+
+/// kPrefix followed by `lanes` as little-endian u64 words.
+std::vector<std::byte> prefixed_lanes(std::initializer_list<std::uint64_t> lanes) {
+  std::vector<std::byte> out(std::begin(WireCaptureExecutor::kPrefix),
+                             std::end(WireCaptureExecutor::kPrefix));
+  for (const std::uint64_t v : lanes) exec::append_u64(out, v);
+  return out;
+}
+
+TEST(ShardWireLayout, EncodersMatchKnownBytes) {
+  // Hand-built 3-machine state: a two-word send plus an empty message
+  // from machine 0, a MessageWriter frame from machine 1, and machine 2
+  // sending nothing (it only charges resident words).
+  auto capture = std::make_shared<WireCaptureExecutor>();
+  mrc::Engine e(topo(3), capture);
+  const mrc::RoundId r_seed = e.define_round(
+      "seed", [](MachineContext& ctx, std::span<const Word>) {
+        if (ctx.id() == 0) {
+          ctx.send(1, {11, 12});
+          ctx.send(2, std::vector<Word>{});
+        } else if (ctx.id() == 1) {
+          mrc::MessageWriter w = ctx.begin_message(0);
+          w.push(21);
+          w.append(std::vector<Word>{22, 23});
+        } else {
+          ctx.charge_resident(5);
+        }
+      });
+  const mrc::RoundId r_read = e.define_round(
+      "read", [](MachineContext&, std::span<const Word>) {});
+  e.invoke_round(r_seed);
+  e.invoke_round(r_read);
+  ASSERT_EQ(capture->round_inputs.size(), 2u);
+  ASSERT_EQ(capture->machine_outputs.size(), 2u);
+
+  // serialize_machines after "seed", per machine: outbox words, resident
+  // words, writer-open flag, frame count, (to, offset, len) per frame,
+  // arena word count, arena words.
+  EXPECT_EQ(capture->machine_outputs[0],
+            prefixed_lanes({2, 0, 0, 2, 1, 0, 2, 2, 2, 0, 2, 11, 12,  // m0
+                            3, 0, 0, 1, 0, 0, 3, 3, 21, 22, 23,       // m1
+                            0, 5, 0, 0, 0}));                         // m2
+
+  // serialize_round_input before "read", per machine: inbox word total,
+  // frame count, then (sender, len, payload words) per message.
+  EXPECT_EQ(capture->round_inputs[1],
+            prefixed_lanes({3, 1, 1, 3, 21, 22, 23,  // m0
+                            2, 1, 0, 2, 11, 12,      // m1
+                            0, 1, 0, 0}));           // m2: one empty message
+
+  // Before the first round every inbox is empty; after "read" no
+  // machine staged anything.
+  EXPECT_EQ(capture->round_inputs[0],
+            prefixed_lanes({0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(capture->machine_outputs[1],
+            prefixed_lanes({0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
+}
+
 // ---------------------------------------------- algorithm determinism --
 
 /// Everything rlr_matching reports, flattened for equality checks.

@@ -470,7 +470,7 @@ struct MatchingResult {
   bool operator==(const MatchingResult&) const = default;
 };
 
-MatchingResult run_sharded_matching() {
+MatchingResult run_sharded_matching(std::uint64_t shards = 4) {
   Rng rng(17 ^ 0xABCDEFull);
   graph::Graph g = graph::gnm_density(300, 0.5, rng);
   g = g.with_weights(
@@ -478,7 +478,7 @@ MatchingResult run_sharded_matching() {
   core::MrParams params;
   params.mu = 0.15;
   params.seed = 17;
-  params.num_shards = 4;
+  params.num_shards = shards;
   const auto r = core::rlr_matching(g, params);
   return {r.matching,          r.weight,
           r.outcome.rounds,    r.outcome.max_machine_words,
@@ -533,6 +533,44 @@ TEST_F(TelemetryTest, ProcessBackendMergesAllShardProfiles) {
   const obs::ProfileReport report = obs::build_report(snap);
   EXPECT_EQ(report.by_shard.size(), 4u);
   EXPECT_GT(report.round_total_ns, 0u);
+}
+
+TEST_F(TelemetryTest, ProcessBackendSpansCoverBothEndsOfTheDataPlane) {
+  // The coordinator's encode, send and apply work and the worker's
+  // apply work each get their own span instead of being booked as
+  // callback time.
+  Telemetry& t = Telemetry::instance();
+  t.enable();
+  const MatchingResult on = run_sharded_matching(2);
+  t.disable();
+  ASSERT_FALSE(on.failed);
+  std::set<std::pair<std::uint32_t, Phase>> seen;
+  for (const SpanRecord& s : t.snapshot().spans) {
+    seen.emplace(s.shard, s.phase);
+  }
+  EXPECT_TRUE(seen.count({0, Phase::kShardSerialize}));
+  EXPECT_TRUE(seen.count({0, Phase::kShardTransport}));
+  EXPECT_TRUE(seen.count({0, Phase::kShardApply}));
+  EXPECT_TRUE(seen.count({1, Phase::kShardApply}));
+}
+
+TEST_F(TelemetryTest, ProcessBackendWireCountersBalance) {
+  // Every frame is counted once by its sender and once by its receiver,
+  // and the workers' counts reach the coordinator through their
+  // telemetry frames: in and out must agree. Only the handshake-era
+  // frames and the last round's trailing worker frames escape, which
+  // the data frames of a real job dwarf.
+  Telemetry& t = Telemetry::instance();
+  t.enable();
+  const MatchingResult on = run_sharded_matching(2);
+  t.disable();
+  ASSERT_FALSE(on.failed);
+  const TelemetrySnapshot snap = t.snapshot();
+  const double out =
+      static_cast<double>(snap.counters.at("exec.wire_bytes_out"));
+  const double in = static_cast<double>(snap.counters.at("exec.wire_bytes_in"));
+  EXPECT_GT(out, 1e6);
+  EXPECT_NEAR(in / out, 1.0, 0.01) << "in " << in << " out " << out;
 }
 
 }  // namespace

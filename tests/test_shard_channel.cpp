@@ -231,12 +231,13 @@ TEST(Handshake, RoundTripAcceptsAndEchoes) {
 
 TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   // Regression pin for the version bump: a peer still speaking frame
-  // protocol version 1 must be refused by a version-2 build, with both
-  // numbers in the error on BOTH sides of the wire.
-  static_assert(kFrameVersion == 2,
+  // protocol version 2 (the single-chain checksum) must be refused by a
+  // version-3 build at the handshake, with both numbers in the error on
+  // BOTH sides of the wire, instead of failing every frame's checksum.
+  static_assert(kFrameVersion == 3,
                 "update the forged version below when bumping again");
   auto [a, b] = make_socketpair_channel();
-  const auto hello = forge_hello(/*version=*/1, /*shard=*/2, /*nonce=*/7);
+  const auto hello = forge_hello(/*version=*/2, /*shard=*/2, /*nonce=*/7);
   a.write_all(hello.data(), hello.size());
   try {
     (void)handshake_accept(b, nullptr);
@@ -244,8 +245,8 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
     EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
   }
   // The refusal ack reaches the stale connector before the drop: its
   // status decodes as a version mismatch and names the responder's
@@ -261,7 +262,7 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   std::uint16_t status = 0;
   std::memcpy(&acked_version, ack + 4, 2);
   std::memcpy(&status, ack + 6, 2);
-  EXPECT_EQ(acked_version, 2);
+  EXPECT_EQ(acked_version, 3);
   EXPECT_EQ(status,
             static_cast<std::uint16_t>(HandshakeStatus::kVersionMismatch));
 }
@@ -269,7 +270,7 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
 TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
   auto [a, b] = make_socketpair_channel();
   // Forge the responder: an old build acking kVersionMismatch with its
-  // own version 1.
+  // own version 2.
   std::thread responder([&] {
     std::byte hello[24];
     std::size_t at = 0;
@@ -280,7 +281,7 @@ TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
     }
     std::vector<std::byte> ack(24);
     put_u32(ack.data() + 0, kAckMagic);
-    put_u16(ack.data() + 4, /*version=*/1);
+    put_u16(ack.data() + 4, /*version=*/2);
     put_u16(ack.data() + 6,
             static_cast<std::uint16_t>(HandshakeStatus::kVersionMismatch));
     put_u32(ack.data() + 8, 5);
@@ -294,8 +295,8 @@ TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 1"), std::string::npos) << what;
     EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
   }
   responder.join();
 }

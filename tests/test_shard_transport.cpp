@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -56,6 +57,51 @@ TEST(FrameChecksum, SensitiveToEveryByteAndLength) {
   EXPECT_EQ(frame_checksum(a), frame_checksum(a));
 }
 
+/// 59 bytes: one 32-byte block (lanes 0-3), three more whole words
+/// (lanes 0-2) and a 3-byte tail (lane 0).
+std::vector<std::byte> kat_payload() {
+  std::vector<std::byte> out(59);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::byte>(i * 13 + 7);
+  }
+  return out;
+}
+
+TEST(FrameChecksum, KnownAnswers) {
+  // Pinned values of the version-3 construction (four interleaved mix64
+  // chains); a change here is a wire-format change and needs a
+  // kFrameVersion bump.
+  EXPECT_EQ(frame_checksum(kat_payload()), 0x238a36a445c49863ull);
+  EXPECT_EQ(frame_checksum({}), 0x7fa98b663a499de1ull);
+  EXPECT_EQ(frame_checksum(bytes_of({1, 2, 3, 4, 5, 6, 7, 8, 9})),
+            0x951431dd87806a01ull);
+}
+
+TEST(FrameChecksum, EveryLaneTailOrderAndLengthMatter) {
+  const std::vector<std::byte> base = kat_payload();
+  const std::uint64_t want = frame_checksum(base);
+  // A bit flip in each of the four lanes of the first block, in a
+  // later word, and in the sub-8-byte tail.
+  for (const std::size_t at : {0u, 9u, 18u, 27u, 40u, 57u}) {
+    auto v = base;
+    v[at] ^= std::byte{0x01};
+    EXPECT_NE(frame_checksum(v), want) << "bit flip at byte " << at;
+  }
+  // Swapping two adjacent 8-byte words (lanes 0 and 1, then 3 and the
+  // next block's lane 0).
+  for (const std::size_t word : {0u, 3u}) {
+    auto v = base;
+    std::swap_ranges(v.begin() + word * 8, v.begin() + word * 8 + 8,
+                     v.begin() + word * 8 + 8);
+    EXPECT_NE(frame_checksum(v), want) << "swapped words " << word;
+  }
+  // Appending a zero byte (the tail is zero-padded, so only the length
+  // tells these apart).
+  auto longer = base;
+  longer.push_back(std::byte{0});
+  EXPECT_NE(frame_checksum(longer), want);
+}
+
 TEST(FrameRoundTrip, EmptySmallAndLargePayloads) {
   for (const std::size_t size : {0u, 1u, 7u, 8u, 9u, 100000u}) {
     MemChannel ch;
@@ -69,6 +115,62 @@ TEST(FrameRoundTrip, EmptySmallAndLargePayloads) {
     EXPECT_EQ(f.shard, 3u);
     EXPECT_EQ(f.sequence, 42u);
     EXPECT_EQ(f.payload, payload);
+  }
+}
+
+std::vector<std::byte> patterned(std::size_t size, unsigned salt) {
+  std::vector<std::byte> out(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    out[i] = static_cast<std::byte>(i * 31 + salt);
+  }
+  return out;
+}
+
+TEST(FrameRoundTrip, ReusedFrameShrinksExactly) {
+  // One caller-owned Frame read into again and again, shrinking each
+  // time: every payload and header field must be exactly the new
+  // frame's, never the old frame's tail.
+  MemChannel ch;
+  const auto big = patterned(100000, 1);
+  const auto small = patterned(9, 2);
+  write_frame(ch, FrameKind::kShardData, 1, 10, big);
+  write_frame(ch, FrameKind::kShardStatus, 2, 11, small);
+  write_frame(ch, FrameKind::kShardTelemetry, 3, 12, {});
+  Frame f;
+  read_frame(ch, f);
+  EXPECT_EQ(f.kind, FrameKind::kShardData);
+  EXPECT_EQ(f.shard, 1u);
+  EXPECT_EQ(f.sequence, 10u);
+  EXPECT_EQ(f.payload, big);
+  expect_frame(ch, f, FrameKind::kShardStatus, 2, 11);
+  EXPECT_EQ(f.payload, small);
+  read_frame(ch, f);
+  EXPECT_EQ(f.kind, FrameKind::kShardTelemetry);
+  EXPECT_EQ(f.sequence, 12u);
+  EXPECT_TRUE(f.payload.empty());
+  // The buffer kept the largest frame's capacity.
+  EXPECT_GE(f.payload.capacity(), big.size());
+}
+
+TEST(FrameRead, CorruptFrameAfterALargerOneStillFailsChecksum) {
+  // The corrupt frame is shorter than the one read before it, so the
+  // reused buffer held stale bytes past its end; only its own bytes may
+  // enter the check.
+  MemChannel ch;
+  const auto big = patterned(4096, 3);
+  const std::vector<std::byte> prefix(big.begin(), big.begin() + 100);
+  write_frame(ch, FrameKind::kShardData, 0, 1, big);
+  const std::size_t second = ch.buffer().size();
+  write_frame(ch, FrameKind::kShardData, 0, 2, prefix);
+  ch.buffer()[second + 40 + 50] ^= std::byte{0x10};
+  Frame f;
+  read_frame(ch, f);
+  ASSERT_EQ(f.payload, big);
+  try {
+    read_frame(ch, f);
+    FAIL() << "expected TransportError";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind, TransportError::Kind::kBadChecksum);
   }
 }
 

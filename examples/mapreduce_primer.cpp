@@ -1,21 +1,25 @@
-// Primer on the raw MRC programming model (mrc::MapReduceJob).
+// Primer on the engine's programming model: registered rounds plus one
+// central round.
 //
-// The paper's algorithms use the higher-level Engine interface, but the
-// substrate also implements the literal Karloff-Suri-Vassilvitskii
-// formalization: (key, value) pairs, mappers, shuffle-by-key, reducers.
-// This example computes a degree histogram of a graph in two MRC rounds
-// and shows the audited communication costs.
+// Every algorithm in the paper is written as two kinds of step: a
+// per-machine round that reads the machine's inbox and sends messages,
+// and a central-machine step (the paper's "blue lines"). Here the first
+// kind is registered with define_round before the job starts and run
+// with invoke_round; the second is run_central_round. This example
+// computes a degree histogram of a graph with two registered rounds and
+// one central round, and shows the audited communication costs.
 
 #include <iostream>
 #include <map>
+#include <span>
 
 #include "mrlr/graph/generators.hpp"
-#include "mrlr/mrc/keyvalue.hpp"
+#include "mrlr/mrc/engine.hpp"
 #include "mrlr/mrc/trace.hpp"
 
 int main() {
   using namespace mrlr;
-  using mrc::KeyValue;
+  using mrc::MachineContext;
   using mrc::Word;
 
   Rng rng(3);
@@ -28,40 +32,58 @@ int main() {
   topo.words_per_machine = 1 << 18;
   topo.fanout = 4;
   mrc::Engine engine(topo);
+  const std::uint64_t machines = topo.num_machines;
+  const auto owner = [machines](Word x) {
+    return static_cast<mrc::MachineId>(x % machines);
+  };
 
-  // Input: one pair per edge.
-  std::vector<KeyValue> input;
-  input.reserve(g.num_edges());
-  for (const graph::Edge& e : g.edges()) {
-    input.push_back({0, {e.u, e.v}});
-  }
-  mrc::MapReduceJob job(engine, std::move(input));
+  // Round 1 (map): machine k holds edges k, k+M, k+2M, ... and sends one
+  // word per endpoint to the machine owning that vertex.
+  const mrc::RoundId map = engine.define_round(
+      "degrees", [&](MachineContext& ctx, std::span<const Word>) {
+        std::uint64_t held = 0;
+        for (std::uint64_t e = ctx.id(); e < g.num_edges(); e += machines) {
+          const graph::Edge& edge = g.edge(static_cast<graph::EdgeId>(e));
+          ctx.send(owner(edge.u), {edge.u});
+          ctx.send(owner(edge.v), {edge.v});
+          held += 2;
+        }
+        ctx.charge_resident(held);
+      });
 
-  // Round 1: edge -> (vertex, 1) twice; reduce to (vertex, degree).
-  job.round("degrees",
-            [](const KeyValue& kv) {
-              return std::vector<KeyValue>{{kv.value[0], {1}},
-                                           {kv.value[1], {1}}};
-            },
-            [](Word key, const auto& values) {
-              return std::vector<KeyValue>{
-                  {key, {static_cast<Word>(values.size())}}};
-            });
+  // Round 2 (reduce): each owner counts its vertices' degrees, folds
+  // them into a local histogram, and sends it to the central machine as
+  // (degree, count) pairs.
+  const mrc::RoundId reduce = engine.define_round(
+      "histogram", [](MachineContext& ctx, std::span<const Word>) {
+        std::map<Word, Word> degree;
+        for (const mrc::MessageView msg : ctx.messages()) {
+          ++degree[msg.payload[0]];
+        }
+        std::map<Word, Word> local;
+        for (const auto& [vertex, d] : degree) ++local[d];
+        ctx.charge_resident(2 * (degree.size() + local.size()));
+        mrc::MessageWriter out = ctx.begin_message(mrc::kCentral);
+        for (const auto& [d, count] : local) {
+          out.push(d);
+          out.push(count);
+        }
+      });
 
-  // Round 2: (vertex, degree) -> (degree, 1); reduce to histogram.
-  job.round("histogram",
-            [](const KeyValue& kv) {
-              return std::vector<KeyValue>{{kv.value[0], {1}}};
-            },
-            [](Word key, const auto& values) {
-              return std::vector<KeyValue>{
-                  {key, {static_cast<Word>(values.size())}}};
-            });
+  engine.invoke_round(map);
+  engine.invoke_round(reduce);
 
+  // Central round: merge the per-machine histograms.
   std::map<Word, Word> histogram;
-  for (const KeyValue& kv : job.collect()) {
-    histogram[kv.key] = kv.value[0];
-  }
+  engine.run_central_round("merge", [&](MachineContext& ctx) {
+    for (const mrc::MessageView msg : ctx.messages()) {
+      for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
+        histogram[msg.payload[i]] += msg.payload[i + 1];
+      }
+    }
+    ctx.charge_resident(2 * histogram.size());
+  });
+
   std::cout << "degree histogram (degree: count), first 10 buckets:\n";
   int shown = 0;
   for (const auto& [deg, count] : histogram) {

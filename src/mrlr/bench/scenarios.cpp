@@ -13,7 +13,7 @@
 //                  the mu = 0 log-n regime);
 //   space-vs-c   — space tracking n^{1+mu} (not m) and the broadcast
 //                  tree ablation;
-//   shuffle      — flat-arena vs legacy message path throughput;
+//   shuffle      — flat-arena message shuffle throughput;
 //   io           — text vs .mgb ingestion throughput;
 //   threads      — executor backend scaling (determinism across 1/2/8);
 //   smoke        — the fast subset CI diffs against the baseline.
@@ -791,9 +791,9 @@ void add_space_scaling(Registry& r) {
              topo.enforce = false;
              Timer t;
              mrc::Engine engine(topo);
-             const std::vector<mrc::Word> data(payload, 1);
+             mrc::JobBroadcast broadcast(engine, "bench");
              const auto rounds =
-                 mrc::broadcast_from_central(engine, data, "bench");
+                 broadcast.run(std::vector<mrc::Word>(payload, 1));
              res.wall_seconds = t.elapsed();
              res.rounds = engine.metrics().rounds();
              res.max_machine_words = engine.metrics().max_machine_words();
@@ -820,7 +820,6 @@ void add_space_scaling(Registry& r) {
 
 // ------------------------------------------------------- shuffle ----
 
-enum class ShufflePath { kLegacy, kArena };
 enum class ShufflePattern { kTiny, kBatched };
 
 struct ShuffleStats {
@@ -831,13 +830,12 @@ struct ShuffleStats {
   std::uint64_t total_sent = 0;
 };
 
-/// The PR 2 shuffle workload: tiny per-incidence messages (per-message
+/// The shuffle workload: tiny per-incidence messages (per-message
 /// overhead) and one batched message per vertex (per-word throughput),
 /// on rlr_matching's machine layout. Receivers consume every word, so
 /// both encode and decode sides are timed.
 ShuffleStats run_shuffle(const graph::Graph& g, std::uint64_t machines,
-                         ShufflePattern pattern, ShufflePath path,
-                         std::uint64_t rounds) {
+                         ShufflePattern pattern, std::uint64_t rounds) {
   mrc::Topology topo;
   topo.num_machines = machines;
   topo.words_per_machine = 1ull << 40;  // throughput bench: never violates
@@ -847,57 +845,37 @@ ShuffleStats run_shuffle(const graph::Graph& g, std::uint64_t machines,
   ShuffleStats s;
   std::vector<std::uint64_t> sums(machines, 0);
 
-  const auto drain = [&](mrc::MachineContext& ctx) {
-    if (path == ShufflePath::kArena) {
-      for (const mrc::MessageView msg : ctx.messages()) {
-        for (const mrc::Word w : msg.payload) sums[ctx.id()] += w;
-      }
-    } else {
-      for (const mrc::Message& msg : ctx.inbox()) {
-        for (const mrc::Word w : msg.payload) sums[ctx.id()] += w;
-      }
+  const auto drain = [&](mrc::MachineContext& ctx,
+                         std::span<const mrc::Word>) {
+    for (const mrc::MessageView msg : ctx.messages()) {
+      for (const mrc::Word w : msg.payload) sums[ctx.id()] += w;
     }
   };
-
-  Timer t;
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    engine.run_round("shuffle", [&](mrc::MachineContext& ctx) {
-      drain(ctx);
-      for (graph::VertexId v = static_cast<graph::VertexId>(ctx.id());
-           v < n; v = static_cast<graph::VertexId>(v + machines)) {
-        if (pattern == ShufflePattern::kTiny) {
-          for (const graph::Incidence& inc : g.neighbours(v)) {
-            const mrc::MachineId to = core::owner_of(inc.edge, machines);
-            if (path == ShufflePath::kArena) {
-              ctx.send(to,
+  const mrc::RoundId shuffle = engine.define_round(
+      "shuffle",
+      [&](mrc::MachineContext& ctx, std::span<const mrc::Word> params) {
+        drain(ctx, params);
+        for (graph::VertexId v = static_cast<graph::VertexId>(ctx.id());
+             v < n; v = static_cast<graph::VertexId>(v + machines)) {
+          if (pattern == ShufflePattern::kTiny) {
+            for (const graph::Incidence& inc : g.neighbours(v)) {
+              ctx.send(core::owner_of(inc.edge, machines),
                        {inc.edge, core::pack_double(g.weight(inc.edge))});
-            } else {
-              std::vector<mrc::Word> payload;
-              payload.push_back(inc.edge);
-              payload.push_back(core::pack_double(g.weight(inc.edge)));
-              ctx.send(to, std::move(payload));
             }
-          }
-        } else if (g.degree(v) > 0) {
-          if (path == ShufflePath::kArena) {
+          } else if (g.degree(v) > 0) {
             mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
             for (const graph::Incidence& inc : g.neighbours(v)) {
               msg.push(inc.edge);
               msg.push(core::pack_double(g.weight(inc.edge)));
             }
-          } else {
-            std::vector<mrc::Word> payload;
-            for (const graph::Incidence& inc : g.neighbours(v)) {
-              payload.push_back(inc.edge);
-              payload.push_back(core::pack_double(g.weight(inc.edge)));
-            }
-            ctx.send(mrc::kCentral, std::move(payload));
           }
         }
-      }
-    });
-  }
-  engine.run_round("drain", drain);
+      });
+  const mrc::RoundId final_drain = engine.define_round("drain", drain);
+
+  Timer t;
+  for (std::uint64_t r = 0; r < rounds; ++r) engine.invoke_round(shuffle);
+  engine.invoke_round(final_drain);
   s.seconds = t.elapsed();
 
   for (const std::uint64_t x : sums) s.checksum += x;
@@ -921,53 +899,48 @@ ShuffleStats run_shuffle(const graph::Graph& g, std::uint64_t machines,
 
 void add_shuffle(Registry& r) {
   for (const char* pattern : {"tiny", "batched"}) {
-    for (const char* path : {"legacy", "arena"}) {
-      const std::string pat = pattern, pth = path;
-      r.add({"shuffle/" + pat + "-" + pth,
-             {"shuffle", "smoke"},
-             "message shuffle throughput (" + pat + " pattern, " + pth +
-                 " path)",
-             [pat, pth](const RunContext& ctx) {
-               const std::uint64_t n = ctx.scale_n(1200);
-               const double c = 0.5;
-               BenchResult res;
-               res.algo = "shuffle-" + pth;
-               res.family = "shuffle-" + pat;
-               res.n = n;
-               res.c = c;
-               res.mu = 0.15;
-               res.threads = 1;
-               const graph::Graph g =
-                   weighted_gnm(n, c, WeightDist::kUniform, n + 1);
-               res.m = g.num_edges();
-               const std::uint64_t eta = ipow_real(n, 1.15, 1);
-               const std::uint64_t machines = std::max<std::uint64_t>(
-                   2, ceil_div(std::max<std::uint64_t>(g.num_edges(), 1),
-                               eta));
-               const std::uint64_t rounds = 4;
-               const ShuffleStats s = run_shuffle(
-                   g, machines,
-                   pat == "tiny" ? ShufflePattern::kTiny
-                                 : ShufflePattern::kBatched,
-                   pth == "legacy" ? ShufflePath::kLegacy
-                                   : ShufflePath::kArena,
-                   rounds);
-               res.wall_seconds = s.seconds;
-               res.rounds = rounds + 1;  // + final drain round
-               res.shuffle_words = s.total_sent;
-               res.extra["messages"] = static_cast<double>(s.messages);
-               res.extra["msgs_per_sec"] =
-                   per_second(static_cast<double>(s.messages), s.seconds);
-               res.extra["words_per_sec"] =
-                   per_second(static_cast<double>(s.words), s.seconds);
-               res.extra["machines"] = static_cast<double>(machines);
-               HashAcc h;
-               h.mix(s.checksum);
-               h.mix(s.total_sent);
-               res.determinism_hash = h.value();
-               return res;
-             }});
-    }
+    const std::string pat = pattern;
+    r.add({"shuffle/" + pat + "-arena",
+           {"shuffle", "smoke"},
+           "message shuffle throughput (" + pat + " pattern)",
+           [pat](const RunContext& ctx) {
+             const std::uint64_t n = ctx.scale_n(1200);
+             const double c = 0.5;
+             BenchResult res;
+             res.algo = "shuffle-arena";
+             res.family = "shuffle-" + pat;
+             res.n = n;
+             res.c = c;
+             res.mu = 0.15;
+             res.threads = 1;
+             const graph::Graph g =
+                 weighted_gnm(n, c, WeightDist::kUniform, n + 1);
+             res.m = g.num_edges();
+             const std::uint64_t eta = ipow_real(n, 1.15, 1);
+             const std::uint64_t machines = std::max<std::uint64_t>(
+                 2, ceil_div(std::max<std::uint64_t>(g.num_edges(), 1),
+                             eta));
+             const std::uint64_t rounds = 4;
+             const ShuffleStats s = run_shuffle(
+                 g, machines,
+                 pat == "tiny" ? ShufflePattern::kTiny
+                               : ShufflePattern::kBatched,
+                 rounds);
+             res.wall_seconds = s.seconds;
+             res.rounds = rounds + 1;  // + final drain round
+             res.shuffle_words = s.total_sent;
+             res.extra["messages"] = static_cast<double>(s.messages);
+             res.extra["msgs_per_sec"] =
+                 per_second(static_cast<double>(s.messages), s.seconds);
+             res.extra["words_per_sec"] =
+                 per_second(static_cast<double>(s.words), s.seconds);
+             res.extra["machines"] = static_cast<double>(machines);
+             HashAcc h;
+             h.mix(s.checksum);
+             h.mix(s.total_sent);
+             res.determinism_hash = h.value();
+             return res;
+           }});
   }
 }
 
@@ -1863,8 +1836,7 @@ void add_large(Registry& r) {
                ceil_div(std::max<std::uint64_t>(g.num_edges(), 1), eta));
            const std::uint64_t rounds = 2;
            const ShuffleStats s =
-               run_shuffle(g, machines, ShufflePattern::kTiny,
-                           ShufflePath::kArena, rounds);
+               run_shuffle(g, machines, ShufflePattern::kTiny, rounds);
            res.wall_seconds = s.seconds;
            res.rounds = rounds + 1;
            res.shuffle_words = s.total_sent;

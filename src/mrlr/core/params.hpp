@@ -1,12 +1,11 @@
 #pragma once
-// Shared parameters and small communication helpers for the paper's
-// MapReduce algorithms.
+// Shared parameters, outcome fields and small encoding helpers for the
+// paper's MapReduce algorithms.
 
 #include <bit>
 #include <cstdint>
 #include <vector>
 
-#include "mrlr/mrc/broadcast.hpp"
 #include "mrlr/mrc/engine.hpp"
 #include "mrlr/util/rng.hpp"
 
@@ -57,23 +56,6 @@ inline mrc::Word pack_double(double x) {
   return std::bit_cast<std::uint64_t>(x);
 }
 inline double unpack_double(mrc::Word w) { return std::bit_cast<double>(w); }
-
-/// Two-round direct sum-allreduce for one small value per machine:
-/// round 1 every machine sends its value to the central machine, round 2
-/// the central machine sends the total back to everyone. Valid whenever
-/// M (machine count) words fit in memory, which holds in the paper's
-/// regime M = n^{c-mu} <= n^{1+mu}; the engine audits it regardless.
-/// Returns the sum.
-mrc::Word allreduce_sum_direct(mrc::Engine& engine,
-                               const std::vector<mrc::Word>& values,
-                               std::string_view label);
-
-/// Component-wise sum-allreduce of one small vector per machine (e.g. the
-/// per-degree-class counts of Algorithm 6). Same round structure as
-/// allreduce_sum_direct. values[machine] must all have equal length.
-std::vector<mrc::Word> allreduce_sum_vec(
-    mrc::Engine& engine, const std::vector<std::vector<mrc::Word>>& values,
-    std::string_view label);
 
 /// Outcome fields shared by all the paper's algorithms.
 struct MrOutcome {

@@ -1,6 +1,10 @@
 #pragma once
 // Execution backends for the round engine: how the M simulated machines
-// of one synchronous round are mapped onto OS threads.
+// of one registered round are mapped onto OS threads and processes.
+// Central rounds never reach an executor — the central machine always
+// runs in the calling process — so a backend only ever runs the
+// registered callbacks of the engine's job (start_job, run_job_round,
+// end_job).
 //
 // Machines within a round are data-independent — each reads only its own
 // inbox and writes only its own staging outbox and accounting slots — so
@@ -19,41 +23,21 @@
 
 namespace mrlr::exec {
 
-/// Host-side view of the per-machine state an out-of-process backend
-/// must ship across the round barrier. The engine implements it: a
-/// worker process serializes the machines it ran (their staged message
-/// arenas and accounting slots) and the coordinator applies the bytes
-/// into its own engine, after which the ordinary id-ordered merge
-/// proceeds exactly as it would in-process. In-process backends never
-/// touch it.
-class ShardDataPlane {
+/// The engine's job state as an out-of-process backend sees it. Rounds
+/// are *registered* (closures defined before the job starts, inherited
+/// by workers at spawn) and then *invoked* by id with a small parameter
+/// vector, so a long-lived worker never needs a closure shipped to it.
+/// Each round, the inputs (each machine's inbox) flow coordinator ->
+/// worker through serialize_round_input / apply_round_input, and the
+/// results (staged message arenas and accounting slots) flow back
+/// through serialize_machines / apply_machines, after which the
+/// engine's ordinary id-ordered merge proceeds exactly as it would
+/// in-process. After the setup frame a worker reads nothing from
+/// coordinator memory. In-process backends never touch the wire side.
+class ShardJobPlane {
  public:
-  virtual ~ShardDataPlane() = default;
+  virtual ~ShardJobPlane() = default;
 
-  /// Appends the wire encoding of machines [first, last) to `out`
-  /// (worker side, after the callbacks ran).
-  virtual void serialize_machines(std::uint64_t first, std::uint64_t last,
-                                  std::vector<std::byte>& out) const = 0;
-
-  /// Installs the encoding produced by serialize_machines for the same
-  /// range (coordinator side). Must validate `bytes` and throw
-  /// TransportError(kBadPayload) on anything malformed.
-  virtual void apply_machines(std::uint64_t first, std::uint64_t last,
-                              std::span<const std::byte> bytes) = 0;
-};
-
-/// Job-scoped extension of the data plane for backends with persistent
-/// workers: rounds are *registered* (closures defined before the job
-/// starts, inherited by workers at spawn) and then *invoked* by id with
-/// a small parameter vector, so a long-lived worker never needs a
-/// closure shipped to it. Per-round inputs (each machine's inbox) flow
-/// coordinator -> worker through serialize_round_input /
-/// apply_round_input; results flow back through the inherited
-/// serialize_machines / apply_machines pair. After the setup frame a
-/// worker reads nothing from coordinator memory — every round's inputs
-/// arrive on the wire.
-class ShardJobPlane : public ShardDataPlane {
- public:
   /// Appends the wire encoding of the round inputs (delivered inbox
   /// frames and words) of machines [first, last) to `out`
   /// (coordinator side, before the round runs).
@@ -66,6 +50,17 @@ class ShardJobPlane : public ShardDataPlane {
   /// anything malformed.
   virtual void apply_round_input(std::uint64_t first, std::uint64_t last,
                                  std::span<const std::byte> bytes) = 0;
+
+  /// Appends the wire encoding of the round results of machines
+  /// [first, last) to `out` (worker side, after the callbacks ran).
+  virtual void serialize_machines(std::uint64_t first, std::uint64_t last,
+                                  std::vector<std::byte>& out) const = 0;
+
+  /// Installs the encoding produced by serialize_machines for the same
+  /// range (coordinator side). Must validate `bytes` and throw
+  /// TransportError(kBadPayload) on anything malformed.
+  virtual void apply_machines(std::uint64_t first, std::uint64_t last,
+                              std::span<const std::byte> bytes) = 0;
 
   /// Runs the registered round `round_id` on machine `machine` with the
   /// invoke parameters (worker side, and coordinator side for shard 0).
@@ -100,18 +95,6 @@ class Executor {
   virtual void run_machines(std::uint64_t first, std::uint64_t last,
                             const MachineFn& fn) = 0;
 
-  /// run_machines with a data plane for out-of-process backends: the
-  /// engine calls this form so a sharding backend can ship callback
-  /// effects (staged messages, accounting) back to the coordinator.
-  /// In-process backends ignore the data plane — shared memory already
-  /// is the data plane.
-  virtual void run_machines_sharded(std::uint64_t first, std::uint64_t last,
-                                    const MachineFn& fn,
-                                    ShardDataPlane* data_plane) {
-    (void)data_plane;
-    run_machines(first, last, fn);
-  }
-
   /// Starts a persistent job: `plane` owns the registered rounds and
   /// the machine-range state for [0, num_machines). Backends with
   /// long-lived workers spawn them here (exactly once per job) and ship
@@ -122,17 +105,22 @@ class Executor {
     (void)plane;
   }
 
-  /// Runs one registered round of the active job. `fn` is the
-  /// coordinator-local form of the round (id -> run_registered bound by
-  /// the caller); in-process backends just run it over every machine.
-  /// Worker-backed backends ship (round_id, params, round inputs) to
-  /// each worker instead and run only their local machines through
-  /// `fn`. The exception contract matches run_machines (lowest-id
+  /// Runs one registered round of the active job. `round_index` is the
+  /// engine's 0-based count of rounds run before this one, central
+  /// rounds included; worker-backed backends stamp round_index + 1 on
+  /// the round's frames and attribute worker spans to round_index. `fn`
+  /// is the coordinator-local form of the round (id -> run_registered
+  /// bound by the caller); in-process backends just run it over every
+  /// machine. Worker-backed backends ship (round_id, params, round
+  /// inputs) to each worker instead and run only their local machines
+  /// through `fn`. The exception contract matches run_machines (lowest-id
   /// throwing machine wins).
-  virtual void run_job_round(std::uint64_t round_id,
+  virtual void run_job_round(std::uint64_t round_index,
+                             std::uint64_t round_id,
                              std::span<const std::uint64_t> params,
                              std::uint64_t num_machines, const MachineFn& fn,
                              ShardJobPlane* plane) {
+    (void)round_index;
     (void)round_id;
     (void)params;
     (void)plane;

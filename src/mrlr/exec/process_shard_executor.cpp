@@ -87,30 +87,14 @@ ProcessShardExecutor::~ProcessShardExecutor() { end_job(); }
 void ProcessShardExecutor::run_machines(std::uint64_t first,
                                         std::uint64_t last,
                                         const MachineFn& fn) {
-  // No data plane, nothing to exchange: these are pre-job (or
-  // central-only) rounds, run in the coordinator. Outside a job the
-  // local pool does not exist — forking workers later with live pool
-  // threads would be unsafe — so they run serially; inside a job they
-  // reuse shard 0's pool.
+  // No job plane, nothing to exchange: run in the coordinator. Outside
+  // a job the local pool does not exist — forking workers later with
+  // live pool threads would be unsafe — so machines run serially; inside
+  // a job they reuse shard 0's pool.
   std::exception_ptr error;
   std::uint64_t error_machine = 0;
   run_shard_range(local_pool_.get(), first, last, fn, error, error_machine);
   if (error) std::rethrow_exception(error);
-}
-
-void ProcessShardExecutor::run_machines_sharded(std::uint64_t first,
-                                                std::uint64_t last,
-                                                const MachineFn& fn,
-                                                ShardDataPlane* dp) {
-  ++round_seq_;
-  const std::uint64_t total = last - first;
-  if (dp != nullptr && num_shards_ > 1 && total > 1) {
-    throw ExecError(
-        "process-shard: ad-hoc sharded rounds are not supported by "
-        "persistent workers — register the round with the engine job API "
-        "(define_round / invoke_round) instead of run_round");
-  }
-  run_machines(first, last, fn);
 }
 
 void ProcessShardExecutor::start_job(std::uint64_t num_machines,
@@ -231,7 +215,8 @@ void ProcessShardExecutor::start_job(std::uint64_t num_machines,
   }
 }
 
-void ProcessShardExecutor::run_job_round(std::uint64_t round_id,
+void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
+                                         std::uint64_t round_id,
                                          std::span<const std::uint64_t> params,
                                          std::uint64_t num_machines,
                                          const MachineFn& fn,
@@ -241,17 +226,21 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_id,
   (void)num_machines;
   MRLR_REQUIRE(job_active_,
                "process-shard: run_job_round without start_job");
+  // The engine's round index, not a count of this executor's calls:
+  // central rounds never reach the executor, yet worker spans must carry
+  // the same round index as the coordinator's.
+  const std::uint64_t sequence = round_index + 1;
+  last_sequence_ = sequence;
   if (job_failed_) {
     // Reconnect refusal: a respawned worker could not reconstruct the
     // dead worker's resident state mid-job, so once a job failed every
     // further round fails typed instead of silently recomputing.
-    throw WorkerError(failed_shard_, round_seq_,
+    throw WorkerError(failed_shard_, sequence,
                       "process-shard: shard " +
                           std::to_string(failed_shard_) +
                           " already failed this job; refusing to run "
                           "further rounds (restart the job)");
   }
-  const std::uint64_t sequence = ++round_seq_;
   if (workers_.empty()) {
     run_machines(local_range_.first, local_range_.second, fn);
     return;
@@ -400,7 +389,7 @@ void ProcessShardExecutor::end_job() {
   for (Worker& w : workers_) {
     try {
       write_frame(*w.channel, FrameKind::kJobTeardown, w.shard,
-                  round_seq_ + 1, {});
+                  last_sequence_ + 1, {});
     } catch (...) {
       // Best effort: a dead worker is reaped below either way.
     }

@@ -19,28 +19,25 @@
 //     machine range, the registered-round label table, and — on the TCP
 //     path — the full job spec, which the worker validates and
 //     acknowledges before any round ships. Nothing crosses the process
-//     boundary implicitly —
-//     each round the coordinator ships a kRoundControl frame carrying
-//     the round id, the invoke parameters, and the serialized inboxes
-//     of the worker's machine range (ShardJobPlane::
-//     serialize_round_input), the worker runs its machines against its
-//     own resident copy of that range's state, and ships the staged
-//     arenas back through serialize_machines exactly as before. The
+//     boundary implicitly — each round the coordinator ships a
+//     kRoundControl frame carrying the round id, the invoke parameters,
+//     and the serialized inboxes of the worker's machine range
+//     (ShardJobPlane::serialize_round_input), the worker runs its
+//     machines against its own resident copy of that range's state, and
+//     ships the staged arenas back through serialize_machines. The
 //     coordinator applies each shard's bytes and the engine's ordinary
 //     id-ordered merge runs over the combined frame indexes — traces,
 //     metrics, and delivery order stay byte-identical to
 //     SerialExecutor.
 //
-//   * A driver is "process-clean" when its non-central callbacks touch
-//     only (a) job-immutable data captured before start_job, (b)
-//     per-machine state that only that machine's own callbacks mutate
-//     (worker-resident between rounds), (c) invoke parameters and inbox
-//     messages. Machines of shard 0 — including the central machine,
-//     the paper's "blue lines" — run in the coordinator, so
-//     central-resident algorithm state keeps working unchanged. All
-//     drivers in the tree are ported (see README "Execution
-//     backends"); ad-hoc run_round closures cannot run under this
-//     backend with K > 1 and fail with a typed ExecError.
+//   * Only registered rounds reach this backend, and their callbacks
+//     must be "process-clean" (see Engine::define_round): they touch
+//     only job-immutable data captured before start_job, per-machine
+//     state that only that machine's own callbacks mutate
+//     (worker-resident between rounds), invoke parameters and inbox
+//     messages. Machines of shard 0 run in the coordinator, and central
+//     rounds (the paper's "blue lines") never leave it, so
+//     central-resident algorithm state keeps working unchanged.
 //
 //   * Failure is loud, never a hang: a worker that exits early, is
 //     killed, or ships malformed bytes surfaces as a typed WorkerError
@@ -52,9 +49,8 @@
 //     barrier (lowest machine id wins, matching the Executor
 //     contract).
 //
-// Without a data plane (plain run_machines, central-only rounds) there
-// is nothing to exchange, so machines run serially in the coordinator —
-// the backend degenerates to SerialExecutor semantics.
+// Plain run_machines has no job plane and so nothing to exchange:
+// machines run in the coordinator, with SerialExecutor semantics.
 
 #include <cstdint>
 #include <memory>
@@ -87,16 +83,8 @@ class ProcessShardExecutor final : public Executor {
   void run_machines(std::uint64_t first, std::uint64_t last,
                     const MachineFn& fn) override;
 
-  /// Ad-hoc sharded rounds are not supported by persistent workers
-  /// (there is no way to ship an arbitrary closure to a long-lived
-  /// process): with a data plane and K > 1 this throws ExecError.
-  /// Without a data plane it degenerates to serial.
-  void run_machines_sharded(std::uint64_t first, std::uint64_t last,
-                            const MachineFn& fn,
-                            ShardDataPlane* data_plane) override;
-
   void start_job(std::uint64_t num_machines, ShardJobPlane* plane) override;
-  void run_job_round(std::uint64_t round_id,
+  void run_job_round(std::uint64_t round_index, std::uint64_t round_id,
                      std::span<const std::uint64_t> params,
                      std::uint64_t num_machines, const MachineFn& fn,
                      ShardJobPlane* plane) override;
@@ -105,10 +93,6 @@ class ProcessShardExecutor final : public Executor {
   std::string_view name() const override { return "process-shard"; }
   unsigned num_threads() const override { return num_threads_; }
   unsigned num_shards() const { return num_shards_; }
-
-  /// Rounds executed so far (the sequence number stamped on frames and
-  /// reported by WorkerError / ShardCallbackError).
-  std::uint64_t rounds_run() const { return round_seq_; }
 
  private:
   struct Worker {
@@ -127,7 +111,9 @@ class ProcessShardExecutor final : public Executor {
 
   unsigned num_shards_;
   unsigned num_threads_;
-  std::uint64_t round_seq_ = 0;
+  // Sequence stamped on the last kRoundControl (engine round index + 1);
+  // the teardown frame carries the next one.
+  std::uint64_t last_sequence_ = 0;
 
   // Persistent-job state.
   std::vector<Worker> workers_;

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include "mrlr/exec/serial_executor.hpp"
 #include "mrlr/exec/thread_pool_executor.hpp"
 #include "mrlr/obs/telemetry.hpp"
 
@@ -392,33 +393,9 @@ unsigned WorkerShardExecutor::num_threads() const {
 void WorkerShardExecutor::run_machines(std::uint64_t first,
                                        std::uint64_t last,
                                        const MachineFn& fn) {
-  // Pre-job rounds replay the coordinator's preamble serially and
-  // deterministically (every machine runs; lowest-id exception wins).
-  std::exception_ptr error;
-  for (std::uint64_t m = first; m < last; ++m) {
-    try {
-      fn(m);
-    } catch (...) {
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-void WorkerShardExecutor::run_machines_sharded(std::uint64_t first,
-                                               std::uint64_t last,
-                                               const MachineFn& fn,
-                                               ShardDataPlane* dp) {
-  // Mirror of ProcessShardExecutor: the coordinator refuses ad-hoc
-  // sharded rounds under persistent workers, so a replayed driver that
-  // reaches one here means the replay diverged from the coordinator.
-  if (dp != nullptr && last - first > 1) {
-    throw ExecError(
-        "worker-shard: ad-hoc sharded rounds are not supported by "
-        "persistent workers — register the round with the engine job API "
-        "(define_round / invoke_round) instead of run_round");
-  }
-  run_machines(first, last, fn);
+  // Unreached by the engine (its only dispatch is the job, which
+  // start_job serves whole); serial for anyone driving it directly.
+  SerialExecutor().run_machines(first, last, fn);
 }
 
 void WorkerShardExecutor::start_job(std::uint64_t num_machines,
@@ -445,7 +422,8 @@ void WorkerShardExecutor::start_job(std::uint64_t num_machines,
   throw JobServed{};
 }
 
-void WorkerShardExecutor::run_job_round(std::uint64_t round_id,
+void WorkerShardExecutor::run_job_round(std::uint64_t,
+                                        std::uint64_t round_id,
                                         std::span<const std::uint64_t>,
                                         std::uint64_t, const MachineFn&,
                                         ShardJobPlane*) {

@@ -137,10 +137,10 @@ void set_active_worker_session(WorkerSession* session);
 /// executor and the jobs serving loop may swallow it.
 struct JobServed {};
 
-/// The executor a replayed driver gets inside a TCP worker process:
-/// pre-job rounds run serially (deterministic local replay of the
-/// coordinator's preamble), and the first start_job validates the
-/// session bootstrap, acks it, serves the round loop, and throws
+/// The executor a replayed driver gets inside a TCP worker process. The
+/// driver's pre-job central rounds replay the coordinator's preamble
+/// locally without reaching the executor; the first start_job validates
+/// the session bootstrap, acks it, serves the round loop, and throws
 /// JobServed to unwind the driver once the job tears down.
 class WorkerShardExecutor final : public Executor {
  public:
@@ -148,20 +148,17 @@ class WorkerShardExecutor final : public Executor {
 
   void run_machines(std::uint64_t first, std::uint64_t last,
                     const MachineFn& fn) override;
-  void run_machines_sharded(std::uint64_t first, std::uint64_t last,
-                            const MachineFn& fn,
-                            ShardDataPlane* data_plane) override;
   [[noreturn]] void start_job(std::uint64_t num_machines,
                               ShardJobPlane* plane) override;
-  void run_job_round(std::uint64_t round_id,
+  void run_job_round(std::uint64_t round_index, std::uint64_t round_id,
                      std::span<const std::uint64_t> params,
                      std::uint64_t num_machines, const MachineFn& fn,
                      ShardJobPlane* plane) override;
   void end_job() override {}  // unwound via JobServed; nothing to tear down
 
   std::string_view name() const override { return "worker-shard"; }
-  // Pre-job replay rounds run serially; the bootstrap's thread count
-  // only governs the served job rounds, so it is what we report.
+  // The bootstrap's thread count governs the served job rounds, so it
+  // is what we report.
   unsigned num_threads() const override;
 
  private:

@@ -1,8 +1,7 @@
 #include "mrlr/mrc/broadcast.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "mrlr/util/math.hpp"
 #include "mrlr/util/require.hpp"
 
 namespace mrlr::mrc {
@@ -34,51 +33,6 @@ std::uint64_t broadcast_rounds(std::uint64_t machines, std::uint64_t fanout) {
     ++depth;
   }
   return depth;
-}
-
-std::uint64_t broadcast_from_central(
-    Engine& engine, const std::vector<Word>& payload, std::string_view label,
-    std::vector<std::vector<Word>>* received) {
-  const std::uint64_t machines = engine.num_machines();
-  const std::uint64_t fanout = engine.topology().fanout;
-  if (received) {
-    received->assign(machines, {});
-    (*received)[kCentral] = payload;
-  }
-  if (machines <= 1) return 0;
-
-  std::vector<char> has(machines, 0);
-  has[kCentral] = 1;
-  std::uint64_t rounds = 0;
-  bool all = false;
-  while (!all) {
-    // Holders forward to their (non-holding) children; one tree level
-    // becomes complete per round.
-    engine.run_round(label, [&](MachineContext& ctx) {
-      const MachineId m = ctx.id();
-      if (!has[m]) return;
-      ctx.charge_resident(payload.size());
-      for (std::uint64_t k = 1; k <= fanout; ++k) {
-        const std::uint64_t child = static_cast<std::uint64_t>(m) * fanout + k;
-        if (child >= machines) break;
-        ctx.send_batch(static_cast<MachineId>(child), payload);
-      }
-    });
-    ++rounds;
-    all = true;
-    for (std::uint64_t m = 0; m < machines; ++m) {
-      const bool is_new_holder =
-          !has[m] && tree_depth(static_cast<MachineId>(m), fanout) == rounds;
-      if (is_new_holder) {
-        has[m] = 1;
-        if (received) (*received)[m] = payload;
-      }
-      if (!has[m]) all = false;
-    }
-  }
-  // Drain the final deliveries so the next algorithm round starts clean.
-  engine.run_round(label, [&](MachineContext&) {});
-  return rounds + 1;
 }
 
 JobBroadcast::JobBroadcast(Engine& engine, std::string label, ApplyFn apply)
@@ -128,68 +82,6 @@ std::uint64_t JobBroadcast::run(std::vector<Word> payload) {
   }
   engine_->invoke_round(round_, {generation_, depth + 1, 1});
   return depth + 1;
-}
-
-std::uint64_t aggregate_sum(Engine& engine, const std::vector<Word>& values,
-                            std::string_view label, Word* sum_out) {
-  const std::uint64_t machines = engine.num_machines();
-  MRLR_REQUIRE(values.size() == machines,
-               "aggregate_sum: one value per machine required");
-  const std::uint64_t fanout = engine.topology().fanout;
-  if (machines == 1) {
-    if (sum_out) *sum_out = values[0];
-    return 0;
-  }
-
-  unsigned max_depth = 0;
-  for (std::uint64_t m = 0; m < machines; ++m) {
-    max_depth = std::max(max_depth,
-                         tree_depth(static_cast<MachineId>(m), fanout));
-  }
-
-  // partial[m] accumulates the subtree sum held at machine m.
-  std::vector<Word> partial = values;
-  std::vector<char> sent(machines, 0);
-  std::uint64_t rounds = 0;
-  for (unsigned depth = max_depth; depth >= 1; --depth) {
-    engine.run_round(label, [&](MachineContext& ctx) {
-      const MachineId m = ctx.id();
-      // Fold in children's partial sums delivered this round.
-      for (const MessageView msg : ctx.messages()) {
-        MRLR_REQUIRE(msg.payload.size() == 1, "aggregate: 1-word messages");
-        partial[m] += msg.payload[0];
-      }
-      ctx.charge_resident(1);
-      if (m != kCentral && tree_depth(m, fanout) == depth && !sent[m]) {
-        ctx.send(tree_parent(m, fanout), {partial[m]});
-      }
-    });
-    for (std::uint64_t m = 0; m < machines; ++m) {
-      if (m != kCentral &&
-          tree_depth(static_cast<MachineId>(m), fanout) == depth) {
-        sent[m] = 1;
-      }
-    }
-    ++rounds;
-  }
-  // One more round so the root folds in the depth-1 messages.
-  engine.run_round(label, [&](MachineContext& ctx) {
-    const MachineId m = ctx.id();
-    for (const MessageView msg : ctx.messages()) partial[m] += msg.payload[0];
-    ctx.charge_resident(1);
-  });
-  ++rounds;
-  if (sum_out) *sum_out = partial[kCentral];
-  return rounds;
-}
-
-std::uint64_t allreduce_sum(Engine& engine, const std::vector<Word>& values,
-                            std::string_view label, Word* sum_out) {
-  Word total = 0;
-  std::uint64_t rounds = aggregate_sum(engine, values, label, &total);
-  rounds += broadcast_from_central(engine, {total}, label);
-  if (sum_out) *sum_out = total;
-  return rounds;
 }
 
 }  // namespace mrlr::mrc

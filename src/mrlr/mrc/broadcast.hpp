@@ -1,12 +1,12 @@
 #pragma once
-// Broadcast and converge-cast trees (Theorem 2.4 and Section 4.1 of the
-// paper). Sending a payload of B words from the central machine directly
-// to all M machines would cost B*M outbox words on the central machine,
-// which can exceed its O(n^{1+mu}) cap; instead machines are arranged in a
-// fanout-F tree (F = topology().fanout, the paper's n^mu), and the payload
-// is forwarded level by level in ceil(log_F M) genuine engine rounds.
+// Broadcast trees (Theorem 2.4 and Section 4.1 of the paper). Sending a
+// payload of B words from the central machine directly to all M machines
+// would cost B*M outbox words on the central machine, which can exceed
+// its O(n^{1+mu}) cap; instead machines are arranged in a fanout-F tree
+// (F = topology().fanout, the paper's n^mu), and the payload is
+// forwarded level by level in ceil(log_F M) genuine engine rounds.
 //
-// These helpers run *real* rounds on the engine: the traffic is audited
+// JobBroadcast runs *real* rounds on the engine: the traffic is audited
 // against the space cap like any algorithm traffic, so the space-safety
 // claim of Theorem 2.4 is checked rather than assumed.
 
@@ -14,7 +14,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "mrlr/mrc/engine.hpp"
@@ -31,30 +30,19 @@ unsigned tree_depth(MachineId m, std::uint64_t fanout);
 /// Rounds a fanout-`fanout` broadcast needs to reach `machines` machines.
 std::uint64_t broadcast_rounds(std::uint64_t machines, std::uint64_t fanout);
 
-/// Deliver `payload` from the central machine to every machine.
-/// Returns the number of rounds consumed (0 when there is one machine).
-/// On completion, `received` (if non-null) holds one copy per machine.
-///
-/// Host-driven (the holder set and payload live in captured host state),
-/// so this form runs on in-process backends only; process-clean drivers
-/// use JobBroadcast below.
-std::uint64_t broadcast_from_central(
-    Engine& engine, const std::vector<Word>& payload, std::string_view label,
-    std::vector<std::vector<Word>>* received = nullptr);
-
-/// Process-clean tree broadcast: one registered round, re-invoked
-/// depth+1 times per run(). Construct before the job starts (the
-/// constructor registers the round). Each machine stores the first copy
-/// of the current generation's payload it sees and forwards it down the
-/// tree; the final (drain) round consumes the leaf deliveries and runs
-/// `apply` on every machine with the payload — the hook is where a
-/// driver updates its per-machine worker-resident state from the
-/// broadcast. All holder state is per-machine slots mutated only by
-/// that machine's own callback, so persistent workers carry it across
-/// rounds; the traffic, charges, and round count match
-/// broadcast_from_central (depth rounds + 1 drain) except on
-/// single-machine topologies, where the drain round still runs so
-/// `apply` fires.
+/// Tree broadcast from the central machine: one registered round,
+/// re-invoked depth+1 times per run(). Construct before the job starts
+/// (the constructor registers the round). In each of the depth
+/// forwarding rounds every machine holding the current generation's
+/// payload charges it as resident and sends it to its children, so the
+/// largest outbox is fanout x |payload|. Each machine stores the first
+/// copy it receives; the final (drain) round consumes the leaf
+/// deliveries and runs `apply` on every machine with the payload — the
+/// hook is where a driver updates its per-machine worker-resident state
+/// from the broadcast. All holder state is per-machine slots mutated
+/// only by that machine's own callback, so persistent workers carry it
+/// across rounds. On a single-machine topology depth is 0, and the
+/// drain round still runs so `apply` fires.
 class JobBroadcast {
  public:
   using ApplyFn = std::function<void(MachineContext&, std::span<const Word>)>;
@@ -74,16 +62,5 @@ class JobBroadcast {
   std::vector<std::vector<Word>> held_;
   std::vector<std::uint64_t> gen_;
 };
-
-/// Converge-cast: machine m contributes values[m]; the tree sums them
-/// upward and the root learns the total. Returns rounds consumed, and
-/// writes the total through `sum_out`.
-std::uint64_t aggregate_sum(Engine& engine, const std::vector<Word>& values,
-                            std::string_view label, Word* sum_out);
-
-/// Converge-cast followed by broadcast: every machine learns the sum.
-/// Returns rounds consumed; writes the total through `sum_out`.
-std::uint64_t allreduce_sum(Engine& engine, const std::vector<Word>& values,
-                            std::string_view label, Word* sum_out);
 
 }  // namespace mrlr::mrc

@@ -17,10 +17,6 @@ std::uint64_t MachineContext::num_machines() const {
   return engine_.num_machines();
 }
 
-const std::vector<Message>& MachineContext::inbox() const {
-  return engine_.materialized_inbox(id_);
-}
-
 void MachineContext::send(MachineId to, const std::vector<Word>& payload) {
   send_batch(to, payload);
 }
@@ -71,9 +67,6 @@ Engine::Engine(Topology topology, std::shared_ptr<exec::Executor> executor)
   writer_open_.assign(machines, 0);
   outbox_words_.assign(machines, 0);
   resident_words_.assign(machines, 0);
-  inbox_cache_.resize(machines);
-  inbox_cache_valid_.assign(machines, 0);
-  pending_cache_.resize(machines);
 }
 
 Engine::~Engine() {
@@ -104,7 +97,7 @@ void Engine::invoke_round(RoundId round, std::span<const Word> params) {
   }
   round_body(rounds_[round].label, /*central_only=*/false, [&] {
     executor_->run_job_round(
-        round, params, topology_.num_machines,
+        metrics_.rounds(), round, params, topology_.num_machines,
         [&](std::uint64_t m) { run_registered(round, m, params); }, this);
   });
 }
@@ -113,28 +106,13 @@ void Engine::invoke_round(RoundId round, std::initializer_list<Word> params) {
   invoke_round(round, std::span<const Word>(params.begin(), params.size()));
 }
 
-void Engine::run_round(std::string_view label,
-                       const std::function<void(MachineContext&)>& fn) {
-  run_round_impl(label, fn, /*central_only=*/false);
-}
-
-void Engine::run_round_impl(std::string_view label,
-                            const std::function<void(MachineContext&)>& fn,
-                            bool central_only) {
-  round_body(label, central_only, [&] {
-    // The sharded entry point: in-process backends fall through to
-    // plain run_machines; the process backend rejects ad-hoc sharded
-    // rounds (persistent workers only run registered rounds).
-    // Central-only rounds pass no data plane — the central machine
-    // always lives in the coordinator process and every other callback
-    // is a no-op, so there is nothing to ship.
-    executor_->run_machines_sharded(
-        0, topology_.num_machines,
-        [&](std::uint64_t m) {
-          MachineContext ctx(*this, static_cast<MachineId>(m));
-          fn(ctx);
-        },
-        central_only ? nullptr : this);
+void Engine::run_central_round(
+    std::string_view label, const std::function<void(MachineContext&)>& fn) {
+  // The central machine always lives in the coordinator and every other
+  // machine would run a no-op, so there is nothing to dispatch or ship.
+  round_body(label, /*central_only=*/true, [&] {
+    MachineContext ctx(*this, kCentral);
+    fn(ctx);
   });
 }
 
@@ -175,8 +153,7 @@ void Engine::round_body(std::string_view label, bool central_only,
     // Consumed before the audit can throw: if this round violates the
     // cap, a subsequent round must not re-merge (and double-deliver)
     // these frames. The payload words stay put — next_frames_ points
-    // into them (pending_inbox reads them, and delivery will move the
-    // slab wholesale next round).
+    // into them, and delivery will move the slab wholesale next round.
     staging_[s].frames.clear();
   }
   if (telemetry) {
@@ -206,8 +183,8 @@ void Engine::round_body(std::string_view label, bool central_only,
   rm.space_violation = violated;
   metrics_.record(rm);
   if (violated && topology_.enforce) {
-    // Delivery is skipped: the staged arenas stay pending, observable
-    // through pending_inbox for post-mortem inspection.
+    // Delivery is skipped: the staged frames stay pending and are
+    // delivered, once, at the end of the next round.
     throw SpaceLimitExceeded(
         "machine " + std::to_string(offender) + " used " +
             std::to_string(offender_words) + " words in round '" +
@@ -241,40 +218,10 @@ void Engine::round_body(std::string_view label, bool central_only,
     next_frames_[m].clear();
     next_inbox_words_[m] = 0;
   }
-  std::fill(inbox_cache_valid_.begin(), inbox_cache_valid_.end(), 0);
   if (telemetry) {
     tel.record_span(obs::Phase::kRound, round_start, tel.now_ns(), round_ix,
                     std::string(label));
   }
-}
-
-void Engine::run_central_round(
-    std::string_view label, const std::function<void(MachineContext&)>& fn) {
-  run_round_impl(
-      label,
-      [&](MachineContext& ctx) {
-        if (ctx.is_central()) fn(ctx);
-      },
-      /*central_only=*/true);
-}
-
-void Engine::materialize(const std::vector<InboxFrame>& frames,
-                         const std::vector<Outbox>& arenas,
-                         std::vector<Message>& out) {
-  out.clear();
-  out.reserve(frames.size());
-  for (const InboxFrame& f : frames) {
-    const Word* base = arenas[f.from].words.data() + f.offset;
-    out.push_back(Message{f.from, std::vector<Word>(base, base + f.len)});
-  }
-}
-
-const std::vector<Message>& Engine::materialized_inbox(MachineId m) const {
-  if (!inbox_cache_valid_[m]) {
-    materialize(inbox_frames_[m], slabs_, inbox_cache_[m]);
-    inbox_cache_valid_[m] = 1;
-  }
-  return inbox_cache_[m];
 }
 
 void Engine::check_machine_id(MachineId m, const char* what) const {
@@ -284,12 +231,6 @@ void Engine::check_machine_id(MachineId m, const char* what) const {
         std::to_string(m) + " out of range [0, " +
         std::to_string(num_machines()) + ")");
   }
-}
-
-const std::vector<Message>& Engine::pending_inbox(MachineId m) const {
-  check_machine_id(m, "pending_inbox");
-  materialize(next_frames_[m], staging_, pending_cache_[m]);
-  return pending_cache_[m];
 }
 
 std::uint64_t Engine::inbox_words(MachineId m) const {
@@ -302,7 +243,7 @@ std::uint64_t Engine::inbox_size(MachineId m) const {
   return inbox_frames_[m].size();
 }
 
-// ----------------------------------------------- shard data plane --
+// ------------------------------------------------ shard job plane --
 
 namespace {
 
@@ -428,8 +369,6 @@ void Engine::apply_machines(std::uint64_t first, std::uint64_t last,
   if (!cur.in.empty()) bad_payload("trailing bytes after the last machine");
 }
 
-// ------------------------------------------------ shard job plane --
-
 void Engine::serialize_round_input(std::uint64_t first, std::uint64_t last,
                                    std::vector<std::byte>& out) const {
   // Per machine: the inbox word total and frame count, then 2 lanes per
@@ -465,7 +404,6 @@ void Engine::apply_round_input(std::uint64_t first, std::uint64_t last,
   }
   for (std::vector<InboxFrame>& f : inbox_frames_) f.clear();
   std::fill(inbox_words_.begin(), inbox_words_.end(), 0);
-  std::fill(inbox_cache_valid_.begin(), inbox_cache_valid_.end(), 0);
   for (std::uint64_t m = first; m < last; ++m) {
     staging_[m].words.clear();
     staging_[m].frames.clear();

@@ -10,6 +10,14 @@
 //     (inbox words, declared resident words, outbox words against the
 //     topology's cap), records metrics, and delivers the messages.
 //
+// There are two ways to run a round, mirroring how the paper writes its
+// algorithms. A per-machine round is *registered* before the job starts
+// (define_round) and then invoked by id with a few parameter words
+// (invoke_round). A central round (run_central_round, the paper's "blue
+// lines") runs a host closure on the central machine only. Nothing else
+// runs code on a machine, so the rules for what callbacks may touch
+// (see define_round) are the whole process-clean contract.
+//
 // Machines within a round are data-independent, so the engine routes the
 // per-machine callbacks through an exec::Executor: the serial backend
 // runs them in machine order on the calling thread, the thread-pool
@@ -18,15 +26,14 @@
 // persistent worker processes spawned once per job; each round the
 // engine ships every worker its machines' inboxes and the workers ship
 // their staged arenas back through the engine's ShardJobPlane
-// implementation. Either way the
-// simulation is deterministic: each machine's sends append only to its
-// own staging arena, and staged messages are merged into next-round
-// inboxes in machine-id order after the round barrier, so traces,
-// metrics, and SpaceLimitExceeded behavior are byte-identical across
-// backends, thread counts, and shard counts. Since the quantities the paper bounds are
-// rounds and words (not wall-clock), the backend is irrelevant to the
-// measured results; determinism makes every experiment replayable from
-// its seed.
+// implementation. Either way the simulation is deterministic: each
+// machine's sends append only to its own staging arena, and staged
+// messages are merged into next-round inboxes in machine-id order after
+// the round barrier, so traces, metrics, and SpaceLimitExceeded behavior
+// are byte-identical across backends, thread counts, and shard counts.
+// Since the quantities the paper bounds are rounds and words (not
+// wall-clock), the backend is irrelevant to the measured results;
+// determinism makes every experiment replayable from its seed.
 //
 // Message storage (the flat-buffer shuffle): each machine's staging slot
 // is one contiguous Word buffer plus a small (to, offset, len) frame
@@ -34,19 +41,17 @@
 // per-destination frame indexes in sender-id order and then moves the
 // arena slabs wholesale into the delivered position; payload words are
 // written exactly once, at send time. Callbacks read their inbox as
-// MessageView spans into the senders' slabs via messages(); the owning
-// inbox() remains as a compatibility shim that materializes Message
-// copies on demand.
+// MessageView spans into the senders' slabs via messages().
 //
 // Per-machine algorithm state is owned by the algorithms themselves
 // (typically a std::vector sized by num_machines); the engine owns only
 // the mailboxes and the cost accounting. Under a threaded backend, round
 // callbacks must write only machine-disjoint algorithm state (per-machine
 // slots or id-strided vector elements); shared reductions belong in
-// per-machine slots merged after the round returns. Batched sends follow
-// the same rule: a MessageWriter appends to its own machine's arena, so
-// at most one writer per machine may be open at a time, and plain sends
-// may not interleave with an open writer.
+// messages to the central machine. Batched sends follow the same rule: a
+// MessageWriter appends to its own machine's arena, so at most one
+// writer per machine may be open at a time, and plain sends may not
+// interleave with an open writer.
 
 #include <cstddef>
 #include <cstdint>
@@ -186,10 +191,6 @@ class MachineContext {
   /// The i-th delivered message as a zero-copy view.
   MessageView message(std::size_t i) const;
 
-  /// Compatibility shim: the inbox as owning Message objects,
-  /// materialized (and cached) on demand. Prefer messages().
-  const std::vector<Message>& inbox() const;
-
   /// Total words in the inbox (precomputed; O(1)).
   std::uint64_t inbox_words() const;
 
@@ -251,6 +252,16 @@ class Engine : private exec::ShardJobPlane {
   /// registry when the job starts); definition after that throws.
   /// `label` names the phase in the execution trace each time the round
   /// is invoked.
+  ///
+  /// Under the process backend the non-central machines run `fn` in
+  /// worker processes forked at job start, which see nothing of
+  /// coordinator memory after that. So `fn` may touch only: job-immutable
+  /// data captured before the first invoke_round (the graph, parameters,
+  /// an unforked root Rng copy); per-machine state that only that
+  /// machine's own callbacks mutate (owner-strided vector slots); and its
+  /// invoke parameters, its inbox, and RNG streams derived from (round,
+  /// machine id). A driver that keeps to this is *process-clean*: its
+  /// results are bit-identical on every backend.
   RoundId define_round(std::string label, RoundFn fn);
 
   /// Execute one synchronous round of a registered callback. The first
@@ -260,18 +271,10 @@ class Engine : private exec::ShardJobPlane {
   void invoke_round(RoundId round, std::span<const Word> params = {});
   void invoke_round(RoundId round, std::initializer_list<Word> params);
 
-  /// Execute one synchronous round. `fn` is invoked once per machine
-  /// (possibly concurrently; see the header comment for the rules).
-  /// `label` names the phase in the execution trace. Ad-hoc rounds
-  /// cannot ship to persistent workers, so under the process backend
-  /// with more than one shard this throws — drivers use define_round /
-  /// invoke_round instead.
-  void run_round(std::string_view label,
-                 const std::function<void(MachineContext&)>& fn);
-
-  /// Convenience: run a round in which only the central machine does work
-  /// (the paper's blue lines). Other machines still participate (their
-  /// inboxes are cleared) but run no user code.
+  /// Run a round in which only the central machine does work (the
+  /// paper's blue lines). The central machine always lives in the
+  /// coordinator, so `fn` may read and write any host state. Every other
+  /// machine's inbox is consumed without running code.
   void run_central_round(std::string_view label,
                          const std::function<void(MachineContext&)>& fn);
 
@@ -280,81 +283,41 @@ class Engine : private exec::ShardJobPlane {
   /// Control-plane peek at delivered traffic: total words (O(1)) and
   /// message count in the inbox machine m will read in the round now
   /// starting. Between rounds this is the coordinator's merged view, so
-  /// it is identical across every backend.
-  ///
-  /// The process-clean driver contract. Under `--backend process` the
-  /// non-central machines run in persistent worker processes that fork
-  /// once, at job start; after the setup frames ship, nothing in
-  /// coordinator memory is visible to them. A driver is *process-clean*
-  /// — and therefore portable to every backend with bit-identical
-  /// results — iff its registered (define_round) callbacks touch only:
-  ///
-  ///   * job-immutable data captured before the first invoke_round (the
-  ///     graph, parameters, footprints, an unforked root Rng copy);
-  ///   * per-machine state that only that machine's own callbacks
-  ///     mutate (worker-resident between rounds — owner-strided vector
-  ///     slots are the idiom);
-  ///   * invoke_round parameters, inbox messages, and RNG streams
-  ///     derived deterministically from (round/iteration, machine id);
-  ///
-  /// and its host-side code between rounds uses only
-  /// coordinator-visible state: these peeks, metrics(), central-round
-  /// effects (the central machine is always coordinator-resident, so
-  /// central state and run_central_round closures are unrestricted).
-  /// Host -> machine communication goes through invoke params or
-  /// central sends; machine -> host through messages to the central
-  /// machine.
-  ///
-  /// Every driver in the tree is ported to this contract and runs under
-  /// every backend: rlr_matching, rlr_bmatching, rlr_setcover /
-  /// rlr_vertex_cover, filtering_matching / filtering_vertex_cover /
-  /// filtering_weighted_matching, coreset_matching, greedy_setcover_mr,
-  /// sample_prune_setcover, hungry_mis, luby_mis, hungry_clique,
-  /// colouring (greedy + Luby), and luby_mr.
-  ///
-  /// These peeks exist precisely so control flow (e.g. a sampling fail
-  /// check, a "did anyone send?" termination test) can stay on the
-  /// coordinator without materializing inboxes or breaking the
-  /// contract. Throws std::out_of_range for machine ids outside
-  /// [0, num_machines()).
+  /// it is identical across every backend; host code steers with these
+  /// (e.g. a sampling fail check, a "did anyone send?" termination test)
+  /// without breaking the process-clean contract. Throws
+  /// std::out_of_range for machine ids outside [0, num_machines()).
   std::uint64_t inbox_words(MachineId m) const;
   std::uint64_t inbox_size(MachineId m) const;
-
-  /// Direct access for algorithms that need to inspect what a machine
-  /// will receive next round (testing only; materialized on demand).
-  /// Non-empty only after a round that threw SpaceLimitExceeded, since
-  /// delivery otherwise completes within run_round. Throws
-  /// std::out_of_range for machine ids outside [0, num_machines()).
-  const std::vector<Message>& pending_inbox(MachineId m) const;
 
  private:
   friend class MachineContext;
   friend class MessageWriter;
   friend class InboxView;
 
-  /// ShardDataPlane: wire encoding of machines [first, last) for the
-  /// process-sharded backend — per machine, the accounting slots
-  /// (outbox words, resident words, writer-open flag) followed by the
-  /// staged frame index and the arena word buffer verbatim (the flat
-  /// slab layout already is a wire format). apply_machines validates
-  /// every field and throws exec::TransportError(kBadPayload) on
-  /// malformed bytes; after it installs a shard, the ordinary
-  /// id-ordered merge in run_round proceeds unchanged.
+  /// ShardJobPlane, coordinator -> worker: per machine, the delivered
+  /// word total and frame count, then each message as (sender, length,
+  /// payload words). apply_round_input rebuilds the worker-local inbox
+  /// index and slabs from the bytes and resets the range's per-round
+  /// scratch.
+  void serialize_round_input(std::uint64_t first, std::uint64_t last,
+                             std::vector<std::byte>& out) const override;
+  void apply_round_input(std::uint64_t first, std::uint64_t last,
+                         std::span<const std::byte> bytes) override;
+
+  /// ShardJobPlane, worker -> coordinator: per machine, the accounting
+  /// slots (outbox words, resident words, writer-open flag) followed by
+  /// the staged frame index and the arena word buffer verbatim (the flat
+  /// slab layout already is a wire format). After apply_machines
+  /// installs a shard, the ordinary id-ordered merge proceeds unchanged.
+  ///
+  /// Both apply sides validate every field and throw
+  /// exec::TransportError(kBadPayload) on malformed bytes.
   void serialize_machines(std::uint64_t first, std::uint64_t last,
                           std::vector<std::byte>& out) const override;
   void apply_machines(std::uint64_t first, std::uint64_t last,
                       std::span<const std::byte> bytes) override;
 
-  /// ShardJobPlane: per-round inbox shipping for persistent workers —
-  /// per machine, the delivered word total and frame count, then each
-  /// message as (sender, length, payload words). apply_round_input
-  /// rebuilds the worker-local inbox index and slabs from the bytes and
-  /// resets the range's per-round scratch; it validates every field and
-  /// throws exec::TransportError(kBadPayload) on malformed bytes.
-  void serialize_round_input(std::uint64_t first, std::uint64_t last,
-                             std::vector<std::byte>& out) const override;
-  void apply_round_input(std::uint64_t first, std::uint64_t last,
-                         std::span<const std::byte> bytes) override;
   void run_registered(std::uint64_t round_id, std::uint64_t machine,
                       std::span<const std::uint64_t> params) override;
   std::uint64_t registered_rounds() const override {
@@ -366,18 +329,9 @@ class Engine : private exec::ShardJobPlane {
 
   void check_machine_id(MachineId m, const char* what) const;
 
-  /// Shared body of run_round / run_central_round. `central_only`
-  /// rounds skip the shard data plane: only the coordinator-resident
-  /// central machine does work, so a process backend has nothing to
-  /// ship.
-  void run_round_impl(std::string_view label,
-                      const std::function<void(MachineContext&)>& fn,
-                      bool central_only);
-
-  /// Round prologue/epilogue shared by run_round_impl and invoke_round:
-  /// resets per-round scratch, runs `dispatch` (the executor call),
-  /// then merges staged frames, records metrics, audits space, and
-  /// delivers.
+  /// The round skeleton shared by invoke_round and run_central_round:
+  /// resets per-round scratch, runs `dispatch` (the callbacks), then
+  /// merges staged frames, records metrics, audits space, and delivers.
   void round_body(std::string_view label, bool central_only,
                   const std::function<void()>& dispatch);
 
@@ -412,14 +366,6 @@ class Engine : private exec::ShardJobPlane {
                      static_cast<std::size_t>(f.len)}};
   }
 
-  const std::vector<Message>& materialized_inbox(MachineId m) const;
-
-  /// Copies the messages a frame index describes out of their arenas
-  /// into owning Message objects (the compatibility-shim slow path).
-  static void materialize(const std::vector<InboxFrame>& frames,
-                          const std::vector<Outbox>& arenas,
-                          std::vector<Message>& out);
-
   Topology topology_;
   std::shared_ptr<exec::Executor> executor_;
   Metrics metrics_;
@@ -450,16 +396,10 @@ class Engine : private exec::ShardJobPlane {
   // writer_open_[m] = machine m has a live MessageWriter (its frame is
   // still growing, so no other send may interleave).
   std::vector<char> writer_open_;
-  // Per-round scratch, reset in run_round; slot m is written only by
+  // Per-round scratch, reset in round_body; slot m is written only by
   // machine m's callback.
   std::vector<std::uint64_t> outbox_words_;
   std::vector<std::uint64_t> resident_words_;
-  // Lazy materialization caches for the compatibility shims. Slot m is
-  // only touched by machine m's thread (inbox) or by the host between
-  // rounds (pending), so no synchronization is needed.
-  mutable std::vector<std::vector<Message>> inbox_cache_;
-  mutable std::vector<char> inbox_cache_valid_;
-  mutable std::vector<std::vector<Message>> pending_cache_;
 };
 
 // ------------------------------------------------------------ inline --

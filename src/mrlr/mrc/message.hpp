@@ -3,29 +3,18 @@
 // vertex id, edge endpoint, weight, or counter. Message framing is free
 // (as in the standard MRC accounting, which counts words communicated).
 //
-// Since PR 2 the engine stores payloads in per-machine flat arenas (one
-// contiguous Word buffer per sender, plus a small frame index), so the
-// primary read API is MessageView — a non-owning span into the sender's
-// delivered slab. The owning Message struct remains the materialized
-// form used by the legacy MachineContext::inbox() shim and by tests
-// that want to hold message contents beyond the round.
+// The engine stores payloads in per-machine flat arenas (one contiguous
+// Word buffer per sender, plus a small frame index), so a delivered
+// message is read as a MessageView — a non-owning span into the
+// sender's slab. There is no owning message type: a callback that needs
+// a payload beyond its round copies the words into its own state.
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "mrlr/mrc/config.hpp"
 
 namespace mrlr::mrc {
-
-/// Owning message: a heap-allocated payload copy. Produced on demand by
-/// the compatibility shims; the hot path never allocates these.
-struct Message {
-  MachineId from = 0;
-  std::vector<Word> payload;
-
-  std::uint64_t words() const { return payload.size(); }
-};
 
 /// Zero-copy view of one delivered message: `payload` points into the
 /// sending machine's arena slab, which the engine keeps alive for

@@ -51,7 +51,7 @@ enum class Phase : std::uint8_t {
   kCallback,         ///< per-machine user callbacks (executor dispatch)
   kArenaMerge,       ///< sender-id-ordered frame merge after the barrier
   kCentral,          ///< a central-only round's callback phase
-  kShardSerialize,   ///< worker: ShardDataPlane::serialize_machines;
+  kShardSerialize,   ///< worker: ShardJobPlane::serialize_machines;
                      ///< coordinator: encoding one worker's round control
   kShardTransport,   ///< worker: shipping the data frame over the channel;
                      ///< coordinator: shipping one worker's round control

@@ -1,12 +1,12 @@
-// Direct unit tests for the core-module communication helpers and
-// parameter plumbing (owner_of, pack_double, allreduce_sum_direct,
-// allreduce_sum_vec), which the algorithm suites only exercise
-// indirectly.
+// Direct unit tests for the core-module helpers and parameter plumbing
+// (owner_of, pack_double, MrParams, MrOutcome), which the algorithm
+// suites only exercise indirectly.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "mrlr/core/params.hpp"
 
@@ -44,49 +44,6 @@ TEST(PackDouble, BitExactRoundTrip) {
   EXPECT_TRUE(std::isnan(unpack_double(pack_double(nan))));
 }
 
-TEST(AllreduceDirect, SumsAndCountsRounds) {
-  for (const std::uint64_t machines : {1ull, 2ull, 5ull, 32ull}) {
-    mrc::Engine engine(topo(machines));
-    std::vector<mrc::Word> values(machines);
-    for (std::uint64_t m = 0; m < machines; ++m) values[m] = m + 1;
-    const auto sum = allreduce_sum_direct(engine, values, "t");
-    EXPECT_EQ(sum, machines * (machines + 1) / 2);
-    // One machine: free. Otherwise: gather, scatter, drain = 3 rounds.
-    EXPECT_EQ(engine.metrics().rounds(), machines == 1 ? 0u : 3u);
-  }
-}
-
-TEST(AllreduceDirect, CentralInboxIsMachineCount) {
-  mrc::Engine engine(topo(10));
-  std::vector<mrc::Word> values(10, 1);
-  (void)allreduce_sum_direct(engine, values, "t");
-  // Nine 1-word messages arrive at the central machine.
-  EXPECT_EQ(engine.metrics().max_central_inbox(), 9u);
-}
-
-TEST(AllreduceVec, ComponentWiseSums) {
-  const std::uint64_t machines = 6;
-  mrc::Engine engine(topo(machines));
-  std::vector<std::vector<mrc::Word>> values(machines,
-                                             std::vector<mrc::Word>(3, 0));
-  for (std::uint64_t m = 0; m < machines; ++m) {
-    values[m] = {m, 2 * m, 1};
-  }
-  const auto total = allreduce_sum_vec(engine, values, "t");
-  ASSERT_EQ(total.size(), 3u);
-  EXPECT_EQ(total[0], 15u);  // 0+1+...+5
-  EXPECT_EQ(total[1], 30u);
-  EXPECT_EQ(total[2], 6u);
-}
-
-TEST(AllreduceVec, SingleMachineShortCircuits) {
-  mrc::Engine engine(topo(1));
-  const auto total =
-      allreduce_sum_vec(engine, {{7, 8}}, "t");
-  EXPECT_EQ(total, (std::vector<mrc::Word>{7, 8}));
-  EXPECT_EQ(engine.metrics().rounds(), 0u);
-}
-
 TEST(MrParams, DefaultsAreSane) {
   const MrParams p;
   EXPECT_GT(p.mu, 0.0);
@@ -98,11 +55,13 @@ TEST(MrParams, DefaultsAreSane) {
 
 TEST(MrOutcome, FillFromMetrics) {
   mrc::Engine engine(topo(3));
-  engine.run_round("r", [](mrc::MachineContext& ctx) {
-    if (ctx.id() == 1) ctx.send(0, {1, 2, 3});
-    ctx.charge_resident(42);
-  });
-  engine.run_round("r", [](mrc::MachineContext&) {});
+  const mrc::RoundId r = engine.define_round(
+      "r", [](mrc::MachineContext& ctx, std::span<const mrc::Word>) {
+        if (ctx.id() == 1) ctx.send(0, {1, 2, 3});
+        ctx.charge_resident(42);
+      });
+  engine.invoke_round(r);
+  engine.run_central_round("r", [](mrc::MachineContext&) {});
   MrOutcome o;
   o.fill_from(engine.metrics());
   EXPECT_EQ(o.rounds, 2u);

@@ -80,7 +80,7 @@ TEST(MakeExecutor, MapsKnobToBackend) {
 }
 
 TEST(ProcessShardExecutor, PlainRunIsSerialAscending) {
-  // Without a data plane there is nothing to exchange, so machines run
+  // Without a job plane there is nothing to exchange, so machines run
   // serially in the coordinator (the degenerate documented mode).
   exec::ProcessShardExecutor ex(4);
   EXPECT_EQ(ex.name(), "process-shard");
@@ -205,7 +205,7 @@ std::string run_synthetic(std::shared_ptr<exec::Executor> ex,
   const mrc::RoundId r_echo = e.define_round(
       "echo", [](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(ctx.inbox_words());
-        for (const auto& msg : ctx.inbox()) {
+        for (const mrc::MessageView msg : ctx.messages()) {
           ctx.send(mrc::kCentral, {msg.from, msg.words()});
         }
       });
@@ -280,16 +280,21 @@ TEST(EngineDeterminism, DeliveryOrderIsSenderIdOrder) {
   // With the threaded backend machines finish in arbitrary order, but
   // the merged inbox must still list senders 0..M-1 ascending.
   mrc::Engine e(topo(8), std::make_shared<exec::ThreadPoolExecutor>(8));
-  e.run_round("fanout", [&](MachineContext& ctx) {
-    ctx.send(2, {ctx.id()});
-  });
-  e.run_round("check", [&](MachineContext& ctx) {
-    if (ctx.id() != 2) return;
-    ASSERT_EQ(ctx.inbox().size(), 8u);
-    for (MachineId s = 0; s < 8; ++s) {
-      EXPECT_EQ(ctx.inbox()[s].from, s);
-    }
-  });
+  const mrc::RoundId fanout = e.define_round(
+      "fanout", [](MachineContext& ctx, std::span<const Word>) {
+        ctx.send(2, {ctx.id()});
+      });
+  const mrc::RoundId check = e.define_round(
+      "check", [](MachineContext& ctx, std::span<const Word>) {
+        if (ctx.id() != 2) return;
+        ASSERT_EQ(ctx.inbox_size(), 8u);
+        for (MachineId s = 0; s < 8; ++s) {
+          EXPECT_EQ(ctx.message(s).from, s);
+          EXPECT_EQ(ctx.message(s).payload[0], s);
+        }
+      });
+  e.invoke_round(fanout);
+  e.invoke_round(check);
 }
 
 TEST(EngineDeterminism, SpaceLimitReportsLowestIdOffender) {
@@ -344,6 +349,15 @@ TEST(Engine, InboxPeekMatchesDeliveryAndIsBoundsChecked) {
     EXPECT_EQ(e.inbox_words(1), 0u) << "shards=" << shards;
     EXPECT_THROW((void)e.inbox_words(6), std::out_of_range);
     EXPECT_THROW((void)e.inbox_size(6), std::out_of_range);
+    try {
+      (void)e.inbox_size(7);
+      FAIL() << "expected std::out_of_range";
+    } catch (const std::out_of_range& ex) {
+      // The message names the accessor and the offending id.
+      const std::string what = ex.what();
+      EXPECT_NE(what.find("inbox_size"), std::string::npos) << what;
+      EXPECT_NE(what.find("7"), std::string::npos) << what;
+    }
   }
 }
 
@@ -460,19 +474,6 @@ TEST(ProcessShardExecutor, WorkersSpawnedOncePerJob) {
   EXPECT_GT(shipped->second, 0u);
 }
 
-TEST(Engine, PendingInboxBoundsChecked) {
-  mrc::Engine e(topo(3));
-  EXPECT_NO_THROW(e.pending_inbox(2));
-  try {
-    e.pending_inbox(3);
-    FAIL() << "expected std::out_of_range";
-  } catch (const std::out_of_range& ex) {
-    const std::string what = ex.what();
-    EXPECT_NE(what.find("pending_inbox"), std::string::npos);
-    EXPECT_NE(what.find("3"), std::string::npos);
-  }
-}
-
 // ------------------------------------------------ shard wire layouts --
 
 /// Runs registered rounds serially and captures, per round, the engine's
@@ -489,7 +490,8 @@ class WireCaptureExecutor final : public exec::Executor {
                     const MachineFn& fn) override {
     for (std::uint64_t m = first; m < last; ++m) fn(m);
   }
-  void run_job_round(std::uint64_t, std::span<const std::uint64_t>,
+  void run_job_round(std::uint64_t, std::uint64_t,
+                     std::span<const std::uint64_t>,
                      std::uint64_t num_machines, const MachineFn& fn,
                      exec::ShardJobPlane* plane) override {
     std::vector<std::byte> in(std::begin(kPrefix), std::end(kPrefix));

@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include "mrlr/bench/json.hpp"
 #include "mrlr/core/rlr_matching.hpp"
+#include "mrlr/exec/process_shard_executor.hpp"
 #include "mrlr/exec/shard_transport.hpp"
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/mrc/engine.hpp"
@@ -394,9 +397,11 @@ TEST_F(TelemetryTest, EngineEmitsRoundPhases) {
   topo.num_machines = 4;
   topo.words_per_machine = 1 << 16;
   mrc::Engine e(topo);
-  e.run_round("scatter", [](mrc::MachineContext& ctx) {
-    ctx.send((ctx.id() + 1) % ctx.num_machines(), {1, 2, 3});
-  });
+  const mrc::RoundId scatter = e.define_round(
+      "scatter", [](mrc::MachineContext& ctx, std::span<const mrc::Word>) {
+        ctx.send((ctx.id() + 1) % ctx.num_machines(), {1, 2, 3});
+      });
+  e.invoke_round(scatter);
   e.run_central_round("scan", [](mrc::MachineContext&) {});
 
   const TelemetrySnapshot snap = t.snapshot();
@@ -439,14 +444,14 @@ TEST_F(TelemetryTest, EngineSpansDoNotChangeMessageResults) {
     mrc::Topology topo;
     topo.num_machines = 3;
     mrc::Engine e(topo);
-    for (int r = 0; r < 3; ++r) {
-      e.run_round("ring", [](mrc::MachineContext& ctx) {
-        for (const mrc::MessageView m : ctx.messages()) {
-          EXPECT_EQ(m.payload.size(), 2u);
-        }
-        ctx.send((ctx.id() + 1) % 3, {7, 8});
-      });
-    }
+    const mrc::RoundId ring = e.define_round(
+        "ring", [](mrc::MachineContext& ctx, std::span<const mrc::Word>) {
+          for (const mrc::MessageView m : ctx.messages()) {
+            EXPECT_EQ(m.payload.size(), 2u);
+          }
+          ctx.send((ctx.id() + 1) % 3, {7, 8});
+        });
+    for (int r = 0; r < 3; ++r) e.invoke_round(ring);
     std::ostringstream csv;
     mrc::write_trace_csv(e.metrics(), csv);
     return csv.str();
@@ -455,6 +460,36 @@ TEST_F(TelemetryTest, EngineSpansDoNotChangeMessageResults) {
   Telemetry::instance().enable();
   const std::string on = run();
   EXPECT_EQ(off, on);
+}
+
+TEST_F(TelemetryTest, WorkerSpansCarryTheEngineRoundIndex) {
+  // Central rounds never reach the executor, yet a worker's spans must
+  // be attributed to the same round index as the coordinator's: the
+  // frame sequence comes from the engine, not from counting dispatches.
+  Telemetry& t = Telemetry::instance();
+  t.enable();
+  {
+    mrc::Topology topo;
+    topo.num_machines = 4;
+    mrc::Engine e(topo, std::make_shared<exec::ProcessShardExecutor>(2));
+    const mrc::RoundId ping = e.define_round(
+        "ping", [](mrc::MachineContext& ctx, std::span<const mrc::Word>) {
+          ctx.send(mrc::kCentral, {ctx.id()});
+        });
+    e.run_central_round("pre", [](mrc::MachineContext&) {});  // round 0
+    e.invoke_round(ping);                                      // round 1
+    e.run_central_round("drain", [](mrc::MachineContext&) {});  // round 2
+    e.run_central_round("idle", [](mrc::MachineContext&) {});   // round 3
+    e.invoke_round(ping);                                      // round 4
+  }
+  t.disable();
+  std::set<std::uint64_t> coordinator, worker;
+  for (const SpanRecord& s : t.snapshot().spans) {
+    if (s.phase != Phase::kCallback) continue;
+    (s.shard == 0 ? coordinator : worker).insert(s.round);
+  }
+  EXPECT_EQ(coordinator, (std::set<std::uint64_t>{1, 4}));
+  EXPECT_EQ(worker, (std::set<std::uint64_t>{1, 4}));
 }
 
 // -------------------------------------- process backend: merged profile --

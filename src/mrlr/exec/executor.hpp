@@ -27,40 +27,75 @@ namespace mrlr::exec {
 /// are *registered* (closures defined before the job starts, inherited
 /// by workers at spawn) and then *invoked* by id with a small parameter
 /// vector, so a long-lived worker never needs a closure shipped to it.
-/// Each round, the inputs (each machine's inbox) flow coordinator ->
-/// worker through serialize_round_input / apply_round_input, and the
-/// results (staged message arenas and accounting slots) flow back
-/// through serialize_machines / apply_machines, after which the
-/// engine's ordinary id-ordered merge proceeds exactly as it would
-/// in-process. After the setup frame a worker reads nothing from
-/// coordinator memory. In-process backends never touch the wire side.
+/// After the setup frame a worker reads nothing from coordinator
+/// memory. In-process backends never touch the wire side.
+///
+/// The job's machines are split into K contiguous shards; shard 0 runs
+/// in the coordinator and holds the central machine. Messages cross
+/// the wire as *records* (from, to, len, payload), one encoding for
+/// both directions. Each round:
+///   1. the coordinator ships worker B its machines' inbox totals and
+///      its record stream (serialize_round_input -> apply_round_input);
+///   2. every shard runs its machines; the coordinator then encodes
+///      shard 0's sends bound for other shards onto their streams
+///      (route_local_sends);
+///   3. each worker ships its accounting slots, per-destination totals
+///      and one record bucket per destination shard (serialize_machines);
+///      the coordinator decodes only the shard-0 bucket into its
+///      staging arenas and appends every other bucket, undecoded and
+///      uncopied, to the stream of its destination shard
+///      (apply_machines), in shard order, so every stream stays in
+///      sender-id order;
+///   4. the engine's ordinary id-ordered merge, audit and delivery run
+///      over shard 0's destinations, while the other shards' streams
+///      and totals become next round's inputs.
 class ShardJobPlane {
  public:
   virtual ~ShardJobPlane() = default;
 
-  /// Appends the wire encoding of the round inputs (delivered inbox
-  /// frames and words) of machines [first, last) to `out`
-  /// (coordinator side, before the round runs).
-  virtual void serialize_round_input(std::uint64_t first, std::uint64_t last,
-                                     std::vector<std::byte>& out) const = 0;
+  /// Both sides, once per job before any other data-plane call:
+  /// `bounds` holds the K + 1 shard boundaries (shard s owns machines
+  /// [bounds[s], bounds[s+1]); bounds[0] = 0, bounds[K] = the machine
+  /// count) and `own` is the shard this process serves (0 = the
+  /// coordinator).
+  virtual void set_shards(std::span<const std::uint64_t> bounds,
+                          std::uint32_t own) = 0;
 
-  /// Installs round inputs produced by serialize_round_input for the
-  /// same range and resets the range's per-round scratch (worker side).
-  /// Must validate `bytes` and throw TransportError(kBadPayload) on
-  /// anything malformed.
-  virtual void apply_round_input(std::uint64_t first, std::uint64_t last,
-                                 std::span<const std::byte> bytes) = 0;
+  /// Coordinator side, before the round runs: worker shard `shard`'s
+  /// round input is its machines' inbox totals, appended to `out`,
+  /// followed by its record stream, appended to `stream` as pieces
+  /// (the relayed buckets are not copied) that stay valid until the
+  /// round ends.
+  virtual void serialize_round_input(
+      std::uint32_t shard, std::vector<std::byte>& out,
+      std::vector<std::span<const std::byte>>& stream) const = 0;
 
-  /// Appends the wire encoding of the round results of machines
-  /// [first, last) to `out` (worker side, after the callbacks ran).
-  virtual void serialize_machines(std::uint64_t first, std::uint64_t last,
-                                  std::vector<std::byte>& out) const = 0;
-
-  /// Installs the encoding produced by serialize_machines for the same
-  /// range (coordinator side). Must validate `bytes` and throw
+  /// Worker side: installs the round input of the own shard and resets
+  /// its per-round scratch. Must validate `bytes` and throw
   /// TransportError(kBadPayload) on anything malformed.
-  virtual void apply_machines(std::uint64_t first, std::uint64_t last,
-                              std::span<const std::byte> bytes) = 0;
+  virtual void apply_round_input(std::span<const std::byte> bytes) = 0;
+
+  /// Worker side, after the callbacks ran: appends the own shard's
+  /// round results (accounting slots, per-destination totals, one
+  /// record bucket per shard) to `out`.
+  virtual void serialize_machines(std::vector<std::byte>& out) = 0;
+
+  /// Coordinator side, after shard 0's machines ran and before any
+  /// apply_machines of the round: moves shard 0's sends bound for other
+  /// shards onto those shards' outgoing streams, ahead of every relayed
+  /// worker bucket. Idempotent within a round.
+  virtual void route_local_sends() = 0;
+
+  /// Coordinator side: the buffer worker shard `shard`'s kShardData
+  /// payload of this round is read into (old contents are dead). The
+  /// plane keeps it while its relayed buckets are still to be shipped.
+  virtual std::vector<std::byte>& shard_data_buffer(std::uint32_t shard) = 0;
+
+  /// Coordinator side: installs worker shard `shard`'s results from its
+  /// shard_data_buffer. Workers are applied in shard order. Must
+  /// validate the bytes and throw TransportError(kBadPayload) on
+  /// anything malformed.
+  virtual void apply_machines(std::uint32_t shard) = 0;
 
   /// Runs the registered round `round_id` on machine `machine` with the
   /// invoke parameters (worker side, and coordinator side for shard 0).

@@ -171,6 +171,7 @@ void ProcessShardExecutor::start_job(std::uint64_t num_machines,
       b.first = w.first;
       b.last = w.last;
       b.machines = num_machines;
+      b.shard_ranges = ranges;
       b.flags = flags;
       b.nonce = nonce;
       b.threads = num_threads_;
@@ -206,6 +207,12 @@ void ProcessShardExecutor::start_job(std::uint64_t num_machines,
     tel.add_counter("exec.worker_threads",
                     static_cast<std::uint64_t>(num_threads_) * shards);
   }
+
+  // The coordinator's plane routes by the same shard table the workers
+  // received; set only now, so forked workers never inherit it.
+  std::vector<std::uint64_t> bounds{0};
+  for (const auto& r : ranges) bounds.push_back(r.second);
+  plane->set_shards(bounds, 0);
 
   // Shard 0's own pool. Built only now, after every worker has forked:
   // a fork taken while pool threads are live could duplicate held locks
@@ -249,10 +256,10 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
   obs::Telemetry& tel = obs::Telemetry::instance();
   const bool telemetry = job_telemetry_;
 
-  // Ship every worker its round: id, invoke params, and the inbox state
-  // of its machine range. Workers start their machines while shard 0
-  // runs below. Every frame is encoded into, and later read into, the
-  // one reused frame_ buffer.
+  // Ship every worker its round: id, invoke params, its machines' inbox
+  // totals and its record stream. Workers start their machines while
+  // shard 0 runs below. The head is encoded into frame_; the stream
+  // goes out from the plane's own buffers.
   std::uint64_t shipped = 0;
   std::vector<std::byte>& payload = frame_.payload;
   for (Worker& w : workers_) {
@@ -261,7 +268,11 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
     append_u64(payload, round_id);
     append_u64(payload, params.size());
     for (const std::uint64_t p : params) append_u64(payload, p);
-    plane->serialize_round_input(w.first, w.last, payload);
+    // parts_[0] is the payload's head, set once the plane stopped
+    // growing it.
+    parts_.assign(1, {});
+    plane->serialize_round_input(w.shard, payload, parts_);
+    parts_[0] = payload;
     if (telemetry) {
       const std::uint64_t t1 = tel.now_ns();
       tel.record_span(obs::Phase::kShardSerialize, t0, t1, sequence - 1,
@@ -269,8 +280,8 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
       t0 = t1;
     }
     try {
-      write_frame(*w.channel, FrameKind::kRoundControl, w.shard, sequence,
-                  payload);
+      write_frame_parts(*w.channel, FrameKind::kRoundControl, w.shard,
+                        sequence, parts_);
     } catch (const ExecError& e) {
       fail_job(w.shard, sequence, e.what());
     }
@@ -278,7 +289,9 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
       tel.record_span(obs::Phase::kShardTransport, t0, tel.now_ns(),
                       sequence - 1, "shard " + std::to_string(w.shard));
     }
-    shipped += payload.size();
+    for (const std::span<const std::byte> part : parts_) {
+      shipped += part.size();
+    }
   }
   if (telemetry) tel.add_counter("exec.state_bytes_shipped", shipped);
 
@@ -290,24 +303,40 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
   std::uint64_t local_error_machine = 0;
   run_shard_range(local_pool_.get(), local_range_.first, local_range_.second,
                   fn, local_error, local_error_machine);
+  // Shard 0's sends to worker machines head their streams, ahead of the
+  // buckets relayed below; encoding them now overlaps the workers' run.
+  {
+    const std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
+    plane->route_local_sends();
+    if (telemetry) {
+      tel.record_span(obs::Phase::kShardSerialize, t0, tel.now_ns(),
+                      sequence - 1, "shard 0 sends");
+    }
+  }
 
   // Collect shard results in shard order (= machine-id order, so the
-  // apply order is deterministic even though workers finish whenever).
+  // apply order is deterministic even though workers finish whenever,
+  // and every relayed stream stays in sender-id order).
   std::uint64_t remote_error_machine = 0;
   std::string remote_error_what;
   bool remote_failed = false;
   for (Worker& w : workers_) {
     try {
       const std::uint64_t wait_start = telemetry ? tel.now_ns() : 0;
+      // The data frame is read straight into the buffer the plane keeps
+      // for this shard.
+      std::vector<std::byte>& data = plane->shard_data_buffer(w.shard);
+      data.swap(frame_.payload);
       expect_frame(*w.channel, frame_, FrameKind::kShardData, w.shard,
                    sequence);
+      data.swap(frame_.payload);
       std::uint64_t apply_start = 0;
       if (telemetry) {
         apply_start = tel.now_ns();
         tel.record_span(obs::Phase::kWorkerWait, wait_start, apply_start,
                         sequence - 1, "shard " + std::to_string(w.shard));
       }
-      plane->apply_machines(w.first, w.last, frame_.payload);
+      plane->apply_machines(w.shard);
       if (telemetry) {
         tel.record_span(obs::Phase::kShardApply, apply_start, tel.now_ns(),
                         sequence - 1, "shard " + std::to_string(w.shard));
@@ -406,6 +435,7 @@ void ProcessShardExecutor::end_job() {
   // before rebuilding it, keeping forks free of live pool threads.
   local_pool_.reset();
   std::vector<std::byte>().swap(frame_.payload);
+  std::vector<std::span<const std::byte>>().swap(parts_);
   job_active_ = false;
   job_failed_ = false;
   local_range_ = {0, 0};

@@ -16,19 +16,21 @@
 //     connections to pre-started remote workers (--workers). Either
 //     way, the channel opens with an explicit handshake (version, shard
 //     id, job nonce) and a kJobSetup bootstrap carrying the worker's
-//     machine range, the registered-round label table, and — on the TCP
-//     path — the full job spec, which the worker validates and
-//     acknowledges before any round ships. Nothing crosses the process
-//     boundary implicitly — each round the coordinator ships a
-//     kRoundControl frame carrying the round id, the invoke parameters,
-//     and the serialized inboxes of the worker's machine range
-//     (ShardJobPlane::serialize_round_input), the worker runs its
-//     machines against its own resident copy of that range's state, and
-//     ships the staged arenas back through serialize_machines. The
-//     coordinator applies each shard's bytes and the engine's ordinary
-//     id-ordered merge runs over the combined frame indexes — traces,
-//     metrics, and delivery order stay byte-identical to
-//     SerialExecutor.
+//     machine range, the shard table, the registered-round label table,
+//     and — on the TCP path — the full job spec, which the worker
+//     validates and acknowledges before any round ships. Nothing
+//     crosses the process boundary implicitly — each round the
+//     coordinator ships a kRoundControl frame carrying the round id,
+//     the invoke parameters, and the inbox totals and record stream of
+//     the worker's machine range (ShardJobPlane::serialize_round_input),
+//     the worker runs its machines against its own resident copy of
+//     that range's state, and ships its sends back bucketed by
+//     destination shard through serialize_machines. The coordinator
+//     encodes shard 0's sends to workers (route_local_sends), then
+//     applies each shard's frame in shard order: the shard-0 bucket
+//     joins the engine's ordinary id-ordered merge, every other bucket
+//     is relayed as is — traces, metrics, and delivery order stay
+//     byte-identical to SerialExecutor.
 //
 //   * Only registered rounds reach this backend, and their callbacks
 //     must be "process-clean" (see Engine::define_round): they touch
@@ -54,6 +56,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <sys/types.h>
@@ -130,12 +133,14 @@ class ProcessShardExecutor final : public Executor {
   // decided once per job and both ends always agree, even if the
   // coordinator's recorder is toggled mid-job.
   bool job_telemetry_ = false;
-  // The one frame buffer of the job: every kRoundControl is encoded
-  // into its payload and every worker frame read into it, so
-  // steady-state rounds reuse its capacity. One buffer for all workers,
-  // not one each: frames are handled one at a time, and per-worker
-  // buffers would each grow to the largest frame. Freed at end_job.
+  // The frame buffer of the job: every kRoundControl head is encoded
+  // into its payload and every worker frame but kShardData read into
+  // it, so steady-state rounds reuse its capacity. kShardData payloads
+  // go to the plane's per-shard buffers. Freed at end_job.
   Frame frame_;
+  // The pieces of one kRoundControl payload: frame_'s head, then the
+  // worker's record stream as the plane holds it.
+  std::vector<std::span<const std::byte>> parts_;
 };
 
 }  // namespace mrlr::exec

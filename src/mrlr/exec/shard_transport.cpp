@@ -2,6 +2,7 @@
 
 #include "mrlr/exec/shard_channel.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -113,49 +114,102 @@ void append_u64(std::vector<std::byte>& out, std::uint64_t v) {
   std::memcpy(out.data() + n, &v, 8);
 }
 
-std::uint64_t frame_checksum(std::span<const std::byte> payload) {
-  const std::byte* p = payload.data();
-  const std::size_t n = payload.size();
+namespace {
+
+/// The four checksum chains (frame_checksum).
+struct Chains {
   std::uint64_t h0 = kChecksumSeed;
   std::uint64_t h1 = kChecksumSeed + kChecksumLaneStep;
   std::uint64_t h2 = kChecksumSeed + 2 * kChecksumLaneStep;
   std::uint64_t h3 = kChecksumSeed + 3 * kChecksumLaneStep;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    h0 = mix64(h0 ^ get_u64(p + i));
-    h1 = mix64(h1 ^ get_u64(p + i + 8));
-    h2 = mix64(h2 ^ get_u64(p + i + 16));
-    h3 = mix64(h3 ^ get_u64(p + i + 24));
+};
+
+/// Steps the chains over the whole 32-byte blocks of [p, p + n). Taken
+/// and returned by value, so the chains stay in registers.
+Chains step_blocks(Chains c, const std::byte* p, std::size_t n) {
+  for (std::size_t i = 0; i + 32 <= n; i += 32) {
+    c.h0 = mix64(c.h0 ^ get_u64(p + i));
+    c.h1 = mix64(c.h1 ^ get_u64(p + i + 8));
+    c.h2 = mix64(c.h2 ^ get_u64(p + i + 16));
+    c.h3 = mix64(c.h3 ^ get_u64(p + i + 24));
   }
+  return c;
+}
+
+/// Feeds the last `n` < 32 payload bytes at `tail`, folds the chains and
+/// absorbs the payload length.
+std::uint64_t finish_chains(Chains c, const std::byte* tail, std::size_t n,
+                            std::uint64_t length) {
   // At most three whole words remain; they continue the interleave.
-  if (i + 8 <= n) {
-    h0 = mix64(h0 ^ get_u64(p + i));
-    i += 8;
+  if (n >= 8) {
+    c.h0 = mix64(c.h0 ^ get_u64(tail));
+    tail += 8;
+    n -= 8;
   }
-  if (i + 8 <= n) {
-    h1 = mix64(h1 ^ get_u64(p + i));
-    i += 8;
+  if (n >= 8) {
+    c.h1 = mix64(c.h1 ^ get_u64(tail));
+    tail += 8;
+    n -= 8;
   }
-  if (i + 8 <= n) {
-    h2 = mix64(h2 ^ get_u64(p + i));
-    i += 8;
+  if (n >= 8) {
+    c.h2 = mix64(c.h2 ^ get_u64(tail));
+    tail += 8;
+    n -= 8;
   }
-  if (i < n) {
-    std::uint64_t tail = 0;
-    std::memcpy(&tail, p + i, n - i);
-    h0 = mix64(h0 ^ tail);
+  if (n > 0) {
+    std::uint64_t last = 0;
+    std::memcpy(&last, tail, n);
+    c.h0 = mix64(c.h0 ^ last);
   }
   // Ordered fold: the chains are not interchangeable.
-  std::uint64_t h = mix64(h0);
-  h = mix64(h ^ h1);
-  h = mix64(h ^ h2);
-  h = mix64(h ^ h3);
-  return mix64(h ^ static_cast<std::uint64_t>(n));
+  std::uint64_t h = mix64(c.h0);
+  h = mix64(h ^ c.h1);
+  h = mix64(h ^ c.h2);
+  h = mix64(h ^ c.h3);
+  return mix64(h ^ length);
+}
+
+}  // namespace
+
+std::uint64_t frame_checksum(std::span<const std::byte> payload) {
+  const std::size_t whole = payload.size() - payload.size() % 32;
+  return finish_chains(step_blocks(Chains{}, payload.data(), whole),
+                       payload.data() + whole, payload.size() - whole,
+                       payload.size());
 }
 
 void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
                  std::uint64_t sequence,
                  std::span<const std::byte> payload) {
+  write_frame_parts(ch, kind, shard, sequence, {&payload, 1});
+}
+
+void write_frame_parts(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
+                       std::uint64_t sequence,
+                       std::span<const std::span<const std::byte>> parts) {
+  // frame_checksum of the concatenation: whole 32-byte blocks go
+  // straight through the chains, and a block split across pieces is
+  // assembled in `carry` first.
+  Chains chains;
+  std::byte carry[32];
+  std::size_t fill = 0;
+  std::uint64_t size = 0;
+  for (std::span<const std::byte> part : parts) {
+    size += part.size();
+    if (fill > 0) {
+      const std::size_t take = std::min(part.size(), sizeof(carry) - fill);
+      std::memcpy(carry + fill, part.data(), take);
+      fill += take;
+      part = part.subspan(take);
+      if (fill < sizeof(carry)) continue;
+      chains = step_blocks(chains, carry, sizeof(carry));
+      fill = 0;
+    }
+    const std::size_t whole = part.size() - part.size() % 32;
+    chains = step_blocks(chains, part.data(), whole);
+    fill = part.size() - whole;
+    if (fill > 0) std::memcpy(carry, part.data() + whole, fill);
+  }
   std::byte header[kHeaderBytes];
   put_u32(header + 0, kFrameMagic);
   put_u16(header + 4, kFrameVersion);
@@ -163,12 +217,14 @@ void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
   put_u32(header + 8, shard);
   put_u32(header + 12, 0);  // reserved
   put_u64(header + 16, sequence);
-  put_u64(header + 24, payload.size());
-  put_u64(header + 32, frame_checksum(payload));
+  put_u64(header + 24, size);
+  put_u64(header + 32, finish_chains(chains, carry, fill, size));
   ch.write_all(header, kHeaderBytes);
-  if (!payload.empty()) ch.write_all(payload.data(), payload.size());
+  for (const std::span<const std::byte> part : parts) {
+    if (!part.empty()) ch.write_all(part.data(), part.size());
+  }
   obs::count("exec.frames_sent");
-  obs::count("exec.wire_bytes_out", kHeaderBytes + payload.size());
+  obs::count("exec.wire_bytes_out", kHeaderBytes + size);
 }
 
 void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
@@ -217,11 +273,13 @@ void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
   into.kind = static_cast<FrameKind>(kind_raw);
   into.shard = get_u32(header + 8);
   into.sequence = get_u64(header + 16);
-  // Cleared first so a growing resize never copies the previous
-  // payload into the new allocation; a shrinking one keeps capacity.
-  // The checksum covers exactly payload_len bytes, so stale bytes past
-  // the end of this frame can never validate it.
-  into.payload.clear();
+  // Cleared first when the payload outgrows the buffer, so the growing
+  // resize never copies the previous payload into the new allocation;
+  // within capacity only bytes past the old size are zero-filled, since
+  // read_exact overwrites them all. The checksum covers exactly
+  // payload_len bytes, so stale bytes past the end of this frame can
+  // never validate it.
+  if (payload_len > into.payload.capacity()) into.payload.clear();
   into.payload.resize(payload_len);
   if (payload_len > 0) {
     read_exact(ch, into.payload.data(), payload_len, "frame payload");

@@ -15,7 +15,7 @@
 //
 //       offset  size  field
 //       0       4     magic     0x3146534D ("MSF1")
-//       4       2     version   3 (kFrameVersion)
+//       4       2     version   4 (kFrameVersion)
 //       6       2     kind      FrameKind
 //       8       4     shard     sender shard index
 //       12      4     reserved  must be zero
@@ -157,15 +157,19 @@ std::pair<FdChannel, FdChannel> make_socketpair_channel();
 // ------------------------------------------------------------ frames --
 
 inline constexpr std::uint32_t kFrameMagic = 0x3146534Du;  // "MSF1"
-/// Version 3 changes only the payload checksum, from one mix64 chain to
-/// four interleaved lanes (frame_checksum); every payload layout is as
-/// in version 2. Version 2 introduced the handshake: every channel
+/// Version 4 carries messages as records (from, to, len, payload) in
+/// both directions: kShardData holds one record bucket per destination
+/// shard, which the coordinator relays undecoded, and kJobSetup carries
+/// the shard table (every shard's machine range) so a worker can
+/// bucket its sends. Version 3 changed the payload checksum from one
+/// mix64 chain to four interleaved lanes (frame_checksum). Version 2
+/// introduced the handshake: every channel
 /// (fork socketpair or TCP) opens with an explicit hello/ack handshake
 /// (see shard_channel.hpp) and kJobSetup carries the full wire
 /// bootstrap (machine range, round-label table, optional job spec). An
 /// older peer is refused during the handshake with a typed kBadVersion
 /// naming both versions, instead of failing every frame's checksum.
-inline constexpr std::uint16_t kFrameVersion = 3;
+inline constexpr std::uint16_t kFrameVersion = 4;
 
 /// Sanity cap on a single frame payload (1 TiB of words is far beyond
 /// any simulated round): an adversarial or corrupt length field fails
@@ -173,7 +177,10 @@ inline constexpr std::uint16_t kFrameVersion = 3;
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 40;
 
 enum class FrameKind : std::uint16_t {
-  kShardData = 1,       ///< serialized per-machine staging arenas
+  kShardData = 1,       ///< worker -> coordinator, once per round: the
+                        ///< worker's accounting slots, per-destination
+                        ///< totals, and one record bucket per
+                        ///< destination shard
   kShardStatus = 2,     ///< worker round status (ok / callback exception)
   kShardTelemetry = 3,  ///< worker span/counter buffer (obs::Telemetry
                         ///< wire encoding); sent between data and status
@@ -188,8 +195,8 @@ enum class FrameKind : std::uint16_t {
                         ///< the coordinator's before serving rounds
   kRoundControl = 5,    ///< coordinator -> worker, once per registered
                         ///< round: round id, invoke parameters, and the
-                        ///< serialized inbox state for the worker's
-                        ///< machine range (the worker holds no
+                        ///< inbox totals and record stream for the
+                        ///< worker's machine range (the worker holds no
                         ///< coordinator memory after setup, so every
                         ///< round's inputs arrive on the wire)
   kJobTeardown = 6,     ///< coordinator -> worker: the job is over;
@@ -264,6 +271,13 @@ inline std::uint64_t read_u64(std::span<const std::byte> in,
 
 void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
                  std::uint64_t sequence, std::span<const std::byte> payload);
+
+/// write_frame of the concatenation of `parts`, written piece by piece
+/// without assembling it: the coordinator ships the buckets it relays
+/// straight from the worker frames they arrived in.
+void write_frame_parts(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
+                       std::uint64_t sequence,
+                       std::span<const std::span<const std::byte>> parts);
 
 /// Reads and fully validates one frame into `into`, whose payload
 /// buffer keeps its capacity, so a caller reading frame after frame

@@ -50,6 +50,11 @@ std::vector<std::byte> encode_bootstrap(const JobBootstrap& b) {
   append_u64(out, b.machines);
   append_u64(out, flags);
   append_u64(out, b.nonce);
+  append_u64(out, b.shard_ranges.size());
+  for (const auto& [first, last] : b.shard_ranges) {
+    append_u64(out, first);
+    append_u64(out, last);
+  }
   append_u64(out, b.round_labels.size());
   for (const std::string& label : b.round_labels) {
     append_u64(out, label.size());
@@ -91,6 +96,47 @@ JobBootstrap decode_bootstrap(std::span<const std::byte> bytes) {
     bad_bootstrap("machine range [" + std::to_string(b.first) + ", " +
                   std::to_string(b.last) + ") escapes the job's " +
                   std::to_string(b.machines) + " machines");
+  }
+
+  // The shard table: contiguous non-empty ranges from machine 0 to the
+  // machine count, one of them the worker's own.
+  const std::uint64_t shard_count = take_u64("shard count");
+  if (shard_count < 2 || shard_count > (bytes.size() - at) / 16) {
+    bad_bootstrap("shard count " + std::to_string(shard_count) +
+                  " is below 2 or exceeds the remaining payload");
+  }
+  // Appended piece by piece: g++ 12 flags the equivalent operator+
+  // chain with a false -Wrestrict under -Werror.
+  const auto range = [](std::uint64_t first, std::uint64_t last) {
+    std::string text = "[";
+    text += std::to_string(first);
+    text += ", ";
+    text += std::to_string(last);
+    text += ")";
+    return text;
+  };
+  bool own_listed = false;
+  std::uint64_t next = 0;
+  b.shard_ranges.reserve(shard_count);
+  for (std::uint64_t s = 0; s < shard_count; ++s) {
+    const std::uint64_t first = take_u64("shard range");
+    const std::uint64_t last = take_u64("shard range");
+    if (first != next || first >= last) {
+      bad_bootstrap("shard " + std::to_string(s) + " range " +
+                    range(first, last) + " is empty or not contiguous "
+                    "with the previous shard's end " + std::to_string(next));
+    }
+    own_listed |= first == b.first && last == b.last;
+    b.shard_ranges.emplace_back(first, last);
+    next = last;
+  }
+  if (next != b.machines) {
+    bad_bootstrap("shard ranges cover " + range(0, next) + ", the job has " +
+                  std::to_string(b.machines) + " machines");
+  }
+  if (!own_listed) {
+    bad_bootstrap("own range " + range(b.first, b.last) +
+                  " is not one of the shard ranges");
   }
 
   const std::uint64_t label_count = take_u64("round-label count");
@@ -138,11 +184,16 @@ JobBootstrap decode_bootstrap(std::span<const std::byte> bytes) {
 }
 
 void validate_bootstrap(const JobBootstrap& b, const ShardJobPlane& plane,
-                        std::uint64_t num_machines) {
+                        std::uint64_t num_machines, std::uint32_t shard) {
   const auto refuse = [](const std::string& what) {
     throw TransportError(TransportError::Kind::kUnexpected,
                          "job bootstrap: " + what);
   };
+  if (shard >= b.shard_ranges.size() ||
+      b.shard_ranges[shard] != std::make_pair(b.first, b.last)) {
+    refuse("this worker is shard " + std::to_string(shard) +
+           ", whose shard-table entry is not its machine range");
+  }
   if (b.machines != num_machines) {
     refuse("coordinator job has " + std::to_string(b.machines) +
            " machines, this worker's plane has " +
@@ -214,6 +265,9 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
                       ShardJobPlane& plane, const JobBootstrap& b) {
   const std::uint64_t first = b.first;
   const std::uint64_t last = b.last;
+  std::vector<std::uint64_t> bounds{0};
+  for (const auto& r : b.shard_ranges) bounds.push_back(r.second);
+  plane.set_shards(bounds, shard);
   obs::Telemetry& tel = obs::Telemetry::instance();
   const bool telemetry = tel.enabled();
 
@@ -277,7 +331,7 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
     p = p.subspan(param_count * 8);
 
     std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
-    plane.apply_round_input(first, last, p);
+    plane.apply_round_input(p);
     if (telemetry) {
       tel.record_span(obs::Phase::kShardApply, t0, tel.now_ns(), round_ix);
       t0 = tel.now_ns();
@@ -309,7 +363,7 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
 
     bytes.clear();
     t0 = telemetry ? tel.now_ns() : 0;
-    plane.serialize_machines(first, last, bytes);
+    plane.serialize_machines(bytes);
     if (telemetry) {
       tel.record_span(obs::Phase::kShardSerialize, t0, tel.now_ns(),
                       round_ix);
@@ -354,7 +408,7 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
                              "job bootstrap: nonce does not match the "
                              "handshake");
       }
-      validate_bootstrap(b, *plane, num_machines);
+      validate_bootstrap(b, *plane, num_machines, shard);
     } catch (const std::exception& e) {
       send_bootstrap_ack(ch, shard, false, e.what());
       _exit(kWorkerTransportFailed);
@@ -406,7 +460,7 @@ void WorkerShardExecutor::start_job(std::uint64_t num_machines,
                     "session");
   }
   try {
-    validate_bootstrap(s->bootstrap, *plane, num_machines);
+    validate_bootstrap(s->bootstrap, *plane, num_machines, s->shard);
   } catch (const std::exception& e) {
     send_bootstrap_ack(*s->channel, s->shard, false, e.what());
     s->acked = true;

@@ -8,6 +8,10 @@
 // worker must agree on before serving rounds:
 //
 //   * the worker's machine range and the total machine count,
+//   * the shard table: every shard's machine range, in shard order, so
+//     a worker can bucket its sends by destination shard (the ranges
+//     must be contiguous, cover every machine, and include the worker's
+//     own range),
 //   * the registered-round identity table (the label of every round,
 //     in registration order) — a worker whose own registry differs in
 //     count or in any label refuses the job typed instead of invoking
@@ -34,6 +38,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mrlr/exec/executor.hpp"
@@ -57,6 +62,9 @@ struct JobBootstrap {
   std::uint64_t first = 0;     ///< worker machine range [first, last)
   std::uint64_t last = 0;
   std::uint64_t machines = 0;  ///< total machine count of the job
+  /// Machine range of every shard, in shard order (shard 0 = the
+  /// coordinator's).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> shard_ranges;
   std::uint64_t flags = 0;
   std::uint64_t nonce = 0;     ///< job identity (duplicate-shard policy)
   std::uint64_t threads = 1;   ///< shard-local pool size; on the wire
@@ -69,14 +77,17 @@ struct JobBootstrap {
 
 std::vector<std::byte> encode_bootstrap(const JobBootstrap& b);
 
-/// Throws TransportError(kBadPayload) on anything malformed.
+/// Throws TransportError(kBadPayload) on anything malformed, including
+/// a shard table whose ranges are empty, not contiguous, do not cover
+/// [0, machines), or do not include [first, last).
 JobBootstrap decode_bootstrap(std::span<const std::byte> bytes);
 
-/// Worker-side check of the bootstrap against the plane it will serve:
-/// range sanity, machine count, and the full round-label table. Throws
-/// TransportError(kUnexpected) naming the first mismatch.
+/// Worker-side check of the bootstrap against the plane it will serve
+/// as shard `shard`: its shard-table entry, the machine count, and the
+/// full round-label table. Throws TransportError(kUnexpected) naming
+/// the first mismatch.
 void validate_bootstrap(const JobBootstrap& b, const ShardJobPlane& plane,
-                        std::uint64_t num_machines);
+                        std::uint64_t num_machines, std::uint32_t shard);
 
 /// Aligns the worker's telemetry recorder with the job's flag: enables
 /// (and tags the shard) when the bootstrap says so, disables otherwise

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "mrlr/exec/shard_transport.hpp"
 #include "mrlr/obs/telemetry.hpp"
@@ -67,6 +68,7 @@ Engine::Engine(Topology topology, std::shared_ptr<exec::Executor> executor)
   writer_open_.assign(machines, 0);
   outbox_words_.assign(machines, 0);
   resident_words_.assign(machines, 0);
+  local_end_ = machines;
 }
 
 Engine::~Engine() {
@@ -120,6 +122,9 @@ void Engine::round_body(std::string_view label, bool central_only,
                         const std::function<void()>& dispatch) {
   std::fill(outbox_words_.begin(), outbox_words_.end(), 0);
   std::fill(resident_words_.begin(), resident_words_.end(), 0);
+  // A round that did not deliver left relayed bytes pending in frames
+  // this round reads into again: keep copies.
+  for (Stream& st : next_stream_) st.own_borrowed();
 
   // Telemetry never touches the data plane: when disabled the only cost
   // is one relaxed load, and when enabled it only samples clocks, so
@@ -139,6 +144,11 @@ void Engine::round_body(std::string_view label, bool central_only,
     t0 = tel.now_ns();
   }
 
+  // Shard 0's sends to worker machines join their shards' streams (the
+  // process executor already did this before applying worker data;
+  // central rounds never reach it). What remains to merge is bound for
+  // machines of this process.
+  if (routed()) route_local_sends();
   // Merge staged frames in sender-id order: delivery order — and with
   // it every downstream inbox scan — matches the sequential simulation
   // regardless of which threads ran which machines. Only the frame
@@ -218,6 +228,13 @@ void Engine::round_body(std::string_view label, bool central_only,
     next_frames_[m].clear();
     next_inbox_words_[m] = 0;
   }
+  if (routed()) {
+    stream_.swap(next_stream_);
+    for (Stream& st : next_stream_) st.clear();
+    inbox_count_.swap(next_inbox_count_);
+    std::fill(next_inbox_count_.begin(), next_inbox_count_.end(), 0);
+    parity_ ^= 1;
+  }
   if (telemetry) {
     tel.record_span(obs::Phase::kRound, round_start, tel.now_ns(), round_ix,
                     std::string(label));
@@ -240,7 +257,7 @@ std::uint64_t Engine::inbox_words(MachineId m) const {
 
 std::uint64_t Engine::inbox_size(MachineId m) const {
   check_machine_id(m, "inbox_size");
-  return inbox_frames_[m].size();
+  return m < local_end_ ? inbox_frames_[m].size() : inbox_count_[m];
 }
 
 // ------------------------------------------------ shard job plane --
@@ -249,12 +266,12 @@ namespace {
 
 using exec::store_u64;
 
-/// Grows `out` by `lanes` u64 lanes in one step and returns where they
-/// start: the encoders size their output exactly, then store through a
-/// moving pointer instead of growing the buffer field by field.
-std::byte* grow(std::vector<std::byte>& out, std::uint64_t lanes) {
+/// Grows `out` by `bytes` in one step and returns where they start: the
+/// encoders size their output exactly, then store through a moving
+/// pointer instead of growing the buffer field by field.
+std::byte* grow(std::vector<std::byte>& out, std::uint64_t bytes) {
   const std::size_t start = out.size();
-  out.resize(start + lanes * 8);
+  out.resize(start + bytes);
   return out.data() + start;
 }
 
@@ -265,13 +282,100 @@ std::byte* store_words(std::byte* at, const Word* words,
   return at + count * sizeof(Word);
 }
 
+std::byte* store_u32(std::byte* at, std::uint32_t v) {
+  std::memcpy(at, &v, 4);
+  return at + 4;
+}
+
+std::uint32_t load_u32(const std::byte* at) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, at, 4);
+  return v;
+}
+
 [[noreturn]] void bad_payload(const std::string& what) {
   throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
                              "engine shard payload: " + what);
 }
 
-/// Cursor over the apply-side byte span; every read is bounds-checked
-/// so truncated or adversarial payloads fail typed, never read OOB.
+/// A record is one message on the wire: sender, destination and
+/// payload length in words as little-endian u32 lanes, then the payload
+/// words, unpadded.
+constexpr std::uint64_t kRecordHeader = 12;
+
+/// Wire size of a record carrying `len` words. The u32 length lane caps
+/// one message at 2^32 - 1 words (32 GiB) under the process backend.
+std::uint64_t record_bytes(std::uint64_t len) {
+  if (len > std::numeric_limits<std::uint32_t>::max()) {
+    throw exec::ExecError("engine shard payload: a " + std::to_string(len) +
+                          "-word message exceeds the record length lane");
+  }
+  return kRecordHeader + len * sizeof(Word);
+}
+
+/// The one record encoder. The caller sized the buffer with
+/// record_bytes, which also range-checked `len`.
+std::byte* store_record(std::byte* at, std::uint64_t from, std::uint64_t to,
+                        const Word* words, std::uint64_t len) {
+  at = store_u32(at, static_cast<std::uint32_t>(from));
+  at = store_u32(at, static_cast<std::uint32_t>(to));
+  at = store_u32(at, static_cast<std::uint32_t>(len));
+  return store_words(at, words, len);
+}
+
+/// The one record decoder: walks `in` record by record, checks the
+/// sender against [from_lo, from_hi), the destination against
+/// [to_lo, to_hi) and the length against the bytes left, and hands each
+/// record to sink(from, to, payload, len). `payload` points at `len`
+/// unaligned little-endian words.
+template <class Sink>
+void decode_records(std::span<const std::byte> in, std::uint64_t from_lo,
+                    std::uint64_t from_hi, std::uint64_t to_lo,
+                    std::uint64_t to_hi, Sink&& sink) {
+  const std::byte* p = in.data();
+  std::size_t left = in.size();
+  const auto range = [](std::uint64_t lo, std::uint64_t hi) {
+    return " outside [" + std::to_string(lo) + ", " + std::to_string(hi) +
+           ")";
+  };
+  while (left > 0) {
+    if (left < kRecordHeader) bad_payload("truncated record header");
+    const std::uint64_t from = load_u32(p);
+    const std::uint64_t to = load_u32(p + 4);
+    const std::uint64_t len = load_u32(p + 8);
+    p += kRecordHeader;
+    left -= kRecordHeader;
+    if (from < from_lo || from >= from_hi) {
+      bad_payload("record sender " + std::to_string(from) +
+                  range(from_lo, from_hi));
+    }
+    if (to < to_lo || to >= to_hi) {
+      bad_payload("record destination " + std::to_string(to) +
+                  range(to_lo, to_hi));
+    }
+    if (len > left / sizeof(Word)) {
+      bad_payload("record length " + std::to_string(len) +
+                  " runs past the payload");
+    }
+    sink(static_cast<MachineId>(from), static_cast<MachineId>(to), p, len);
+    p += len * sizeof(Word);
+    left -= len * sizeof(Word);
+  }
+}
+
+/// Appends `len` unaligned payload words to `words` and returns the
+/// offset they start at.
+std::uint64_t append_words(std::vector<Word>& words, const std::byte* payload,
+                           std::uint64_t len) {
+  const std::uint64_t offset = words.size();
+  words.resize(offset + len);
+  if (len > 0) std::memcpy(words.data() + offset, payload, len * sizeof(Word));
+  return offset;
+}
+
+/// Cursor over the u64 lanes of an apply-side byte span; every read is
+/// bounds-checked so truncated or adversarial payloads fail typed,
+/// never read OOB.
 struct Cursor {
   std::span<const std::byte> in;
 
@@ -281,119 +385,106 @@ struct Cursor {
     in = in.subspan(8);
     return v;
   }
-
-  void words(std::vector<Word>& out, std::uint64_t count) {
-    if (in.size() < count * sizeof(Word)) {
-      bad_payload("truncated reading arena words");
-    }
-    out.resize(count);
-    if (count > 0) {
-      std::memcpy(out.data(), in.data(), count * sizeof(Word));
-      in = in.subspan(count * sizeof(Word));
-    }
-  }
 };
 
 }  // namespace
 
-void Engine::serialize_machines(std::uint64_t first, std::uint64_t last,
-                                std::vector<std::byte>& out) const {
-  // Per machine: 4 accounting/count lanes, 3 lanes per frame, the arena
-  // word count, then the arena words verbatim.
-  std::uint64_t lanes = 0;
-  for (std::uint64_t m = first; m < last; ++m) {
-    lanes += 5 + 3 * staging_[m].frames.size() + staging_[m].words.size();
+std::byte* Engine::Stream::append(std::uint64_t bytes) {
+  const std::uint64_t start = owned.size();
+  owned.resize(start + bytes);
+  if (!parts.empty() && parts.back().borrowed == nullptr &&
+      parts.back().offset + parts.back().size == start) {
+    parts.back().size += bytes;
+  } else {
+    parts.push_back({nullptr, start, bytes});
   }
-  std::byte* p = grow(out, lanes);
-  for (std::uint64_t m = first; m < last; ++m) {
-    const Outbox& o = staging_[m];
-    p = store_u64(p, outbox_words_[m]);
-    p = store_u64(p, resident_words_[m]);
-    p = store_u64(p, writer_open_[m]);
-    p = store_u64(p, o.frames.size());
-    for (const Frame& f : o.frames) {
-      p = store_u64(p, f.to);
-      p = store_u64(p, f.offset);
-      p = store_u64(p, f.len);
-    }
-    p = store_u64(p, o.words.size());
-    p = store_words(p, o.words.data(), o.words.size());
-  }
-  MRLR_DEBUG_REQUIRE(p == out.data() + out.size(),
-                     "serialize_machines wrote a different size than it "
-                     "computed");
+  return owned.data() + start;
 }
 
-void Engine::apply_machines(std::uint64_t first, std::uint64_t last,
-                            std::span<const std::byte> bytes) {
-  Cursor cur{bytes};
-  for (std::uint64_t m = first; m < last; ++m) {
-    outbox_words_[m] = cur.u64("outbox words");
-    resident_words_[m] = cur.u64("resident words");
-    const std::uint64_t writer_open = cur.u64("writer-open flag");
-    if (writer_open > 1) bad_payload("invalid writer-open flag");
-    writer_open_[m] = static_cast<char>(writer_open);
-
-    const std::uint64_t frame_count = cur.u64("frame count");
-    // An adversarial count cannot out-allocate the payload that must
-    // back it: each frame costs 24 bytes on the wire.
-    if (frame_count > cur.in.size() / 24) {
-      bad_payload("frame count exceeds remaining payload");
-    }
-    // The arena word count follows the frame index; reading it first
-    // lets one pass over the index check every frame completely.
-    const std::span<const std::byte> index = cur.in.first(frame_count * 24);
-    cur.in = cur.in.subspan(index.size());
-    const std::uint64_t word_count = cur.u64("arena word count");
-    if (word_count > cur.in.size() / sizeof(Word)) {
-      bad_payload("arena word count exceeds remaining payload");
-    }
-    Outbox& o = staging_[m];
-    o.frames.resize(frame_count);
-    for (std::uint64_t i = 0; i < frame_count; ++i) {
-      const std::uint64_t to = exec::read_u64(index, i * 24);
-      const std::uint64_t offset = exec::read_u64(index, i * 24 + 8);
-      const std::uint64_t len = exec::read_u64(index, i * 24 + 16);
-      if (to >= num_machines()) {
-        bad_payload("frame destination " + std::to_string(to) +
-                    " out of range");
-      }
-      if (len > word_count || offset > word_count - len) {
-        bad_payload("frame extent [" + std::to_string(offset) + ", +" +
-                    std::to_string(len) + ") outside the arena");
-      }
-      o.frames[i] = {static_cast<MachineId>(to), offset, len};
-    }
-    cur.words(o.words, word_count);
+void Engine::Stream::own_borrowed() {
+  for (Part& part : parts) {
+    if (part.borrowed == nullptr) continue;
+    const std::uint64_t start = owned.size();
+    owned.insert(owned.end(), part.borrowed, part.borrowed + part.size);
+    part = {nullptr, start, part.size};
   }
-  if (!cur.in.empty()) bad_payload("trailing bytes after the last machine");
 }
 
-void Engine::serialize_round_input(std::uint64_t first, std::uint64_t last,
-                                   std::vector<std::byte>& out) const {
-  // Per machine: the inbox word total and frame count, then 2 lanes per
-  // message plus its words (which sum to the inbox word total).
-  std::uint64_t lanes = 0;
-  for (std::uint64_t m = first; m < last; ++m) {
-    lanes += 2 + 2 * inbox_frames_[m].size() + inbox_words_[m];
+void Engine::set_shards(std::span<const std::uint64_t> bounds,
+                        std::uint32_t own) {
+  const std::uint64_t machines = num_machines();
+  MRLR_REQUIRE(bounds.size() >= 2 && own + 1 < bounds.size(),
+               "set_shards: need K + 1 boundaries and an own shard below K");
+  MRLR_REQUIRE(bounds.front() == 0 && bounds.back() == machines,
+               "set_shards: the shard ranges must cover every machine");
+  const std::size_t shards = bounds.size() - 1;
+  shard_bounds_.assign(bounds.begin(), bounds.end());
+  own_shard_ = own;
+  shard_of_.assign(machines, 0);
+  for (std::size_t b = 0; b < shards; ++b) {
+    MRLR_REQUIRE(bounds[b] < bounds[b + 1],
+                 "set_shards: empty or unordered shard range");
+    std::fill(shard_of_.begin() + static_cast<std::ptrdiff_t>(bounds[b]),
+              shard_of_.begin() + static_cast<std::ptrdiff_t>(bounds[b + 1]),
+              static_cast<std::uint32_t>(b));
   }
-  std::byte* p = grow(out, lanes);
+  route_frames_.assign(machines, 0);
+  route_words_.assign(machines, 0);
+  if (own != 0) return;  // a worker's inputs arrive with every round
+
+  local_end_ = bounds[1];
+  stream_.assign(shards, {});
+  next_stream_.assign(shards, {});
+  inbound_.assign(2 * shards, {});
+  parity_ = 0;
+  inbox_count_.assign(machines, 0);
+  next_inbox_count_.assign(machines, 0);
+  // Traffic already addressed to worker machines — delivered by central
+  // rounds before the job started, or pending after a space throw —
+  // moves onto their shards' streams.
+  adopt_worker_inboxes(inbox_frames_, slabs_, stream_, inbox_count_);
+  adopt_worker_inboxes(next_frames_, staging_, next_stream_,
+                       next_inbox_count_);
+}
+
+void Engine::adopt_worker_inboxes(
+    std::vector<std::vector<InboxFrame>>& frames,
+    const std::vector<Outbox>& arenas,
+    std::vector<Stream>& streams, std::vector<std::uint64_t>& counts) {
+  for (std::uint64_t m = local_end_; m < num_machines(); ++m) {
+    for (const InboxFrame& f : frames[m]) {
+      store_record(streams[shard_of_[m]].append(record_bytes(f.len)), f.from,
+                   m, arenas[f.from].words.data() + f.offset, f.len);
+    }
+    counts[m] = frames[m].size();
+    frames[m].clear();
+  }
+}
+
+void Engine::serialize_round_input(
+    std::uint32_t shard, std::vector<std::byte>& out,
+    std::vector<std::span<const std::byte>>& stream) const {
+  // Per machine of the shard: its inbox frame count and word total; then
+  // the shard's record stream, piece by piece as collected.
+  const std::uint64_t first = shard_bounds_[shard];
+  const std::uint64_t last = shard_bounds_[shard + 1];
+  std::byte* p = grow(out, 16 * (last - first));
   for (std::uint64_t m = first; m < last; ++m) {
+    p = store_u64(p, inbox_count_[m]);
     p = store_u64(p, inbox_words_[m]);
-    p = store_u64(p, inbox_frames_[m].size());
-    for (const InboxFrame& f : inbox_frames_[m]) {
-      p = store_u64(p, f.from);
-      p = store_u64(p, f.len);
-      p = store_words(p, slabs_[f.from].words.data() + f.offset, f.len);
-    }
   }
-  MRLR_DEBUG_REQUIRE(p == out.data() + out.size(),
-                     "serialize_round_input wrote a different size than it "
-                     "computed");
+  const Stream& st = stream_[shard];
+  for (const Stream::Part& part : st.parts) {
+    stream.emplace_back(part.borrowed != nullptr
+                            ? part.borrowed
+                            : st.owned.data() + part.offset,
+                        part.size);
+  }
 }
 
-void Engine::apply_round_input(std::uint64_t first, std::uint64_t last,
-                               std::span<const std::byte> bytes) {
+void Engine::apply_round_input(std::span<const std::byte> bytes) {
+  const std::uint64_t first = shard_bounds_[own_shard_];
+  const std::uint64_t last = shard_bounds_[own_shard_ + 1];
   // Worker side: only machines [first, last) run here and their inboxes
   // are rebuilt from the wire below, so every slab and inbox index from
   // the previous round is stale — clear them all (capacity is kept, so
@@ -414,43 +505,231 @@ void Engine::apply_round_input(std::uint64_t first, std::uint64_t last,
 
   Cursor cur{bytes};
   for (std::uint64_t m = first; m < last; ++m) {
-    const std::uint64_t in_words = cur.u64("inbox word total");
-    const std::uint64_t frame_count = cur.u64("inbox frame count");
-    // Each frame costs at least 16 bytes on the wire, so a hostile
-    // count cannot out-allocate the payload backing it.
-    if (frame_count > cur.in.size() / 16) {
-      bad_payload("inbox frame count exceeds remaining payload");
-    }
-    std::uint64_t total = 0;
-    inbox_frames_[m].reserve(frame_count);
-    for (std::uint64_t i = 0; i < frame_count; ++i) {
-      const std::uint64_t from = cur.u64("message sender");
-      const std::uint64_t len = cur.u64("message length");
-      if (from >= num_machines()) {
-        bad_payload("message sender " + std::to_string(from) +
-                    " out of range");
-      }
-      if (len > cur.in.size() / sizeof(Word)) {
-        bad_payload("message length exceeds remaining payload");
-      }
-      std::vector<Word>& slab = slabs_[from].words;
-      const std::uint64_t offset = slab.size();
-      slab.resize(offset + len);
-      if (len > 0) {
-        std::memcpy(slab.data() + offset, cur.in.data(),
-                    len * sizeof(Word));
-        cur.in = cur.in.subspan(len * sizeof(Word));
-      }
-      inbox_frames_[m].push_back(
-          {static_cast<MachineId>(from), offset, len});
-      total += len;
-    }
-    if (total != in_words) {
-      bad_payload("inbox word total does not match its messages");
-    }
-    inbox_words_[m] = in_words;
+    route_frames_[m] = cur.u64("inbox frame count");
+    route_words_[m] = cur.u64("inbox word total");
   }
-  if (!cur.in.empty()) bad_payload("trailing bytes after the last machine");
+  decode_records(cur.in, 0, num_machines(), first, last,
+                 [&](MachineId from, MachineId to, const std::byte* payload,
+                     std::uint64_t len) {
+                   const std::uint64_t offset =
+                       append_words(slabs_[from].words, payload, len);
+                   inbox_frames_[to].push_back({from, offset, len});
+                   inbox_words_[to] += len;
+                 });
+  for (std::uint64_t m = first; m < last; ++m) {
+    if (inbox_frames_[m].size() != route_frames_[m] ||
+        inbox_words_[m] != route_words_[m]) {
+      bad_payload("machine " + std::to_string(m) + " received " +
+                  std::to_string(inbox_frames_[m].size()) + " records of " +
+                  std::to_string(inbox_words_[m]) +
+                  " words, its totals say " +
+                  std::to_string(route_frames_[m]) + " of " +
+                  std::to_string(route_words_[m]));
+    }
+  }
+}
+
+void Engine::serialize_machines(std::vector<std::byte>& out) {
+  const std::uint64_t machines = num_machines();
+  const std::uint64_t first = shard_bounds_[own_shard_];
+  const std::uint64_t last = shard_bounds_[own_shard_ + 1];
+  const std::size_t shards = shard_bounds_.size() - 1;
+  // Per-destination totals and per-shard bucket sizes first, so the
+  // frame is sized once and each record is written straight into its
+  // bucket.
+  std::fill(route_frames_.begin(), route_frames_.end(), 0);
+  std::fill(route_words_.begin(), route_words_.end(), 0);
+  std::vector<std::uint64_t> bucket(shards, 0);
+  for (std::uint64_t m = first; m < last; ++m) {
+    for (const Frame& f : staging_[m].frames) {
+      ++route_frames_[f.to];
+      route_words_[f.to] += f.len;
+      bucket[shard_of_[f.to]] += record_bytes(f.len);
+    }
+  }
+  std::uint64_t size = 8 * (3 * (last - first) + 2 * machines + 1 + shards);
+  for (const std::uint64_t b : bucket) size += b;
+  std::byte* p = grow(out, size);
+  for (std::uint64_t m = first; m < last; ++m) {
+    p = store_u64(p, outbox_words_[m]);
+    p = store_u64(p, resident_words_[m]);
+    p = store_u64(p, writer_open_[m]);
+  }
+  for (std::uint64_t d = 0; d < machines; ++d) {
+    p = store_u64(p, route_frames_[d]);
+    p = store_u64(p, route_words_[d]);
+  }
+  p = store_u64(p, shards);
+  for (const std::uint64_t b : bucket) p = store_u64(p, b);
+  std::vector<std::byte*> at(shards);
+  for (std::size_t b = 0; b < shards; ++b) {
+    at[b] = p;
+    p += bucket[b];
+  }
+  for (std::uint64_t m = first; m < last; ++m) {
+    const Outbox& o = staging_[m];
+    for (const Frame& f : o.frames) {
+      std::byte*& q = at[shard_of_[f.to]];
+      q = store_record(q, m, f.to, o.words.data() + f.offset, f.len);
+    }
+  }
+  MRLR_DEBUG_REQUIRE(p == out.data() + out.size() && at.back() == p,
+                     "serialize_machines wrote a different size than it "
+                     "computed");
+}
+
+void Engine::route_local_sends() {
+  if (!routed()) return;
+  const std::size_t shards = shard_bounds_.size() - 1;
+  std::vector<std::uint64_t> bytes(shards, 0);
+  bool any = false;
+  for (std::uint64_t s = 0; s < local_end_; ++s) {
+    for (const Frame& f : staging_[s].frames) {
+      if (f.to < local_end_) continue;
+      bytes[shard_of_[f.to]] += record_bytes(f.len);
+      any = true;
+    }
+  }
+  if (!any) return;
+  std::vector<std::byte*> at(shards);
+  for (std::size_t b = 1; b < shards; ++b) {
+    if (bytes[b] > 0) at[b] = next_stream_[b].append(bytes[b]);
+  }
+  // Routed frames leave the staging index, so the merge sees only
+  // shard 0's destinations and a second call routes nothing twice.
+  for (std::uint64_t s = 0; s < local_end_; ++s) {
+    Outbox& o = staging_[s];
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < o.frames.size(); ++i) {
+      const Frame f = o.frames[i];
+      if (f.to < local_end_) {
+        o.frames[kept++] = f;
+        continue;
+      }
+      std::byte*& q = at[shard_of_[f.to]];
+      q = store_record(q, s, f.to, o.words.data() + f.offset, f.len);
+      ++next_inbox_count_[f.to];
+      next_inbox_words_[f.to] += f.len;
+    }
+    o.frames.resize(kept);
+  }
+}
+
+void Engine::apply_machines(std::uint32_t shard) {
+  MRLR_DEBUG_REQUIRE(routed(), "apply_machines on an unrouted engine");
+  const std::span<const std::byte> bytes = shard_data_buffer(shard);
+  const std::uint64_t machines = num_machines();
+  const std::uint64_t first = shard_bounds_[shard];
+  const std::uint64_t last = shard_bounds_[shard + 1];
+  const std::size_t shards = shard_bounds_.size() - 1;
+  Cursor cur{bytes};
+  // Every word count is bounded by the payload that must carry it, so
+  // the sums below cannot wrap.
+  std::uint64_t sent = 0;
+  for (std::uint64_t m = first; m < last; ++m) {
+    outbox_words_[m] = cur.u64("outbox words");
+    resident_words_[m] = cur.u64("resident words");
+    const std::uint64_t writer_open = cur.u64("writer-open flag");
+    if (writer_open > 1) bad_payload("invalid writer-open flag");
+    writer_open_[m] = static_cast<char>(writer_open);
+    if (outbox_words_[m] > bytes.size() / sizeof(Word)) {
+      bad_payload("outbox words exceed the payload");
+    }
+    sent += outbox_words_[m];
+  }
+  for (std::uint64_t d = 0; d < machines; ++d) {
+    route_frames_[d] = cur.u64("destination frame count");
+    route_words_[d] = cur.u64("destination word total");
+  }
+  const std::uint64_t bucket_count = cur.u64("bucket count");
+  if (bucket_count != shards) {
+    bad_payload(std::to_string(bucket_count) + " buckets for a " +
+                std::to_string(shards) + "-shard job");
+  }
+  std::vector<std::uint64_t> length(shards);
+  for (std::uint64_t& len : length) len = cur.u64("bucket length");
+  const std::uint64_t body = cur.in.size();
+  std::uint64_t summed = 0;
+  for (const std::uint64_t len : length) {
+    if (len > body - summed) {
+      bad_payload("bucket lengths run past the payload");
+    }
+    summed += len;
+  }
+  if (summed != body) {
+    bad_payload("bucket lengths sum to " + std::to_string(summed) +
+                " bytes, the frame carries " + std::to_string(body));
+  }
+
+  // The totals must encode to exactly each bucket's length and add up
+  // to the senders' outbox words.
+  std::vector<std::uint64_t> encoded(shards, 0);
+  std::uint64_t total_words = 0;
+  for (std::uint64_t d = 0; d < machines; ++d) {
+    const std::uint32_t b = shard_of_[d];
+    if (route_frames_[d] > length[b] / kRecordHeader ||
+        route_words_[d] > length[b] / sizeof(Word)) {
+      bad_payload("totals of machine " + std::to_string(d) +
+                  " exceed its bucket");
+    }
+    encoded[b] += route_frames_[d] * kRecordHeader +
+                  route_words_[d] * sizeof(Word);
+    total_words += route_words_[d];
+    if (encoded[b] > length[b]) {
+      bad_payload("totals of shard " + std::to_string(b) +
+                  "'s machines exceed its bucket");
+    }
+  }
+  for (std::size_t b = 0; b < shards; ++b) {
+    if (encoded[b] != length[b]) {
+      bad_payload("totals of shard " + std::to_string(b) +
+                  "'s machines encode to " + std::to_string(encoded[b]) +
+                  " bytes, its bucket holds " + std::to_string(length[b]));
+    }
+  }
+  if (total_words != sent) {
+    bad_payload("destination totals carry " + std::to_string(total_words) +
+                " words, the senders' outbox words say " +
+                std::to_string(sent));
+  }
+
+  // Shard 0's bucket: decoded into the senders' staging arenas,
+  // appending — words a round whose audit threw left pending stay
+  // where next_frames_ points.
+  decode_records(cur.in.first(length[0]), first, last, 0, local_end_,
+                 [&](MachineId from, MachineId to, const std::byte* payload,
+                     std::uint64_t len) {
+                   if (route_frames_[to] == 0 || route_words_[to] < len) {
+                     bad_payload("shard 0's bucket carries more than the "
+                                 "totals of machine " +
+                                 std::to_string(to));
+                   }
+                   --route_frames_[to];
+                   route_words_[to] -= len;
+                   Outbox& o = staging_[from];
+                   const std::uint64_t offset =
+                       append_words(o.words, payload, len);
+                   o.frames.push_back({to, offset, len});
+                 });
+  for (std::uint64_t d = 0; d < local_end_; ++d) {
+    if (route_frames_[d] != 0 || route_words_[d] != 0) {
+      bad_payload("shard 0's bucket carries less than the totals of "
+                  "machine " + std::to_string(d));
+    }
+  }
+
+  // Every other bucket is relayed undecoded; its receiver checks the
+  // records against the totals accumulated here.
+  for (std::uint64_t d = local_end_; d < machines; ++d) {
+    next_inbox_count_[d] += route_frames_[d];
+    next_inbox_words_[d] += route_words_[d];
+  }
+  const std::byte* bucket = cur.in.data() + length[0];
+  for (std::size_t b = 1; b < shards; ++b) {
+    next_stream_[b].borrow(bucket, length[b]);
+    bucket += length[b];
+  }
+  obs::count("exec.bytes_forwarded", body - length[0]);
 }
 
 void Engine::run_registered(std::uint64_t round_id, std::uint64_t machine,

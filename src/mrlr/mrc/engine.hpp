@@ -23,14 +23,18 @@
 // runs them in machine order on the calling thread, the thread-pool
 // backend runs them concurrently (Topology::num_threads), and the
 // process-sharded backend (Topology::num_shards) runs them in
-// persistent worker processes spawned once per job; each round the
-// engine ships every worker its machines' inboxes and the workers ship
-// their staged arenas back through the engine's ShardJobPlane
-// implementation. Either way the simulation is deterministic: each
-// machine's sends append only to its own staging arena, and staged
-// messages are merged into next-round inboxes in machine-id order after
-// the round barrier, so traces, metrics, and SpaceLimitExceeded behavior
-// are byte-identical across backends, thread counts, and shard counts.
+// persistent worker processes spawned once per job. There, messages
+// cross the wire as records through the engine's ShardJobPlane
+// implementation: each worker ships its sends bucketed by destination
+// shard, the coordinator decodes only the bucket bound for its own
+// machines and relays the others undecoded, and a worker's inbox is the
+// record stream it receives at the next round's start. Either way the
+// simulation is deterministic: each machine's sends append only to its
+// own staging arena, and every inbox holds its messages in (sender id,
+// send order) order — by the id-ordered merge after the round barrier,
+// or because shards are contiguous id ranges relayed in shard order —
+// so traces, metrics, and SpaceLimitExceeded behavior are
+// byte-identical across backends, thread counts, and shard counts.
 // Since the quantities the paper bounds are rounds and words (not
 // wall-clock), the backend is irrelevant to the measured results;
 // determinism makes every experiment replayable from its seed.
@@ -295,28 +299,37 @@ class Engine : private exec::ShardJobPlane {
   friend class MessageWriter;
   friend class InboxView;
 
-  /// ShardJobPlane, coordinator -> worker: per machine, the delivered
-  /// word total and frame count, then each message as (sender, length,
-  /// payload words). apply_round_input rebuilds the worker-local inbox
-  /// index and slabs from the bytes and resets the range's per-round
-  /// scratch.
-  void serialize_round_input(std::uint64_t first, std::uint64_t last,
-                             std::vector<std::byte>& out) const override;
-  void apply_round_input(std::uint64_t first, std::uint64_t last,
-                         std::span<const std::byte> bytes) override;
-
-  /// ShardJobPlane, worker -> coordinator: per machine, the accounting
-  /// slots (outbox words, resident words, writer-open flag) followed by
-  /// the staged frame index and the arena word buffer verbatim (the flat
-  /// slab layout already is a wire format). After apply_machines
-  /// installs a shard, the ordinary id-ordered merge proceeds unchanged.
-  ///
-  /// Both apply sides validate every field and throw
-  /// exec::TransportError(kBadPayload) on malformed bytes.
-  void serialize_machines(std::uint64_t first, std::uint64_t last,
-                          std::vector<std::byte>& out) const override;
-  void apply_machines(std::uint64_t first, std::uint64_t last,
-                      std::span<const std::byte> bytes) override;
+  /// ShardJobPlane (see exec/executor.hpp for the round protocol). One
+  /// record encoding (from, to, len as u32 lanes, then the payload
+  /// words) carries messages in both directions:
+  ///   * kRoundControl for worker shard B: per machine of B, its inbox
+  ///     frame count and word total, then B's record stream;
+  ///   * kShardData from worker shard A: per machine of A, its outbox
+  ///     words, resident words and writer-open flag; per destination
+  ///     machine of the job, the frame count and word total A sent it;
+  ///     the bucket count K and K bucket byte lengths; then one bucket
+  ///     of records per destination shard, in sender-id then send
+  ///     order.
+  /// The coordinator decodes only the shard-0 bucket (into staging_,
+  /// so the id-ordered merge sees those frames as it would in-process)
+  /// and appends every other bucket to its destination shard's
+  /// next_stream_ as a piece of the frame it arrived in. Both apply
+  /// sides validate every field and throw
+  /// exec::TransportError(kBadPayload) on malformed bytes; a worker
+  /// checks its decoded records against the totals the coordinator
+  /// shipped for its range.
+  void set_shards(std::span<const std::uint64_t> bounds,
+                  std::uint32_t own) override;
+  void serialize_round_input(
+      std::uint32_t shard, std::vector<std::byte>& out,
+      std::vector<std::span<const std::byte>>& stream) const override;
+  void apply_round_input(std::span<const std::byte> bytes) override;
+  void serialize_machines(std::vector<std::byte>& out) override;
+  void route_local_sends() override;
+  std::vector<std::byte>& shard_data_buffer(std::uint32_t shard) override {
+    return inbound_[2 * shard + parity_];
+  }
+  void apply_machines(std::uint32_t shard) override;
 
   void run_registered(std::uint64_t round_id, std::uint64_t machine,
                       std::span<const std::uint64_t> params) override;
@@ -366,6 +379,45 @@ class Engine : private exec::ShardJobPlane {
                      static_cast<std::size_t>(f.len)}};
   }
 
+  /// True on a coordinator whose job is split across worker shards:
+  /// destinations at or above local_end_ live in workers.
+  bool routed() const { return local_end_ < topology_.num_machines; }
+
+  /// A worker shard's record stream on the coordinator, as pieces in
+  /// stream order: records encoded here (shard 0's sends, or pending
+  /// relayed bytes kept past their frame) live in `owned`; buckets
+  /// relayed from workers are borrowed from the frames in inbound_.
+  struct Stream {
+    struct Part {
+      const std::byte* borrowed;  // null: owned[offset, offset + size)
+      std::uint64_t offset;
+      std::uint64_t size;
+    };
+    std::vector<std::byte> owned;
+    std::vector<Part> parts;
+
+    /// Appends `bytes` owned bytes (extending the last owned part when
+    /// contiguous) and returns where to write them.
+    std::byte* append(std::uint64_t bytes);
+    void borrow(const std::byte* data, std::uint64_t size) {
+      if (size > 0) parts.push_back({data, 0, size});
+    }
+    /// Copies every borrowed part into `owned`.
+    void own_borrowed();
+    void clear() {
+      owned.clear();
+      parts.clear();
+    }
+  };
+
+  /// Coordinator, at set_shards: re-encodes the in-process inbox index
+  /// `frames` (words in `arenas`) of every worker machine as records on
+  /// `streams`, counting its messages in `counts`.
+  void adopt_worker_inboxes(std::vector<std::vector<InboxFrame>>& frames,
+                            const std::vector<Outbox>& arenas,
+                            std::vector<Stream>& streams,
+                            std::vector<std::uint64_t>& counts);
+
   Topology topology_;
   std::shared_ptr<exec::Executor> executor_;
   Metrics metrics_;
@@ -400,6 +452,37 @@ class Engine : private exec::ShardJobPlane {
   // machine m's callback.
   std::vector<std::uint64_t> outbox_words_;
   std::vector<std::uint64_t> resident_words_;
+  // Shard routing under the process backend (set_shards); in-process
+  // engines keep local_end_ = num_machines and leave the rest empty.
+  // shard_bounds_ = the K + 1 shard boundaries, own_shard_ = the shard
+  // this process serves, shard_of_[m] = the shard owning machine m.
+  std::vector<std::uint64_t> shard_bounds_;
+  std::uint32_t own_shard_ = 0;
+  std::vector<std::uint32_t> shard_of_;
+  std::uint64_t local_end_ = 0;
+  // Coordinator: stream_[b] = worker shard b's records for this round,
+  // next_stream_[b] = those being collected for the next one. Records
+  // only append, so after a SpaceLimitExceeded the pending generation
+  // is delivered ahead of the next one, as next_frames_ is in-process.
+  std::vector<Stream> stream_;
+  std::vector<Stream> next_stream_;
+  // Coordinator: inbound_[2 * b + parity_] = worker shard b's data frame
+  // of the round collecting next_stream_; the other parity holds the
+  // frame stream_ borrows from. Each buffer only ever holds shard b's
+  // frames, so its capacity settles after the first rounds. parity_
+  // flips at every delivery, and a round that does not deliver leaves
+  // next_stream_ to own_borrowed() before the same buffers are read
+  // into again.
+  std::vector<std::vector<std::byte>> inbound_;
+  std::size_t parity_ = 0;
+  // Coordinator: message counts of worker machines, whose inbox index
+  // lives in the worker (inbox_words_ covers every machine).
+  std::vector<std::uint64_t> inbox_count_;
+  std::vector<std::uint64_t> next_inbox_count_;
+  // Per-destination frame and word totals: built by serialize_machines,
+  // read and checked by apply_machines and apply_round_input.
+  std::vector<std::uint64_t> route_frames_;
+  std::vector<std::uint64_t> route_words_;
 };
 
 // ------------------------------------------------------------ inline --

@@ -52,7 +52,8 @@ enum class Phase : std::uint8_t {
   kArenaMerge,       ///< sender-id-ordered frame merge after the barrier
   kCentral,          ///< a central-only round's callback phase
   kShardSerialize,   ///< worker: ShardJobPlane::serialize_machines;
-                     ///< coordinator: encoding one worker's round control
+                     ///< coordinator: encoding one worker's round control,
+                     ///< or shard 0's sends to workers as records
   kShardTransport,   ///< worker: shipping the data frame over the channel;
                      ///< coordinator: shipping one worker's round control
   kWorkerWait,       ///< coordinator: waiting on one shard's frames

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -476,94 +477,341 @@ TEST(ProcessShardExecutor, WorkersSpawnedOncePerJob) {
 
 // ------------------------------------------------ shard wire layouts --
 
-/// Runs registered rounds serially and captures, per round, the engine's
-/// round-input encoding of every machine before the callbacks and its
-/// staged-arena encoding after them — the exact bytes a kRoundControl
-/// and a kShardData frame carry. Both buffers start with a 3-byte
-/// prefix: the encoders append, and the prefix must survive unaligned.
-class WireCaptureExecutor final : public exec::Executor {
+/// Thrown by GrabPlaneExecutor to unwind out of the first invoke_round.
+struct PlaneGrabbed {};
+
+/// The executor of a stand-in worker engine: like a TCP worker's, its
+/// start_job takes the engine's job plane and unwinds the driver.
+class GrabPlaneExecutor final : public exec::Executor {
+ public:
+  void run_machines(std::uint64_t first, std::uint64_t last,
+                    const MachineFn& fn) override {
+    for (std::uint64_t m = first; m < last; ++m) fn(m);
+  }
+  void start_job(std::uint64_t, exec::ShardJobPlane* p) override {
+    plane = p;
+    throw PlaneGrabbed{};
+  }
+  std::string_view name() const override { return "grab-plane"; }
+  unsigned num_threads() const override { return 1; }
+
+  exec::ShardJobPlane* plane = nullptr;
+};
+
+/// The process backend's round protocol at K = 2 in one process, driven
+/// the way ProcessShardExecutor drives it: the engine under test is
+/// shard 0 (machines [0, split)) and a second engine with the same
+/// rounds stands in for shard 1's worker. Each round it captures the
+/// bytes a kRoundControl frame carries after its round id and
+/// parameters, and the bytes of the kShardData frame. Both buffers
+/// start with a 3-byte prefix: the encoders append, and the decoders
+/// must read unaligned lanes.
+class LoopbackShardExecutor final : public exec::Executor {
  public:
   static constexpr std::byte kPrefix[3] = {std::byte{0xA1}, std::byte{0xA2},
                                            std::byte{0xA3}};
+
+  LoopbackShardExecutor(exec::ShardJobPlane* worker_plane, std::uint64_t split)
+      : worker(worker_plane), split_(split) {}
 
   void run_machines(std::uint64_t first, std::uint64_t last,
                     const MachineFn& fn) override {
     for (std::uint64_t m = first; m < last; ++m) fn(m);
   }
-  void run_job_round(std::uint64_t, std::uint64_t,
-                     std::span<const std::uint64_t>,
-                     std::uint64_t num_machines, const MachineFn& fn,
-                     exec::ShardJobPlane* plane) override {
-    std::vector<std::byte> in(std::begin(kPrefix), std::end(kPrefix));
-    plane->serialize_round_input(0, num_machines, in);
-    round_inputs.push_back(std::move(in));
-    run_machines(0, num_machines, fn);
-    std::vector<std::byte> out(std::begin(kPrefix), std::end(kPrefix));
-    plane->serialize_machines(0, num_machines, out);
-    machine_outputs.push_back(std::move(out));
+  void start_job(std::uint64_t machines, exec::ShardJobPlane* plane) override {
+    coordinator = plane;
+    machines_ = machines;
+    const std::vector<std::uint64_t> bounds{0, split_, machines};
+    coordinator->set_shards(bounds, 0);
+    worker->set_shards(bounds, 1);
   }
-  std::string_view name() const override { return "wire-capture"; }
+  void run_job_round(std::uint64_t, std::uint64_t round_id,
+                     std::span<const std::uint64_t> params, std::uint64_t,
+                     const MachineFn& fn, exec::ShardJobPlane*) override {
+    std::vector<std::byte> in(std::begin(kPrefix), std::end(kPrefix));
+    std::vector<std::span<const std::byte>> stream;
+    coordinator->serialize_round_input(1, in, stream);
+    for (const std::span<const std::byte> part : stream) {
+      in.insert(in.end(), part.begin(), part.end());
+    }
+    worker->apply_round_input(std::span<const std::byte>(in).subspan(3));
+    round_inputs.push_back(std::move(in));
+    for (std::uint64_t m = 0; m < split_; ++m) fn(m);
+    coordinator->route_local_sends();
+    for (std::uint64_t m = split_; m < machines_; ++m) {
+      worker->run_registered(round_id, m, params);
+    }
+    std::vector<std::byte> out(std::begin(kPrefix), std::end(kPrefix));
+    worker->serialize_machines(out);
+    coordinator->shard_data_buffer(1).assign(out.begin() + 3, out.end());
+    coordinator->apply_machines(1);
+    shard_data.push_back(std::move(out));
+  }
+  std::string_view name() const override { return "loopback-shards"; }
   unsigned num_threads() const override { return 1; }
 
+  exec::ShardJobPlane* coordinator = nullptr;
+  exec::ShardJobPlane* worker;
   std::vector<std::vector<std::byte>> round_inputs;
-  std::vector<std::vector<std::byte>> machine_outputs;
+  std::vector<std::vector<std::byte>> shard_data;
+
+ private:
+  std::uint64_t split_;
+  std::uint64_t machines_ = 0;
 };
 
-/// kPrefix followed by `lanes` as little-endian u64 words.
-std::vector<std::byte> prefixed_lanes(std::initializer_list<std::uint64_t> lanes) {
-  std::vector<std::byte> out(std::begin(WireCaptureExecutor::kPrefix),
-                             std::end(WireCaptureExecutor::kPrefix));
-  for (const std::uint64_t v : lanes) exec::append_u64(out, v);
-  return out;
+/// Known-answer payload builder: u64 lanes and (from, to, len) records
+/// in wire byte order, optionally after LoopbackShardExecutor::kPrefix.
+struct Wire {
+  explicit Wire(bool prefixed = true) {
+    if (prefixed) {
+      bytes.assign(std::begin(LoopbackShardExecutor::kPrefix),
+                   std::end(LoopbackShardExecutor::kPrefix));
+    }
+  }
+  Wire& lanes(std::initializer_list<std::uint64_t> values) {
+    for (const std::uint64_t v : values) exec::append_u64(bytes, v);
+    return *this;
+  }
+  Wire& record(std::uint32_t from, std::uint32_t to,
+               std::initializer_list<std::uint64_t> payload) {
+    return header(from, to, static_cast<std::uint32_t>(payload.size()))
+        .lanes(payload);
+  }
+  Wire& header(std::uint32_t from, std::uint32_t to, std::uint32_t len) {
+    for (const std::uint32_t v : {from, to, len}) {
+      const std::size_t at = bytes.size();
+      bytes.resize(at + 4);
+      std::memcpy(bytes.data() + at, &v, 4);
+    }
+    return *this;
+  }
+  std::vector<std::byte> bytes;
+};
+
+/// What every machine read in the "read" round: (sender, payload) per
+/// message, in delivery order.
+using Inbox = std::vector<std::pair<MachineId, std::vector<Word>>>;
+using Inboxes = std::vector<Inbox>;
+
+/// Hand-built 3-machine job. "seed": machine 0 sends {11, 12} to 1 and
+/// an empty message to 2; machine 1 writes {21, 22, 23} to 0 through a
+/// MessageWriter and sends {31} to 2; machine 2 sends {41, 42} to 0 and
+/// {43} to itself and declares 5 resident words. "read": every machine
+/// records its inbox into `seen`.
+void define_known_rounds(mrc::Engine& e, Inboxes& seen) {
+  e.define_round("seed", [](MachineContext& ctx, std::span<const Word>) {
+    if (ctx.id() == 0) {
+      ctx.send(1, {11, 12});
+      ctx.send(2, std::vector<Word>{});
+    } else if (ctx.id() == 1) {
+      {
+        mrc::MessageWriter w = ctx.begin_message(0);
+        w.push(21);
+        w.append(std::vector<Word>{22, 23});
+      }
+      ctx.send(2, {31});
+    } else {
+      ctx.send(0, {41, 42});
+      ctx.send(2, {43});
+      ctx.charge_resident(5);
+    }
+  });
+  e.define_round("read", [&seen](MachineContext& ctx, std::span<const Word>) {
+    for (const mrc::MessageView msg : ctx.messages()) {
+      seen[ctx.id()].emplace_back(
+          msg.from, std::vector<Word>(msg.payload.begin(), msg.payload.end()));
+    }
+  });
 }
 
-TEST(ShardWireLayout, EncodersMatchKnownBytes) {
-  // Hand-built 3-machine state: a two-word send plus an empty message
-  // from machine 0, a MessageWriter frame from machine 1, and machine 2
-  // sending nothing (it only charges resident words).
-  auto capture = std::make_shared<WireCaptureExecutor>();
-  mrc::Engine e(topo(3), capture);
-  const mrc::RoundId r_seed = e.define_round(
-      "seed", [](MachineContext& ctx, std::span<const Word>) {
-        if (ctx.id() == 0) {
-          ctx.send(1, {11, 12});
-          ctx.send(2, std::vector<Word>{});
-        } else if (ctx.id() == 1) {
-          mrc::MessageWriter w = ctx.begin_message(0);
-          w.push(21);
-          w.append(std::vector<Word>{22, 23});
-        } else {
-          ctx.charge_resident(5);
-        }
-      });
-  const mrc::RoundId r_read = e.define_round(
-      "read", [](MachineContext&, std::span<const Word>) {});
-  e.invoke_round(r_seed);
-  e.invoke_round(r_read);
-  ASSERT_EQ(capture->round_inputs.size(), 2u);
-  ASSERT_EQ(capture->machine_outputs.size(), 2u);
+/// The K = 2 loopback pair over `define_known_rounds`, shard 0 =
+/// machines [0, 2), shard 1 = {2}.
+struct LoopbackJob {
+  LoopbackJob() : seen(3) {
+    auto grab = std::make_shared<GrabPlaneExecutor>();
+    worker_engine = std::make_unique<mrc::Engine>(topo(3), grab);
+    define_known_rounds(*worker_engine, seen);
+    try {
+      worker_engine->invoke_round(0);
+    } catch (const PlaneGrabbed&) {
+    }
+    loop = std::make_shared<LoopbackShardExecutor>(grab->plane, 2);
+    engine = std::make_unique<mrc::Engine>(topo(3), loop);
+    define_known_rounds(*engine, seen);
+  }
 
-  // serialize_machines after "seed", per machine: outbox words, resident
-  // words, writer-open flag, frame count, (to, offset, len) per frame,
-  // arena word count, arena words.
-  EXPECT_EQ(capture->machine_outputs[0],
-            prefixed_lanes({2, 0, 0, 2, 1, 0, 2, 2, 2, 0, 2, 11, 12,  // m0
-                            3, 0, 0, 1, 0, 0, 3, 3, 21, 22, 23,       // m1
-                            0, 5, 0, 0, 0}));                         // m2
+  Inboxes seen;
+  std::unique_ptr<mrc::Engine> worker_engine;
+  std::shared_ptr<LoopbackShardExecutor> loop;
+  std::unique_ptr<mrc::Engine> engine;
+};
 
-  // serialize_round_input before "read", per machine: inbox word total,
-  // frame count, then (sender, len, payload words) per message.
-  EXPECT_EQ(capture->round_inputs[1],
-            prefixed_lanes({3, 1, 1, 3, 21, 22, 23,  // m0
-                            2, 1, 0, 2, 11, 12,      // m1
-                            0, 1, 0, 0}));           // m2: one empty message
+TEST(ShardWireLayout, RecordPayloadsMatchKnownBytes) {
+  LoopbackJob job;
+  job.engine->invoke_round(0);  // seed
+  // Host peeks at worker machines come from the shipped totals.
+  EXPECT_EQ(job.engine->inbox_size(2), 3u);
+  EXPECT_EQ(job.engine->inbox_words(2), 2u);
+  EXPECT_EQ(job.engine->inbox_size(0), 2u);
+  EXPECT_EQ(job.engine->inbox_words(0), 5u);
+  job.engine->invoke_round(1);  // read
+  const LoopbackShardExecutor& cap = *job.loop;
+  ASSERT_EQ(cap.round_inputs.size(), 2u);
+  ASSERT_EQ(cap.shard_data.size(), 2u);
 
-  // Before the first round every inbox is empty; after "read" no
-  // machine staged anything.
-  EXPECT_EQ(capture->round_inputs[0],
-            prefixed_lanes({0, 0, 0, 0, 0, 0}));
-  EXPECT_EQ(capture->machine_outputs[1],
-            prefixed_lanes({0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
+  // kShardData after "seed": machine 2's outbox words, resident words
+  // and writer-open flag; (frames, words) it sent each of machines 0..2;
+  // the bucket count and byte lengths; shard 0's bucket, then shard 1's.
+  EXPECT_EQ(cap.shard_data[0], Wire()
+                                   .lanes({3, 5, 0})
+                                   .lanes({1, 2, 0, 0, 1, 1})
+                                   .lanes({2, 12 + 16, 12 + 8})
+                                   .record(2, 0, {41, 42})
+                                   .record(2, 2, {43})
+                                   .bytes);
+
+  // kRoundControl for shard 1 before "read": machine 2's frame count and
+  // word total, then its records in sender-id order — shard 0's own
+  // sends first, then the bucket relayed from shard 1.
+  EXPECT_EQ(cap.round_inputs[1], Wire()
+                                     .lanes({3, 2})
+                                     .record(0, 2, {})
+                                     .record(1, 2, {31})
+                                     .record(2, 2, {43})
+                                     .bytes);
+
+  // Before the first round every inbox is empty; after "read" nothing
+  // was sent.
+  EXPECT_EQ(cap.round_inputs[0], Wire().lanes({0, 0}).bytes);
+  EXPECT_EQ(cap.shard_data[1],
+            Wire().lanes({0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0}).bytes);
+
+  // Every machine read what the serial engine delivers.
+  Inboxes serial(3);
+  mrc::Engine ref(topo(3));
+  define_known_rounds(ref, serial);
+  ref.invoke_round(0);
+  ref.invoke_round(1);
+  EXPECT_EQ(job.seen, serial);
+  EXPECT_EQ(serial[0], (Inbox{{1, {21, 22, 23}}, {2, {41, 42}}}));
+  EXPECT_EQ(serial[2], (Inbox{{0, {}}, {1, {31}}, {2, {43}}}));
+}
+
+/// Runs `apply` and expects TransportError(kBadPayload) naming `needle`.
+void expect_bad_payload(const std::function<void()>& apply,
+                        const std::string& needle) {
+  try {
+    apply();
+    ADD_FAILURE() << "accepted a payload that should fail on " << needle;
+  } catch (const exec::TransportError& e) {
+    EXPECT_EQ(e.kind, exec::TransportError::Kind::kBadPayload) << e.what();
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ShardWireLayout, WorkerRefusesMalformedRoundInput) {
+  const auto apply = [](const Wire& w) {
+    return [bytes = w.bytes] {
+      LoopbackJob job;
+      job.engine->invoke_round(0);
+      job.loop->worker->apply_round_input(bytes);
+    };
+  };
+  // Shard 1 owns machine 2 only.
+  expect_bad_payload(apply(Wire(false).lanes({1, 1}).record(0, 1, {7})),
+                     "record destination 1 outside [2, 3)");
+  expect_bad_payload(apply(Wire(false).lanes({1, 1}).record(3, 2, {7})),
+                     "record sender 3 outside [0, 3)");
+  expect_bad_payload(
+      apply(Wire(false).lanes({1, 5}).header(0, 2, 5).lanes({7})),
+      "record length 5 runs past the payload");
+  expect_bad_payload(apply(Wire(false).lanes({1, 1}).lanes({7})),
+                     "truncated record header");
+  // Totals that disagree with the records, in frames and in words.
+  expect_bad_payload(apply(Wire(false).lanes({2, 1}).record(0, 2, {7})),
+                     "its totals say 2 of 1");
+  expect_bad_payload(apply(Wire(false).lanes({1, 2}).record(0, 2, {7})),
+                     "its totals say 1 of 2");
+  expect_bad_payload(apply(Wire(false).lanes({1})), "inbox word total");
+}
+
+TEST(ShardWireLayout, CoordinatorRefusesMalformedShardData) {
+  const auto apply = [](const Wire& w) {
+    return [bytes = w.bytes] {
+      LoopbackJob job;
+      job.engine->invoke_round(0);
+      job.loop->coordinator->shard_data_buffer(1) = bytes;
+      job.loop->coordinator->apply_machines(1);
+    };
+  };
+  // The well-formed reply of a machine 2 that sends {41, 42} to 0:
+  // accounting, totals, buckets.
+  const auto reply = [](std::initializer_list<std::uint64_t> totals,
+                        std::initializer_list<std::uint64_t> buckets) {
+    Wire w(false);
+    w.lanes({2, 0, 0}).lanes(totals).lanes(buckets);
+    return w;
+  };
+  EXPECT_NO_THROW(apply(reply({1, 2, 0, 0, 0, 0}, {2, 28, 0})
+                            .record(2, 0, {41, 42}))());
+  expect_bad_payload(apply(reply({1, 2, 0, 0, 0, 0}, {3, 28, 0, 0})
+                               .record(2, 0, {41, 42})),
+                     "3 buckets for a 2-shard job");
+  expect_bad_payload(apply(reply({1, 2, 0, 0, 0, 0}, {2, 28, 8})
+                               .record(2, 0, {41, 42})),
+                     "bucket lengths run past the payload");
+  expect_bad_payload(apply(reply({1, 2, 0, 0, 0, 0}, {2, 20, 0})
+                               .record(2, 0, {41, 42})),
+                     "bucket lengths sum to 20 bytes, the frame carries 28");
+  // Lying totals: too small or too large for the bucket, encoding to
+  // the right length but naming the wrong machine, or carrying other
+  // words than the senders' outbox words.
+  expect_bad_payload(apply(reply({1, 1, 0, 0, 0, 0}, {2, 28, 0})
+                               .record(2, 0, {41, 42})),
+                     "encode to 20 bytes, its bucket holds 28");
+  expect_bad_payload(apply(reply({2, 2, 0, 0, 0, 0}, {2, 28, 0})
+                               .record(2, 0, {41, 42})),
+                     "exceed its bucket");
+  expect_bad_payload(apply(reply({0, 2, 1, 0, 0, 0}, {2, 28, 0})
+                               .record(2, 0, {41, 42})),
+                     "carries more than the totals of machine 0");
+  expect_bad_payload(apply(Wire(false)
+                               .lanes({3, 0, 0})
+                               .lanes({1, 2, 0, 0, 0, 0})
+                               .lanes({2, 28, 0})
+                               .record(2, 0, {41, 42})),
+                     "the senders' outbox words say 3");
+  // Records the coordinator decodes are checked like the worker's.
+  expect_bad_payload(apply(reply({1, 2, 0, 0, 0, 0}, {2, 28, 0})
+                               .record(1, 0, {41, 42})),
+                     "record sender 1 outside [2, 3)");
+  expect_bad_payload(apply(reply({1, 2, 0, 0, 0, 0}, {2, 28, 0})
+                               .record(2, 2, {41, 42})),
+                     "record destination 2 outside [0, 2)");
+  expect_bad_payload(apply(reply({0, 0, 0, 0, 1, 2}, {2, 28, 0})
+                               .record(2, 2, {41, 42})),
+                     "machine 2 exceed its bucket");
+}
+
+TEST(ShardWireLayout, RelayedBucketIsCheckedByItsReceiver) {
+  // The coordinator relays shard 1's own bucket without decoding it; an
+  // 8-byte bucket whose totals are consistent but which holds no record
+  // passes the hub and fails typed at the worker one round later.
+  LoopbackJob job;
+  job.engine->invoke_round(0);
+  job.loop->coordinator->shard_data_buffer(1) = Wire(false)
+                                                   .lanes({2, 0, 0})
+                                                   .lanes({1, 1, 0, 0, 0, 1})
+                                                   .lanes({2, 20, 8})
+                                                   .record(2, 0, {41})
+                                                   .lanes({42})
+                                                   .bytes;
+  job.loop->coordinator->apply_machines(1);
+  job.engine->invoke_round(1);  // delivers the relayed bytes
+  expect_bad_payload([&] { job.engine->invoke_round(1); },
+                     "truncated record header");
 }
 
 // ---------------------------------------------- algorithm determinism --

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "mrlr/exec/process_shard_executor.hpp"
 #include "mrlr/exec/serial_executor.hpp"
 #include "mrlr/exec/thread_pool_executor.hpp"
 #include "mrlr/mrc/engine.hpp"
@@ -152,77 +153,196 @@ TEST(InboxView, RangeIndexAndCountsAgree) {
 
 // ------------------------------------- pending traffic after a throw --
 
-TEST(PendingInbox, StagedMessagesSurviveSpaceThrow) {
+/// A backend the pending-traffic cases run on. Under the process
+/// backend the violating sender, machine 3 of 4, sits on a worker.
+struct PendingBackend {
+  const char* name;
+  std::shared_ptr<exec::Executor> (*make)();
+};
+
+void PrintTo(const PendingBackend& backend, std::ostream* os) {
+  *os << backend.name;
+}
+
+/// Each delivered message as its sender followed by its payload.
+using Transcript = std::vector<std::vector<Word>>;
+
+void record_inbox(const MachineContext& ctx, Transcript& out) {
+  for (const MessageView msg : ctx.messages()) {
+    std::vector<Word> entry{msg.from};
+    entry.insert(entry.end(), msg.payload.begin(), msg.payload.end());
+    out.push_back(std::move(entry));
+  }
+}
+
+class PendingInbox : public ::testing::TestWithParam<PendingBackend> {
+ protected:
+  Engine make_engine(std::uint64_t cap) const {
+    return Engine(topo(4, cap), GetParam().make());
+  }
+};
+
+TEST_P(PendingInbox, StagedMessagesSurviveSpaceThrow) {
   // The violating round's traffic is not delivered when the audit
   // throws; it stays staged and arrives, intact, at the end of the next
   // round.
-  Engine e(topo(2, /*cap=*/4));
+  Engine e = make_engine(/*cap=*/4);
   const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
-    if (ctx.is_central()) ctx.send(1, {1, 2, 3, 4, 5});
+    if (ctx.id() == 3) ctx.send(0, {1, 2, 3, 4, 5});
   });
   const RoundId idle = e.define_round("idle", [](MachineContext&, Params) {});
-  const RoundId read = e.define_round("read", [](MachineContext& ctx, Params) {
-    if (ctx.id() != 1) return;
-    ASSERT_EQ(ctx.inbox_size(), 1u);
-    EXPECT_EQ(ctx.message(0).from, 0u);
-    EXPECT_EQ(std::vector<Word>(ctx.message(0).payload.begin(),
-                                ctx.message(0).payload.end()),
-              (std::vector<Word>{1, 2, 3, 4, 5}));
-  });
   EXPECT_THROW(e.invoke_round(send), SpaceLimitExceeded);
-  EXPECT_EQ(e.inbox_size(1), 0u);  // not delivered by the failed round
+  EXPECT_EQ(e.inbox_size(0), 0u);  // not delivered by the failed round
   e.invoke_round(idle);
-  EXPECT_EQ(e.inbox_size(1), 1u);
-  EXPECT_EQ(e.inbox_words(1), 5u);
+  EXPECT_EQ(e.inbox_size(0), 1u);
+  EXPECT_EQ(e.inbox_words(0), 5u);
   // The 5-word inbox is over the cap: the callback still observes it
   // (callbacks run before the audit), and then the audit throws.
-  EXPECT_THROW(e.invoke_round(read), SpaceLimitExceeded);
+  Transcript got;
+  const auto read = [&](MachineContext& ctx) { record_inbox(ctx, got); };
+  EXPECT_THROW(e.run_central_round("read", read), SpaceLimitExceeded);
+  EXPECT_EQ(got, (Transcript{{3, 1, 2, 3, 4, 5}}));
 }
 
-TEST(PendingInbox, NoDoubleDeliveryWhenEngineReusedAfterThrow) {
+TEST_P(PendingInbox, NoDoubleDeliveryWhenEngineReusedAfterThrow) {
   // Regression: staged frames must be consumed by the merge even when
   // the audit throws, or the next round re-merges them and every
-  // message from the violating round arrives twice.
-  Engine e(topo(2, /*cap=*/4));
-  const RoundId violate = e.define_round("violate", [](MachineContext& ctx,
-                                                       Params) {
-    if (ctx.is_central()) ctx.send(1, {1, 2, 3, 4, 5});  // outbox 5 > 4
-  });
-  const RoundId after = e.define_round("after", [](MachineContext& ctx,
-                                                   Params) {
-    if (ctx.is_central()) ctx.send(1, {9});
-  });
-  const RoundId read = e.define_round("read", [](MachineContext& ctx, Params) {
-    if (ctx.id() != 1) return;
-    ASSERT_EQ(ctx.inbox_size(), 2u);
-    EXPECT_EQ(std::vector<Word>(ctx.message(0).payload.begin(),
-                                ctx.message(0).payload.end()),
-              (std::vector<Word>{1, 2, 3, 4, 5}));
-    EXPECT_EQ(std::vector<Word>(ctx.message(1).payload.begin(),
-                                ctx.message(1).payload.end()),
-              (std::vector<Word>{9}));
-  });
-  try {
-    e.invoke_round(violate);
-    FAIL() << "expected SpaceLimitExceeded";
-  } catch (const SpaceLimitExceeded&) {
-  }
+  // message from the violating round arrives twice. Under the process
+  // backend the pending words must also survive the next round's data
+  // from the same worker.
+  Engine e = make_engine(/*cap=*/4);
+  const RoundId violate =
+      e.define_round("violate", [](MachineContext& ctx, Params) {
+        if (ctx.id() == 3) ctx.send(0, {1, 2, 3, 4, 5});  // outbox 5 > 4
+      });
+  const RoundId after =
+      e.define_round("after", [](MachineContext& ctx, Params) {
+        if (ctx.id() == 3) ctx.send(0, {9});
+      });
+  EXPECT_THROW(e.invoke_round(violate), SpaceLimitExceeded);
   // Next round is legal (outbox 1 <= cap; the violating message was
-  // never delivered so machine 1's current inbox is still empty) and
-  // must deliver the pending message exactly once, alongside the new
-  // traffic — not re-merge it into a duplicate.
+  // never delivered so machine 0's current inbox is still empty) and
+  // must deliver the pending message exactly once, ahead of the new
+  // traffic.
   e.invoke_round(after);
-  EXPECT_EQ(e.inbox_size(1), 2u);
-  EXPECT_EQ(e.inbox_words(1), 6u);
-  // The delivered 6-word inbox now itself exceeds the cap: the read
-  // round's callback observes it (callbacks run before the audit), and
-  // the audit then reports the violation.
-  try {
-    e.invoke_round(read);
-    FAIL() << "expected SpaceLimitExceeded (6-word inbox over cap 4)";
-  } catch (const SpaceLimitExceeded&) {
-  }
+  EXPECT_EQ(e.inbox_size(0), 2u);
+  EXPECT_EQ(e.inbox_words(0), 6u);
+  // The delivered 6-word inbox now itself exceeds the cap: the central
+  // round observes it, and the audit then reports the violation.
+  Transcript got;
+  const auto read = [&](MachineContext& ctx) { record_inbox(ctx, got); };
+  EXPECT_THROW(e.run_central_round("read", read), SpaceLimitExceeded);
+  EXPECT_EQ(got, (Transcript{{3, 1, 2, 3, 4, 5}, {3, 9}}));
 }
+
+TEST_P(PendingInbox, GenerationsReachWorkerMachinesInOrder) {
+  // A resident-words violation leaves traffic pending towards the
+  // central machine and towards machine 2, a worker machine under the
+  // process backend, from the coordinator's shard and from workers.
+  // The next round's traffic is delivered behind it, each generation in
+  // sender-id order, exactly as the serial simulation does.
+  Engine e = make_engine(/*cap=*/16);
+  const RoundId violate =
+      e.define_round("violate", [](MachineContext& ctx, Params) {
+        if (ctx.id() == 0) ctx.send(2, {7});
+        if (ctx.id() == 3) {
+          ctx.send(0, {1, 2, 3});
+          ctx.send(2, {4, 5});
+          ctx.charge_resident(100);
+        }
+      });
+  const RoundId after =
+      e.define_round("after", [](MachineContext& ctx, Params) {
+        if (ctx.id() == 1) ctx.send(2, {11});
+        if (ctx.id() == 3) {
+          ctx.send(0, {9});
+          ctx.send(2, {10});
+        }
+      });
+  Transcript central;
+  const RoundId report =
+      e.define_round("report", [&central](MachineContext& ctx, Params) {
+        if (ctx.is_central()) record_inbox(ctx, central);
+        if (ctx.id() != 2) return;
+        // Machine 2 forwards what it read to the central machine.
+        Transcript read;
+        record_inbox(ctx, read);
+        for (const std::vector<Word>& entry : read) ctx.send(kCentral, entry);
+      });
+  EXPECT_THROW(e.invoke_round(violate), SpaceLimitExceeded);
+  EXPECT_EQ(e.inbox_size(0), 0u);
+  EXPECT_EQ(e.inbox_size(2), 0u);
+  e.invoke_round(after);
+  EXPECT_EQ(e.inbox_size(0), 2u);
+  EXPECT_EQ(e.inbox_words(0), 4u);
+  EXPECT_EQ(e.inbox_size(2), 4u);
+  EXPECT_EQ(e.inbox_words(2), 5u);
+  e.invoke_round(report);
+  Transcript forwarded;
+  e.run_central_round("collect", [&](MachineContext& ctx) {
+    for (const MessageView msg : ctx.messages()) {
+      forwarded.emplace_back(msg.payload.begin(), msg.payload.end());
+    }
+  });
+  EXPECT_EQ(central, (Transcript{{3, 1, 2, 3}, {3, 9}}));
+  EXPECT_EQ(forwarded, (Transcript{{0, 7}, {3, 4, 5}, {1, 11}, {3, 10}}));
+}
+
+TEST_P(PendingInbox, TrafficFromBeforeTheJobReachesWorkerMachines) {
+  // Central rounds run before the first registered round starts the
+  // job: one delivers a message to machine 3, another leaves one for
+  // machine 2 pending. Under the process backend both must join the
+  // worker shards' streams when the job starts.
+  Engine e = make_engine(/*cap=*/16);
+  Transcript central;
+  const RoundId report =
+      e.define_round("report", [&central](MachineContext& ctx, Params) {
+        Transcript read;
+        record_inbox(ctx, read);
+        if (ctx.is_central()) {
+          central.insert(central.end(), read.begin(), read.end());
+          return;
+        }
+        for (const std::vector<Word>& entry : read) ctx.send(kCentral, entry);
+      });
+  e.run_central_round("greet",
+                      [](MachineContext& ctx) { ctx.send(3, {5}); });
+  EXPECT_THROW(e.run_central_round("violate",
+                                   [](MachineContext& ctx) {
+                                     ctx.send(2, {6});
+                                     ctx.charge_resident(100);
+                                   }),
+               SpaceLimitExceeded);
+  e.invoke_round(report);  // machine 3 forwards {5}; {6} reaches 2
+  EXPECT_EQ(e.inbox_size(2), 1u);
+  e.invoke_round(report);  // machine 2 forwards {6}
+  e.run_central_round("collect",
+                      [&](MachineContext& ctx) { record_inbox(ctx, central); });
+  EXPECT_EQ(central, (Transcript{{3, 0, 5}, {2, 0, 6}}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, PendingInbox,
+    ::testing::Values(
+        PendingBackend{"serial",
+                       []() -> std::shared_ptr<exec::Executor> {
+                         return std::make_shared<exec::SerialExecutor>();
+                       }},
+        PendingBackend{"threads2",
+                       []() -> std::shared_ptr<exec::Executor> {
+                         return std::make_shared<exec::ThreadPoolExecutor>(2);
+                       }},
+        PendingBackend{"process2",
+                       []() -> std::shared_ptr<exec::Executor> {
+                         return std::make_shared<exec::ProcessShardExecutor>(2);
+                       }},
+        PendingBackend{"process3",
+                       []() -> std::shared_ptr<exec::Executor> {
+                         return std::make_shared<exec::ProcessShardExecutor>(3);
+                       }}),
+    [](const ::testing::TestParamInfo<PendingBackend>& info) {
+      return std::string(info.param.name);
+    });
 
 // -------------------------------------------- adversarial round-trips --
 

@@ -594,10 +594,11 @@ TEST_F(TelemetryTest, ProcessBackendWireCountersBalance) {
   // and the workers' counts reach the coordinator through their
   // telemetry frames: in and out must agree. Only the handshake-era
   // frames and the last round's trailing worker frames escape, which
-  // the data frames of a real job dwarf.
+  // the data frames of a real job dwarf. At K = 4 most worker sends go
+  // to another worker, so the coordinator relays them undecoded.
   Telemetry& t = Telemetry::instance();
   t.enable();
-  const MatchingResult on = run_sharded_matching(2);
+  const MatchingResult on = run_sharded_matching(4);
   t.disable();
   ASSERT_FALSE(on.failed);
   const TelemetrySnapshot snap = t.snapshot();
@@ -606,6 +607,7 @@ TEST_F(TelemetryTest, ProcessBackendWireCountersBalance) {
   const double in = static_cast<double>(snap.counters.at("exec.wire_bytes_in"));
   EXPECT_GT(out, 1e6);
   EXPECT_NEAR(in / out, 1.0, 0.01) << "in " << in << " out " << out;
+  EXPECT_GT(snap.counters.at("exec.bytes_forwarded"), 0u);
 }
 
 }  // namespace

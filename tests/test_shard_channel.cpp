@@ -3,7 +3,9 @@
 // listen/connect with a bounded typed timeout, and the 24-byte job
 // handshake — version mismatches, duplicate shard registrations, and
 // crossed connections must all refuse with the precise TransportError,
-// never hang and never half-accept.
+// never hang and never half-accept — and the job bootstrap that follows
+// the handshake, whose shard table must describe one contiguous
+// partition of the job's machines.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 
 #include "mrlr/exec/shard_channel.hpp"
 #include "mrlr/exec/shard_transport.hpp"
+#include "mrlr/exec/shard_worker.hpp"
 
 namespace mrlr::exec {
 namespace {
@@ -231,13 +234,13 @@ TEST(Handshake, RoundTripAcceptsAndEchoes) {
 
 TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   // Regression pin for the version bump: a peer still speaking frame
-  // protocol version 2 (the single-chain checksum) must be refused by a
-  // version-3 build at the handshake, with both numbers in the error on
-  // BOTH sides of the wire, instead of failing every frame's checksum.
-  static_assert(kFrameVersion == 3,
+  // protocol version 3 (the two arena layouts) must be refused by a
+  // version-4 build at the handshake, with both numbers in the error on
+  // BOTH sides of the wire, instead of misreading every data frame.
+  static_assert(kFrameVersion == 4,
                 "update the forged version below when bumping again");
   auto [a, b] = make_socketpair_channel();
-  const auto hello = forge_hello(/*version=*/2, /*shard=*/2, /*nonce=*/7);
+  const auto hello = forge_hello(/*version=*/3, /*shard=*/2, /*nonce=*/7);
   a.write_all(hello.data(), hello.size());
   try {
     (void)handshake_accept(b, nullptr);
@@ -245,8 +248,8 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
     EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
   }
   // The refusal ack reaches the stale connector before the drop: its
   // status decodes as a version mismatch and names the responder's
@@ -262,7 +265,7 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   std::uint16_t status = 0;
   std::memcpy(&acked_version, ack + 4, 2);
   std::memcpy(&status, ack + 6, 2);
-  EXPECT_EQ(acked_version, 3);
+  EXPECT_EQ(acked_version, 4);
   EXPECT_EQ(status,
             static_cast<std::uint16_t>(HandshakeStatus::kVersionMismatch));
 }
@@ -270,7 +273,7 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
 TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
   auto [a, b] = make_socketpair_channel();
   // Forge the responder: an old build acking kVersionMismatch with its
-  // own version 2.
+  // own version 3.
   std::thread responder([&] {
     std::byte hello[24];
     std::size_t at = 0;
@@ -281,7 +284,7 @@ TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
     }
     std::vector<std::byte> ack(24);
     put_u32(ack.data() + 0, kAckMagic);
-    put_u16(ack.data() + 4, /*version=*/2);
+    put_u16(ack.data() + 4, /*version=*/3);
     put_u16(ack.data() + 6,
             static_cast<std::uint16_t>(HandshakeStatus::kVersionMismatch));
     put_u32(ack.data() + 8, 5);
@@ -295,8 +298,8 @@ TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
     EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
   }
   responder.join();
 }
@@ -383,6 +386,133 @@ TEST(Handshake, CrossedAckIsUnexpected) {
     EXPECT_EQ(e.kind, TransportError::Kind::kUnexpected);
   }
   responder.join();
+}
+
+// ------------------------------------------------------ job bootstrap --
+
+/// A valid bootstrap for shard 1 of a 3-shard, 10-machine job.
+JobBootstrap sample_bootstrap() {
+  JobBootstrap b;
+  b.first = 4;
+  b.last = 7;
+  b.machines = 10;
+  b.shard_ranges = {{0, 4}, {4, 7}, {7, 10}};
+  b.nonce = 77;
+  b.round_labels = {"a", "b"};
+  return b;
+}
+
+void expect_bootstrap_refused(const JobBootstrap& b,
+                              const std::string& needle) {
+  try {
+    (void)decode_bootstrap(encode_bootstrap(b));
+    FAIL() << "accepted a bootstrap that should fail on " << needle;
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind, TransportError::Kind::kBadPayload) << e.what();
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JobBootstrap, ShardTableRoundTrips) {
+  const JobBootstrap b = sample_bootstrap();
+  const JobBootstrap d = decode_bootstrap(encode_bootstrap(b));
+  EXPECT_EQ(d.first, 4u);
+  EXPECT_EQ(d.last, 7u);
+  EXPECT_EQ(d.machines, 10u);
+  EXPECT_EQ(d.shard_ranges, b.shard_ranges);
+  EXPECT_EQ(d.round_labels, b.round_labels);
+}
+
+TEST(JobBootstrap, RefusesShardTablesThatAreNotOnePartition) {
+  JobBootstrap gap = sample_bootstrap();
+  gap.shard_ranges = {{0, 4}, {5, 7}, {7, 10}};
+  expect_bootstrap_refused(gap, "shard 1 range [5, 7) is empty or not "
+                                "contiguous with the previous shard's end 4");
+  JobBootstrap overlap = sample_bootstrap();
+  overlap.shard_ranges = {{0, 5}, {4, 7}, {7, 10}};
+  expect_bootstrap_refused(overlap, "not contiguous");
+  JobBootstrap late = sample_bootstrap();
+  late.shard_ranges = {{1, 4}, {4, 7}, {7, 10}};
+  expect_bootstrap_refused(late, "shard 0 range [1, 4)");
+  JobBootstrap empty = sample_bootstrap();
+  empty.shard_ranges = {{0, 4}, {4, 7}, {7, 7}, {7, 10}};
+  expect_bootstrap_refused(empty, "shard 2 range [7, 7) is empty");
+  JobBootstrap short_cover = sample_bootstrap();
+  short_cover.shard_ranges = {{0, 4}, {4, 7}, {7, 9}};
+  expect_bootstrap_refused(short_cover,
+                           "shard ranges cover [0, 9), the job has 10");
+  JobBootstrap long_cover = sample_bootstrap();
+  long_cover.shard_ranges = {{0, 4}, {4, 7}, {7, 12}};
+  expect_bootstrap_refused(long_cover, "cover [0, 12)");
+  JobBootstrap own = sample_bootstrap();
+  own.last = 6;
+  expect_bootstrap_refused(own,
+                           "own range [4, 6) is not one of the shard ranges");
+  JobBootstrap single = sample_bootstrap();
+  single.first = 0;
+  single.last = 10;
+  single.shard_ranges = {{0, 10}};
+  expect_bootstrap_refused(single, "shard count 1");
+}
+
+TEST(JobBootstrap, RefusesTruncatedShardTable) {
+  std::vector<std::byte> bytes = encode_bootstrap(sample_bootstrap());
+  // The shard count sits after five u64 fields; a count no payload can
+  // carry fails before any range is read.
+  put_u64(bytes.data() + 40, 1ull << 40);
+  try {
+    (void)decode_bootstrap(bytes);
+    FAIL() << "accepted an oversized shard count";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind, TransportError::Kind::kBadPayload);
+    EXPECT_NE(std::string(e.what()).find("exceeds the remaining payload"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// The smallest job plane validate_bootstrap can check against: two
+/// rounds, "a" and "b"; the data plane is never used.
+class StubPlane final : public ShardJobPlane {
+ public:
+  void set_shards(std::span<const std::uint64_t>, std::uint32_t) override {}
+  void serialize_round_input(
+      std::uint32_t, std::vector<std::byte>&,
+      std::vector<std::span<const std::byte>>&) const override {}
+  void apply_round_input(std::span<const std::byte>) override {}
+  void serialize_machines(std::vector<std::byte>&) override {}
+  void route_local_sends() override {}
+  std::vector<std::byte>& shard_data_buffer(std::uint32_t) override {
+    return unused_;
+  }
+  void apply_machines(std::uint32_t) override {}
+  void run_registered(std::uint64_t, std::uint64_t,
+                      std::span<const std::uint64_t>) override {}
+  std::uint64_t registered_rounds() const override { return 2; }
+  std::string_view round_label(std::uint64_t i) const override {
+    return i == 0 ? "a" : "b";
+  }
+
+ private:
+  std::vector<std::byte> unused_;
+};
+
+TEST(JobBootstrap, WorkerChecksItsShardTableEntry) {
+  const JobBootstrap b = sample_bootstrap();
+  const StubPlane plane;
+  EXPECT_NO_THROW(validate_bootstrap(b, plane, 10, /*shard=*/1));
+  for (const std::uint32_t shard : {0u, 2u, 3u}) {
+    try {
+      validate_bootstrap(b, plane, 10, shard);
+      FAIL() << "shard " << shard << " accepted shard 1's range";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.kind, TransportError::Kind::kUnexpected);
+      EXPECT_NE(std::string(e.what()).find("shard-table entry"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

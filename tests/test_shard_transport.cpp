@@ -152,6 +152,31 @@ TEST(FrameRoundTrip, ReusedFrameShrinksExactly) {
   EXPECT_GE(f.payload.capacity(), big.size());
 }
 
+TEST(FrameRoundTrip, PartsWriteExactlyTheirConcatenation) {
+  // A frame written from pieces is byte for byte the frame of the
+  // concatenated payload, however the pieces split the checksum's
+  // 32-byte blocks — empty pieces included.
+  const auto payload = patterned(101, 4);
+  MemChannel whole;
+  write_frame(whole, FrameKind::kRoundControl, 2, 5, payload);
+  const std::span<const std::byte> all = payload;
+  for (std::size_t a = 0; a <= payload.size(); ++a) {
+    for (const std::size_t b : {a, std::min(a + 1, payload.size()),
+                                std::min(a + 37, payload.size()),
+                                payload.size()}) {
+      const std::span<const std::byte> parts[] = {
+          all.first(a), all.subspan(a, b - a), all.subspan(b)};
+      MemChannel pieces;
+      write_frame_parts(pieces, FrameKind::kRoundControl, 2, 5, parts);
+      ASSERT_EQ(pieces.buffer(), whole.buffer())
+          << "split at " << a << " and " << b;
+    }
+  }
+  MemChannel none;
+  write_frame_parts(none, FrameKind::kShardStatus, 1, 1, {});
+  EXPECT_EQ(read_frame(none).payload.size(), 0u);
+}
+
 TEST(FrameRead, CorruptFrameAfterALargerOneStillFailsChecksum) {
   // The corrupt frame is shorter than the one read before it, so the
   // reused buffer held stale bytes past its end; only its own bytes may

@@ -293,6 +293,7 @@ TEST(TcpExecutor, WorkerWithoutSpecRefusesJob) {
   b.first = 1;
   b.last = 2;
   b.machines = 4;
+  b.shard_ranges = {{0, 1}, {1, 2}, {2, 4}};
   b.flags = 0;  // no kBootstrapCarriesSpec
   b.nonce = nonce;
   b.round_labels = {"r0"};

@@ -214,7 +214,7 @@ GreedySetCoverMrResult greedy_set_cover_mr(const setcover::SetSystem& sys,
           }
         }
         ctx.charge_resident(counts.size());
-        ctx.send_batch(mrc::kCentral, counts);
+        ctx.send(mrc::kCentral, counts);
       });
 
   // Group membership draws for one iteration: set l in class i joins

@@ -167,7 +167,7 @@ class MisJob {
             ++counts[class_of_(d)];
           }
           ctx.charge_resident(counts.size());
-          ctx.send_batch(mrc::kCentral, counts);
+          ctx.send(mrc::kCentral, counts);
         });
 
     // Sampling + shipping in one round: owners self-select their heavy

@@ -243,8 +243,10 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
       });
 
   // Forward the phi wave: {v, phi} pairs fan out as {e, v, phi} triples
-  // to the owners of v's incident edges; one-word stacked notices are
-  // recorded by the edge owner directly.
+  // to the owners of v's incident edges, coalesced per owner (the
+  // receiver parses a flat run of triples); one-word stacked notices are
+  // recorded by the edge owner directly. The incoming send-phi messages
+  // stay one per pair or notice: their length tells the two apart.
   const mrc::RoundId r_forward_phi = engine.define_round(
       "forward-phi", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
@@ -256,15 +258,16 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
           for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
             const auto v = static_cast<VertexId>(msg.payload[k]);
             for (const graph::Incidence& inc : g.neighbours(v)) {
-              ctx.send(owner_of(inc.edge, machines),
-                       {inc.edge, v, msg.payload[k + 1]});
+              ctx.send_coalesced(owner_of(inc.edge, machines),
+                                 {inc.edge, v, msg.payload[k + 1]});
             }
           }
         }
       });
 
   // Edge owners apply the phi triples, re-derive aliveness with the
-  // exact float expression of lr.edge_alive, and emit death notices.
+  // exact float expression of lr.edge_alive, and emit death notices
+  // (coalesced: the count round reads them as a flat run of edge ids).
   const mrc::RoundId r_recompute = engine.define_round(
       "recompute-alive", [&](MachineContext& ctx, std::span<const Word>) {
         const MachineId id = ctx.id();
@@ -289,9 +292,9 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
               g.weight(e) > (1.0 + eps) * (phi_u_acc[e] + phi_v_acc[e]);
           if (owner_alive[e] && !alive) {
             const graph::Edge& ed = g.edge(e);
-            ctx.send(owner_of(ed.u, machines), {e});
+            ctx.send_coalesced(owner_of(ed.u, machines), {e});
             if (owner_of(ed.v, machines) != owner_of(ed.u, machines)) {
-              ctx.send(owner_of(ed.v, machines), {e});
+              ctx.send_coalesced(owner_of(ed.v, machines), {e});
             }
           }
           owner_alive[e] = alive ? 1 : 0;

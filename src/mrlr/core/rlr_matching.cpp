@@ -141,7 +141,9 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
       });
 
   // Vertex owners forward phi to incident edge owners, tagged with the
-  // vertex so the edge owner knows which endpoint's half it is.
+  // vertex so the edge owner knows which endpoint's half it is. The
+  // receiver parses a flat run of 3-word records, so the triples bound
+  // for one edge owner are coalesced into one message.
   const mrc::RoundId r_forward_phi = engine.define_round(
       "forward-phi", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
@@ -150,7 +152,8 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
             const auto v = static_cast<VertexId>(msg.payload[k]);
             const Word phi_w = msg.payload[k + 1];
             for (const graph::Incidence& inc : g.neighbours(v)) {
-              ctx.send(owner_of(inc.edge, machines), {inc.edge, v, phi_w});
+              ctx.send_coalesced(owner_of(inc.edge, machines),
+                                 {inc.edge, v, phi_w});
             }
           }
         }
@@ -158,7 +161,8 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
 
   // Edge owners refresh their phi halves, recompute aliveness, update
   // their owned-alive count, and send death notices to the endpoint
-  // owners (delivered into the next iteration's count round).
+  // owners (delivered into the next iteration's count round, which reads
+  // them as a flat run of edge ids, so they are coalesced).
   const mrc::RoundId r_recompute = engine.define_round(
       "recompute-alive", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
@@ -182,8 +186,8 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
           if (alive) ++count;
           if (owner_alive[e] && !alive) {
             const graph::Edge& ed = g.edge(e);
-            ctx.send(owner_of(ed.u, machines), {e});
-            ctx.send(owner_of(ed.v, machines), {e});
+            ctx.send_coalesced(owner_of(ed.u, machines), {e});
+            ctx.send_coalesced(owner_of(ed.v, machines), {e});
           }
           owner_alive[e] = alive ? 1 : 0;
         }
@@ -273,11 +277,13 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
       }
     });
 
-    // --- 4a. Central sends phi(v) to each vertex owner. ---
+    // --- 4a. Central sends phi(v) to each vertex owner, as one run of
+    // (v, phi) pairs per owner. ---
     engine.run_central_round("send-phi", [&](MachineContext& ctx) {
       ctx.charge_resident(central_footprint);
       for (VertexId v = 0; v < n; ++v) {
-        ctx.send(owner_of(v, machines), {v, pack_double(lr.phi(v))});
+        ctx.send_coalesced(owner_of(v, machines),
+                           {v, pack_double(lr.phi(v))});
       }
     });
     // --- 4b. Vertex owners forward phi to incident edge owners. ---

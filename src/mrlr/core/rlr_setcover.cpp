@@ -245,7 +245,8 @@ RlrVertexCoverResult rlr_vertex_cover(const graph::Graph& g,
           ctx.send(mrc::kCentral, {j, e.u, e.v});
         }
       });
-  // Forward round B: vertex owners tell the owners of incident edges.
+  // Forward round B: vertex owners tell the owners of incident edges,
+  // one coalesced run of edge ids per owner.
   const mrc::RoundId r_notify_edges = engine.define_round(
       "notify-edges", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
@@ -253,7 +254,8 @@ RlrVertexCoverResult rlr_vertex_cover(const graph::Graph& g,
           for (const Word vw : msg.payload) {
             const auto v = static_cast<graph::VertexId>(vw);
             for (const graph::Incidence& inc : g.neighbours(v)) {
-              ctx.send(owner_of(inc.edge, sz.machines), {inc.edge});
+              ctx.send_coalesced(owner_of(inc.edge, sz.machines),
+                                 {inc.edge});
             }
           }
         }
@@ -309,11 +311,12 @@ RlrVertexCoverResult rlr_vertex_cover(const graph::Graph& g,
       }
     });
 
-    // Forward round A: central tells each newly covered vertex's owner.
+    // Forward round A: central tells each newly covered vertex's owner,
+    // one coalesced run of vertex ids per owner.
     engine.run_central_round("notify-vertices", [&](MachineContext& ctx) {
       ctx.charge_resident(central_footprint);
       for (const SetId v : newly_zeroed) {
-        ctx.send(owner_of(v, sz.machines), {v});
+        ctx.send_coalesced(owner_of(v, sz.machines), {v});
       }
     });
     engine.invoke_round(r_notify_edges);

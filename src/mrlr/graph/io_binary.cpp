@@ -182,12 +182,42 @@ void write_mgb_subset(const Graph& g, std::span<const EdgeId> edge_ids,
   w.finish();
 }
 
+namespace {
+
+/// Output stream buffer appending to a byte vector, so serialize_mgb
+/// writes the stream once, straight into its exactly sized result.
+class ByteSink : public std::streambuf {
+ public:
+  explicit ByteSink(std::vector<std::byte>& out) : out_(out) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const auto* p = reinterpret_cast<const std::byte*>(s);
+    out_.insert(out_.end(), p, p + n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      out_.push_back(static_cast<std::byte>(c));
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::vector<std::byte>& out_;
+};
+
+}  // namespace
+
 std::vector<std::byte> serialize_mgb(const Graph& g) {
-  std::ostringstream os(std::ios::binary);
+  // Header, edge block, optional weight block, checksum.
+  const std::uint64_t blocks = g.weighted() ? 2 : 1;
+  std::vector<std::byte> out;
+  out.reserve(sizeof(Header) + blocks * 8 * g.num_edges() + 8);
+  ByteSink sink(out);
+  std::ostream os(&sink);
   write_mgb(g, os);
-  const std::string s = std::move(os).str();
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  return std::vector<std::byte>(p, p + s.size());
+  return out;
 }
 
 Graph parse_mgb(std::span<const std::byte> bytes) {

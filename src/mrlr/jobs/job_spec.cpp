@@ -97,7 +97,15 @@ core::MrParams decode_params(Reader& r) {
 }  // namespace
 
 std::vector<std::byte> encode_job_spec(const JobSpec& spec) {
+  // Sized once: the instance dominates, and growing past it would copy
+  // it again. Fixed lanes: version, name length, nine params, extras
+  // count, kind, instance length.
+  std::size_t size = 8 * 14 + spec.algorithm.size() + spec.instance.size();
+  for (const auto& [name, values] : spec.extras) {
+    size += 16 + name.size() + 8 * values.size();
+  }
   std::vector<std::byte> out;
+  out.reserve(size);
   append_u64(out, kSpecVersion);
   append_string(out, spec.algorithm);
   encode_params(out, spec.params);

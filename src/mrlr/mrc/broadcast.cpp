@@ -64,7 +64,7 @@ JobBroadcast::JobBroadcast(Engine& engine, std::string label, ApplyFn apply)
           const std::uint64_t child =
               static_cast<std::uint64_t>(m) * fanout + k;
           if (child >= machines) break;
-          ctx.send_batch(static_cast<MachineId>(child), held_[m]);
+          ctx.send(static_cast<MachineId>(child), held_[m]);
         }
       });
 }

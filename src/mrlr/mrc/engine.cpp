@@ -18,15 +18,11 @@ std::uint64_t MachineContext::num_machines() const {
   return engine_.num_machines();
 }
 
-void MachineContext::send(MachineId to, const std::vector<Word>& payload) {
-  send_batch(to, payload);
-}
-
 void MachineContext::send(MachineId to, std::initializer_list<Word> payload) {
-  send_batch(to, std::span<const Word>(payload.begin(), payload.size()));
+  send(to, std::span<const Word>(payload.begin(), payload.size()));
 }
 
-void MachineContext::send_batch(MachineId to, std::span<const Word> payload) {
+void MachineContext::send(MachineId to, std::span<const Word> payload) {
   MRLR_REQUIRE(to < engine_.num_machines(), "send to nonexistent machine");
   MRLR_REQUIRE(!engine_.writer_open_[id_],
                "send while this machine's MessageWriter is open");
@@ -61,6 +57,7 @@ Engine::Engine(Topology topology, std::shared_ptr<exec::Executor> executor)
   const std::uint64_t machines = topology_.num_machines;
   staging_.resize(machines);
   slabs_.resize(machines);
+  runs_.resize(machines);
   inbox_frames_.resize(machines);
   inbox_words_.assign(machines, 0);
   next_frames_.resize(machines);
@@ -91,6 +88,60 @@ RoundId Engine::define_round(std::string label, RoundFn fn) {
   return static_cast<RoundId>(rounds_.size() - 1);
 }
 
+template <class Fn>
+void Engine::run_callback(MachineId m, Fn&& fn) {
+  try {
+    fn();
+  } catch (...) {
+    runs_[m].words.clear();
+    runs_[m].pieces.clear();
+    throw;
+  }
+  frame_runs(m);
+}
+
+void Engine::frame_runs(MachineId m) {
+  Runs& r = runs_[m];
+  if (r.pieces.empty()) return;
+  MRLR_REQUIRE(!writer_open_[m],
+               "MessageWriter left open past its machine's callback");
+  // A counting sort of the pieces by destination. `at` is a cursor per
+  // machine, all zero between calls; it is per thread, not per machine,
+  // so the engine keeps no per-(sender, destination) table (a callback
+  // runs start to finish on one thread). No inbox shows the order of
+  // one sender's runs; sorting the destinations makes the staged frame
+  // order, and with it the wire encoding, independent of which
+  // destination the callback appended to first.
+  thread_local std::vector<std::uint64_t> at;
+  thread_local std::vector<MachineId> dests;
+  if (at.size() < num_machines()) at.resize(num_machines(), 0);
+  dests.clear();
+  for (const Piece& p : r.pieces) {
+    if (at[p.to] == 0) dests.push_back(p.to);
+    at[p.to] += p.len;
+  }
+  std::sort(dests.begin(), dests.end());
+  Outbox& out = staging_[m];
+  std::uint64_t next = out.words.size();
+  for (const MachineId d : dests) {
+    out.frames.push_back({d, next, at[d]});
+    const std::uint64_t len = at[d];
+    at[d] = next;
+    next += len;
+  }
+  out.words.resize(next);
+  const Word* src = r.words.data();
+  for (const Piece& p : r.pieces) {
+    std::memcpy(out.words.data() + at[p.to], src, p.len * sizeof(Word));
+    at[p.to] += p.len;
+    src += p.len;
+  }
+  for (const MachineId d : dests) at[d] = 0;
+  outbox_words_[m] += r.words.size();
+  r.words.clear();
+  r.pieces.clear();
+}
+
 void Engine::invoke_round(RoundId round, std::span<const Word> params) {
   MRLR_REQUIRE(round < rounds_.size(), "invoke_round: undefined round id");
   if (!job_started_) {
@@ -114,7 +165,7 @@ void Engine::run_central_round(
   // machine would run a no-op, so there is nothing to dispatch or ship.
   round_body(label, /*central_only=*/true, [&] {
     MachineContext ctx(*this, kCentral);
-    fn(ctx);
+    run_callback(kCentral, [&] { fn(ctx); });
   });
 }
 
@@ -153,9 +204,13 @@ void Engine::round_body(std::string_view label, bool central_only,
   // it every downstream inbox scan — matches the sequential simulation
   // regardless of which threads ran which machines. Only the frame
   // indexes move here; payload words stay where the senders wrote them.
+  // Each message is counted once, by the process that staged it: frames
+  // of worker senders decoded here were counted by their worker.
+  std::uint64_t messages = 0;
   for (MachineId s = 0; s < machines; ++s) {
     MRLR_REQUIRE(!writer_open_[s],
                  "MessageWriter left open across the round barrier");
+    if (s < local_end_) messages += staging_[s].frames.size();
     for (const Frame& f : staging_[s].frames) {
       next_frames_[f.to].push_back({s, f.offset, f.len});
       next_inbox_words_[f.to] += f.len;
@@ -168,6 +223,7 @@ void Engine::round_body(std::string_view label, bool central_only,
   }
   if (telemetry) {
     tel.record_span(obs::Phase::kArenaMerge, t0, tel.now_ns(), round_ix);
+    tel.add_counter("engine.messages", messages);
   }
 
   RoundMetrics rm;
@@ -540,13 +596,16 @@ void Engine::serialize_machines(std::vector<std::byte>& out) {
   std::fill(route_frames_.begin(), route_frames_.end(), 0);
   std::fill(route_words_.begin(), route_words_.end(), 0);
   std::vector<std::uint64_t> bucket(shards, 0);
+  std::uint64_t messages = 0;
   for (std::uint64_t m = first; m < last; ++m) {
+    messages += staging_[m].frames.size();
     for (const Frame& f : staging_[m].frames) {
       ++route_frames_[f.to];
       route_words_[f.to] += f.len;
       bucket[shard_of_[f.to]] += record_bytes(f.len);
     }
   }
+  obs::count("engine.messages", messages);
   std::uint64_t size = 8 * (3 * (last - first) + 2 * machines + 1 + shards);
   for (const std::uint64_t b : bucket) size += b;
   std::byte* p = grow(out, size);
@@ -582,15 +641,17 @@ void Engine::route_local_sends() {
   if (!routed()) return;
   const std::size_t shards = shard_bounds_.size() - 1;
   std::vector<std::uint64_t> bytes(shards, 0);
-  bool any = false;
+  std::uint64_t routed_frames = 0;
   for (std::uint64_t s = 0; s < local_end_; ++s) {
     for (const Frame& f : staging_[s].frames) {
       if (f.to < local_end_) continue;
       bytes[shard_of_[f.to]] += record_bytes(f.len);
-      any = true;
+      ++routed_frames;
     }
   }
-  if (!any) return;
+  if (routed_frames == 0) return;
+  // These frames leave before the merge loop, which counts the rest.
+  obs::count("engine.messages", routed_frames);
   std::vector<std::byte*> at(shards);
   for (std::size_t b = 1; b < shards; ++b) {
     if (bytes[b] > 0) at[b] = next_stream_[b].append(bytes[b]);
@@ -737,7 +798,7 @@ void Engine::run_registered(std::uint64_t round_id, std::uint64_t machine,
   MRLR_REQUIRE(round_id < rounds_.size(),
                "run_registered: undefined round id");
   MachineContext ctx(*this, static_cast<MachineId>(machine));
-  rounds_[round_id].fn(ctx, params);
+  run_callback(ctx.id(), [&] { rounds_[round_id].fn(ctx, params); });
 }
 
 }  // namespace mrlr::mrc

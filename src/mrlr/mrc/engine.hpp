@@ -44,8 +44,9 @@
 // index — no per-message heap allocation. The post-barrier merge builds
 // per-destination frame indexes in sender-id order and then moves the
 // arena slabs wholesale into the delivered position; payload words are
-// written exactly once, at send time. Callbacks read their inbox as
-// MessageView spans into the senders' slabs via messages().
+// written exactly once, at send time (coalesced words twice: into the
+// run, then into the arena when the run is framed). Callbacks read their
+// inbox as MessageView spans into the senders' slabs via messages().
 //
 // Per-machine algorithm state is owned by the algorithms themselves
 // (typically a std::vector sized by num_machines); the engine owns only
@@ -56,6 +57,17 @@
 // MessageWriter appends to its own machine's arena, so at most one
 // writer per machine may be open at a time, and plain sends may not
 // interleave with an open writer.
+//
+// Coalesced sends (MachineContext::send_coalesced) append words to the
+// sending machine's run for a destination instead of framing a message
+// per call. When the callback returns, the engine frames each non-empty
+// run as one message, after that callback's plain sends and in ascending
+// destination order; a callback that throws delivers no part of its
+// runs. A receiver therefore sees one message per (sender, destination)
+// holding the appended words in append order, which is only the same
+// traffic to a receiver that parses its inbox as a flat run of
+// fixed-width records. Words, rounds and space accounting are those of
+// the equivalent plain sends; only the message count falls.
 
 #include <cstddef>
 #include <cstdint>
@@ -199,14 +211,20 @@ class MachineContext {
   std::uint64_t inbox_words() const;
 
   /// Queue a message for delivery at the start of the next round. The
-  /// payload is copied once into this machine's staging arena (and not
-  /// consumed — callers may reuse their buffer).
-  void send(MachineId to, const std::vector<Word>& payload);
+  /// payload (any contiguous range) is copied once into this machine's
+  /// staging arena and not consumed — callers may reuse their buffer.
+  void send(MachineId to, std::span<const Word> payload);
   void send(MachineId to, std::initializer_list<Word> payload);
 
-  /// Span-based send: copies `payload` into the arena without requiring
-  /// the caller to own a std::vector.
-  void send_batch(MachineId to, std::span<const Word> payload);
+  /// Coalesced send: appends `words` to this machine's run for `to`.
+  /// When the callback returns, each non-empty run becomes one message,
+  /// framed after the callback's plain sends, in ascending destination
+  /// order; boundaries between appends are not kept, so use it only
+  /// towards receivers that parse a flat run of fixed-width records. A
+  /// callback that throws delivers no part of its runs. One append is
+  /// capped at 2^32 - 1 words.
+  void send_coalesced(MachineId to, std::span<const Word> words);
+  void send_coalesced(MachineId to, std::initializer_list<Word> words);
 
   /// Zero-copy batched send: returns a writer appending directly to
   /// this machine's arena. The message is framed when the writer dies.
@@ -342,6 +360,11 @@ class Engine : private exec::ShardJobPlane {
 
   void check_machine_id(MachineId m, const char* what) const;
 
+  /// Runs machine m's callback `fn`, then frames m's coalesced runs; if
+  /// `fn` throws, the runs are dropped and the exception propagates.
+  template <class Fn>
+  void run_callback(MachineId m, Fn&& fn);
+
   /// The round skeleton shared by invoke_round and run_central_round:
   /// resets per-round scratch, runs `dispatch` (the callbacks), then
   /// merges staged frames, records metrics, audits space, and delivers.
@@ -363,6 +386,25 @@ class Engine : private exec::ShardJobPlane {
     std::vector<Word> words;
     std::vector<Frame> frames;
   };
+
+  /// One send_coalesced append, in append order: `len` words of the
+  /// run buffer, bound for `to`.
+  struct Piece {
+    MachineId to;
+    std::uint32_t len;
+  };
+
+  /// A machine's coalesced runs while its callback runs: the appended
+  /// words and their pieces, emptied when the callback returns. Buffers
+  /// keep their capacity across rounds.
+  struct Runs {
+    std::vector<Word> words;
+    std::vector<Piece> pieces;
+  };
+
+  /// Frames machine m's runs into its staging arena, one message per
+  /// destination in ascending destination order, and empties them.
+  void frame_runs(MachineId m);
 
   /// Inbox index entry: the message occupies
   /// slabs_[from].words[offset, offset+len).
@@ -438,6 +480,8 @@ class Engine : private exec::ShardJobPlane {
   // slabs_[s] = sender s's arena from the previous round, backing this
   // round's inboxes. Spent slabs are recycled as staging buffers.
   std::vector<Outbox> slabs_;
+  // runs_[m] = machine m's coalesced runs; empty outside m's callback.
+  std::vector<Runs> runs_;
   // inbox_frames_[m] = this round's messages for machine m, in
   // (sender id, send order) order; words live in slabs_.
   std::vector<std::vector<InboxFrame>> inbox_frames_;
@@ -515,6 +559,30 @@ inline MessageView MachineContext::message(std::size_t i) const {
 
 inline std::uint64_t MachineContext::inbox_words() const {
   return engine_.inbox_words_[id_];
+}
+
+inline void MachineContext::send_coalesced(MachineId to,
+                                           std::span<const Word> words) {
+  MRLR_REQUIRE(to < engine_.num_machines(), "send to nonexistent machine");
+  MRLR_REQUIRE(!engine_.writer_open_[id_],
+               "send while this machine's MessageWriter is open");
+  MRLR_REQUIRE(words.size() <= UINT32_MAX,
+               "send_coalesced: one append exceeds 2^32 - 1 words");
+  if (words.empty()) return;
+  Engine::Runs& r = engine_.runs_[id_];
+  r.words.insert(r.words.end(), words.begin(), words.end());
+  const auto len = static_cast<std::uint32_t>(words.size());
+  if (!r.pieces.empty() && r.pieces.back().to == to &&
+      r.pieces.back().len <= UINT32_MAX - len) {
+    r.pieces.back().len += len;
+  } else {
+    r.pieces.push_back({to, len});
+  }
+}
+
+inline void MachineContext::send_coalesced(MachineId to,
+                                           std::initializer_list<Word> words) {
+  send_coalesced(to, std::span<const Word>(words.begin(), words.size()));
 }
 
 inline MessageWriter::MessageWriter(Engine& engine, MachineId from,

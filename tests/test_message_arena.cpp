@@ -1,5 +1,5 @@
-// Tests for the flat-buffer message layer: the MessageWriter /
-// send_batch arena encode paths, span-view decode, slab move-merge
+// Tests for the flat-buffer message layer: the MessageWriter / send
+// arena encode paths, coalesced sends, span-view decode, slab move-merge
 // delivery, pending traffic after a failed space audit, and equality of
 // the two encode paths on adversarial workloads, across execution
 // backends.
@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mrlr/exec/process_shard_executor.hpp"
@@ -17,6 +19,7 @@
 #include "mrlr/exec/thread_pool_executor.hpp"
 #include "mrlr/mrc/engine.hpp"
 #include "mrlr/mrc/trace.hpp"
+#include "mrlr/obs/telemetry.hpp"
 #include "mrlr/util/rng.hpp"
 
 namespace mrlr::mrc {
@@ -81,7 +84,7 @@ TEST(MessageWriter, CancelSendsNothingAndChargesNothing) {
 }
 
 TEST(MessageWriter, EmptyCommitDeliversEmptyMessage) {
-  // Parity with send_batch: an empty writer and send(to, {}) both
+  // Parity with send: an empty writer and send(to, {}) both
   // deliver a 0-word message.
   Engine e(topo(2));
   const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
@@ -321,28 +324,221 @@ TEST_P(PendingInbox, TrafficFromBeforeTheJobReachesWorkerMachines) {
   EXPECT_EQ(central, (Transcript{{3, 0, 5}, {2, 0, 6}}));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, PendingInbox,
-    ::testing::Values(
-        PendingBackend{"serial",
-                       []() -> std::shared_ptr<exec::Executor> {
-                         return std::make_shared<exec::SerialExecutor>();
-                       }},
-        PendingBackend{"threads2",
-                       []() -> std::shared_ptr<exec::Executor> {
-                         return std::make_shared<exec::ThreadPoolExecutor>(2);
-                       }},
-        PendingBackend{"process2",
-                       []() -> std::shared_ptr<exec::Executor> {
-                         return std::make_shared<exec::ProcessShardExecutor>(2);
-                       }},
-        PendingBackend{"process3",
-                       []() -> std::shared_ptr<exec::Executor> {
-                         return std::make_shared<exec::ProcessShardExecutor>(3);
-                       }}),
-    [](const ::testing::TestParamInfo<PendingBackend>& info) {
-      return std::string(info.param.name);
+const auto kBackends = ::testing::Values(
+    PendingBackend{"serial",
+                   []() -> std::shared_ptr<exec::Executor> {
+                     return std::make_shared<exec::SerialExecutor>();
+                   }},
+    PendingBackend{"threads2",
+                   []() -> std::shared_ptr<exec::Executor> {
+                     return std::make_shared<exec::ThreadPoolExecutor>(2);
+                   }},
+    PendingBackend{"process2",
+                   []() -> std::shared_ptr<exec::Executor> {
+                     return std::make_shared<exec::ProcessShardExecutor>(2);
+                   }},
+    PendingBackend{"process3",
+                   []() -> std::shared_ptr<exec::Executor> {
+                     return std::make_shared<exec::ProcessShardExecutor>(3);
+                   }});
+
+std::string backend_name(const ::testing::TestParamInfo<PendingBackend>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, PendingInbox, kBackends, backend_name);
+
+// ---------------------------------------------------- coalesced sends --
+
+/// The coalescing cases run on the same backends. The sender, machine 3
+/// of 4, sits on a worker under the process backend.
+class Coalesced : public PendingInbox {
+ protected:
+  /// Defines a round in which every machine reports its inbox, each
+  /// message as (receiver, sender, payload...): the central machine into
+  /// `out` directly, the others as messages to the central machine.
+  static RoundId define_report(Engine& e, Transcript& out) {
+    return e.define_round("report", [&out](MachineContext& ctx, Params) {
+      Transcript read;
+      record_inbox(ctx, read);
+      for (std::vector<Word>& entry : read) {
+        entry.insert(entry.begin(), ctx.id());
+        if (ctx.is_central()) {
+          out.push_back(std::move(entry));
+        } else {
+          ctx.send(kCentral, entry);
+        }
+      }
     });
+  }
+
+  /// Appends the reports forwarded to the central machine to `out`.
+  static void collect(Engine& e, Transcript& out) {
+    e.run_central_round("collect", [&out](MachineContext& ctx) {
+      for (const MessageView msg : ctx.messages()) {
+        out.emplace_back(msg.payload.begin(), msg.payload.end());
+      }
+    });
+  }
+};
+
+TEST_P(Coalesced, OneMessagePerDestinationInAppendOrder) {
+  // Appends to one destination become one message holding their words
+  // in append order, framed after the callback's plain sends, with the
+  // runs in ascending destination order.
+  Engine e = make_engine(/*cap=*/1 << 20);
+  const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
+    if (ctx.id() != 3) return;
+    ctx.send_coalesced(2, {1, 2});
+    ctx.send_coalesced(0, {3});
+    ctx.send(2, {100});
+    ctx.send_coalesced(2, std::vector<Word>{4, 5, 6});
+    ctx.send_coalesced(1, {7});
+    ctx.send_coalesced(0, {});  // an empty append frames nothing
+    ctx.send_coalesced(0, {8, 9});
+    ctx.send(0, {200});
+  });
+  Transcript got;
+  const RoundId report = define_report(e, got);
+  e.invoke_round(send);
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 11u);
+  EXPECT_EQ(e.inbox_size(0), 2u);
+  EXPECT_EQ(e.inbox_words(0), 4u);
+  EXPECT_EQ(e.inbox_size(1), 1u);
+  EXPECT_EQ(e.inbox_size(2), 2u);
+  EXPECT_EQ(e.inbox_words(2), 6u);
+  e.invoke_round(report);
+  collect(e, got);
+  EXPECT_EQ(got, (Transcript{{0, 3, 200},
+                             {0, 3, 3, 8, 9},
+                             {1, 3, 7},
+                             {2, 3, 100},
+                             {2, 3, 1, 2, 4, 5, 6}}));
+}
+
+TEST_P(Coalesced, CentralRoundRunsAreFramedToo) {
+  Engine e = make_engine(/*cap=*/1 << 20);
+  Transcript got;
+  const RoundId report = define_report(e, got);
+  e.run_central_round("send", [](MachineContext& ctx) {
+    for (Word v = 0; v < 8; ++v) {
+      ctx.send_coalesced(static_cast<MachineId>(v % 4), {v});
+    }
+  });
+  for (MachineId m = 0; m < 4; ++m) EXPECT_EQ(e.inbox_size(m), 1u);
+  e.invoke_round(report);
+  collect(e, got);
+  EXPECT_EQ(got, (Transcript{{0, 0, 0, 4}, {1, 0, 1, 5}, {2, 0, 2, 6},
+                             {3, 0, 3, 7}}));
+}
+
+TEST_P(Coalesced, ThrowingCallbackDeliversNoPartOfItsRuns) {
+  Engine e = make_engine(/*cap=*/1 << 20);
+  const RoundId fail = e.define_round("fail", [](MachineContext& ctx, Params) {
+    if (ctx.id() != 3) return;
+    ctx.send_coalesced(0, {1, 2});
+    ctx.send_coalesced(2, {3});
+    throw std::runtime_error("callback failed");
+  });
+  const RoundId idle = e.define_round("idle", [](MachineContext&, Params) {});
+  EXPECT_THROW(e.invoke_round(fail), std::runtime_error);
+  EXPECT_THROW(e.run_central_round("fail",
+                                   [](MachineContext& ctx) {
+                                     ctx.send_coalesced(1, {4});
+                                     throw std::runtime_error("central");
+                                   }),
+               std::runtime_error);
+  e.invoke_round(idle);
+  for (MachineId m = 0; m < 4; ++m) {
+    EXPECT_EQ(e.inbox_size(m), 0u) << "machine " << m;
+  }
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 0u);
+}
+
+TEST_P(Coalesced, RunOfAThrowingAuditIsDeliveredOnce) {
+  // A resident-words violation leaves the framed runs pending like any
+  // other staged message: they arrive once, ahead of the next round's.
+  Engine e = make_engine(/*cap=*/16);
+  const RoundId violate =
+      e.define_round("violate", [](MachineContext& ctx, Params) {
+        if (ctx.id() != 3) return;
+        ctx.send_coalesced(2, {1});
+        ctx.send_coalesced(0, {2});
+        ctx.send_coalesced(2, {3});
+        ctx.charge_resident(100);
+      });
+  const RoundId after =
+      e.define_round("after", [](MachineContext& ctx, Params) {
+        if (ctx.id() == 3) ctx.send_coalesced(2, {4});
+      });
+  Transcript got;
+  const RoundId report = define_report(e, got);
+  EXPECT_THROW(e.invoke_round(violate), SpaceLimitExceeded);
+  EXPECT_EQ(e.inbox_size(2), 0u);
+  e.invoke_round(after);
+  EXPECT_EQ(e.inbox_size(0), 1u);
+  EXPECT_EQ(e.inbox_size(2), 2u);
+  e.invoke_round(report);
+  collect(e, got);
+  EXPECT_EQ(got, (Transcript{{0, 3, 2}, {2, 3, 1, 3}, {2, 3, 4}}));
+  e.invoke_round(report);
+  for (MachineId m = 0; m < 4; ++m) {
+    EXPECT_EQ(e.inbox_size(m), 0u) << "machine " << m;
+  }
+}
+
+TEST_P(Coalesced, MessageCounterFallsWhileWordsStayEqual) {
+  // engine.messages counts each message once, by the process that
+  // staged it, so every backend reports the serial count; coalescing
+  // cuts it from one message per append to one per (sender,
+  // destination), and the shuffled words do not move.
+  const auto run = [this](bool coalesce) {
+    obs::Telemetry& tel = obs::Telemetry::instance();
+    tel.enable();
+    Engine e = make_engine(/*cap=*/1 << 20);
+    const RoundId send =
+        e.define_round("send", [coalesce](MachineContext& ctx, Params) {
+          for (Word k = 0; k < 3; ++k) {
+            for (MachineId to = 0; to < 4; ++to) {
+              if (coalesce) {
+                ctx.send_coalesced(to, {ctx.id(), k});
+              } else {
+                ctx.send(to, {ctx.id(), k});
+              }
+            }
+          }
+        });
+    const RoundId idle =
+        e.define_round("idle", [](MachineContext&, Params) {});
+    e.invoke_round(send);
+    e.invoke_round(idle);
+    const std::uint64_t words = e.metrics().total_communication();
+    tel.disable();
+    const std::uint64_t messages = tel.snapshot().counters.at("engine.messages");
+    tel.clear();
+    return std::pair{messages, words};
+  };
+  const auto plain = run(false);
+  const auto coalesced = run(true);
+  EXPECT_EQ(plain.first, 4u * 4u * 3u);
+  EXPECT_EQ(coalesced.first, 4u * 4u);
+  EXPECT_EQ(plain.second, 4u * 4u * 3u * 2u);
+  EXPECT_EQ(coalesced.second, plain.second);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, Coalesced, kBackends, backend_name);
+
+TEST(SendCoalesced, WhileWriterOpenDies) {
+  Engine e(topo(2));
+  const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
+    if (!ctx.is_central()) return;
+    MessageWriter w = ctx.begin_message(1);
+    w.push(1);
+    ctx.send_coalesced(1, {2});  // would land inside w's frame
+  });
+  EXPECT_DEATH(e.invoke_round(send),
+               "send while this machine's MessageWriter is open");
+}
 
 // -------------------------------------------- adversarial round-trips --
 
@@ -413,11 +609,12 @@ std::vector<SentMsg> make_workload(Shape shape, std::uint64_t machines,
 }
 
 /// How run_fingerprint encodes each message.
-enum class Encode { kWriter, kSendBatch };
+enum class Encode { kWriter, kSend, kCoalesced };
 
 /// Runs the workload through one engine round and fingerprints every
 /// delivered (receiver, sender, payload) plus the full metrics trace.
-/// `encode` selects the send path: MessageWriter versus send_batch.
+/// `encode` selects the send path: MessageWriter, send or
+/// send_coalesced.
 std::string run_fingerprint(const std::vector<SentMsg>& ms,
                             std::uint64_t machines, Encode encode,
                             std::shared_ptr<exec::Executor> ex) {
@@ -430,8 +627,10 @@ std::string run_fingerprint(const std::vector<SentMsg>& ms,
       if (encode == Encode::kWriter) {
         MessageWriter w = ctx.begin_message(m.to);
         w.append(m.payload);
+      } else if (encode == Encode::kSend) {
+        ctx.send(m.to, m.payload);
       } else {
-        ctx.send_batch(m.to, m.payload);
+        ctx.send_coalesced(m.to, m.payload);
       }
     }
   });
@@ -454,19 +653,19 @@ std::string run_fingerprint(const std::vector<SentMsg>& ms,
   return os.str();
 }
 
-TEST(ArenaRoundTrip, WriterMatchesSendBatchOnAdversarialShapes) {
+TEST(ArenaRoundTrip, WriterMatchesSendOnAdversarialShapes) {
   for (const Shape shape : {Shape::kEmpty, Shape::kMaxLen, Shape::kManyTiny,
                             Shape::kAllToOne, Shape::kMixed}) {
     for (const std::uint64_t machines : {1ull, 3ull, 8ull}) {
       const auto ms =
           make_workload(shape, machines, 100 + static_cast<int>(shape));
-      const std::string batch = run_fingerprint(
-          ms, machines, Encode::kSendBatch,
+      const std::string plain = run_fingerprint(
+          ms, machines, Encode::kSend,
           std::make_shared<exec::SerialExecutor>());
       const std::string writer = run_fingerprint(
           ms, machines, Encode::kWriter,
           std::make_shared<exec::SerialExecutor>());
-      EXPECT_EQ(batch, writer)
+      EXPECT_EQ(plain, writer)
           << "shape=" << static_cast<int>(shape) << " machines=" << machines;
     }
   }
@@ -484,6 +683,24 @@ TEST(ArenaRoundTrip, ByteIdenticalAcrossBackends) {
       EXPECT_EQ(serial,
                 run_fingerprint(
                     ms, machines, Encode::kWriter,
+                    std::make_shared<exec::ThreadPoolExecutor>(threads)))
+          << "shape=" << static_cast<int>(shape) << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ArenaRoundTrip, CoalescedByteIdenticalAcrossThreadCounts) {
+  for (const Shape shape : {Shape::kManyTiny, Shape::kAllToOne,
+                            Shape::kMixed}) {
+    const std::uint64_t machines = 8;
+    const auto ms = make_workload(shape, machines, 11);
+    const std::string serial = run_fingerprint(
+        ms, machines, Encode::kCoalesced,
+        std::make_shared<exec::SerialExecutor>());
+    for (const unsigned threads : {2u, 8u}) {
+      EXPECT_EQ(serial,
+                run_fingerprint(
+                    ms, machines, Encode::kCoalesced,
                     std::make_shared<exec::ThreadPoolExecutor>(threads)))
           << "shape=" << static_cast<int>(shape) << " threads=" << threads;
     }

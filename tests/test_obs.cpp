@@ -505,9 +505,10 @@ struct MatchingResult {
   bool operator==(const MatchingResult&) const = default;
 };
 
-MatchingResult run_sharded_matching(std::uint64_t shards = 4) {
+MatchingResult run_sharded_matching(std::uint64_t shards = 4,
+                                    std::uint64_t vertices = 300) {
   Rng rng(17 ^ 0xABCDEFull);
-  graph::Graph g = graph::gnm_density(300, 0.5, rng);
+  graph::Graph g = graph::gnm_density(vertices, 0.5, rng);
   g = g.with_weights(
       graph::random_edge_weights(g, graph::WeightDist::kUniform, rng));
   core::MrParams params;
@@ -595,10 +596,12 @@ TEST_F(TelemetryTest, ProcessBackendWireCountersBalance) {
   // telemetry frames: in and out must agree. Only the handshake-era
   // frames and the last round's trailing worker frames escape, which
   // the data frames of a real job dwarf. At K = 4 most worker sends go
-  // to another worker, so the coordinator relays them undecoded.
+  // to another worker, so the coordinator relays them undecoded. The
+  // graph is larger than the other cases' so that the job, whose record
+  // rounds coalesce their sends, still puts over 1 MB on the wire.
   Telemetry& t = Telemetry::instance();
   t.enable();
-  const MatchingResult on = run_sharded_matching(4);
+  const MatchingResult on = run_sharded_matching(4, /*vertices=*/400);
   t.disable();
   ASSERT_FALSE(on.failed);
   const TelemetrySnapshot snap = t.snapshot();

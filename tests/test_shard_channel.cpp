@@ -16,6 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "mrlr/exec/shard_channel.hpp"
@@ -152,15 +155,40 @@ TEST(Tcp, ListenConnectRoundTripsFrames) {
   server.join();
 }
 
-TEST(Tcp, ConnectToClosedPortFailsTypedWithinTimeout) {
-  // Bind-then-close to obtain a port that refuses connections; the
-  // connector's refused-connection backoff must give up at the deadline
-  // with a typed error naming the endpoint, never hang.
-  std::uint16_t port;
-  {
-    TcpListener probe("127.0.0.1", 0);
-    port = probe.port();
+/// A TCP socket bound to an ephemeral loopback port that never listens:
+/// the kernel refuses connections to the port, and no other socket can
+/// take the port while this one holds it.
+struct BoundNotListening {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ~BoundNotListening() {
+    if (fd >= 0) ::close(fd);
   }
+
+  /// Binds to 127.0.0.1:0; returns the port, or 0 on failure.
+  std::uint16_t bind_ephemeral() const {
+    ::sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    ::socklen_t len = sizeof(addr);
+    if (fd < 0 ||
+        ::bind(fd, reinterpret_cast<const ::sockaddr*>(&addr), len) != 0 ||
+        ::getsockname(fd, reinterpret_cast<::sockaddr*>(&addr), &len) != 0) {
+      return 0;
+    }
+    return ntohs(addr.sin_port);
+  }
+};
+
+TEST(Tcp, ConnectToClosedPortFailsTypedWithinTimeout) {
+  // A port held by a bound socket that never listens refuses every
+  // connection for the whole test (a port closed before connecting could
+  // be taken by a test running in parallel); the connector's
+  // refused-connection backoff must give up at the deadline with a typed
+  // error naming the endpoint, never hang.
+  const BoundNotListening holder;
+  const std::uint16_t port = holder.bind_ephemeral();
+  ASSERT_NE(port, 0) << std::strerror(errno);
   const auto start = std::chrono::steady_clock::now();
   try {
     (void)tcp_connect({"127.0.0.1", port},

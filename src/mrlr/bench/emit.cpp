@@ -2,78 +2,22 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
 
 namespace mrlr::bench {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
+std::uint64_t env_threads() {
+  const char* env = std::getenv("MRLR_THREADS");
+  if (env == nullptr || *env == '\0') return 1;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return fallback;
+  if (end == env || *end != '\0') return 1;
   return static_cast<std::uint64_t>(v);
 }
-
-std::uint64_t env_threads() { return env_u64("MRLR_THREADS", 1); }
-std::uint64_t env_bench_n() { return env_u64("MRLR_BENCH_N", 0); }
 
 std::string fmt_double(double v, int prec) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", prec, v);
   return buf;
-}
-
-void print_header(const std::string& title, const std::string& claim) {
-  std::cout << "\n=== " << title << " ===\n" << claim << "\n\n";
-}
-
-void emit_table(const Table& t, const std::string& name) {
-  t.print(std::cout);
-  const char* dir = std::getenv("MRLR_BENCH_CSV");
-  if (dir == nullptr || *dir == '\0') return;
-  std::filesystem::create_directories(dir);
-  std::ofstream out(std::filesystem::path(dir) / (name + ".csv"));
-  t.write_csv(out);
-  std::cout << "[csv written: " << dir << "/" << name << ".csv]\n";
-}
-
-JsonRow::JsonRow(std::string name) : name_(std::move(name)) {
-  body_.set("bench", Json::string(name_));
-}
-
-JsonRow& JsonRow::field(const std::string& key, const std::string& value) {
-  body_.set(key, Json::string(value));
-  return *this;
-}
-JsonRow& JsonRow::field(const std::string& key, const char* value) {
-  body_.set(key, Json::string(value));
-  return *this;
-}
-JsonRow& JsonRow::field(const std::string& key, double value) {
-  body_.set(key, Json::number(value));
-  return *this;
-}
-JsonRow& JsonRow::field(const std::string& key, std::uint64_t value) {
-  body_.set(key, Json::number(static_cast<double>(value)));
-  return *this;
-}
-JsonRow& JsonRow::field(const std::string& key, bool value) {
-  body_.set(key, Json::boolean(value));
-  return *this;
-}
-
-void JsonRow::emit() const {
-  const std::string row = body_.dump();
-  std::cout << row << "\n";
-  const char* dir = std::getenv("MRLR_BENCH_JSON");
-  if (dir == nullptr || *dir == '\0') return;
-  std::filesystem::create_directories(dir);
-  std::ofstream out(std::filesystem::path(dir) / (name_ + ".jsonl"),
-                    std::ios::app);
-  out << row << "\n";
 }
 
 }  // namespace mrlr::bench

@@ -1,62 +1,19 @@
 #pragma once
-// Unified environment handling and machine-readable emission for every
-// bench surface (the harness runner, the thin google-benchmark wrapper
-// binaries, and bench_baseline_comparison). Before this lived in
-// bench/bench_common.hpp and each binary hand-rolled its own env reads
-// and JSONL rows; now there is one implementation.
+// Environment handling and number formatting shared by the bench
+// harness (`mrlr_cli bench`, bench_diff, bench_trajectory).
 //
-// Environment knobs (read here and nowhere else):
-//   MRLR_THREADS    — execution backend (1 serial, N pool, 0 hardware);
-//   MRLR_BENCH_N    — instance-size override for the wrapper binaries;
-//   MRLR_BENCH_CSV  — directory for per-table CSV dumps;
-//   MRLR_BENCH_JSON — directory for per-bench JSONL appends.
+// Environment knob (read here and nowhere else):
+//   MRLR_THREADS — execution backend (1 serial, N pool, 0 hardware).
 
 #include <cstdint>
 #include <string>
 
-#include "mrlr/bench/json.hpp"
-#include "mrlr/util/table.hpp"
-
 namespace mrlr::bench {
 
-/// Parses an unsigned integer environment variable; `fallback` when the
-/// variable is unset, empty, or unparsable.
-std::uint64_t env_u64(const char* name, std::uint64_t fallback);
-
-/// MRLR_THREADS (fallback 1 = serial backend).
+/// MRLR_THREADS; 1 (the serial backend) when the variable is unset,
+/// empty, or not an unsigned integer.
 std::uint64_t env_threads();
 
-/// MRLR_BENCH_N (fallback 0 = scenario default size).
-std::uint64_t env_bench_n();
-
 std::string fmt_double(double v, int prec = 2);
-
-void print_header(const std::string& title, const std::string& claim);
-
-/// Prints the table and, when MRLR_BENCH_CSV is set, writes it as CSV
-/// to $MRLR_BENCH_CSV/<name>.csv so plots can be regenerated without
-/// scraping stdout.
-void emit_table(const Table& t, const std::string& name);
-
-/// One flat JSON object per call, written as a single line (JSONL) to
-/// stdout; when MRLR_BENCH_JSON is set the row is also appended to
-/// $MRLR_BENCH_JSON/<name>.jsonl. Built on the harness Json type so
-/// escaping and number formatting match the result-file schema.
-class JsonRow {
- public:
-  explicit JsonRow(std::string name);
-
-  JsonRow& field(const std::string& key, const std::string& value);
-  JsonRow& field(const std::string& key, const char* value);
-  JsonRow& field(const std::string& key, double value);
-  JsonRow& field(const std::string& key, std::uint64_t value);
-  JsonRow& field(const std::string& key, bool value);
-
-  void emit() const;
-
- private:
-  std::string name_;
-  Json body_ = Json::object();
-};
 
 }  // namespace mrlr::bench

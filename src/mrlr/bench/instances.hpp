@@ -1,6 +1,6 @@
 #pragma once
-// Shared instance construction and parameter defaults for bench
-// scenarios and the remaining standalone bench binaries.
+// Shared instance construction and parameter defaults for the bench
+// scenarios.
 
 #include <cstdint>
 

@@ -1,28 +1,34 @@
 #include "mrlr/bench/manifest.hpp"
 
+#include <thread>
+
 namespace mrlr::bench {
 
-std::map<std::string, std::string> run_manifest(const RunContext& ctx) {
-  std::map<std::string, std::string> m;
+std::map<std::string, std::string> run_manifest(const BenchResult& r) {
+  std::map<std::string, std::string> m = r.manifest;
 #ifdef MRLR_BUILD_TYPE
-  m["build_type"] = MRLR_BUILD_TYPE;
+  m.emplace("build_type", MRLR_BUILD_TYPE);
 #else
-  m["build_type"] = "unknown";
+  m.emplace("build_type", "unknown");
 #endif
 #ifdef MRLR_GIT_DESCRIBE
-  m["git_describe"] = MRLR_GIT_DESCRIBE;
+  m.emplace("git_describe", MRLR_GIT_DESCRIBE);
 #else
-  m["git_describe"] = "unknown";
+  m.emplace("git_describe", "unknown");
 #endif
-  m["backend"] = ctx.process_backend ? "process"
-                 : ctx.threads == 1  ? "serial"
-                                     : "threads";
-  m["threads"] = std::to_string(ctx.threads);
-  m["shards"] = std::to_string(ctx.shards);
-  m["n_override"] = std::to_string(ctx.n_override);
+  const auto shards = r.extra.find("shards");
+  m.emplace("backend", shards != r.extra.end() ? "process"
+                       : r.threads > 1         ? "threads"
+                                               : "serial");
+  m.emplace("threads", std::to_string(r.threads));
+  m.emplace("shards",
+            std::to_string(shards != r.extra.end()
+                               ? static_cast<std::uint64_t>(shards->second)
+                               : 1));
+  m.emplace("nproc", std::to_string(std::thread::hardware_concurrency()));
   // Scenarios pin their own seeds (that is what makes baselines
   // diffable); record the policy rather than a number.
-  m["seed"] = "scenario-pinned";
+  m.emplace("seed", "scenario-pinned");
   return m;
 }
 

@@ -8,8 +8,8 @@
 // committed baseline.
 //
 // Scenarios are grouped by tags (paper-f1, rounds-vs-mu, space-vs-c,
-// shuffle, io, threads, smoke); `mrlr_cli bench --group` and the thin
-// bench wrapper binaries select by tag. Registration is explicit
+// shuffle, io, threads, process, serve, compare, large, smoke);
+// `mrlr_cli bench --group` selects by tag. Registration is explicit
 // (register_builtin_scenarios), not static-initializer magic: mrlr is a
 // static library and self-registering translation units would be
 // silently dropped by the linker.
@@ -30,24 +30,14 @@ struct RunContext {
   /// pin their own value and ignore this.
   std::uint64_t threads = 1;
 
-  /// `mrlr_cli bench --backend process [--shards K]`: scenarios whose
-  /// driver is ported to the process-sharded backend (currently the
-  /// rlr-matching family) run it with num_shards = shards; scenarios
-  /// whose drivers are not yet process-clean keep their pinned
-  /// in-process backend. Either way every non-timing result field must
-  /// equal the committed baseline — that is the backend determinism
-  /// contract the perf-smoke CI job checks.
+  /// `mrlr_cli bench --backend process [--shards K]`: scenarios that
+  /// honor the session backend (the rlr-matching family and the compare
+  /// group) run their driver with num_shards = shards; the rest keep
+  /// their pinned backend. Either way every non-timing result field
+  /// must equal the committed baseline — that is the backend
+  /// determinism contract the perf-smoke CI job checks.
   bool process_backend = false;
   std::uint64_t shards = 2;
-
-  /// Instance-size override for the wrapper binaries' MRLR_BENCH_N
-  /// back-compat knob. 0 = the scenario's pinned default, which is what
-  /// `mrlr_cli bench` always uses so baselines stay comparable.
-  std::uint64_t n_override = 0;
-
-  std::uint64_t scale_n(std::uint64_t scenario_default) const {
-    return n_override != 0 ? n_override : scenario_default;
-  }
 };
 
 struct Scenario {

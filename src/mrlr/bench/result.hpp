@@ -16,7 +16,8 @@
 //                               bounds, telemetry per-phase totals);
 //                               never compared;
 //   * manifest                — run provenance strings (build type,
-//                               git describe, backend knobs); never
+//                               git describe, the backend, threads
+//                               and shards the scenario ran); never
 //                               compared, omitted from JSON when empty
 //                               (older files parse unchanged).
 //

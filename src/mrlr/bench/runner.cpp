@@ -44,27 +44,13 @@ BenchResult run_one(const Scenario& s, const RunContext& ctx,
   BenchResult r = s.run(ctx);
   r.name = s.name;
   if (tel.enabled()) fold_telemetry(r, tel, span_mark);
-  r.manifest = run_manifest(ctx);
+  r.manifest = run_manifest(r);
   log << (r.failed ? "FAILED" : "ok") << " ("
       << fmt_double(r.wall_seconds, 3) << "s)\n";
   return r;
 }
 
 }  // namespace
-
-std::vector<BenchResult> run_group(const Registry& registry,
-                                   const std::string& group,
-                                   const RunContext& context,
-                                   std::ostream& log) {
-  const auto selected = select_scenarios(registry, {group}, {});
-  std::vector<BenchResult> results;
-  results.reserve(selected.size());
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    results.push_back(
-        run_one(*selected[i], context, log, i, selected.size()));
-  }
-  return results;
-}
 
 int run_bench(const Registry& registry, const RunOptions& options,
               std::ostream& log) {

@@ -1,8 +1,6 @@
 #pragma once
 // Drives a selected set of registry scenarios and writes the versioned
-// result file. Shared between `mrlr_cli bench` and the thin wrapper
-// bench binaries (which run a single group and re-render the results in
-// their historical table formats).
+// result file: the body of `mrlr_cli bench`.
 
 #include <iosfwd>
 #include <string>
@@ -32,12 +30,5 @@ struct RunOptions {
 ///   2 — selection/usage errors (unknown group or scenario).
 int run_bench(const Registry& registry, const RunOptions& options,
               std::ostream& log);
-
-/// Runs one group and returns the results (wrapper-binary path; no
-/// file, no summary — the wrapper renders its own table).
-std::vector<BenchResult> run_group(const Registry& registry,
-                                   const std::string& group,
-                                   const RunContext& context,
-                                   std::ostream& log);
 
 }  // namespace mrlr::bench

@@ -1,8 +1,5 @@
-// Built-in scenario definitions: the port of the old standalone bench
-// binaries (bench_f1_* x8, bench_rounds_scaling, bench_space_scaling,
-// bench_quality) onto the declarative registry, plus the engine-level
-// shuffle / io / thread-scaling scenarios backing the thin wrapper
-// binaries.
+// Built-in scenario definitions for `mrlr_cli bench`, the one bench
+// harness.
 //
 // Every scenario pins its instance seed, so all non-timing fields
 // (rounds, space, quality, determinism hash) are exactly reproducible
@@ -16,6 +13,12 @@
 //   shuffle      — flat-arena message shuffle throughput;
 //   io           — text vs .mgb ingestion throughput;
 //   threads      — executor backend scaling (determinism across 1/2/8);
+//   process      — fork and TCP shard backends, plus one serial-vs-K=4
+//                  scenario per jobs-registry algorithm;
+//   serve        — the job daemon under 1 and 4 concurrent clients;
+//   compare      — FIG-CMP1-5: RLR vs the baselines and the technique's
+//                  ablations (not in smoke, not in the baseline);
+//   large        — nightly-scale instances;
 //   smoke        — the fast subset CI diffs against the baseline.
 
 #include <algorithm>
@@ -32,9 +35,7 @@
 #include "mrlr/bench/instances.hpp"
 #include "mrlr/bench/registry.hpp"
 
-#include "mrlr/baselines/coreset_matching.hpp"
 #include "mrlr/baselines/filtering_matching.hpp"
-#include "mrlr/baselines/luby_colouring_mr.hpp"
 #include "mrlr/baselines/luby_mr.hpp"
 #include "mrlr/baselines/sample_prune_setcover.hpp"
 #include "mrlr/core/colouring.hpp"
@@ -63,6 +64,7 @@
 #include "mrlr/serve/protocol.hpp"
 #include "mrlr/serve/spawn.hpp"
 #include "mrlr/seq/misra_gries.hpp"
+#include "mrlr/seq/streaming_matching.hpp"
 #include "mrlr/setcover/generators.hpp"
 #include "mrlr/setcover/validate.hpp"
 #include "mrlr/util/math.hpp"
@@ -106,20 +108,18 @@ void fill_outcome(BenchResult& r, const core::MrOutcome& o) {
 /// scenario_params plus the session's backend request. Every driver
 /// honors MrParams::num_shards (all are process-clean); under
 /// --backend process the scenario runs K persistent worker shards and
-/// must still reproduce the baseline bit-for-bit.
+/// must still reproduce the baseline bit-for-bit. The threads and
+/// shards that actually run are recorded in `res`, so the run manifest
+/// reports them.
 core::MrParams exec_params(double mu, std::uint64_t seed,
-                           const RunContext& ctx) {
-  core::MrParams p =
-      scenario_params(mu, seed, ctx.process_backend ? 1 : ctx.threads);
-  if (ctx.process_backend) p.num_shards = std::max<std::uint64_t>(2, ctx.shards);
+                           const RunContext& ctx, BenchResult& res) {
+  res.threads = ctx.process_backend ? 1 : ctx.threads;
+  core::MrParams p = scenario_params(mu, seed, res.threads);
+  if (ctx.process_backend) {
+    p.num_shards = std::max<std::uint64_t>(2, ctx.shards);
+    res.extra["shards"] = static_cast<double>(p.num_shards);
+  }
   return p;
-}
-
-/// The thread count a scenario using exec_params actually runs at —
-/// recorded in the result so the emitted metadata never misreports the
-/// configuration under --backend process (which pins one thread).
-std::uint64_t exec_threads(const RunContext& ctx) {
-  return ctx.process_backend ? 1 : ctx.threads;
 }
 
 // ------------------------------------------------------ paper-f1 ----
@@ -149,14 +149,13 @@ void add_f1_matching(Registry& r) {
              res.n = cfg.n;
              res.c = cfg.c;
              res.mu = cfg.mu;
-             res.threads = exec_threads(ctx);
              const graph::Graph g = weighted_gnm(
                  cfg.n, cfg.c, WeightDist::kUniform, cfg.n + 17);
              res.m = g.num_edges();
              const auto sq = seq::local_ratio_matching(g);
              Timer t;
              const auto out =
-                 core::rlr_matching(g, exec_params(cfg.mu, 1, ctx));
+                 core::rlr_matching(g, exec_params(cfg.mu, 1, ctx, res));
              res.wall_seconds = t.elapsed();
              fill_outcome(res, out.outcome);
              res.quality = out.weight;
@@ -593,13 +592,12 @@ void add_rounds_scaling(Registry& r) {
              res.n = n;
              res.c = c;
              res.mu = cfg.mu;
-             res.threads = exec_threads(ctx);
              const graph::Graph g =
                  weighted_gnm(n, c, WeightDist::kUniform, 31);
              res.m = g.num_edges();
              Timer t;
              const auto out =
-                 core::rlr_matching(g, exec_params(cfg.mu, 1, ctx));
+                 core::rlr_matching(g, exec_params(cfg.mu, 1, ctx, res));
              res.wall_seconds = t.elapsed();
              fill_outcome(res, out.outcome);
              res.quality = out.weight;
@@ -627,13 +625,12 @@ void add_rounds_scaling(Registry& r) {
            res.n = n;
            res.c = 0.45;
            res.mu = 0.0;
-           res.threads = exec_threads(ctx);
            const graph::Graph g =
                weighted_gnm(n, 0.45, WeightDist::kUniform, 77);
            res.m = g.num_edges();
            Timer t;
            const auto out =
-               core::rlr_matching(g, exec_params(0.0, 1, ctx));
+               core::rlr_matching(g, exec_params(0.0, 1, ctx, res));
            res.wall_seconds = t.elapsed();
            fill_outcome(res, out.outcome);
            res.quality = out.weight;
@@ -720,9 +717,9 @@ void add_space_scaling(Registry& r) {
              res.n = n;
              res.c = c;
              res.mu = mu;
-             // Only the matching branch honors the process backend.
-             res.threads =
-                 algo == "matching" ? exec_threads(ctx) : ctx.threads;
+             // Only the matching branch honors the process backend
+             // (exec_params records what it runs).
+             res.threads = ctx.threads;
              const std::uint64_t eta = ipow_real(n, 1.0 + mu);
              Timer t;
              if (algo == "matching") {
@@ -730,7 +727,7 @@ void add_space_scaling(Registry& r) {
                    weighted_gnm(n, c, WeightDist::kUniform, 13);
                res.m = g.num_edges();
                const auto out =
-                   core::rlr_matching(g, exec_params(mu, 1, ctx));
+                   core::rlr_matching(g, exec_params(mu, 1, ctx, res));
                res.wall_seconds = t.elapsed();
                fill_outcome(res, out.outcome);
                res.quality = out.weight;
@@ -903,8 +900,8 @@ void add_shuffle(Registry& r) {
     r.add({"shuffle/" + pat + "-arena",
            {"shuffle", "smoke"},
            "message shuffle throughput (" + pat + " pattern)",
-           [pat](const RunContext& ctx) {
-             const std::uint64_t n = ctx.scale_n(1200);
+           [pat](const RunContext&) {
+             const std::uint64_t n = 1200;
              const double c = 0.5;
              BenchResult res;
              res.algo = "shuffle-arena";
@@ -995,9 +992,9 @@ void add_io(Registry& r) {
       r.add({"io/" + fmt + "-" + operation,
              {"io", "smoke"},
              "graph " + operation + " throughput, " + fmt + " format",
-             [fmt, operation](const RunContext& ctx) {
+             [fmt, operation](const RunContext&) {
                namespace fs = std::filesystem;
-               const std::uint64_t n = ctx.scale_n(60000);
+               const std::uint64_t n = 60000;
                const std::uint64_t m = 4 * n;
                BenchResult res;
                res.algo = "graph-io-" + operation;
@@ -1060,213 +1057,63 @@ void add_io(Registry& r) {
   }
 }
 
-// ------------------------------------------------------- threads ----
+// ------------------------------------------------------ backends ----
 
-// Executor-backend scaling: the same simulation at a pinned thread
-// count. Every field except wall_seconds must be identical across the
-// t1/t2/t8 scenarios — that is the PR 1 determinism contract, and the
-// baseline diff enforces it hash-by-hash.
-void add_threads(Registry& r) {
+enum class Backend { kThreads, kProcess, kTcp };
+
+// Executor-backend determinism: one rlr matching workload on every
+// backend. exec/threads/tT runs the serial (T = 1) or thread-pool
+// executor; exec/process/kK runs K persistent fork-worker shards;
+// exec/tcp/kK runs against K - 1 forked loopback TCP workers that start
+// from nothing and rebuild the driver from the shipped job spec; a
+// kKxtT suffix gives every shard a shard-local pool of T threads.
+// Threads and shards are excluded from the hash, so every row must
+// report exec/threads/t1's hash: neither the executor, the shard
+// transport, the coordinator merge nor the wire bootstrap may perturb
+// a single bit.
+void add_backends(Registry& r) {
   struct Cfg {
-    std::uint64_t threads;
-    std::vector<std::string> groups;
-  };
-  for (const Cfg& cfg : {
-           Cfg{1, {"threads", "smoke"}},
-           Cfg{2, {"threads", "smoke"}},
-           Cfg{8, {"threads"}},
-       }) {
-    r.add({"exec/threads/t" + std::to_string(cfg.threads),
-           cfg.groups,
-           "rlr matching on the " +
-               std::string(cfg.threads == 1 ? "serial" : "thread-pool") +
-               " backend (results must match t1 exactly)",
-           [cfg](const RunContext& ctx) {
-             const std::uint64_t n = ctx.scale_n(3000);
-             const double c = 0.5, mu = 0.1;
-             BenchResult res;
-             res.algo = "rlr-mwm";
-             res.family = "gnm-density";
-             res.n = n;
-             res.c = c;
-             res.mu = mu;
-             res.threads = cfg.threads;
-             const graph::Graph g =
-                 weighted_gnm(n, c, WeightDist::kUniform, n + 3);
-             res.m = g.num_edges();
-             Timer t;
-             const auto out = core::rlr_matching(
-                 g, scenario_params(mu, 1, cfg.threads));
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
-             res.failed =
-                 res.failed || !graph::is_matching(g, out.matching);
-             HashAcc h;
-             h.mix_range(out.matching);
-             h.mix(out.weight);
-             // Deliberately exclude threads from the hash: equal hashes
-             // across t1/t2/t8 certify backend determinism.
-             res.determinism_hash = h.value();
-             return res;
-           }});
-  }
-}
-
-// ------------------------------------------------------- process ----
-
-// Process-sharded backend determinism: the exact exec/threads workload
-// run with K persistent worker shard processes (spawned once per job).
-// Every non-timing field —
-// in particular the determinism hash — must equal exec/threads/t1,
-// which is the cross-PROCESS extension of the PR 1 contract: the shard
-// transport and coordinator merge must not perturb a single bit.
-void add_process(Registry& r) {
-  struct Cfg {
-    std::uint64_t shards;
-    std::vector<std::string> groups;
-  };
-  for (const Cfg& cfg : {
-           Cfg{1, {"process"}},
-           Cfg{2, {"process", "smoke"}},
-           Cfg{4, {"process", "smoke"}},
-       }) {
-    r.add({"exec/process/k" + std::to_string(cfg.shards),
-           cfg.groups,
-           "rlr matching on the process-shard backend, " +
-               std::to_string(cfg.shards) +
-               " persistent worker shards (results must match "
-               "exec/threads/t1 exactly)",
-           [cfg](const RunContext& ctx) {
-             const std::uint64_t n = ctx.scale_n(3000);
-             const double c = 0.5, mu = 0.1;
-             BenchResult res;
-             res.algo = "rlr-mwm";
-             res.family = "gnm-density";
-             res.n = n;
-             res.c = c;
-             res.mu = mu;
-             res.threads = 1;
-             const graph::Graph g =
-                 weighted_gnm(n, c, WeightDist::kUniform, n + 3);
-             res.m = g.num_edges();
-             core::MrParams params = scenario_params(mu, 1, 1);
-             params.num_shards = cfg.shards;
-             Timer t;
-             const auto out = core::rlr_matching(g, params);
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
-             res.failed =
-                 res.failed || !graph::is_matching(g, out.matching);
-             HashAcc h;
-             h.mix_range(out.matching);
-             h.mix(out.weight);
-             // Shards excluded from the hash, like threads: equal
-             // hashes across t1/k1/k2/k4 certify backend determinism.
-             res.determinism_hash = h.value();
-             res.extra["shards"] = static_cast<double>(cfg.shards);
-             return res;
-           }});
-  }
-}
-
-// --------------------------------------------------------- tcp ----
-
-// True multi-host determinism: the exact exec/threads workload run
-// against forked loopback TCP workers that start from nothing — each
-// job ships the full instance + params over the wire and the workers
-// rebuild the driver from the spec. Equal hashes across
-// t1/k1/k2/k4/tcp-k2/tcp-k4 certify that neither the transport nor the
-// wire bootstrap perturbs a single bit.
-void add_tcp(Registry& r) {
-  struct Cfg {
-    std::uint64_t shards;
-    std::vector<std::string> groups;
-  };
-  for (const Cfg& cfg : {
-           Cfg{2, {"process", "smoke"}},
-           Cfg{4, {"process", "smoke"}},
-       }) {
-    r.add({"exec/tcp/k" + std::to_string(cfg.shards),
-           cfg.groups,
-           "rlr matching over " + std::to_string(cfg.shards - 1) +
-               " loopback TCP workers bootstrapped from the shipped "
-               "job spec (results must match exec/threads/t1 exactly)",
-           [cfg](const RunContext& ctx) {
-             const std::uint64_t n = ctx.scale_n(3000);
-             const double c = 0.5, mu = 0.1;
-             BenchResult res;
-             res.algo = "rlr-mwm";
-             res.family = "gnm-density";
-             res.n = n;
-             res.c = c;
-             res.mu = mu;
-             res.threads = 1;
-             const graph::Graph g =
-                 weighted_gnm(n, c, WeightDist::kUniform, n + 3);
-             res.m = g.num_edges();
-             core::MrParams params = scenario_params(mu, 1, 1);
-             params.num_shards = cfg.shards;
-             // Fleet setup (fork + bind) stays outside the timer; the
-             // measured run includes connect, handshake, bootstrap
-             // shipping, and the rounds themselves.
-             jobs::ScopedTcpLoopback fleet(
-                 static_cast<unsigned>(cfg.shards - 1));
-             exec::ProcessBackendConfig pbc;
-             pbc.workers = fleet.endpoints();
-             pbc.job_spec = jobs::encode_job_spec(
-                 jobs::graph_job("matching", g, params));
-             exec::ScopedProcessBackendConfig guard(std::move(pbc));
-             Timer t;
-             const auto out = core::rlr_matching(g, params);
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
-             res.failed =
-                 res.failed || !graph::is_matching(g, out.matching);
-             HashAcc h;
-             h.mix_range(out.matching);
-             h.mix(out.weight);
-             res.determinism_hash = h.value();
-             res.extra["shards"] = static_cast<double>(cfg.shards);
-             return res;
-           }});
-  }
-}
-
-// ---------------------------------------------------- composed ----
-
-// --threads x --shards composition: the exact exec/threads workload run
-// with K process shards, each executing its machine range on a
-// shard-local pool of T threads (K x T concurrent callbacks). Hashes
-// must equal exec/threads/t1 — the composition must not perturb a
-// single bit, whether the shards are forked or bootstrapped over TCP.
-void add_composed(Registry& r) {
-  struct Cfg {
+    Backend backend;
     std::uint64_t shards;
     std::uint64_t threads;
-    bool tcp;
     std::vector<std::string> groups;
   };
   for (const Cfg& cfg : {
-           Cfg{2, 4, false, {"process", "smoke"}},
-           Cfg{4, 2, false, {"process"}},
-           Cfg{2, 4, true, {"process", "smoke"}},
+           Cfg{Backend::kThreads, 1, 1, {"threads", "smoke"}},
+           Cfg{Backend::kThreads, 1, 2, {"threads", "smoke"}},
+           Cfg{Backend::kThreads, 1, 8, {"threads"}},
+           Cfg{Backend::kProcess, 1, 1, {"process"}},
+           Cfg{Backend::kProcess, 2, 1, {"process", "smoke"}},
+           Cfg{Backend::kProcess, 4, 1, {"process", "smoke"}},
+           Cfg{Backend::kTcp, 2, 1, {"process", "smoke"}},
+           Cfg{Backend::kTcp, 4, 1, {"process", "smoke"}},
+           Cfg{Backend::kProcess, 2, 4, {"process", "smoke"}},
+           Cfg{Backend::kProcess, 4, 2, {"process"}},
+           Cfg{Backend::kTcp, 2, 4, {"process", "smoke"}},
        }) {
-    const std::string name = std::string(cfg.tcp ? "exec/tcp/k"
-                                                 : "exec/process/k") +
-                             std::to_string(cfg.shards) + "xt" +
-                             std::to_string(cfg.threads);
+    const std::string k = std::to_string(cfg.shards);
+    const std::string t = std::to_string(cfg.threads);
+    std::string name, where;
+    if (cfg.backend == Backend::kThreads) {
+      name = "exec/threads/t" + t;
+      where = cfg.threads == 1 ? "the serial backend"
+                               : "a " + t + "-thread pool";
+    } else {
+      const bool tcp = cfg.backend == Backend::kTcp;
+      name = (tcp ? "exec/tcp/k" : "exec/process/k") + k;
+      where = k + (tcp ? " TCP worker shard" : " process shard") +
+              (cfg.shards == 1 ? "" : "s");
+      if (cfg.threads > 1) {
+        name += "xt" + t;
+        where += " x " + t + " shard-local threads";
+      }
+    }
     r.add({name,
            cfg.groups,
-           "rlr matching on " + std::to_string(cfg.shards) +
-               (cfg.tcp ? " TCP worker shards x " : " process shards x ") +
-               std::to_string(cfg.threads) +
-               " shard-local threads (results must match exec/threads/t1 "
-               "exactly)",
-           [cfg](const RunContext& ctx) {
-             const std::uint64_t n = ctx.scale_n(3000);
+           "rlr matching on " + where +
+               " (results must match exec/threads/t1 exactly)",
+           [cfg](const RunContext&) {
+             const std::uint64_t n = 3000;
              const double c = 0.5, mu = 0.1;
              BenchResult res;
              res.algo = "rlr-mwm";
@@ -1280,19 +1127,23 @@ void add_composed(Registry& r) {
              res.m = g.num_edges();
              core::MrParams params = scenario_params(mu, 1, cfg.threads);
              params.num_shards = cfg.shards;
+             // Fleet setup (fork + bind) stays outside the timer; a TCP
+             // run times connect, handshake, bootstrap shipping, and
+             // the rounds themselves.
              std::optional<jobs::ScopedTcpLoopback> fleet;
              std::optional<exec::ScopedProcessBackendConfig> guard;
-             if (cfg.tcp) {
+             if (cfg.backend == Backend::kTcp) {
                fleet.emplace(static_cast<unsigned>(cfg.shards - 1));
                exec::ProcessBackendConfig pbc;
                pbc.workers = fleet->endpoints();
                pbc.job_spec = jobs::encode_job_spec(
                    jobs::graph_job("matching", g, params));
                guard.emplace(std::move(pbc));
+               res.manifest["backend"] = "tcp";
              }
-             Timer t;
+             Timer timer;
              const auto out = core::rlr_matching(g, params);
-             res.wall_seconds = t.elapsed();
+             res.wall_seconds = timer.elapsed();
              fill_outcome(res, out.outcome);
              res.quality = out.weight;
              res.failed =
@@ -1300,326 +1151,336 @@ void add_composed(Registry& r) {
              HashAcc h;
              h.mix_range(out.matching);
              h.mix(out.weight);
-             // Shards and threads are both excluded from the hash:
-             // equal hashes across t1 and every kKxtT certify that the
-             // composition is invisible in the output.
              res.determinism_hash = h.value();
-             res.extra["shards"] = static_cast<double>(cfg.shards);
+             if (cfg.backend != Backend::kThreads) {
+               res.extra["shards"] = static_cast<double>(cfg.shards);
+             }
              return res;
            }});
   }
 }
 
-// Per-driver process smoke: every ported driver runs the identical
-// pinned instance twice — serial, then on K=4 persistent worker
-// shards — and the scenario fails on any fingerprint mismatch. The
-// fingerprint mixes the full result vector, the exact weight, and the
-// engine cost metrics, so the check is the in-registry version of the
-// test_exec byte-identity suite and runs in the smoke CI job on every
-// push. The reported hash is the serial one (shards never perturb it;
-// that is the point).
+// ------------------------------------------------------- drivers ----
+
+/// The solution value a JobResult reports: the weight for weighted
+/// problems, the colour count for colourings, else the solution size.
+double job_quality(const jobs::JobResult& r) {
+  if (r.stat("weight") != nullptr) return r.stat_double("weight");
+  if (r.stat("colours") != nullptr) {
+    return static_cast<double>(r.stat_count("colours"));
+  }
+  return static_cast<double>(r.solution_size);
+}
+
+// Per-driver process smoke, generated from the jobs registry: every
+// registered algorithm runs one pinned instance through jobs::run_job
+// twice, serially and then on 4 persistent worker shards. The scenario
+// fails unless both results are valid and their jobs::determinism_hash
+// values (solution ids, every stat, the engine cost metrics) are equal.
+// The reported cost and quality fields are the serial run's.
 void add_process_drivers(Registry& r) {
-  // Runs one driver at the given shard count; returns the fingerprint
-  // and fills the result's cost/quality fields from that run.
-  using DriverFn =
-      std::function<std::uint64_t(std::uint64_t shards, BenchResult& res)>;
-  struct Cfg {
-    std::string name;  // exec/process/<name>
-    std::string algo;
-    DriverFn run;
-  };
-
-  const auto graph_instance = [] {
-    return weighted_gnm(900, 0.5, WeightDist::kUniform, 911);
-  };
-  const auto cover_instance = [] {
-    Rng rng(4242);
-    return setcover::many_sets(400, 52, 12, WeightDist::kUniform, rng);
-  };
-  const auto mix_outcome = [](HashAcc& h, const core::MrOutcome& o) {
-    h.mix(o.rounds);
-    h.mix(o.iterations);
-    h.mix(o.max_machine_words);
-    h.mix(o.max_central_inbox);
-    h.mix(o.total_communication);
-    h.mix(static_cast<std::uint64_t>(o.failed));
-  };
-  const auto params_k = [](double mu, std::uint64_t seed,
-                           std::uint64_t shards) {
-    core::MrParams p = scenario_params(mu, seed, 1);
-    p.num_shards = shards;
-    return p;
-  };
-
-  const std::vector<Cfg> cfgs = {
-      {"setcover-f", "rlr-setcover-f",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const auto sys = cover_instance();
-         res.n = sys.num_sets();
-         res.m = sys.total_incidences();
-         const auto out =
-             core::rlr_set_cover(sys, params_k(0.3, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = out.weight;
-         res.failed =
-             res.failed || !setcover::is_cover(sys, out.cover);
-         HashAcc h;
-         h.mix_range(out.cover);
-         h.mix(out.weight);
-         h.mix(out.lower_bound);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"setcover-greedy", "hungry-greedy-setcover",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const auto sys = cover_instance();
-         res.n = sys.num_sets();
-         res.m = sys.total_incidences();
-         const auto out = core::greedy_set_cover_mr(
-             sys, /*eps=*/0.3, params_k(0.3, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = out.weight;
-         res.failed =
-             res.failed || !setcover::is_cover(sys, out.cover);
-         HashAcc h;
-         h.mix_range(out.cover);
-         h.mix(out.weight);
-         h.mix(out.preprocessed_sets);
-         h.mix(out.sampling_failures);
-         h.mix(out.level_drops);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"sample-prune-setcover", "sample-prune-setcover",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const auto sys = cover_instance();
-         res.n = sys.num_sets();
-         res.m = sys.total_incidences();
-         const auto out = baselines::sample_prune_set_cover(
-             sys, /*eps=*/0.3, params_k(0.3, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = out.weight;
-         res.failed =
-             res.failed || !setcover::is_cover(sys, out.cover);
-         HashAcc h;
-         h.mix_range(out.cover);
-         h.mix(out.weight);
-         h.mix(out.level_drops);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"bmatching", "rlr-bmatching",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         std::vector<std::uint32_t> b(g.num_vertices());
-         for (std::size_t v = 0; v < b.size(); ++v) {
-           b[v] = 1 + static_cast<std::uint32_t>(v % 3);
-         }
-         const auto out = core::rlr_b_matching(
-             g, b, /*eps=*/0.25, params_k(0.25, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = out.weight;
-         res.failed =
-             res.failed || !graph::is_b_matching(g, out.matching, b);
-         HashAcc h;
-         h.mix_range(out.matching);
-         h.mix(out.weight);
-         h.mix(out.stack_size);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"mis", "hungry-mis-improved",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out =
-             core::hungry_mis_improved(g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = static_cast<double>(out.independent_set.size());
-         res.failed = res.failed ||
-                      !graph::is_independent_set(g, out.independent_set);
-         HashAcc h;
-         h.mix_range(out.independent_set);
-         h.mix(out.phases);
-         h.mix(out.central_adds);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"mis-simple", "hungry-mis-simple",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out =
-             core::hungry_mis_simple(g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = static_cast<double>(out.independent_set.size());
-         res.failed = res.failed ||
-                      !graph::is_independent_set(g, out.independent_set);
-         HashAcc h;
-         h.mix_range(out.independent_set);
-         h.mix(out.phases);
-         h.mix(out.central_adds);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"luby-mis", "luby-mis",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out =
-             baselines::luby_mis_mr(g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = static_cast<double>(out.independent_set.size());
-         res.failed = res.failed ||
-                      !graph::is_independent_set(g, out.independent_set);
-         HashAcc h;
-         h.mix_range(out.independent_set);
-         h.mix(out.phases);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"clique", "hungry-clique",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out =
-             core::hungry_clique(g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = static_cast<double>(out.clique.size());
-         res.failed = res.failed || !graph::is_clique(g, out.clique);
-         HashAcc h;
-         h.mix_range(out.clique);
-         h.mix(out.central_adds);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"colour-vertex", "mr-vertex-colouring",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out =
-             core::mr_vertex_colouring(g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = static_cast<double>(out.colours_used);
-         HashAcc h;
-         h.mix_range(out.colour);
-         h.mix(out.colours_used);
-         h.mix(out.groups);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"colour-edge", "mr-edge-colouring",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out =
-             core::mr_edge_colouring(g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = static_cast<double>(out.colours_used);
-         HashAcc h;
-         h.mix_range(out.colour);
-         h.mix(out.colours_used);
-         h.mix(out.groups);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"luby-colouring", "luby-colouring",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out =
-             baselines::luby_colouring_mr(g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = static_cast<double>(out.colours_used);
-         HashAcc h;
-         h.mix_range(out.colour);
-         h.mix(out.colours_used);
-         h.mix(out.phases);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"coreset-matching", "coreset-matching",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out =
-             baselines::coreset_matching(g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = out.weight;
-         res.failed =
-             res.failed || !graph::is_matching(g, out.matching);
-         HashAcc h;
-         h.mix_range(out.matching);
-         h.mix(out.weight);
-         h.mix(out.coreset_union_size);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"filtering-matching", "filtering-matching",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out =
-             baselines::filtering_matching(g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = static_cast<double>(out.matching.size());
-         res.failed =
-             res.failed || !graph::is_matching(g, out.matching);
-         HashAcc h;
-         h.mix_range(out.matching);
-         h.mix(out.weight);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-      {"filtering-weighted", "filtering-weighted-matching",
-       [=](std::uint64_t shards, BenchResult& res) {
-         const graph::Graph g = graph_instance();
-         res.n = g.num_vertices();
-         res.m = g.num_edges();
-         const auto out = baselines::filtering_weighted_matching(
-             g, params_k(0.15, 1, shards));
-         fill_outcome(res, out.outcome);
-         res.quality = out.weight;
-         res.failed =
-             res.failed || !graph::is_matching(g, out.matching);
-         HashAcc h;
-         h.mix_range(out.matching);
-         h.mix(out.weight);
-         mix_outcome(h, out.outcome);
-         return h.value();
-       }},
-  };
-
-  for (const Cfg& cfg : cfgs) {
-    r.add({"exec/process/" + cfg.name,
+  for (const jobs::AlgorithmInfo& algo : jobs::known_algorithms()) {
+    const std::string name(algo.name);
+    const bool on_graph = algo.instance == jobs::JobSpec::InstanceKind::kGraph;
+    r.add({"exec/process/" + name,
            {"process", "smoke"},
-           cfg.algo + " serial vs 4 persistent worker shards "
-                      "(self-checking: fails on any fingerprint drift)",
-           [cfg](const RunContext&) {
+           name + " through jobs::run_job, serial vs 4 persistent worker "
+                  "shards (self-checking: fails on an invalid solution or "
+                  "any hash drift)",
+           [name, on_graph](const RunContext&) {
              BenchResult res;
-             res.algo = cfg.algo;
-             res.family = "gnm-density";
+             res.algo = name;
              res.threads = 1;
+             jobs::JobSpec spec;
+             if (on_graph) {
+               const graph::Graph g =
+                   weighted_gnm(900, 0.5, WeightDist::kUniform, 911);
+               res.family = "gnm-density";
+               res.n = g.num_vertices();
+               res.m = g.num_edges();
+               res.c = 0.5;
+               spec = jobs::graph_job(name, g, scenario_params(0.15, 1));
+               jobs::add_driver_extras(spec, {}, g.num_vertices());
+             } else {
+               Rng rng(4242);
+               const auto sys = setcover::many_sets(
+                   400, 52, 12, WeightDist::kUniform, rng);
+               res.family = "many-sets";
+               res.n = sys.num_sets();
+               res.m = sys.total_incidences();
+               spec = jobs::set_system_job(name, sys, scenario_params(0.3, 1));
+               jobs::add_driver_extras(spec, {}, 0);
+             }
+             res.mu = spec.params.mu;
              Timer t;
-             const std::uint64_t serial_hash = cfg.run(1, res);
-             BenchResult sharded;
-             const std::uint64_t shard_hash = cfg.run(4, sharded);
+             const jobs::JobResult serial = jobs::run_job(spec);
+             spec.params.num_shards = 4;
+             const jobs::JobResult sharded = jobs::run_job(spec);
              res.wall_seconds = t.elapsed();
-             res.failed =
-                 res.failed || sharded.failed || serial_hash != shard_hash;
-             res.determinism_hash = serial_hash;
+             fill_outcome(res, serial.outcome);
+             res.quality = job_quality(serial);
+             res.determinism_hash = jobs::determinism_hash(serial);
+             res.failed = res.failed || !serial.valid || !sharded.valid ||
+                          jobs::determinism_hash(sharded) !=
+                              res.determinism_hash;
              res.extra["shards"] = 4.0;
+             return res;
+           }});
+  }
+}
+
+// ------------------------------------------------------- compare ----
+
+// The "who wins" comparisons behind Figure 1 and the ablations of the
+// randomized local ratio technique (FIG-CMP1-5), one scenario per table
+// row. Not in smoke: they read as tables (`bench --group compare`), and
+// the committed baseline does not carry them.
+
+std::string dist_name(WeightDist d) {
+  switch (d) {
+    case WeightDist::kPolarized:
+      return "polarized";
+    case WeightDist::kExponential:
+      return "exponential";
+    default:
+      return "uniform";
+  }
+}
+
+void add_compare(Registry& r) {
+  // FIG-CMP1: weighted matching, RLR (ratio 2) vs the filtering family
+  // (ratio 8 layered, unweighted). Expected: vs_baseline < 1 for the
+  // baselines, with the gap largest on polarized weights.
+  for (const WeightDist dist : {WeightDist::kPolarized,
+                                WeightDist::kExponential,
+                                WeightDist::kUniform}) {
+    for (const char* which : {"rlr-mwm", "filtering-weighted",
+                              "filtering"}) {
+      const std::string algo = which;
+      r.add({"compare/matching/" + dist_name(dist) + "/" + algo,
+             {"compare"},
+             "FIG-CMP1: " + algo + " weight vs rlr matching, " +
+                 dist_name(dist) + " weights (quality_vs_baseline = "
+                 "weight / rlr weight)",
+             [dist, algo](const RunContext& ctx) {
+               BenchResult res;
+               res.algo = algo;
+               res.family = "gnm-" + dist_name(dist);
+               res.n = 1500;
+               res.c = 0.45;
+               res.mu = 0.25;
+               const graph::Graph g = weighted_gnm(1500, 0.45, dist, 23);
+               res.m = g.num_edges();
+               const core::MrParams p = exec_params(0.25, 1, ctx, res);
+               Timer t;
+               const auto rlr = core::rlr_matching(g, p);
+               res.wall_seconds = t.elapsed();
+               std::optional<baselines::FilteringMatchingResult> other;
+               if (algo == "rlr-mwm") {
+                 res.extra["ratio_bound"] = 2.0;
+               } else {
+                 const Timer tb;
+                 other = algo == "filtering-weighted"
+                             ? baselines::filtering_weighted_matching(g, p)
+                             : baselines::filtering_matching(g, p);
+                 res.wall_seconds = tb.elapsed();
+                 if (algo == "filtering-weighted") {
+                   res.extra["ratio_bound"] = 8.0;
+                 }
+               }
+               const auto& matching = other ? other->matching : rlr.matching;
+               const double weight = other ? other->weight : rlr.weight;
+               fill_outcome(res, other ? other->outcome : rlr.outcome);
+               res.quality = weight;
+               res.quality_vs_baseline =
+                   rlr.weight > 0 ? weight / rlr.weight : 0.0;
+               res.failed = res.failed || !graph::is_matching(g, matching);
+               HashAcc h;
+               h.mix_range(matching);
+               h.mix(weight);
+               res.determinism_hash = h.value();
+               return res;
+             }});
+    }
+  }
+
+  // FIG-CMP2: Algorithm 3's bucketing vs sample-and-prune. Bucketing
+  // exhausts a threshold level in O(ln Phi / (mu ln m)) iterations
+  // instead of one set batch at a time.
+  for (const std::uint64_t sets : {400, 1200}) {
+    for (const char* which : {"greedy-mr", "sample-prune", "seq-greedy"}) {
+      const std::string algo = which;
+      r.add({"compare/setcover/s" + std::to_string(sets) + "/" + algo,
+             {"compare"},
+             "FIG-CMP2: " + algo + " on " + std::to_string(sets) +
+                 " sets over 300 elements (iterations, rounds, "
+                 "level_drops at equal quality)",
+             [sets, algo](const RunContext& ctx) {
+               BenchResult res;
+               res.algo = algo;
+               res.family = "many-sets";
+               res.n = sets;
+               res.mu = 0.4;
+               Rng rng(sets);
+               const auto sys = setcover::many_sets(
+                   sets, 300, 10, WeightDist::kExponential, rng);
+               res.m = sys.total_incidences();
+               std::vector<setcover::SetId> cover;
+               Timer t;
+               if (algo == "greedy-mr") {
+                 const auto out = core::greedy_set_cover_mr(
+                     sys, 0.25, exec_params(0.4, 1, ctx, res));
+                 res.wall_seconds = t.elapsed();
+                 fill_outcome(res, out.outcome);
+                 res.quality = out.weight;
+                 res.extra["level_drops"] =
+                     static_cast<double>(out.level_drops);
+                 cover = out.cover;
+               } else if (algo == "sample-prune") {
+                 const auto out = baselines::sample_prune_set_cover(
+                     sys, 0.25, exec_params(0.4, 1, ctx, res));
+                 res.wall_seconds = t.elapsed();
+                 fill_outcome(res, out.outcome);
+                 res.quality = out.weight;
+                 res.extra["level_drops"] =
+                     static_cast<double>(out.level_drops);
+                 cover = out.cover;
+               } else {
+                 const auto out = seq::greedy_set_cover(sys);
+                 res.wall_seconds = t.elapsed();
+                 res.iterations = out.iterations;
+                 res.quality = out.weight;
+                 cover = out.cover;
+               }
+               res.failed = res.failed || !setcover::is_cover(sys, cover);
+               HashAcc h;
+               h.mix_range(cover);
+               h.mix(res.quality);
+               res.determinism_hash = h.value();
+               return res;
+             }});
+    }
+  }
+
+  // FIG-CMP3: the sample-size multiplier trades central-machine load
+  // for iterations. Expected: iterations fall and max_central_inbox
+  // rises as the boost grows; the weight stays flat.
+  for (const double boost : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+    r.add({"compare/boost/b" + f2(boost),
+           {"compare"},
+           "FIG-CMP3: rlr matching at sample boost " + f2(boost) +
+               " (iterations vs max_central_inbox)",
+           [boost](const RunContext& ctx) {
+             BenchResult res;
+             res.algo = "rlr-mwm";
+             res.family = "gnm-density";
+             res.n = 1500;
+             res.c = 0.45;
+             res.mu = 0.2;
+             const graph::Graph g =
+                 weighted_gnm(1500, 0.45, WeightDist::kUniform, 29);
+             res.m = g.num_edges();
+             core::MrParams p = exec_params(0.2, 3, ctx, res);
+             p.sample_boost = boost;
+             Timer t;
+             const auto out = core::rlr_matching(g, p);
+             res.wall_seconds = t.elapsed();
+             fill_outcome(res, out.outcome);
+             res.quality = out.weight;
+             res.failed = res.failed || !graph::is_matching(g, out.matching);
+             HashAcc h;
+             h.mix_range(out.matching);
+             h.mix(out.weight);
+             res.determinism_hash = h.value();
+             res.extra["boost"] = boost;
+             return res;
+           }});
+  }
+
+  // FIG-CMP4: epsilon ablation for b-matching (Section D.2). Plain
+  // reductions (eps -> 0) kill edges too slowly for b >= 2. Expected:
+  // iterations grow as eps -> 0 while the ratio bound tightens toward
+  // 3 - 2/b.
+  for (const double eps : {0.01, 0.05, 0.2, 0.5, 1.0}) {
+    r.add({"compare/bmatching-eps/e" + f2(eps),
+           {"compare"},
+           "FIG-CMP4: rlr b-matching (b = 3) at eps " + f2(eps) +
+               " (iterations vs ratio bound)",
+           [eps](const RunContext& ctx) {
+             BenchResult res;
+             res.algo = "rlr-bmatching";
+             res.family = "gnm-density";
+             res.n = 1000;
+             res.c = 0.45;
+             res.mu = 0.25;
+             const graph::Graph g =
+                 weighted_gnm(1000, 0.45, WeightDist::kUniform, 31);
+             res.m = g.num_edges();
+             const std::vector<std::uint32_t> b(1000, 3);
+             const core::MrParams p = exec_params(0.25, 2, ctx, res);
+             Timer t;
+             const auto out = core::rlr_b_matching(g, b, eps, p);
+             res.wall_seconds = t.elapsed();
+             fill_outcome(res, out.outcome);
+             res.quality = out.weight;
+             res.failed =
+                 res.failed || !graph::is_b_matching(g, out.matching, b);
+             HashAcc h;
+             h.mix_range(out.matching);
+             h.mix(out.weight);
+             res.determinism_hash = h.value();
+             res.extra["ratio_bound"] = 3.0 - 2.0 / 3.0 + 2.0 * eps;
+             res.extra["stack_size"] = static_cast<double>(out.stack_size);
+             return res;
+           }});
+  }
+
+  // FIG-CMP5: Paz-Schwartzman streaming vs the plain local ratio stack.
+  // The eps-pruning that inspired the technique keeps the stack bounded
+  // at a (2 + 2 eps) ratio. Expected: the stack shrinks as eps grows
+  // and the weight degrades gently.
+  for (const double eps : {0.0, 0.01, 0.1, 0.5, 1.0}) {
+    const bool plain = eps == 0.0;
+    r.add({plain ? std::string("compare/streaming/plain")
+                 : "compare/streaming/e" + f2(eps),
+           {"compare"},
+           plain ? std::string("FIG-CMP5: sequential local ratio stack "
+                               "(the vs_baseline reference)")
+                 : "FIG-CMP5: streaming local ratio at eps " + f2(eps) +
+                       " (stack_peak vs weight)",
+           [eps, plain](const RunContext&) {
+             BenchResult res;
+             res.algo = plain ? "seq-local-ratio" : "streaming-local-ratio";
+             res.family = "gnm-exponential";
+             res.n = 1500;
+             res.c = 0.45;
+             const graph::Graph g =
+                 weighted_gnm(1500, 0.45, WeightDist::kExponential, 37);
+             res.m = g.num_edges();
+             Timer t;
+             const auto reference = seq::local_ratio_matching(g);
+             res.wall_seconds = t.elapsed();
+             std::vector<graph::EdgeId> edges = reference.edges;
+             double weight = reference.weight;
+             std::uint64_t stack = reference.stack_size;
+             if (!plain) {
+               const Timer ts;
+               const auto out = seq::streaming_matching(g, eps);
+               res.wall_seconds = ts.elapsed();
+               edges = out.edges;
+               weight = out.weight;
+               stack = out.stack_peak;
+             }
+             res.quality = weight;
+             res.quality_vs_baseline =
+                 reference.weight > 0 ? weight / reference.weight : 0.0;
+             res.failed = !graph::is_matching(g, edges);
+             HashAcc h;
+             h.mix_range(edges);
+             h.mix(weight);
+             res.determinism_hash = h.value();
+             res.extra["ratio_bound"] = 2.0 + 2.0 * eps;
+             res.extra["stack_peak"] = static_cast<double>(stack);
              return res;
            }});
   }
@@ -1637,7 +1498,7 @@ void add_large(Registry& r) {
          {"large"},
          "rlr matching, ~1.2M-edge weighted gnm (nightly scale)",
          [](const RunContext& ctx) {
-           const std::uint64_t n = ctx.scale_n(40000);
+           const std::uint64_t n = 40000;
            // mu = 0.1 keeps 4*eta well below m, so the nightly curve
            // tracks the real multi-iteration sampling path, not the
            // ship-all endgame.
@@ -1648,13 +1509,13 @@ void add_large(Registry& r) {
            res.n = n;
            res.c = c;
            res.mu = mu;
-           res.threads = exec_threads(ctx);
            const graph::Graph g =
                weighted_gnm(n, c, WeightDist::kUniform, n + 17);
            res.m = g.num_edges();
            const auto sq = seq::local_ratio_matching(g);
            Timer t;
-           const auto out = core::rlr_matching(g, exec_params(mu, 1, ctx));
+           const auto out =
+               core::rlr_matching(g, exec_params(mu, 1, ctx, res));
            res.wall_seconds = t.elapsed();
            fill_outcome(res, out.outcome);
            res.quality = out.weight;
@@ -1672,7 +1533,7 @@ void add_large(Registry& r) {
          {"large"},
          "hungry MIS (Alg 6), ~1.2M-edge gnm (nightly scale)",
          [](const RunContext& ctx) {
-           const std::uint64_t n = ctx.scale_n(40000);
+           const std::uint64_t n = 40000;
            const double c = 0.32, mu = 0.25;
            BenchResult res;
            res.algo = "mis-improved";
@@ -1703,7 +1564,7 @@ void add_large(Registry& r) {
          {"large"},
          "mr vertex colouring, ~1.2M-edge gnm (nightly scale)",
          [](const RunContext& ctx) {
-           const std::uint64_t n = ctx.scale_n(40000);
+           const std::uint64_t n = 40000;
            const double c = 0.32, mu = 0.2;
            BenchResult res;
            res.algo = "mr-colour-vertex";
@@ -1740,8 +1601,8 @@ void add_large(Registry& r) {
          {"large"},
          "hungry greedy set cover, ~1M-incidence system on 4 persistent "
          "worker shards (nightly-scale process backend)",
-         [](const RunContext& ctx) {
-           const std::uint64_t sets = ctx.scale_n(100000);
+         [](const RunContext&) {
+           const std::uint64_t sets = 100000;
            const std::uint64_t universe = std::max<std::uint64_t>(
                2, sets / 8);
            BenchResult res;
@@ -1775,9 +1636,9 @@ void add_large(Registry& r) {
   r.add({"large/io/mgb-load-m2e6",
          {"large"},
          "binary .mgb end-to-end load, 2M weighted edges (nightly scale)",
-         [](const RunContext& ctx) {
+         [](const RunContext&) {
            namespace fs = std::filesystem;
-           const std::uint64_t n = ctx.scale_n(500000);
+           const std::uint64_t n = 500000;
            const std::uint64_t m = 4 * n;
            BenchResult res;
            res.algo = "graph-io-load";
@@ -1817,8 +1678,8 @@ void add_large(Registry& r) {
   r.add({"large/shuffle/tiny-arena-m1e6",
          {"large"},
          "arena shuffle throughput, ~1M-edge instance (nightly scale)",
-         [](const RunContext& ctx) {
-           const std::uint64_t n = ctx.scale_n(10000);
+         [](const RunContext&) {
+           const std::uint64_t n = 10000;
            const double c = 0.5;
            BenchResult res;
            res.algo = "shuffle-arena";
@@ -1883,8 +1744,8 @@ void add_serve(Registry& r) {
                std::to_string(cfg.clients) +
                " concurrent client(s); every result must be "
                "byte-identical to standalone run_job",
-           [cfg](const RunContext& ctx) {
-             const std::uint64_t n = ctx.scale_n(400);
+           [cfg](const RunContext&) {
+             const std::uint64_t n = 400;
              const double c = 0.5, mu = 0.2;
              BenchResult res;
              res.algo = "serve-jobs";
@@ -2004,13 +1865,11 @@ void register_builtin_scenarios(Registry& r) {
   add_space_scaling(r);
   add_shuffle(r);
   add_io(r);
-  add_threads(r);
-  add_process(r);
-  add_tcp(r);
-  add_composed(r);
+  add_backends(r);
   add_process_drivers(r);
   add_serve(r);
   add_large(r);
+  add_compare(r);
 }
 
 }  // namespace mrlr::bench

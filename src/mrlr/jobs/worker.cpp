@@ -23,10 +23,12 @@
 #include "mrlr/core/rlr_matching.hpp"
 #include "mrlr/core/rlr_setcover.hpp"
 #include "mrlr/exec/shard_worker.hpp"
+#include "mrlr/graph/generators.hpp"
 #include "mrlr/graph/validate.hpp"
 #include "mrlr/setcover/validate.hpp"
 #include "mrlr/util/mix64.hpp"
 #include "mrlr/util/require.hpp"
+#include "mrlr/util/rng.hpp"
 #include "mrlr/util/threads.hpp"
 
 namespace mrlr::jobs {
@@ -304,6 +306,24 @@ constexpr RegistryEntry kRegistry[] = {
 };
 
 }  // namespace
+
+void add_driver_extras(JobSpec& spec, const DriverKnobs& knobs,
+                       std::uint64_t num_vertices) {
+  const std::string& a = spec.algorithm;
+  if (a == "b-matching") {
+    spec.extras["b"] = {knobs.b};
+    spec.extras["eps"] = {core::pack_double(knobs.eps)};
+  } else if (a == "vertex-cover") {
+    Rng rng(spec.params.seed ^ 0xC0FFEEull);
+    const auto w =
+        graph::random_vertex_weights(num_vertices, knobs.vertex_weights, rng);
+    auto& packed = spec.extras["w"];
+    packed.reserve(w.size());
+    for (const double v : w) packed.push_back(core::pack_double(v));
+  } else if (a == "set-cover-greedy") {
+    spec.extras["eps"] = {core::pack_double(knobs.eps)};
+  }
+}
 
 const std::vector<AlgorithmInfo>& known_algorithms() {
   static const std::vector<AlgorithmInfo> algorithms = [] {

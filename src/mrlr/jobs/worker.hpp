@@ -32,6 +32,7 @@
 #include <sys/types.h>
 
 #include "mrlr/exec/shard_channel.hpp"
+#include "mrlr/graph/generators.hpp"
 #include "mrlr/jobs/job_result.hpp"
 #include "mrlr/jobs/job_spec.hpp"
 
@@ -58,6 +59,23 @@ const AlgorithmInfo* find_algorithm(std::string_view name);
 
 /// True when `name` is a registered algorithm (the CLI vocabulary).
 bool known_algorithm(std::string_view name);
+
+/// The driver arguments that are not MrParams fields, as the CLI flags
+/// spell them. Defaults match the CLI's.
+struct DriverKnobs {
+  std::uint32_t b = 2;  ///< b-matching: the capacity of every vertex
+  double eps = 0.2;     ///< b-matching, set-cover-greedy
+  /// vertex-cover: distribution of the per-vertex weights, drawn from
+  /// Rng(spec.params.seed ^ 0xC0FFEE).
+  graph::WeightDist vertex_weights = graph::WeightDist::kUniform;
+};
+
+/// Fills spec.extras with the extras spec.algorithm's runner reads (b
+/// and eps for b-matching, w for vertex-cover, eps for
+/// set-cover-greedy; nothing for the rest). `num_vertices` sizes
+/// vertex-cover's weight vector.
+void add_driver_extras(JobSpec& spec, const DriverKnobs& knobs,
+                       std::uint64_t num_vertices);
 
 /// Runs the named driver on the spec's instance and returns its
 /// structured result (solution hash + size, validator verdict, outcome

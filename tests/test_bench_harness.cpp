@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <regex>
 #include <set>
 #include <sstream>
 
@@ -16,6 +17,7 @@
 #include "mrlr/bench/manifest.hpp"
 #include "mrlr/bench/registry.hpp"
 #include "mrlr/bench/result.hpp"
+#include "mrlr/jobs/worker.hpp"
 
 namespace mrlr::bench {
 namespace {
@@ -34,11 +36,36 @@ TEST(BenchRegistry, BuiltinScenariosHaveUniqueNamesAndKnownGroups) {
   }
   // The groups the CLI documents must all be non-empty.
   for (const char* g : {"paper-f1", "rounds-vs-mu", "space-vs-c",
-                        "shuffle", "io", "threads", "smoke"}) {
+                        "shuffle", "io", "threads", "process", "serve",
+                        "compare", "smoke"}) {
     EXPECT_FALSE(r.group(g).empty()) << "group " << g << " is empty";
   }
   // "all" selects everything.
   EXPECT_EQ(r.group("all").size(), r.all().size());
+}
+
+TEST(BenchRegistry, ProcessDriverScenariosComeFromTheJobsRegistry) {
+  // The jobs registry is the only list of drivers: every registered
+  // algorithm has a smoke scenario, and every other exec/process/*
+  // scenario is a backend row (kK or kKxtT).
+  const Registry& r = builtin_registry();
+  std::set<std::string> drivers;
+  for (const jobs::AlgorithmInfo& a : jobs::known_algorithms()) {
+    const std::string name = "exec/process/" + std::string(a.name);
+    drivers.insert(name);
+    const Scenario* s = r.find(name);
+    ASSERT_NE(s, nullptr) << name;
+    EXPECT_NE(std::find(s->groups.begin(), s->groups.end(), "smoke"),
+              s->groups.end())
+        << name << " is not in smoke";
+  }
+  const std::regex backend_row("exec/process/k[0-9]+(xt[0-9]+)?");
+  for (const Scenario& s : r.all()) {
+    if (s.name.rfind("exec/process/", 0) != 0) continue;
+    EXPECT_TRUE(drivers.count(s.name) == 1 ||
+                std::regex_match(s.name, backend_row))
+        << s.name << " is neither a registry driver nor a backend row";
+  }
 }
 
 TEST(BenchRegistry, FindAndSelect) {
@@ -152,26 +179,47 @@ TEST(BenchSchema, ManifestRoundTripsAndIsOptionalInJson) {
   EXPECT_TRUE(bench_result_from_json(Json::parse(text)).manifest.empty());
 }
 
-TEST(BenchSchema, RunManifestRecordsProvenanceKnobs) {
-  RunContext ctx;
-  ctx.threads = 4;
-  const auto m = run_manifest(ctx);
+TEST(BenchSchema, RunManifestRecordsWhatTheScenarioRan) {
+  BenchResult r;
+  r.threads = 4;
+  const auto m = run_manifest(r);
   ASSERT_EQ(m.count("build_type"), 1u);
   ASSERT_EQ(m.count("git_describe"), 1u);
+  ASSERT_EQ(m.count("nproc"), 1u);
   EXPECT_EQ(m.at("backend"), "threads");
   EXPECT_EQ(m.at("threads"), "4");
+  EXPECT_EQ(m.at("shards"), "1");
   EXPECT_EQ(m.at("seed"), "scenario-pinned");
 
-  RunContext serial;
-  serial.threads = 1;
+  BenchResult serial;
   EXPECT_EQ(run_manifest(serial).at("backend"), "serial");
 
-  RunContext process;
-  process.process_backend = true;
-  process.shards = 4;
-  const auto pm = run_manifest(process);
+  // Recorded shards mean the process backend; a key the scenario set
+  // itself wins.
+  BenchResult sharded;
+  sharded.extra["shards"] = 4;
+  EXPECT_EQ(run_manifest(sharded).at("backend"), "process");
+  EXPECT_EQ(run_manifest(sharded).at("shards"), "4");
+  sharded.manifest["backend"] = "tcp";
+  EXPECT_EQ(run_manifest(sharded).at("backend"), "tcp");
+}
+
+TEST(BenchSchema, RunManifestOfBackendScenarios) {
+  const Registry& r = builtin_registry();
+  const Scenario* k4 = r.find("exec/process/k4");
+  const Scenario* t2 = r.find("exec/threads/t2");
+  ASSERT_NE(k4, nullptr);
+  ASSERT_NE(t2, nullptr);
+
+  const auto pm = run_manifest(k4->run(RunContext{}));
   EXPECT_EQ(pm.at("backend"), "process");
   EXPECT_EQ(pm.at("shards"), "4");
+  EXPECT_EQ(pm.at("threads"), "1");
+
+  const auto tm = run_manifest(t2->run(RunContext{}));
+  EXPECT_EQ(tm.at("backend"), "threads");
+  EXPECT_EQ(tm.at("threads"), "2");
+  EXPECT_EQ(tm.at("shards"), "1");
 }
 
 TEST(BenchSchema, SchemaVersionCarriedAndEnforced) {
@@ -381,10 +429,7 @@ TEST(BenchDiff, CoverageAndDefinitionChanges) {
 
 TEST(BenchDeterminism, ScenarioHashStableAcross128Threads) {
   const Registry& r = builtin_registry();
-  // Shrink the instance via the wrapper override so this stays fast in
-  // Debug/sanitizer CI; the determinism contract is size-independent.
-  RunContext ctx;
-  ctx.n_override = 400;
+  const RunContext ctx;
 
   const Scenario* t1 = r.find("exec/threads/t1");
   const Scenario* t2 = r.find("exec/threads/t2");

@@ -832,6 +832,7 @@ PreparedJob prepare_job(const Options& o) {
   params.seed = o.seed;
   params.num_threads = o.threads;
   params.num_shards = o.shards;
+  const jobs::DriverKnobs knobs{o.b, o.eps, o.dist};
 
   PreparedJob p;
   if (algo->instance == jobs::JobSpec::InstanceKind::kGraph) {
@@ -842,33 +843,17 @@ PreparedJob prepare_job(const Options& o) {
           jobs::render_instance_header(st.n, st.m, st.density_exponent);
     }
     p.spec = jobs::graph_job(a, g, params);
-    if (a == "b-matching") {
-      p.spec.extras["b"] = {o.b};
-      p.spec.extras["eps"] = {core::pack_double(o.eps)};
-      p.info.b = o.b;
-      p.info.eps = o.eps;
-    } else if (a == "vertex-cover") {
-      Rng rng(o.seed ^ 0xC0FFEEull);
-      const auto w =
-          graph::random_vertex_weights(g.num_vertices(), o.dist, rng);
-      auto& packed = p.spec.extras["w"];
-      packed.reserve(w.size());
-      for (const double v : w) packed.push_back(core::pack_double(v));
-    } else if (a == "colour-vertex" || a == "luby-colouring" ||
-               a == "colour-edge") {
-      p.info.max_degree = g.max_degree();
-    }
+    jobs::add_driver_extras(p.spec, knobs, g.num_vertices());
+    p.info.max_degree = g.max_degree();
   } else {
     const auto sys =
         load_sets(o, /*many_regime=*/a == "set-cover-greedy");
     p.spec = jobs::set_system_job(a, sys, params);
-    if (a == "set-cover-greedy") {
-      p.spec.extras["eps"] = {core::pack_double(o.eps)};
-      p.info.eps = o.eps;
-    } else {
-      p.info.max_frequency = sys.max_frequency();
-    }
+    jobs::add_driver_extras(p.spec, knobs, 0);
+    p.info.max_frequency = sys.max_frequency();
   }
+  p.info.b = o.b;
+  p.info.eps = o.eps;
   return p;
 }
 

@@ -30,7 +30,7 @@ Json finite_num(double v, const char* field) {
   return Json::number(v);
 }
 
-std::uint64_t get_u64(const Json& j, std::string_view key) {
+std::uint64_t json_u64(const Json& j, std::string_view key) {
   const double v = j.at(key).as_number();
   if (v < 0 || v > 9007199254740992.0) {  // 2^53: exact-double range
     throw JsonError("json: field '" + std::string(key) +
@@ -121,18 +121,18 @@ BenchResult bench_result_from_json(const Json& j) {
   r.name = j.at("name").as_string();
   r.algo = j.at("algo").as_string();
   r.family = j.at("family").as_string();
-  r.n = get_u64(j, "n");
-  r.m = get_u64(j, "m");
+  r.n = json_u64(j, "n");
+  r.m = json_u64(j, "m");
   r.mu = j.at("mu").as_number();
   r.c = j.at("c").as_number();
-  r.threads = get_u64(j, "threads");
+  r.threads = json_u64(j, "threads");
   r.format = j.at("format").as_string();
   r.wall_seconds = j.at("wall_seconds").as_number();
-  r.rounds = get_u64(j, "rounds");
-  r.iterations = get_u64(j, "iterations");
-  r.max_machine_words = get_u64(j, "max_machine_words");
-  r.max_central_inbox = get_u64(j, "max_central_inbox");
-  r.shuffle_words = get_u64(j, "shuffle_words");
+  r.rounds = json_u64(j, "rounds");
+  r.iterations = json_u64(j, "iterations");
+  r.max_machine_words = json_u64(j, "max_machine_words");
+  r.max_central_inbox = json_u64(j, "max_central_inbox");
+  r.shuffle_words = json_u64(j, "shuffle_words");
   r.quality = j.at("quality").as_number();
   r.quality_vs_baseline = j.at("quality_vs_baseline").as_number();
   r.determinism_hash = hash_from_hex(j.at("determinism_hash").as_string());
@@ -151,7 +151,7 @@ BenchResult bench_result_from_json(const Json& j) {
 
 BenchFile bench_file_from_json(const Json& j) {
   BenchFile f;
-  f.schema_version = get_u64(j, "schema_version");
+  f.schema_version = json_u64(j, "schema_version");
   if (f.schema_version != kBenchSchemaVersion) {
     throw JsonError("bench file schema_version " +
                     std::to_string(f.schema_version) +

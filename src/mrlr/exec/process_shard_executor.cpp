@@ -265,9 +265,9 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
   for (Worker& w : workers_) {
     std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
     payload.clear();
-    append_u64(payload, round_id);
-    append_u64(payload, params.size());
-    for (const std::uint64_t p : params) append_u64(payload, p);
+    wire::append_u64(payload, round_id);
+    wire::append_u64(payload, params.size());
+    for (const std::uint64_t p : params) wire::append_u64(payload, p);
     // parts_[0] is the payload's head, set once the plane stopped
     // growing it.
     parts_.assign(1, {});
@@ -349,25 +349,15 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
       }
       expect_frame(*w.channel, frame_, FrameKind::kShardStatus, w.shard,
                    sequence);
-      std::span<const std::byte> p = frame_.payload;
-      if (p.size() < 16) {
-        throw TransportError(TransportError::Kind::kBadPayload,
-                             "process-shard: status frame shorter than "
-                             "its fixed fields");
-      }
-      const std::uint64_t flag = read_u64(p, 0);
-      const std::uint64_t machine = read_u64(p, 8);
-      p = p.subspan(16);
-      if (flag > 1) {
-        throw TransportError(TransportError::Kind::kBadPayload,
-                             "process-shard: status frame has invalid "
-                             "flag " + std::to_string(flag));
-      }
-      if (flag == 1 && !remote_failed) {
+      wire::Reader r(frame_.payload, "process-shard: status frame");
+      const bool failed = r.flag("failed");
+      const std::uint64_t machine = r.u64("error machine");
+      const std::span<const std::byte> what = r.rest();
+      if (failed && !remote_failed) {
         remote_failed = true;
         remote_error_machine = machine;
         remote_error_what.assign(
-            reinterpret_cast<const char*>(p.data()), p.size());
+            reinterpret_cast<const char*>(what.data()), what.size());
       }
     } catch (const ExecError& e) {
       fail_job(w.shard, sequence, e.what());

@@ -18,6 +18,9 @@ namespace mrlr::exec {
 
 namespace {
 
+using wire::load;
+using wire::store;
+
 [[noreturn]] void io_fail(const char* what, const char* op, int err) {
   throw TransportError(TransportError::Kind::kIo,
                        std::string(what) + ": " + op +
@@ -76,34 +79,15 @@ sockaddr_in resolve_ipv4(const Endpoint& ep, const char* what) {
 //          u32 shard echo, u32 reserved, u64 nonce echo
 constexpr std::size_t kHandshakeBytes = 24;
 
-void put_u16(std::byte* p, std::uint16_t v) { std::memcpy(p, &v, 2); }
-void put_u32(std::byte* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
-void put_u64(std::byte* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
-std::uint16_t get_u16(const std::byte* p) {
-  std::uint16_t v;
-  std::memcpy(&v, p, 2);
-  return v;
-}
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
 void send_ack(ShardChannel& ch, HandshakeStatus status, std::uint32_t shard,
               std::uint64_t nonce) {
   std::byte ack[kHandshakeBytes];
-  put_u32(ack + 0, kAckMagic);
-  put_u16(ack + 4, kFrameVersion);
-  put_u16(ack + 6, static_cast<std::uint16_t>(status));
-  put_u32(ack + 8, shard);
-  put_u32(ack + 12, 0);
-  put_u64(ack + 16, nonce);
+  store<std::uint32_t>(ack + 0, kAckMagic);
+  store<std::uint16_t>(ack + 4, kFrameVersion);
+  store<std::uint16_t>(ack + 6, static_cast<std::uint16_t>(status));
+  store<std::uint32_t>(ack + 8, shard);
+  store<std::uint32_t>(ack + 12, 0);
+  store<std::uint64_t>(ack + 16, nonce);
   ch.write_all(ack, kHandshakeBytes);
 }
 
@@ -318,24 +302,28 @@ TcpChannel tcp_connect(const Endpoint& ep,
 void handshake_connect(ShardChannel& ch, std::uint32_t shard,
                        std::uint64_t nonce) {
   std::byte hello[kHandshakeBytes];
-  put_u32(hello + 0, kHelloMagic);
-  put_u16(hello + 4, kFrameVersion);
-  put_u16(hello + 6, 0);
-  put_u32(hello + 8, shard);
-  put_u32(hello + 12, 0);
-  put_u64(hello + 16, nonce);
+  store<std::uint32_t>(hello + 0, kHelloMagic);
+  store<std::uint16_t>(hello + 4, kFrameVersion);
+  store<std::uint16_t>(hello + 6, 0);
+  store<std::uint32_t>(hello + 8, shard);
+  store<std::uint32_t>(hello + 12, 0);
+  store<std::uint64_t>(hello + 16, nonce);
   ch.write_all(hello, kHandshakeBytes);
 
   std::byte ack[kHandshakeBytes];
   read_exact(ch, ack, kHandshakeBytes, "handshake ack");
-  if (get_u32(ack + 0) != kAckMagic) {
+  if (load<std::uint32_t>(ack + 0) != kAckMagic) {
     throw TransportError(TransportError::Kind::kBadMagic,
                          "handshake: peer did not answer with a shard "
                          "handshake ack (wrong endpoint?)");
   }
-  const std::uint16_t peer_version = get_u16(ack + 4);
-  const auto status = static_cast<HandshakeStatus>(get_u16(ack + 6));
-  switch (status) {
+  if (load<std::uint32_t>(ack + 12) != 0) {
+    throw TransportError(TransportError::Kind::kBadPayload,
+                         "handshake: nonzero reserved ack bits");
+  }
+  const std::uint16_t peer_version = load<std::uint16_t>(ack + 4);
+  const std::uint16_t status = load<std::uint16_t>(ack + 6);
+  switch (static_cast<HandshakeStatus>(status)) {
     case HandshakeStatus::kOk:
       break;
     case HandshakeStatus::kVersionMismatch:
@@ -354,8 +342,13 @@ void handshake_connect(ShardChannel& ch, std::uint32_t shard,
     case HandshakeStatus::kRefused:
       throw TransportError(TransportError::Kind::kUnexpected,
                            "handshake: refused by the worker");
+    default:
+      throw TransportError(TransportError::Kind::kBadPayload,
+                           "handshake: ack carries unknown status " +
+                               std::to_string(status));
   }
-  if (get_u32(ack + 8) != shard || get_u64(ack + 16) != nonce) {
+  if (load<std::uint32_t>(ack + 8) != shard ||
+      load<std::uint64_t>(ack + 16) != nonce) {
     throw TransportError(TransportError::Kind::kUnexpected,
                          "handshake: ack echoes a different shard/nonce "
                          "(crossed connections?)");
@@ -375,15 +368,20 @@ HandshakeHello handshake_accept(
     const std::function<HandshakeStatus(const HandshakeHello&)>& vet) {
   std::byte hello[kHandshakeBytes];
   read_exact(ch, hello, kHandshakeBytes, "handshake hello");
-  if (get_u32(hello + 0) != kHelloMagic) {
+  if (load<std::uint32_t>(hello + 0) != kHelloMagic) {
     throw TransportError(TransportError::Kind::kBadMagic,
                          "handshake: peer did not open with a shard "
                          "handshake hello (wrong endpoint?)");
   }
+  if (load<std::uint16_t>(hello + 6) != 0 ||
+      load<std::uint32_t>(hello + 12) != 0) {
+    throw TransportError(TransportError::Kind::kBadPayload,
+                         "handshake: nonzero reserved hello bits");
+  }
   HandshakeHello h;
-  h.version = get_u16(hello + 4);
-  h.shard = get_u32(hello + 8);
-  h.nonce = get_u64(hello + 16);
+  h.version = load<std::uint16_t>(hello + 4);
+  h.shard = load<std::uint32_t>(hello + 8);
+  h.nonce = load<std::uint64_t>(hello + 16);
   if (h.version != kFrameVersion) {
     send_ack(ch, HandshakeStatus::kVersionMismatch, h.shard, h.nonce);
     throw TransportError(

@@ -164,14 +164,16 @@ struct HandshakeHello {
 /// and throws a typed TransportError unless the responder accepted —
 /// kBadVersion names both versions on a version refusal, kUnexpected
 /// names the shard on a duplicate-registration refusal, kBadMagic on a
-/// peer that is not speaking this handshake at all.
+/// peer that is not speaking this handshake at all, kBadPayload on an
+/// ack with an unknown status or nonzero reserved bits.
 void handshake_connect(ShardChannel& ch, std::uint32_t shard,
                        std::uint64_t nonce);
 
-/// Worker side: reads the hello, refuses a version mismatch itself,
-/// then consults `vet` (duplicate-shard policy and any additional
-/// acceptance checks) and sends the ack. Returns the hello when
-/// accepted; on any refusal the ack is sent first and then a typed
+/// Worker side: reads the hello (kBadPayload on nonzero reserved bits,
+/// with no ack), refuses a version mismatch itself, then consults `vet`
+/// (duplicate-shard policy and any additional acceptance checks) and
+/// sends the ack. Returns the hello when accepted; on any refusal the
+/// ack is sent first and then a typed
 /// TransportError is thrown (the serving loop drops the connection).
 HandshakeHello handshake_accept(
     ShardChannel& ch,

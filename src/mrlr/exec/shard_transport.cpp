@@ -18,6 +18,9 @@ namespace mrlr::exec {
 
 namespace {
 
+using wire::load;
+using wire::store;
+
 constexpr std::uint64_t kChecksumSeed = 0x6D726C722E6D7366ull;  // "mrlr.msf"
 // Seed distance between the four checksum chains (the splitmix64
 // golden-ratio increment).
@@ -33,23 +36,45 @@ constexpr std::uint64_t kChecksumLaneStep = 0x9E3779B97F4A7C15ull;
 // never depends on struct padding.
 constexpr std::size_t kHeaderBytes = 40;
 
-void put_u16(std::byte* p, std::uint16_t v) { std::memcpy(p, &v, 2); }
-void put_u32(std::byte* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
-void put_u64(std::byte* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
-std::uint16_t get_u16(const std::byte* p) {
-  std::uint16_t v;
-  std::memcpy(&v, p, 2);
-  return v;
+[[noreturn]] void stream_ended(const char* context, std::uint64_t got,
+                               std::uint64_t n) {
+  throw TransportError(TransportError::Kind::kTruncated,
+                       std::string("shard transport: stream ended inside ") +
+                           context + " (" + std::to_string(got) + " of " +
+                           std::to_string(n) + " bytes)");
 }
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-std::uint64_t get_u64(const std::byte* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
+
+/// First buffer size of a payload that outgrows its frame's buffer.
+constexpr std::uint64_t kPayloadChunk = std::uint64_t{64} << 10;
+
+/// Growth factor of such a buffer. With few reallocations, a fresh
+/// multi-megabyte payload reads about as fast as into an exact-size
+/// buffer (doubling is about twice as slow), and the buffer still
+/// never exceeds 8x the bytes received.
+constexpr std::uint64_t kPayloadGrowth = 8;
+
+/// Reads a `len`-byte payload into `payload`. Within the buffer's
+/// capacity it is sized once; past it, the buffer grows as bytes
+/// arrive, so a header claiming more than the stream carries ends
+/// truncated instead of driving an allocation no bytes back.
+void read_payload(ShardChannel& ch, std::vector<std::byte>& payload,
+                  std::uint64_t len) {
+  // Cleared first when outgrowing, so growth never copies the previous
+  // frame; within capacity only bytes past the old size are
+  // zero-filled, and the reads overwrite them all.
+  if (len > payload.capacity()) payload.clear();
+  payload.resize(std::min(len, std::max<std::uint64_t>(payload.capacity(),
+                                                       kPayloadChunk)));
+  std::uint64_t got = 0;
+  while (got < len) {
+    if (got == payload.size()) {
+      payload.resize(std::min(len, kPayloadGrowth * got));
+    }
+    const std::size_t r =
+        ch.read_some(payload.data() + got, payload.size() - got);
+    if (r == 0) stream_ended("frame payload", got, len);
+    got += r;
+  }
 }
 
 }  // namespace
@@ -59,13 +84,7 @@ void read_exact(ShardChannel& ch, std::byte* data, std::size_t n,
   std::size_t got = 0;
   while (got < n) {
     const std::size_t r = ch.read_some(data + got, n - got);
-    if (r == 0) {
-      throw TransportError(
-          TransportError::Kind::kTruncated,
-          std::string("shard transport: stream ended inside ") + context +
-              " (" + std::to_string(got) + " of " + std::to_string(n) +
-              " bytes)");
-    }
+    if (r == 0) stream_ended(context, got, n);
     got += r;
   }
 }
@@ -108,12 +127,6 @@ std::pair<FdChannel, FdChannel> make_socketpair_channel() {
   return {FdChannel(fds[0]), FdChannel(fds[1])};
 }
 
-void append_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  const auto n = out.size();
-  out.resize(n + 8);
-  std::memcpy(out.data() + n, &v, 8);
-}
-
 namespace {
 
 /// The four checksum chains (frame_checksum).
@@ -128,10 +141,10 @@ struct Chains {
 /// and returned by value, so the chains stay in registers.
 Chains step_blocks(Chains c, const std::byte* p, std::size_t n) {
   for (std::size_t i = 0; i + 32 <= n; i += 32) {
-    c.h0 = mix64(c.h0 ^ get_u64(p + i));
-    c.h1 = mix64(c.h1 ^ get_u64(p + i + 8));
-    c.h2 = mix64(c.h2 ^ get_u64(p + i + 16));
-    c.h3 = mix64(c.h3 ^ get_u64(p + i + 24));
+    c.h0 = mix64(c.h0 ^ load<std::uint64_t>(p + i));
+    c.h1 = mix64(c.h1 ^ load<std::uint64_t>(p + i + 8));
+    c.h2 = mix64(c.h2 ^ load<std::uint64_t>(p + i + 16));
+    c.h3 = mix64(c.h3 ^ load<std::uint64_t>(p + i + 24));
   }
   return c;
 }
@@ -142,17 +155,17 @@ std::uint64_t finish_chains(Chains c, const std::byte* tail, std::size_t n,
                             std::uint64_t length) {
   // At most three whole words remain; they continue the interleave.
   if (n >= 8) {
-    c.h0 = mix64(c.h0 ^ get_u64(tail));
+    c.h0 = mix64(c.h0 ^ load<std::uint64_t>(tail));
     tail += 8;
     n -= 8;
   }
   if (n >= 8) {
-    c.h1 = mix64(c.h1 ^ get_u64(tail));
+    c.h1 = mix64(c.h1 ^ load<std::uint64_t>(tail));
     tail += 8;
     n -= 8;
   }
   if (n >= 8) {
-    c.h2 = mix64(c.h2 ^ get_u64(tail));
+    c.h2 = mix64(c.h2 ^ load<std::uint64_t>(tail));
     tail += 8;
     n -= 8;
   }
@@ -211,14 +224,14 @@ void write_frame_parts(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
     if (fill > 0) std::memcpy(carry, part.data() + whole, fill);
   }
   std::byte header[kHeaderBytes];
-  put_u32(header + 0, kFrameMagic);
-  put_u16(header + 4, kFrameVersion);
-  put_u16(header + 6, static_cast<std::uint16_t>(kind));
-  put_u32(header + 8, shard);
-  put_u32(header + 12, 0);  // reserved
-  put_u64(header + 16, sequence);
-  put_u64(header + 24, size);
-  put_u64(header + 32, finish_chains(chains, carry, fill, size));
+  store<std::uint32_t>(header + 0, kFrameMagic);
+  store<std::uint16_t>(header + 4, kFrameVersion);
+  store<std::uint16_t>(header + 6, static_cast<std::uint16_t>(kind));
+  store<std::uint32_t>(header + 8, shard);
+  store<std::uint32_t>(header + 12, 0);  // reserved
+  store<std::uint64_t>(header + 16, sequence);
+  store<std::uint64_t>(header + 24, size);
+  store<std::uint64_t>(header + 32, finish_chains(chains, carry, fill, size));
   ch.write_all(header, kHeaderBytes);
   for (const std::span<const std::byte> part : parts) {
     if (!part.empty()) ch.write_all(part.data(), part.size());
@@ -231,7 +244,7 @@ void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
   std::byte header[kHeaderBytes];
   read_exact(ch, header, kHeaderBytes, "frame header");
 
-  const std::uint32_t magic = get_u32(header + 0);
+  const std::uint32_t magic = load<std::uint32_t>(header + 0);
   if (magic != kFrameMagic) {
     throw TransportError(TransportError::Kind::kBadMagic,
                          "shard transport: bad frame magic 0x" +
@@ -241,13 +254,13 @@ void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
                                return std::string(buf);
                              }());
   }
-  const std::uint16_t version = get_u16(header + 4);
+  const std::uint16_t version = load<std::uint16_t>(header + 4);
   if (version != kFrameVersion) {
     throw TransportError(TransportError::Kind::kBadVersion,
                          "shard transport: unsupported frame version " +
                              std::to_string(version));
   }
-  const std::uint16_t kind_raw = get_u16(header + 6);
+  const std::uint16_t kind_raw = load<std::uint16_t>(header + 6);
   // The kind space is dense: [kShardData, kMaxFrameKind] with no holes.
   if (kind_raw < static_cast<std::uint16_t>(FrameKind::kShardData) ||
       kind_raw > kMaxFrameKind) {
@@ -257,11 +270,11 @@ void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
                          "shard transport: unknown frame kind " +
                              std::to_string(kind_raw));
   }
-  if (get_u32(header + 12) != 0) {
+  if (load<std::uint32_t>(header + 12) != 0) {
     throw TransportError(TransportError::Kind::kBadMagic,
                          "shard transport: nonzero reserved header bits");
   }
-  const std::uint64_t payload_len = get_u64(header + 24);
+  const std::uint64_t payload_len = load<std::uint64_t>(header + 24);
   if (payload_len > max_payload) {
     throw TransportError(TransportError::Kind::kBadLength,
                          "shard transport: frame payload length " +
@@ -271,20 +284,12 @@ void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
   }
 
   into.kind = static_cast<FrameKind>(kind_raw);
-  into.shard = get_u32(header + 8);
-  into.sequence = get_u64(header + 16);
-  // Cleared first when the payload outgrows the buffer, so the growing
-  // resize never copies the previous payload into the new allocation;
-  // within capacity only bytes past the old size are zero-filled, since
-  // read_exact overwrites them all. The checksum covers exactly
-  // payload_len bytes, so stale bytes past the end of this frame can
-  // never validate it.
-  if (payload_len > into.payload.capacity()) into.payload.clear();
-  into.payload.resize(payload_len);
-  if (payload_len > 0) {
-    read_exact(ch, into.payload.data(), payload_len, "frame payload");
-  }
-  const std::uint64_t expected = get_u64(header + 32);
+  into.shard = load<std::uint32_t>(header + 8);
+  into.sequence = load<std::uint64_t>(header + 16);
+  // The checksum covers exactly payload_len bytes, so stale bytes past
+  // the end of this frame can never validate it.
+  read_payload(ch, into.payload, payload_len);
+  const std::uint64_t expected = load<std::uint64_t>(header + 32);
   const std::uint64_t actual = frame_checksum(into.payload);
   if (expected != actual) {
     throw TransportError(TransportError::Kind::kBadChecksum,

@@ -44,11 +44,12 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "mrlr/exec/wire.hpp"
 
 namespace mrlr::exec {
 
@@ -173,7 +174,8 @@ inline constexpr std::uint16_t kFrameVersion = 4;
 
 /// Sanity cap on a single frame payload (1 TiB of words is far beyond
 /// any simulated round): an adversarial or corrupt length field fails
-/// the cap check instead of driving a giant allocation.
+/// the cap check, and below the cap read_frame grows the payload
+/// buffer only as the bytes arrive.
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 40;
 
 enum class FrameKind : std::uint16_t {
@@ -249,25 +251,6 @@ struct Frame {
 /// one chain while every byte, word position and the length still
 /// change the result.
 std::uint64_t frame_checksum(std::span<const std::byte> payload);
-
-/// Little-endian u64 append / store / read for frame payload encodings
-/// — the one implementation every wire-protocol participant (engine
-/// data plane, worker status frames) shares, so coordinator and workers
-/// can never disagree on the lane format. store_u64 writes at `at` and
-/// returns the position after the lane (for encoders that size their
-/// buffer once). read_u64 requires offset + 8 <= in.size() (callers
-/// bounds-check first).
-void append_u64(std::vector<std::byte>& out, std::uint64_t v);
-inline std::byte* store_u64(std::byte* at, std::uint64_t v) {
-  std::memcpy(at, &v, 8);
-  return at + 8;
-}
-inline std::uint64_t read_u64(std::span<const std::byte> in,
-                              std::size_t offset) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, in.data() + offset, 8);
-  return v;
-}
 
 void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
                  std::uint64_t sequence, std::span<const std::byte> payload);

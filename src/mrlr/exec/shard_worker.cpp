@@ -3,7 +3,7 @@
 #include "mrlr/exec/shard_channel.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
 #include <exception>
 #include <memory>
 #include <string>
@@ -23,18 +23,9 @@ namespace {
 constexpr int kWorkerOk = 0;
 constexpr int kWorkerTransportFailed = 113;
 
-[[noreturn]] void bad_bootstrap(const std::string& what) {
-  throw TransportError(TransportError::Kind::kBadPayload,
-                       "job bootstrap: " + what);
-}
-
-void append_bytes(std::vector<std::byte>& out, const void* data,
-                  std::size_t n) {
-  if (n == 0) return;
-  const auto at = out.size();
-  out.resize(at + n);
-  std::memcpy(out.data() + at, data, n);
-}
+using wire::append_bytes;
+using wire::append_string;
+using wire::append_u64;
 
 }  // namespace
 
@@ -56,10 +47,7 @@ std::vector<std::byte> encode_bootstrap(const JobBootstrap& b) {
     append_u64(out, last);
   }
   append_u64(out, b.round_labels.size());
-  for (const std::string& label : b.round_labels) {
-    append_u64(out, label.size());
-    append_bytes(out, label.data(), label.size());
-  }
+  for (const std::string& label : b.round_labels) append_string(out, label);
   append_u64(out, b.job_spec.size());
   append_bytes(out, b.job_spec.data(), b.job_spec.size());
   if (b.threads > 1) append_u64(out, b.threads);
@@ -67,43 +55,32 @@ std::vector<std::byte> encode_bootstrap(const JobBootstrap& b) {
 }
 
 JobBootstrap decode_bootstrap(std::span<const std::byte> bytes) {
-  std::size_t at = 0;
-  const auto need = [&](std::size_t n, const char* what) {
-    if (bytes.size() - at < n || at > bytes.size()) {
-      bad_bootstrap(std::string("truncated inside ") + what);
-    }
-  };
-  const auto take_u64 = [&](const char* what) {
-    need(8, what);
-    const std::uint64_t v = read_u64(bytes, at);
-    at += 8;
-    return v;
-  };
-
+  wire::Reader r(bytes, "job bootstrap");
   JobBootstrap b;
-  b.first = take_u64("machine range");
-  b.last = take_u64("machine range");
-  b.machines = take_u64("machine count");
-  b.flags = take_u64("flags");
-  b.nonce = take_u64("nonce");
+  b.first = r.u64("machine range");
+  b.last = r.u64("machine range");
+  b.machines = r.u64("machine count");
+  b.flags = r.u64("flags");
+  b.nonce = r.u64("nonce");
   constexpr std::uint64_t kKnownFlags =
       kBootstrapCarriesSpec | kBootstrapTelemetry | kBootstrapThreads;
   if ((b.flags & ~kKnownFlags) != 0) {
-    bad_bootstrap("unknown flag bits 0x" +
-                  std::to_string(b.flags & ~kKnownFlags));
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "0x%llx",
+                  static_cast<unsigned long long>(b.flags & ~kKnownFlags));
+    r.fail(std::string("unknown flag bits ") + hex);
   }
   if (b.first > b.last || b.last > b.machines) {
-    bad_bootstrap("machine range [" + std::to_string(b.first) + ", " +
-                  std::to_string(b.last) + ") escapes the job's " +
-                  std::to_string(b.machines) + " machines");
+    r.fail("machine range [" + std::to_string(b.first) + ", " +
+           std::to_string(b.last) + ") escapes the job's " +
+           std::to_string(b.machines) + " machines");
   }
 
   // The shard table: contiguous non-empty ranges from machine 0 to the
   // machine count, one of them the worker's own.
-  const std::uint64_t shard_count = take_u64("shard count");
-  if (shard_count < 2 || shard_count > (bytes.size() - at) / 16) {
-    bad_bootstrap("shard count " + std::to_string(shard_count) +
-                  " is below 2 or exceeds the remaining payload");
+  const std::uint64_t shard_count = r.count("shard count", 16);
+  if (shard_count < 2) {
+    r.fail("shard count " + std::to_string(shard_count) + " is below 2");
   }
   // Appended piece by piece: g++ 12 flags the equivalent operator+
   // chain with a false -Wrestrict under -Werror.
@@ -119,66 +96,50 @@ JobBootstrap decode_bootstrap(std::span<const std::byte> bytes) {
   std::uint64_t next = 0;
   b.shard_ranges.reserve(shard_count);
   for (std::uint64_t s = 0; s < shard_count; ++s) {
-    const std::uint64_t first = take_u64("shard range");
-    const std::uint64_t last = take_u64("shard range");
+    const std::uint64_t first = r.u64("shard range");
+    const std::uint64_t last = r.u64("shard range");
     if (first != next || first >= last) {
-      bad_bootstrap("shard " + std::to_string(s) + " range " +
-                    range(first, last) + " is empty or not contiguous "
-                    "with the previous shard's end " + std::to_string(next));
+      r.fail("shard " + std::to_string(s) + " range " + range(first, last) +
+             " is empty or not contiguous with the previous shard's end " +
+             std::to_string(next));
     }
     own_listed |= first == b.first && last == b.last;
     b.shard_ranges.emplace_back(first, last);
     next = last;
   }
   if (next != b.machines) {
-    bad_bootstrap("shard ranges cover " + range(0, next) + ", the job has " +
-                  std::to_string(b.machines) + " machines");
+    r.fail("shard ranges cover " + range(0, next) + ", the job has " +
+           std::to_string(b.machines) + " machines");
   }
   if (!own_listed) {
-    bad_bootstrap("own range " + range(b.first, b.last) +
-                  " is not one of the shard ranges");
+    r.fail("own range " + range(b.first, b.last) +
+           " is not one of the shard ranges");
   }
 
-  const std::uint64_t label_count = take_u64("round-label count");
-  // Each label costs at least its 8-byte length prefix; this bound makes
-  // a corrupt count fail here instead of driving a giant reserve.
-  if (label_count > (bytes.size() - at) / 8) {
-    bad_bootstrap("round-label count " + std::to_string(label_count) +
-                  " exceeds the remaining payload");
-  }
+  // Each label costs at least its 8-byte length prefix.
+  const std::uint64_t label_count = r.count("round-label count", 8);
   b.round_labels.reserve(label_count);
   for (std::uint64_t i = 0; i < label_count; ++i) {
-    const std::uint64_t len = take_u64("round label");
-    need(len, "round label");
-    b.round_labels.emplace_back(
-        reinterpret_cast<const char*>(bytes.data() + at), len);
-    at += len;
+    b.round_labels.push_back(r.string("round label"));
   }
 
-  const std::uint64_t spec_len = take_u64("job spec");
-  need(spec_len, "job spec");
-  b.job_spec.assign(bytes.begin() + static_cast<std::ptrdiff_t>(at),
-                    bytes.begin() + static_cast<std::ptrdiff_t>(at + spec_len));
-  at += spec_len;
+  const std::uint64_t spec_len = r.u64("job spec");
+  const std::span<const std::byte> spec = r.bytes(spec_len, "job spec");
+  b.job_spec.assign(spec.begin(), spec.end());
   if ((b.flags & kBootstrapThreads) != 0) {
-    b.threads = take_u64("thread count");
+    b.threads = r.u64("thread count");
     if (b.threads < 2) {
-      bad_bootstrap("thread count " + std::to_string(b.threads) +
-                    " under the threads flag (serial jobs omit the "
-                    "field)");
+      r.fail("thread count " + std::to_string(b.threads) +
+             " under the threads flag (serial jobs omit the field)");
     }
     if (b.threads > 1024) {
-      bad_bootstrap("thread count " + std::to_string(b.threads) +
-                    " exceeds the 1024-thread cap");
+      r.fail("thread count " + std::to_string(b.threads) +
+             " exceeds the 1024-thread cap");
     }
   }
-  if (at != bytes.size()) {
-    bad_bootstrap(std::to_string(bytes.size() - at) +
-                  " trailing bytes after the last field");
-  }
+  r.done("the last field");
   if (!b.job_spec.empty() && (b.flags & kBootstrapCarriesSpec) == 0) {
-    bad_bootstrap("a job spec is attached but the carries-spec flag is "
-                  "clear");
+    r.fail("a job spec is attached but the carries-spec flag is clear");
   }
   return b;
 }
@@ -239,21 +200,10 @@ void send_bootstrap_ack(ShardChannel& ch, std::uint32_t shard, bool ok,
 
 void expect_bootstrap_ack(ShardChannel& ch, std::uint32_t shard) {
   const Frame ack = expect_frame(ch, FrameKind::kBootstrapAck, shard, 0);
-  if (ack.payload.size() < 8) {
-    throw TransportError(TransportError::Kind::kBadPayload,
-                         "job bootstrap: ack frame shorter than its ok "
-                         "flag");
-  }
-  const std::uint64_t ok = read_u64(ack.payload, 0);
-  if (ok > 1) {
-    throw TransportError(TransportError::Kind::kBadPayload,
-                         "job bootstrap: ack frame has invalid ok flag " +
-                             std::to_string(ok));
-  }
-  if (ok == 0) {
-    std::string text(
-        reinterpret_cast<const char*>(ack.payload.data() + 8),
-        ack.payload.size() - 8);
+  wire::Reader r(ack.payload, "job bootstrap ack");
+  if (!r.flag("ok")) {
+    const std::span<const std::byte> rest = r.rest();
+    std::string text(reinterpret_cast<const char*>(rest.data()), rest.size());
     if (text.empty()) text = "worker refused the bootstrap";
     throw WorkerError(shard, 0,
                       "process-shard: shard " + std::to_string(shard) +
@@ -290,6 +240,8 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
   // counters from both ends, except the last round's trailing frames.
   obs::Telemetry::Mark tel_mark;
   if (telemetry) tel_mark = tel.mark();
+  const std::string control_context =
+      "worker shard " + std::to_string(shard) + ": round control frame";
 
   for (;;) {
     read_frame(ch, frame);
@@ -305,33 +257,15 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
     const std::uint64_t sequence = frame.sequence;
     const std::uint64_t round_ix = sequence - 1;
 
-    std::span<const std::byte> p = frame.payload;
-    if (p.size() < 16) {
-      throw TransportError(TransportError::Kind::kBadPayload,
-                           "worker shard " + std::to_string(shard) +
-                               ": round control frame shorter than its "
-                               "fixed fields");
-    }
-    const std::uint64_t round_id = read_u64(p, 0);
-    const std::uint64_t param_count = read_u64(p, 8);
-    p = p.subspan(16);
-    if (param_count > p.size() / 8) {
-      throw TransportError(TransportError::Kind::kBadPayload,
-                           "worker shard " + std::to_string(shard) +
-                               ": parameter count " +
-                               std::to_string(param_count) +
-                               " exceeds the payload");
-    }
+    wire::Reader r(frame.payload, control_context);
+    const std::uint64_t round_id = r.u64("round id");
     // Frame payloads have no alignment guarantee; params are tiny, so
     // copy them into an aligned buffer instead of aliasing bytes.
-    std::vector<std::uint64_t> params(param_count);
-    for (std::uint64_t i = 0; i < param_count; ++i) {
-      params[i] = read_u64(p, i * 8);
-    }
-    p = p.subspan(param_count * 8);
+    std::vector<std::uint64_t> params(r.count("parameter count", 8));
+    for (std::uint64_t& param : params) param = r.u64("parameters");
 
     std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
-    plane.apply_round_input(p);
+    plane.apply_round_input(r.rest());
     if (telemetry) {
       tel.record_span(obs::Phase::kShardApply, t0, tel.now_ns(), round_ix);
       t0 = tel.now_ns();

@@ -1,7 +1,6 @@
 #include "mrlr/jobs/job_result.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "mrlr/exec/shard_transport.hpp"
@@ -11,8 +10,8 @@ namespace mrlr::jobs {
 
 namespace {
 
-using exec::append_u64;
-using exec::read_u64;
+using exec::wire::append_string;
+using exec::wire::append_u64;
 
 constexpr std::uint64_t kResultVersion = 1;
 
@@ -20,57 +19,12 @@ constexpr std::uint64_t kResultVersion = 1;
 /// length fails the cap before any allocation.
 constexpr std::uint64_t kMaxStatNameBytes = 1 << 10;
 
-[[noreturn]] void bad_result(const std::string& what) {
-  throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
-                             "job result: " + what);
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
 }
-
-void append_string(std::vector<std::byte>& out, std::string_view s) {
-  append_u64(out, s.size());
-  if (s.empty()) return;
-  const auto at = out.size();
-  out.resize(at + s.size());
-  std::memcpy(out.data() + at, s.data(), s.size());
-}
-
-/// Bounds-checked sequential reader (the job_spec.cpp cursor
-/// discipline); every primitive throws kBadPayload instead of running
-/// off the payload.
-struct Reader {
-  std::span<const std::byte> bytes;
-  std::size_t at = 0;
-
-  void need(std::size_t n, const char* what) const {
-    if (bytes.size() - at < n) {
-      bad_result(std::string("truncated inside ") + what);
-    }
-  }
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    const std::uint64_t v = read_u64(bytes, at);
-    at += 8;
-    return v;
-  }
-  std::string string(const char* what) {
-    const std::uint64_t len = u64(what);
-    need(len, what);
-    std::string s(reinterpret_cast<const char*>(bytes.data() + at), len);
-    at += len;
-    return s;
-  }
-  bool flag(const char* what) {
-    const std::uint64_t v = u64(what);
-    if (v > 1) bad_result(std::string(what) + " flag must be 0 or 1");
-    return v == 1;
-  }
-};
 
 }  // namespace
 
@@ -171,16 +125,16 @@ std::vector<std::byte> encode_job_result(const JobResult& r) {
 }
 
 JobResult decode_job_result(std::span<const std::byte> bytes) {
-  Reader r{bytes};
+  exec::wire::Reader r(bytes, "job result");
   const std::uint64_t version = r.u64("version");
   if (version != kResultVersion) {
-    bad_result("unsupported result version " + std::to_string(version) +
-               " (this build speaks version " +
-               std::to_string(kResultVersion) + ")");
+    r.fail("unsupported result version " + std::to_string(version) +
+           " (this build speaks version " + std::to_string(kResultVersion) +
+           ")");
   }
   JobResult res;
   res.algorithm = r.string("algorithm name");
-  if (res.algorithm.empty()) bad_result("empty algorithm name");
+  if (res.algorithm.empty()) r.fail("empty algorithm name");
   res.solution_hash = r.u64("solution hash");
   res.solution_size = r.u64("solution size");
   res.valid = r.flag("valid");
@@ -192,38 +146,23 @@ JobResult decode_job_result(std::span<const std::byte> bytes) {
   res.outcome.total_communication = r.u64("outcome");
   res.outcome.space_violations = r.u64("outcome");
 
-  const std::uint64_t nstats = r.u64("stat count");
   // Each stat costs at least its name length, kind, and value fields.
-  if (nstats > (bytes.size() - r.at) / 24) {
-    bad_result("stat count " + std::to_string(nstats) +
-               " exceeds the remaining payload");
-  }
+  const std::uint64_t nstats = r.count("stat count", 24);
   res.stats.reserve(nstats);
   for (std::uint64_t i = 0; i < nstats; ++i) {
     JobStat s;
-    const std::uint64_t name_len = r.u64("stat name");
-    if (name_len == 0) bad_result("empty stat name");
-    if (name_len > kMaxStatNameBytes) {
-      bad_result("stat name length " + std::to_string(name_len) +
-                 " exceeds the cap");
-    }
-    r.need(name_len, "stat name");
-    s.name.assign(reinterpret_cast<const char*>(r.bytes.data() + r.at),
-                  name_len);
-    r.at += name_len;
+    s.name = r.string("stat name", kMaxStatNameBytes);
+    if (s.name.empty()) r.fail("empty stat name");
     const std::uint64_t kind = r.u64("stat kind");
     if (kind != static_cast<std::uint64_t>(JobStat::Kind::kCount) &&
         kind != static_cast<std::uint64_t>(JobStat::Kind::kPackedDouble)) {
-      bad_result("unknown stat kind " + std::to_string(kind));
+      r.fail("unknown stat kind " + std::to_string(kind));
     }
     s.kind = static_cast<JobStat::Kind>(kind);
     s.value = r.u64("stat value");
     res.stats.push_back(std::move(s));
   }
-  if (r.at != bytes.size()) {
-    bad_result(std::to_string(bytes.size() - r.at) +
-               " trailing bytes after the stats");
-  }
+  r.done("the stats");
   return res;
 }
 

@@ -12,8 +12,9 @@ namespace mrlr::jobs {
 
 namespace {
 
-using exec::append_u64;
-using exec::read_u64;
+using exec::wire::append_bytes;
+using exec::wire::append_string;
+using exec::wire::append_u64;
 
 constexpr std::uint64_t kSpecVersion = 1;
 
@@ -21,50 +22,6 @@ constexpr std::uint64_t kSpecVersion = 1;
   throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
                              "job spec: " + what);
 }
-
-void append_bytes(std::vector<std::byte>& out, const void* data,
-                  std::size_t n) {
-  if (n == 0) return;
-  const auto at = out.size();
-  out.resize(at + n);
-  std::memcpy(out.data() + at, data, n);
-}
-
-void append_string(std::vector<std::byte>& out, std::string_view s) {
-  append_u64(out, s.size());
-  append_bytes(out, s.data(), s.size());
-}
-
-/// Sequential reader with bounds checking; every primitive throws
-/// kBadPayload instead of running off the payload.
-struct Reader {
-  std::span<const std::byte> bytes;
-  std::size_t at = 0;
-
-  void need(std::size_t n, const char* what) const {
-    if (bytes.size() - at < n) {
-      bad_spec(std::string("truncated inside ") + what);
-    }
-  }
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    const std::uint64_t v = read_u64(bytes, at);
-    at += 8;
-    return v;
-  }
-  std::string string(const char* what) {
-    const std::uint64_t len = u64(what);
-    need(len, what);
-    std::string s(reinterpret_cast<const char*>(bytes.data() + at), len);
-    at += len;
-    return s;
-  }
-  void raw(void* dst, std::size_t n, const char* what) {
-    need(n, what);
-    std::memcpy(dst, bytes.data() + at, n);
-    at += n;
-  }
-};
 
 void encode_params(std::vector<std::byte>& out, const core::MrParams& p) {
   append_u64(out, core::pack_double(p.mu));
@@ -78,7 +35,7 @@ void encode_params(std::vector<std::byte>& out, const core::MrParams& p) {
   append_u64(out, p.num_shards);
 }
 
-core::MrParams decode_params(Reader& r) {
+core::MrParams decode_params(exec::wire::Reader& r) {
   core::MrParams p;
   p.mu = core::unpack_double(r.u64("params"));
   p.c = core::unpack_double(r.u64("params"));
@@ -86,9 +43,7 @@ core::MrParams decode_params(Reader& r) {
   p.sample_boost = core::unpack_double(r.u64("params"));
   p.seed = r.u64("params");
   p.max_iterations = r.u64("params");
-  const std::uint64_t enforce = r.u64("params");
-  if (enforce > 1) bad_spec("enforce_space flag must be 0 or 1");
-  p.enforce_space = enforce == 1;
+  p.enforce_space = r.flag("enforce_space");
   p.num_threads = r.u64("params");
   p.num_shards = r.u64("params");
   return p;
@@ -122,38 +77,27 @@ std::vector<std::byte> encode_job_spec(const JobSpec& spec) {
 }
 
 JobSpec decode_job_spec(std::span<const std::byte> bytes) {
-  Reader r{bytes};
+  exec::wire::Reader r(bytes, "job spec");
   const std::uint64_t version = r.u64("version");
   if (version != kSpecVersion) {
-    bad_spec("unsupported spec version " + std::to_string(version) +
-             " (this build speaks version " + std::to_string(kSpecVersion) +
-             ")");
+    r.fail("unsupported spec version " + std::to_string(version) +
+           " (this build speaks version " + std::to_string(kSpecVersion) +
+           ")");
   }
   JobSpec spec;
   spec.algorithm = r.string("algorithm name");
-  if (spec.algorithm.empty()) bad_spec("empty algorithm name");
+  if (spec.algorithm.empty()) r.fail("empty algorithm name");
   spec.params = decode_params(r);
 
-  const std::uint64_t extras = r.u64("extras count");
   // Each extra costs at least two 8-byte length prefixes.
-  if (extras > (bytes.size() - r.at) / 16) {
-    bad_spec("extras count " + std::to_string(extras) +
-             " exceeds the remaining payload");
-  }
+  const std::uint64_t extras = r.count("extras count", 16);
   for (std::uint64_t i = 0; i < extras; ++i) {
     std::string name = r.string("extra name");
-    if (name.empty()) bad_spec("empty extra name");
-    const std::uint64_t count = r.u64("extra values");
-    if (count > (bytes.size() - r.at) / 8) {
-      bad_spec("extra \"" + name + "\" value count " +
-               std::to_string(count) + " exceeds the remaining payload");
-    }
-    std::vector<std::uint64_t> values(count);
-    for (std::uint64_t j = 0; j < count; ++j) {
-      values[j] = r.u64("extra values");
-    }
+    if (name.empty()) r.fail("empty extra name");
+    std::vector<std::uint64_t> values(r.count("extra value count", 8));
+    for (std::uint64_t& v : values) v = r.u64("extra values");
     if (!spec.extras.emplace(std::move(name), std::move(values)).second) {
-      bad_spec("duplicate extra name");
+      r.fail("duplicate extra name");
     }
   }
 
@@ -161,19 +105,13 @@ JobSpec decode_job_spec(std::span<const std::byte> bytes) {
   if (kind != static_cast<std::uint64_t>(JobSpec::InstanceKind::kGraph) &&
       kind !=
           static_cast<std::uint64_t>(JobSpec::InstanceKind::kSetSystem)) {
-    bad_spec("unknown instance kind " + std::to_string(kind));
+    r.fail("unknown instance kind " + std::to_string(kind));
   }
   spec.kind = static_cast<JobSpec::InstanceKind>(kind);
   const std::uint64_t len = r.u64("instance");
-  r.need(len, "instance");
-  spec.instance.assign(
-      r.bytes.begin() + static_cast<std::ptrdiff_t>(r.at),
-      r.bytes.begin() + static_cast<std::ptrdiff_t>(r.at + len));
-  r.at += len;
-  if (r.at != bytes.size()) {
-    bad_spec(std::to_string(bytes.size() - r.at) +
-             " trailing bytes after the instance");
-  }
+  const std::span<const std::byte> instance = r.bytes(len, "instance");
+  spec.instance.assign(instance.begin(), instance.end());
+  r.done("the instance");
   return spec;
 }
 
@@ -224,17 +162,17 @@ setcover::SetSystem decode_set_system_instance(const JobSpec& spec) {
              "\" needs a set system instance but the spec carries kind " +
              std::to_string(static_cast<std::uint64_t>(spec.kind)));
   }
-  Reader r{spec.instance};
-  const std::uint64_t universe = r.u64("set system universe");
-  const std::uint64_t nsets = r.u64("set system count");
+  exec::wire::Reader r(spec.instance, "job spec");
+  // Every set-cover driver needs a coverable instance, which carries at
+  // least one element id per universe element; the bound also keeps a
+  // forged universe from sizing the element index.
+  const std::uint64_t universe =
+      r.count("set system universe", sizeof(setcover::ElementId));
   if (universe > std::uint64_t{1} << 32) {
-    bad_spec("set system universe exceeds the 32-bit element-id limit");
+    r.fail("set system universe exceeds the 32-bit element-id limit");
   }
   // Each set costs at least its weight and count fields.
-  if (nsets > (spec.instance.size() - r.at) / 16) {
-    bad_spec("set count " + std::to_string(nsets) +
-             " exceeds the remaining payload");
-  }
+  const std::uint64_t nsets = r.count("set count", 16);
   std::vector<std::vector<setcover::ElementId>> sets;
   sets.reserve(nsets);
   std::vector<double> weights;
@@ -242,30 +180,24 @@ setcover::SetSystem decode_set_system_instance(const JobSpec& spec) {
   for (std::uint64_t i = 0; i < nsets; ++i) {
     const double w = core::unpack_double(r.u64("set weight"));
     if (!std::isfinite(w) || w <= 0.0) {
-      bad_spec("set " + std::to_string(i) +
-               " weight must be finite and positive");
+      r.fail("set " + std::to_string(i) +
+             " weight must be finite and positive");
     }
     weights.push_back(w);
-    const std::uint64_t count = r.u64("set size");
-    if (count > (spec.instance.size() - r.at) / 4) {
-      bad_spec("set " + std::to_string(i) + " size " +
-               std::to_string(count) + " exceeds the remaining payload");
-    }
+    const std::uint64_t count =
+        r.count("set size", sizeof(setcover::ElementId));
+    const std::span<const std::byte> raw =
+        r.bytes(count * sizeof(setcover::ElementId), "set elements");
     std::vector<setcover::ElementId> elems(count);
-    r.raw(elems.data(), count * sizeof(setcover::ElementId),
-          "set elements");
+    if (count > 0) std::memcpy(elems.data(), raw.data(), raw.size());
     for (const setcover::ElementId e : elems) {
       if (e >= universe) {
-        bad_spec("set " + std::to_string(i) +
-                 " element out of the universe");
+        r.fail("set " + std::to_string(i) + " element out of the universe");
       }
     }
     sets.push_back(std::move(elems));
   }
-  if (r.at != spec.instance.size()) {
-    bad_spec(std::to_string(spec.instance.size() - r.at) +
-             " trailing bytes after the last set");
-  }
+  r.done("the last set");
   return setcover::SetSystem(universe, std::move(sets), std::move(weights));
 }
 

@@ -59,7 +59,8 @@ JobSpec set_system_job(std::string algorithm,
                        const core::MrParams& params);
 
 /// Instance reconstruction (validates; throws on kind mismatch or
-/// malformed bytes).
+/// malformed bytes, and on a set system whose universe is larger than
+/// the element ids it carries could cover).
 graph::Graph decode_graph_instance(const JobSpec& spec);
 setcover::SetSystem decode_set_system_instance(const JobSpec& spec);
 

@@ -320,7 +320,8 @@ std::uint64_t Engine::inbox_size(MachineId m) const {
 
 namespace {
 
-using exec::store_u64;
+using exec::wire::load;
+using exec::wire::store;
 
 /// Grows `out` by `bytes` in one step and returns where they start: the
 /// encoders size their output exactly, then store through a moving
@@ -338,20 +339,11 @@ std::byte* store_words(std::byte* at, const Word* words,
   return at + count * sizeof(Word);
 }
 
-std::byte* store_u32(std::byte* at, std::uint32_t v) {
-  std::memcpy(at, &v, 4);
-  return at + 4;
-}
-
-std::uint32_t load_u32(const std::byte* at) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, at, 4);
-  return v;
-}
+constexpr std::string_view kPayloadContext = "engine shard payload";
 
 [[noreturn]] void bad_payload(const std::string& what) {
   throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
-                             "engine shard payload: " + what);
+                             std::string(kPayloadContext) + ": " + what);
 }
 
 /// A record is one message on the wire: sender, destination and
@@ -373,9 +365,9 @@ std::uint64_t record_bytes(std::uint64_t len) {
 /// record_bytes, which also range-checked `len`.
 std::byte* store_record(std::byte* at, std::uint64_t from, std::uint64_t to,
                         const Word* words, std::uint64_t len) {
-  at = store_u32(at, static_cast<std::uint32_t>(from));
-  at = store_u32(at, static_cast<std::uint32_t>(to));
-  at = store_u32(at, static_cast<std::uint32_t>(len));
+  at = store<std::uint32_t>(at, static_cast<std::uint32_t>(from));
+  at = store<std::uint32_t>(at, static_cast<std::uint32_t>(to));
+  at = store<std::uint32_t>(at, static_cast<std::uint32_t>(len));
   return store_words(at, words, len);
 }
 
@@ -396,9 +388,9 @@ void decode_records(std::span<const std::byte> in, std::uint64_t from_lo,
   };
   while (left > 0) {
     if (left < kRecordHeader) bad_payload("truncated record header");
-    const std::uint64_t from = load_u32(p);
-    const std::uint64_t to = load_u32(p + 4);
-    const std::uint64_t len = load_u32(p + 8);
+    const std::uint64_t from = load<std::uint32_t>(p);
+    const std::uint64_t to = load<std::uint32_t>(p + 4);
+    const std::uint64_t len = load<std::uint32_t>(p + 8);
     p += kRecordHeader;
     left -= kRecordHeader;
     if (from < from_lo || from >= from_hi) {
@@ -428,20 +420,6 @@ std::uint64_t append_words(std::vector<Word>& words, const std::byte* payload,
   if (len > 0) std::memcpy(words.data() + offset, payload, len * sizeof(Word));
   return offset;
 }
-
-/// Cursor over the u64 lanes of an apply-side byte span; every read is
-/// bounds-checked so truncated or adversarial payloads fail typed,
-/// never read OOB.
-struct Cursor {
-  std::span<const std::byte> in;
-
-  std::uint64_t u64(const char* what) {
-    if (in.size() < 8) bad_payload(std::string("truncated reading ") + what);
-    const std::uint64_t v = exec::read_u64(in, 0);
-    in = in.subspan(8);
-    return v;
-  }
-};
 
 }  // namespace
 
@@ -526,8 +504,8 @@ void Engine::serialize_round_input(
   const std::uint64_t last = shard_bounds_[shard + 1];
   std::byte* p = grow(out, 16 * (last - first));
   for (std::uint64_t m = first; m < last; ++m) {
-    p = store_u64(p, inbox_count_[m]);
-    p = store_u64(p, inbox_words_[m]);
+    p = store<std::uint64_t>(p, inbox_count_[m]);
+    p = store<std::uint64_t>(p, inbox_words_[m]);
   }
   const Stream& st = stream_[shard];
   for (const Stream::Part& part : st.parts) {
@@ -559,12 +537,12 @@ void Engine::apply_round_input(std::span<const std::byte> bytes) {
     writer_open_[m] = 0;
   }
 
-  Cursor cur{bytes};
+  exec::wire::Reader r(bytes, kPayloadContext);
   for (std::uint64_t m = first; m < last; ++m) {
-    route_frames_[m] = cur.u64("inbox frame count");
-    route_words_[m] = cur.u64("inbox word total");
+    route_frames_[m] = r.u64("inbox frame count");
+    route_words_[m] = r.u64("inbox word total");
   }
-  decode_records(cur.in, 0, num_machines(), first, last,
+  decode_records(r.rest(), 0, num_machines(), first, last,
                  [&](MachineId from, MachineId to, const std::byte* payload,
                      std::uint64_t len) {
                    const std::uint64_t offset =
@@ -610,16 +588,16 @@ void Engine::serialize_machines(std::vector<std::byte>& out) {
   for (const std::uint64_t b : bucket) size += b;
   std::byte* p = grow(out, size);
   for (std::uint64_t m = first; m < last; ++m) {
-    p = store_u64(p, outbox_words_[m]);
-    p = store_u64(p, resident_words_[m]);
-    p = store_u64(p, writer_open_[m]);
+    p = store<std::uint64_t>(p, outbox_words_[m]);
+    p = store<std::uint64_t>(p, resident_words_[m]);
+    p = store<std::uint64_t>(p, writer_open_[m]);
   }
   for (std::uint64_t d = 0; d < machines; ++d) {
-    p = store_u64(p, route_frames_[d]);
-    p = store_u64(p, route_words_[d]);
+    p = store<std::uint64_t>(p, route_frames_[d]);
+    p = store<std::uint64_t>(p, route_words_[d]);
   }
-  p = store_u64(p, shards);
-  for (const std::uint64_t b : bucket) p = store_u64(p, b);
+  p = store<std::uint64_t>(p, shards);
+  for (const std::uint64_t b : bucket) p = store<std::uint64_t>(p, b);
   std::vector<std::byte*> at(shards);
   for (std::size_t b = 0; b < shards; ++b) {
     at[b] = p;
@@ -683,33 +661,32 @@ void Engine::apply_machines(std::uint32_t shard) {
   const std::uint64_t first = shard_bounds_[shard];
   const std::uint64_t last = shard_bounds_[shard + 1];
   const std::size_t shards = shard_bounds_.size() - 1;
-  Cursor cur{bytes};
+  exec::wire::Reader r(bytes, kPayloadContext);
   // Every word count is bounded by the payload that must carry it, so
   // the sums below cannot wrap.
   std::uint64_t sent = 0;
   for (std::uint64_t m = first; m < last; ++m) {
-    outbox_words_[m] = cur.u64("outbox words");
-    resident_words_[m] = cur.u64("resident words");
-    const std::uint64_t writer_open = cur.u64("writer-open flag");
-    if (writer_open > 1) bad_payload("invalid writer-open flag");
-    writer_open_[m] = static_cast<char>(writer_open);
+    outbox_words_[m] = r.u64("outbox words");
+    resident_words_[m] = r.u64("resident words");
+    writer_open_[m] = static_cast<char>(r.flag("writer-open"));
     if (outbox_words_[m] > bytes.size() / sizeof(Word)) {
       bad_payload("outbox words exceed the payload");
     }
     sent += outbox_words_[m];
   }
   for (std::uint64_t d = 0; d < machines; ++d) {
-    route_frames_[d] = cur.u64("destination frame count");
-    route_words_[d] = cur.u64("destination word total");
+    route_frames_[d] = r.u64("destination frame count");
+    route_words_[d] = r.u64("destination word total");
   }
-  const std::uint64_t bucket_count = cur.u64("bucket count");
+  const std::uint64_t bucket_count = r.u64("bucket count");
   if (bucket_count != shards) {
     bad_payload(std::to_string(bucket_count) + " buckets for a " +
                 std::to_string(shards) + "-shard job");
   }
   std::vector<std::uint64_t> length(shards);
-  for (std::uint64_t& len : length) len = cur.u64("bucket length");
-  const std::uint64_t body = cur.in.size();
+  for (std::uint64_t& len : length) len = r.u64("bucket length");
+  const std::span<const std::byte> buckets = r.rest();
+  const std::uint64_t body = buckets.size();
   std::uint64_t summed = 0;
   for (const std::uint64_t len : length) {
     if (len > body - summed) {
@@ -757,7 +734,7 @@ void Engine::apply_machines(std::uint32_t shard) {
   // Shard 0's bucket: decoded into the senders' staging arenas,
   // appending — words a round whose audit threw left pending stay
   // where next_frames_ points.
-  decode_records(cur.in.first(length[0]), first, last, 0, local_end_,
+  decode_records(buckets.first(length[0]), first, last, 0, local_end_,
                  [&](MachineId from, MachineId to, const std::byte* payload,
                      std::uint64_t len) {
                    if (route_frames_[to] == 0 || route_words_[to] < len) {
@@ -785,7 +762,7 @@ void Engine::apply_machines(std::uint32_t shard) {
     next_inbox_count_[d] += route_frames_[d];
     next_inbox_words_[d] += route_words_[d];
   }
-  const std::byte* bucket = cur.in.data() + length[0];
+  const std::byte* bucket = buckets.data() + length[0];
   for (std::size_t b = 1; b < shards; ++b) {
     next_stream_[b].borrow(bucket, length[b]);
     bucket += length[b];

@@ -23,7 +23,7 @@ Json num_u64(std::uint64_t v, const char* field) {
   return Json::number(static_cast<double>(v));
 }
 
-std::uint64_t get_u64(const Json& j, std::string_view key) {
+std::uint64_t json_u64(const Json& j, std::string_view key) {
   const double v = j.at(key).as_number();
   if (v < 0 || v > 9007199254740992.0) {
     throw JsonError("telemetry: field '" + std::string(key) +
@@ -145,7 +145,7 @@ TelemetrySnapshot read_telemetry_jsonl(std::istream& is) {
         throw JsonError("telemetry: first line is not an mrlr_telemetry "
                         "header");
       }
-      if (get_u64(j, "mrlr_telemetry") != kTelemetryFileVersion) {
+      if (json_u64(j, "mrlr_telemetry") != kTelemetryFileVersion) {
         throw JsonError("telemetry: unsupported file version");
       }
       saw_header = true;
@@ -158,14 +158,14 @@ TelemetrySnapshot read_telemetry_jsonl(std::istream& is) {
       const auto p = phase_from_name(phase);
       if (!p) throw JsonError("telemetry: unknown phase '" + phase + "'");
       s.phase = *p;
-      s.shard = static_cast<std::uint32_t>(get_u64(j, "shard"));
-      s.round = j.find("round") != nullptr ? get_u64(j, "round") : kNoRound;
-      s.start_ns = get_u64(j, "start_ns");
-      s.dur_ns = get_u64(j, "dur_ns");
+      s.shard = static_cast<std::uint32_t>(json_u64(j, "shard"));
+      s.round = j.find("round") != nullptr ? json_u64(j, "round") : kNoRound;
+      s.start_ns = json_u64(j, "start_ns");
+      s.dur_ns = json_u64(j, "dur_ns");
       if (const Json* label = j.find("label")) s.label = label->as_string();
       snap.spans.push_back(std::move(s));
     } else if (type == "counter") {
-      snap.counters[j.at("name").as_string()] += get_u64(j, "value");
+      snap.counters[j.at("name").as_string()] += json_u64(j, "value");
     } else {
       throw JsonError("telemetry: unknown record type '" + type + "'");
     }

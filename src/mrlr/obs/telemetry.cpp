@@ -1,7 +1,5 @@
 #include "mrlr/obs/telemetry.hpp"
 
-#include <cstring>
-
 #include "mrlr/exec/shard_transport.hpp"
 
 namespace mrlr::obs {
@@ -24,43 +22,8 @@ constexpr std::uint64_t kWireVersion = 1;
 // bulk data. An adversarial length fails the cap before any allocation.
 constexpr std::uint64_t kMaxStringBytes = 1 << 12;
 
-[[noreturn]] void bad_payload(const std::string& what) {
-  throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
-                             "telemetry payload: " + what);
-}
-
-/// Bounds-checked reader over the shipped byte span (the same cursor
-/// discipline as the engine's shard data plane).
-struct Cursor {
-  std::span<const std::byte> in;
-
-  std::uint64_t u64(const char* what) {
-    if (in.size() < 8) bad_payload(std::string("truncated reading ") + what);
-    const std::uint64_t v = exec::read_u64(in, 0);
-    in = in.subspan(8);
-    return v;
-  }
-
-  std::string str(std::uint64_t len, const char* what) {
-    if (len > kMaxStringBytes) {
-      bad_payload(std::string(what) + " length " + std::to_string(len) +
-                  " exceeds the cap");
-    }
-    if (in.size() < len) {
-      bad_payload(std::string("truncated reading ") + what);
-    }
-    std::string s(reinterpret_cast<const char*>(in.data()), len);
-    in = in.subspan(len);
-    return s;
-  }
-};
-
-void append_string(std::vector<std::byte>& out, std::string_view s) {
-  exec::append_u64(out, s.size());
-  const auto n = out.size();
-  out.resize(n + s.size());
-  if (!s.empty()) std::memcpy(out.data() + n, s.data(), s.size());
-}
+using exec::wire::append_string;
+using exec::wire::append_u64;
 
 }  // namespace
 
@@ -135,18 +98,18 @@ Telemetry::Mark Telemetry::mark() const {
 std::vector<std::byte> Telemetry::serialize_since(const Mark& mark) const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<std::byte> out;
-  exec::append_u64(out, kWireVersion);
+  append_u64(out, kWireVersion);
 
   const std::size_t from =
       mark.span_count <= spans_.size() ? mark.span_count : spans_.size();
-  exec::append_u64(out, spans_.size() - from);
+  append_u64(out, spans_.size() - from);
   for (std::size_t i = from; i < spans_.size(); ++i) {
     const SpanRecord& s = spans_[i];
-    exec::append_u64(out, static_cast<std::uint64_t>(s.phase));
-    exec::append_u64(out, s.shard);
-    exec::append_u64(out, s.round);
-    exec::append_u64(out, s.start_ns);
-    exec::append_u64(out, s.dur_ns);
+    append_u64(out, static_cast<std::uint64_t>(s.phase));
+    append_u64(out, s.shard);
+    append_u64(out, s.round);
+    append_u64(out, s.start_ns);
+    append_u64(out, s.dur_ns);
     append_string(out, s.label);
   }
 
@@ -157,63 +120,55 @@ std::vector<std::byte> Telemetry::serialize_since(const Mark& mark) const {
     const std::uint64_t base = it == mark.counters.end() ? 0 : it->second;
     if (value > base) deltas.emplace_back(name, value - base);
   }
-  exec::append_u64(out, deltas.size());
+  append_u64(out, deltas.size());
   for (const auto& [name, delta] : deltas) {
     append_string(out, name);
-    exec::append_u64(out, delta);
+    append_u64(out, delta);
   }
   return out;
 }
 
 void Telemetry::merge_remote(std::span<const std::byte> bytes,
                              std::uint32_t expected_shard) {
-  Cursor cur{bytes};
-  const std::uint64_t version = cur.u64("wire version");
+  exec::wire::Reader r(bytes, "telemetry payload");
+  const std::uint64_t version = r.u64("wire version");
   if (version != kWireVersion) {
-    bad_payload("unsupported wire version " + std::to_string(version));
+    r.fail("unsupported wire version " + std::to_string(version));
   }
 
-  const std::uint64_t span_count = cur.u64("span count");
-  // Each span costs at least 6 u64 lanes on the wire, so a fabricated
-  // count cannot out-allocate the payload backing it.
-  if (span_count > cur.in.size() / 48) {
-    bad_payload("span count exceeds remaining payload");
-  }
+  // Each span costs at least 6 u64 lanes on the wire.
+  const std::uint64_t span_count = r.count("span count", 48);
   std::vector<SpanRecord> incoming;
   incoming.reserve(span_count);
   for (std::uint64_t i = 0; i < span_count; ++i) {
-    const std::uint64_t phase = cur.u64("span phase");
+    const std::uint64_t phase = r.u64("span phase");
     if (phase >= kNumPhases) {
-      bad_payload("unknown phase " + std::to_string(phase));
+      r.fail("unknown phase " + std::to_string(phase));
     }
-    const std::uint64_t shard = cur.u64("span shard");
+    const std::uint64_t shard = r.u64("span shard");
     if (shard != expected_shard) {
-      bad_payload("span attributed to shard " + std::to_string(shard) +
-                  " arrived from shard " + std::to_string(expected_shard));
+      r.fail("span attributed to shard " + std::to_string(shard) +
+             " arrived from shard " + std::to_string(expected_shard));
     }
     SpanRecord s;
     s.phase = static_cast<Phase>(phase);
     s.shard = static_cast<std::uint32_t>(shard);
-    s.round = cur.u64("span round");
-    s.start_ns = cur.u64("span start");
-    s.dur_ns = cur.u64("span duration");
-    s.label = cur.str(cur.u64("label length"), "span label");
+    s.round = r.u64("span round");
+    s.start_ns = r.u64("span start");
+    s.dur_ns = r.u64("span duration");
+    s.label = r.string("span label", kMaxStringBytes);
     incoming.push_back(std::move(s));
   }
 
-  const std::uint64_t counter_count = cur.u64("counter count");
-  if (counter_count > cur.in.size() / 16) {
-    bad_payload("counter count exceeds remaining payload");
-  }
+  const std::uint64_t counter_count = r.count("counter count", 16);
   std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
   counter_deltas.reserve(counter_count);
   for (std::uint64_t i = 0; i < counter_count; ++i) {
-    std::string name = cur.str(cur.u64("counter name length"),
-                               "counter name");
-    if (name.empty()) bad_payload("empty counter name");
-    counter_deltas.emplace_back(std::move(name), cur.u64("counter value"));
+    std::string name = r.string("counter name", kMaxStringBytes);
+    if (name.empty()) r.fail("empty counter name");
+    counter_deltas.emplace_back(std::move(name), r.u64("counter value"));
   }
-  if (!cur.in.empty()) bad_payload("trailing bytes after the last counter");
+  r.done("the last counter");
 
   std::lock_guard<std::mutex> lk(mu_);
   for (SpanRecord& s : incoming) spans_.push_back(std::move(s));

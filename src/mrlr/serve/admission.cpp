@@ -9,40 +9,26 @@
 
 namespace mrlr::serve {
 
-namespace {
-
-[[noreturn]] void bad_instance(const std::string& what) {
-  throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
-                             "admission: " + what);
-}
-
-}  // namespace
-
 std::uint64_t instance_dimension(const jobs::JobSpec& spec) {
+  exec::wire::Reader r(spec.instance, "admission");
   if (spec.kind == jobs::JobSpec::InstanceKind::kGraph) {
     // The .mgb header keeps n at a fixed offset (graph/io_binary.hpp),
     // so admission never parses the edge list; magic and version are
     // still vetted so a garbage instance is refused here, not at run
     // time in a forked job.
-    if (spec.instance.size() < 32) {
-      bad_instance("graph instance shorter than the .mgb header");
+    const std::byte* header = r.bytes(32, "the .mgb header").data();
+    if (exec::wire::load<std::uint32_t>(header) != graph::kMgbMagic) {
+      r.fail("graph instance does not start with the MGB1 magic");
     }
-    // Little-endian u32 magic, then u32 version.
-    const std::uint64_t magic_version = exec::read_u64(spec.instance, 0);
-    if (static_cast<std::uint32_t>(magic_version) != graph::kMgbMagic) {
-      bad_instance("graph instance does not start with the MGB1 magic");
+    if (exec::wire::load<std::uint32_t>(header + 4) != graph::kMgbVersion) {
+      r.fail("graph instance has an unsupported .mgb version");
     }
-    if ((magic_version >> 32) != graph::kMgbVersion) {
-      bad_instance("graph instance has an unsupported .mgb version");
-    }
-    return exec::read_u64(spec.instance, 8);
+    return exec::wire::load<std::uint64_t>(header + 8);
   }
-  // Set-system block format (job_spec.cpp): the universe is the first
-  // u64.
-  if (spec.instance.size() < 16) {
-    bad_instance("set system instance shorter than its header");
-  }
-  return exec::read_u64(spec.instance, 0);
+  // Set-system block format (job_spec.cpp): the universe, then the set
+  // count.
+  return exec::wire::load<std::uint64_t>(
+      r.bytes(16, "the set system header").data());
 }
 
 std::uint64_t projected_machine_words(const jobs::JobSpec& spec) {

@@ -1,15 +1,14 @@
 #include "mrlr/serve/protocol.hpp"
 
-#include <cstring>
-
 #include "mrlr/exec/shard_transport.hpp"
 
 namespace mrlr::serve {
 
 namespace {
 
-using exec::append_u64;
-using exec::read_u64;
+using exec::wire::append_bytes;
+using exec::wire::append_string;
+using exec::wire::append_u64;
 
 constexpr std::uint64_t kProtoVersion = 1;
 
@@ -17,67 +16,18 @@ constexpr std::uint64_t kProtoVersion = 1;
 /// length fails the cap before any allocation.
 constexpr std::uint64_t kMaxMessageBytes = 1 << 16;
 
-[[noreturn]] void bad_payload(const std::string& what) {
-  throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
-                             "serve payload: " + what);
+/// A reader over one reply that has checked its version lane.
+exec::wire::Reader open_reply(std::span<const std::byte> bytes,
+                              const char* what) {
+  exec::wire::Reader r(bytes, "serve payload");
+  const std::uint64_t v = r.u64("version");
+  if (v != kProtoVersion) {
+    r.fail(std::string(what) + " version " + std::to_string(v) +
+           " (this build speaks version " + std::to_string(kProtoVersion) +
+           ")");
+  }
+  return r;
 }
-
-void append_string(std::vector<std::byte>& out, std::string_view s) {
-  append_u64(out, s.size());
-  if (s.empty()) return;
-  const auto at = out.size();
-  out.resize(at + s.size());
-  std::memcpy(out.data() + at, s.data(), s.size());
-}
-
-/// Bounds-checked sequential reader (the job_spec.cpp cursor
-/// discipline).
-struct Reader {
-  std::span<const std::byte> bytes;
-  std::size_t at = 0;
-
-  void need(std::size_t n, const char* what) const {
-    if (bytes.size() - at < n) {
-      bad_payload(std::string("truncated inside ") + what);
-    }
-  }
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    const std::uint64_t v = read_u64(bytes, at);
-    at += 8;
-    return v;
-  }
-  std::string string(const char* what) {
-    const std::uint64_t len = u64(what);
-    if (len > kMaxMessageBytes) {
-      bad_payload(std::string(what) + " length " + std::to_string(len) +
-                  " exceeds the cap");
-    }
-    need(len, what);
-    std::string s(reinterpret_cast<const char*>(bytes.data() + at), len);
-    at += len;
-    return s;
-  }
-  bool flag(const char* what) {
-    const std::uint64_t v = u64(what);
-    if (v > 1) bad_payload(std::string(what) + " flag must be 0 or 1");
-    return v == 1;
-  }
-  void expect_version(const char* what) {
-    const std::uint64_t v = u64("version");
-    if (v != kProtoVersion) {
-      bad_payload(std::string(what) + " version " + std::to_string(v) +
-                  " (this build speaks version " +
-                  std::to_string(kProtoVersion) + ")");
-    }
-  }
-  void done(const char* what) const {
-    if (at != bytes.size()) {
-      bad_payload(std::to_string(bytes.size() - at) +
-                  " trailing bytes after the " + what);
-    }
-  }
-};
 
 }  // namespace
 
@@ -107,28 +57,27 @@ std::vector<std::byte> encode_admission_reply(const AdmissionReply& r) {
 }
 
 AdmissionReply decode_admission_reply(std::span<const std::byte> bytes) {
-  Reader rd{bytes};
-  rd.expect_version("admission reply");
+  exec::wire::Reader rd = open_reply(bytes, "admission reply");
   AdmissionReply r;
   r.accepted = rd.flag("accepted");
   r.job_id = rd.u64("job id");
   const std::uint64_t reason = rd.u64("reject reason");
   if (reason > static_cast<std::uint64_t>(RejectReason::kShuttingDown)) {
-    bad_payload("unknown reject reason " + std::to_string(reason));
+    rd.fail("unknown reject reason " + std::to_string(reason));
   }
   r.reason = static_cast<RejectReason>(reason);
   if (r.accepted && r.reason != RejectReason::kNone) {
-    bad_payload("accepted reply carries reject reason " +
+    rd.fail("accepted reply carries reject reason " +
                 std::string(reject_reason_name(r.reason)));
   }
   if (!r.accepted && r.reason == RejectReason::kNone) {
-    bad_payload("rejected reply carries no reason");
+    rd.fail("rejected reply carries no reason");
   }
-  r.message = rd.string("message");
+  r.message = rd.string("message", kMaxMessageBytes);
   r.projected_words = rd.u64("projected words");
   r.budget_words = rd.u64("budget words");
   r.words_in_use = rd.u64("words in use");
-  rd.done("admission reply");
+  rd.done("the admission reply");
   return r;
 }
 
@@ -141,36 +90,28 @@ std::vector<std::byte> encode_result_reply(const ResultReply& r) {
   append_u64(out, r.queue_wait_ns);
   append_u64(out, r.run_ns);
   append_u64(out, r.result.size());
-  if (!r.result.empty()) {
-    const auto at = out.size();
-    out.resize(at + r.result.size());
-    std::memcpy(out.data() + at, r.result.data(), r.result.size());
-  }
+  append_bytes(out, r.result.data(), r.result.size());
   return out;
 }
 
 ResultReply decode_result_reply(std::span<const std::byte> bytes) {
-  Reader rd{bytes};
-  rd.expect_version("result reply");
+  exec::wire::Reader rd = open_reply(bytes, "result reply");
   ResultReply r;
   r.job_id = rd.u64("job id");
   r.ok = rd.flag("ok");
-  r.error = rd.string("error");
+  r.error = rd.string("error", kMaxMessageBytes);
   r.queue_wait_ns = rd.u64("queue wait");
   r.run_ns = rd.u64("run time");
   const std::uint64_t len = rd.u64("result bytes");
-  rd.need(len, "result bytes");
-  r.result.assign(
-      rd.bytes.begin() + static_cast<std::ptrdiff_t>(rd.at),
-      rd.bytes.begin() + static_cast<std::ptrdiff_t>(rd.at + len));
-  rd.at += len;
+  const std::span<const std::byte> result = rd.bytes(len, "result bytes");
+  r.result.assign(result.begin(), result.end());
   if (r.ok && r.result.empty()) {
-    bad_payload("ok result reply carries no result bytes");
+    rd.fail("ok result reply carries no result bytes");
   }
   if (!r.ok && r.error.empty()) {
-    bad_payload("failed result reply carries no error text");
+    rd.fail("failed result reply carries no error text");
   }
-  rd.done("result reply");
+  rd.done("the result reply");
   return r;
 }
 
@@ -192,8 +133,7 @@ std::vector<std::byte> encode_stats_reply(const StatsReply& r) {
 }
 
 StatsReply decode_stats_reply(std::span<const std::byte> bytes) {
-  Reader rd{bytes};
-  rd.expect_version("stats reply");
+  exec::wire::Reader rd = open_reply(bytes, "stats reply");
   StatsReply r;
   r.jobs_submitted = rd.u64("stats");
   r.jobs_accepted = rd.u64("stats");
@@ -206,7 +146,7 @@ StatsReply decode_stats_reply(std::span<const std::byte> bytes) {
   r.words_budget = rd.u64("stats");
   r.words_in_use = rd.u64("stats");
   r.uptime_ms = rd.u64("stats");
-  rd.done("stats reply");
+  rd.done("the stats reply");
   return r;
 }
 
@@ -220,13 +160,12 @@ std::vector<std::byte> encode_health_reply(const HealthReply& r) {
 }
 
 HealthReply decode_health_reply(std::span<const std::byte> bytes) {
-  Reader rd{bytes};
-  rd.expect_version("health reply");
+  exec::wire::Reader rd = open_reply(bytes, "health reply");
   HealthReply r;
   r.shutting_down = rd.flag("shutting down");
   r.jobs_running = rd.u64("jobs running");
   r.uptime_ms = rd.u64("uptime");
-  rd.done("health reply");
+  rd.done("the health reply");
   return r;
 }
 

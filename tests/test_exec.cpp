@@ -570,7 +570,7 @@ struct Wire {
     }
   }
   Wire& lanes(std::initializer_list<std::uint64_t> values) {
-    for (const std::uint64_t v : values) exec::append_u64(bytes, v);
+    for (const std::uint64_t v : values) exec::wire::append_u64(bytes, v);
     return *this;
   }
   Wire& record(std::uint32_t from, std::uint32_t to,

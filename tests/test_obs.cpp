@@ -174,15 +174,15 @@ TEST_F(TelemetryTest, MergeRejectsMalformedPayloads) {
   // Unsupported wire version.
   {
     std::vector<std::byte> b;
-    exec::append_u64(b, 999);
+    exec::wire::append_u64(b, 999);
     expect_bad(b, 0);
   }
 
   // Span count exceeding the payload backing it.
   {
     std::vector<std::byte> b;
-    exec::append_u64(b, 1);   // version
-    exec::append_u64(b, 50);  // claims 50 spans, no bytes behind them
+    exec::wire::append_u64(b, 1);   // version
+    exec::wire::append_u64(b, 50);  // claims 50 spans, no bytes behind them
     expect_bad(b, 0);
   }
 
@@ -200,23 +200,23 @@ TEST_F(TelemetryTest, MergeRejectsMalformedPayloads) {
   // Unknown phase id.
   {
     std::vector<std::byte> b;
-    exec::append_u64(b, 1);                // version
-    exec::append_u64(b, 1);                // one span
-    exec::append_u64(b, obs::kNumPhases);  // phase out of range
-    exec::append_u64(b, 0);                // shard
-    exec::append_u64(b, 0);                // round
-    exec::append_u64(b, 0);                // start
-    exec::append_u64(b, 0);                // dur
-    exec::append_u64(b, 0);                // label length
+    exec::wire::append_u64(b, 1);                // version
+    exec::wire::append_u64(b, 1);                // one span
+    exec::wire::append_u64(b, obs::kNumPhases);  // phase out of range
+    exec::wire::append_u64(b, 0);                // shard
+    exec::wire::append_u64(b, 0);                // round
+    exec::wire::append_u64(b, 0);                // start
+    exec::wire::append_u64(b, 0);                // dur
+    exec::wire::append_u64(b, 0);                // label length
     expect_bad(b, 0);
   }
 
   // Trailing bytes after the last counter.
   {
     std::vector<std::byte> b;
-    exec::append_u64(b, 1);  // version
-    exec::append_u64(b, 0);  // no spans
-    exec::append_u64(b, 0);  // no counters
+    exec::wire::append_u64(b, 1);  // version
+    exec::wire::append_u64(b, 0);  // no spans
+    exec::wire::append_u64(b, 0);  // no counters
     b.push_back(std::byte{0});
     expect_bad(b, 0);
   }
@@ -224,11 +224,11 @@ TEST_F(TelemetryTest, MergeRejectsMalformedPayloads) {
   // Counter with an empty name.
   {
     std::vector<std::byte> b;
-    exec::append_u64(b, 1);  // version
-    exec::append_u64(b, 0);  // no spans
-    exec::append_u64(b, 1);  // one counter
-    exec::append_u64(b, 0);  // name length 0
-    exec::append_u64(b, 5);  // value
+    exec::wire::append_u64(b, 1);  // version
+    exec::wire::append_u64(b, 0);  // no spans
+    exec::wire::append_u64(b, 1);  // one counter
+    exec::wire::append_u64(b, 0);  // name length 0
+    exec::wire::append_u64(b, 5);  // value
     expect_bad(b, 0);
   }
 

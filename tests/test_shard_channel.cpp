@@ -332,6 +332,63 @@ TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
   responder.join();
 }
 
+TEST(Handshake, RefusesUnknownAckStatusAndReservedBits) {
+  // Forged acks with the right magic, shard, nonce and version: one
+  // carries a status no build defines, one sets reserved bits. Neither
+  // may pass for an accepted handshake.
+  struct ForgedAck {
+    std::uint16_t status;
+    std::uint32_t reserved;
+    const char* needle;
+  };
+  for (const ForgedAck forged : {ForgedAck{9, 0, "unknown status 9"},
+                                 ForgedAck{0, 1, "reserved ack bits"}}) {
+    auto [a, b] = make_socketpair_channel();
+    std::thread responder([&] {
+      std::byte hello[24];
+      std::size_t at = 0;
+      while (at < 24) {
+        const std::size_t r = b.read_some(hello + at, 24 - at);
+        ASSERT_GT(r, 0u);
+        at += r;
+      }
+      std::vector<std::byte> ack(24);
+      put_u32(ack.data() + 0, kAckMagic);
+      put_u16(ack.data() + 4, kFrameVersion);
+      put_u16(ack.data() + 6, forged.status);
+      put_u32(ack.data() + 8, 5);
+      put_u32(ack.data() + 12, forged.reserved);
+      put_u64(ack.data() + 16, 99);
+      b.write_all(ack.data(), ack.size());
+    });
+    try {
+      handshake_connect(a, 5, 99);
+      ADD_FAILURE() << "accepted an ack that should fail on "
+                    << forged.needle;
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.kind, TransportError::Kind::kBadPayload);
+      EXPECT_NE(std::string(e.what()).find(forged.needle), std::string::npos)
+          << e.what();
+    }
+    responder.join();
+  }
+
+  // The acceptor refuses a hello with reserved bits set, before any ack.
+  auto [a, b] = make_socketpair_channel();
+  auto hello = forge_hello(kFrameVersion, /*shard=*/2, /*nonce=*/7);
+  put_u16(hello.data() + 6, 1);
+  a.write_all(hello.data(), hello.size());
+  try {
+    (void)handshake_accept(b, nullptr);
+    FAIL() << "expected TransportError";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind, TransportError::Kind::kBadPayload);
+    EXPECT_NE(std::string(e.what()).find("reserved hello bits"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Handshake, DuplicateShardVetRefusesBothSides) {
   auto [a, b] = make_socketpair_channel();
   std::thread acceptor([&] {
@@ -482,6 +539,9 @@ TEST(JobBootstrap, RefusesShardTablesThatAreNotOnePartition) {
   single.last = 10;
   single.shard_ranges = {{0, 10}};
   expect_bootstrap_refused(single, "shard count 1");
+  JobBootstrap flags = sample_bootstrap();
+  flags.flags |= 1ull << 10;
+  expect_bootstrap_refused(flags, "unknown flag bits 0x400");
 }
 
 TEST(JobBootstrap, RefusesTruncatedShardTable) {

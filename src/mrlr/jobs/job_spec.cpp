@@ -1,5 +1,6 @@
 #include "mrlr/jobs/job_spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -136,6 +137,8 @@ JobSpec set_system_job(std::string algorithm,
   // element count, raw u32 elements). Weights as bit patterns — the
   // replayed instance must be bit-identical, not merely close.
   std::vector<std::byte>& out = spec.instance;
+  out.reserve(16 + 16 * sys.num_sets() +
+              sizeof(setcover::ElementId) * sys.total_incidences());
   append_u64(out, sys.universe_size());
   append_u64(out, sys.num_sets());
   for (setcover::SetId i = 0; i < sys.num_sets(); ++i) {
@@ -173,8 +176,16 @@ setcover::SetSystem decode_set_system_instance(const JobSpec& spec) {
   }
   // Each set costs at least its weight and count fields.
   const std::uint64_t nsets = r.count("set count", 16);
-  std::vector<std::vector<setcover::ElementId>> sets;
-  sets.reserve(nsets);
+  // The bytes left after the set headers bound the element count
+  // (exactly, for a payload that decodes), so the element array is
+  // reserved once and filled in place.
+  const std::uint64_t max_elements =
+      (spec.instance.size() - 16 - 16 * nsets) / sizeof(setcover::ElementId);
+  std::vector<std::uint64_t> offsets;
+  offsets.reserve(nsets + 1);
+  offsets.push_back(0);
+  std::vector<setcover::ElementId> elements;
+  elements.reserve(max_elements);
   std::vector<double> weights;
   weights.reserve(nsets);
   for (std::uint64_t i = 0; i < nsets; ++i) {
@@ -184,21 +195,27 @@ setcover::SetSystem decode_set_system_instance(const JobSpec& spec) {
              " weight must be finite and positive");
     }
     weights.push_back(w);
-    const std::uint64_t count =
-        r.count("set size", sizeof(setcover::ElementId));
+    // Stricter than Reader::count: the sets after this one need their
+    // 16 header bytes too.
+    const std::uint64_t count = r.u64("set size");
+    const std::uint64_t filled = elements.size();
+    if (count > max_elements - filled) {
+      r.fail("set size " + std::to_string(count) +
+             " exceeds the remaining payload");
+    }
     const std::span<const std::byte> raw =
         r.bytes(count * sizeof(setcover::ElementId), "set elements");
-    std::vector<setcover::ElementId> elems(count);
-    if (count > 0) std::memcpy(elems.data(), raw.data(), raw.size());
-    for (const setcover::ElementId e : elems) {
-      if (e >= universe) {
-        r.fail("set " + std::to_string(i) + " element out of the universe");
-      }
+    elements.resize(filled + count);
+    setcover::ElementId* const set = elements.data() + filled;
+    if (count > 0) std::memcpy(set, raw.data(), raw.size());
+    if (count > 0 && *std::max_element(set, set + count) >= universe) {
+      r.fail("set " + std::to_string(i) + " element out of the universe");
     }
-    sets.push_back(std::move(elems));
+    offsets.push_back(elements.size());
   }
   r.done("the last set");
-  return setcover::SetSystem(universe, std::move(sets), std::move(weights));
+  return setcover::SetSystem(universe, std::move(offsets),
+                             std::move(elements), std::move(weights));
 }
 
 }  // namespace mrlr::jobs

@@ -1,11 +1,11 @@
 #include "mrlr/setcover/io.hpp"
 
-#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mrlr::setcover {
@@ -16,6 +16,49 @@ namespace {
   throw ParseError("set system: line " + std::to_string(line_no) + ": " +
                    what);
 }
+
+/// Reads numbers off one line the way operator>> would: leading blanks
+/// and a '+' are skipped, and a number ends at the first character that
+/// cannot continue it.
+class Scanner {
+ public:
+  explicit Scanner(std::string_view line)
+      : at_(line.data()), end_(line.data() + line.size()) {}
+
+  template <class T>
+  bool number(T& v) {
+    skip_blanks();
+    if (at_ != end_ && *at_ == '+') ++at_;
+    const auto [next, ec] = std::from_chars(at_, end_, v);
+    if (ec != std::errc{}) return false;
+    at_ = next;
+    return true;
+  }
+
+  /// The next blank-delimited word, empty at the end of the line.
+  std::string_view token() {
+    skip_blanks();
+    const char* const start = at_;
+    while (at_ != end_ && !is_blank(*at_)) ++at_;
+    return {start, static_cast<std::size_t>(at_ - start)};
+  }
+
+  bool at_end() {
+    skip_blanks();
+    return at_ == end_;
+  }
+
+ private:
+  static bool is_blank(char c) {
+    return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';
+  }
+  void skip_blanks() {
+    while (at_ != end_ && is_blank(*at_)) ++at_;
+  }
+
+  const char* at_;
+  const char* end_;
+};
 
 }  // namespace
 
@@ -43,51 +86,67 @@ SetSystem read_set_system(std::istream& is) {
   };
 
   if (!next_content_line()) throw ParseError("set system: missing header");
-  std::istringstream header(line);
+  const std::uint64_t header_line = line_no;
+  Scanner header(line);
   std::uint64_t n = 0, m = 0;
-  std::string flag;
-  if (!(header >> n >> m)) fail(line_no, "malformed header counts");
-  const bool weighted = static_cast<bool>(header >> flag);
-  if (weighted && flag != "weighted") {
-    fail(line_no, "unrecognized header flag '" + flag + "'");
+  if (!header.number(n) || !header.number(m)) {
+    fail(line_no, "malformed header counts");
   }
-  std::string extra;
-  if (header >> extra) fail(line_no, "trailing characters after header");
+  const std::string_view flag = header.token();
+  const bool weighted = !flag.empty();
+  if (weighted && flag != "weighted") {
+    fail(line_no, "unrecognized header flag '" + std::string(flag) + "'");
+  }
+  if (!header.at_end()) fail(line_no, "trailing characters after header");
+  // Element ids are 32-bit: a larger universe would truncate ids that
+  // pass the j < m check.
+  if (m > std::uint64_t{1} << 32) {
+    fail(line_no, "universe exceeds the 32-bit element-id limit");
+  }
 
-  // Cap up-front reservations so adversarial header/row counts fail as
-  // ParseError (truncated file / short row) instead of std::length_error
-  // out of reserve; genuinely large systems grow geometrically.
-  std::vector<std::vector<ElementId>> sets;
+  // The CSR arrays grow geometrically: no header or row count sizes an
+  // allocation, so a forged count fails as ParseError (truncated file,
+  // short row) after allocating no more than the rows that back it.
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<ElementId> elements;
   std::vector<double> weights;
-  sets.reserve(std::min(n, graph::kIoReserveCap));
   for (std::uint64_t i = 0; i < n; ++i) {
     if (!next_content_line()) {
       throw ParseError("set system: truncated file: " + std::to_string(i) +
                        " of " + std::to_string(n) + " sets read");
     }
-    std::istringstream ls(line);
+    Scanner row(line);
     double w = 1.0;
     if (weighted) {
-      if (!(ls >> w)) fail(line_no, "missing set weight");
+      if (!row.number(w)) fail(line_no, "missing set weight");
       if (!std::isfinite(w) || w <= 0.0) {
         fail(line_no, "set weight must be finite and positive");
       }
     }
     std::uint64_t k = 0;
-    if (!(ls >> k)) fail(line_no, "missing set size");
-    std::vector<ElementId> s;
-    s.reserve(std::min(k, graph::kIoReserveCap));
+    if (!row.number(k)) fail(line_no, "missing set size");
     for (std::uint64_t t = 0; t < k; ++t) {
       std::uint64_t j = 0;
-      if (!(ls >> j)) fail(line_no, "set row shorter than its declared size");
+      if (!row.number(j)) {
+        fail(line_no, "set row shorter than its declared size");
+      }
       if (j >= m) fail(line_no, "element outside universe");
-      s.push_back(static_cast<ElementId>(j));
+      elements.push_back(static_cast<ElementId>(j));
     }
-    if (ls >> extra) fail(line_no, "trailing characters after set row");
-    sets.push_back(std::move(s));
+    if (!row.at_end()) fail(line_no, "trailing characters after set row");
+    offsets.push_back(elements.size());
     weights.push_back(w);
   }
-  return SetSystem(m, std::move(sets), std::move(weights));
+  // Like the binary spec decoder: a universe larger than the element
+  // ids the rows carry cannot be covered, and must not size the element
+  // index the build allocates.
+  if (m > elements.size()) {
+    fail(header_line, "universe " + std::to_string(m) + " exceeds the " +
+                          std::to_string(elements.size()) +
+                          " element ids the set rows carry");
+  }
+  return SetSystem(m, std::move(offsets), std::move(elements),
+                   std::move(weights));
 }
 
 }  // namespace mrlr::setcover

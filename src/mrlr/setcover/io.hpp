@@ -9,7 +9,12 @@
 // read_set_system shares the graph reader's error taxonomy: a garbage
 // or truncated header, a short set row, an element outside the
 // universe, or a missing/non-finite/non-positive weight throws
-// graph::ParseError instead of yielding a silently empty system.
+// graph::ParseError instead of yielding a silently empty system. So
+// does a universe above 2^32 (element ids are 32-bit) or above the
+// number of element ids the rows carry, which could never be covered
+// and would otherwise size the element index from the header alone.
+// It scans each line with std::from_chars (weights parse to the same
+// doubles as operator>>) and fills the SetSystem's CSR arrays directly.
 
 #include <iosfwd>
 

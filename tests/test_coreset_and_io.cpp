@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iomanip>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mrlr/baselines/coreset_matching.hpp"
 #include "mrlr/graph/generators.hpp"
@@ -134,6 +138,31 @@ TEST(SetSystemIo, RejectsShortRow) {
 TEST(SetSystemIo, RejectsBadWeight) {
   std::stringstream ss("1 5 weighted\n-2.0 1 0\n");
   EXPECT_THROW((void)read_set_system(ss), ParseError);
+}
+
+TEST(SetSystemIo, WeightsParseLikeStreamExtraction) {
+  std::vector<std::string> texts = {"+2.5", "1e3", "0.1", "3.", ".5",
+                                    "1E-7", "4.9406564584124654e-324",
+                                    "123456789012345678901234567890"};
+  Rng rng(5);
+  for (int i = 0; i < 300; ++i) {
+    const double w = std::ldexp(rng.uniform_real(1.0, 2.0),
+                                static_cast<int>(rng.uniform(120)) - 60);
+    std::ostringstream os;
+    os << std::setprecision(1 + static_cast<int>(rng.uniform(17))) << w;
+    texts.push_back(os.str());
+  }
+  std::stringstream file;
+  file << texts.size() << " 1 weighted\n";
+  for (const std::string& t : texts) file << t << " 1 0\n";
+  const SetSystem sys = read_set_system(file);
+  ASSERT_EQ(sys.num_sets(), texts.size());
+  for (SetId i = 0; i < sys.num_sets(); ++i) {
+    std::istringstream is(texts[i]);
+    double expected = 0.0;
+    ASSERT_TRUE(is >> expected) << texts[i];
+    EXPECT_EQ(sys.weight(i), expected) << texts[i];
+  }
 }
 
 TEST(SetSystemIo, AdversarialCountsFailAsParseError) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <vector>
 
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/setcover/exact.hpp"
@@ -77,6 +79,102 @@ TEST(SetSystem, VertexCoverInstance) {
   EXPECT_EQ(s.max_frequency(), 2u);
   EXPECT_EQ(s.set(0).size(), 2u);
   EXPECT_DOUBLE_EQ(s.weight(2), 3.0);
+}
+
+// ------------------------------------------------------- CSR invariants --
+
+/// Checks every set is sorted and unique, and that the dual and the
+/// summary statistics agree with a brute-force dual built from set(i).
+void expect_csr_invariants(const SetSystem& s) {
+  std::vector<std::vector<SetId>> dual(s.universe_size());
+  std::uint64_t total = 0;
+  std::uint64_t delta = 0;
+  for (SetId i = 0; i < s.num_sets(); ++i) {
+    const auto set = s.set(i);
+    EXPECT_EQ(std::adjacent_find(set.begin(), set.end(),
+                                 std::greater_equal<>()),
+              set.end())
+        << "set " << i << " is not strictly ascending";
+    for (const ElementId j : set) {
+      ASSERT_LT(j, s.universe_size());
+      dual[j].push_back(i);
+    }
+    total += set.size();
+    delta = std::max<std::uint64_t>(delta, set.size());
+  }
+  std::uint64_t f = 0;
+  bool coverable = true;
+  for (ElementId j = 0; j < s.universe_size(); ++j) {
+    const auto t = s.sets_containing(j);
+    EXPECT_EQ(std::vector<SetId>(t.begin(), t.end()), dual[j])
+        << "element " << j;
+    f = std::max<std::uint64_t>(f, dual[j].size());
+    coverable = coverable && !dual[j].empty();
+  }
+  EXPECT_EQ(s.max_frequency(), f);
+  EXPECT_EQ(s.max_set_size(), delta);
+  EXPECT_EQ(s.total_incidences(), total);
+  EXPECT_EQ(s.coverable(), coverable);
+}
+
+std::vector<ElementId> elements_of(const SetSystem& s, SetId i) {
+  return {s.set(i).begin(), s.set(i).end()};
+}
+
+TEST(SetSystemCsr, GeneratorsKeepInvariants) {
+  Rng rng(11);
+  for (const auto dist :
+       {graph::WeightDist::kUniform, graph::WeightDist::kPolarized}) {
+    expect_csr_invariants(bounded_frequency(30, 90, 4, dist, rng));
+    expect_csr_invariants(many_sets(120, 35, 9, dist, rng));
+  }
+  expect_csr_invariants(planted_cover(6, 25, 70, rng, nullptr));
+  const graph::Graph g = graph::gnm(40, 150, rng);
+  expect_csr_invariants(SetSystem::vertex_cover_instance(
+      g, std::vector<double>(g.num_vertices(), 1.0)));
+}
+
+TEST(SetSystemCsr, CanonicalisesUnsortedDuplicatedAndEmptySets) {
+  const SetSystem s(6, {{4, 1, 1, 3}, {}, {0, 0}, {2, 5, 0, 5, 2}, {}});
+  expect_csr_invariants(s);
+  EXPECT_EQ(elements_of(s, 0), (std::vector<ElementId>{1, 3, 4}));
+  EXPECT_TRUE(s.set(1).empty());
+  EXPECT_EQ(elements_of(s, 2), (std::vector<ElementId>{0}));
+  EXPECT_EQ(elements_of(s, 3), (std::vector<ElementId>{0, 2, 5}));
+  EXPECT_TRUE(s.set(4).empty());
+  EXPECT_EQ(s.total_incidences(), 7u);
+  EXPECT_EQ(s.max_frequency(), 2u);
+  EXPECT_EQ(s.max_set_size(), 3u);
+  EXPECT_TRUE(s.coverable());
+}
+
+TEST(SetSystemCsr, FlatInputMatchesNestedInput) {
+  // Sets {3, 1, 3}, {}, {2, 0}, given as offsets plus elements.
+  const SetSystem flat(4, {0, 3, 3, 5}, {3, 1, 3, 2, 0}, {2.0, 1.0, 3.0});
+  const SetSystem nested(4, {{3, 1, 3}, {}, {2, 0}}, {2.0, 1.0, 3.0});
+  expect_csr_invariants(flat);
+  ASSERT_EQ(flat.num_sets(), nested.num_sets());
+  for (SetId i = 0; i < flat.num_sets(); ++i) {
+    EXPECT_EQ(elements_of(flat, i), elements_of(nested, i));
+    EXPECT_EQ(flat.weight(i), nested.weight(i));
+  }
+  EXPECT_EQ(elements_of(flat, 0), (std::vector<ElementId>{1, 3}));
+}
+
+TEST(SetSystemCsr, EmptyUniverse) {
+  for (const SetSystem& s : {SetSystem(0, std::vector<std::vector<ElementId>>{}),
+                             SetSystem(0, {{}, {}})}) {
+    expect_csr_invariants(s);
+    EXPECT_EQ(s.max_frequency(), 0u);
+    EXPECT_EQ(s.max_set_size(), 0u);
+    EXPECT_EQ(s.total_incidences(), 0u);
+    EXPECT_TRUE(s.coverable());
+  }
+}
+
+TEST(SetSystemCsr, RejectsMalformedOffsets) {
+  EXPECT_DEATH(SetSystem(4, {0, 2}, {1, 2, 3}, {}), "offsets");
+  EXPECT_DEATH(SetSystem(4, {0, 3, 2, 3}, {1, 2, 3}, {}), "offsets");
 }
 
 // ----------------------------------------------------------- generators --

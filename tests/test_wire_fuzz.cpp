@@ -9,6 +9,10 @@
 // throw anything else, and never allocate more than a small multiple
 // of its own size (a forged length or count must fail its bounds check
 // before it drives an allocation).
+//
+// TextFuzz holds the plain-text set-system reader to the same rule:
+// mutants of a valid file either read as a valid system or throw
+// ParseError, within the same allocation bound.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,7 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,11 +33,13 @@
 #include "mrlr/exec/shard_transport.hpp"
 #include "mrlr/exec/shard_worker.hpp"
 #include "mrlr/graph/graph.hpp"
+#include "mrlr/graph/io.hpp"
 #include "mrlr/jobs/job_result.hpp"
 #include "mrlr/jobs/job_spec.hpp"
 #include "mrlr/mrc/engine.hpp"
 #include "mrlr/obs/telemetry.hpp"
 #include "mrlr/serve/protocol.hpp"
+#include "mrlr/setcover/io.hpp"
 #include "mrlr/setcover/set_system.hpp"
 #include "mrlr/util/rng.hpp"
 
@@ -406,24 +413,28 @@ Bytes mutate(const Bytes& seed, Rng& rng) {
 }
 
 using Decode = std::function<void(std::span<const std::byte>)>;
+using Mutate = Bytes (*)(const Bytes&, Rng&);
 
 /// Decodes kIterations mutants of `seed` (after `setup`, which runs
-/// outside the allocation bound): each must return or throw ExecError.
+/// outside the allocation bound): each must return or throw
+/// `TypedError`.
+template <class TypedError = exec::ExecError>
 void fuzz(const char* name, const Bytes& seed, std::uint64_t stream,
-          const Decode& decode, const std::function<void()>& setup = {}) {
+          const Decode& decode, const std::function<void()>& setup = {},
+          Mutate mutant = mutate) {
   if (setup) setup();
   ASSERT_NO_THROW(decode(seed)) << name << ": the seed must decode";
   Rng rng(0x6D726C722E777A66ull + stream);
   int decoded = 0;
   for (int i = 0; i < kIterations; ++i) {
-    const Bytes in = mutate(seed, rng);
+    const Bytes in = mutant(seed, rng);
     if (setup) setup();
     std::string failure;
     g_alloc_limit = kAllocFactor * in.size() + kAllocSlack;
     try {
       decode(in);
       ++decoded;
-    } catch (const exec::ExecError&) {
+    } catch (const TypedError&) {
     } catch (const std::bad_alloc&) {
       failure = "an allocation of " + std::to_string(g_alloc_refused) +
                 " bytes";
@@ -532,6 +543,111 @@ TEST(WireFuzz, EngineDataPlane) {
          plane->plane->apply_machines(1);
        },
        [&] { plane = std::make_unique<PlaneUnderTest>(0); });
+}
+
+// ------------------------------------------------------- text fuzz --
+
+setcover::SetSystem read_text(std::span<const std::byte> in) {
+  std::istringstream is(
+      std::string(reinterpret_cast<const char*>(in.data()), in.size()));
+  return setcover::read_set_system(is);
+}
+
+Bytes write_text(const setcover::SetSystem& sys) {
+  std::ostringstream os;
+  setcover::write_set_system(sys, os);
+  const std::string text = os.str();
+  return {reinterpret_cast<const std::byte*>(text.data()),
+          reinterpret_cast<const std::byte*>(text.data() + text.size())};
+}
+
+/// A valid set-system text: weighted, with a comment and an empty set.
+Bytes set_system_text() {
+  const std::string text =
+      "5 8 weighted\n1.5 3 0 1 2\n# comment\n2 2 4 3\n0.25 0\n"
+      "3 3 5 6 7\n7.125 4 1 3 5 7\n";
+  return {reinterpret_cast<const std::byte*>(text.data()),
+          reinterpret_cast<const std::byte*>(text.data() + text.size())};
+}
+
+/// One random mutation of a text seed: 1-4 bytes replaced (by a byte
+/// the grammar uses, or any byte), a truncation, or 1-20 digits spliced
+/// into a count field: the header's set count or universe, or a row's
+/// set size.
+Bytes mutate_text(const Bytes& seed, Rng& rng) {
+  static constexpr char kGrammar[] = "0123456789 \t\n\r#+-.eEinfa";
+  Bytes out = seed;
+  switch (rng.uniform(3)) {
+    case 0:
+      for (std::uint64_t n = 1 + rng.uniform(4); n > 0; --n) {
+        out[rng.uniform(out.size())] = static_cast<std::byte>(
+            rng.bernoulli(0.8) ? kGrammar[rng.uniform(sizeof(kGrammar) - 1)]
+                               : static_cast<char>(rng.uniform(256)));
+      }
+      break;
+    case 1:
+      out.resize(rng.uniform(out.size()));
+      break;
+    default: {
+      // Count fields: the header's first two numbers, and the second
+      // number (after the weight) of every row.
+      std::vector<std::size_t> counts;
+      std::size_t line = 0, field = 0;
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        const char c = static_cast<char>(out[i]);
+        const char prev = i == 0 ? '\n' : static_cast<char>(out[i - 1]);
+        if (c == '\n') {
+          ++line;
+          field = 0;
+        } else if (c != ' ' && (prev == ' ' || prev == '\n')) {
+          if (line == 0 ? field < 2 : field == 1) counts.push_back(i);
+          ++field;
+        }
+      }
+      const std::size_t at =
+          counts[rng.bernoulli(0.5) ? rng.uniform(2)
+                                    : rng.uniform(counts.size())];
+      Bytes digits(1 + rng.uniform(20));
+      for (std::byte& d : digits) {
+        d = static_cast<std::byte>('0' + rng.uniform(10));
+      }
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(at),
+                 digits.begin(), digits.end());
+    }
+  }
+  return out;
+}
+
+/// Every mutant must throw ParseError or read as a valid system, which
+/// writes out and reads back to the same text.
+TEST(TextFuzz, SetSystem) {
+  fuzz<graph::ParseError>("set system text", set_system_text(), 15,
+                          round_trip(read_text, write_text), {},
+                          mutate_text);
+}
+
+/// A header's universe must not size the element index past the ids
+/// the file carries, nor past 32-bit ids (which it would truncate).
+TEST(TextFuzz, SetSystemUniverseIsBounded) {
+  for (const std::string text :
+       {"0 4294967297\n", "1 200000000\n1 0\n",
+        "1 4294967297\n1 4294967296\n"}) {
+    const Bytes in(reinterpret_cast<const std::byte*>(text.data()),
+                   reinterpret_cast<const std::byte*>(text.data() +
+                                                      text.size()));
+    std::string failure;
+    g_alloc_limit = kAllocFactor * in.size() + kAllocSlack;
+    try {
+      (void)read_text(in);
+      failure = "it was accepted";
+    } catch (const graph::ParseError&) {
+    } catch (const std::bad_alloc&) {
+      failure = "an allocation of " + std::to_string(g_alloc_refused) +
+                " bytes";
+    }
+    g_alloc_limit = std::numeric_limits<std::size_t>::max();
+    EXPECT_EQ(failure, "") << "\"" << text << "\"";
+  }
 }
 
 }  // namespace

@@ -1024,27 +1024,15 @@ void add_io(Registry& r) {
                    res.wall_seconds = time_best_of(kReps, [&] {
                      d = graph::read_graph_file_data(path);
                    });
-                   res.failed = !(d.n == g.num_vertices() &&
-                                  d.edges == g.edges() &&
-                                  d.weighted == g.weighted() &&
-                                  d.weights == g.weights());
+                   res.failed = !(d == g.data());
                    res.determinism_hash = hash_graph_data(d);
                  } else {
                    std::optional<graph::Graph> back;
                    res.wall_seconds = time_best_of(kReps, [&] {
                      back.emplace(graph::read_graph_file(path));
                    });
-                   res.failed =
-                       !(back->num_vertices() == g.num_vertices() &&
-                         back->edges() == g.edges() &&
-                         back->weighted() == g.weighted() &&
-                         back->weights() == g.weights());
-                   graph::GraphData d;
-                   d.n = back->num_vertices();
-                   d.weighted = back->weighted();
-                   d.edges = back->edges();
-                   d.weights = back->weights();
-                   res.determinism_hash = hash_graph_data(d);
+                   res.failed = !(back->data() == g.data());
+                   res.determinism_hash = hash_graph_data(back->data());
                  }
                }
                res.extra["edges_per_sec"] = per_second(
@@ -1659,15 +1647,8 @@ void add_large(Registry& r) {
            Timer t;
            back.emplace(graph::read_graph_file(path));
            res.wall_seconds = t.elapsed();
-           res.failed = !(back->num_vertices() == g.num_vertices() &&
-                          back->edges() == g.edges() &&
-                          back->weights() == g.weights());
-           graph::GraphData d;
-           d.n = back->num_vertices();
-           d.weighted = back->weighted();
-           d.edges = back->edges();
-           d.weights = back->weights();
-           res.determinism_hash = hash_graph_data(d);
+           res.failed = !(back->data() == g.data());
+           res.determinism_hash = hash_graph_data(back->data());
            res.extra["edges_per_sec"] =
                per_second(static_cast<double>(m), res.wall_seconds);
            std::error_code ec;

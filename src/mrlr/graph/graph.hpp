@@ -1,13 +1,15 @@
 #pragma once
 // Graph representation shared by all algorithms.
 //
-// A Graph is an immutable simple undirected graph held as an edge list
-// plus a CSR adjacency index (neighbour and incident-edge ids). Edge
-// weights are optional; weight() on an unweighted graph returns 1.0, so
-// unweighted problems are the uniform-weight special case throughout.
+// A Graph is an immutable simple undirected graph held as its GraphData
+// (vertex count, edge list, optional weights) plus a CSR adjacency index
+// (neighbour and incident-edge ids). Edge weights are optional; weight()
+// on an unweighted graph returns 1.0, so unweighted problems are the
+// uniform-weight special case throughout.
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mrlr/util/require.hpp"
@@ -43,27 +45,53 @@ struct Incidence {
   EdgeId edge = 0;
 };
 
+class Graph;
+
+/// A graph's edge data without its adjacency index: what the readers
+/// produce and the writers take. Consumers that never walk
+/// neighbourhoods (format converters, writers) stay at this layer and
+/// skip the index, which dominates the load time of large instances.
+struct GraphData {
+  std::uint64_t n = 0;
+  bool weighted = false;
+  std::vector<Edge> edges;
+  std::vector<double> weights;  // size edges.size() when weighted
+
+  /// Builds the algorithmic Graph (CSR index) from this data.
+  Graph build() &&;
+
+  friend bool operator==(const GraphData&, const GraphData&) = default;
+};
+
 class Graph {
  public:
-  /// Builds the graph and its adjacency index. Self-loops are rejected;
-  /// parallel edges are permitted by the representation but the library's
-  /// generators never produce them (validate::has_parallel_edges checks).
+  /// Builds the adjacency index over `data`. Self-loops are rejected;
+  /// parallel edges are permitted by the representation but the
+  /// library's generators never produce them (validate::has_parallel_edges
+  /// checks). The graph is weighted iff it carries weights.
+  explicit Graph(GraphData data);
   Graph(std::uint64_t num_vertices, std::vector<Edge> edges);
   Graph(std::uint64_t num_vertices, std::vector<Edge> edges,
         std::vector<double> weights);
 
-  std::uint64_t num_vertices() const { return n_; }
-  std::uint64_t num_edges() const { return edges_.size(); }
-  bool weighted() const { return !weights_.empty(); }
+  std::uint64_t num_vertices() const { return data_.n; }
+  std::uint64_t num_edges() const { return data_.edges.size(); }
+  bool weighted() const { return data_.weighted; }
 
-  const Edge& edge(EdgeId e) const { return edges_[e]; }
-  const std::vector<Edge>& edges() const { return edges_; }
+  const Edge& edge(EdgeId e) const { return data_.edges[e]; }
+  const std::vector<Edge>& edges() const { return data_.edges; }
 
   /// Weight of edge e (1.0 when the graph is unweighted).
   double weight(EdgeId e) const {
-    return weights_.empty() ? 1.0 : weights_[e];
+    return data_.weighted ? data_.weights[e] : 1.0;
   }
-  const std::vector<double>& weights() const { return weights_; }
+  const std::vector<double>& weights() const { return data_.weights; }
+
+  /// The edge data. The writers take GraphData, and a Graph converts to
+  /// it; an rvalue graph hands its data over instead of copying it.
+  const GraphData& data() const& { return data_; }
+  GraphData data() && { return std::move(data_); }
+  operator const GraphData&() const { return data_; }
 
   std::uint64_t degree(VertexId v) const {
     return offsets_[v + 1] - offsets_[v];
@@ -85,10 +113,8 @@ class Graph {
  private:
   void build_index();
 
-  std::uint64_t n_;
-  std::vector<Edge> edges_;
-  std::vector<double> weights_;
-  std::vector<std::uint64_t> offsets_;  // size n_+1
+  GraphData data_;
+  std::vector<std::uint64_t> offsets_;  // size n+1
   std::vector<Incidence> adj_;          // size 2m
   std::uint64_t max_degree_ = 0;
 };

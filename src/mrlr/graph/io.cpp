@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <istream>
-#include <ostream>
-#include <span>
+#include <cstddef>
+#include <fstream>
 #include <string>
+#include <vector>
 
+#include "mrlr/graph/io_binary.hpp"
+#include "mrlr/obs/telemetry.hpp"
 #include "mrlr/util/require.hpp"
 
 namespace mrlr::graph {
@@ -64,14 +66,43 @@ double parse_weight(Cursor& c, std::uint64_t line_no) {
   return value;
 }
 
+/// The whole file, read once at its exact size.
+std::vector<std::byte> read_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) throw ParseError("cannot open " + path);
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw ParseError("cannot read " + path);
+  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
+  in.seekg(0);
+  if (!in.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    throw ParseError("cannot read " + path);
+  }
+  return bytes;
+}
+
+}  // namespace
+
+void check_vertex_count(std::uint64_t n, std::uint64_t m,
+                        std::string_view where) {
+  const std::string at(where);
+  if (n > kMaxVertexCount) {
+    throw ParseError(at + ": vertex count exceeds the 32-bit vertex-id limit");
+  }
+  const std::uint64_t limit =
+      2 * std::min(m, kMaxVertexCount) + kMaxIsolatedVertices;
+  if (n > limit) {
+    throw ParseError(at + ": vertex count " + std::to_string(n) +
+                     " exceeds 2m + " + std::to_string(kMaxIsolatedVertices) +
+                     " = " + std::to_string(limit) + " for m = " +
+                     std::to_string(m) + " edges");
+  }
+}
+
 // Batched std::to_chars formatting: doubles use the shortest
 // round-trip representation, so a text round trip preserves weights
 // exactly.
-void write_edge_list_impl(std::uint64_t n, bool weighted,
-                          std::span<const Edge> edges,
-                          std::span<const double> weights,
-                          std::ostream& os) {
-  MRLR_REQUIRE(!weighted || weights.size() == edges.size(),
+void write_edge_list(const GraphData& d, std::ostream& os) {
+  MRLR_REQUIRE(!d.weighted || d.weights.size() == d.edges.size(),
                "edge list: weighted graph data must carry one weight per "
                "edge");
   std::string buf;
@@ -87,18 +118,18 @@ void write_edge_list_impl(std::uint64_t n, bool weighted,
     buf.append(tmp, ptr);
   };
 
-  append_u64(n);
+  append_u64(d.n);
   buf += ' ';
-  append_u64(edges.size());
-  if (weighted) buf += " weighted";
+  append_u64(d.edges.size());
+  if (d.weighted) buf += " weighted";
   buf += '\n';
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    append_u64(edges[e].u);
+  for (std::size_t e = 0; e < d.edges.size(); ++e) {
+    append_u64(d.edges[e].u);
     buf += ' ';
-    append_u64(edges[e].v);
-    if (weighted) {
+    append_u64(d.edges[e].v);
+    if (d.weighted) {
       buf += ' ';
-      append_double(weights[e]);
+      append_double(d.weights[e]);
     }
     buf += '\n';
     if (buf.size() >= kFlushAt) {
@@ -107,22 +138,6 @@ void write_edge_list_impl(std::uint64_t n, bool weighted,
     }
   }
   os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-}
-
-}  // namespace
-
-Graph GraphData::build() && {
-  return weights.empty() ? Graph(n, std::move(edges))
-                         : Graph(n, std::move(edges), std::move(weights));
-}
-
-void write_edge_list(const Graph& g, std::ostream& os) {
-  write_edge_list_impl(g.num_vertices(), g.weighted(), g.edges(),
-                       g.weights(), os);
-}
-
-void write_edge_list(const GraphData& d, std::ostream& os) {
-  write_edge_list_impl(d.n, d.weighted, d.edges, d.weights, os);
 }
 
 GraphData read_edge_list_data(std::istream& is) {
@@ -155,15 +170,14 @@ GraphData read_edge_list_data(std::istream& is) {
     weighted = true;
   }
   if (!h.at_end()) fail(line_no, "trailing characters after header");
-  if (n > kMaxVertexCount) {
-    fail(line_no, "vertex count exceeds the 32-bit vertex-id limit");
-  }
+  check_vertex_count(n, m, "edge list: line " + std::to_string(line_no));
 
+  // The edge vectors grow geometrically: the header's m sizes no
+  // allocation, so a forged count fails at the truncation check after
+  // allocating no more than the edge lines that back it.
   GraphData d;
   d.n = n;
   d.weighted = weighted;
-  d.edges.reserve(std::min(m, kIoReserveCap));
-  if (weighted) d.weights.reserve(std::min(m, kIoReserveCap));
   for (std::uint64_t i = 0; i < m; ++i) {
     if (!next_content_line()) {
       throw ParseError("edge list: truncated file: " + std::to_string(i) +
@@ -183,6 +197,46 @@ GraphData read_edge_list_data(std::istream& is) {
 
 Graph read_edge_list(std::istream& is) {
   return read_edge_list_data(is).build();
+}
+
+bool is_mgb_path(std::string_view path) {
+  if (path.size() < 4) return false;
+  const std::string_view ext = path.substr(path.size() - 4);
+  return ext[0] == '.' && (ext[1] == 'm' || ext[1] == 'M') &&
+         (ext[2] == 'g' || ext[2] == 'G') && (ext[3] == 'b' || ext[3] == 'B');
+}
+
+GraphData read_graph_file_data(const std::string& path) {
+  // One io_load span per file read, labelled with the container kind —
+  // ingestion shows up in profiles next to the rounds it feeds.
+  const bool mgb = is_mgb_path(path);
+  obs::ScopedSpan span(obs::Phase::kIoLoad, obs::kNoRound,
+                       mgb ? "mgb" : "text");
+  obs::count("io.graphs_loaded");
+  if (mgb) return decode_mgb(read_file_bytes(path));
+  std::ifstream in(path);
+  if (!in) throw ParseError("cannot open " + path);
+  return read_edge_list_data(in);
+}
+
+Graph read_graph_file(const std::string& path) {
+  return read_graph_file_data(path).build();
+}
+
+void write_graph_file(const GraphData& d, const std::string& path) {
+  const bool mgb = is_mgb_path(path);
+  std::ofstream out(path, mgb ? std::ios::out | std::ios::binary
+                              : std::ios::out);
+  if (!out) throw ParseError("cannot open " + path + " for writing");
+  if (mgb) {
+    const std::vector<std::byte> bytes = encode_mgb(d);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  } else {
+    write_edge_list(d, out);
+  }
+  out.flush();
+  if (!out) throw ParseError("write failed: " + path);
 }
 
 }  // namespace mrlr::graph

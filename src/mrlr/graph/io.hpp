@@ -1,6 +1,7 @@
 #pragma once
-// Graph I/O: strict plain-text edge lists plus dispatch to the binary
-// `.mgb` container (io_binary.hpp) by file extension.
+// Graph I/O: strict plain-text edge lists, and graph files that pick the
+// text format or the binary `.mgb` container (io_binary.hpp) by
+// extension. Every writer takes GraphData (a Graph converts to it).
 //
 // Text format: first line "n m [weighted]", then one "u v [w]" line per
 // edge. Lines starting with '#' (after optional whitespace) and blank
@@ -28,28 +29,18 @@ class ParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Readers cap up-front vector reservations at this many elements so an
-/// adversarial header count fails at the truncation check (ParseError)
-/// instead of forcing a giant allocation; larger genuine inputs grow
-/// geometrically past the cap.
-inline constexpr std::uint64_t kIoReserveCap = 1ull << 20;
+/// Isolated vertices a graph file may declare beyond the 2m endpoints
+/// its m edges can touch. Every reader (text, .mgb file, job-spec
+/// instance) refuses n > 2m + kMaxIsolatedVertices, as it refuses
+/// n > 2^32, so a header cannot make the CSR build size an index that
+/// the file's edges do not back.
+inline constexpr std::uint64_t kMaxIsolatedVertices = 4096;
 
-/// Parsed-but-unindexed graph data: what the readers produce before the
-/// CSR adjacency index is built. Streaming consumers that never walk
-/// neighbourhoods — format converters, partitioners, writers — can stay
-/// at this layer and skip the index cost, which dominates the load time
-/// of large instances.
-struct GraphData {
-  std::uint64_t n = 0;
-  bool weighted = false;
-  std::vector<Edge> edges;
-  std::vector<double> weights;  // size edges.size() when weighted
+/// Throws ParseError("<where>: ...") when a header's n breaks either
+/// bound above.
+void check_vertex_count(std::uint64_t n, std::uint64_t m,
+                        std::string_view where);
 
-  /// Builds the algorithmic Graph (CSR index) from this data.
-  Graph build() &&;
-};
-
-void write_edge_list(const Graph& g, std::ostream& os);
 void write_edge_list(const GraphData& d, std::ostream& os);
 
 /// Parses the format written by write_edge_list. Throws ParseError on
@@ -63,15 +54,15 @@ GraphData read_edge_list_data(std::istream& is);
 /// case-insensitive).
 bool is_mgb_path(std::string_view path);
 
-/// Reads a graph from `path`, picking the `.mgb` binary reader or the
-/// text reader by extension. Throws ParseError when the file cannot be
-/// opened or fails validation.
+/// Reads a graph from `path`, picking the `.mgb` decoder or the text
+/// reader by extension. A `.mgb` file is read into memory whole and
+/// decoded; its bytes are freed before the CSR build. Throws ParseError
+/// when the file cannot be opened or fails validation.
 Graph read_graph_file(const std::string& path);
 GraphData read_graph_file_data(const std::string& path);
 
 /// Writes a graph to `path` in the format selected by its extension.
 /// Throws ParseError when the file cannot be opened or written.
-void write_graph_file(const Graph& g, const std::string& path);
 void write_graph_file(const GraphData& d, const std::string& path);
 
 }  // namespace mrlr::graph

@@ -1,9 +1,10 @@
 #pragma once
 // Binary graph container (.mgb), the fast path for paper-scale inputs
-// (m = n^{1+c} edges): fixed-width little-endian blocks that stream in
-// chunks, so neither side ever needs a second in-memory copy of the
-// edge list, plus a trailing checksum so truncation or bit rot fails
-// loudly instead of feeding a corrupt instance to an experiment.
+// (m = n^{1+c} edges): fixed-width little-endian blocks behind one
+// encoder and one decoder over bytes, plus a trailing checksum so
+// truncation or bit rot fails loudly instead of feeding a corrupt
+// instance to an experiment. Graph files (io.hpp) and job-spec
+// instances (jobs/job_spec.hpp) both go through these two functions.
 //
 // Layout (all fields little-endian):
 //
@@ -19,13 +20,16 @@
 //   .       8     checksum   order-dependent 64-bit mix of n, m, flags,
 //                            every edge, and every weight bit pattern
 //
-// Readers throw graph::ParseError on bad magic, unsupported version,
-// nonzero reserved bits, out-of-range or self-loop endpoints, bad
-// weights, truncated blocks, checksum mismatch, or trailing bytes.
+// The decoder throws graph::ParseError on bad magic, an unsupported
+// version, unknown flag bits, nonzero reserved bits, a byte count other
+// than the header's m implies (truncated blocks, trailing bytes), a
+// vertex count over the readers' bound (io.hpp), out-of-range or
+// self-loop endpoints, bad weights, or a checksum mismatch. The header
+// and the byte count are checked before anything is allocated, so a
+// forged m or n cannot size a buffer.
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -34,63 +38,27 @@
 
 namespace mrlr::graph {
 
-inline constexpr std::uint32_t kMgbMagic = 0x3142474Du;  // "MGB1"
-inline constexpr std::uint32_t kMgbVersion = 1;
-
-/// Incremental .mgb writer for generator pipelines: declare (n, m,
-/// weighted) up front, append the edge block and then the weight block
-/// in chunks of any size, and finish() to emit the checksum trailer.
-/// Appending more (or finishing with fewer) elements than declared is
-/// API misuse and aborts via MRLR_REQUIRE.
-class MgbWriter {
- public:
-  MgbWriter(std::ostream& os, std::uint64_t n, std::uint64_t m,
-            bool weighted);
-  ~MgbWriter();
-
-  MgbWriter(const MgbWriter&) = delete;
-  MgbWriter& operator=(const MgbWriter&) = delete;
-
-  void append_edges(std::span<const Edge> edges);
-  void append_weights(std::span<const double> weights);
-  void finish();
-
- private:
-  std::ostream& os_;
-  std::uint64_t n_;
-  std::uint64_t m_;
-  bool weighted_;
-  std::uint64_t edges_written_ = 0;
-  std::uint64_t weights_written_ = 0;
-  std::uint64_t checksum_;
-  bool finished_ = false;
+/// What a header that passed check_mgb_header declares.
+struct MgbHeader {
+  std::uint64_t n = 0;
+  std::uint64_t m = 0;
+  bool weighted = false;
 };
 
-/// Writes a graph as a .mgb stream (header, edge block, weight block
-/// when weighted, checksum trailer).
-void write_mgb(const Graph& g, std::ostream& os);
-void write_mgb(const GraphData& d, std::ostream& os);
+/// The decoder's header check on its own: everything the header and
+/// the byte count decide (see above), without reading the blocks.
+/// Serve admission reads n through it.
+MgbHeader check_mgb_header(std::span<const std::byte> bytes);
 
-/// Writes the sub-graph induced by `edge_ids` (ids into g.edges(), in
-/// the given order) as a complete .mgb stream: same vertex universe and
-/// weighted flag as `g`, m = edge_ids.size(). This is the partition
-/// block the job bootstrap ships — a worker parses it with the ordinary
-/// .mgb reader, full validation and checksum included.
-void write_mgb_subset(const Graph& g, std::span<const EdgeId> edge_ids,
-                      std::ostream& os);
+/// Encodes `d` as a complete .mgb stream, sized exactly. Weights are
+/// stored bit-exactly, so a decoded instance hashes identically to the
+/// original. Invalid data (n > 2^32, a self-loop or out-of-range
+/// endpoint, a missing or non-positive weight) is API misuse and aborts
+/// via MRLR_REQUIRE.
+std::vector<std::byte> encode_mgb(const GraphData& d);
 
-/// In-memory .mgb round trips for wire shipping: the byte vector is a
-/// complete .mgb stream (bit-exact weights, so a reconstructed instance
-/// hashes identically to the original).
-std::vector<std::byte> serialize_mgb(const Graph& g);
-Graph parse_mgb(std::span<const std::byte> bytes);
-
-/// Parses a .mgb stream in chunks, validating as it goes. Throws
-/// ParseError on any malformed input; the stream must end right after
-/// the checksum.
-Graph read_mgb(std::istream& is);
-
-/// As read_mgb, but stops at the data layer (no CSR index).
-GraphData read_mgb_data(std::istream& is);
+/// Decodes a complete .mgb stream in one pass: each block is copied
+/// once, into a vector of exact size, and validated as it is copied.
+GraphData decode_mgb(std::span<const std::byte> bytes);
 
 }  // namespace mrlr::graph

@@ -122,7 +122,7 @@ JobSpec graph_job(std::string algorithm, const graph::Graph& g,
   spec.algorithm = std::move(algorithm);
   spec.params = params;
   spec.kind = JobSpec::InstanceKind::kGraph;
-  spec.instance = graph::serialize_mgb(g);
+  spec.instance = graph::encode_mgb(g.data());
   return spec;
 }
 
@@ -156,7 +156,7 @@ graph::Graph decode_graph_instance(const JobSpec& spec) {
              "\" needs a graph instance but the spec carries kind " +
              std::to_string(static_cast<std::uint64_t>(spec.kind)));
   }
-  return graph::parse_mgb(spec.instance);
+  return graph::decode_mgb(spec.instance).build();
 }
 
 setcover::SetSystem decode_set_system_instance(const JobSpec& spec) {

@@ -8,14 +8,16 @@
 // the full MrParams, a small extras table for driver arguments that are
 // not MrParams fields (b-matching's b, vertex-cover's weights, eps...),
 // and the complete problem instance in a bit-exact binary form: graphs
-// as an .mgb stream (graph/io_binary — checksummed, fully validated on
-// parse), set systems as an equivalent fixed-width block format defined
-// here. Bit-exactness matters: the worker's replayed driver must hash
-// identically to the coordinator's, so weights cross the wire as raw
-// f64 bit patterns, never as decimal text.
+// as an .mgb stream, written and read by the one .mgb encoder and
+// decoder (graph/io_binary: checksummed, fully validated on decode, n
+// bounded by the edges as for graph files), set systems as an
+// equivalent fixed-width block format defined here. Bit-exactness
+// matters: the worker's replayed driver must hash identically to the
+// coordinator's, so weights cross the wire as raw f64 bit patterns,
+// never as decimal text.
 //
 // Decoding throws exec::TransportError(kBadPayload) (or
-// graph::ParseError from the .mgb reader) on anything malformed — a
+// graph::ParseError from the .mgb decoder) on anything malformed — a
 // corrupt spec refuses the job, it never runs a wrong instance.
 
 #include <cstddef>
@@ -59,8 +61,9 @@ JobSpec set_system_job(std::string algorithm,
                        const core::MrParams& params);
 
 /// Instance reconstruction (validates; throws on kind mismatch or
-/// malformed bytes, and on a set system whose universe is larger than
-/// the element ids it carries could cover).
+/// malformed bytes, on a graph whose n exceeds 2m + 4096, and on a set
+/// system whose universe is larger than the element ids it carries
+/// could cover).
 graph::Graph decode_graph_instance(const JobSpec& spec);
 setcover::SetSystem decode_set_system_instance(const JobSpec& spec);
 

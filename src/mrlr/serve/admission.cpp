@@ -12,18 +12,15 @@ namespace mrlr::serve {
 std::uint64_t instance_dimension(const jobs::JobSpec& spec) {
   exec::wire::Reader r(spec.instance, "admission");
   if (spec.kind == jobs::JobSpec::InstanceKind::kGraph) {
-    // The .mgb header keeps n at a fixed offset (graph/io_binary.hpp),
-    // so admission never parses the edge list; magic and version are
-    // still vetted so a garbage instance is refused here, not at run
-    // time in a forked job.
-    const std::byte* header = r.bytes(32, "the .mgb header").data();
-    if (exec::wire::load<std::uint32_t>(header) != graph::kMgbMagic) {
-      r.fail("graph instance does not start with the MGB1 magic");
+    // The .mgb decoder's header check: admission never reads the edge
+    // list, but an instance the decoder would refuse (bad header, a
+    // byte count its m disagrees with, an unbacked n) is refused here,
+    // not at run time in a forked job.
+    try {
+      return graph::check_mgb_header(spec.instance).n;
+    } catch (const graph::ParseError& e) {
+      r.fail(e.what());
     }
-    if (exec::wire::load<std::uint32_t>(header + 4) != graph::kMgbVersion) {
-      r.fail("graph instance has an unsupported .mgb version");
-    }
-    return exec::wire::load<std::uint64_t>(header + 8);
   }
   // Set-system block format (job_spec.cpp): the universe, then the set
   // count.

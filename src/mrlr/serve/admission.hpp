@@ -26,7 +26,9 @@ namespace mrlr::serve {
 
 /// Reads the instance's n (graph vertex count / set-system universe)
 /// from the spec's instance header. Throws
-/// exec::TransportError(kBadPayload) when the header is malformed.
+/// exec::TransportError(kBadPayload) when the header is malformed; a
+/// graph header goes through the .mgb decoder's header check, which
+/// also refuses a byte count that disagrees with the header's m.
 std::uint64_t instance_dimension(const jobs::JobSpec& spec);
 
 /// The formula above. Never zero.

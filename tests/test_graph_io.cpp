@@ -9,8 +9,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/graph/graph.hpp"
@@ -38,15 +40,17 @@ Graph sample_weighted(std::uint64_t n, std::uint64_t m,
       random_edge_weights(g, WeightDist::kUniform, rng));
 }
 
-std::string to_mgb_bytes(const Graph& g) {
-  std::ostringstream os(std::ios::binary);
-  write_mgb(g, os);
-  return os.str();
+std::string to_mgb_bytes(const GraphData& d) {
+  const std::vector<std::byte> bytes = encode_mgb(d);
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+GraphData mgb_data(const std::string& bytes) {
+  return decode_mgb(std::as_bytes(std::span(bytes)));
 }
 
 Graph from_mgb_bytes(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  return read_mgb(is);
+  return mgb_data(bytes).build();
 }
 
 // ------------------------------------------------- strict text parser --
@@ -123,10 +127,27 @@ TEST(TextIo, AdversarialEdgeCountFailsAsParseError) {
 TEST(MgbIo, AdversarialEdgeCountFailsAsParseError) {
   std::string bytes = to_mgb_bytes(Graph(3, {{0, 1}}));
   // Header m lives at offset 16; inflate it to a huge value. The
-  // chunked reader must fail on the short read, not allocate m edges.
+  // decoder must refuse the byte count, not allocate m edges.
   bytes[16 + 6] = 0x7F;
-  std::istringstream is(bytes, std::ios::binary);
-  EXPECT_THROW((void)read_mgb(is), ParseError);
+  EXPECT_THROW((void)from_mgb_bytes(bytes), ParseError);
+}
+
+TEST(TextIo, VertexCountMustBeBackedByEdges) {
+  // n may exceed the 2m endpoints by kMaxIsolatedVertices, no more.
+  std::stringstream at_limit("4098 1\n0 1\n");
+  EXPECT_EQ(read_edge_list(at_limit).num_vertices(), 4098u);
+  std::stringstream over("4099 1\n0 1\n");
+  EXPECT_THROW((void)read_edge_list(over), ParseError);
+  std::stringstream empty("4097 0\n");
+  EXPECT_THROW((void)read_edge_list(empty), ParseError);
+}
+
+TEST(MgbIo, VertexCountMustBeBackedByEdges) {
+  EXPECT_EQ(from_mgb_bytes(to_mgb_bytes(Graph(4098, {{0, 1}}))).num_vertices(),
+            4098u);
+  // The encoder writes any n <= 2^32; the decoder holds the bound.
+  const std::string over = to_mgb_bytes(GraphData{4099, false, {{0, 1}}, {}});
+  EXPECT_THROW((void)from_mgb_bytes(over), ParseError);
 }
 
 TEST(TextIo, RejectsNegativeEndpoint) {
@@ -182,10 +203,13 @@ TEST(MgbIo, EmptyGraphRoundTrip) {
 TEST(MgbIo, MaxIdVerticesRoundTrip) {
   // Endpoints at the top of the declared id range must survive both
   // formats. (n is bounded by what the CSR index can hold in a test,
-  // not by the format's 2^32 ceiling.)
+  // not by the format's 2^32 ceiling.) A perfect matching backs the n
+  // vertices, which the readers' isolated-vertex bound requires.
   const std::uint64_t n = 1ull << 20;
   const auto top = static_cast<VertexId>(n - 1);
-  const Graph g(n, {{0, top}, {static_cast<VertexId>(top - 1), top}});
+  std::vector<Edge> edges{{0, top}};
+  for (VertexId v = 0; v < n; v += 2) edges.push_back({v, v + 1});
+  const Graph g(n, std::move(edges));
   expect_graphs_equal(g, from_mgb_bytes(to_mgb_bytes(g)));
   std::stringstream ss;
   write_edge_list(g, ss);
@@ -287,11 +311,14 @@ TEST(MgbIo, RejectsEndpointOutOfRange) {
   EXPECT_THROW((void)from_mgb_bytes(bytes), ParseError);
 }
 
-TEST(MgbIo, WriterRejectsOverdeclaredAppend) {
-  std::ostringstream os(std::ios::binary);
-  MgbWriter w(os, 3, 1, /*weighted=*/false);
-  const std::vector<Edge> two = {{0, 1}, {1, 2}};
-  EXPECT_DEATH(w.append_edges(two), "more edges");
+TEST(MgbIo, EncoderRejectsInvalidData) {
+  // Any caller can fill a GraphData; the encoder checks what it writes.
+  EXPECT_DEATH((void)encode_mgb(GraphData{3, false, {{0, 3}}, {}}),
+               "endpoints");
+  EXPECT_DEATH((void)encode_mgb(GraphData{3, true, {{0, 1}}, {-1.0}}),
+               "positive");
+  EXPECT_DEATH((void)encode_mgb(GraphData{3, true, {{0, 1}}, {}}),
+               "one weight per edge");
 }
 
 // ------------------------------------------------------ GraphData layer --
@@ -306,10 +333,7 @@ TEST(GraphDataIo, DataAndGraphPathsAgree) {
   EXPECT_EQ(d.weights, g.weights());
   EXPECT_TRUE(d.weighted);
 
-  std::ostringstream os(std::ios::binary);
-  write_mgb(d, os);
-  std::istringstream is(os.str(), std::ios::binary);
-  expect_graphs_equal(g, read_mgb(is));
+  expect_graphs_equal(g, from_mgb_bytes(to_mgb_bytes(d)));
 }
 
 TEST(GraphDataIo, ConvertPreservesEmptyWeightedFlag) {
@@ -320,13 +344,7 @@ TEST(GraphDataIo, ConvertPreservesEmptyWeightedFlag) {
   EXPECT_TRUE(d.weighted);
   EXPECT_TRUE(d.edges.empty());
 
-  std::ostringstream os(std::ios::binary);
-  write_mgb(d, os);
-  std::istringstream is(os.str(), std::ios::binary);
-  const GraphData back = read_mgb_data(is);
-  EXPECT_TRUE(back.weighted);
-  EXPECT_EQ(back.n, 4u);
-  EXPECT_TRUE(back.edges.empty());
+  EXPECT_EQ(mgb_data(to_mgb_bytes(d)), d);
 }
 
 // -------------------------------------------- extension-dispatch files --

@@ -404,6 +404,28 @@ TEST(ServeDaemon, MalformedSubmitRejectsTypedWithoutKillingConnection) {
   EXPECT_EQ(stats.jobs_completed, 1u);
 }
 
+TEST(ServeDaemon, GraphInstanceSizeMismatchRejectsAtSubmit) {
+  // A graph instance whose byte count disagrees with its .mgb header's
+  // m is refused at admission, not by the decoder in a forked job.
+  Daemon d;
+  serve::ServeClient client(d.endpoint());
+  jobs::JobSpec shorter = graph_spec(150, 1);
+  shorter.instance.resize(shorter.instance.size() - 8);  // no checksum
+  jobs::JobSpec longer = graph_spec(150, 1);
+  longer.instance.resize(longer.instance.size() + 16);  // one extra edge
+  for (const jobs::JobSpec& spec : {shorter, longer}) {
+    const serve::AdmissionReply admission = client.submit(spec);
+    EXPECT_FALSE(admission.accepted);
+    EXPECT_EQ(admission.reason, serve::RejectReason::kMalformedSpec);
+    EXPECT_NE(admission.message.find("do not hold the header's"),
+              std::string::npos)
+        << admission.message;
+  }
+  const serve::StatsReply stats = d.stats();
+  EXPECT_EQ(stats.jobs_rejected, 2u);
+  EXPECT_EQ(stats.jobs_accepted, 0u);
+}
+
 TEST(ServeDaemon, UnknownAlgorithmRejectsTyped) {
   Daemon d;
   serve::ServeClient client(d.endpoint());

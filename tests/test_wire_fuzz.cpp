@@ -10,15 +10,18 @@
 // of its own size (a forged length or count must fail its bounds check
 // before it drives an allocation).
 //
-// TextFuzz holds the plain-text set-system reader to the same rule:
-// mutants of a valid file either read as a valid system or throw
-// ParseError, within the same allocation bound.
+// The graph readers (the .mgb instance decoder and the text edge-list
+// reader) and the plain-text set-system reader are held to the same
+// rule: mutants of a valid input either read as a valid instance or
+// throw ParseError, within the same allocation bound.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -41,6 +44,7 @@
 #include "mrlr/serve/protocol.hpp"
 #include "mrlr/setcover/io.hpp"
 #include "mrlr/setcover/set_system.hpp"
+#include "mrlr/util/mix64.hpp"
 #include "mrlr/util/rng.hpp"
 
 // ------------------------------------------------- allocation bound --
@@ -483,6 +487,109 @@ TEST(WireFuzz, JobSpecAndInstance) {
            }));
 }
 
+// ------------------------------------------------- graph instance --
+
+template <class T>
+T load_at(const Bytes& b, std::size_t at) {
+  T v{};
+  std::memcpy(&v, b.data() + at, sizeof(T));
+  return v;
+}
+
+/// Rewrites the checksum trailer of a .mgb stream (graph/io_binary.hpp)
+/// to match its content, taking m from the byte count, so a mutant
+/// gets past the checksum to whatever it forged.
+void seal_mgb(Bytes& mgb) {
+  std::uint64_t h = 0x6D726C722E6D6762ull;
+  const auto absorb = [&](std::uint64_t x) { h = mix64(h ^ x); };
+  absorb(load_at<std::uint64_t>(mgb, 8));
+  absorb(load_at<std::uint64_t>(mgb, 16));
+  const std::uint32_t flags = load_at<std::uint32_t>(mgb, 24);
+  absorb(flags);
+  const std::size_t m = (mgb.size() - 40) / ((flags & 1) != 0 ? 16 : 8);
+  for (std::size_t i = 0; i < m; ++i) {
+    absorb((std::uint64_t{load_at<std::uint32_t>(mgb, 32 + 8 * i)} << 32) |
+           load_at<std::uint32_t>(mgb, 36 + 8 * i));
+  }
+  for (std::size_t at = 32 + 8 * m; at + 8 < mgb.size(); at += 8) {
+    absorb(load_at<std::uint64_t>(mgb, at));
+  }
+  std::memcpy(mgb.data() + mgb.size() - 8, &h, 8);
+}
+
+/// As mutate, but half the mutants that keep their size are resealed:
+/// otherwise nearly every mutant stops at the checksum, and a forged
+/// field the checksum covers (n, say) never reaches the CSR build.
+Bytes mutate_sealed(const Bytes& seed, Rng& rng) {
+  Bytes out = mutate(seed, rng);
+  if (out.size() == seed.size() && rng.bernoulli(0.5)) seal_mgb(out);
+  return out;
+}
+
+graph::Graph decode_graph(std::span<const std::byte> in) {
+  jobs::JobSpec spec;
+  spec.instance.assign(in.begin(), in.end());
+  return jobs::decode_graph_instance(spec);
+}
+
+Bytes encode_graph(const graph::Graph& g) {
+  return jobs::graph_job("", g, {}).instance;
+}
+
+TEST(WireFuzz, GraphInstance) {
+  const Bytes seed = graph_spec().instance;
+  Bytes sealed = seed;
+  seal_mgb(sealed);
+  ASSERT_EQ(sealed, seed) << "seal_mgb must reproduce the encoder's trailer";
+  fuzz<graph::ParseError>("graph instance", seed, 16,
+                          round_trip(decode_graph, encode_graph), {},
+                          mutate_sealed);
+}
+
+/// Runs `read` on `in` under the allocation bound: it must throw
+/// ParseError. Returns what went wrong instead, or "".
+std::string expect_refused(const Bytes& in,
+                           const std::function<void()>& read) {
+  std::string failure;
+  g_alloc_limit = kAllocFactor * in.size() + kAllocSlack;
+  try {
+    read();
+    failure = "it was accepted";
+  } catch (const graph::ParseError&) {
+  } catch (const std::bad_alloc&) {
+    failure = "an allocation of " + std::to_string(g_alloc_refused) +
+              " bytes";
+  }
+  g_alloc_limit = std::numeric_limits<std::size_t>::max();
+  return failure;
+}
+
+/// A 40-byte .mgb (n = 2^32, m = 0, valid checksum) must not size a
+/// 2^32-vertex index, neither as a job-spec instance nor as a file.
+TEST(WireFuzz, GraphVertexCountIsBounded) {
+  Bytes mgb;
+  for (const std::uint64_t lane :
+       {std::uint64_t{0x000000013142474Dull}, std::uint64_t{1} << 32,
+        std::uint64_t{0}, std::uint64_t{0}, std::uint64_t{0}}) {
+    put_u64(mgb, lane);
+  }
+  seal_mgb(mgb);
+  ASSERT_EQ(mgb.size(), 40u);
+  EXPECT_EQ(expect_refused(mgb, [&] { (void)decode_graph(mgb); }), "");
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mrlr_fuzz_big_n.mgb")
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(mgb.data()),
+              static_cast<std::streamsize>(mgb.size()));
+  }
+  EXPECT_EQ(expect_refused(mgb, [&] { (void)graph::read_graph_file(path); }),
+            "");
+  std::filesystem::remove(path);
+}
+
 TEST(WireFuzz, JobResult) {
   fuzz("job result", jobs::encode_job_result(sample_result()), 4,
        round_trip(jobs::decode_job_result, jobs::encode_job_result));
@@ -572,8 +679,9 @@ Bytes set_system_text() {
 
 /// One random mutation of a text seed: 1-4 bytes replaced (by a byte
 /// the grammar uses, or any byte), a truncation, or 1-20 digits spliced
-/// into a count field: the header's set count or universe, or a row's
-/// set size.
+/// into a count field: one of the header's two counts (sets and
+/// universe, or vertices and edges), or a row's second number (a set's
+/// size, an edge's second endpoint).
 Bytes mutate_text(const Bytes& seed, Rng& rng) {
   static constexpr char kGrammar[] = "0123456789 \t\n\r#+-.eEinfa";
   Bytes out = seed;
@@ -626,27 +734,54 @@ TEST(TextFuzz, SetSystem) {
                           mutate_text);
 }
 
+Bytes text_bytes(const std::string& text) {
+  return {reinterpret_cast<const std::byte*>(text.data()),
+          reinterpret_cast<const std::byte*>(text.data() + text.size())};
+}
+
 /// A header's universe must not size the element index past the ids
 /// the file carries, nor past 32-bit ids (which it would truncate).
 TEST(TextFuzz, SetSystemUniverseIsBounded) {
   for (const std::string text :
        {"0 4294967297\n", "1 200000000\n1 0\n",
         "1 4294967297\n1 4294967296\n"}) {
-    const Bytes in(reinterpret_cast<const std::byte*>(text.data()),
-                   reinterpret_cast<const std::byte*>(text.data() +
-                                                      text.size()));
-    std::string failure;
-    g_alloc_limit = kAllocFactor * in.size() + kAllocSlack;
-    try {
-      (void)read_text(in);
-      failure = "it was accepted";
-    } catch (const graph::ParseError&) {
-    } catch (const std::bad_alloc&) {
-      failure = "an allocation of " + std::to_string(g_alloc_refused) +
-                " bytes";
-    }
-    g_alloc_limit = std::numeric_limits<std::size_t>::max();
-    EXPECT_EQ(failure, "") << "\"" << text << "\"";
+    const Bytes in = text_bytes(text);
+    EXPECT_EQ(expect_refused(in, [&] { (void)read_text(in); }), "")
+        << "\"" << text << "\"";
+  }
+}
+
+/// The graph text reader, built into the CSR index it feeds.
+graph::Graph read_graph_text(std::span<const std::byte> in) {
+  std::istringstream is(
+      std::string(reinterpret_cast<const char*>(in.data()), in.size()));
+  return graph::read_edge_list_data(is).build();
+}
+
+Bytes write_graph_text(const graph::Graph& g) {
+  std::ostringstream os;
+  graph::write_edge_list(g, os);
+  return text_bytes(os.str());
+}
+
+/// Every mutant must throw ParseError or read as a valid graph, which
+/// writes out and reads back to the same text.
+TEST(TextFuzz, Graph) {
+  fuzz<graph::ParseError>(
+      "graph text",
+      text_bytes("6 5 weighted\n0 1 1.5\n# comment\n1 2 2.25\n\n"
+                 "2 3 0.5\n3 4 4\n0 5 7.125\n"),
+      17, round_trip(read_graph_text, write_graph_text), {}, mutate_text);
+}
+
+/// A header's n must not size the CSR index past what the edge lines
+/// back: the 13-byte "4294967296 0" asked for 2^32 + 1 offsets.
+TEST(TextFuzz, GraphVertexCountIsBounded) {
+  for (const std::string text :
+       {"4294967296 0\n", "4294967295 1\n0 1\n", "100000 2\n0 1\n2 3\n"}) {
+    const Bytes in = text_bytes(text);
+    EXPECT_EQ(expect_refused(in, [&] { (void)read_graph_text(in); }), "")
+        << "\"" << text << "\"";
   }
 }
 

@@ -79,7 +79,6 @@
 #include "mrlr/exec/worker_launcher.hpp"
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/graph/io.hpp"
-#include "mrlr/graph/io_binary.hpp"
 #include "mrlr/graph/stats.hpp"
 #include "mrlr/jobs/job_result.hpp"
 #include "mrlr/jobs/job_spec.hpp"
@@ -609,19 +608,15 @@ int run_gen(int argc, char** argv) {
   }
 
   const auto st = graph::compute_stats(*g);
-  if (o.weights) {
-    // Attach weights at the GraphData layer: with_weights would copy
-    // the edge list AND rebuild the CSR index just to serialize it.
-    graph::GraphData d;
-    d.n = g->num_vertices();
-    d.weighted = true;
-    d.weights = graph::random_edge_weights(*g, *o.weights, rng);
-    d.edges = g->edges();
-    g.reset();  // free the Graph (and its index) before the write
-    graph::write_graph_file(d, o.out);
-  } else {
-    graph::write_graph_file(*g, o.out);
-  }
+  std::vector<double> weights;
+  if (o.weights) weights = graph::random_edge_weights(*g, *o.weights, rng);
+  // Weights go onto the graph's own edge data: with_weights would copy
+  // the edge list and rebuild the CSR index just to serialize it.
+  graph::GraphData d = std::move(*g).data();
+  g.reset();  // free the index before the write
+  d.weighted = o.weights.has_value();
+  d.weights = std::move(weights);
+  graph::write_graph_file(d, o.out);
   std::cout << "wrote " << o.out << " ("
             << (graph::is_mgb_path(o.out) ? "mgb" : "text")
             << "): n=" << st.n << " m=" << st.m

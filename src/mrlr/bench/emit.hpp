@@ -1,6 +1,6 @@
 #pragma once
 // Environment handling and number formatting shared by the bench
-// harness (`mrlr_cli bench`, bench_diff, bench_trajectory).
+// harness (`mrlr_cli bench`, bench_diff).
 //
 // Environment knob (read here and nowhere else):
 //   MRLR_THREADS — execution backend (1 serial, N pool, 0 hardware).

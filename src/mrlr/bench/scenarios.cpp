@@ -1478,9 +1478,9 @@ void add_compare(Registry& r) {
 
 // Nightly-scale instances (10^6+ edges): not part of smoke — the
 // nightly-large workflow runs `bench --group all` on a schedule and
-// feeds the results into the trajectory tracker. Seeds are pinned like
-// every other scenario, so the nightly curves are comparable across
-// commits.
+// diffs the deterministic columns against the baseline. Seeds are
+// pinned like every other scenario, so nightly results are comparable
+// across commits.
 void add_large(Registry& r) {
   r.add({"large/matching/n40000-c0.32",
          {"large"},

@@ -23,6 +23,13 @@
 
 namespace mrlr::exec {
 
+/// Worker side: the peer record bucket `sender` shard sent this worker
+/// in the job's `generation`-th registered round (counted from 1 by
+/// both ends: the engine per invoked round, a worker per round control;
+/// unlike round indices, generations never repeat).
+using PeerBucketFn = std::function<std::span<const std::byte>(
+    std::uint32_t sender, std::uint64_t generation)>;
+
 /// The engine's job state as an out-of-process backend sees it. Rounds
 /// are *registered* (closures defined before the job starts, inherited
 /// by workers at spawn) and then *invoked* by id with a small parameter
@@ -33,22 +40,27 @@ namespace mrlr::exec {
 /// The job's machines are split into K contiguous shards; shard 0 runs
 /// in the coordinator and holds the central machine. Messages cross
 /// the wire as *records* (from, to, len, payload), one encoding for
-/// both directions. Each round:
-///   1. the coordinator ships worker B its machines' inbox totals and
-///      its record stream (serialize_round_input -> apply_round_input);
+/// every direction. Each round:
+///   1. the coordinator ships worker B its round input
+///      (serialize_round_input): its machines' inbox totals, the
+///      coordinator's records for them, and which rounds' peer buckets
+///      complete its inbox (named by generation, see PeerBucketFn). B
+///      gathers those buckets
+///      (peer_generations) and assembles its inbox (apply_round_input);
 ///   2. every shard runs its machines; the coordinator then encodes
 ///      shard 0's sends bound for other shards onto their streams
 ///      (route_local_sends);
-///   3. each worker ships its accounting slots, per-destination totals
-///      and one record bucket per destination shard (serialize_machines);
-///      the coordinator decodes only the shard-0 bucket into its
-///      staging arenas and appends every other bucket, undecoded and
-///      uncopied, to the stream of its destination shard
-///      (apply_machines), in shard order, so every stream stays in
-///      sender-id order;
+///   3. each worker splits its sends by destination shard
+///      (serialize_machines): its accounting, per-destination totals
+///      and the shard-0 bucket go to the coordinator, its own bucket
+///      stays local, and every other bucket goes straight to its
+///      destination worker. The coordinator decodes the shard-0 part
+///      into its staging arenas and adds the totals to the next inputs
+///      (apply_machines), in shard order;
 ///   4. the engine's ordinary id-ordered merge, audit and delivery run
-///      over shard 0's destinations, while the other shards' streams
-///      and totals become next round's inputs.
+///      over shard 0's destinations. Whether the round delivered
+///      decides which generations the next inputs name: this round's,
+///      or — after a SpaceLimitExceeded — the pending ones as well.
 class ShardJobPlane {
  public:
   virtual ~ShardJobPlane() = default;
@@ -61,41 +73,48 @@ class ShardJobPlane {
   virtual void set_shards(std::span<const std::uint64_t> bounds,
                           std::uint32_t own) = 0;
 
-  /// Coordinator side, before the round runs: worker shard `shard`'s
-  /// round input is its machines' inbox totals, appended to `out`,
-  /// followed by its record stream, appended to `stream` as pieces
-  /// (the relayed buckets are not copied) that stay valid until the
-  /// round ends.
+  /// Coordinator side, once per worker shard at the start of each
+  /// round: appends worker shard `shard`'s round input head to `out`
+  /// and its record bytes to `stream` as pieces that stay valid until
+  /// the round ends.
   virtual void serialize_round_input(
       std::uint32_t shard, std::vector<std::byte>& out,
-      std::vector<std::span<const std::byte>>& stream) const = 0;
+      std::vector<std::span<const std::byte>>& stream) = 0;
 
-  /// Worker side: installs the round input of the own shard and resets
-  /// its per-round scratch. Must validate `bytes` and throw
+  /// Worker side, before apply_round_input: the generations whose peer
+  /// buckets the round input `bytes` names, and the first generation
+  /// the worker must keep once the input is installed (older buckets
+  /// are dead then). Throws TransportError(kBadPayload) on malformed
+  /// bytes.
+  virtual void peer_generations(std::span<const std::byte> bytes,
+                                std::vector<std::uint64_t>& generations,
+                                std::uint64_t& keep_from) const = 0;
+
+  /// Worker side: installs the round input of the own shard — `bytes`
+  /// plus the peer buckets it names, read through `buckets` — and
+  /// resets its per-round scratch. Must validate everything and throw
   /// TransportError(kBadPayload) on anything malformed.
-  virtual void apply_round_input(std::span<const std::byte> bytes) = 0;
+  virtual void apply_round_input(std::span<const std::byte> bytes,
+                                 const PeerBucketFn& buckets) = 0;
 
-  /// Worker side, after the callbacks ran: appends the own shard's
-  /// round results (accounting slots, per-destination totals, one
-  /// record bucket per shard) to `out`.
-  virtual void serialize_machines(std::vector<std::byte>& out) = 0;
+  /// Worker side, after the callbacks ran: fills parts[0] with the
+  /// coordinator's part of the own shard's results (accounting slots,
+  /// per-destination totals, bucket lengths, the shard-0 bucket) and
+  /// parts[b], b >= 1, with the records bound for shard b.
+  virtual void serialize_machines(
+      std::vector<std::vector<std::byte>>& parts) = 0;
 
   /// Coordinator side, after shard 0's machines ran and before any
   /// apply_machines of the round: moves shard 0's sends bound for other
-  /// shards onto those shards' outgoing streams, ahead of every relayed
-  /// worker bucket. Idempotent within a round.
+  /// shards onto those shards' outgoing streams. Idempotent within a
+  /// round.
   virtual void route_local_sends() = 0;
 
-  /// Coordinator side: the buffer worker shard `shard`'s kShardData
-  /// payload of this round is read into (old contents are dead). The
-  /// plane keeps it while its relayed buckets are still to be shipped.
-  virtual std::vector<std::byte>& shard_data_buffer(std::uint32_t shard) = 0;
-
-  /// Coordinator side: installs worker shard `shard`'s results from its
-  /// shard_data_buffer. Workers are applied in shard order. Must
-  /// validate the bytes and throw TransportError(kBadPayload) on
-  /// anything malformed.
-  virtual void apply_machines(std::uint32_t shard) = 0;
+  /// Coordinator side: installs worker shard `shard`'s part of its
+  /// results, in shard order. Must validate the bytes and throw
+  /// TransportError(kBadPayload) on anything malformed.
+  virtual void apply_machines(std::uint32_t shard,
+                              std::span<const std::byte> bytes) = 0;
 
   /// Runs the registered round `round_id` on machine `machine` with the
   /// invoke parameters (worker side, and coordinator side for shard 0).

@@ -1,15 +1,20 @@
 #include "mrlr/exec/process_shard_executor.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <exception>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "mrlr/exec/shard_channel.hpp"
 
 #include "mrlr/exec/shard_worker.hpp"
 #include "mrlr/exec/thread_pool_executor.hpp"
@@ -131,8 +136,10 @@ void ProcessShardExecutor::start_job(std::uint64_t num_machines,
   const std::uint64_t nonce = next_job_nonce();
   const std::chrono::milliseconds timeout = launcher->bootstrap_timeout();
 
-  std::uint64_t flags = launcher->ships_job_state() ? kBootstrapCarriesSpec
-                                                    : std::uint64_t{0};
+  // Fork workers get a mesh of peer channels; TCP workers route their
+  // peer buckets through this process.
+  const bool mesh = !launcher->ships_job_state();
+  std::uint64_t flags = mesh ? kBootstrapPeerMesh : kBootstrapCarriesSpec;
   if (job_telemetry_) flags |= kBootstrapTelemetry;
   std::vector<std::byte> spec;
   if (launcher->ships_job_state()) {
@@ -159,12 +166,15 @@ void ProcessShardExecutor::start_job(std::uint64_t num_machines,
   for (unsigned s = 1; s < shards; ++s) {
     try {
       LaunchedWorker lw = launcher->launch(s, nonce);
-      workers_.push_back(Worker{lw.pid, std::move(lw.channel), s,
-                                ranges[s].first, ranges[s].second});
-      Worker& w = workers_.back();
-      // A silent peer during handshake/bootstrap must fail typed, not
-      // hang: arm the read timeout until the ack is in (fork-launched
-      // children report death via EOF and use no timeout).
+      Worker& w = workers_.emplace_back();
+      w.pid = lw.pid;
+      w.channel = std::move(lw.channel);
+      w.shard = s;
+      w.first = ranges[s].first;
+      w.last = ranges[s].second;
+      // A silent peer during handshake, bootstrap and peer handoff must
+      // fail typed, not hang. Round frames go through the pump, which
+      // never blocks in a read and bounds silence itself.
       if (timeout.count() > 0) w.channel->set_read_timeout(timeout);
       handshake_connect(*w.channel, s, nonce);
       JobBootstrap b;
@@ -190,13 +200,49 @@ void ProcessShardExecutor::start_job(std::uint64_t num_machines,
   for (Worker& w : workers_) {
     try {
       expect_bootstrap_ack(*w.channel, w.shard);
-      if (timeout.count() > 0) {
-        w.channel->set_read_timeout(std::chrono::milliseconds(0));
-      }
     } catch (const ExecError& e) {
       fail_job(w.shard, 0, e.what());
     }
   }
+
+  // Phase 3 (fork) — the mesh: one socketpair per pair of workers, its
+  // ends handed to the two over their channels. Each end is echoed back
+  // before the next is sent, so this process holds at most two extra
+  // descriptors and at most one is ever in flight.
+  const auto hand = [&](Worker& w, std::uint32_t peer, int fd) {
+    try {
+      send_descriptor(*w.channel, peer, fd);
+      std::byte echo[4];
+      read_exact(*w.channel, echo, sizeof(echo), "peer handoff echo");
+      if (wire::load<std::uint32_t>(echo) != peer) {
+        throw TransportError(TransportError::Kind::kUnexpected,
+                             "peer handoff: the worker echoed another shard");
+      }
+    } catch (const ExecError& e) {
+      fail_job(w.shard, 0, e.what());
+    }
+  };
+  for (std::size_t i = 0; mesh && i < workers_.size(); ++i) {
+    for (std::size_t j = i + 1; j < workers_.size(); ++j) {
+      auto pair = [&] {
+        try {
+          return make_socketpair_channel();
+        } catch (const ExecError& e) {
+          fail_job(workers_[i].shard, 0, e.what());
+        }
+      }();
+      hand(workers_[i], workers_[j].shard, pair.first.fd());
+      hand(workers_[j], workers_[i].shard, pair.second.fd());
+    }
+  }
+  silence_bound_ = std::max<std::chrono::milliseconds>(
+      timeout, 10 * kHeartbeatCadence);
+  pump_ = std::make_unique<FramePump>(
+      [this](std::size_t channel, Frame& f) { take_frame(channel, f); });
+  // Peer buckets pass through unopened; their receiver checks them.
+  pump_->pass_unchecked(FrameKind::kPeerBucket);
+  pump_->set_silence_bound(silence_bound_);
+  for (Worker& w : workers_) pump_->add(*w.channel, w.shard);
 
   if (job_telemetry_) {
     tel.add_counter("exec.workers_spawned", workers_.size());
@@ -255,45 +301,50 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
 
   obs::Telemetry& tel = obs::Telemetry::instance();
   const bool telemetry = job_telemetry_;
+  FramePump& pump = *pump_;
 
-  // Ship every worker its round: id, invoke params, its machines' inbox
-  // totals and its record stream. Workers start their machines while
-  // shard 0 runs below. The head is encoded into frame_; the stream
-  // goes out from the plane's own buffers.
+  // Every worker's round control — id, invoke params, its round input —
+  // is queued at once, and all go out concurrently. The head is encoded
+  // into the worker's buffer; the records go out from the plane's own.
   std::uint64_t shipped = 0;
-  std::vector<std::byte>& payload = frame_.payload;
-  for (Worker& w : workers_) {
-    std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
-    payload.clear();
-    wire::append_u64(payload, round_id);
-    wire::append_u64(payload, params.size());
-    for (const std::uint64_t p : params) wire::append_u64(payload, p);
-    // parts_[0] is the payload's head, set once the plane stopped
-    // growing it.
-    parts_.assign(1, {});
-    plane->serialize_round_input(w.shard, payload, parts_);
-    parts_[0] = payload;
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    Worker& w = workers_[i];
+    const std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
+    w.head.clear();
+    wire::append_u64(w.head, round_id);
+    wire::append_u64(w.head, params.size());
+    for (const std::uint64_t p : params) wire::append_u64(w.head, p);
+    // parts[0] is the head, set once the plane stopped growing it.
+    w.parts.assign(1, {});
+    plane->serialize_round_input(w.shard, w.head, w.parts);
+    w.parts[0] = w.head;
+    w.got_data = w.got_telemetry = w.got_status = false;
+    const std::uint64_t t1 = telemetry ? tel.now_ns() : 0;
+    std::string label = "shard " + std::to_string(w.shard);
     if (telemetry) {
-      const std::uint64_t t1 = tel.now_ns();
       tel.record_span(obs::Phase::kShardSerialize, t0, t1, sequence - 1,
-                      "shard " + std::to_string(w.shard));
-      t0 = t1;
+                      label);
     }
-    try {
-      write_frame_parts(*w.channel, FrameKind::kRoundControl, w.shard,
-                        sequence, parts_);
-    } catch (const ExecError& e) {
-      fail_job(w.shard, sequence, e.what());
-    }
-    if (telemetry) {
-      tel.record_span(obs::Phase::kShardTransport, t0, tel.now_ns(),
-                      sequence - 1, "shard " + std::to_string(w.shard));
-    }
-    for (const std::span<const std::byte> part : parts_) {
+    pump.send(i, FrameKind::kRoundControl, w.shard, sequence, w.parts,
+              [&tel, telemetry, t1, sequence, label = std::move(label)] {
+                if (telemetry) {
+                  tel.record_span(obs::Phase::kShardTransport, t1,
+                                  tel.now_ns(), sequence - 1, label);
+                }
+              });
+    pump.watch(i, true);
+    for (const std::span<const std::byte> part : w.parts) {
       shipped += part.size();
     }
   }
   if (telemetry) tel.add_counter("exec.state_bytes_shipped", shipped);
+  try {
+    // Workers start their machines as soon as their control is in, so
+    // the controls go out before shard 0 runs.
+    pump.run([&] { return pump.all_sent(); });
+  } catch (const PumpError& e) {
+    fail_job(e.peer, sequence, e.what());
+  }
 
   // Shard 0 runs here, in the coordinator: host-resident machine state
   // (notably the central machine's) persists across rounds. With
@@ -304,7 +355,7 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
   run_shard_range(local_pool_.get(), local_range_.first, local_range_.second,
                   fn, local_error, local_error_machine);
   // Shard 0's sends to worker machines head their streams, ahead of the
-  // buckets relayed below; encoding them now overlaps the workers' run.
+  // peer buckets of this round.
   {
     const std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
     plane->route_local_sends();
@@ -314,67 +365,159 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
     }
   }
 
-  // Collect shard results in shard order (= machine-id order, so the
-  // apply order is deterministic even though workers finish whenever,
-  // and every relayed stream stays in sender-id order).
-  std::uint64_t remote_error_machine = 0;
-  std::string remote_error_what;
-  bool remote_failed = false;
-  for (Worker& w : workers_) {
-    try {
-      const std::uint64_t wait_start = telemetry ? tel.now_ns() : 0;
-      // The data frame is read straight into the buffer the plane keeps
-      // for this shard.
-      std::vector<std::byte>& data = plane->shard_data_buffer(w.shard);
-      data.swap(frame_.payload);
-      expect_frame(*w.channel, frame_, FrameKind::kShardData, w.shard,
-                   sequence);
-      data.swap(frame_.payload);
+  // Frames arrive in any order; data is applied in shard order
+  // (= machine-id order), so the result does not depend on which worker
+  // finished first.
+  std::size_t next = 0;
+  std::uint64_t waited_from = telemetry ? tel.now_ns() : 0;
+  const auto apply_ready = [&] {
+    while (next < workers_.size() && workers_[next].got_data) {
+      Worker& w = workers_[next];
       std::uint64_t apply_start = 0;
       if (telemetry) {
         apply_start = tel.now_ns();
-        tel.record_span(obs::Phase::kWorkerWait, wait_start, apply_start,
+        tel.record_span(obs::Phase::kWorkerWait, waited_from, apply_start,
                         sequence - 1, "shard " + std::to_string(w.shard));
       }
-      plane->apply_machines(w.shard);
+      try {
+        plane->apply_machines(w.shard, w.data);
+      } catch (const ExecError& e) {
+        throw PumpError(TransportError::Kind::kBadPayload, w.shard, e.what());
+      }
       if (telemetry) {
-        tel.record_span(obs::Phase::kShardApply, apply_start, tel.now_ns(),
+        waited_from = tel.now_ns();
+        tel.record_span(obs::Phase::kShardApply, apply_start, waited_from,
                         sequence - 1, "shard " + std::to_string(w.shard));
-        // The worker only sends its span buffer when the bootstrap's
-        // telemetry flag was set, which is exactly when job_telemetry_
-        // is: the protocol shape is deterministic on both ends.
-        expect_frame(*w.channel, frame_, FrameKind::kShardTelemetry,
-                     w.shard, sequence);
-        tel.merge_remote(frame_.payload, w.shard);
       }
-      expect_frame(*w.channel, frame_, FrameKind::kShardStatus, w.shard,
-                   sequence);
-      wire::Reader r(frame_.payload, "process-shard: status frame");
-      const bool failed = r.flag("failed");
-      const std::uint64_t machine = r.u64("error machine");
-      const std::span<const std::byte> what = r.rest();
-      if (failed && !remote_failed) {
-        remote_failed = true;
-        remote_error_machine = machine;
-        remote_error_what.assign(
-            reinterpret_cast<const char*>(what.data()), what.size());
-      }
-    } catch (const ExecError& e) {
-      fail_job(w.shard, sequence, e.what());
+      ++next;
     }
+  };
+  try {
+    pump.run([&] {
+      apply_ready();
+      return next == workers_.size() &&
+             std::all_of(workers_.begin(), workers_.end(),
+                         [](const Worker& w) { return w.got_status; }) &&
+             pump.all_sent();
+    });
+  } catch (const PumpError& e) {
+    fail_job(e.peer, sequence, e.what());
   }
 
   // Executor contract: the lowest-id throwing machine wins. Shard 0's
-  // machines precede every worker machine, and workers were scanned in
+  // machines precede every worker machine, and workers are scanned in
   // machine-id order.
   if (local_error) std::rethrow_exception(local_error);
-  if (remote_failed) {
-    throw ShardCallbackError(
-        remote_error_machine, sequence,
-        "process-shard: machine " + std::to_string(remote_error_machine) +
-            " threw in round " + std::to_string(sequence) + ": " +
-            remote_error_what);
+  for (Worker& w : workers_) {
+    bool failed = false;
+    std::uint64_t machine = 0;
+    std::string what;
+    try {
+      wire::Reader r(w.status, "process-shard: status frame");
+      failed = r.flag("failed");
+      machine = r.u64("error machine");
+      const std::span<const std::byte> text = r.rest();
+      what.assign(reinterpret_cast<const char*>(text.data()), text.size());
+    } catch (const ExecError& e) {
+      fail_job(w.shard, sequence, e.what());
+    }
+    if (failed) {
+      throw ShardCallbackError(
+          machine, sequence,
+          "process-shard: machine " + std::to_string(machine) +
+              " threw in round " + std::to_string(sequence) + ": " + what);
+    }
   }
+}
+
+void ProcessShardExecutor::take_frame(std::size_t channel, Frame& f) {
+  Worker& w = workers_[channel];
+  const auto refuse = [&](const std::string& why) {
+    throw PumpError(
+        TransportError::Kind::kUnexpected, w.shard,
+        "process-shard: shard " + std::to_string(w.shard) + " sent " + why +
+            " (kind " + std::to_string(static_cast<int>(f.kind)) +
+            ", shard " + std::to_string(f.shard) + ", seq " +
+            std::to_string(f.sequence) + ")");
+  };
+  if (f.shard != w.shard) refuse("a frame stamped with another shard");
+  if (f.kind == FrameKind::kHeartbeat) return;  // the pump saw it: alive
+  // Peer buckets carry their generation; every other frame the round.
+  if ((f.kind != FrameKind::kPeerBucket && f.sequence != last_sequence_) ||
+      w.got_status) {
+    refuse("a frame out of turn");
+  }
+  switch (f.kind) {
+    case FrameKind::kShardData:
+      if (w.got_data) refuse("a second data frame");
+      w.data.swap(f.payload);
+      w.got_data = true;
+      return;
+    case FrameKind::kShardTelemetry:
+      // The worker only sends its span buffer when the bootstrap's
+      // telemetry flag was set, which is exactly when job_telemetry_ is.
+      if (!job_telemetry_ || w.got_telemetry) refuse("a telemetry frame");
+      obs::Telemetry::instance().merge_remote(f.payload, w.shard);
+      w.got_telemetry = true;
+      return;
+    case FrameKind::kPeerBucket: {
+      // A TCP worker's bucket for another worker: forwarded unopened
+      // (its receiver checks it) on the destination's channel.
+      const std::uint64_t dest =
+          f.payload.size() >= 8 ? wire::load<std::uint64_t>(f.payload.data())
+                                : 0;
+      if (dest == 0 || dest > workers_.size() || dest == w.shard) {
+        refuse("a peer bucket with no valid destination");
+      }
+      obs::count("exec.bytes_forwarded",
+                 kFrameHeaderBytes + f.payload.size());
+      pump_->forward(static_cast<std::size_t>(dest - 1), std::move(f));
+      return;
+    }
+    case FrameKind::kShardStatus:
+      if (!w.got_data || (job_telemetry_ && !w.got_telemetry)) {
+        refuse("its status before its data");
+      }
+      w.status.swap(f.payload);
+      w.got_status = true;
+      pump_->watch(channel, false);
+      return;
+    default:
+      refuse("an unexpected frame");
+  }
+}
+
+std::string ProcessShardExecutor::reap_workers(
+    std::uint32_t shard, std::chrono::milliseconds grace) {
+  // The pump goes first: it refers to the channels closed below.
+  pump_.reset();
+  // Close every channel before reaping: a worker stuck writing into a
+  // full socket dies with EPIPE instead of blocking waitpid forever.
+  for (Worker& w : workers_) w.channel->close_now();
+  const auto deadline = std::chrono::steady_clock::now() + grace;
+  std::string exit = "never launched";
+  for (Worker& w : workers_) {
+    if (w.pid <= 0) {
+      if (w.shard == shard) exit = "remote worker";
+      continue;
+    }
+    int st = 0;
+    for (;;) {
+      const pid_t r = ::waitpid(w.pid, &st, WNOHANG);
+      if (r != 0 && !(r < 0 && errno == EINTR)) break;
+      if (std::chrono::steady_clock::now() >= deadline) {
+        // A stopped or wedged worker never exits on its own.
+        ::kill(w.pid, SIGKILL);
+        while (::waitpid(w.pid, &st, 0) < 0 && errno == EINTR) {
+        }
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (w.shard == shard) exit = describe_exit(st);
+  }
+  workers_.clear();
+  return exit;
 }
 
 void ProcessShardExecutor::fail_job(std::uint32_t shard,
@@ -382,20 +525,8 @@ void ProcessShardExecutor::fail_job(std::uint32_t shard,
                                     const std::string& what) {
   job_failed_ = true;
   failed_shard_ = shard;
-  // Close every channel before reaping: a worker stuck writing into a
-  // full socket dies with EPIPE instead of blocking waitpid forever.
-  std::string failed_exit = "never launched";
-  for (Worker& w : workers_) w.channel->close_now();
-  for (Worker& w : workers_) {
-    if (w.pid > 0) {
-      int st = 0;
-      ::waitpid(w.pid, &st, 0);
-      if (w.shard == shard) failed_exit = describe_exit(st);
-    } else if (w.shard == shard) {
-      failed_exit = "remote worker";
-    }
-  }
-  workers_.clear();
+  const std::string failed_exit =
+      reap_workers(shard, std::chrono::milliseconds(1000));
   throw WorkerError(shard, sequence,
                     "process-shard: shard " + std::to_string(shard) +
                         " worker failed in round " +
@@ -405,6 +536,8 @@ void ProcessShardExecutor::fail_job(std::uint32_t shard,
 
 void ProcessShardExecutor::end_job() {
   if (!job_active_) return;
+  // Every round left the pump with nothing queued, so the channels sit
+  // at a frame boundary.
   for (Worker& w : workers_) {
     try {
       write_frame(*w.channel, FrameKind::kJobTeardown, w.shard,
@@ -413,19 +546,10 @@ void ProcessShardExecutor::end_job() {
       // Best effort: a dead worker is reaped below either way.
     }
   }
-  for (Worker& w : workers_) w.channel->close_now();
-  for (Worker& w : workers_) {
-    if (w.pid > 0) {
-      int st = 0;
-      ::waitpid(w.pid, &st, 0);
-    }
-  }
-  workers_.clear();
+  reap_workers(0, silence_bound_);
   // The pool dies with the job: the next start_job forks its workers
   // before rebuilding it, keeping forks free of live pool threads.
   local_pool_.reset();
-  std::vector<std::byte>().swap(frame_.payload);
-  std::vector<std::span<const std::byte>>().swap(parts_);
   job_active_ = false;
   job_failed_ = false;
   local_range_ = {0, 0};

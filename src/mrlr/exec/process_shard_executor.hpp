@@ -18,19 +18,32 @@
 //     id, job nonce) and a kJobSetup bootstrap carrying the worker's
 //     machine range, the shard table, the registered-round label table,
 //     and — on the TCP path — the full job spec, which the worker
-//     validates and acknowledges before any round ships. Nothing
-//     crosses the process boundary implicitly — each round the
-//     coordinator ships a kRoundControl frame carrying the round id,
-//     the invoke parameters, and the inbox totals and record stream of
-//     the worker's machine range (ShardJobPlane::serialize_round_input),
-//     the worker runs its machines against its own resident copy of
-//     that range's state, and ships its sends back bucketed by
-//     destination shard through serialize_machines. The coordinator
-//     encodes shard 0's sends to workers (route_local_sends), then
-//     applies each shard's frame in shard order: the shard-0 bucket
-//     joins the engine's ordinary id-ordered merge, every other bucket
-//     is relayed as is — traces, metrics, and delivery order stay
-//     byte-identical to SerialExecutor.
+//     validates and acknowledges before any round ships. Fork workers
+//     then receive one socket per other worker (the coordinator makes
+//     each pair and passes the two ends over SCM_RIGHTS, keeping no
+//     copy): the worker mesh. Nothing crosses the process boundary
+//     implicitly — each round the coordinator ships a kRoundControl
+//     frame carrying the round id, the invoke parameters, and the
+//     worker's round input (ShardJobPlane::serialize_round_input): its
+//     machines' inbox totals, the coordinator's records for them, and
+//     which rounds' peer buckets complete the inbox. The worker runs
+//     its machines against its own resident copy of that range's
+//     state, keeps its own-shard bucket, sends every other worker its
+//     bucket directly, and ships the coordinator its accounting, totals
+//     and shard-0 bucket (serialize_machines). The coordinator encodes
+//     shard 0's sends to workers (route_local_sends), then applies each
+//     shard's data in shard order however the frames arrived — traces,
+//     metrics, and delivery order stay byte-identical to
+//     SerialExecutor. TCP workers have no mesh: their peer buckets
+//     travel on the coordinator channel, and the coordinator forwards
+//     them unopened.
+//
+//   * All frames move through one FramePump (frame_pump.hpp): round
+//     controls go out to every worker at once, and data frames are read
+//     in completion order. Every wait on a worker is bounded by
+//     silence, not by round length: a worker that sends nothing — no
+//     frame and no heartbeat — for the launcher's bootstrap timeout
+//     fails the job with a WorkerError naming its shard and the round.
 //
 //   * Only registered rounds reach this backend, and their callbacks
 //     must be "process-clean" (see Engine::define_round): they touch
@@ -54,14 +67,17 @@
 // Plain run_machines has no job plane and so nothing to exchange:
 // machines run in the coordinator, with SerialExecutor semantics.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <sys/types.h>
 
 #include "mrlr/exec/executor.hpp"
+#include "mrlr/exec/frame_pump.hpp"
 #include "mrlr/exec/shard_transport.hpp"
 
 namespace mrlr::exec {
@@ -99,11 +115,27 @@ class ProcessShardExecutor final : public Executor {
 
  private:
   struct Worker {
-    pid_t pid;  // -1 for remote workers (not ours to reap)
+    pid_t pid = -1;  // -1 for remote workers (not ours to reap)
     std::unique_ptr<ShardChannel> channel;  // coordinator end
-    std::uint32_t shard;
-    std::uint64_t first, last;
+    std::uint32_t shard = 0;
+    std::uint64_t first = 0, last = 0;
+    // Per round: the kRoundControl head (round id, params, plane input
+    // head) and its pieces, the data frame as received, and which of the
+    // worker's frames arrived.
+    std::vector<std::byte> head;
+    std::vector<std::span<const std::byte>> parts;
+    std::vector<std::byte> data;
+    std::vector<std::byte> status;
+    bool got_data = false;
+    bool got_telemetry = false;
+    bool got_status = false;
   };
+
+  /// Hands each frame worker `channel` sent in the current round to its
+  /// place: data and status are kept for the shard-order apply,
+  /// telemetry is merged, peer buckets are forwarded, and heartbeats
+  /// only show the worker is alive.
+  void take_frame(std::size_t channel, Frame& f);
 
   /// Marks the job failed, closes every channel (so a worker stuck
   /// writing dies with EPIPE instead of blocking waitpid), reaps every
@@ -111,6 +143,12 @@ class ProcessShardExecutor final : public Executor {
   /// worker's exit description appended.
   [[noreturn]] void fail_job(std::uint32_t shard, std::uint64_t sequence,
                              const std::string& what);
+
+  /// Closes every channel and reaps the fork workers, killing any that
+  /// has not exited within `grace` (a stopped worker never would).
+  /// Returns how shard `shard`'s worker ended.
+  std::string reap_workers(std::uint32_t shard,
+                           std::chrono::milliseconds grace);
 
   unsigned num_shards_;
   unsigned num_threads_;
@@ -120,6 +158,8 @@ class ProcessShardExecutor final : public Executor {
 
   // Persistent-job state.
   std::vector<Worker> workers_;
+  std::unique_ptr<FramePump> pump_;
+  std::chrono::milliseconds silence_bound_{0};
   // Shard 0's own pool (num_threads_ > 1 only); created at start_job
   // after every worker has forked and reset at end_job so the next
   // job's forks see no live threads.
@@ -133,14 +173,6 @@ class ProcessShardExecutor final : public Executor {
   // decided once per job and both ends always agree, even if the
   // coordinator's recorder is toggled mid-job.
   bool job_telemetry_ = false;
-  // The frame buffer of the job: every kRoundControl head is encoded
-  // into its payload and every worker frame but kShardData read into
-  // it, so steady-state rounds reuse its capacity. kShardData payloads
-  // go to the plane's per-shard buffers. Freed at end_job.
-  Frame frame_;
-  // The pieces of one kRoundControl payload: frame_'s head, then the
-  // worker's record stream as the plane holds it.
-  std::vector<std::span<const std::byte>> parts_;
 };
 
 }  // namespace mrlr::exec

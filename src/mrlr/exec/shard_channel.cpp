@@ -12,6 +12,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace mrlr::exec {
@@ -186,13 +187,18 @@ std::size_t TcpChannel::read_some(std::byte* data, std::size_t n) {
   return io_read_some(fd_, data, n, &recv_plain, "tcp channel");
 }
 
-void TcpChannel::set_read_timeout(std::chrono::milliseconds timeout) {
+void set_receive_timeout(int fd, std::chrono::milliseconds timeout,
+                         const char* what) {
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
   tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
-    io_fail("tcp channel", "setsockopt(SO_RCVTIMEO)", errno);
+  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
+    io_fail(what, "setsockopt(SO_RCVTIMEO)", errno);
   }
+}
+
+void TcpChannel::set_read_timeout(std::chrono::milliseconds timeout) {
+  set_receive_timeout(fd_, timeout, "tcp channel");
 }
 
 TcpListener::TcpListener(const std::string& host, std::uint16_t port)
@@ -295,6 +301,69 @@ TcpChannel tcp_connect(const Endpoint& ep,
     std::this_thread::sleep_for(backoff);
     backoff = std::min(backoff * 2, std::chrono::milliseconds(100));
   }
+}
+
+// ------------------------------------------------ descriptor handoff --
+
+void send_descriptor(ShardChannel& ch, std::uint32_t tag, int fd) {
+  std::byte data[4];
+  store<std::uint32_t>(data, tag);
+  iovec iov{data, sizeof(data)};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof(control);
+  cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+  cm->cmsg_level = SOL_SOCKET;
+  cm->cmsg_type = SCM_RIGHTS;
+  cm->cmsg_len = CMSG_LEN(sizeof(int));
+  std::memcpy(CMSG_DATA(cm), &fd, sizeof(int));
+  while (true) {
+    const ::ssize_t r = ::sendmsg(ch.fd(), &msg, MSG_NOSIGNAL);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) io_fail("descriptor handoff", "sendmsg", errno);
+    // A 4-byte message into an empty-enough socket goes whole; the
+    // descriptor rides on its first byte.
+    if (r != static_cast<::ssize_t>(sizeof(data))) {
+      throw TransportError(TransportError::Kind::kIo,
+                           "descriptor handoff: short sendmsg");
+    }
+    return;
+  }
+}
+
+std::pair<std::uint32_t, int> receive_descriptor(ShardChannel& ch) {
+  std::byte data[4];
+  iovec iov{data, sizeof(data)};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof(control);
+  ::ssize_t r;
+  do {
+    r = ::recvmsg(ch.fd(), &msg, MSG_CMSG_CLOEXEC | MSG_WAITALL);
+  } while (r < 0 && errno == EINTR);
+  if (r < 0) io_fail("descriptor handoff", "recvmsg", errno);
+  int fd = -1;
+  const cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+  if (cm != nullptr && cm->cmsg_level == SOL_SOCKET &&
+      cm->cmsg_type == SCM_RIGHTS && cm->cmsg_len == CMSG_LEN(sizeof(int))) {
+    std::memcpy(&fd, CMSG_DATA(cm), sizeof(int));
+  }
+  if (r != static_cast<::ssize_t>(sizeof(data)) || fd < 0 ||
+      (msg.msg_flags & MSG_CTRUNC) != 0) {
+    if (fd >= 0) ::close(fd);
+    throw TransportError(
+        r == 0 ? TransportError::Kind::kTruncated
+               : TransportError::Kind::kBadPayload,
+        "descriptor handoff: expected a 4-byte message carrying one "
+        "descriptor");
+  }
+  return {load<std::uint32_t>(data), fd};
 }
 
 // ------------------------------------------------------- handshake --

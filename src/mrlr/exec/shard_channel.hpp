@@ -61,6 +61,12 @@ void io_write_all(int fd, const std::byte* data, std::size_t n,
 std::size_t io_read_some(int fd, std::byte* data, std::size_t n,
                          IoReadFn rfn, const char* what);
 
+/// Arms SO_RCVTIMEO on socket `fd` (0 = wait forever); blocking reads
+/// past it fail through io_read_some's timeout error. Throws
+/// TransportError(kIo) if the OS refuses.
+void set_receive_timeout(int fd, std::chrono::milliseconds timeout,
+                         const char* what);
+
 // ------------------------------------------------------------- TCP --
 
 /// A `host:port` pair (host may be a hostname or numeric address).
@@ -95,7 +101,7 @@ class TcpChannel final : public ShardChannel {
   void close_now() override;
   void set_read_timeout(std::chrono::milliseconds timeout) override;
 
-  int fd() const { return fd_; }
+  int fd() const override { return fd_; }
 
  private:
   int fd_;
@@ -138,6 +144,19 @@ class TcpListener {
 /// naming the endpoint when the deadline passes — never blocks past it.
 TcpChannel tcp_connect(const Endpoint& ep,
                        std::chrono::milliseconds timeout);
+
+// ------------------------------------------------ descriptor handoff --
+
+/// Passes descriptor `fd` over the AF_UNIX socket behind `ch`
+/// (SCM_RIGHTS), tagged with `tag`: a 4-byte message carrying the
+/// descriptor. The sender keeps its own copy; close it once sent.
+/// Throws TransportError(kIo) on failure.
+void send_descriptor(ShardChannel& ch, std::uint32_t tag, int fd);
+
+/// Receives one send_descriptor message: returns the tag and the new
+/// descriptor (close-on-exec). Throws TransportError on end of stream,
+/// a message without exactly one descriptor, or an OS failure.
+std::pair<std::uint32_t, int> receive_descriptor(ShardChannel& ch);
 
 // ------------------------------------------------------- handshake --
 

@@ -34,7 +34,7 @@ constexpr std::uint64_t kChecksumLaneStep = 0x9E3779B97F4A7C15ull;
 
 // Fixed 40-byte header, assembled field by field so the wire layout
 // never depends on struct padding.
-constexpr std::size_t kHeaderBytes = 40;
+constexpr std::size_t kHeaderBytes = kFrameHeaderBytes;
 
 [[noreturn]] void stream_ended(const char* context, std::uint64_t got,
                                std::uint64_t n) {
@@ -119,6 +119,10 @@ std::size_t FdChannel::read_some(std::byte* data, std::size_t n) {
   }, "fd channel");
 }
 
+void FdChannel::set_read_timeout(std::chrono::milliseconds timeout) {
+  set_receive_timeout(fd_, timeout, "fd channel");
+}
+
 std::pair<FdChannel, FdChannel> make_socketpair_channel() {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
@@ -197,12 +201,10 @@ void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
   write_frame_parts(ch, kind, shard, sequence, {&payload, 1});
 }
 
-void write_frame_parts(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
-                       std::uint64_t sequence,
-                       std::span<const std::span<const std::byte>> parts) {
-  // frame_checksum of the concatenation: whole 32-byte blocks go
-  // straight through the chains, and a block split across pieces is
-  // assembled in `carry` first.
+std::uint64_t frame_checksum_parts(
+    std::span<const std::span<const std::byte>> parts) {
+  // Whole 32-byte blocks go straight through the chains, and a block
+  // split across pieces is assembled in `carry` first.
   Chains chains;
   std::byte carry[32];
   std::size_t fill = 0;
@@ -223,7 +225,12 @@ void write_frame_parts(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
     fill = part.size() - whole;
     if (fill > 0) std::memcpy(carry, part.data() + whole, fill);
   }
-  std::byte header[kHeaderBytes];
+  return finish_chains(chains, carry, fill, size);
+}
+
+void encode_frame_header(std::byte* header, FrameKind kind,
+                         std::uint32_t shard, std::uint64_t sequence,
+                         std::uint64_t size, std::uint64_t checksum) {
   store<std::uint32_t>(header + 0, kFrameMagic);
   store<std::uint16_t>(header + 4, kFrameVersion);
   store<std::uint16_t>(header + 6, static_cast<std::uint16_t>(kind));
@@ -231,7 +238,17 @@ void write_frame_parts(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
   store<std::uint32_t>(header + 12, 0);  // reserved
   store<std::uint64_t>(header + 16, sequence);
   store<std::uint64_t>(header + 24, size);
-  store<std::uint64_t>(header + 32, finish_chains(chains, carry, fill, size));
+  store<std::uint64_t>(header + 32, checksum);
+}
+
+void write_frame_parts(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
+                       std::uint64_t sequence,
+                       std::span<const std::span<const std::byte>> parts) {
+  std::uint64_t size = 0;
+  for (const std::span<const std::byte> part : parts) size += part.size();
+  std::byte header[kHeaderBytes];
+  encode_frame_header(header, kind, shard, sequence, size,
+                      frame_checksum_parts(parts));
   ch.write_all(header, kHeaderBytes);
   for (const std::span<const std::byte> part : parts) {
     if (!part.empty()) ch.write_all(part.data(), part.size());
@@ -240,10 +257,8 @@ void write_frame_parts(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
   obs::count("exec.wire_bytes_out", kHeaderBytes + size);
 }
 
-void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
-  std::byte header[kHeaderBytes];
-  read_exact(ch, header, kHeaderBytes, "frame header");
-
+Frame decode_frame_header(const std::byte* header, std::uint64_t max_payload,
+                          std::uint64_t& length) {
   const std::uint32_t magic = load<std::uint32_t>(header + 0);
   if (magic != kFrameMagic) {
     throw TransportError(TransportError::Kind::kBadMagic,
@@ -274,24 +289,34 @@ void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
     throw TransportError(TransportError::Kind::kBadMagic,
                          "shard transport: nonzero reserved header bits");
   }
-  const std::uint64_t payload_len = load<std::uint64_t>(header + 24);
-  if (payload_len > max_payload) {
+  length = load<std::uint64_t>(header + 24);
+  if (length > max_payload) {
     throw TransportError(TransportError::Kind::kBadLength,
                          "shard transport: frame payload length " +
-                             std::to_string(payload_len) +
-                             " exceeds the cap " +
+                             std::to_string(length) + " exceeds the cap " +
                              std::to_string(max_payload));
   }
+  Frame f;
+  f.kind = static_cast<FrameKind>(kind_raw);
+  f.shard = load<std::uint32_t>(header + 8);
+  f.sequence = load<std::uint64_t>(header + 16);
+  f.checksum = load<std::uint64_t>(header + 32);
+  return f;
+}
 
-  into.kind = static_cast<FrameKind>(kind_raw);
-  into.shard = load<std::uint32_t>(header + 8);
-  into.sequence = load<std::uint64_t>(header + 16);
+void read_frame(ShardChannel& ch, Frame& into, std::uint64_t max_payload) {
+  std::byte header[kHeaderBytes];
+  read_exact(ch, header, kHeaderBytes, "frame header");
+  std::uint64_t payload_len = 0;
+  const Frame head = decode_frame_header(header, max_payload, payload_len);
+  into.kind = head.kind;
+  into.shard = head.shard;
+  into.sequence = head.sequence;
+  into.checksum = head.checksum;
   // The checksum covers exactly payload_len bytes, so stale bytes past
   // the end of this frame can never validate it.
   read_payload(ch, into.payload, payload_len);
-  const std::uint64_t expected = load<std::uint64_t>(header + 32);
-  const std::uint64_t actual = frame_checksum(into.payload);
-  if (expected != actual) {
+  if (into.checksum != frame_checksum(into.payload)) {
     throw TransportError(TransportError::Kind::kBadChecksum,
                          "shard transport: frame checksum mismatch "
                          "(corrupt payload)");

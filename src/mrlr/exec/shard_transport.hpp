@@ -15,7 +15,7 @@
 //
 //       offset  size  field
 //       0       4     magic     0x3146534D ("MSF1")
-//       4       2     version   4 (kFrameVersion)
+//       4       2     version   5 (kFrameVersion)
 //       6       2     kind      FrameKind
 //       8       4     shard     sender shard index
 //       12      4     reserved  must be zero
@@ -118,11 +118,16 @@ class ShardChannel {
 
   /// Bounds how long read_some may block (0 = wait forever, the
   /// default). Channels without timeout support ignore the call; the
-  /// coordinator only arms this during connect/handshake/bootstrap,
-  /// where a silent peer must fail typed instead of hanging.
+  /// coordinator arms this for connect/handshake/bootstrap, where a
+  /// silent peer must fail typed instead of hanging. The frame pump
+  /// (frame_pump.hpp) never blocks in a read, so it is unaffected.
   virtual void set_read_timeout(std::chrono::milliseconds timeout) {
     (void)timeout;
   }
+
+  /// The pollable socket behind the channel, or -1 when there is none.
+  /// The frame pump needs one; the blocking helpers below do not.
+  virtual int fd() const { return -1; }
 };
 
 /// Reads exactly n bytes or throws TransportError(kTruncated) if the
@@ -143,8 +148,9 @@ class FdChannel final : public ShardChannel {
 
   void write_all(const std::byte* data, std::size_t n) override;
   std::size_t read_some(std::byte* data, std::size_t n) override;
+  void set_read_timeout(std::chrono::milliseconds timeout) override;
 
-  int fd() const { return fd_; }
+  int fd() const override { return fd_; }
   void close_now() override;
 
  private:
@@ -158,19 +164,22 @@ std::pair<FdChannel, FdChannel> make_socketpair_channel();
 // ------------------------------------------------------------ frames --
 
 inline constexpr std::uint32_t kFrameMagic = 0x3146534Du;  // "MSF1"
-/// Version 4 carries messages as records (from, to, len, payload) in
-/// both directions: kShardData holds one record bucket per destination
-/// shard, which the coordinator relays undecoded, and kJobSetup carries
-/// the shard table (every shard's machine range) so a worker can
-/// bucket its sends. Version 3 changed the payload checksum from one
-/// mix64 chain to four interleaved lanes (frame_checksum). Version 2
-/// introduced the handshake: every channel
+/// Version 5 delivers worker-to-worker records straight to their
+/// destination: kShardData carries only what the coordinator needs
+/// (accounting slots, per-destination totals, bucket lengths and the
+/// shard-0 bucket), each other bucket travels as a kPeerBucket frame,
+/// and a worker still running its machines sends kHeartbeat frames.
+/// Version 4 carried messages as records (from, to, len, payload) in
+/// both directions, with every bucket relayed by the coordinator, and
+/// kJobSetup carrying the shard table. Version 3 changed the payload
+/// checksum from one mix64 chain to four interleaved lanes
+/// (frame_checksum). Version 2 introduced the handshake: every channel
 /// (fork socketpair or TCP) opens with an explicit hello/ack handshake
 /// (see shard_channel.hpp) and kJobSetup carries the full wire
 /// bootstrap (machine range, round-label table, optional job spec). An
 /// older peer is refused during the handshake with a typed kBadVersion
 /// naming both versions, instead of failing every frame's checksum.
-inline constexpr std::uint16_t kFrameVersion = 4;
+inline constexpr std::uint16_t kFrameVersion = 5;
 
 /// Sanity cap on a single frame payload (1 TiB of words is far beyond
 /// any simulated round): an adversarial or corrupt length field fails
@@ -181,8 +190,8 @@ inline constexpr std::uint64_t kMaxFramePayload = 1ull << 40;
 enum class FrameKind : std::uint16_t {
   kShardData = 1,       ///< worker -> coordinator, once per round: the
                         ///< worker's accounting slots, per-destination
-                        ///< totals, and one record bucket per
-                        ///< destination shard
+                        ///< totals, every bucket's length, and the
+                        ///< record bucket bound for shard 0
   kShardStatus = 2,     ///< worker round status (ok / callback exception)
   kShardTelemetry = 3,  ///< worker span/counter buffer (obs::Telemetry
                         ///< wire encoding); sent between data and status
@@ -228,20 +237,48 @@ enum class FrameKind : std::uint16_t {
                         ///< client: liveness summary
   kServeShutdown = 13,  ///< client -> daemon: drain and stop accepting;
                         ///< daemon -> client: empty ack
+
+  // Worker mesh kinds (process backend, version 5).
+  kPeerBucket = 14,     ///< worker -> worker, once per round and peer:
+                        ///< u64 destination shard, then the sender's
+                        ///< records bound for it (sequence = the
+                        ///< generation: the job's count of registered
+                        ///< rounds so far). Over TCP it travels via the
+                        ///< coordinator, which forwards it unopened
+  kHeartbeat = 15,      ///< worker -> coordinator, empty: the worker is
+                        ///< alive and still working on its round
 };
 
 /// Highest FrameKind this build understands; read_frame rejects
 /// anything outside [kShardData, kMaxFrameKind] typed before the
 /// payload is trusted.
 inline constexpr std::uint16_t kMaxFrameKind =
-    static_cast<std::uint16_t>(FrameKind::kServeShutdown);
+    static_cast<std::uint16_t>(FrameKind::kHeartbeat);
 
 struct Frame {
   FrameKind kind;
   std::uint32_t shard = 0;
   std::uint64_t sequence = 0;
   std::vector<std::byte> payload;
+  /// The header's payload checksum (checked by read_frame; the frame
+  /// pump keeps it unchecked for frames it only forwards).
+  std::uint64_t checksum = 0;
 };
+
+/// Size of the fixed frame header.
+inline constexpr std::size_t kFrameHeaderBytes = 40;
+
+/// Validates a frame header (magic, version, kind, reserved bits, the
+/// length cap) and returns it as a payload-less Frame, with the payload
+/// length in `length`. Throws the TransportError taxonomy above.
+Frame decode_frame_header(const std::byte* header, std::uint64_t max_payload,
+                          std::uint64_t& length);
+
+/// Writes the header of a frame with a `size`-byte payload whose
+/// frame_checksum is `checksum`.
+void encode_frame_header(std::byte* header, FrameKind kind,
+                         std::uint32_t shard, std::uint64_t sequence,
+                         std::uint64_t size, std::uint64_t checksum);
 
 /// Payload checksum: four independent mix64 chains over interleaved
 /// 8-byte little-endian words (word k feeds chain k mod 4, each chain
@@ -252,12 +289,15 @@ struct Frame {
 /// change the result.
 std::uint64_t frame_checksum(std::span<const std::byte> payload);
 
+/// frame_checksum of the concatenation of `parts`, without assembling it.
+std::uint64_t frame_checksum_parts(
+    std::span<const std::span<const std::byte>> parts);
+
 void write_frame(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
                  std::uint64_t sequence, std::span<const std::byte> payload);
 
 /// write_frame of the concatenation of `parts`, written piece by piece
-/// without assembling it: the coordinator ships the buckets it relays
-/// straight from the worker frames they arrived in.
+/// without assembling it.
 void write_frame_parts(ShardChannel& ch, FrameKind kind, std::uint32_t shard,
                        std::uint64_t sequence,
                        std::span<const std::span<const std::byte>> parts);

@@ -3,13 +3,22 @@
 #include "mrlr/exec/shard_channel.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <exception>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 
+#include <fcntl.h>
 #include <unistd.h>
+
+#include "mrlr/exec/frame_pump.hpp"
 
 #include "mrlr/exec/serial_executor.hpp"
 #include "mrlr/exec/thread_pool_executor.hpp"
@@ -62,8 +71,9 @@ JobBootstrap decode_bootstrap(std::span<const std::byte> bytes) {
   b.machines = r.u64("machine count");
   b.flags = r.u64("flags");
   b.nonce = r.u64("nonce");
-  constexpr std::uint64_t kKnownFlags =
-      kBootstrapCarriesSpec | kBootstrapTelemetry | kBootstrapThreads;
+  constexpr std::uint64_t kKnownFlags = kBootstrapCarriesSpec |
+                                       kBootstrapTelemetry |
+                                       kBootstrapThreads | kBootstrapPeerMesh;
   if ((b.flags & ~kKnownFlags) != 0) {
     char hex[24];
     std::snprintf(hex, sizeof(hex), "0x%llx",
@@ -211,10 +221,178 @@ void expect_bootstrap_ack(ShardChannel& ch, std::uint32_t shard) {
   }
 }
 
+std::vector<std::unique_ptr<ShardChannel>> receive_peer_channels(
+    ShardChannel& ch, std::uint32_t shard, const JobBootstrap& b) {
+  const std::size_t shards = b.shard_ranges.size();
+  std::vector<std::unique_ptr<ShardChannel>> peers(shards);
+  for (std::size_t i = 0; i + 2 < shards; ++i) {
+    const auto [tag, fd] = receive_descriptor(ch);
+    auto peer = std::make_unique<FdChannel>(fd);
+    if (tag == 0 || tag >= shards || tag == shard || peers[tag] != nullptr) {
+      throw TransportError(TransportError::Kind::kUnexpected,
+                           "worker shard " + std::to_string(shard) +
+                               ": peer handoff names shard " +
+                               std::to_string(tag));
+    }
+    peers[tag] = std::move(peer);
+    std::byte echo[4];
+    wire::store<std::uint32_t>(echo, tag);
+    ch.write_all(echo, sizeof(echo));
+  }
+  return peers;
+}
+
+namespace {
+
+/// Runs one task at a time on its own thread, so the serving thread can
+/// keep the frame pump turning while the machines run. Finishing a task
+/// writes a byte to wake_fd(), which the pump polls.
+class ComputeThread {
+ public:
+  ComputeThread() {
+    if (::pipe2(wake_, O_CLOEXEC | O_NONBLOCK) != 0) {
+      throw TransportError(TransportError::Kind::kIo,
+                           std::string("worker: pipe failed: ") +
+                               std::strerror(errno));
+    }
+    thread_ = std::thread([this] { loop(); });
+  }
+  ~ComputeThread() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+    ::close(wake_[0]);
+    ::close(wake_[1]);
+  }
+  ComputeThread(const ComputeThread&) = delete;
+  ComputeThread& operator=(const ComputeThread&) = delete;
+
+  int wake_fd() const { return wake_[0]; }
+
+  void start(std::function<void()> task) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      task_ = std::move(task);
+      done_ = false;
+      error_ = nullptr;
+    }
+    cv_.notify_one();
+  }
+
+  bool done() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return done_;
+  }
+
+  /// Rethrows what the finished task threw, if anything.
+  void rethrow() {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  }
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      cv_.wait(lk, [this] { return stop_ || task_ != nullptr; });
+      if (stop_) return;
+      std::function<void()> task = std::move(task_);
+      task_ = nullptr;
+      lk.unlock();
+      std::exception_ptr error;
+      try {
+        task();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lk.lock();
+      error_ = error;
+      done_ = true;
+      const char byte = 1;
+      (void)!::write(wake_[1], &byte, 1);
+    }
+  }
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::function<void()> task_;
+  std::exception_ptr error_;
+  bool done_ = false;
+  bool stop_ = false;
+  int wake_[2] = {-1, -1};
+  std::thread thread_;
+};
+
+/// The peer buckets a worker holds, by (generation, sender shard). A
+/// bucket that arrived in a kPeerBucket frame keeps the frame's 8-byte
+/// destination prefix; the worker's own bucket has none.
+class PeerBuckets {
+ public:
+  bool has(std::uint64_t generation, std::uint32_t sender) const {
+    return held_.count({generation, sender}) != 0;
+  }
+
+  std::span<const std::byte> get(std::uint64_t generation,
+                                 std::uint32_t sender) const {
+    const Held& h = held_.at({generation, sender});
+    return std::span<const std::byte>(h.bytes).subspan(h.skip);
+  }
+
+  /// Files `bytes` (swapped out for a spare buffer with capacity).
+  void put(std::uint64_t generation, std::uint32_t sender,
+           std::vector<std::byte>& bytes, std::size_t skip) {
+    Held& h = held_[{generation, sender}];
+    h.bytes.swap(bytes);
+    h.skip = skip;
+    bytes.clear();
+    if (!spare_.empty()) {
+      bytes.swap(spare_.back());
+      spare_.pop_back();
+    }
+  }
+
+  /// Drops every bucket of a generation below `generation`, keeping a
+  /// few buffers for reuse.
+  void drop_before(std::uint64_t generation, std::size_t keep_spares) {
+    for (auto it = held_.begin();
+         it != held_.end() && it->first.first < generation;) {
+      if (spare_.size() < keep_spares) {
+        spare_.push_back(std::move(it->second.bytes));
+      }
+      it = held_.erase(it);
+    }
+  }
+
+ private:
+  struct Held {
+    std::vector<std::byte> bytes;
+    std::size_t skip = 0;
+  };
+  std::map<std::pair<std::uint64_t, std::uint32_t>, Held> held_;
+  std::vector<std::vector<std::byte>> spare_;
+};
+
+[[noreturn]] void refuse_frame(std::uint32_t shard, const Frame& f,
+                               const char* why) {
+  throw TransportError(
+      TransportError::Kind::kUnexpected,
+      "worker shard " + std::to_string(shard) + ": " + why + " (kind " +
+          std::to_string(static_cast<int>(f.kind)) + ", shard " +
+          std::to_string(f.shard) + ", seq " + std::to_string(f.sequence) +
+          ")");
+}
+
+}  // namespace
+
 void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
-                      ShardJobPlane& plane, const JobBootstrap& b) {
+                      ShardJobPlane& plane, const JobBootstrap& b,
+                      std::vector<std::unique_ptr<ShardChannel>> peers) {
   const std::uint64_t first = b.first;
   const std::uint64_t last = b.last;
+  const auto shards = static_cast<std::uint32_t>(b.shard_ranges.size());
   std::vector<std::uint64_t> bounds{0};
   for (const auto& r : b.shard_ranges) bounds.push_back(r.second);
   plane.set_shards(bounds, shard);
@@ -230,9 +408,6 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
         static_cast<unsigned>(b.threads));
   }
 
-  // Both buffers keep their capacity from round to round.
-  Frame frame;
-  std::vector<std::byte> bytes;
   // Each round ships the telemetry recorded since the previous round's
   // snapshot, so the frames written after a snapshot (that round's
   // telemetry and status frames) and the next control frame read all
@@ -243,82 +418,241 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
   const std::string control_context =
       "worker shard " + std::to_string(shard) + ": round control frame";
 
-  for (;;) {
-    read_frame(ch, frame);
-    if (frame.kind == FrameKind::kJobTeardown) return;
-    if (frame.kind != FrameKind::kRoundControl || frame.shard != shard) {
-      throw TransportError(
-          TransportError::Kind::kUnexpected,
-          "worker shard " + std::to_string(shard) +
-              ": expected round control or teardown, got kind " +
-              std::to_string(static_cast<int>(frame.kind)) + " for shard " +
-              std::to_string(frame.shard));
-    }
-    const std::uint64_t sequence = frame.sequence;
-    const std::uint64_t round_ix = sequence - 1;
+  // What arrives between rounds: the next round control (or teardown)
+  // from the coordinator, and peer buckets from any worker.
+  std::vector<std::byte> control;
+  std::uint64_t control_seq = 0;
+  bool awaiting_control = true;
+  bool have_control = false;
+  bool teardown = false;
+  PeerBuckets held;
+  std::uint64_t floor = 0;       // buckets of older generations are dead
+  std::uint64_t generation = 0;  // job rounds served, this one included
+  std::vector<std::uint32_t> peer_of;  // pump channel -> shard
 
-    wire::Reader r(frame.payload, control_context);
-    const std::uint64_t round_id = r.u64("round id");
+  FramePump pump([&](std::size_t c, Frame& f) {
+    switch (f.kind) {
+      case FrameKind::kRoundControl:
+      case FrameKind::kJobTeardown:
+        if (c != 0 || f.shard != shard || !awaiting_control) {
+          refuse_frame(shard, f, "round control out of turn");
+        }
+        awaiting_control = false;
+        if (f.kind == FrameKind::kJobTeardown) {
+          teardown = true;
+        } else {
+          control.swap(f.payload);
+          control_seq = f.sequence;
+          have_control = true;
+        }
+        return;
+      case FrameKind::kPeerBucket: {
+        // A bucket from a worker shard other than this one: straight
+        // from its sender on a mesh, forwarded by the coordinator over
+        // TCP.
+        if (f.shard == 0 || f.shard >= shards || f.shard == shard ||
+            (c != 0 && f.shard != peer_of[c])) {
+          refuse_frame(shard, f, "peer bucket from the wrong sender");
+        }
+        wire::Reader r(f.payload, control_context);
+        if (r.u64("peer bucket destination") != shard) {
+          refuse_frame(shard, f, "peer bucket for another shard");
+        }
+        if (f.sequence < floor) return;  // its generation is dead
+        if (held.has(f.sequence, f.shard)) {
+          refuse_frame(shard, f, "duplicate peer bucket");
+        }
+        held.put(f.sequence, f.shard, f.payload, 8);
+        return;
+      }
+      default:
+        refuse_frame(shard, f, "unexpected frame");
+    }
+  });
+  // Channel 0 is the coordinator; on a mesh, every peer shard's bucket
+  // travels on its own channel, otherwise on channel 0.
+  peer_of.push_back(0);
+  pump.add(ch, 0);
+  std::vector<std::size_t> route(shards, 0);
+  for (std::uint32_t s = 1; s < shards && s < peers.size(); ++s) {
+    if (peers[s] == nullptr) continue;
+    // A peer that ends its job first closes its end: harmless unless a
+    // bucket from it is still needed.
+    route[s] = pump.add(*peers[s], s, /*may_close=*/true);
+    peer_of.push_back(s);
+  }
+
+  // Per-round scratch, kept across rounds for its capacity. Declared
+  // before the compute thread, which reads them while a round runs.
+  std::vector<std::uint64_t> params;
+  std::vector<std::uint64_t> generations;
+  std::vector<std::pair<std::pair<std::uint64_t, std::uint32_t>,
+                        std::span<const std::byte>>>
+      inbox;
+  std::vector<std::vector<std::byte>> parts;
+  std::vector<std::byte> prefix(8 * shards);
+  std::uint64_t round_id = 0;
+  std::uint64_t error_machine = 0;
+  bool failed = false;
+  std::string error_what;
+  const PeerBucketFn bucket = [&](std::uint32_t sender,
+                                  std::uint64_t generation) {
+    for (const auto& [key, bytes] : inbox) {
+      if (key.first == generation && key.second == sender) return bytes;
+    }
+    throw TransportError(TransportError::Kind::kBadPayload,
+                         control_context +
+                             ": names a peer bucket of generation " +
+                             std::to_string(generation) +
+                             " this worker does not hold");
+  };
+  ComputeThread compute;
+  pump.wake_on(compute.wake_fd());
+
+  for (;;) {
+    awaiting_control = true;
+    pump.run([&] { return have_control || teardown; });
+    if (teardown) return;
+    have_control = false;
+    ++generation;
+    const std::uint64_t sequence = control_seq;
+    const std::uint64_t round_ix = sequence - 1;
+    pump.heartbeat(0, shard, sequence);
+
+    wire::Reader r(control, control_context);
+    round_id = r.u64("round id");
     // Frame payloads have no alignment guarantee; params are tiny, so
     // copy them into an aligned buffer instead of aliasing bytes.
-    std::vector<std::uint64_t> params(r.count("parameter count", 8));
+    params.resize(r.count("parameter count", 8));
     for (std::uint64_t& param : params) param = r.u64("parameters");
+    const std::span<const std::byte> input = r.rest();
 
-    std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
-    plane.apply_round_input(r.rest());
-    if (telemetry) {
-      tel.record_span(obs::Phase::kShardApply, t0, tel.now_ns(), round_ix);
-      t0 = tel.now_ns();
-    }
-
-    std::uint64_t error_machine = 0;
-    bool failed = false;
-    std::string error_what;
-    std::exception_ptr error;
-    run_shard_range(
-        pool.get(), first, last,
-        [&](std::uint64_t m) { plane.run_registered(round_id, m, params); },
-        error, error_machine);
-    if (error) {
-      failed = true;
-      try {
-        std::rethrow_exception(error);
-      } catch (const std::exception& e) {
-        error_what = e.what();
-      } catch (...) {
-        error_what = "unknown exception";
+    // The inbox needs the buckets of the rounds the input names, from
+    // every worker shard (this one's own bucket is already held).
+    std::uint64_t keep_from = 0;
+    plane.peer_generations(input, generations, keep_from);
+    for (const std::uint64_t g : generations) {
+      if (g < floor || g >= generation || !held.has(g, shard)) {
+        throw TransportError(TransportError::Kind::kBadPayload,
+                             control_context +
+                                 ": names the buckets of generation " +
+                                 std::to_string(g) +
+                                 ", which this worker does not hold");
       }
     }
-    if (telemetry) {
-      tel.record_span(obs::Phase::kCallback, t0, tel.now_ns(), round_ix,
-                      "machines [" + std::to_string(first) + ", " +
-                          std::to_string(last) + ")");
+    pump.run([&] {
+      for (const std::uint64_t g : generations) {
+        for (std::uint32_t s = 1; s < shards; ++s) {
+          if (held.has(g, s)) continue;
+          if (route[s] != 0 && pump.closed(route[s])) {
+            throw TransportError(
+                TransportError::Kind::kTruncated,
+                "worker shard " + std::to_string(shard) + ": shard " +
+                    std::to_string(s) + " closed its channel before its "
+                    "bucket of generation " + std::to_string(g) + " arrived");
+          }
+          return false;
+        }
+      }
+      return true;
+    });
+    inbox.clear();
+    for (const std::uint64_t g : generations) {
+      for (std::uint32_t s = 1; s < shards; ++s) {
+        inbox.push_back({{g, s}, held.get(g, s)});
+      }
     }
 
-    bytes.clear();
-    t0 = telemetry ? tel.now_ns() : 0;
-    plane.serialize_machines(bytes);
-    if (telemetry) {
-      tel.record_span(obs::Phase::kShardSerialize, t0, tel.now_ns(),
-                      round_ix);
-      t0 = tel.now_ns();
+    // The input is installed and the machines run on the compute
+    // thread; this one keeps the pump turning meanwhile.
+    const auto compute_while_pumping = [&](std::function<void()> task) {
+      compute.start(std::move(task));
+      pump.run([&] { return compute.done(); });
+      compute.rethrow();
+    };
+    compute_while_pumping([&] {
+      const std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
+      plane.apply_round_input(input, bucket);
+      if (telemetry) {
+        tel.record_span(obs::Phase::kShardApply, t0, tel.now_ns(), round_ix);
+      }
+    });
+    // Installed, the inbox's buckets are dead: their buffers take the
+    // buckets that arrive while the machines run.
+    held.drop_before(keep_from, shards);
+    floor = keep_from;
+    compute_while_pumping([&] {
+      std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
+      failed = false;
+      error_what.clear();
+      std::exception_ptr error;
+      run_shard_range(
+          pool.get(), first, last,
+          [&](std::uint64_t m) { plane.run_registered(round_id, m, params); },
+          error, error_machine);
+      if (error) {
+        failed = true;
+        try {
+          std::rethrow_exception(error);
+        } catch (const std::exception& e) {
+          error_what = e.what();
+        } catch (...) {
+          error_what = "unknown exception";
+        }
+      }
+      if (telemetry) {
+        tel.record_span(obs::Phase::kCallback, t0, tel.now_ns(), round_ix,
+                        "machines [" + std::to_string(first) + ", " +
+                            std::to_string(last) + ")");
+        t0 = tel.now_ns();
+      }
+      plane.serialize_machines(parts);
+      if (telemetry) {
+        tel.record_span(obs::Phase::kShardSerialize, t0, tel.now_ns(),
+                        round_ix);
+      }
+    });
+
+    // The own bucket stays here; the shard-0 part goes to the
+    // coordinator and every other bucket to its destination worker.
+    const auto span_when_sent = [&](std::string label) {
+      const std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
+      return [&tel, telemetry, t0, round_ix, label = std::move(label)] {
+        if (telemetry) {
+          tel.record_span(obs::Phase::kShardTransport, t0, tel.now_ns(),
+                          round_ix, label);
+        }
+      };
+    };
+    const std::span<const std::byte> data = parts[0];
+    pump.send(0, FrameKind::kShardData, shard, sequence, {&data, 1},
+              span_when_sent(""));
+    for (std::uint32_t s = 1; s < shards; ++s) {
+      if (s == shard) continue;
+      wire::store<std::uint64_t>(prefix.data() + 8 * s, s);
+      const std::span<const std::byte> frame[2] = {
+          std::span<const std::byte>(prefix).subspan(8 * s, 8), parts[s]};
+      pump.send(route[s], FrameKind::kPeerBucket, shard, generation, frame,
+                span_when_sent("peer " + std::to_string(s)));
     }
-    write_frame(ch, FrameKind::kShardData, shard, sequence, bytes);
+    held.put(generation, shard, parts[shard], 0);
+    // The status goes last, once every bucket is with its receiver's
+    // socket: when the coordinator holds every status of a round, all
+    // of that round's buckets are delivered.
+    pump.run([&] { return pump.all_sent(); });
     if (telemetry) {
-      tel.record_span(obs::Phase::kShardTransport, t0, tel.now_ns(),
-                      round_ix);
-      // Everything this worker recorded since the last snapshot ships
-      // back for the coordinator's merged profile.
-      const std::vector<std::byte> window = tel.serialize_since(tel_mark);
+      std::vector<std::byte> window = tel.serialize_since(tel_mark);
       tel_mark = tel.mark();
-      write_frame(ch, FrameKind::kShardTelemetry, shard, sequence, window);
+      pump.send(0, FrameKind::kShardTelemetry, shard, sequence,
+                std::move(window));
     }
-
     std::vector<std::byte> status;
     append_u64(status, failed ? 1 : 0);
     append_u64(status, error_machine);
     append_bytes(status, error_what.data(), error_what.size());
-    write_frame(ch, FrameKind::kShardStatus, shard, sequence, status);
+    pump.send(0, FrameKind::kShardStatus, shard, sequence, std::move(status));
+    pump.stop_heartbeat();
+    pump.run([&] { return pump.all_sent(); });
   }
 }
 
@@ -349,7 +683,11 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
     }
     configure_worker_telemetry(b, shard);
     send_bootstrap_ack(ch, shard, true, {});
-    serve_job_rounds(ch, shard, *plane, b);
+    std::vector<std::unique_ptr<ShardChannel>> peers;
+    if ((b.flags & kBootstrapPeerMesh) != 0) {
+      peers = receive_peer_channels(ch, shard, b);
+    }
+    serve_job_rounds(ch, shard, *plane, b, std::move(peers));
     _exit(kWorkerOk);
   } catch (...) {
     // Never unwind into the coordinator's stack (no atexit, no stdio

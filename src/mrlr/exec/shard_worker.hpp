@@ -36,6 +36,7 @@
 // by serve_job_rounds — the one round loop both worker kinds run.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -57,6 +58,11 @@ inline constexpr std::uint64_t kBootstrapTelemetry = 1ull << 1;
 /// it typed ("unknown flag bits"), and a new worker reading an old
 /// coordinator's bootstrap defaults to serial.
 inline constexpr std::uint64_t kBootstrapThreads = 1ull << 2;
+/// Fork workers only: after the ack, the coordinator hands the worker
+/// one socket per other worker shard (receive_peer_channels), over
+/// which the two exchange their record buckets directly. Without it a
+/// worker's peer buckets travel through the coordinator (TCP).
+inline constexpr std::uint64_t kBootstrapPeerMesh = 1ull << 3;
 
 struct JobBootstrap {
   std::uint64_t first = 0;     ///< worker machine range [first, last)
@@ -105,21 +111,33 @@ void expect_bootstrap_ack(ShardChannel& ch, std::uint32_t shard);
 
 // ----------------------------------------------------- round serving --
 
+/// Worker side of the peer-channel handoff (kBootstrapPeerMesh): reads
+/// one descriptor per other worker shard from `ch` (send_descriptor,
+/// tagged with the peer's shard), echoing each tag, and returns the
+/// channels indexed by shard (null for shard 0 and for `shard`).
+/// Throws TransportError on a missing, duplicate or out-of-range peer.
+std::vector<std::unique_ptr<ShardChannel>> receive_peer_channels(
+    ShardChannel& ch, std::uint32_t shard, const JobBootstrap& b);
+
 /// Serves kRoundControl frames for [b.first, b.last) against `plane`
 /// until a clean kJobTeardown (returns) — the shared loop behind both
-/// worker kinds. When b.threads > 1 the range runs on a shard-local
-/// ThreadPoolExecutor built here (after any fork, so the pool's threads
-/// never cross a fork boundary); the engine's id-ordered merge on the
-/// coordinator keeps results byte-identical either way. Callback
-/// exceptions are reported per round via kShardStatus exactly as
-/// before; protocol violations and I/O failures throw (TransportError),
-/// which the caller turns into _exit (forked worker) or a dropped
-/// connection (TCP worker).
+/// worker kinds. One frame pump (frame_pump.hpp) carries the
+/// coordinator channel and, on a fork mesh, the `peers` channels
+/// (indexed by shard; empty over TCP, where peer buckets travel via the
+/// coordinator). The machines run on a compute thread while this thread
+/// keeps the pump turning: peer buckets arrive, and heartbeats go out,
+/// while the callbacks run. When b.threads > 1 the range runs on a
+/// shard-local ThreadPoolExecutor built here (after any fork, so the
+/// pool's threads never cross a fork boundary). Callback exceptions
+/// are reported per round via kShardStatus; protocol violations and
+/// I/O failures throw (TransportError), which the caller turns into
+/// _exit (forked worker) or a dropped connection (TCP worker).
 void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
-                      ShardJobPlane& plane, const JobBootstrap& b);
+                      ShardJobPlane& plane, const JobBootstrap& b,
+                      std::vector<std::unique_ptr<ShardChannel>> peers = {});
 
 /// Forked-worker entry point: handshake, bootstrap against the
-/// inherited plane, ack, serve, _exit. Never returns and never unwinds
+/// inherited plane, ack, peer-channel handoff, serve, _exit. Never returns and never unwinds
 /// into the coordinator's stack.
 [[noreturn]] void forked_worker_main(FdChannel& ch, std::uint32_t shard,
                                      std::uint64_t nonce,

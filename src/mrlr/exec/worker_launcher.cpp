@@ -14,8 +14,9 @@
 
 namespace mrlr::exec {
 
-ForkLauncher::ForkLauncher(ShardJobPlane* plane, std::uint64_t num_machines)
-    : plane_(plane), num_machines_(num_machines) {}
+ForkLauncher::ForkLauncher(ShardJobPlane* plane, std::uint64_t num_machines,
+                           std::chrono::milliseconds timeout)
+    : plane_(plane), num_machines_(num_machines), timeout_(timeout) {}
 
 LaunchedWorker ForkLauncher::launch(std::uint32_t shard,
                                     std::uint64_t nonce) {
@@ -97,7 +98,9 @@ std::unique_ptr<WorkerLauncher> make_worker_launcher(
     return std::make_unique<TcpLauncher>(cfg->workers,
                                          cfg->connect_timeout);
   }
-  return std::make_unique<ForkLauncher>(plane, num_machines);
+  return std::make_unique<ForkLauncher>(
+      plane, num_machines,
+      cfg != nullptr ? cfg->connect_timeout : kDefaultWorkerTimeout);
 }
 
 }  // namespace mrlr::exec

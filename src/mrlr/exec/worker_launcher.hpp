@@ -40,6 +40,10 @@ namespace mrlr::exec {
 
 class ShardJobPlane;
 
+/// Default bound on a silent worker: during handshake and bootstrap,
+/// and — as the frame pump's silence bound — during every round.
+inline constexpr std::chrono::milliseconds kDefaultWorkerTimeout{10000};
+
 /// One launched worker: a connected channel, plus the child pid when
 /// the worker is a local fork (-1 for remote workers — they are not
 /// ours to reap).
@@ -64,7 +68,8 @@ class WorkerLauncher {
   virtual bool ships_job_state() const = 0;
 
   /// Bound on how long the coordinator may wait for this launcher's
-  /// workers during handshake and bootstrap ack.
+  /// workers during handshake and bootstrap ack, and on how long a
+  /// worker may stay silent during a round.
   virtual std::chrono::milliseconds bootstrap_timeout() const = 0;
 
   virtual std::string_view name() const = 0;
@@ -74,21 +79,22 @@ class WorkerLauncher {
 /// over a socketpair.
 class ForkLauncher final : public WorkerLauncher {
  public:
-  ForkLauncher(ShardJobPlane* plane, std::uint64_t num_machines);
+  ForkLauncher(ShardJobPlane* plane, std::uint64_t num_machines,
+               std::chrono::milliseconds timeout = kDefaultWorkerTimeout);
 
   LaunchedWorker launch(std::uint32_t shard, std::uint64_t nonce) override;
   bool ships_job_state() const override { return false; }
   std::chrono::milliseconds bootstrap_timeout() const override {
-    // Local children answer the bootstrap immediately; worker death
-    // already surfaces as EOF on the socketpair, so no read timeout is
-    // armed on the fork path (0 = wait for EOF).
-    return std::chrono::milliseconds(0);
+    // A dead child surfaces as EOF on the socketpair, but a stopped one
+    // does not: fork workers get the same bound as remote ones.
+    return timeout_;
   }
   std::string_view name() const override { return "fork"; }
 
  private:
   ShardJobPlane* plane_;
   std::uint64_t num_machines_;
+  std::chrono::milliseconds timeout_;
   std::vector<int> coordinator_fds_;  ///< parent ends handed out so far;
                                       ///< each new child closes them all
 };
@@ -117,9 +123,11 @@ class TcpLauncher final : public WorkerLauncher {
 /// Ambient configuration of the process backend, installed by the CLI
 /// (--workers) or tests. With a non-empty worker list every
 /// ProcessShardExecutor job launches over TCP; otherwise it forks.
+/// connect_timeout bounds connecting, the bootstrap, and a worker's
+/// silence during a round, in both launch modes.
 struct ProcessBackendConfig {
   std::vector<Endpoint> workers;
-  std::chrono::milliseconds connect_timeout{10000};
+  std::chrono::milliseconds connect_timeout{kDefaultWorkerTimeout};
   /// Opaque jobs-layer spec shipped in the bootstrap when the launcher
   /// ships job state (empty = the coordinator has nothing to ship and
   /// TCP workers will refuse the job).

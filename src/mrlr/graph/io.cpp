@@ -105,6 +105,9 @@ void write_edge_list(const GraphData& d, std::ostream& os) {
   MRLR_REQUIRE(!d.weighted || d.weights.size() == d.edges.size(),
                "edge list: weighted graph data must carry one weight per "
                "edge");
+  // Writers hold the readers' bound, so no file is written that no
+  // reader accepts.
+  check_vertex_count(d.n, d.edges.size(), "edge list");
   std::string buf;
   constexpr std::size_t kFlushAt = std::size_t{1} << 16;
   buf.reserve(kFlushAt + 128);
@@ -192,6 +195,10 @@ GraphData read_edge_list_data(std::istream& is) {
     if (weighted) d.weights.push_back(parse_weight(c, line_no));
     if (!c.at_end()) fail(line_no, "trailing characters after edge");
   }
+  if (next_content_line()) {
+    fail(line_no, "content after the header's " + std::to_string(m) +
+                      " edges");
+  }
   return d;
 }
 
@@ -225,11 +232,15 @@ Graph read_graph_file(const std::string& path) {
 
 void write_graph_file(const GraphData& d, const std::string& path) {
   const bool mgb = is_mgb_path(path);
+  // Both writers refuse a vertex count no reader accepts; refusing it
+  // before the file is opened leaves no empty file behind.
+  const std::vector<std::byte> bytes = mgb ? encode_mgb(d)
+                                           : std::vector<std::byte>{};
+  if (!mgb) check_vertex_count(d.n, d.edges.size(), "edge list");
   std::ofstream out(path, mgb ? std::ios::out | std::ios::binary
                               : std::ios::out);
   if (!out) throw ParseError("cannot open " + path + " for writing");
   if (mgb) {
-    const std::vector<std::byte> bytes = encode_mgb(d);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   } else {

@@ -91,8 +91,9 @@ MgbHeader check_mgb_header(std::span<const std::byte> bytes) {
 
 std::vector<std::byte> encode_mgb(const GraphData& d) {
   const std::uint64_t m = d.edges.size();
-  MRLR_REQUIRE(d.n <= kMaxVertexCount,
-               "mgb: vertex count exceeds the 32-bit vertex-id limit");
+  // The decoder's bound, checked where every writer passes: no file is
+  // written that no reader accepts.
+  check_vertex_count(d.n, m, "mgb");
   MRLR_REQUIRE(!d.weighted || d.weights.size() == m,
                "mgb: weighted graph data must carry one weight per edge");
   Header h;

@@ -52,7 +52,8 @@ MgbHeader check_mgb_header(std::span<const std::byte> bytes);
 
 /// Encodes `d` as a complete .mgb stream, sized exactly. Weights are
 /// stored bit-exactly, so a decoded instance hashes identically to the
-/// original. Invalid data (n > 2^32, a self-loop or out-of-range
+/// original. A vertex count the decoder would refuse (check_vertex_count)
+/// throws ParseError; other invalid data (a self-loop or out-of-range
 /// endpoint, a missing or non-positive weight) is API misuse and aborts
 /// via MRLR_REQUIRE.
 std::vector<std::byte> encode_mgb(const GraphData& d);

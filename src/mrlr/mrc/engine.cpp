@@ -149,6 +149,7 @@ void Engine::invoke_round(RoundId round, std::span<const Word> params) {
     executor_->start_job(topology_.num_machines, this);
   }
   round_body(rounds_[round].label, /*central_only=*/false, [&] {
+    ++job_rounds_;
     executor_->run_job_round(
         metrics_.rounds(), round, params, topology_.num_machines,
         [&](std::uint64_t m) { run_registered(round, m, params); }, this);
@@ -173,9 +174,6 @@ void Engine::round_body(std::string_view label, bool central_only,
                         const std::function<void()>& dispatch) {
   std::fill(outbox_words_.begin(), outbox_words_.end(), 0);
   std::fill(resident_words_.begin(), resident_words_.end(), 0);
-  // A round that did not deliver left relayed bytes pending in frames
-  // this round reads into again: keep copies.
-  for (Stream& st : next_stream_) st.own_borrowed();
 
   // Telemetry never touches the data plane: when disabled the only cost
   // is one relaxed load, and when enabled it only samples clocks, so
@@ -289,7 +287,7 @@ void Engine::round_body(std::string_view label, bool central_only,
     for (Stream& st : next_stream_) st.clear();
     inbox_count_.swap(next_inbox_count_);
     std::fill(next_inbox_count_.begin(), next_inbox_count_.end(), 0);
-    parity_ ^= 1;
+    ++deliveries_;
   }
   if (telemetry) {
     tel.record_span(obs::Phase::kRound, round_start, tel.now_ns(), round_ix,
@@ -425,22 +423,20 @@ std::uint64_t append_words(std::vector<Word>& words, const std::byte* payload,
 
 std::byte* Engine::Stream::append(std::uint64_t bytes) {
   const std::uint64_t start = owned.size();
-  owned.resize(start + bytes);
-  if (!parts.empty() && parts.back().borrowed == nullptr &&
-      parts.back().offset + parts.back().size == start) {
-    parts.back().size += bytes;
-  } else {
-    parts.push_back({nullptr, start, bytes});
+  if (segments.empty() || segments.back().generation != 0) {
+    segments.push_back({start, 0});
   }
+  owned.resize(start + bytes);
+  segments.back().end += bytes;
   return owned.data() + start;
 }
 
-void Engine::Stream::own_borrowed() {
-  for (Part& part : parts) {
-    if (part.borrowed == nullptr) continue;
-    const std::uint64_t start = owned.size();
-    owned.insert(owned.end(), part.borrowed, part.borrowed + part.size);
-    part = {nullptr, start, part.size};
+void Engine::Stream::add_generation(std::uint64_t generation) {
+  if (!segments.empty() && segments.back().generation == generation) return;
+  if (segments.empty() || segments.back().generation != 0) {
+    segments.push_back({owned.size(), generation});
+  } else {
+    segments.back().generation = generation;
   }
 }
 
@@ -469,8 +465,8 @@ void Engine::set_shards(std::span<const std::uint64_t> bounds,
   local_end_ = bounds[1];
   stream_.assign(shards, {});
   next_stream_.assign(shards, {});
-  inbound_.assign(2 * shards, {});
-  parity_ = 0;
+  deliveries_ = 0;
+  installed_.assign(shards, ~std::uint64_t{0});
   inbox_count_.assign(machines, 0);
   next_inbox_count_.assign(machines, 0);
   // Traffic already addressed to worker machines — delivered by central
@@ -497,38 +493,66 @@ void Engine::adopt_worker_inboxes(
 
 void Engine::serialize_round_input(
     std::uint32_t shard, std::vector<std::byte>& out,
-    std::vector<std::span<const std::byte>>& stream) const {
-  // Per machine of the shard: its inbox frame count and word total; then
-  // the shard's record stream, piece by piece as collected.
+    std::vector<std::span<const std::byte>>& stream) {
+  // The generations still pending delivery must outlive this round on
+  // the worker; so must the one this round is about to send.
+  std::uint64_t keep_from = job_rounds_;
+  for (const Stream::Segment& seg : next_stream_[shard].segments) {
+    if (seg.generation != 0) {
+      keep_from = seg.generation;
+      break;
+    }
+  }
+  const bool reuse = installed_[shard] == deliveries_;
+  installed_[shard] = deliveries_;
+  if (reuse) {
+    std::byte* p = grow(out, 16);
+    p = store<std::uint64_t>(p, keep_from);
+    store<std::uint64_t>(p, 1);
+    return;
+  }
+  // The segment table, per machine of the shard its inbox frame count
+  // and word total, then the coordinator's records.
   const std::uint64_t first = shard_bounds_[shard];
   const std::uint64_t last = shard_bounds_[shard + 1];
-  std::byte* p = grow(out, 16 * (last - first));
+  const Stream& st = stream_[shard];
+  std::byte* p =
+      grow(out, 24 + 16 * st.segments.size() + 16 * (last - first));
+  p = store<std::uint64_t>(p, keep_from);
+  p = store<std::uint64_t>(p, 0);
+  p = store<std::uint64_t>(p, st.segments.size());
+  std::uint64_t start = 0;
+  for (const Stream::Segment& seg : st.segments) {
+    p = store<std::uint64_t>(p, seg.end - start);
+    p = store<std::uint64_t>(p, seg.generation);
+    start = seg.end;
+  }
   for (std::uint64_t m = first; m < last; ++m) {
     p = store<std::uint64_t>(p, inbox_count_[m]);
     p = store<std::uint64_t>(p, inbox_words_[m]);
   }
-  const Stream& st = stream_[shard];
-  for (const Stream::Part& part : st.parts) {
-    stream.emplace_back(part.borrowed != nullptr
-                            ? part.borrowed
-                            : st.owned.data() + part.offset,
-                        part.size);
+  if (!st.owned.empty()) stream.emplace_back(st.owned);
+}
+
+void Engine::peer_generations(std::span<const std::byte> bytes,
+                              std::vector<std::uint64_t>& generations,
+                              std::uint64_t& keep_from) const {
+  exec::wire::Reader r(bytes, kPayloadContext);
+  keep_from = r.u64("keep generation");
+  generations.clear();
+  if (r.flag("reuse flag")) return;
+  const std::uint64_t segments = r.count("segment count", 16);
+  for (std::uint64_t i = 0; i < segments; ++i) {
+    (void)r.u64("segment bytes");
+    const std::uint64_t generation = r.u64("segment generation");
+    if (generation != 0) generations.push_back(generation);
   }
 }
 
-void Engine::apply_round_input(std::span<const std::byte> bytes) {
+void Engine::apply_round_input(std::span<const std::byte> bytes,
+                               const exec::PeerBucketFn& buckets) {
   const std::uint64_t first = shard_bounds_[own_shard_];
   const std::uint64_t last = shard_bounds_[own_shard_ + 1];
-  // Worker side: only machines [first, last) run here and their inboxes
-  // are rebuilt from the wire below, so every slab and inbox index from
-  // the previous round is stale — clear them all (capacity is kept, so
-  // steady-state rounds still avoid the allocator).
-  for (Outbox& o : slabs_) {
-    o.words.clear();
-    o.frames.clear();
-  }
-  for (std::vector<InboxFrame>& f : inbox_frames_) f.clear();
-  std::fill(inbox_words_.begin(), inbox_words_.end(), 0);
   for (std::uint64_t m = first; m < last; ++m) {
     staging_[m].words.clear();
     staging_[m].frames.clear();
@@ -536,20 +560,70 @@ void Engine::apply_round_input(std::span<const std::byte> bytes) {
     resident_words_[m] = 0;
     writer_open_[m] = 0;
   }
-
   exec::wire::Reader r(bytes, kPayloadContext);
+  (void)r.u64("keep generation");
+  if (r.flag("reuse flag")) {
+    // Nothing was delivered since the last input: the inbox this worker
+    // installed then is still the one its machines read.
+    r.done("the reuse flag");
+    return;
+  }
+  // Only machines [first, last) run here and their inboxes are rebuilt
+  // below, so every slab and inbox index from the previous input is
+  // stale — clear them all (capacity is kept, so steady-state rounds
+  // still avoid the allocator).
+  for (Outbox& o : slabs_) {
+    o.words.clear();
+    o.frames.clear();
+  }
+  for (std::vector<InboxFrame>& f : inbox_frames_) f.clear();
+  std::fill(inbox_words_.begin(), inbox_words_.end(), 0);
+
+  const std::uint64_t segments = r.count("segment count", 16);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> table(segments);
+  for (auto& [size, generation] : table) {
+    size = r.u64("segment bytes");
+    generation = r.u64("segment generation");
+  }
   for (std::uint64_t m = first; m < last; ++m) {
     route_frames_[m] = r.u64("inbox frame count");
     route_words_[m] = r.u64("inbox word total");
   }
-  decode_records(r.rest(), 0, num_machines(), first, last,
-                 [&](MachineId from, MachineId to, const std::byte* payload,
-                     std::uint64_t len) {
-                   const std::uint64_t offset =
-                       append_words(slabs_[from].words, payload, len);
-                   inbox_frames_[to].push_back({from, offset, len});
-                   inbox_words_[to] += len;
-                 });
+  const std::span<const std::byte> stream = r.rest();
+  std::uint64_t owned = 0;
+  for (const auto& [size, generation] : table) {
+    if (size > stream.size() - owned) {
+      bad_payload("segments hold more coordinator bytes than the input's " +
+                  std::to_string(stream.size()));
+    }
+    owned += size;
+  }
+  if (owned != stream.size()) {
+    bad_payload("segments hold " + std::to_string(owned) +
+                " coordinator bytes, the input carries " +
+                std::to_string(stream.size()));
+  }
+  const auto install = [&](MachineId from, MachineId to,
+                           const std::byte* payload, std::uint64_t len) {
+    const std::uint64_t offset = append_words(slabs_[from].words, payload, len);
+    inbox_frames_[to].push_back({from, offset, len});
+    inbox_words_[to] += len;
+  };
+  // Sender-id order: in each segment the coordinator's records (all
+  // from shard 0), then every worker shard's bucket in shard order.
+  const std::size_t shards = shard_bounds_.size() - 1;
+  std::uint64_t at = 0;
+  for (const auto& [size, generation] : table) {
+    decode_records(stream.subspan(at, size), 0, shard_bounds_[1], first, last,
+                   install);
+    at += size;
+    if (generation == 0) continue;
+    for (std::size_t b = 1; b < shards; ++b) {
+      decode_records(buckets(static_cast<std::uint32_t>(b), generation),
+                     shard_bounds_[b], shard_bounds_[b + 1], first, last,
+                     install);
+    }
+  }
   for (std::uint64_t m = first; m < last; ++m) {
     if (inbox_frames_[m].size() != route_frames_[m] ||
         inbox_words_[m] != route_words_[m]) {
@@ -563,14 +637,13 @@ void Engine::apply_round_input(std::span<const std::byte> bytes) {
   }
 }
 
-void Engine::serialize_machines(std::vector<std::byte>& out) {
+void Engine::serialize_machines(std::vector<std::vector<std::byte>>& parts) {
   const std::uint64_t machines = num_machines();
   const std::uint64_t first = shard_bounds_[own_shard_];
   const std::uint64_t last = shard_bounds_[own_shard_ + 1];
   const std::size_t shards = shard_bounds_.size() - 1;
-  // Per-destination totals and per-shard bucket sizes first, so the
-  // frame is sized once and each record is written straight into its
-  // bucket.
+  // Per-destination totals and per-shard bucket sizes first, so every
+  // part is sized once and each record is written straight into it.
   std::fill(route_frames_.begin(), route_frames_.end(), 0);
   std::fill(route_words_.begin(), route_words_.end(), 0);
   std::vector<std::uint64_t> bucket(shards, 0);
@@ -584,9 +657,11 @@ void Engine::serialize_machines(std::vector<std::byte>& out) {
     }
   }
   obs::count("engine.messages", messages);
-  std::uint64_t size = 8 * (3 * (last - first) + 2 * machines + 1 + shards);
-  for (const std::uint64_t b : bucket) size += b;
-  std::byte* p = grow(out, size);
+  parts.resize(shards);
+  for (std::vector<std::byte>& part : parts) part.clear();
+  std::byte* p = grow(parts[0], 8 * (3 * (last - first) + 2 * machines + 1 +
+                                     shards) +
+                                    bucket[0]);
   for (std::uint64_t m = first; m < last; ++m) {
     p = store<std::uint64_t>(p, outbox_words_[m]);
     p = store<std::uint64_t>(p, resident_words_[m]);
@@ -599,10 +674,8 @@ void Engine::serialize_machines(std::vector<std::byte>& out) {
   p = store<std::uint64_t>(p, shards);
   for (const std::uint64_t b : bucket) p = store<std::uint64_t>(p, b);
   std::vector<std::byte*> at(shards);
-  for (std::size_t b = 0; b < shards; ++b) {
-    at[b] = p;
-    p += bucket[b];
-  }
+  at[0] = p;
+  for (std::size_t b = 1; b < shards; ++b) at[b] = grow(parts[b], bucket[b]);
   for (std::uint64_t m = first; m < last; ++m) {
     const Outbox& o = staging_[m];
     for (const Frame& f : o.frames) {
@@ -610,7 +683,7 @@ void Engine::serialize_machines(std::vector<std::byte>& out) {
       q = store_record(q, m, f.to, o.words.data() + f.offset, f.len);
     }
   }
-  MRLR_DEBUG_REQUIRE(p == out.data() + out.size() && at.back() == p,
+  MRLR_DEBUG_REQUIRE(at[0] == parts[0].data() + parts[0].size(),
                      "serialize_machines wrote a different size than it "
                      "computed");
 }
@@ -654,25 +727,20 @@ void Engine::route_local_sends() {
   }
 }
 
-void Engine::apply_machines(std::uint32_t shard) {
+void Engine::apply_machines(std::uint32_t shard,
+                            std::span<const std::byte> bytes) {
   MRLR_DEBUG_REQUIRE(routed(), "apply_machines on an unrouted engine");
-  const std::span<const std::byte> bytes = shard_data_buffer(shard);
   const std::uint64_t machines = num_machines();
   const std::uint64_t first = shard_bounds_[shard];
   const std::uint64_t last = shard_bounds_[shard + 1];
   const std::size_t shards = shard_bounds_.size() - 1;
   exec::wire::Reader r(bytes, kPayloadContext);
-  // Every word count is bounded by the payload that must carry it, so
-  // the sums below cannot wrap.
-  std::uint64_t sent = 0;
+  // Every word count is bounded by the bucket lengths declared here,
+  // each capped like a frame payload, so the sums below cannot wrap.
   for (std::uint64_t m = first; m < last; ++m) {
     outbox_words_[m] = r.u64("outbox words");
     resident_words_[m] = r.u64("resident words");
     writer_open_[m] = static_cast<char>(r.flag("writer-open"));
-    if (outbox_words_[m] > bytes.size() / sizeof(Word)) {
-      bad_payload("outbox words exceed the payload");
-    }
-    sent += outbox_words_[m];
   }
   for (std::uint64_t d = 0; d < machines; ++d) {
     route_frames_[d] = r.u64("destination frame count");
@@ -684,19 +752,27 @@ void Engine::apply_machines(std::uint32_t shard) {
                 std::to_string(shards) + "-shard job");
   }
   std::vector<std::uint64_t> length(shards);
-  for (std::uint64_t& len : length) len = r.u64("bucket length");
-  const std::span<const std::byte> buckets = r.rest();
-  const std::uint64_t body = buckets.size();
-  std::uint64_t summed = 0;
-  for (const std::uint64_t len : length) {
-    if (len > body - summed) {
-      bad_payload("bucket lengths run past the payload");
+  std::uint64_t body = 0;
+  for (std::uint64_t& len : length) {
+    len = r.u64("bucket length");
+    if (len > exec::kMaxFramePayload) {
+      bad_payload("bucket length " + std::to_string(len) +
+                  " exceeds the frame payload cap");
     }
-    summed += len;
+    body += len;
   }
-  if (summed != body) {
-    bad_payload("bucket lengths sum to " + std::to_string(summed) +
-                " bytes, the frame carries " + std::to_string(body));
+  std::uint64_t sent = 0;
+  for (std::uint64_t m = first; m < last; ++m) {
+    if (outbox_words_[m] > body / sizeof(Word) - sent) {
+      bad_payload("outbox words exceed the buckets");
+    }
+    sent += outbox_words_[m];
+  }
+  const std::span<const std::byte> bucket0 = r.rest();
+  if (length[0] != bucket0.size()) {
+    bad_payload("shard 0's bucket length is " + std::to_string(length[0]) +
+                " bytes, the frame carries " +
+                std::to_string(bucket0.size()));
   }
 
   // The totals must encode to exactly each bucket's length and add up
@@ -734,7 +810,7 @@ void Engine::apply_machines(std::uint32_t shard) {
   // Shard 0's bucket: decoded into the senders' staging arenas,
   // appending — words a round whose audit threw left pending stay
   // where next_frames_ points.
-  decode_records(buckets.first(length[0]), first, last, 0, local_end_,
+  decode_records(bucket0, first, last, 0, local_end_,
                  [&](MachineId from, MachineId to, const std::byte* payload,
                      std::uint64_t len) {
                    if (route_frames_[to] == 0 || route_words_[to] < len) {
@@ -756,18 +832,16 @@ void Engine::apply_machines(std::uint32_t shard) {
     }
   }
 
-  // Every other bucket is relayed undecoded; its receiver checks the
-  // records against the totals accumulated here.
+  // Every other bucket went straight to its destination worker, which
+  // checks the records against the totals accumulated here. This
+  // round's buckets follow the records streamed to each worker so far.
   for (std::uint64_t d = local_end_; d < machines; ++d) {
     next_inbox_count_[d] += route_frames_[d];
     next_inbox_words_[d] += route_words_[d];
   }
-  const std::byte* bucket = buckets.data() + length[0];
   for (std::size_t b = 1; b < shards; ++b) {
-    next_stream_[b].borrow(bucket, length[b]);
-    bucket += length[b];
+    next_stream_[b].add_generation(job_rounds_);
   }
-  obs::count("exec.bytes_forwarded", body - length[0]);
 }
 
 void Engine::run_registered(std::uint64_t round_id, std::uint64_t machine,

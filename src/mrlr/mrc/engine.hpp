@@ -25,14 +25,15 @@
 // process-sharded backend (Topology::num_shards) runs them in
 // persistent worker processes spawned once per job. There, messages
 // cross the wire as records through the engine's ShardJobPlane
-// implementation: each worker ships its sends bucketed by destination
-// shard, the coordinator decodes only the bucket bound for its own
-// machines and relays the others undecoded, and a worker's inbox is the
-// record stream it receives at the next round's start. Either way the
+// implementation: each worker buckets its sends by destination shard
+// and sends the shard-0 bucket to the coordinator and every other bucket
+// straight to its destination worker, and a worker's inbox is the
+// coordinator's record stream plus those peer buckets, assembled at the
+// next round's start. Either way the
 // simulation is deterministic: each machine's sends append only to its
 // own staging arena, and every inbox holds its messages in (sender id,
 // send order) order — by the id-ordered merge after the round barrier,
-// or because shards are contiguous id ranges relayed in shard order —
+// or because shards are contiguous id ranges assembled in shard order —
 // so traces, metrics, and SpaceLimitExceeded behavior are
 // byte-identical across backends, thread counts, and shard counts.
 // Since the quantities the paper bounds are rounds and words (not
@@ -319,35 +320,43 @@ class Engine : private exec::ShardJobPlane {
 
   /// ShardJobPlane (see exec/executor.hpp for the round protocol). One
   /// record encoding (from, to, len as u32 lanes, then the payload
-  /// words) carries messages in both directions:
-  ///   * kRoundControl for worker shard B: per machine of B, its inbox
-  ///     frame count and word total, then B's record stream;
+  /// words) carries messages in every direction:
+  ///   * kRoundControl for worker shard B: the first generation B must
+  ///     keep, and a reuse flag (set when nothing was delivered since
+  ///     B's last input: B keeps the inbox it installed); otherwise the
+  ///     segment table (per segment: coordinator bytes, then the
+  ///     generation whose peer buckets follow them, 0 for none), per
+  ///     machine of B its inbox frame count and word total, and the
+  ///     coordinator's records;
   ///   * kShardData from worker shard A: per machine of A, its outbox
   ///     words, resident words and writer-open flag; per destination
   ///     machine of the job, the frame count and word total A sent it;
-  ///     the bucket count K and K bucket byte lengths; then one bucket
-  ///     of records per destination shard, in sender-id then send
-  ///     order.
-  /// The coordinator decodes only the shard-0 bucket (into staging_,
-  /// so the id-ordered merge sees those frames as it would in-process)
-  /// and appends every other bucket to its destination shard's
-  /// next_stream_ as a piece of the frame it arrived in. Both apply
-  /// sides validate every field and throw
+  ///     the bucket count K and K bucket byte lengths; then the bucket
+  ///     of records bound for shard 0, in sender-id then send order;
+  ///   * kPeerBucket from A to B: A's bucket for B (serialize_machines'
+  ///     part B), which B files under its generation (job_rounds_).
+  /// The coordinator decodes the shard-0 bucket into staging_, so the
+  /// id-ordered merge sees those frames as it would in-process, and
+  /// adds the other destinations' totals to next round's inputs. Both
+  /// apply sides validate every field and throw
   /// exec::TransportError(kBadPayload) on malformed bytes; a worker
-  /// checks its decoded records against the totals the coordinator
-  /// shipped for its range.
+  /// checks the records it assembled against the totals the
+  /// coordinator shipped for its range.
   void set_shards(std::span<const std::uint64_t> bounds,
                   std::uint32_t own) override;
   void serialize_round_input(
       std::uint32_t shard, std::vector<std::byte>& out,
-      std::vector<std::span<const std::byte>>& stream) const override;
-  void apply_round_input(std::span<const std::byte> bytes) override;
-  void serialize_machines(std::vector<std::byte>& out) override;
+      std::vector<std::span<const std::byte>>& stream) override;
+  void peer_generations(std::span<const std::byte> bytes,
+                        std::vector<std::uint64_t>& generations,
+                        std::uint64_t& keep_from) const override;
+  void apply_round_input(std::span<const std::byte> bytes,
+                         const exec::PeerBucketFn& buckets) override;
+  void serialize_machines(
+      std::vector<std::vector<std::byte>>& parts) override;
   void route_local_sends() override;
-  std::vector<std::byte>& shard_data_buffer(std::uint32_t shard) override {
-    return inbound_[2 * shard + parity_];
-  }
-  void apply_machines(std::uint32_t shard) override;
+  void apply_machines(std::uint32_t shard,
+                      std::span<const std::byte> bytes) override;
 
   void run_registered(std::uint64_t round_id, std::uint64_t machine,
                       std::span<const std::uint64_t> params) override;
@@ -425,30 +434,28 @@ class Engine : private exec::ShardJobPlane {
   /// destinations at or above local_end_ live in workers.
   bool routed() const { return local_end_ < topology_.num_machines; }
 
-  /// A worker shard's record stream on the coordinator, as pieces in
-  /// stream order: records encoded here (shard 0's sends, or pending
-  /// relayed bytes kept past their frame) live in `owned`; buckets
-  /// relayed from workers are borrowed from the frames in inbound_.
+  /// A worker shard's record stream on the coordinator: records
+  /// encoded here (shard 0's sends, or inboxes adopted at set_shards)
+  /// in `owned`, and where the peer buckets of each round go between
+  /// them. Segment i is owned[segments[i-1].end, segments[i].end)
+  /// followed by the buckets every worker sent in generation
+  /// `generation` (0: none), in shard order.
   struct Stream {
-    struct Part {
-      const std::byte* borrowed;  // null: owned[offset, offset + size)
-      std::uint64_t offset;
-      std::uint64_t size;
+    struct Segment {
+      std::uint64_t end;
+      std::uint64_t generation;
     };
     std::vector<std::byte> owned;
-    std::vector<Part> parts;
+    std::vector<Segment> segments;
 
-    /// Appends `bytes` owned bytes (extending the last owned part when
-    /// contiguous) and returns where to write them.
+    /// Appends `bytes` owned bytes and returns where to write them.
     std::byte* append(std::uint64_t bytes);
-    void borrow(const std::byte* data, std::uint64_t size) {
-      if (size > 0) parts.push_back({data, 0, size});
-    }
-    /// Copies every borrowed part into `owned`.
-    void own_borrowed();
+    /// Places generation `generation`'s peer buckets after everything
+    /// appended so far (once per generation).
+    void add_generation(std::uint64_t generation);
     void clear() {
       owned.clear();
-      parts.clear();
+      segments.clear();
     }
   };
 
@@ -472,6 +479,11 @@ class Engine : private exec::ShardJobPlane {
   };
   std::vector<Registered> rounds_;
   bool job_started_ = false;
+  // Registered rounds run so far in the job. The process backend names
+  // a round's peer buckets by it (their generation); unlike the round
+  // index, it never repeats, even when a round throws before it is
+  // recorded.
+  std::uint64_t job_rounds_ = 0;
   // staging_[m] = machine m's outgoing arena for the current round; only
   // machine m's callback (its sends and writers) touches it, so sends
   // never contend. After the barrier the arenas are merged by frame
@@ -510,15 +522,11 @@ class Engine : private exec::ShardJobPlane {
   // is delivered ahead of the next one, as next_frames_ is in-process.
   std::vector<Stream> stream_;
   std::vector<Stream> next_stream_;
-  // Coordinator: inbound_[2 * b + parity_] = worker shard b's data frame
-  // of the round collecting next_stream_; the other parity holds the
-  // frame stream_ borrows from. Each buffer only ever holds shard b's
-  // frames, so its capacity settles after the first rounds. parity_
-  // flips at every delivery, and a round that does not deliver leaves
-  // next_stream_ to own_borrowed() before the same buffers are read
-  // into again.
-  std::vector<std::vector<std::byte>> inbound_;
-  std::size_t parity_ = 0;
+  // Coordinator: deliveries_ counts routed deliveries; installed_[b] is
+  // its value when worker shard b last received an input, so a round
+  // that follows no delivery tells the worker to keep its inbox.
+  std::uint64_t deliveries_ = 0;
+  std::vector<std::uint64_t> installed_;
   // Coordinator: message counts of worker machines, whose inbox index
   // lives in the worker (inbox_words_ covers every machine).
   std::vector<std::uint64_t> inbox_count_;

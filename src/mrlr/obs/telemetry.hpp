@@ -54,9 +54,11 @@ enum class Phase : std::uint8_t {
   kShardSerialize,   ///< worker: ShardJobPlane::serialize_machines;
                      ///< coordinator: encoding one worker's round control,
                      ///< or shard 0's sends to workers as records
-  kShardTransport,   ///< worker: shipping the data frame over the channel;
-                     ///< coordinator: shipping one worker's round control
-  kWorkerWait,       ///< coordinator: waiting on one shard's frames
+  kShardTransport,   ///< worker: shipping its data frame, or one peer
+                     ///< bucket ("peer <b>"); coordinator: shipping one
+                     ///< worker's round control
+  kWorkerWait,       ///< coordinator: waiting until the next shard's data
+                     ///< can be applied, in shard order
   kIoLoad,           ///< graph file ingestion (.mgb or text)
   kQueueWait,        ///< serve: admitted job waiting for an executor slot
   kJobRun,           ///< serve: one job's execution (fork to result)

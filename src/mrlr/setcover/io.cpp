@@ -137,6 +137,10 @@ SetSystem read_set_system(std::istream& is) {
     offsets.push_back(elements.size());
     weights.push_back(w);
   }
+  if (next_content_line()) {
+    fail(line_no, "content after the header's " + std::to_string(n) +
+                      " sets");
+  }
   // Like the binary spec decoder: a universe larger than the element
   // ids the rows carry cannot be covered, and must not size the element
   // index the build allocates.

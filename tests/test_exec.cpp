@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <thread>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -18,6 +22,10 @@
 #include <vector>
 
 #include <csignal>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "mrlr/baselines/coreset_matching.hpp"
 #include "mrlr/baselines/filtering_matching.hpp"
@@ -36,6 +44,7 @@
 #include "mrlr/exec/serial_executor.hpp"
 #include "mrlr/exec/shard_transport.hpp"
 #include "mrlr/exec/thread_pool_executor.hpp"
+#include "mrlr/exec/worker_launcher.hpp"
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/mrc/engine.hpp"
 #include "mrlr/mrc/trace.hpp"
@@ -404,6 +413,185 @@ TEST(ProcessShardExecutor, KilledWorkerSurfacesTypedErrorNotHang) {
   }
 }
 
+TEST(ProcessShardExecutor, StoppedWorkerFailsTypedWithinTheSilenceBound) {
+  // A worker stopped after its bootstrap sends nothing, not even a
+  // heartbeat: the coordinator must fail the job typed, naming the
+  // shard and the round, once the worker has been silent for the
+  // launcher's timeout — not wait for it forever.
+  exec::ProcessBackendConfig cfg;
+  cfg.connect_timeout = std::chrono::milliseconds(1500);
+  exec::ScopedProcessBackendConfig guard(std::move(cfg));
+  mrc::Engine e(topo(8), std::make_shared<exec::ProcessShardExecutor>(4));
+  const mrc::RoundId r_stall = e.define_round(
+      "stall", [](MachineContext& ctx, std::span<const Word> ps) {
+        if (ps[0] == 1 && ctx.id() == 4) {
+          std::raise(SIGSTOP);  // machine 4 lives in shard 2's worker
+        }
+        ctx.send(mrc::kCentral, {ctx.id()});
+      });
+  e.invoke_round(r_stall, {Word{0}});  // round 1: every worker answers
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    e.invoke_round(r_stall, {Word{1}});
+    FAIL() << "expected WorkerError";
+  } catch (const exec::WorkerError& err) {
+    EXPECT_EQ(err.shard, 2u);
+    EXPECT_EQ(err.round, 2u);
+    const std::string what = err.what();
+    EXPECT_NE(what.find("sent nothing for 1500 ms"), std::string::npos)
+        << what;
+  }
+  // The bound, plus the reaper's grace before it kills the stopped
+  // worker, plus slack for a loaded host.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(8));
+}
+
+TEST(ProcessShardExecutor, LongRoundIsNotSilence) {
+  // A round that runs longer than the silence bound is legal: the
+  // worker's heartbeats keep it audible while its machines run. So is a
+  // slow shard 0: a worker that finished long ago, its frames waiting
+  // in the socket, is not silent.
+  exec::ProcessBackendConfig cfg;
+  cfg.connect_timeout = std::chrono::milliseconds(1000);
+  exec::ScopedProcessBackendConfig guard(std::move(cfg));
+  mrc::Engine e(topo(4), std::make_shared<exec::ProcessShardExecutor>(2));
+  const mrc::RoundId r_slow = e.define_round(
+      "slow", [](MachineContext& ctx, std::span<const Word> ps) {
+        if (ctx.id() == ps[0]) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2500));
+        }
+        ctx.send(mrc::kCentral, {ctx.id()});
+      });
+  for (const Word slow : {Word{3}, Word{0}}) {  // a worker's, then shard 0's
+    e.invoke_round(r_slow, {slow});
+    e.run_central_round("count", [](MachineContext& ctx) {
+      EXPECT_EQ(ctx.inbox_size(), 4u);
+    });
+  }
+}
+
+/// Sockets this process holds, read from /proc/self/fd.
+std::uint64_t open_sockets() {
+  std::uint64_t sockets = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const auto target = std::filesystem::read_symlink(entry.path(), ec);
+    if (!ec && target.string().rfind("socket:", 0) == 0) ++sockets;
+  }
+  return sockets;
+}
+
+TEST(ProcessShardExecutor, WorkersHoldOnlyTheirOwnChannels) {
+  // A K-shard fork job gives each worker its coordinator channel and
+  // one peer socket per other worker — no descriptor of anyone else's —
+  // and leaves the coordinator its K - 1 worker channels. That is what
+  // makes a dead worker's peers see end of stream.
+  constexpr std::uint64_t kShards = 5;
+  const std::uint64_t before = open_sockets();
+  mrc::Engine e(topo(10), std::make_shared<exec::ProcessShardExecutor>(
+                              static_cast<unsigned>(kShards)));
+  // Workers are forked from this process, so they start from its
+  // sockets too.
+  const mrc::RoundId r_count = e.define_round(
+      "count", [before](MachineContext& ctx, std::span<const Word>) {
+        if (ctx.id() % 2 == 0) {
+          ctx.send(mrc::kCentral, {open_sockets() - before});
+        }
+      });
+  e.invoke_round(r_count);
+  EXPECT_EQ(open_sockets() - before, kShards - 1);
+  e.run_central_round("check", [&](MachineContext& ctx) {
+    ASSERT_EQ(ctx.inbox_size(), kShards);
+    for (std::size_t i = 1; i < kShards; ++i) {
+      EXPECT_EQ(ctx.message(i).payload[0], kShards - 1) << "shard " << i;
+    }
+  });
+}
+
+TEST(ProcessShardExecutor, KilledWorkerFailsTypedWhileItsPeersRunOn) {
+  // Killing one worker of a mesh: its peers see end of stream on their
+  // channels to it and finish the round; the coordinator fails the job
+  // typed, naming the dead shard.
+  mrc::Engine e(topo(8), std::make_shared<exec::ProcessShardExecutor>(4));
+  const mrc::RoundId r_doomed = e.define_round(
+      "doomed", [](MachineContext& ctx, std::span<const Word> ps) {
+        if (ps[0] == 1 && ctx.id() == 4) std::raise(SIGKILL);
+        // Every machine sends to every shard, over every peer channel.
+        for (MachineId to = 0; to < ctx.num_machines(); to += 2) {
+          ctx.send(to, {ctx.id()});
+        }
+      });
+  e.invoke_round(r_doomed, {Word{0}});
+  try {
+    e.invoke_round(r_doomed, {Word{1}});
+    FAIL() << "expected WorkerError";
+  } catch (const exec::WorkerError& err) {
+    EXPECT_EQ(err.shard, 2u);
+    EXPECT_EQ(err.round, 2u);
+    EXPECT_NE(std::string(err.what()).find("signal"), std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(ProcessShardExecutor, SixtyFourShardsFitALowDescriptorLimit) {
+  // No process of a mesh job holds more than O(K) descriptors: a K = 64
+  // fork job runs, byte-identical to serial, under RLIMIT_NOFILE = 256
+  // (the limit is lowered in a child of the test, so the test process
+  // keeps its own).
+  const auto job = [](std::shared_ptr<exec::Executor> ex) {
+    mrc::Engine e(topo(128), std::move(ex));
+    const mrc::RoundId r_spread = e.define_round(
+        "spread", [](MachineContext& ctx, std::span<const Word> ps) {
+          for (MachineId k = 1; k <= 3; ++k) {
+            ctx.send((ctx.id() * 37 + k * 11 + ps[0]) % 128,
+                     {ctx.id(), ps[0]});
+          }
+        });
+    std::vector<Word> seen;
+    const mrc::RoundId r_read = e.define_round(
+        "read", [](MachineContext& ctx, std::span<const Word>) {
+          Word sum = 0;
+          for (const mrc::MessageView m : ctx.messages()) {
+            sum = sum * 31 + m.from + m.payload[0];
+          }
+          ctx.send(mrc::kCentral, {sum});
+        });
+    for (Word round = 0; round < 3; ++round) {
+      e.invoke_round(r_spread, {round});
+      e.invoke_round(r_read);
+      e.run_central_round("collect", [&](MachineContext& ctx) {
+        for (const mrc::MessageView m : ctx.messages()) {
+          seen.push_back(m.payload[0]);
+        }
+      });
+    }
+    return seen;
+  };
+  const std::vector<Word> serial = job(std::make_shared<exec::SerialExecutor>());
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    rlimit lim{256, 256};
+    int code = ::setrlimit(RLIMIT_NOFILE, &lim) == 0 ? 0 : 3;
+    try {
+      if (code == 0 &&
+          job(std::make_shared<exec::ProcessShardExecutor>(64)) != serial) {
+        code = 1;
+      }
+    } catch (...) {
+      code = 2;
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "the K = 64 job did not exit";
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: differs from serial, 2: threw, 3: setrlimit failed";
+}
+
 TEST(ProcessShardExecutor, WorkerCallbackExceptionIsTypedWithMachineId) {
   // Only a worker-shard machine throws: the coordinator rethrows a
   // typed ShardCallbackError carrying the machine id, round, and the
@@ -499,13 +687,14 @@ class GrabPlaneExecutor final : public exec::Executor {
 };
 
 /// The process backend's round protocol at K = 2 in one process, driven
-/// the way ProcessShardExecutor drives it: the engine under test is
-/// shard 0 (machines [0, split)) and a second engine with the same
-/// rounds stands in for shard 1's worker. Each round it captures the
-/// bytes a kRoundControl frame carries after its round id and
-/// parameters, and the bytes of the kShardData frame. Both buffers
-/// start with a 3-byte prefix: the encoders append, and the decoders
-/// must read unaligned lanes.
+/// the way ProcessShardExecutor and its worker drive it: the engine
+/// under test is shard 0 (machines [0, split)) and a second engine with
+/// the same rounds stands in for shard 1's worker. Each round it
+/// captures the bytes a kRoundControl frame carries after its round id
+/// and parameters, and the bytes of the kShardData frame; the worker's
+/// own bucket stays in `held`, filed under the round that sent it. Both
+/// captured buffers start with a 3-byte prefix: the encoders append,
+/// and the decoders must read unaligned lanes.
 class LoopbackShardExecutor final : public exec::Executor {
  public:
   static constexpr std::byte kPrefix[3] = {std::byte{0xA1}, std::byte{0xA2},
@@ -534,30 +723,57 @@ class LoopbackShardExecutor final : public exec::Executor {
     for (const std::span<const std::byte> part : stream) {
       in.insert(in.end(), part.begin(), part.end());
     }
-    worker->apply_round_input(std::span<const std::byte>(in).subspan(3));
+    const std::span<const std::byte> input =
+        std::span<const std::byte>(in).subspan(3);
+    std::vector<std::uint64_t> generations;
+    std::uint64_t keep_from = 0;
+    worker->peer_generations(input, generations, keep_from);
+    worker->apply_round_input(input, bucket());
+    std::erase_if(held, [&](const auto& kv) {
+      return kv.first.first < keep_from;
+    });
     round_inputs.push_back(std::move(in));
     for (std::uint64_t m = 0; m < split_; ++m) fn(m);
     coordinator->route_local_sends();
     for (std::uint64_t m = split_; m < machines_; ++m) {
       worker->run_registered(round_id, m, params);
     }
+    std::vector<std::vector<std::byte>> parts;
+    worker->serialize_machines(parts);
     std::vector<std::byte> out(std::begin(kPrefix), std::end(kPrefix));
-    worker->serialize_machines(out);
-    coordinator->shard_data_buffer(1).assign(out.begin() + 3, out.end());
-    coordinator->apply_machines(1);
+    out.insert(out.end(), parts[0].begin(), parts[0].end());
+    coordinator->apply_machines(1, std::span<const std::byte>(out).subspan(3));
+    held[{++generation_, 1}] = parts[1];
     shard_data.push_back(std::move(out));
   }
   std::string_view name() const override { return "loopback-shards"; }
   unsigned num_threads() const override { return 1; }
 
+  /// The worker's view of the buckets it holds.
+  exec::PeerBucketFn bucket() {
+    return [this](std::uint32_t sender, std::uint64_t generation) {
+      const auto it = held.find({generation, sender});
+      if (it == held.end()) {
+        throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
+                                   "loopback: no bucket held for round " +
+                                       std::to_string(generation));
+      }
+      return std::span<const std::byte>(it->second);
+    };
+  }
+
   exec::ShardJobPlane* coordinator = nullptr;
   exec::ShardJobPlane* worker;
   std::vector<std::vector<std::byte>> round_inputs;
   std::vector<std::vector<std::byte>> shard_data;
+  /// Buckets by (generation, sender shard).
+  std::map<std::pair<std::uint64_t, std::uint32_t>, std::vector<std::byte>>
+      held;
 
  private:
   std::uint64_t split_;
   std::uint64_t machines_ = 0;
+  std::uint64_t generation_ = 0;  // job rounds run so far
 };
 
 /// Known-answer payload builder: u64 lanes and (from, to, len) records
@@ -662,28 +878,34 @@ TEST(ShardWireLayout, RecordPayloadsMatchKnownBytes) {
 
   // kShardData after "seed": machine 2's outbox words, resident words
   // and writer-open flag; (frames, words) it sent each of machines 0..2;
-  // the bucket count and byte lengths; shard 0's bucket, then shard 1's.
+  // the bucket count and byte lengths; then shard 0's bucket. Shard 1's
+  // bucket stays with the worker.
   EXPECT_EQ(cap.shard_data[0], Wire()
                                    .lanes({3, 5, 0})
                                    .lanes({1, 2, 0, 0, 1, 1})
                                    .lanes({2, 12 + 16, 12 + 8})
                                    .record(2, 0, {41, 42})
-                                   .record(2, 2, {43})
                                    .bytes);
 
-  // kRoundControl for shard 1 before "read": machine 2's frame count and
-  // word total, then its records in sender-id order — shard 0's own
-  // sends first, then the bucket relayed from shard 1.
+  // kRoundControl for shard 1 before "read": keep round 2's buckets on;
+  // no reuse; one segment of 32 coordinator bytes followed by the
+  // buckets of round 1; machine 2's frame count and word total; then
+  // shard 0's own sends. Shard 1's bucket of round 1 completes the
+  // inbox in sender-id order.
   EXPECT_EQ(cap.round_inputs[1], Wire()
+                                     .lanes({2, 0, 1, 12 + 20, 1})
                                      .lanes({3, 2})
                                      .record(0, 2, {})
                                      .record(1, 2, {31})
-                                     .record(2, 2, {43})
                                      .bytes);
+  // Round 1's buckets were dropped once the "read" input was installed;
+  // "read" sent nothing.
+  ASSERT_EQ(cap.held.size(), 1u);
+  EXPECT_TRUE(cap.held.at({2, 1}).empty());
 
   // Before the first round every inbox is empty; after "read" nothing
   // was sent.
-  EXPECT_EQ(cap.round_inputs[0], Wire().lanes({0, 0}).bytes);
+  EXPECT_EQ(cap.round_inputs[0], Wire().lanes({1, 0, 0, 0, 0}).bytes);
   EXPECT_EQ(cap.shard_data[1],
             Wire().lanes({0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0}).bytes);
 
@@ -716,25 +938,47 @@ TEST(ShardWireLayout, WorkerRefusesMalformedRoundInput) {
     return [bytes = w.bytes] {
       LoopbackJob job;
       job.engine->invoke_round(0);
-      job.loop->worker->apply_round_input(bytes);
+      job.loop->worker->apply_round_input(bytes, job.loop->bucket());
     };
   };
-  // Shard 1 owns machine 2 only.
-  expect_bad_payload(apply(Wire(false).lanes({1, 1}).record(0, 1, {7})),
+  // Keep round 2 on, no reuse, one segment of `size` coordinator bytes
+  // followed by the buckets of round `generation`, then machine 2's
+  // totals.
+  const auto head = [](std::uint64_t size, std::uint64_t generation,
+                       std::initializer_list<std::uint64_t> totals) {
+    Wire w(false);
+    w.lanes({2, 0, 1, size, generation}).lanes(totals);
+    return w;
+  };
+  // Shard 1 owns machine 2 only; the coordinator's records come from
+  // shard 0's machines [0, 2).
+  expect_bad_payload(apply(head(20, 0, {1, 1}).record(0, 1, {7})),
                      "record destination 1 outside [2, 3)");
-  expect_bad_payload(apply(Wire(false).lanes({1, 1}).record(3, 2, {7})),
-                     "record sender 3 outside [0, 3)");
-  expect_bad_payload(
-      apply(Wire(false).lanes({1, 5}).header(0, 2, 5).lanes({7})),
-      "record length 5 runs past the payload");
-  expect_bad_payload(apply(Wire(false).lanes({1, 1}).lanes({7})),
+  expect_bad_payload(apply(head(20, 0, {1, 1}).record(2, 2, {7})),
+                     "record sender 2 outside [0, 2)");
+  expect_bad_payload(apply(head(20, 0, {1, 5}).header(0, 2, 5).lanes({7})),
+                     "record length 5 runs past the payload");
+  expect_bad_payload(apply(head(8, 0, {1, 1}).lanes({7})),
                      "truncated record header");
   // Totals that disagree with the records, in frames and in words.
-  expect_bad_payload(apply(Wire(false).lanes({2, 1}).record(0, 2, {7})),
+  expect_bad_payload(apply(head(20, 0, {2, 1}).record(0, 2, {7})),
                      "its totals say 2 of 1");
-  expect_bad_payload(apply(Wire(false).lanes({1, 2}).record(0, 2, {7})),
+  expect_bad_payload(apply(head(20, 0, {1, 2}).record(0, 2, {7})),
                      "its totals say 1 of 2");
-  expect_bad_payload(apply(Wire(false).lanes({1})), "inbox word total");
+  expect_bad_payload(apply(head(0, 0, {1})), "inbox word total");
+  // A segment table that does not match the coordinator bytes.
+  expect_bad_payload(apply(head(28, 0, {1, 1}).record(0, 2, {7})),
+                     "segments hold more coordinator bytes");
+  expect_bad_payload(apply(head(12, 0, {1, 1}).record(0, 2, {7})),
+                     "segments hold 12 coordinator bytes, the input "
+                     "carries 20");
+  // Buckets of a round the worker does not hold (round 1's is held:
+  // machine 2's record {43} to itself).
+  expect_bad_payload(apply(head(0, 5, {0, 0})), "no bucket held for round 5");
+  EXPECT_NO_THROW(apply(head(0, 1, {1, 1}))());
+  expect_bad_payload(apply(head(0, 1, {0, 0})), "its totals say 0 of 0");
+  // The reuse flag carries nothing after it.
+  expect_bad_payload(apply(Wire(false).lanes({2, 1, 0})), "reuse flag");
 }
 
 TEST(ShardWireLayout, CoordinatorRefusesMalformedShardData) {
@@ -742,8 +986,7 @@ TEST(ShardWireLayout, CoordinatorRefusesMalformedShardData) {
     return [bytes = w.bytes] {
       LoopbackJob job;
       job.engine->invoke_round(0);
-      job.loop->coordinator->shard_data_buffer(1) = bytes;
-      job.loop->coordinator->apply_machines(1);
+      job.loop->coordinator->apply_machines(1, bytes);
     };
   };
   // The well-formed reply of a machine 2 that sends {41, 42} to 0:
@@ -761,10 +1004,21 @@ TEST(ShardWireLayout, CoordinatorRefusesMalformedShardData) {
                      "3 buckets for a 2-shard job");
   expect_bad_payload(apply(reply({1, 2, 0, 0, 0, 0}, {2, 28, 8})
                                .record(2, 0, {41, 42})),
-                     "bucket lengths run past the payload");
+                     "totals of shard 1's machines encode to 0 bytes, its "
+                     "bucket holds 8");
   expect_bad_payload(apply(reply({1, 2, 0, 0, 0, 0}, {2, 20, 0})
                                .record(2, 0, {41, 42})),
-                     "bucket lengths sum to 20 bytes, the frame carries 28");
+                     "shard 0's bucket length is 20 bytes, the frame "
+                     "carries 28");
+  expect_bad_payload(apply(reply({1, 2, 0, 0, 0, 0}, {2, 28, 1ull << 41})
+                               .record(2, 0, {41, 42})),
+                     "exceeds the frame payload cap");
+  expect_bad_payload(apply(Wire(false)
+                               .lanes({4, 0, 0})
+                               .lanes({1, 2, 0, 0, 0, 0})
+                               .lanes({2, 28, 0})
+                               .record(2, 0, {41, 42})),
+                     "outbox words exceed the buckets");
   // Lying totals: too small or too large for the bucket, encoding to
   // the right length but naming the wrong machine, or carrying other
   // words than the senders' outbox words.
@@ -796,20 +1050,14 @@ TEST(ShardWireLayout, CoordinatorRefusesMalformedShardData) {
 }
 
 TEST(ShardWireLayout, RelayedBucketIsCheckedByItsReceiver) {
-  // The coordinator relays shard 1's own bucket without decoding it; an
-  // 8-byte bucket whose totals are consistent but which holds no record
-  // passes the hub and fails typed at the worker one round later.
+  // Worker-to-worker buckets never pass through the coordinator, only
+  // their totals do. A bucket that went bad on its way — here the held
+  // bucket of round 1 loses its record header — fails typed at its
+  // receiver when the next round input names it.
   LoopbackJob job;
   job.engine->invoke_round(0);
-  job.loop->coordinator->shard_data_buffer(1) = Wire(false)
-                                                   .lanes({2, 0, 0})
-                                                   .lanes({1, 1, 0, 0, 0, 1})
-                                                   .lanes({2, 20, 8})
-                                                   .record(2, 0, {41})
-                                                   .lanes({42})
-                                                   .bytes;
-  job.loop->coordinator->apply_machines(1);
-  job.engine->invoke_round(1);  // delivers the relayed bytes
+  ASSERT_EQ(job.loop->held.at({1, 1}), Wire(false).record(2, 2, {43}).bytes);
+  job.loop->held.at({1, 1}) = Wire(false).lanes({43}).bytes;
   expect_bad_payload([&] { job.engine->invoke_round(1); },
                      "truncated record header");
 }

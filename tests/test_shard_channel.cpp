@@ -262,13 +262,14 @@ TEST(Handshake, RoundTripAcceptsAndEchoes) {
 
 TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   // Regression pin for the version bump: a peer still speaking frame
-  // protocol version 3 (the two arena layouts) must be refused by a
-  // version-4 build at the handshake, with both numbers in the error on
-  // BOTH sides of the wire, instead of misreading every data frame.
-  static_assert(kFrameVersion == 4,
+  // protocol version 4 (buckets relayed by the coordinator) must be
+  // refused by a version-5 build at the handshake, with both numbers in
+  // the error on BOTH sides of the wire, instead of misreading every
+  // data frame.
+  static_assert(kFrameVersion == 5,
                 "update the forged version below when bumping again");
   auto [a, b] = make_socketpair_channel();
-  const auto hello = forge_hello(/*version=*/3, /*shard=*/2, /*nonce=*/7);
+  const auto hello = forge_hello(/*version=*/4, /*shard=*/2, /*nonce=*/7);
   a.write_all(hello.data(), hello.size());
   try {
     (void)handshake_accept(b, nullptr);
@@ -276,8 +277,8 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
     EXPECT_NE(what.find("version 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 5"), std::string::npos) << what;
   }
   // The refusal ack reaches the stale connector before the drop: its
   // status decodes as a version mismatch and names the responder's
@@ -293,7 +294,7 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   std::uint16_t status = 0;
   std::memcpy(&acked_version, ack + 4, 2);
   std::memcpy(&status, ack + 6, 2);
-  EXPECT_EQ(acked_version, 4);
+  EXPECT_EQ(acked_version, 5);
   EXPECT_EQ(status,
             static_cast<std::uint16_t>(HandshakeStatus::kVersionMismatch));
 }
@@ -301,7 +302,7 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
 TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
   auto [a, b] = make_socketpair_channel();
   // Forge the responder: an old build acking kVersionMismatch with its
-  // own version 3.
+  // own version 4.
   std::thread responder([&] {
     std::byte hello[24];
     std::size_t at = 0;
@@ -312,7 +313,7 @@ TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
     }
     std::vector<std::byte> ack(24);
     put_u32(ack.data() + 0, kAckMagic);
-    put_u16(ack.data() + 4, /*version=*/3);
+    put_u16(ack.data() + 4, /*version=*/4);
     put_u16(ack.data() + 6,
             static_cast<std::uint16_t>(HandshakeStatus::kVersionMismatch));
     put_u32(ack.data() + 8, 5);
@@ -326,8 +327,8 @@ TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
     EXPECT_NE(what.find("version 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 5"), std::string::npos) << what;
   }
   responder.join();
 }
@@ -567,23 +568,21 @@ class StubPlane final : public ShardJobPlane {
   void set_shards(std::span<const std::uint64_t>, std::uint32_t) override {}
   void serialize_round_input(
       std::uint32_t, std::vector<std::byte>&,
-      std::vector<std::span<const std::byte>>&) const override {}
-  void apply_round_input(std::span<const std::byte>) override {}
-  void serialize_machines(std::vector<std::byte>&) override {}
+      std::vector<std::span<const std::byte>>&) override {}
+  void peer_generations(std::span<const std::byte>,
+                        std::vector<std::uint64_t>&,
+                        std::uint64_t&) const override {}
+  void apply_round_input(std::span<const std::byte>,
+                         const PeerBucketFn&) override {}
+  void serialize_machines(std::vector<std::vector<std::byte>>&) override {}
   void route_local_sends() override {}
-  std::vector<std::byte>& shard_data_buffer(std::uint32_t) override {
-    return unused_;
-  }
-  void apply_machines(std::uint32_t) override {}
+  void apply_machines(std::uint32_t, std::span<const std::byte>) override {}
   void run_registered(std::uint64_t, std::uint64_t,
                       std::span<const std::uint64_t>) override {}
   std::uint64_t registered_rounds() const override { return 2; }
   std::string_view round_label(std::uint64_t i) const override {
     return i == 0 ? "a" : "b";
   }
-
- private:
-  std::vector<std::byte> unused_;
 };
 
 TEST(JobBootstrap, WorkerChecksItsShardTableEntry) {

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "mrlr/exec/frame_pump.hpp"
 #include "mrlr/exec/shard_transport.hpp"
 
 namespace mrlr::exec {
@@ -401,6 +404,79 @@ TEST(FdChannel, PeerCloseReadsAsTruncation) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kTruncated);
   }
+}
+
+TEST(FramePump, EndOfStreamFailsOnlyAWaitingCaller) {
+  // A peer may close right after the frame that ends its part (a
+  // teardown): the pump delivers the frame and returns. Only a caller
+  // still waiting on the closed channel fails, typed, naming the peer.
+  auto [a, b] = make_socketpair_channel();
+  const std::vector<std::byte> payload(100, std::byte{7});
+  write_frame(a, FrameKind::kJobTeardown, 3, 9, payload);
+  a.close_now();
+  int frames = 0;
+  FramePump pump([&](std::size_t, Frame& f) {
+    EXPECT_EQ(f.kind, FrameKind::kJobTeardown);
+    EXPECT_EQ(f.payload, payload);
+    ++frames;
+  });
+  pump.add(b, /*peer=*/3);
+  EXPECT_NO_THROW(pump.run([&] { return frames == 1; }));
+  try {
+    pump.run([&] { return frames == 2; });
+    FAIL() << "waited on a closed channel";
+  } catch (const PumpError& e) {
+    EXPECT_EQ(e.peer, 3u);
+    EXPECT_EQ(e.kind, TransportError::Kind::kTruncated);
+    EXPECT_NE(std::string(e.what()).find("closed"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FramePump, SilentWatchedPeerFailsAfterTheBound) {
+  // A watched channel that sends nothing fails once the bound passes;
+  // one that keeps sending heartbeats does not.
+  auto [a, b] = make_socketpair_channel();
+  auto [c, d] = make_socketpair_channel();
+  FramePump sender([](std::size_t, Frame&) {});
+  sender.add(c, 0);
+  sender.heartbeat(0, /*shard=*/2, /*sequence=*/1);
+  int beats = 0;
+  FramePump pump([&](std::size_t, Frame& f) {
+    EXPECT_EQ(f.kind, FrameKind::kHeartbeat);
+    ++beats;
+  });
+  pump.add(b, /*peer=*/1);
+  pump.add(d, /*peer=*/2);
+  pump.set_silence_bound(std::chrono::milliseconds(300));
+  const auto start = std::chrono::steady_clock::now();
+  pump.watch(0, true);
+  pump.watch(1, true);
+  std::thread beating([&] {
+    // Heartbeats for longer than the bound; the pump below fails on
+    // the silent channel first.
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(1500);
+    try {
+      sender.run([&] { return std::chrono::steady_clock::now() >= until; });
+    } catch (const PumpError&) {
+    }
+  });
+  try {
+    pump.run([] { return false; });
+    FAIL() << "a silent watched channel did not fail";
+  } catch (const PumpError& e) {
+    EXPECT_EQ(e.peer, 1u);
+    EXPECT_NE(std::string(e.what()).find("sent nothing for 300 ms"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, std::chrono::milliseconds(300));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1400));
+  EXPECT_GE(beats, 1);
+  beating.join();
+  (void)a;
 }
 
 TEST(ErrorTaxonomy, DerivesFromExecError) {

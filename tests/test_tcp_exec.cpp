@@ -8,9 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "mrlr/core/params.hpp"
 #include "mrlr/exec/shard_channel.hpp"
@@ -225,6 +230,43 @@ TEST(TcpExecutor, WorkerDeathBetweenHandshakeAndBootstrapIsTyped) {
   EXPECT_NE(what, "") << "job must not succeed against a dead worker";
   EXPECT_LT(elapsed, std::chrono::seconds(10));
   impostor.join();
+}
+
+TEST(TcpExecutor, WorkerStoppedAfterBootstrapFailsTypedWithinTheBound) {
+  // A worker process of the test's own accepts the job, acks its
+  // bootstrap, and then stops itself before its first round: after the
+  // ack no read timeout guards the channel, so only the coordinator's
+  // silence bound can end the job — typed, naming the shard and round.
+  exec::TcpListener listener("127.0.0.1", 0);
+  const std::uint16_t port = listener.port();
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      exec::TcpChannel ch = listener.accept_channel();
+      const exec::HandshakeHello h = exec::handshake_accept(ch, nullptr);
+      (void)exec::expect_frame(ch, exec::FrameKind::kJobSetup, h.shard, 0);
+      exec::send_bootstrap_ack(ch, h.shard, true, {});
+      std::raise(SIGSTOP);
+    } catch (...) {
+    }
+    ::_exit(0);
+  }
+  listener.close_now();
+  exec::ProcessBackendConfig cfg;
+  cfg.workers = {{"127.0.0.1", port}};
+  cfg.connect_timeout = std::chrono::milliseconds(1500);
+  const auto start = std::chrono::steady_clock::now();
+  const std::string what = run_expecting_failure(std::move(cfg));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_NE(what.find("shard 1 worker failed in round"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("sent nothing for 1500 ms"), std::string::npos) << what;
+  EXPECT_LT(elapsed, std::chrono::seconds(8));
 }
 
 TEST(TcpExecutor, MissingEndpointsRefusedUpFront) {

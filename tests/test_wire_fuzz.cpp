@@ -288,25 +288,43 @@ void put_record(Bytes& out, std::uint32_t from, std::uint32_t to,
   for (const Word w : words) put_u64(out, w);
 }
 
-/// Shard 1's round input: machine 2 holds three records of two words.
+/// Shard 1's own bucket of round 1: machine 2's record to itself.
+Bytes own_bucket() {
+  Bytes b;
+  put_record(b, 2, 2, {43});
+  return b;
+}
+
+/// A worker's held buckets: round 1's own bucket, nothing else.
+std::span<const std::byte> held_bucket(std::uint32_t sender,
+                                       std::uint64_t generation) {
+  static const Bytes bucket = own_bucket();
+  if (sender != 1 || generation != 1) {
+    throw exec::TransportError(exec::TransportError::Kind::kBadPayload,
+                               "no such bucket");
+  }
+  return bucket;
+}
+
+/// Shard 1's round input: keep round 2 on, one segment of shard 0's
+/// records followed by round 1's buckets; machine 2 holds three records
+/// of two words.
 Bytes round_input() {
   Bytes in;
-  put_u64(in, 3);
-  put_u64(in, 2);
+  for (const std::uint64_t v : {2, 0, 1, 12 + 20, 1, 3, 2}) put_u64(in, v);
   put_record(in, 0, 2, {});
   put_record(in, 1, 2, {31});
-  put_record(in, 2, 2, {43});
   return in;
 }
 
 /// Shard 1's kShardData payload after it ran "seed".
 Bytes shard_data() {
   PlaneUnderTest worker(1);
-  worker.plane->apply_round_input(round_input());
+  worker.plane->apply_round_input(round_input(), held_bucket);
   worker.plane->run_registered(0, 2, {});
-  Bytes out;
-  worker.plane->serialize_machines(out);
-  return out;
+  std::vector<Bytes> parts;
+  worker.plane->serialize_machines(parts);
+  return parts[0];
 }
 
 // ---------------------------------------------------------- frames --
@@ -372,8 +390,10 @@ TEST(WirePins, EncodersProduceKnownBytes) {
   EXPECT_EQ(pin(exec::encode_bootstrap(sample_bootstrap(4))),
             0xDF248A044F89C3F2ull);
   EXPECT_EQ(pin(telemetry_window()), 0xBB138DB19B992706ull);
-  EXPECT_EQ(pin(shard_data()), 0x409800CAF1D152F2ull);
-  EXPECT_EQ(pin(status_frame()), 0xC183AC31A180BD80ull);
+  // Frame version 5: kShardData keeps only the shard-0 bucket, and
+  // every frame header carries the new version.
+  EXPECT_EQ(pin(shard_data()), 0x5BA655FF044DC07Dull);
+  EXPECT_EQ(pin(status_frame()), 0xB3A4FC5C2EBC4E5Dull);
 }
 
 // ------------------------------------------------------------- fuzz --
@@ -641,13 +661,15 @@ TEST(WireFuzz, EngineDataPlane) {
   std::unique_ptr<PlaneUnderTest> plane;
   fuzz("round input", round_input(), 13,
        [&](std::span<const std::byte> in) {
-         plane->plane->apply_round_input(in);
+         std::vector<std::uint64_t> generations;
+         std::uint64_t keep_from = 0;
+         plane->plane->peer_generations(in, generations, keep_from);
+         plane->plane->apply_round_input(in, held_bucket);
        },
        [&] { plane = std::make_unique<PlaneUnderTest>(1); });
   fuzz("shard data", shard_data(), 14,
        [&](std::span<const std::byte> in) {
-         plane->plane->shard_data_buffer(1).assign(in.begin(), in.end());
-         plane->plane->apply_machines(1);
+         plane->plane->apply_machines(1, in);
        },
        [&] { plane = std::make_unique<PlaneUnderTest>(0); });
 }
@@ -678,14 +700,15 @@ Bytes set_system_text() {
 }
 
 /// One random mutation of a text seed: 1-4 bytes replaced (by a byte
-/// the grammar uses, or any byte), a truncation, or 1-20 digits spliced
-/// into a count field: one of the header's two counts (sets and
-/// universe, or vertices and edges), or a row's second number (a set's
-/// size, an edge's second endpoint).
+/// the grammar uses, or any byte), a truncation, 1-12 grammar bytes
+/// appended after the last row, or 1-20 digits spliced into a count
+/// field: one of the header's two counts (sets and universe, or
+/// vertices and edges), or a row's second number (a set's size, an
+/// edge's second endpoint).
 Bytes mutate_text(const Bytes& seed, Rng& rng) {
   static constexpr char kGrammar[] = "0123456789 \t\n\r#+-.eEinfa";
   Bytes out = seed;
-  switch (rng.uniform(3)) {
+  switch (rng.uniform(4)) {
     case 0:
       for (std::uint64_t n = 1 + rng.uniform(4); n > 0; --n) {
         out[rng.uniform(out.size())] = static_cast<std::byte>(
@@ -695,6 +718,12 @@ Bytes mutate_text(const Bytes& seed, Rng& rng) {
       break;
     case 1:
       out.resize(rng.uniform(out.size()));
+      break;
+    case 2:
+      for (std::uint64_t n = 1 + rng.uniform(12); n > 0; --n) {
+        out.push_back(
+            static_cast<std::byte>(kGrammar[rng.uniform(sizeof(kGrammar) - 1)]));
+      }
       break;
     default: {
       // Count fields: the header's first two numbers, and the second
@@ -726,17 +755,48 @@ Bytes mutate_text(const Bytes& seed, Rng& rng) {
   return out;
 }
 
+Bytes text_bytes(const std::string& text) {
+  return {reinterpret_cast<const std::byte*>(text.data()),
+          reinterpret_cast<const std::byte*>(text.data() + text.size())};
+}
+
+/// Trailing-content mutants: `seed` (whose last row ends its line) with
+/// a tail appended. A tail holding anything but blank and comment lines
+/// is content past the header's declared rows and must be refused,
+/// naming its line; the others read as the seed does.
+void expect_tails(const Bytes& seed,
+                  const std::function<void(std::span<const std::byte>)>& read) {
+  for (const std::string tail :
+       {"this is junk\n", "this is junk", "0 1\n", "1 0 1.5\n", " 7",
+        "\n\n# comment\n1 2\n", "1.5 1 0\n", "\t+\n"}) {
+    Bytes in = seed;
+    const Bytes more = text_bytes(tail);
+    in.insert(in.end(), more.begin(), more.end());
+    try {
+      read(in);
+      ADD_FAILURE() << "accepted the trailing \"" << tail << "\"";
+    } catch (const graph::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("content after the header's"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const std::string tail : {"\n", "# trailing comment\n", " \t\n\n", "#"}) {
+    Bytes in = seed;
+    const Bytes more = text_bytes(tail);
+    in.insert(in.end(), more.begin(), more.end());
+    EXPECT_NO_THROW(read(in)) << "\"" << tail << "\"";
+  }
+}
+
 /// Every mutant must throw ParseError or read as a valid system, which
 /// writes out and reads back to the same text.
 TEST(TextFuzz, SetSystem) {
   fuzz<graph::ParseError>("set system text", set_system_text(), 15,
                           round_trip(read_text, write_text), {},
                           mutate_text);
-}
-
-Bytes text_bytes(const std::string& text) {
-  return {reinterpret_cast<const std::byte*>(text.data()),
-          reinterpret_cast<const std::byte*>(text.data() + text.size())};
+  expect_tails(set_system_text(),
+               [](std::span<const std::byte> in) { (void)read_text(in); });
 }
 
 /// A header's universe must not size the element index past the ids
@@ -767,11 +827,15 @@ Bytes write_graph_text(const graph::Graph& g) {
 /// Every mutant must throw ParseError or read as a valid graph, which
 /// writes out and reads back to the same text.
 TEST(TextFuzz, Graph) {
-  fuzz<graph::ParseError>(
-      "graph text",
+  const Bytes seed =
       text_bytes("6 5 weighted\n0 1 1.5\n# comment\n1 2 2.25\n\n"
-                 "2 3 0.5\n3 4 4\n0 5 7.125\n"),
-      17, round_trip(read_graph_text, write_graph_text), {}, mutate_text);
+                 "2 3 0.5\n3 4 4\n0 5 7.125\n");
+  fuzz<graph::ParseError>("graph text", seed, 17,
+                          round_trip(read_graph_text, write_graph_text), {},
+                          mutate_text);
+  expect_tails(seed, [](std::span<const std::byte> in) {
+    (void)read_graph_text(in);
+  });
 }
 
 /// A header's n must not size the CSR index past what the edge lines

@@ -64,28 +64,39 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
   // An edge is alive iff its modified weight w(e) - phi(u) - phi(v) is
   // positive: process() raises both endpoint phis by the (positive)
   // modified weight, so a stacked edge's modified weight is negative
-  // forever after — aliveness is a pure function of phi. Edge owners
-  // keep the two phi halves separately (so the float subtraction order
-  // matches MatchingLocalRatio::modified_weight exactly) and notify
-  // the endpoint owners when an edge dies; aliveness is monotone, so
-  // death notices are the only view updates ever needed.
+  // forever after — aliveness is a pure function of phi, and monotone:
+  // an edge that died stays dead, and nothing about it is sent again.
+  //
+  // The liveness view is per incidence: the owner of v keeps one flag
+  // per adjacency slot of v, live[first_slot(v) + k] for the edge at
+  // neighbours(v)[k], so sampling and phi forwarding scan v's list and
+  // its flags in order. Edge owners keep one record per edge: its
+  // weight, its first endpoint, and the two phi halves (apart, so the
+  // float subtraction order matches MatchingLocalRatio::modified_weight
+  // exactly), refreshed only while the edge is live. The recompute
+  // round reads its edges in triple order, scattered over the owned
+  // edges, so each edge's fields share one cache line (two records
+  // per line).
+  struct alignas(32) EdgeState {
+    double w;
+    double phi[2];  // phi(u), phi(v)
+    VertexId u;
+  };
   std::vector<std::uint64_t> alive_cnt(machines, 0);  // owned alive edges
-  std::vector<double> phi_u_acc(m, 0.0);  // edge-owner slots
-  std::vector<double> phi_v_acc(m, 0.0);
-  std::vector<char> owner_alive(m, 0);    // edge-owner slots
-  std::vector<char> alive_at_u(m, 0);     // owner_of(u) slots
-  std::vector<char> alive_at_v(m, 0);     // owner_of(v) slots
+  std::vector<EdgeState> edge_state(m);  // edge-owner slots
+  std::vector<char> live(2 * m, 0);      // owner_of(v) slots, per incidence
   for (EdgeId e = 0; e < m; ++e) {
     const MachineId o = owner_of(e, machines);
     footprint[o] += 4;  // id + endpoints + weight
     ++alive_cnt[o];     // first-iteration count is all edges (historic)
-    const char alive0 = g.weight(e) > 0.0 ? 1 : 0;  // == lr.edge_alive now
-    owner_alive[e] = alive0;
-    alive_at_u[e] = alive0;
-    alive_at_v[e] = alive0;
+    edge_state[e] = {g.weight(e), {0.0, 0.0}, g.edge(e).u};
   }
   for (VertexId v = 0; v < n; ++v) {
     footprint[owner_of(v, machines)] += 1 + g.degree(v);
+    char* lv = live.data() + g.first_slot(v);
+    for (const graph::Incidence& inc : g.neighbours(v)) {
+      *lv++ = g.weight(inc.edge) > 0.0 ? 1 : 0;  // == lr.edge_alive now
+    }
   }
 
   RlrMatchingResult res;
@@ -96,27 +107,32 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
 
   // Owned-alive count to central; also consumes the death notices the
   // previous iteration's recompute round addressed to vertex owners.
+  // A notice names the dead incidence by its slot, (v << 32) | k for
+  // the edge at neighbours(v)[k], so clearing it is one write.
   const mrc::RoundId r_count = engine.define_round(
       "count|Ei|", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()] + 1);
         for (const mrc::MessageView msg : ctx.messages()) {
           for (const Word w : msg.payload) {
-            const auto e = static_cast<EdgeId>(w);
-            const graph::Edge& ed = g.edge(e);
-            if (owner_of(ed.u, machines) == ctx.id()) alive_at_u[e] = 0;
-            if (owner_of(ed.v, machines) == ctx.id()) alive_at_v[e] = 0;
+            const auto v = static_cast<VertexId>(w >> 32);
+            const std::uint64_t k = w & 0xFFFFFFFFu;
+            MRLR_DEBUG_REQUIRE(owner_of(v, machines) == ctx.id() && v < n &&
+                                   k < g.degree(v),
+                               "death notice for a slot this machine does "
+                               "not own");
+            live[g.first_slot(v) + k] = 0;
           }
         }
         ctx.send(mrc::kCentral, {alive_cnt[ctx.id()]});
       });
 
-  // Per-vertex sampling; ship (edge, weight) pairs to central. Every
-  // owned vertex sends exactly one message (possibly empty) in
-  // ascending vertex order, so the central machine can attribute
-  // message i of sender s to vertex s + i*M without the vertex id on
-  // the wire — empty frames carry zero payload words, so the engine's
-  // word accounting is unchanged by the placeholders. All sample state
-  // flows through the engine (no host-side side channels).
+  // Per-vertex sampling over live incidences; ship (edge, weight) pairs
+  // to central. Every owned vertex sends exactly one message (possibly
+  // empty) in ascending vertex order, so the central machine can
+  // attribute message i of sender s to vertex s + i*M without the
+  // vertex id on the wire — empty frames carry zero payload words, so
+  // the engine's word accounting is unchanged by the placeholders. All
+  // sample state flows through the engine (no host-side side channels).
   const mrc::RoundId r_sample = engine.define_round(
       "sample", [&](MachineContext& ctx, std::span<const Word> ps) {
         const std::uint64_t iter = ps[0];
@@ -127,11 +143,9 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
         for (VertexId v = static_cast<VertexId>(ctx.id()); v < n;
              v = static_cast<VertexId>(v + machines)) {
           mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
+          const char* lv = live.data() + g.first_slot(v);
           for (const graph::Incidence& inc : g.neighbours(v)) {
-            const graph::Edge& ed = g.edge(inc.edge);
-            const bool alive =
-                ed.u == v ? alive_at_u[inc.edge] : alive_at_v[inc.edge];
-            if (!alive) continue;
+            if (!*lv++) continue;
             if (ship_all || rng.bernoulli(p)) {
               msg.push(inc.edge);
               msg.push(pack_double(g.weight(inc.edge)));
@@ -140,58 +154,65 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
         }
       });
 
-  // Vertex owners forward phi to incident edge owners, tagged with the
-  // vertex so the edge owner knows which endpoint's half it is. The
-  // receiver parses a flat run of 3-word records, so the triples bound
-  // for one edge owner are coalesced into one message.
+  // Vertex owners forward phi along live incidences only, one
+  // (edge, (v << 32) | k, phi) triple for the edge at neighbours(v)[k]:
+  // the edge owner learns which endpoint's half it is, and the slot to
+  // name in a death notice. An edge alive at the start of the round
+  // gets exactly one triple from each endpoint, 6 |E_i| words in all.
+  // The receiver parses a flat run of 3-word records, so the triples
+  // bound for one edge owner are coalesced into one message.
   const mrc::RoundId r_forward_phi = engine.define_round(
       "forward-phi", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
         for (const mrc::MessageView msg : ctx.messages()) {
-          for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
-            const auto v = static_cast<VertexId>(msg.payload[k]);
-            const Word phi_w = msg.payload[k + 1];
-            for (const graph::Incidence& inc : g.neighbours(v)) {
-              ctx.send_coalesced(owner_of(inc.edge, machines),
-                                 {inc.edge, v, phi_w});
+          for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
+            const auto v = static_cast<VertexId>(msg.payload[i]);
+            const Word phi_w = msg.payload[i + 1];
+            const std::span<const graph::Incidence> nb = g.neighbours(v);
+            const char* lv = live.data() + g.first_slot(v);
+            for (std::size_t k = 0; k < nb.size(); ++k) {
+              if (!lv[k]) continue;
+              ctx.send_coalesced(owner_of(nb[k].edge, machines),
+                                 {nb[k].edge, (Word{v} << 32) | k, phi_w});
             }
           }
         }
       });
 
-  // Edge owners refresh their phi halves, recompute aliveness, update
-  // their owned-alive count, and send death notices to the endpoint
-  // owners (delivered into the next iteration's count round, which reads
-  // them as a flat run of edge ids, so they are coalesced).
+  // Edge owners refresh the phi halves of their live edges, then
+  // recompute each one's modified weight from the triples: a live
+  // triple counts half a live edge, and a dead one sends its slot word
+  // back to its vertex owner as a death notice — 2 words per edge that
+  // died, delivered into the next iteration's count round, which reads
+  // them as a flat run of slot words, so they are coalesced. Dead edges
+  // get no triples and are never looked at again.
   const mrc::RoundId r_recompute = engine.define_round(
       "recompute-alive", [&](MachineContext& ctx, std::span<const Word>) {
         ctx.charge_resident(footprint[ctx.id()]);
         for (const mrc::MessageView msg : ctx.messages()) {
-          for (std::size_t k = 0; k + 2 < msg.payload.size(); k += 3) {
-            const auto e = static_cast<EdgeId>(msg.payload[k]);
-            const auto v = static_cast<VertexId>(msg.payload[k + 1]);
-            const double phi = unpack_double(msg.payload[k + 2]);
-            if (g.edge(e).u == v) {
-              phi_u_acc[e] = phi;
+          for (std::size_t i = 0; i + 2 < msg.payload.size(); i += 3) {
+            const auto e = static_cast<EdgeId>(msg.payload[i]);
+            const auto v = static_cast<VertexId>(msg.payload[i + 1] >> 32);
+            EdgeState& es = edge_state[e];
+            es.phi[es.u == v ? 0 : 1] = unpack_double(msg.payload[i + 2]);
+          }
+        }
+        std::uint64_t live_triples = 0;
+        for (const mrc::MessageView msg : ctx.messages()) {
+          for (std::size_t i = 0; i + 2 < msg.payload.size(); i += 3) {
+            const auto e = static_cast<EdgeId>(msg.payload[i]);
+            const Word slot = msg.payload[i + 1];
+            const EdgeState& es = edge_state[e];
+            if (es.w - es.phi[0] - es.phi[1] > 0.0) {
+              ++live_triples;
             } else {
-              phi_v_acc[e] = phi;
+              ctx.send_coalesced(
+                  owner_of(static_cast<VertexId>(slot >> 32), machines),
+                  {slot});
             }
           }
         }
-        std::uint64_t count = 0;
-        for (EdgeId e = static_cast<EdgeId>(ctx.id()); e < m;
-             e = static_cast<EdgeId>(e + machines)) {
-          const double mw = g.weight(e) - phi_u_acc[e] - phi_v_acc[e];
-          const bool alive = mw > 0.0;
-          if (alive) ++count;
-          if (owner_alive[e] && !alive) {
-            const graph::Edge& ed = g.edge(e);
-            ctx.send_coalesced(owner_of(ed.u, machines), {e});
-            ctx.send_coalesced(owner_of(ed.v, machines), {e});
-          }
-          owner_alive[e] = alive ? 1 : 0;
-        }
-        alive_cnt[ctx.id()] = count;
+        alive_cnt[ctx.id()] = live_triples / 2;
       });
 
   for (std::uint64_t iter = 0; iter < params.max_iterations; ++iter) {
@@ -286,9 +307,10 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
                            {v, pack_double(lr.phi(v))});
       }
     });
-    // --- 4b. Vertex owners forward phi to incident edge owners. ---
+    // --- 4b. Vertex owners forward phi along live incidences. ---
     engine.invoke_round(r_forward_phi);
-    // --- 4c. Edge owners recompute aliveness and counts. ---
+    // --- 4c. Edge owners recompute aliveness and counts, and send
+    // death notices to the vertex owners. ---
     engine.invoke_round(r_recompute);
   }
 
@@ -297,6 +319,7 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
   res.matching = std::move(unwound.edges);
   res.weight = unwound.weight;
   res.outcome.fill_from(engine.metrics());
+  res.per_round = engine.metrics().per_round();
   return res;
 }
 

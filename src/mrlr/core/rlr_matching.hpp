@@ -14,7 +14,8 @@
 //      the heaviest still-alive sampled edge at v gets a weight reduction
 //      and is pushed on the stack;
 //   4. central sends phi to vertex owners, vertex owners forward phi to
-//      the owners of incident edges; edges recompute aliveness.
+//      the owners of their still-alive incident edges; edges recompute
+//      aliveness and tell the vertex owners which incidences died.
 // When no alive edge remains, the stack is unwound greedily into a
 // matching. 2-approximate for any sampling outcome (Theorem 5.1); the
 // sampling makes the degree drop by n^{mu/4} per iteration w.h.p.
@@ -33,6 +34,7 @@
 
 #include "mrlr/core/params.hpp"
 #include "mrlr/graph/graph.hpp"
+#include "mrlr/mrc/metrics.hpp"
 
 namespace mrlr::core {
 
@@ -41,6 +43,9 @@ struct RlrMatchingResult {
   double weight = 0.0;
   std::uint64_t stack_size = 0;  ///< edges stacked before unwinding
   MrOutcome outcome;
+  /// The engine's record of every round, in order (labels as defined
+  /// by the driver: "count|Ei|", "sample", "forward-phi", ...).
+  std::vector<mrc::RoundMetrics> per_round;
 };
 
 /// params.mu == 0 selects the Appendix C regime (eta = n, O(n) space,

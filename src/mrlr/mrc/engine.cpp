@@ -185,7 +185,24 @@ void Engine::round_body(std::string_view label, bool central_only,
   std::uint64_t t0 = round_start;
 
   const auto machines = static_cast<MachineId>(topology_.num_machines);
-  dispatch();
+  staged_mark_.resize(machines);
+  for (MachineId m = 0; m < machines; ++m) {
+    staged_mark_[m] = staging_[m].words.size();
+  }
+  if (routed()) {
+    stream_mark_.resize(next_stream_.size());
+    for (std::size_t b = 0; b < next_stream_.size(); ++b) {
+      stream_mark_[b] = next_stream_[b].mark();
+    }
+    count_mark_ = next_inbox_count_;
+    words_mark_ = next_inbox_words_;
+  }
+  try {
+    dispatch();
+  } catch (...) {
+    discard_round();
+    throw;
+  }
   if (telemetry) {
     tel.record_span(
         central_only ? obs::Phase::kCentral : obs::Phase::kCallback, t0,
@@ -293,6 +310,22 @@ void Engine::round_body(std::string_view label, bool central_only,
     tel.record_span(obs::Phase::kRound, round_start, tel.now_ns(), round_ix,
                     std::string(label));
   }
+}
+
+void Engine::discard_round() {
+  for (MachineId m = 0; m < num_machines(); ++m) {
+    staging_[m].frames.clear();
+    staging_[m].words.resize(staged_mark_[m]);
+    runs_[m].words.clear();
+    runs_[m].pieces.clear();
+    writer_open_[m] = 0;
+  }
+  if (!routed()) return;
+  for (std::size_t b = 0; b < next_stream_.size(); ++b) {
+    next_stream_[b].rewind(stream_mark_[b]);
+  }
+  next_inbox_count_.swap(count_mark_);
+  next_inbox_words_.swap(words_mark_);
 }
 
 void Engine::check_machine_id(MachineId m, const char* what) const {

@@ -36,6 +36,9 @@
 // or because shards are contiguous id ranges assembled in shard order —
 // so traces, metrics, and SpaceLimitExceeded behavior are
 // byte-identical across backends, thread counts, and shard counts.
+// A round whose callbacks throw delivers nothing and is not recorded:
+// every machine's sends of that round are discarded on every backend,
+// so a driver that catches the error may run the round again.
 // Since the quantities the paper bounds are rounds and words (not
 // wall-clock), the backend is irrelevant to the measured results;
 // determinism makes every experiment replayable from its seed.
@@ -377,8 +380,17 @@ class Engine : private exec::ShardJobPlane {
   /// The round skeleton shared by invoke_round and run_central_round:
   /// resets per-round scratch, runs `dispatch` (the callbacks), then
   /// merges staged frames, records metrics, audits space, and delivers.
+  /// If `dispatch` throws, the round is discarded (discard_round) and
+  /// the exception propagates.
   void round_body(std::string_view label, bool central_only,
                   const std::function<void()>& dispatch);
+
+  /// Undoes every send of the round whose dispatch threw, on every
+  /// machine: staged frames and runs, and (on a routed coordinator) the
+  /// records and peer-bucket generations it added to the worker
+  /// streams, back to the marks round_body took before dispatching.
+  /// Traffic pending from before the round stays pending.
+  void discard_round();
 
   /// One message in a sender's staging arena: destination plus the
   /// [offset, offset+len) extent in that arena's word buffer.
@@ -457,6 +469,23 @@ class Engine : private exec::ShardJobPlane {
       owned.clear();
       segments.clear();
     }
+
+    /// How far the stream reached: rewind(mark()) drops whatever is
+    /// appended or placed after the mark was taken.
+    struct Mark {
+      std::uint64_t owned = 0;
+      std::size_t segments = 0;
+      Segment back{};
+    };
+    Mark mark() const {
+      return {owned.size(), segments.size(),
+              segments.empty() ? Segment{} : segments.back()};
+    }
+    void rewind(const Mark& m) {
+      owned.resize(m.owned);
+      segments.resize(m.segments);
+      if (!segments.empty()) segments.back() = m.back;
+    }
   };
 
   /// Coordinator, at set_shards: re-encodes the in-process inbox index
@@ -531,6 +560,14 @@ class Engine : private exec::ShardJobPlane {
   // lives in the worker (inbox_words_ covers every machine).
   std::vector<std::uint64_t> inbox_count_;
   std::vector<std::uint64_t> next_inbox_count_;
+  // Marks taken before each dispatch, for discard_round: the staged
+  // words per machine (words of a round whose audit threw stay there,
+  // pending) and, on a routed coordinator, the worker streams and the
+  // worker machines' pending totals.
+  std::vector<std::uint64_t> staged_mark_;
+  std::vector<Stream::Mark> stream_mark_;
+  std::vector<std::uint64_t> count_mark_;
+  std::vector<std::uint64_t> words_mark_;
   // Per-destination frame and word totals: built by serialize_machines,
   // read and checked by apply_machines and apply_round_input.
   std::vector<std::uint64_t> route_frames_;

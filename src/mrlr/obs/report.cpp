@@ -35,7 +35,14 @@ void emit_markdown_table(const std::vector<std::string>& headers,
   os << "\n";
   for (const auto& row : rows) {
     os << "|";
-    for (const std::string& cell : row) os << " " << cell << " |";
+    for (const std::string& cell : row) {
+      os << " ";
+      for (const char c : cell) {
+        if (c == '|') os << '\\';  // a round label may hold a pipe
+        os << c;
+      }
+      os << " |";
+    }
     os << "\n";
   }
 }
@@ -114,7 +121,13 @@ ProfileReport build_report(const TelemetrySnapshot& snap) {
       all_stat.spans += 1;
       all_stat.total_ns += s.dur_ns;
       all_stat.self_ns += self[i];
-      if (s.phase == Phase::kRound) report.round_total_ns += s.dur_ns;
+      if (s.phase == Phase::kRound) {
+        report.round_total_ns += s.dur_ns;
+        PhaseStat& label_stat = report.by_round_label[s.label];
+        label_stat.spans += 1;
+        label_stat.total_ns += s.dur_ns;
+        label_stat.self_ns += self[i];
+      }
     }
     report.by_shard.push_back(std::move(profile));
   }
@@ -134,6 +147,19 @@ void render_report(const ProfileReport& report, std::ostream& os,
     if (markdown) os << "### Per-phase totals\n\n";
     emit_table({"phase", "spans", "total_s", "self_s", "% of round"}, rows,
                os, markdown);
+    os << "\n";
+  }
+
+  if (!report.by_round_label.empty()) {
+    std::vector<std::vector<std::string>> rows;
+    for (const auto& [label, stat] : report.by_round_label) {
+      rows.push_back({label.empty() ? "-" : label,
+                      std::to_string(stat.spans), fmt_seconds(stat.total_ns),
+                      fmt_percent(stat.total_ns, report.round_total_ns)});
+    }
+    if (markdown) os << "### Per-round-label totals\n\n";
+    emit_table({"round", "spans", "total_s", "% of round"}, rows, os,
+               markdown);
     os << "\n";
   }
 

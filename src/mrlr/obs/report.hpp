@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "mrlr/obs/telemetry.hpp"
@@ -34,14 +35,18 @@ struct ProfileReport {
   std::map<Phase, PhaseStat> by_phase;  ///< summed over all shards
   std::vector<ShardProfile> by_shard;   ///< ascending shard id
   std::uint64_t round_total_ns = 0;     ///< sum of kRound span durations
+  /// kRound spans by the round's label (e.g. a driver's "forward-phi"),
+  /// so a before/after shows which of a job's rounds moved.
+  std::map<std::string, PhaseStat> by_round_label;
   std::map<std::string, std::uint64_t> counters;
 };
 
 ProfileReport build_report(const TelemetrySnapshot& snap);
 
-/// Renders the per-phase table, the per-shard breakdown, and the
-/// counters. `markdown` emits GitHub-flavoured pipe tables (the CI
-/// artifact form); otherwise fixed-width console tables.
+/// Renders the per-phase table, the per-round-label totals, the
+/// per-shard breakdown, and the counters. `markdown` emits
+/// GitHub-flavoured pipe tables (the CI artifact form); otherwise
+/// fixed-width console tables.
 void render_report(const ProfileReport& report, std::ostream& os,
                    bool markdown);
 

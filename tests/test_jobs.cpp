@@ -204,7 +204,7 @@ std::vector<jobs::JobSpec> golden_specs() {
 TEST(JobsRunJob, FingerprintsMatchPreRefactorGoldens) {
   const std::vector<std::string> goldens = {
       "matching sol=88ed824e0971557b weight=40b69dc99f53af1d stack=115 "
-      "failed=0 iters=2 rounds=16 words=2846 central=2208 comm=28241 "
+      "failed=0 iters=2 rounds=16 words=2846 central=2208 comm=17537 "
       "violations=0",
       "filtering-matching sol=a4aad4baabf281c2 weight=40aa6eed2e67b0e9 "
       "failed=0 iters=2 rounds=14 words=1266 central=1266 comm=2421 "
@@ -301,7 +301,7 @@ TEST(JobsReport, RenderMatchesCapturedCliOutput) {
   pins.push_back({jobs::graph_job("matching", gw, params), plain,
                   "matching: 143 edges, weight 12042.6, valid=1",
                   "cost: rounds=16 iterations=2 max_words/machine=6314 "
-                  "central_inbox=5196 total_comm=78026 violations=0"});
+                  "central_inbox=5196 total_comm=47234 violations=0"});
   pins.push_back({jobs::graph_job("filtering-matching", gw, params), plain,
                   "matching: 145 edges, weight 7047.73, maximal=1",
                   "cost: rounds=14 iterations=2 max_words/machine=2832 "

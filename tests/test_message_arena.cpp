@@ -455,6 +455,44 @@ TEST_P(Coalesced, ThrowingCallbackDeliversNoPartOfItsRuns) {
   EXPECT_EQ(e.metrics().per_round().back().total_sent, 0u);
 }
 
+TEST_P(Coalesced, ThrownRoundDeliversNothingOnRetry) {
+  // Every machine sends the central machine and machine 3 one message
+  // each (even ids plainly, odd ids coalesced); with parameter 1,
+  // machine 3 then throws. The machines that returned normally staged
+  // their sends, and so did machine 3's plain send; none of it may
+  // reach an inbox, so the retry delivers exactly its own 4 + 4.
+  Engine e = make_engine(/*cap=*/1 << 20);
+  const RoundId send =
+      e.define_round("send", [](MachineContext& ctx, Params ps) {
+        for (const MachineId to : {kCentral, MachineId{3}}) {
+          if (ctx.id() % 2 == 0) {
+            ctx.send(to, {ctx.id()});
+          } else {
+            ctx.send_coalesced(to, {ctx.id()});
+          }
+        }
+        if (ctx.id() == 3 && ps[0] == 1) {
+          throw std::runtime_error("first try");
+        }
+      });
+  Transcript got;
+  const RoundId report = define_report(e, got);
+  EXPECT_THROW(e.invoke_round(send, {1}), std::runtime_error);
+  e.invoke_round(send, {0});
+  EXPECT_EQ(e.inbox_size(kCentral), 4u);
+  EXPECT_EQ(e.inbox_words(kCentral), 4u);
+  EXPECT_EQ(e.inbox_size(3), 4u);
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 8u);
+  e.invoke_round(report);
+  collect(e, got);
+  EXPECT_EQ(got, (Transcript{{0, 0, 0}, {0, 1, 1}, {0, 2, 2}, {0, 3, 3},
+                             {3, 0, 0}, {3, 1, 1}, {3, 2, 2}, {3, 3, 3}}));
+  e.invoke_round(report);
+  for (MachineId m = 0; m < 4; ++m) {
+    EXPECT_EQ(e.inbox_size(m), 0u) << "machine " << m;
+  }
+}
+
 TEST_P(Coalesced, RunOfAThrowingAuditIsDeliveredOnce) {
   // A resident-words violation leaves the framed runs pending like any
   // other staged message: they arrive once, ahead of the next round's.

@@ -370,6 +370,30 @@ TEST_F(TelemetryTest, BuildReportComputesSelfTimeByContainment) {
   EXPECT_EQ(report.by_shard[1].phases.at(Phase::kCallback).self_ns, 600u);
 }
 
+TEST_F(TelemetryTest, BuildReportTotalsRoundsByLabel) {
+  TelemetrySnapshot snap;
+  snap.spans.push_back(SpanRecord{Phase::kRound, 0, 0, 0, 100, "sample"});
+  snap.spans.push_back(SpanRecord{Phase::kCallback, 0, 0, 10, 50, "sample"});
+  snap.spans.push_back(SpanRecord{Phase::kRound, 0, 1, 100, 30, "send"});
+  snap.spans.push_back(SpanRecord{Phase::kRound, 0, 2, 130, 20, "sample"});
+  // Only round spans count: a worker's callback span is not a round.
+  snap.spans.push_back(SpanRecord{Phase::kCallback, 1, 0, 5, 80, "send"});
+
+  const obs::ProfileReport report = obs::build_report(snap);
+  ASSERT_EQ(report.by_round_label.size(), 2u);
+  const obs::PhaseStat& sample = report.by_round_label.at("sample");
+  EXPECT_EQ(sample.spans, 2u);
+  EXPECT_EQ(sample.total_ns, 120u);
+  EXPECT_EQ(sample.self_ns, 70u);  // minus the 50 ns callback
+  EXPECT_EQ(report.by_round_label.at("send").total_ns, 30u);
+
+  std::ostringstream md;
+  obs::render_report(report, md, /*markdown=*/true);
+  EXPECT_NE(md.str().find("### Per-round-label totals"), std::string::npos);
+  EXPECT_NE(md.str().find("| sample | 2 | 0.000000 | 80.0% |"),
+            std::string::npos);
+}
+
 TEST_F(TelemetryTest, RenderReportEmitsBothForms) {
   TelemetrySnapshot snap = sample_snapshot();
   const obs::ProfileReport report = obs::build_report(snap);
@@ -598,11 +622,12 @@ TEST_F(TelemetryTest, ProcessBackendWireCountersBalance) {
   // the data frames of a real job dwarf. At K = 4 most worker sends go
   // to another worker, straight over the fork mesh: the coordinator
   // forwards nothing. The graph is larger than the other cases' so that
-  // the job, whose record rounds coalesce their sends, still puts over
-  // 1 MB on the wire.
+  // the job, whose record rounds coalesce their sends and whose phi
+  // rounds travel only along live edges, still puts over 1 MB on the
+  // wire.
   Telemetry& t = Telemetry::instance();
   t.enable();
-  const MatchingResult on = run_sharded_matching(4, /*vertices=*/600);
+  const MatchingResult on = run_sharded_matching(4, /*vertices=*/800);
   t.disable();
   ASSERT_FALSE(on.failed);
   const TelemetrySnapshot snap = t.snapshot();

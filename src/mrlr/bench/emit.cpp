@@ -3,15 +3,13 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "mrlr/util/text.hpp"
+
 namespace mrlr::bench {
 
 std::uint64_t env_threads() {
   const char* env = std::getenv("MRLR_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return 1;
-  return static_cast<std::uint64_t>(v);
+  return text::parse_number<std::uint64_t>(env ? env : "").value_or(1);
 }
 
 std::string fmt_double(double v, int prec) {

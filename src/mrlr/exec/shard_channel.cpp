@@ -1,7 +1,6 @@
 #include "mrlr/exec/shard_channel.hpp"
 
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +13,8 @@
 #include <sys/time.h>
 #include <sys/uio.h>
 #include <unistd.h>
+
+#include "mrlr/util/text.hpp"
 
 namespace mrlr::exec {
 
@@ -133,6 +134,21 @@ std::size_t io_read_some(int fd, std::byte* data, std::size_t n,
 
 // ------------------------------------------------------------- TCP --
 
+std::optional<Endpoint> parse_endpoint(std::string_view entry) {
+  Endpoint ep{"127.0.0.1", 0};
+  std::string_view port = entry;
+  if (const std::size_t colon = entry.rfind(':');
+      colon != std::string_view::npos) {
+    ep.host = std::string(entry.substr(0, colon));
+    port = entry.substr(colon + 1);
+  }
+  const std::optional<std::uint16_t> parsed =
+      text::parse_number<std::uint16_t>(port);
+  if (!parsed || ep.host.empty()) return std::nullopt;
+  ep.port = *parsed;
+  return ep;
+}
+
 std::vector<Endpoint> parse_endpoints(std::string_view csv) {
   std::vector<Endpoint> out;
   std::size_t at = 0;
@@ -144,27 +160,13 @@ std::vector<Endpoint> parse_endpoints(std::string_view csv) {
       throw std::invalid_argument(
           "--workers: empty endpoint in the host:port list");
     }
-    Endpoint ep;
-    const std::size_t colon = entry.rfind(':');
-    std::string_view port_sv;
-    if (colon == std::string_view::npos) {
-      ep.host = "127.0.0.1";
-      port_sv = entry;
-    } else {
-      ep.host = std::string(entry.substr(0, colon));
-      port_sv = entry.substr(colon + 1);
-    }
-    unsigned port = 0;
-    const auto [ptr, ec] =
-        std::from_chars(port_sv.data(), port_sv.data() + port_sv.size(), port);
-    if (ec != std::errc{} || ptr != port_sv.data() + port_sv.size() ||
-        port == 0 || port > 65535 || ep.host.empty()) {
+    std::optional<Endpoint> ep = parse_endpoint(entry);
+    if (!ep || ep->port == 0) {
       throw std::invalid_argument("--workers: malformed endpoint '" +
                                   std::string(entry) +
                                   "' (expected host:port)");
     }
-    ep.port = static_cast<std::uint16_t>(port);
-    out.push_back(std::move(ep));
+    out.push_back(std::move(*ep));
     if (comma == csv.size()) break;
   }
   return out;

@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,9 +78,13 @@ struct Endpoint {
   std::string str() const { return host + ":" + std::to_string(port); }
 };
 
+/// Parses one "[host:]port" (a bare port means 127.0.0.1; port 0, which
+/// lets a listener's kernel pick, is kept). nullopt when malformed.
+std::optional<Endpoint> parse_endpoint(std::string_view entry);
+
 /// Parses "host:port[,host:port...]" (the --workers flag). A bare
 /// "port" means 127.0.0.1. Throws std::invalid_argument on anything
-/// malformed (empty entry, missing/unparsable port).
+/// malformed (empty entry, missing/unparsable/zero port).
 std::vector<Endpoint> parse_endpoints(std::string_view csv);
 
 /// ShardChannel over a connected TCP socket. Owns the descriptor.

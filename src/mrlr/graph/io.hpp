@@ -3,31 +3,26 @@
 // text format or the binary `.mgb` container (io_binary.hpp) by
 // extension. Every writer takes GraphData (a Graph converts to it).
 //
-// Text format: first line "n m [weighted]", then one "u v [w]" line per
-// edge. Lines starting with '#' (after optional whitespace) and blank
-// lines are comments. Endpoints must be < n and distinct (no
-// self-loops); weights, when the header declares them, must be present,
-// finite, and strictly positive. Anything else throws ParseError —
-// never a silently empty or zero-weight graph.
+// Text format (grammar in util/text.hpp, shared with set systems):
+// header "n m [weighted]", then one "u v [w]" line per edge. Endpoints
+// must be < n and distinct (no self-loops); weights, when the header
+// declares them, must be present and positive. Anything else throws
+// ParseError — never a silently empty or zero-weight graph.
 
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "mrlr/graph/graph.hpp"
+#include "mrlr/util/text.hpp"
 
 namespace mrlr::graph {
 
 /// Thrown by every graph reader (text and .mgb) on malformed input:
 /// bad or garbage headers, truncated files, out-of-range or self-loop
 /// endpoints, missing/non-finite/non-positive weights, bad magic or
-/// checksum mismatch. The message names the offending line or byte
-/// offset.
-class ParseError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+/// checksum mismatch.
+using text::ParseError;
 
 /// Isolated vertices a graph file may declare beyond the 2m endpoints
 /// its m edges can touch. Every reader (text, .mgb file, job-spec

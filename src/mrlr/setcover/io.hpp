@@ -1,20 +1,17 @@
 #pragma once
-// Plain-text set system I/O so examples and the CLI can load
-// user-provided cover instances.
+// Plain-text set systems, so examples and the CLI can load and save
+// cover instances. Format (grammar in util/text.hpp, shared with edge
+// lists): header "n m [weighted]" (n sets over the universe [m]), then
+// one row "[w] k e1 ... ek" per set, the weight first when the header
+// declares weights. The writer always writes weights, in shortest
+// round-trip form, so a written system reads back bit-exactly.
 //
-// Format: header "n m [weighted]" (n sets over universe [m]); then one
-// line per set: "[w] k e1 e2 ... ek" (weight first when the header says
-// weighted). '#' lines are comments.
-//
-// read_set_system shares the graph reader's error taxonomy: a garbage
-// or truncated header, a short set row, an element outside the
-// universe, or a missing/non-finite/non-positive weight throws
-// graph::ParseError instead of yielding a silently empty system. So
-// does a universe above 2^32 (element ids are 32-bit) or above the
-// number of element ids the rows carry, which could never be covered
-// and would otherwise size the element index from the header alone.
-// It scans each line with std::from_chars (weights parse to the same
-// doubles as operator>>) and fills the SetSystem's CSR arrays directly.
+// read_set_system throws ParseError, never returns a silently empty
+// system, on text the grammar refuses, a row shorter than its k, an
+// element outside [m], a non-positive weight, or a universe above 2^32
+// (element ids are 32-bit) or above the element ids the rows carry
+// (which could never be covered, and would size the element index from
+// the header alone). The rows fill the SetSystem's CSR arrays directly.
 
 #include <iosfwd>
 

@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mrlr/baselines/coreset_matching.hpp"
@@ -95,19 +96,46 @@ TEST(CoresetMatching, DeterministicForSeed) {
 namespace mrlr::setcover {
 namespace {
 
+/// Every set-system generator family, under each weight distribution
+/// it takes: the inputs of the round-trip property below.
+std::vector<std::pair<std::string, SetSystem>> generated_set_systems() {
+  using graph::WeightDist;
+  std::vector<std::pair<std::string, SetSystem>> out;
+  std::uint64_t seed = 1;
+  for (const auto& [dist, d] :
+       {std::pair{WeightDist::kIntegral, "integral"},
+        std::pair{WeightDist::kUniform, "uniform"},
+        std::pair{WeightDist::kExponential, "exponential"},
+        std::pair{WeightDist::kPolarized, "polarized"}}) {
+    Rng rng(seed++);
+    out.emplace_back(std::string("bounded_frequency/") + d,
+                     bounded_frequency(15, 40, 3, dist, rng));
+    out.emplace_back(std::string("many_sets/") + d,
+                     many_sets(80, 30, 6, dist, rng));
+  }
+  Rng rng(seed);
+  double planted_cost = 0.0;
+  out.emplace_back("planted_cover",
+                   planted_cover(6, 20, 50, rng, &planted_cost));
+  return out;
+}
+
 TEST(SetSystemIo, RoundTrip) {
-  Rng rng(1);
-  const SetSystem sys =
-      bounded_frequency(15, 40, 3, graph::WeightDist::kIntegral, rng);
-  std::stringstream ss;
-  write_set_system(sys, ss);
-  const SetSystem back = read_set_system(ss);
-  ASSERT_EQ(back.num_sets(), sys.num_sets());
-  ASSERT_EQ(back.universe_size(), sys.universe_size());
-  for (SetId i = 0; i < sys.num_sets(); ++i) {
-    EXPECT_DOUBLE_EQ(back.weight(i), sys.weight(i));
-    EXPECT_TRUE(std::equal(back.set(i).begin(), back.set(i).end(),
-                           sys.set(i).begin(), sys.set(i).end()));
+  // Weights are written in their shortest round-trip form, so every
+  // generated system reads back bit-exactly (positive finite doubles
+  // compare equal only when their bits do).
+  for (const auto& [name, sys] : generated_set_systems()) {
+    SCOPED_TRACE(name);
+    std::stringstream ss;
+    write_set_system(sys, ss);
+    const SetSystem back = read_set_system(ss);
+    ASSERT_EQ(back.num_sets(), sys.num_sets());
+    ASSERT_EQ(back.universe_size(), sys.universe_size());
+    for (SetId i = 0; i < sys.num_sets(); ++i) {
+      EXPECT_EQ(back.weight(i), sys.weight(i)) << "set " << i;
+      EXPECT_TRUE(std::equal(back.set(i).begin(), back.set(i).end(),
+                             sys.set(i).begin(), sys.set(i).end()));
+    }
   }
 }
 

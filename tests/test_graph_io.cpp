@@ -12,6 +12,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mrlr/graph/generators.hpp"
@@ -171,6 +172,23 @@ TEST(TextIo, AcceptsCommentsBlanksAndCrlf) {
   const Graph g = read_edge_list(ss);
   EXPECT_EQ(g.num_vertices(), 3u);
   EXPECT_EQ(g.num_edges(), 2u);
+}
+
+TEST(TextIo, SharesTheSetSystemGrammar) {
+  // One grammar for both text formats (util/text.hpp): a '+' sign and
+  // '\v', '\f', '\r' blanks read as in set-system files; a number is a
+  // whole token.
+  std::stringstream ss("+3\v2 weighted\n0\f+1 +2.5\r\n\v\n1 2 1e1\n");
+  const GraphData d = read_edge_list_data(ss);
+  EXPECT_EQ(d.n, 3u);
+  EXPECT_EQ(d.edges, (std::vector<Edge>{{0, 1}, {1, 2}}));
+  EXPECT_EQ(d.weights, (std::vector<double>{2.5, 10.0}));
+  for (const char* bad :
+       {"3 1\n0 1x\n", "3 1\n0 +-1\n", "3 1 weighted\n0 1 2.5.\n",
+        "3 1 weighted\n0 1 1e400\n", "3 1\n0 0x1\n"}) {
+    std::stringstream in(bad);
+    EXPECT_THROW((void)read_edge_list_data(in), ParseError) << bad;
+  }
 }
 
 TEST(TextIo, WeightedRoundTripIsExact) {
@@ -368,15 +386,62 @@ TEST(GraphFileIo, DetectsMgbExtension) {
   EXPECT_FALSE(is_mgb_path("mgb"));
 }
 
+/// Every graph generator family, unweighted and under each WeightDist:
+/// the inputs of the round-trip property below.
+std::vector<std::pair<std::string, Graph>> generated_graphs() {
+  Rng rng(11);
+  // A braced list runs its initializers in order, so each draws from
+  // rng in a fixed sequence.
+  const std::pair<std::string, Graph> families[] = {
+      {"gnm", gnm(60, 200, rng)},
+      {"gnm_density", gnm_density(80, 0.4, rng)},
+      {"gnp", gnp(60, 0.1, rng)},
+      {"chung_lu", chung_lu_power_law(100, 300, 2.5, rng)},
+      {"bipartite", random_bipartite(30, 40, 150, rng)},
+      {"circulant", circulant(40, 6)},
+      {"complete", complete(12)},
+      {"star", star(20)},
+      {"path", path(25)},
+      {"cycle", cycle(25)},
+      {"planted_clique", planted_clique(80, 200, 10, rng)},
+  };
+  std::vector<std::pair<std::string, Graph>> out;
+  for (const auto& [name, g] : families) {
+    out.emplace_back(name, g);
+    for (const auto& [dist, d] :
+         {std::pair{WeightDist::kUniform, "uniform"},
+          std::pair{WeightDist::kExponential, "exponential"},
+          std::pair{WeightDist::kIntegral, "integral"},
+          std::pair{WeightDist::kPolarized, "polarized"}}) {
+      out.emplace_back(name + "/" + d,
+                       g.with_weights(random_edge_weights(g, dist, rng)));
+    }
+  }
+  return out;
+}
+
 TEST(GraphFileIo, RoundTripsThroughBothFormats) {
-  const Graph g = sample_weighted(60, 200);
+  // Text weights are written in their shortest round-trip form, so
+  // every generated graph reads back bit-exactly from either format
+  // (positive finite doubles compare equal only when their bits do).
+  std::vector<std::pair<std::string, Graph>> cases = generated_graphs();
+  cases.emplace_back("sample_weighted", sample_weighted(60, 200));
   const auto dir = std::filesystem::temp_directory_path();
   const std::string mgb = (dir / "mrlr_test_io.mgb").string();
   const std::string txt = (dir / "mrlr_test_io.txt").string();
-  write_graph_file(g, mgb);
-  write_graph_file(g, txt);
-  expect_graphs_equal(g, read_graph_file(mgb));
-  expect_graphs_equal(g, read_graph_file(txt));
+  for (const auto& [name, g] : cases) {
+    SCOPED_TRACE(name);
+    const GraphData& d = g.data();
+    for (const std::string& path : {mgb, txt}) {
+      write_graph_file(g, path);
+      const GraphData back = read_graph_file_data(path);
+      EXPECT_EQ(back.n, d.n);
+      EXPECT_EQ(back.weighted, d.weighted);
+      EXPECT_EQ(back.edges, d.edges);
+      EXPECT_EQ(back.weights, d.weights);
+      expect_graphs_equal(g, read_graph_file(path));
+    }
+  }
   std::filesystem::remove(mgb);
   std::filesystem::remove(txt);
 }

@@ -311,7 +311,10 @@ TEST(ServeDaemon, RejectsSecondJobOverBudgetWhileFirstRuns) {
   // Budget sized for exactly one copy of the job: the first submission
   // reserves it, the second (while the first is admitted-unfinished)
   // gets the typed kOverBudget reject with the space numbers filled.
-  const jobs::JobSpec spec = mis_spec(700, 5);
+  // n=12000 gives the job a ~0.5s+ runtime, which dwarfs the second
+  // client's connect and submit, so the first job is still admitted
+  // when the second arrives even on a loaded host.
+  const jobs::JobSpec spec = mis_spec(12000, 6);
   const std::uint64_t projected = serve::projected_machine_words(spec);
 
   serve::ServeOptions opts;

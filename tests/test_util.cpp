@@ -1,5 +1,5 @@
 // Unit tests for the util module: RNG, math helpers, statistics, tables,
-// the fork-safety thread count.
+// the text codec's number grammar, the fork-safety thread count.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "mrlr/util/rng.hpp"
 #include "mrlr/util/stats.hpp"
 #include "mrlr/util/table.hpp"
+#include "mrlr/util/text.hpp"
 #include "mrlr/util/threads.hpp"
 
 namespace mrlr {
@@ -298,6 +299,29 @@ TEST(Table, NumRows) {
   EXPECT_EQ(t.num_rows(), 0u);
   t.row().cell("x");
   EXPECT_EQ(t.num_rows(), 1u);
+}
+
+// --------------------------------------------------------------- text --
+
+TEST(TextNumbers, WholeTokensOnly) {
+  using text::parse_number;
+  EXPECT_EQ(parse_number<std::uint64_t>("300"), 300u);
+  EXPECT_EQ(parse_number<std::uint64_t>("+300"), 300u);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            ~std::uint64_t{0});
+  EXPECT_EQ(parse_number<double>("0.3"), 0.3);
+  EXPECT_EQ(parse_number<double>("-0.5"), -0.5);
+  EXPECT_EQ(parse_number<double>("+1e-3"), 1e-3);
+  EXPECT_EQ(parse_number<std::uint16_t>("65535"), 65535u);
+  for (const char* bad : {"", "+", "300x", " 300", "300 ", "-1", "+-1",
+                          "++1", "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_number<std::uint64_t>(bad)) << '"' << bad << '"';
+  }
+  for (const char* bad : {"0.3abc", "+-0.5", "inf", "nan", "1e400", "."}) {
+    EXPECT_FALSE(parse_number<double>(bad)) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parse_number<std::uint32_t>("4294967298"));
+  EXPECT_FALSE(parse_number<std::uint16_t>("65536"));
 }
 
 // ------------------------------------------------------------ threads --

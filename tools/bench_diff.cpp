@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "mrlr/bench/diff.hpp"
+#include "mrlr/util/text.hpp"
 
 namespace {
 
@@ -29,14 +31,13 @@ void usage() {
 }
 
 double parse_positive_double(const char* flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(v > 0.0)) {
+  const std::optional<double> v = mrlr::text::parse_number<double>(value);
+  if (!v || *v <= 0.0) {
     std::cerr << "bench_diff: bad value for " << flag << ": '" << value
               << "'\n";
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 }  // namespace

@@ -91,6 +91,7 @@
 #include "mrlr/serve/server.hpp"
 #include "mrlr/setcover/generators.hpp"
 #include "mrlr/setcover/io.hpp"
+#include "mrlr/util/text.hpp"
 
 namespace {
 
@@ -239,6 +240,40 @@ void usage() {
          "anything else is a text edge list\n";
 }
 
+/// Walks the flags after argv[at] one by one. value() takes the
+/// argument after the flag, and number() parses it as one whole number
+/// of its target's type (the text readers' grammar, util/text.hpp). A
+/// missing, malformed or out-of-range value exits 2 naming the flag.
+struct Flags {
+  int argc;
+  char** argv;
+  int at;
+  std::string flag{};
+
+  bool next() {
+    if (++at >= argc) return false;
+    flag = argv[at];
+    return true;
+  }
+
+  const char* value() {
+    if (at + 1 < argc) return argv[++at];
+    std::cerr << "missing value for " << flag << "\n";
+    std::exit(2);
+  }
+
+  template <class T>
+  void number(T& out) {
+    const char* v = value();
+    const std::optional<T> parsed = mrlr::text::parse_number<T>(v);
+    if (!parsed) {
+      std::cerr << "bad value for " << flag << ": '" << v << "'\n";
+      std::exit(2);
+    }
+    out = *parsed;
+  }
+};
+
 std::optional<mrlr::graph::WeightDist> parse_weight_dist(
     const std::string& d) {
   using mrlr::graph::WeightDist;
@@ -253,39 +288,32 @@ std::optional<Options> parse(int argc, char** argv) {
   if (argc < 2) return std::nullopt;
   Options o;
   o.algorithm = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  for (Flags f{argc, argv, 1}; f.next();) {
+    const std::string& flag = f.flag;
     if (flag == "--n") {
-      o.n = std::stoull(value());
+      f.number(o.n);
     } else if (flag == "--c") {
-      o.c = std::stod(value());
+      f.number(o.c);
     } else if (flag == "--mu") {
-      o.mu = std::stod(value());
+      f.number(o.mu);
     } else if (flag == "--seed") {
-      o.seed = std::stoull(value());
+      f.number(o.seed);
     } else if (flag == "--eps") {
-      o.eps = std::stod(value());
+      f.number(o.eps);
     } else if (flag == "--b") {
-      o.b = static_cast<std::uint32_t>(std::stoul(value()));
+      f.number(o.b);
     } else if (flag == "--threads") {
-      o.threads = std::stoull(value());
+      f.number(o.threads);
     } else if (flag == "--shards") {
-      o.shards = std::stoull(value());
+      f.number(o.shards);
     } else if (flag == "--backend") {
-      o.backend = value();
+      o.backend = f.value();
     } else if (flag == "--workers") {
-      o.workers = value();
+      o.workers = f.value();
     } else if (flag == "--connect") {
-      o.connect = value();
+      o.connect = f.value();
     } else if (flag == "--dist") {
-      const std::string d = value();
+      const std::string d = f.value();
       if (const auto dist = parse_weight_dist(d)) {
         o.dist = *dist;
       } else {
@@ -293,15 +321,15 @@ std::optional<Options> parse(int argc, char** argv) {
         return std::nullopt;
       }
     } else if (flag == "--graph") {
-      o.graph_file = value();
+      o.graph_file = f.value();
     } else if (flag == "--sets") {
-      o.sets_file = value();
+      o.sets_file = f.value();
     } else if (flag == "--trace") {
       o.trace = true;
     } else if (flag == "--telemetry-out") {
-      o.telemetry_out = value();
+      o.telemetry_out = f.value();
     } else if (flag == "--telemetry-format") {
-      if (!parse_telemetry_format(value(), o.telemetry_format)) {
+      if (!parse_telemetry_format(f.value(), o.telemetry_format)) {
         return std::nullopt;
       }
     } else {
@@ -385,51 +413,44 @@ std::optional<GenOptions> parse_gen(int argc, char** argv) {
   if (argc < 3) return std::nullopt;
   GenOptions o;
   o.family = argv[2];
-  for (int i = 3; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  for (Flags f{argc, argv, 2}; f.next();) {
+    const std::string& flag = f.flag;
     if (flag == "--n") {
-      o.n = std::stoull(value());
+      f.number(o.n);
     } else if (flag == "--m") {
-      o.m = std::stoull(value());
+      f.number(o.m);
     } else if (flag == "--c") {
-      o.c = std::stod(value());
+      f.number(o.c);
     } else if (flag == "--p") {
-      o.p = std::stod(value());
+      f.number(o.p);
     } else if (flag == "--beta") {
-      o.beta = std::stod(value());
+      f.number(o.beta);
     } else if (flag == "--d") {
-      o.d = std::stoull(value());
+      f.number(o.d);
     } else if (flag == "--k") {
-      o.k = std::stoull(value());
+      f.number(o.k);
     } else if (flag == "--left") {
-      o.left = std::stoull(value());
+      f.number(o.left);
     } else if (flag == "--right") {
-      o.right = std::stoull(value());
+      f.number(o.right);
     } else if (flag == "--sets") {
-      o.sets = std::stoull(value());
+      f.number(o.sets);
     } else if (flag == "--universe") {
-      o.universe = std::stoull(value());
+      f.number(o.universe);
     } else if (flag == "--f") {
-      o.f = std::stoull(value());
+      f.number(o.f);
     } else if (flag == "--set-size") {
-      o.set_size = std::stoull(value());
+      f.number(o.set_size);
     } else if (flag == "--decoys") {
-      o.decoys = std::stoull(value());
+      f.number(o.decoys);
     } else if (flag == "--seed") {
-      o.seed = std::stoull(value());
+      f.number(o.seed);
     } else if (flag == "--strict") {
       o.strict = true;
     } else if (flag == "--out") {
-      o.out = value();
+      o.out = f.value();
     } else if (flag == "--weights") {
-      const std::string d = value();
+      const std::string d = f.value();
       o.weights = parse_weight_dist(d);
       if (!o.weights) {
         std::cerr << "unknown weight distribution " << d << "\n";
@@ -627,19 +648,12 @@ int run_gen(int argc, char** argv) {
 
 int run_convert(int argc, char** argv) {
   std::string in, out;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  for (Flags f{argc, argv, 1}; f.next();) {
+    const std::string& flag = f.flag;
     if (flag == "--in") {
-      in = value();
+      in = f.value();
     } else if (flag == "--out") {
-      out = value();
+      out = f.value();
     } else {
       std::cerr << "unknown convert flag " << flag << "\n";
       return 2;
@@ -671,33 +685,26 @@ int run_bench_cmd(int argc, char** argv) {
   std::string telemetry_out;
   mrlr::obs::ExportFormat telemetry_format =
       mrlr::obs::ExportFormat::kJsonl;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  for (Flags f{argc, argv, 1}; f.next();) {
+    const std::string& flag = f.flag;
     if (flag == "--group") {
-      options.groups.emplace_back(value());
+      options.groups.emplace_back(f.value());
     } else if (flag == "--scenario") {
-      options.scenarios.emplace_back(value());
+      options.scenarios.emplace_back(f.value());
     } else if (flag == "--out") {
-      options.out_path = value();
+      options.out_path = f.value();
     } else if (flag == "--threads") {
-      options.context.threads = std::stoull(value());
+      f.number(options.context.threads);
     } else if (flag == "--shards") {
-      options.context.shards = std::stoull(value());
+      f.number(options.context.shards);
     } else if (flag == "--backend") {
-      backend = value();
+      backend = f.value();
     } else if (flag == "--list") {
       options.list_only = true;
     } else if (flag == "--telemetry-out") {
-      telemetry_out = value();
+      telemetry_out = f.value();
     } else if (flag == "--telemetry-format") {
-      if (!parse_telemetry_format(value(), telemetry_format)) return 2;
+      if (!parse_telemetry_format(f.value(), telemetry_format)) return 2;
     } else {
       std::cerr << "unknown bench flag " << flag << "\n";
       usage();
@@ -732,51 +739,27 @@ int run_bench_cmd(int argc, char** argv) {
 
 // ------------------------------------------------- worker and serve --
 
-/// Parses a --listen value ([HOST:]PORT) by hand rather than via
-/// parse_endpoints: a listener may bind port 0 (kernel-assigned), which
-/// is meaningless in --workers. Messages and returns false on anything
-/// malformed.
-bool parse_listen(const std::string& listen, std::string& host,
-                  std::uint16_t& port) {
-  host = "127.0.0.1";
-  std::string port_str = listen;
-  if (const auto colon = listen.rfind(':'); colon != std::string::npos) {
-    host = listen.substr(0, colon);
-    port_str = listen.substr(colon + 1);
-  }
-  unsigned long parsed = 65536;
-  try {
-    std::size_t used = 0;
-    parsed = std::stoul(port_str, &used);
-    if (used != port_str.size()) parsed = 65536;
-  } catch (const std::exception&) {
-  }
-  if (host.empty() || parsed > 65535) {
+/// Parses a --listen value ([HOST:]PORT; port 0 lets the kernel pick).
+/// Messages and returns nullopt on anything malformed.
+std::optional<mrlr::exec::Endpoint> parse_listen(const std::string& listen) {
+  auto ep = mrlr::exec::parse_endpoint(listen);
+  if (!ep) {
     std::cerr << "--listen: malformed '" << listen
               << "' (expected [HOST:]PORT)\n";
-    return false;
   }
-  port = static_cast<std::uint16_t>(parsed);
-  return true;
+  return ep;
 }
 
 int run_worker_cmd(int argc, char** argv) {
   std::string listen;
   mrlr::jobs::WorkerOptions wopts;
   wopts.log = &std::cerr;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  for (Flags f{argc, argv, 1}; f.next();) {
+    const std::string& flag = f.flag;
     if (flag == "--listen") {
-      listen = value();
+      listen = f.value();
     } else if (flag == "--max-jobs") {
-      wopts.max_jobs = std::stoull(value());
+      f.number(wopts.max_jobs);
     } else {
       std::cerr << "unknown worker flag " << flag << "\n";
       usage();
@@ -788,17 +771,16 @@ int run_worker_cmd(int argc, char** argv) {
     usage();
     return 2;
   }
-  std::string host;
-  std::uint16_t port = 0;
-  if (!parse_listen(listen, host, port)) return 2;
+  const auto ep = parse_listen(listen);
+  if (!ep) return 2;
   // A coordinator vanishing mid-write must surface as a typed channel
   // error on this side, not a SIGPIPE kill.
   ::signal(SIGPIPE, SIG_IGN);
-  mrlr::exec::TcpListener listener(host, port);
+  mrlr::exec::TcpListener listener(ep->host, ep->port);
   // Flushed before the accept loop so scripts (and the README
   // walkthrough) can wait for the bound port — with --listen 0 the
   // kernel picks it.
-  std::cout << "worker listening on " << host << ":" << listener.port()
+  std::cout << "worker listening on " << ep->host << ":" << listener.port()
             << "\n"
             << std::flush;
   mrlr::jobs::worker_serve(listener, wopts);
@@ -861,27 +843,20 @@ void print_result(const PreparedJob& p, const mrlr::jobs::JobResult& r) {
 int run_serve_cmd(int argc, char** argv) {
   std::string listen;
   mrlr::serve::ServeOptions sopts;
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << flag << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  for (Flags f{argc, argv, 1}; f.next();) {
+    const std::string& flag = f.flag;
     if (flag == "--listen") {
-      listen = value();
+      listen = f.value();
     } else if (flag == "--budget-words") {
-      sopts.words_budget = std::stoull(value());
+      f.number(sopts.words_budget);
     } else if (flag == "--max-running") {
-      sopts.max_running = std::stoull(value());
+      f.number(sopts.max_running);
       if (sopts.max_running == 0) {
         std::cerr << "--max-running must be at least 1\n";
         return 2;
       }
     } else if (flag == "--max-conns") {
-      sopts.max_connections = std::stoull(value());
+      f.number(sopts.max_connections);
     } else {
       std::cerr << "unknown serve flag " << flag << "\n";
       usage();
@@ -893,19 +868,18 @@ int run_serve_cmd(int argc, char** argv) {
     usage();
     return 2;
   }
-  std::string host;
-  std::uint16_t port = 0;
-  if (!parse_listen(listen, host, port)) return 2;
+  const auto ep = parse_listen(listen);
+  if (!ep) return 2;
   // A client vanishing mid-write must surface as a typed channel error,
   // not a SIGPIPE kill of the whole daemon.
   ::signal(SIGPIPE, SIG_IGN);
   sopts.log = [](const std::string& line) {
     std::cerr << "[serve] " << line << "\n";
   };
-  mrlr::serve::ServeDaemon daemon(host, port, std::move(sopts));
+  mrlr::serve::ServeDaemon daemon(ep->host, ep->port, std::move(sopts));
   // Flushed before the accept loop so scripts can wait for the bound
   // port — with --listen 0 the kernel picks it.
-  std::cout << "serve listening on " << host << ":" << daemon.port()
+  std::cout << "serve listening on " << ep->host << ":" << daemon.port()
             << "\n"
             << std::flush;
   daemon.run();
@@ -919,13 +893,12 @@ int run_submit_cmd(int argc, char** argv) {
   if (argc >= 3 && argv[2][0] == '-') {
     const std::string action = argv[2];
     std::string connect;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
-        connect = argv[++i];
-      } else {
-        std::cerr << "unknown submit flag " << argv[i] << "\n";
+    for (Flags f{argc, argv, 2}; f.next();) {
+      if (f.flag != "--connect") {
+        std::cerr << "unknown submit flag " << f.flag << "\n";
         return 2;
       }
+      connect = f.value();
     }
     if (connect.empty() ||
         (action != "--shutdown" && action != "--stats" &&
@@ -1066,16 +1039,9 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
-  } catch (const mrlr::graph::ParseError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  } catch (const mrlr::graph::GeneratorError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
   } catch (const std::exception& e) {
-    // std::stoull/std::stod on malformed flag values, allocation
-    // failures, and engine-level exceptions all land here: one-line
-    // message and exit 2, never std::terminate.
+    // ParseError, GeneratorError, allocation failures and engine-level
+    // exceptions: one-line message and exit 2, never std::terminate.
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }

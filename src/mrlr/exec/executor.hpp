@@ -26,7 +26,7 @@ namespace mrlr::exec {
 /// Worker side: the peer record bucket `sender` shard sent this worker
 /// in the job's `generation`-th registered round (counted from 1 by
 /// both ends: the engine per invoked round, a worker per round control;
-/// unlike round indices, generations never repeat).
+/// central rounds, which never reach a worker, are not counted).
 using PeerBucketFn = std::function<std::span<const std::byte>(
     std::uint32_t sender, std::uint64_t generation)>;
 
@@ -43,10 +43,10 @@ using PeerBucketFn = std::function<std::span<const std::byte>(
 /// every direction. Each round:
 ///   1. the coordinator ships worker B its round input
 ///      (serialize_round_input): its machines' inbox totals, the
-///      coordinator's records for them, and which rounds' peer buckets
-///      complete its inbox (named by generation, see PeerBucketFn). B
-///      gathers those buckets
-///      (peer_generations) and assembles its inbox (apply_round_input);
+///      coordinator's records for them, and which round's peer buckets
+///      complete its inbox (one generation, see PeerBucketFn; none when
+///      a central round ran last). B gathers those buckets
+///      (peer_generation) and assembles its inbox (apply_round_input);
 ///   2. every shard runs its machines; the coordinator then encodes
 ///      shard 0's sends bound for other shards onto their streams
 ///      (route_local_sends);
@@ -58,9 +58,10 @@ using PeerBucketFn = std::function<std::span<const std::byte>(
 ///      into its staging arenas and adds the totals to the next inputs
 ///      (apply_machines), in shard order;
 ///   4. the engine's ordinary id-ordered merge, audit and delivery run
-///      over shard 0's destinations. Whether the round delivered
-///      decides which generations the next inputs name: this round's,
-///      or — after a SpaceLimitExceeded — the pending ones as well.
+///      over shard 0's destinations, and the next inputs name this
+///      round's generation. A round that throws at any step ends the
+///      job: the engine never calls the executor again, except for
+///      end_job, so no input ever has to carry a failed round's traffic.
 class ShardJobPlane {
  public:
   virtual ~ShardJobPlane() = default;
@@ -81,14 +82,11 @@ class ShardJobPlane {
       std::uint32_t shard, std::vector<std::byte>& out,
       std::vector<std::span<const std::byte>>& stream) = 0;
 
-  /// Worker side, before apply_round_input: the generations whose peer
-  /// buckets the round input `bytes` names, and the first generation
-  /// the worker must keep once the input is installed (older buckets
-  /// are dead then). Throws TransportError(kBadPayload) on malformed
-  /// bytes.
-  virtual void peer_generations(std::span<const std::byte> bytes,
-                                std::vector<std::uint64_t>& generations,
-                                std::uint64_t& keep_from) const = 0;
+  /// Worker side, before apply_round_input: the generation whose peer
+  /// buckets the round input `bytes` names, 0 for none. Throws
+  /// TransportError(kBadPayload) on malformed bytes.
+  virtual std::uint64_t peer_generation(
+      std::span<const std::byte> bytes) const = 0;
 
   /// Worker side: installs the round input of the own shard — `bytes`
   /// plus the peer buckets it names, read through `buckets` — and

@@ -108,7 +108,6 @@ void ProcessShardExecutor::start_job(std::uint64_t num_machines,
                "process-shard: start_job while a job is active");
   MRLR_REQUIRE(plane != nullptr, "process-shard: job needs a data plane");
   job_active_ = true;
-  job_failed_ = false;
   const unsigned shards = static_cast<unsigned>(std::min<std::uint64_t>(
       num_shards_, std::max<std::uint64_t>(num_machines, 1)));
   local_range_ = {0, num_machines};
@@ -284,16 +283,6 @@ void ProcessShardExecutor::run_job_round(std::uint64_t round_index,
   // the same round index as the coordinator's.
   const std::uint64_t sequence = round_index + 1;
   last_sequence_ = sequence;
-  if (job_failed_) {
-    // Reconnect refusal: a respawned worker could not reconstruct the
-    // dead worker's resident state mid-job, so once a job failed every
-    // further round fails typed instead of silently recomputing.
-    throw WorkerError(failed_shard_, sequence,
-                      "process-shard: shard " +
-                          std::to_string(failed_shard_) +
-                          " already failed this job; refusing to run "
-                          "further rounds (restart the job)");
-  }
   if (workers_.empty()) {
     run_machines(local_range_.first, local_range_.second, fn);
     return;
@@ -523,8 +512,6 @@ std::string ProcessShardExecutor::reap_workers(
 void ProcessShardExecutor::fail_job(std::uint32_t shard,
                                     std::uint64_t sequence,
                                     const std::string& what) {
-  job_failed_ = true;
-  failed_shard_ = shard;
   const std::string failed_exit =
       reap_workers(shard, std::chrono::milliseconds(1000));
   throw WorkerError(shard, sequence,
@@ -551,7 +538,6 @@ void ProcessShardExecutor::end_job() {
   // before rebuilding it, keeping forks free of live pool threads.
   local_pool_.reset();
   job_active_ = false;
-  job_failed_ = false;
   local_range_ = {0, 0};
 }
 

@@ -26,7 +26,7 @@
 //     frame carrying the round id, the invoke parameters, and the
 //     worker's round input (ShardJobPlane::serialize_round_input): its
 //     machines' inbox totals, the coordinator's records for them, and
-//     which rounds' peer buckets complete the inbox. The worker runs
+//     which round's peer buckets complete the inbox. The worker runs
 //     its machines against its own resident copy of that range's
 //     state, keeps its own-shard bucket, sends every other worker its
 //     bucket directly, and ships the coordinator its accounting, totals
@@ -56,13 +56,13 @@
 //
 //   * Failure is loud, never a hang: a worker that exits early, is
 //     killed, or ships malformed bytes surfaces as a typed WorkerError
-//     or TransportError naming the shard and round, the job is marked
-//     failed, and every further round refuses to run (no mid-job
+//     or TransportError naming the shard and round, with every worker
+//     reaped. A callback that throws inside a worker is rethrown in the
+//     coordinator as ShardCallbackError after the barrier (lowest
+//     machine id wins, matching the Executor contract). Either way the
+//     engine refuses every further round of the job (no mid-job
 //     reconnect — a respawned worker could not reconstruct the dead
-//     worker's resident state). A callback that throws inside a worker
-//     is rethrown in the coordinator as ShardCallbackError after the
-//     barrier (lowest machine id wins, matching the Executor
-//     contract).
+//     worker's resident state) and only calls end_job.
 //
 // Plain run_machines has no job plane and so nothing to exchange:
 // machines run in the coordinator, with SerialExecutor semantics.
@@ -137,10 +137,10 @@ class ProcessShardExecutor final : public Executor {
   /// only show the worker is alive.
   void take_frame(std::size_t channel, Frame& f);
 
-  /// Marks the job failed, closes every channel (so a worker stuck
-  /// writing dies with EPIPE instead of blocking waitpid), reaps every
-  /// worker, and throws WorkerError naming `shard` with the failed
-  /// worker's exit description appended.
+  /// Closes every channel (so a worker stuck writing dies with EPIPE
+  /// instead of blocking waitpid), reaps every worker, and throws
+  /// WorkerError naming `shard` with the failed worker's exit
+  /// description appended.
   [[noreturn]] void fail_job(std::uint32_t shard, std::uint64_t sequence,
                              const std::string& what);
 
@@ -166,8 +166,6 @@ class ProcessShardExecutor final : public Executor {
   std::unique_ptr<ThreadPoolExecutor> local_pool_;
   std::pair<std::uint64_t, std::uint64_t> local_range_{0, 0};
   bool job_active_ = false;
-  bool job_failed_ = false;
-  std::uint32_t failed_shard_ = 0;
   // Telemetry enablement captured at spawn: workers inherit the flag at
   // fork, so the frame protocol (telemetry frame present or not) is
   // decided once per job and both ends always agree, even if the

@@ -210,6 +210,8 @@ std::uint64_t frame_checksum_parts(
   std::size_t fill = 0;
   std::uint64_t size = 0;
   for (std::span<const std::byte> part : parts) {
+    // An empty part may have a null data(), which memcpy must not see.
+    if (part.empty()) continue;
     size += part.size();
     if (fill > 0) {
       const std::size_t take = std::min(part.size(), sizeof(carry) - fill);

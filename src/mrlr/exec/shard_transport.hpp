@@ -15,7 +15,7 @@
 //
 //       offset  size  field
 //       0       4     magic     0x3146534D ("MSF1")
-//       4       2     version   5 (kFrameVersion)
+//       4       2     version   6 (kFrameVersion)
 //       6       2     kind      FrameKind
 //       8       4     shard     sender shard index
 //       12      4     reserved  must be zero
@@ -164,6 +164,9 @@ std::pair<FdChannel, FdChannel> make_socketpair_channel();
 // ------------------------------------------------------------ frames --
 
 inline constexpr std::uint32_t kFrameMagic = 0x3146534Du;  // "MSF1"
+/// Version 6 shrinks kRoundControl's round input to one peer-bucket
+/// generation, the per-machine totals and the coordinator's records,
+/// and always carries the shard-local thread count in kJobSetup.
 /// Version 5 delivers worker-to-worker records straight to their
 /// destination: kShardData carries only what the coordinator needs
 /// (accounting slots, per-destination totals, bucket lengths and the
@@ -179,7 +182,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x3146534Du;  // "MSF1"
 /// bootstrap (machine range, round-label table, optional job spec). An
 /// older peer is refused during the handshake with a typed kBadVersion
 /// naming both versions, instead of failing every frame's checksum.
-inline constexpr std::uint16_t kFrameVersion = 5;
+inline constexpr std::uint16_t kFrameVersion = 6;
 
 /// Sanity cap on a single frame payload (1 TiB of words is far beyond
 /// any simulated round): an adversarial or corrupt length field fails

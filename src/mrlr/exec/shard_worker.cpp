@@ -23,6 +23,7 @@
 #include "mrlr/exec/serial_executor.hpp"
 #include "mrlr/exec/thread_pool_executor.hpp"
 #include "mrlr/obs/telemetry.hpp"
+#include "mrlr/util/require.hpp"
 
 namespace mrlr::exec {
 
@@ -40,16 +41,12 @@ using wire::append_u64;
 
 std::vector<std::byte> encode_bootstrap(const JobBootstrap& b) {
   std::vector<std::byte> out;
-  // The thread count trails the spec and rides behind its own flag bit
-  // so serial jobs keep the exact pre-composition encoding (see
-  // kBootstrapThreads in the header for the compat story).
-  std::uint64_t flags = b.flags & ~kBootstrapThreads;
-  if (b.threads > 1) flags |= kBootstrapThreads;
   append_u64(out, b.first);
   append_u64(out, b.last);
   append_u64(out, b.machines);
-  append_u64(out, flags);
+  append_u64(out, b.flags);
   append_u64(out, b.nonce);
+  append_u64(out, b.threads);
   append_u64(out, b.shard_ranges.size());
   for (const auto& [first, last] : b.shard_ranges) {
     append_u64(out, first);
@@ -59,7 +56,6 @@ std::vector<std::byte> encode_bootstrap(const JobBootstrap& b) {
   for (const std::string& label : b.round_labels) append_string(out, label);
   append_u64(out, b.job_spec.size());
   append_bytes(out, b.job_spec.data(), b.job_spec.size());
-  if (b.threads > 1) append_u64(out, b.threads);
   return out;
 }
 
@@ -71,14 +67,18 @@ JobBootstrap decode_bootstrap(std::span<const std::byte> bytes) {
   b.machines = r.u64("machine count");
   b.flags = r.u64("flags");
   b.nonce = r.u64("nonce");
-  constexpr std::uint64_t kKnownFlags = kBootstrapCarriesSpec |
-                                       kBootstrapTelemetry |
-                                       kBootstrapThreads | kBootstrapPeerMesh;
+  b.threads = r.u64("thread count");
+  constexpr std::uint64_t kKnownFlags =
+      kBootstrapCarriesSpec | kBootstrapTelemetry | kBootstrapPeerMesh;
   if ((b.flags & ~kKnownFlags) != 0) {
     char hex[24];
     std::snprintf(hex, sizeof(hex), "0x%llx",
                   static_cast<unsigned long long>(b.flags & ~kKnownFlags));
     r.fail(std::string("unknown flag bits ") + hex);
+  }
+  if (b.threads < 1 || b.threads > 1024) {
+    r.fail("thread count " + std::to_string(b.threads) +
+           " is outside [1, 1024]");
   }
   if (b.first > b.last || b.last > b.machines) {
     r.fail("machine range [" + std::to_string(b.first) + ", " +
@@ -136,17 +136,6 @@ JobBootstrap decode_bootstrap(std::span<const std::byte> bytes) {
   const std::uint64_t spec_len = r.u64("job spec");
   const std::span<const std::byte> spec = r.bytes(spec_len, "job spec");
   b.job_spec.assign(spec.begin(), spec.end());
-  if ((b.flags & kBootstrapThreads) != 0) {
-    b.threads = r.u64("thread count");
-    if (b.threads < 2) {
-      r.fail("thread count " + std::to_string(b.threads) +
-             " under the threads flag (serial jobs omit the field)");
-    }
-    if (b.threads > 1024) {
-      r.fail("thread count " + std::to_string(b.threads) +
-             " exceeds the 1024-thread cap");
-    }
-  }
   r.done("the last field");
   if (!b.job_spec.empty() && (b.flags & kBootstrapCarriesSpec) == 0) {
     r.fail("a job spec is attached but the carries-spec flag is clear");
@@ -485,26 +474,20 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
   // Per-round scratch, kept across rounds for its capacity. Declared
   // before the compute thread, which reads them while a round runs.
   std::vector<std::uint64_t> params;
-  std::vector<std::uint64_t> generations;
-  std::vector<std::pair<std::pair<std::uint64_t, std::uint32_t>,
-                        std::span<const std::byte>>>
-      inbox;
+  std::uint64_t named = 0;  // the generation the current input names
+  std::vector<std::span<const std::byte>> inbox(shards);  // by sender
   std::vector<std::vector<std::byte>> parts;
   std::vector<std::byte> prefix(8 * shards);
   std::uint64_t round_id = 0;
   std::uint64_t error_machine = 0;
   bool failed = false;
   std::string error_what;
+  // The plane asks for the generation it read from the same input.
   const PeerBucketFn bucket = [&](std::uint32_t sender,
-                                  std::uint64_t generation) {
-    for (const auto& [key, bytes] : inbox) {
-      if (key.first == generation && key.second == sender) return bytes;
-    }
-    throw TransportError(TransportError::Kind::kBadPayload,
-                         control_context +
-                             ": names a peer bucket of generation " +
-                             std::to_string(generation) +
-                             " this worker does not hold");
+                                  [[maybe_unused]] std::uint64_t g) {
+    MRLR_DEBUG_REQUIRE(g == named && sender > 0 && sender < shards,
+                       "the plane asked for a bucket its input did not name");
+    return inbox[sender];
   };
   ComputeThread compute;
   pump.wake_on(compute.wake_fd());
@@ -527,40 +510,33 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
     for (std::uint64_t& param : params) param = r.u64("parameters");
     const std::span<const std::byte> input = r.rest();
 
-    // The inbox needs the buckets of the rounds the input names, from
-    // every worker shard (this one's own bucket is already held).
-    std::uint64_t keep_from = 0;
-    plane.peer_generations(input, generations, keep_from);
-    for (const std::uint64_t g : generations) {
-      if (g < floor || g >= generation || !held.has(g, shard)) {
-        throw TransportError(TransportError::Kind::kBadPayload,
-                             control_context +
-                                 ": names the buckets of generation " +
-                                 std::to_string(g) +
-                                 ", which this worker does not hold");
-      }
+    // The inbox needs the buckets of the round the input names, the
+    // previous one this worker served, from every worker shard (this
+    // one's own bucket is already held).
+    named = plane.peer_generation(input);
+    if (named != 0 && named + 1 != generation) {
+      throw TransportError(TransportError::Kind::kBadPayload,
+                           control_context + ": names the buckets of "
+                           "generation " + std::to_string(named) +
+                           ", which this worker does not hold");
     }
     pump.run([&] {
-      for (const std::uint64_t g : generations) {
-        for (std::uint32_t s = 1; s < shards; ++s) {
-          if (held.has(g, s)) continue;
-          if (route[s] != 0 && pump.closed(route[s])) {
-            throw TransportError(
-                TransportError::Kind::kTruncated,
-                "worker shard " + std::to_string(shard) + ": shard " +
-                    std::to_string(s) + " closed its channel before its "
-                    "bucket of generation " + std::to_string(g) + " arrived");
-          }
-          return false;
+      for (std::uint32_t s = 1; named != 0 && s < shards; ++s) {
+        if (held.has(named, s)) continue;
+        if (route[s] != 0 && pump.closed(route[s])) {
+          throw TransportError(
+              TransportError::Kind::kTruncated,
+              "worker shard " + std::to_string(shard) + ": shard " +
+                  std::to_string(s) + " closed its channel before its "
+                  "bucket of generation " + std::to_string(named) +
+                  " arrived");
         }
+        return false;
       }
       return true;
     });
-    inbox.clear();
-    for (const std::uint64_t g : generations) {
-      for (std::uint32_t s = 1; s < shards; ++s) {
-        inbox.push_back({{g, s}, held.get(g, s)});
-      }
+    for (std::uint32_t s = 1; named != 0 && s < shards; ++s) {
+      inbox[s] = held.get(named, s);
     }
 
     // The input is installed and the machines run on the compute
@@ -577,10 +553,10 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
         tel.record_span(obs::Phase::kShardApply, t0, tel.now_ns(), round_ix);
       }
     });
-    // Installed, the inbox's buckets are dead: their buffers take the
-    // buckets that arrive while the machines run.
-    held.drop_before(keep_from, shards);
-    floor = keep_from;
+    // Installed, every bucket older than this round is dead: their
+    // buffers take the buckets that arrive while the machines run.
+    held.drop_before(generation, shards);
+    floor = generation;
     compute_while_pumping([&] {
       std::uint64_t t0 = telemetry ? tel.now_ns() : 0;
       failed = false;

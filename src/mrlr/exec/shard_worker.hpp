@@ -17,10 +17,10 @@
 //     count or in any label refuses the job typed instead of invoking
 //     the wrong closure,
 //   * the job nonce and flags (telemetry on/off; whether a job spec is
-//     attached; whether a shard-local thread count follows),
-//   * optionally the shard-local thread count: each worker runs its
-//     machine range on a pool of that many threads (--threads composed
-//     with --shards), staying byte-identical because the coordinator's
+//     attached; whether a peer mesh follows the ack),
+//   * the shard-local thread count: each worker runs its machine range
+//     on a pool of that many threads (--threads composed with
+//     --shards), staying byte-identical because the coordinator's
 //     merge is id-ordered,
 //   * optionally an opaque job spec (jobs/job_spec.hpp): algorithm
 //     name, parameters, and the full serialized instance, from which a
@@ -52,12 +52,6 @@ namespace mrlr::exec {
 /// Flag bits of JobBootstrap::flags.
 inline constexpr std::uint64_t kBootstrapCarriesSpec = 1ull << 0;
 inline constexpr std::uint64_t kBootstrapTelemetry = 1ull << 1;
-/// A per-shard thread count > 1 trails the encoding. The field is
-/// gated behind this flag so a T=1 bootstrap is byte-identical to the
-/// pre-composition wire format: an old worker handed a T>1 job refuses
-/// it typed ("unknown flag bits"), and a new worker reading an old
-/// coordinator's bootstrap defaults to serial.
-inline constexpr std::uint64_t kBootstrapThreads = 1ull << 2;
 /// Fork workers only: after the ack, the coordinator hands the worker
 /// one socket per other worker shard (receive_peer_channels), over
 /// which the two exchange their record buckets directly. Without it a
@@ -73,8 +67,7 @@ struct JobBootstrap {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> shard_ranges;
   std::uint64_t flags = 0;
   std::uint64_t nonce = 0;     ///< job identity (duplicate-shard policy)
-  std::uint64_t threads = 1;   ///< shard-local pool size; on the wire
-                               ///< only when kBootstrapThreads is set
+  std::uint64_t threads = 1;   ///< shard-local pool size, 1..1024
   std::vector<std::string> round_labels;  ///< registration order
   std::vector<std::byte> job_spec;  ///< opaque jobs-layer payload;
                                     ///< meaningful iff

@@ -10,8 +10,6 @@
 
 #include <cstdint>
 
-#include "mrlr/util/math.hpp"
-
 namespace mrlr::mrc {
 
 using MachineId = std::uint32_t;
@@ -54,42 +52,6 @@ struct Topology {
   /// 0 or 1 = no sharding. Results stay byte-identical to the serial
   /// backend at any (K, T).
   std::uint64_t num_shards = 1;
-
-  /// Builds the paper's standard graph topology: M = ceil(n^{c-mu})
-  /// machines with slack * n^{1+mu} words each.
-  ///
-  /// `slack` absorbs the constants the paper hides in O(n^{1+mu}): the
-  /// sampling steps are only guaranteed to fit within a constant factor
-  /// of eta = n^{1+mu} (e.g. |U'| <= 6*eta in Algorithm 1).
-  static Topology for_graph_problem(std::uint64_t n, double c, double mu,
-                                    double slack = 16.0);
-
-  /// Topology for set cover with ground set size m and space m^{1+mu}
-  /// (Theorem 4.6 regime where m << n).
-  static Topology for_ground_set(std::uint64_t m, double c, double mu,
-                                 double slack = 16.0);
 };
-
-inline Topology Topology::for_graph_problem(std::uint64_t n, double c,
-                                            double mu, double slack) {
-  Topology t;
-  t.num_machines = ipow_real(n, c - mu, /*min_value=*/1);
-  const std::uint64_t eta = ipow_real(n, 1.0 + mu, /*min_value=*/1);
-  t.words_per_machine =
-      static_cast<std::uint64_t>(slack * static_cast<double>(eta)) + 64;
-  t.fanout = ipow_real(n, mu, /*min_value=*/2);
-  return t;
-}
-
-inline Topology Topology::for_ground_set(std::uint64_t m, double c, double mu,
-                                         double slack) {
-  Topology t;
-  t.num_machines = ipow_real(m, c - mu, /*min_value=*/1);
-  const std::uint64_t cap = ipow_real(m, 1.0 + mu, /*min_value=*/1);
-  t.words_per_machine =
-      static_cast<std::uint64_t>(slack * static_cast<double>(cap)) + 64;
-  t.fanout = ipow_real(m, mu, /*min_value=*/2);
-  return t;
-}
 
 }  // namespace mrlr::mrc

@@ -88,18 +88,6 @@ RoundId Engine::define_round(std::string label, RoundFn fn) {
   return static_cast<RoundId>(rounds_.size() - 1);
 }
 
-template <class Fn>
-void Engine::run_callback(MachineId m, Fn&& fn) {
-  try {
-    fn();
-  } catch (...) {
-    runs_[m].words.clear();
-    runs_[m].pieces.clear();
-    throw;
-  }
-  frame_runs(m);
-}
-
 void Engine::frame_runs(MachineId m) {
   Runs& r = runs_[m];
   if (r.pieces.empty()) return;
@@ -142,17 +130,38 @@ void Engine::frame_runs(MachineId m) {
   r.pieces.clear();
 }
 
+template <class Round>
+void Engine::run_guarded(std::string_view label, Round&& round) {
+  if (!failed_round_.empty()) {
+    throw std::logic_error("Engine: refusing round '" + std::string(label) +
+                           "': " + failed_round_ +
+                           " threw, which ended the job");
+  }
+  const std::uint64_t index = metrics_.rounds();
+  try {
+    round();
+  } catch (...) {
+    // Numbered from 1, as the process backend's errors number rounds.
+    failed_round_ = "round " + std::to_string(index + 1) + " ('" +
+                    std::string(label) + "')";
+    throw;
+  }
+}
+
 void Engine::invoke_round(RoundId round, std::span<const Word> params) {
   MRLR_REQUIRE(round < rounds_.size(), "invoke_round: undefined round id");
-  if (!job_started_) {
-    job_started_ = true;
-    executor_->start_job(topology_.num_machines, this);
-  }
-  round_body(rounds_[round].label, /*central_only=*/false, [&] {
-    ++job_rounds_;
-    executor_->run_job_round(
-        metrics_.rounds(), round, params, topology_.num_machines,
-        [&](std::uint64_t m) { run_registered(round, m, params); }, this);
+  const std::string& label = rounds_[round].label;
+  run_guarded(label, [&] {
+    if (!job_started_) {
+      job_started_ = true;
+      executor_->start_job(topology_.num_machines, this);
+    }
+    round_body(label, /*central_only=*/false, [&] {
+      ++job_rounds_;
+      executor_->run_job_round(
+          metrics_.rounds(), round, params, topology_.num_machines,
+          [&](std::uint64_t m) { run_registered(round, m, params); }, this);
+    });
   });
 }
 
@@ -164,9 +173,12 @@ void Engine::run_central_round(
     std::string_view label, const std::function<void(MachineContext&)>& fn) {
   // The central machine always lives in the coordinator and every other
   // machine would run a no-op, so there is nothing to dispatch or ship.
-  round_body(label, /*central_only=*/true, [&] {
-    MachineContext ctx(*this, kCentral);
-    run_callback(kCentral, [&] { fn(ctx); });
+  run_guarded(label, [&] {
+    round_body(label, /*central_only=*/true, [&] {
+      MachineContext ctx(*this, kCentral);
+      fn(ctx);
+      frame_runs(kCentral);
+    });
   });
 }
 
@@ -185,24 +197,7 @@ void Engine::round_body(std::string_view label, bool central_only,
   std::uint64_t t0 = round_start;
 
   const auto machines = static_cast<MachineId>(topology_.num_machines);
-  staged_mark_.resize(machines);
-  for (MachineId m = 0; m < machines; ++m) {
-    staged_mark_[m] = staging_[m].words.size();
-  }
-  if (routed()) {
-    stream_mark_.resize(next_stream_.size());
-    for (std::size_t b = 0; b < next_stream_.size(); ++b) {
-      stream_mark_[b] = next_stream_[b].mark();
-    }
-    count_mark_ = next_inbox_count_;
-    words_mark_ = next_inbox_words_;
-  }
-  try {
-    dispatch();
-  } catch (...) {
-    discard_round();
-    throw;
-  }
+  dispatch();
   if (telemetry) {
     tel.record_span(
         central_only ? obs::Phase::kCentral : obs::Phase::kCallback, t0,
@@ -230,11 +225,6 @@ void Engine::round_body(std::string_view label, bool central_only,
       next_frames_[f.to].push_back({s, f.offset, f.len});
       next_inbox_words_[f.to] += f.len;
     }
-    // Consumed before the audit can throw: if this round violates the
-    // cap, a subsequent round must not re-merge (and double-deliver)
-    // these frames. The payload words stay put — next_frames_ points
-    // into them, and delivery will move the slab wholesale next round.
-    staging_[s].frames.clear();
   }
   if (telemetry) {
     tel.record_span(obs::Phase::kArenaMerge, t0, tel.now_ns(), round_ix);
@@ -264,8 +254,7 @@ void Engine::round_body(std::string_view label, bool central_only,
   rm.space_violation = violated;
   metrics_.record(rm);
   if (violated && topology_.enforce) {
-    // Delivery is skipped: the staged frames stay pending and are
-    // delivered, once, at the end of the next round.
+    // Nothing is delivered: the throw ends the job.
     throw SpaceLimitExceeded(
         "machine " + std::to_string(offender) + " used " +
             std::to_string(offender_words) + " words in round '" +
@@ -301,31 +290,17 @@ void Engine::round_body(std::string_view label, bool central_only,
   }
   if (routed()) {
     stream_.swap(next_stream_);
-    for (Stream& st : next_stream_) st.clear();
+    for (Stream& st : next_stream_) {
+      st.records.clear();
+      st.generation = 0;
+    }
     inbox_count_.swap(next_inbox_count_);
     std::fill(next_inbox_count_.begin(), next_inbox_count_.end(), 0);
-    ++deliveries_;
   }
   if (telemetry) {
     tel.record_span(obs::Phase::kRound, round_start, tel.now_ns(), round_ix,
                     std::string(label));
   }
-}
-
-void Engine::discard_round() {
-  for (MachineId m = 0; m < num_machines(); ++m) {
-    staging_[m].frames.clear();
-    staging_[m].words.resize(staged_mark_[m]);
-    runs_[m].words.clear();
-    runs_[m].pieces.clear();
-    writer_open_[m] = 0;
-  }
-  if (!routed()) return;
-  for (std::size_t b = 0; b < next_stream_.size(); ++b) {
-    next_stream_[b].rewind(stream_mark_[b]);
-  }
-  next_inbox_count_.swap(count_mark_);
-  next_inbox_words_.swap(words_mark_);
 }
 
 void Engine::check_machine_id(MachineId m, const char* what) const {
@@ -454,25 +429,6 @@ std::uint64_t append_words(std::vector<Word>& words, const std::byte* payload,
 
 }  // namespace
 
-std::byte* Engine::Stream::append(std::uint64_t bytes) {
-  const std::uint64_t start = owned.size();
-  if (segments.empty() || segments.back().generation != 0) {
-    segments.push_back({start, 0});
-  }
-  owned.resize(start + bytes);
-  segments.back().end += bytes;
-  return owned.data() + start;
-}
-
-void Engine::Stream::add_generation(std::uint64_t generation) {
-  if (!segments.empty() && segments.back().generation == generation) return;
-  if (segments.empty() || segments.back().generation != 0) {
-    segments.push_back({owned.size(), generation});
-  } else {
-    segments.back().generation = generation;
-  }
-}
-
 void Engine::set_shards(std::span<const std::uint64_t> bounds,
                         std::uint32_t own) {
   const std::uint64_t machines = num_machines();
@@ -498,88 +454,39 @@ void Engine::set_shards(std::span<const std::uint64_t> bounds,
   local_end_ = bounds[1];
   stream_.assign(shards, {});
   next_stream_.assign(shards, {});
-  deliveries_ = 0;
-  installed_.assign(shards, ~std::uint64_t{0});
   inbox_count_.assign(machines, 0);
   next_inbox_count_.assign(machines, 0);
-  // Traffic already addressed to worker machines — delivered by central
-  // rounds before the job started, or pending after a space throw —
-  // moves onto their shards' streams.
-  adopt_worker_inboxes(inbox_frames_, slabs_, stream_, inbox_count_);
-  adopt_worker_inboxes(next_frames_, staging_, next_stream_,
-                       next_inbox_count_);
-}
-
-void Engine::adopt_worker_inboxes(
-    std::vector<std::vector<InboxFrame>>& frames,
-    const std::vector<Outbox>& arenas,
-    std::vector<Stream>& streams, std::vector<std::uint64_t>& counts) {
-  for (std::uint64_t m = local_end_; m < num_machines(); ++m) {
-    for (const InboxFrame& f : frames[m]) {
-      store_record(streams[shard_of_[m]].append(record_bytes(f.len)), f.from,
-                   m, arenas[f.from].words.data() + f.offset, f.len);
+  // Traffic that central rounds delivered to worker machines before the
+  // job started moves onto their shards' first inputs.
+  for (std::uint64_t m = local_end_; m < machines; ++m) {
+    for (const InboxFrame& f : inbox_frames_[m]) {
+      store_record(grow(stream_[shard_of_[m]].records, record_bytes(f.len)),
+                   f.from, m, slabs_[f.from].words.data() + f.offset, f.len);
     }
-    counts[m] = frames[m].size();
-    frames[m].clear();
+    inbox_count_[m] = inbox_frames_[m].size();
+    inbox_frames_[m].clear();
   }
 }
 
 void Engine::serialize_round_input(
     std::uint32_t shard, std::vector<std::byte>& out,
     std::vector<std::span<const std::byte>>& stream) {
-  // The generations still pending delivery must outlive this round on
-  // the worker; so must the one this round is about to send.
-  std::uint64_t keep_from = job_rounds_;
-  for (const Stream::Segment& seg : next_stream_[shard].segments) {
-    if (seg.generation != 0) {
-      keep_from = seg.generation;
-      break;
-    }
-  }
-  const bool reuse = installed_[shard] == deliveries_;
-  installed_[shard] = deliveries_;
-  if (reuse) {
-    std::byte* p = grow(out, 16);
-    p = store<std::uint64_t>(p, keep_from);
-    store<std::uint64_t>(p, 1);
-    return;
-  }
-  // The segment table, per machine of the shard its inbox frame count
+  // The peer generation, per machine of the shard its inbox frame count
   // and word total, then the coordinator's records.
   const std::uint64_t first = shard_bounds_[shard];
   const std::uint64_t last = shard_bounds_[shard + 1];
   const Stream& st = stream_[shard];
-  std::byte* p =
-      grow(out, 24 + 16 * st.segments.size() + 16 * (last - first));
-  p = store<std::uint64_t>(p, keep_from);
-  p = store<std::uint64_t>(p, 0);
-  p = store<std::uint64_t>(p, st.segments.size());
-  std::uint64_t start = 0;
-  for (const Stream::Segment& seg : st.segments) {
-    p = store<std::uint64_t>(p, seg.end - start);
-    p = store<std::uint64_t>(p, seg.generation);
-    start = seg.end;
-  }
+  std::byte* p = grow(out, 8 + 16 * (last - first));
+  p = store<std::uint64_t>(p, st.generation);
   for (std::uint64_t m = first; m < last; ++m) {
     p = store<std::uint64_t>(p, inbox_count_[m]);
     p = store<std::uint64_t>(p, inbox_words_[m]);
   }
-  if (!st.owned.empty()) stream.emplace_back(st.owned);
+  if (!st.records.empty()) stream.emplace_back(st.records);
 }
 
-void Engine::peer_generations(std::span<const std::byte> bytes,
-                              std::vector<std::uint64_t>& generations,
-                              std::uint64_t& keep_from) const {
-  exec::wire::Reader r(bytes, kPayloadContext);
-  keep_from = r.u64("keep generation");
-  generations.clear();
-  if (r.flag("reuse flag")) return;
-  const std::uint64_t segments = r.count("segment count", 16);
-  for (std::uint64_t i = 0; i < segments; ++i) {
-    (void)r.u64("segment bytes");
-    const std::uint64_t generation = r.u64("segment generation");
-    if (generation != 0) generations.push_back(generation);
-  }
+std::uint64_t Engine::peer_generation(std::span<const std::byte> bytes) const {
+  return exec::wire::Reader(bytes, kPayloadContext).u64("peer generation");
 }
 
 void Engine::apply_round_input(std::span<const std::byte> bytes,
@@ -593,14 +500,6 @@ void Engine::apply_round_input(std::span<const std::byte> bytes,
     resident_words_[m] = 0;
     writer_open_[m] = 0;
   }
-  exec::wire::Reader r(bytes, kPayloadContext);
-  (void)r.u64("keep generation");
-  if (r.flag("reuse flag")) {
-    // Nothing was delivered since the last input: the inbox this worker
-    // installed then is still the one its machines read.
-    r.done("the reuse flag");
-    return;
-  }
   // Only machines [first, last) run here and their inboxes are rebuilt
   // below, so every slab and inbox index from the previous input is
   // stale — clear them all (capacity is kept, so steady-state rounds
@@ -612,29 +511,11 @@ void Engine::apply_round_input(std::span<const std::byte> bytes,
   for (std::vector<InboxFrame>& f : inbox_frames_) f.clear();
   std::fill(inbox_words_.begin(), inbox_words_.end(), 0);
 
-  const std::uint64_t segments = r.count("segment count", 16);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> table(segments);
-  for (auto& [size, generation] : table) {
-    size = r.u64("segment bytes");
-    generation = r.u64("segment generation");
-  }
+  exec::wire::Reader r(bytes, kPayloadContext);
+  const std::uint64_t generation = r.u64("peer generation");
   for (std::uint64_t m = first; m < last; ++m) {
     route_frames_[m] = r.u64("inbox frame count");
     route_words_[m] = r.u64("inbox word total");
-  }
-  const std::span<const std::byte> stream = r.rest();
-  std::uint64_t owned = 0;
-  for (const auto& [size, generation] : table) {
-    if (size > stream.size() - owned) {
-      bad_payload("segments hold more coordinator bytes than the input's " +
-                  std::to_string(stream.size()));
-    }
-    owned += size;
-  }
-  if (owned != stream.size()) {
-    bad_payload("segments hold " + std::to_string(owned) +
-                " coordinator bytes, the input carries " +
-                std::to_string(stream.size()));
   }
   const auto install = [&](MachineId from, MachineId to,
                            const std::byte* payload, std::uint64_t len) {
@@ -642,20 +523,14 @@ void Engine::apply_round_input(std::span<const std::byte> bytes,
     inbox_frames_[to].push_back({from, offset, len});
     inbox_words_[to] += len;
   };
-  // Sender-id order: in each segment the coordinator's records (all
-  // from shard 0), then every worker shard's bucket in shard order.
+  // Sender-id order: the coordinator's records (all from shard 0),
+  // then every worker shard's bucket in shard order.
+  decode_records(r.rest(), 0, shard_bounds_[1], first, last, install);
   const std::size_t shards = shard_bounds_.size() - 1;
-  std::uint64_t at = 0;
-  for (const auto& [size, generation] : table) {
-    decode_records(stream.subspan(at, size), 0, shard_bounds_[1], first, last,
+  for (std::size_t b = 1; generation != 0 && b < shards; ++b) {
+    decode_records(buckets(static_cast<std::uint32_t>(b), generation),
+                   shard_bounds_[b], shard_bounds_[b + 1], first, last,
                    install);
-    at += size;
-    if (generation == 0) continue;
-    for (std::size_t b = 1; b < shards; ++b) {
-      decode_records(buckets(static_cast<std::uint32_t>(b), generation),
-                     shard_bounds_[b], shard_bounds_[b + 1], first, last,
-                     install);
-    }
   }
   for (std::uint64_t m = first; m < last; ++m) {
     if (inbox_frames_[m].size() != route_frames_[m] ||
@@ -738,7 +613,9 @@ void Engine::route_local_sends() {
   obs::count("engine.messages", routed_frames);
   std::vector<std::byte*> at(shards);
   for (std::size_t b = 1; b < shards; ++b) {
-    if (bytes[b] > 0) at[b] = next_stream_[b].append(bytes[b]);
+    MRLR_DEBUG_REQUIRE(next_stream_[b].generation == 0,
+                       "route_local_sends after a worker's data was applied");
+    if (bytes[b] > 0) at[b] = grow(next_stream_[b].records, bytes[b]);
   }
   // Routed frames leave the staging index, so the merge sees only
   // shard 0's destinations and a second call routes nothing twice.
@@ -840,9 +717,7 @@ void Engine::apply_machines(std::uint32_t shard,
                 std::to_string(sent));
   }
 
-  // Shard 0's bucket: decoded into the senders' staging arenas,
-  // appending — words a round whose audit threw left pending stay
-  // where next_frames_ points.
+  // Shard 0's bucket: decoded into the senders' staging arenas.
   decode_records(bucket0, first, last, 0, local_end_,
                  [&](MachineId from, MachineId to, const std::byte* payload,
                      std::uint64_t len) {
@@ -867,13 +742,13 @@ void Engine::apply_machines(std::uint32_t shard,
 
   // Every other bucket went straight to its destination worker, which
   // checks the records against the totals accumulated here. This
-  // round's buckets follow the records streamed to each worker so far.
+  // round's buckets follow shard 0's records in each worker's input.
   for (std::uint64_t d = local_end_; d < machines; ++d) {
     next_inbox_count_[d] += route_frames_[d];
     next_inbox_words_[d] += route_words_[d];
   }
   for (std::size_t b = 1; b < shards; ++b) {
-    next_stream_[b].add_generation(job_rounds_);
+    next_stream_[b].generation = job_rounds_;
   }
 }
 
@@ -882,7 +757,8 @@ void Engine::run_registered(std::uint64_t round_id, std::uint64_t machine,
   MRLR_REQUIRE(round_id < rounds_.size(),
                "run_registered: undefined round id");
   MachineContext ctx(*this, static_cast<MachineId>(machine));
-  run_callback(ctx.id(), [&] { rounds_[round_id].fn(ctx, params); });
+  rounds_[round_id].fn(ctx, params);
+  frame_runs(ctx.id());
 }
 
 }  // namespace mrlr::mrc

@@ -36,9 +36,13 @@
 // or because shards are contiguous id ranges assembled in shard order —
 // so traces, metrics, and SpaceLimitExceeded behavior are
 // byte-identical across backends, thread counts, and shard counts.
-// A round whose callbacks throw delivers nothing and is not recorded:
-// every machine's sends of that round are discarded on every backend,
-// so a driver that catches the error may run the round again.
+// A round that throws ends the job. Whatever threw — the space audit, a
+// machine's callback, the job start, a worker or the transport — the
+// engine delivers nothing more and refuses every later invoke_round and
+// run_central_round with a std::logic_error naming the round that
+// failed first; the destructor still ends the job and reaps every
+// worker. The paper's algorithms run a fixed schedule of rounds under a
+// hard space bound, so a run past a failed round models nothing.
 // Since the quantities the paper bounds are rounds and words (not
 // wall-clock), the backend is irrelevant to the measured results;
 // determinism makes every experiment replayable from its seed.
@@ -66,16 +70,14 @@
 // sending machine's run for a destination instead of framing a message
 // per call. When the callback returns, the engine frames each non-empty
 // run as one message, after that callback's plain sends and in ascending
-// destination order; a callback that throws delivers no part of its
-// runs. A receiver therefore sees one message per (sender, destination)
-// holding the appended words in append order, which is only the same
-// traffic to a receiver that parses its inbox as a flat run of
-// fixed-width records. Words, rounds and space accounting are those of
+// destination order. A receiver therefore sees one message per (sender,
+// destination) holding the appended words in append order, which is
+// only the same traffic to a receiver that parses its inbox as a flat
+// run of fixed-width records. Words, rounds and space accounting are those of
 // the equivalent plain sends; only the message count falls.
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <initializer_list>
 #include <iterator>
@@ -111,10 +113,10 @@ class MachineContext;
 
 /// Zero-copy batched message builder: words push straight into the
 /// sending machine's staging arena; the frame is committed when the
-/// writer is destroyed (or discarded entirely via cancel()). If the
-/// writer dies during exception unwind the partial message is rolled
-/// back, not committed — a half-built record must never become
-/// deliverable traffic. At most one writer per machine may be open at a
+/// writer is destroyed (or discarded entirely via cancel()). A writer
+/// that dies while its callback throws commits what it holds, but the
+/// throw ends the job (see the engine's header comment), so that frame
+/// is never delivered. At most one writer per machine may be open at a
 /// time, and MachineContext::send may not be called while one is open —
 /// frames must stay contiguous.
 class MessageWriter {
@@ -142,7 +144,6 @@ class MessageWriter {
   MachineId from_;
   MachineId to_;
   std::uint64_t begin_;
-  int uncaught_on_open_;
   bool done_ = false;
 };
 
@@ -224,9 +225,8 @@ class MachineContext {
   /// When the callback returns, each non-empty run becomes one message,
   /// framed after the callback's plain sends, in ascending destination
   /// order; boundaries between appends are not kept, so use it only
-  /// towards receivers that parse a flat run of fixed-width records. A
-  /// callback that throws delivers no part of its runs. One append is
-  /// capped at 2^32 - 1 words.
+  /// towards receivers that parse a flat run of fixed-width records.
+  /// One append is capped at 2^32 - 1 words.
   void send_coalesced(MachineId to, std::span<const Word> words);
   void send_coalesced(MachineId to, std::initializer_list<Word> words);
 
@@ -293,14 +293,16 @@ class Engine : private exec::ShardJobPlane {
   /// Execute one synchronous round of a registered callback. The first
   /// invocation starts the job on the executor (spawning persistent
   /// workers under the process backend). `params` is broadcast to every
-  /// machine's callback.
+  /// machine's callback. Throws std::logic_error, running nothing, once
+  /// an earlier round call on this engine threw.
   void invoke_round(RoundId round, std::span<const Word> params = {});
   void invoke_round(RoundId round, std::initializer_list<Word> params);
 
   /// Run a round in which only the central machine does work (the
   /// paper's blue lines). The central machine always lives in the
   /// coordinator, so `fn` may read and write any host state. Every other
-  /// machine's inbox is consumed without running code.
+  /// machine's inbox is consumed without running code. Refuses to run
+  /// after a failed round, as invoke_round does.
   void run_central_round(std::string_view label,
                          const std::function<void(MachineContext&)>& fn);
 
@@ -324,11 +326,9 @@ class Engine : private exec::ShardJobPlane {
   /// ShardJobPlane (see exec/executor.hpp for the round protocol). One
   /// record encoding (from, to, len as u32 lanes, then the payload
   /// words) carries messages in every direction:
-  ///   * kRoundControl for worker shard B: the first generation B must
-  ///     keep, and a reuse flag (set when nothing was delivered since
-  ///     B's last input: B keeps the inbox it installed); otherwise the
-  ///     segment table (per segment: coordinator bytes, then the
-  ///     generation whose peer buckets follow them, 0 for none), per
+  ///   * kRoundControl for worker shard B: the generation whose peer
+  ///     buckets follow the coordinator's records in B's inbox (0 for
+  ///     none: the last round was a central round, or the first), per
   ///     machine of B its inbox frame count and word total, and the
   ///     coordinator's records;
   ///   * kShardData from worker shard A: per machine of A, its outbox
@@ -350,9 +350,8 @@ class Engine : private exec::ShardJobPlane {
   void serialize_round_input(
       std::uint32_t shard, std::vector<std::byte>& out,
       std::vector<std::span<const std::byte>>& stream) override;
-  void peer_generations(std::span<const std::byte> bytes,
-                        std::vector<std::uint64_t>& generations,
-                        std::uint64_t& keep_from) const override;
+  std::uint64_t peer_generation(
+      std::span<const std::byte> bytes) const override;
   void apply_round_input(std::span<const std::byte> bytes,
                          const exec::PeerBucketFn& buckets) override;
   void serialize_machines(
@@ -372,25 +371,17 @@ class Engine : private exec::ShardJobPlane {
 
   void check_machine_id(MachineId m, const char* what) const;
 
-  /// Runs machine m's callback `fn`, then frames m's coalesced runs; if
-  /// `fn` throws, the runs are dropped and the exception propagates.
-  template <class Fn>
-  void run_callback(MachineId m, Fn&& fn);
+  /// Runs `round` (a whole round call, job start included) unless an
+  /// earlier round call threw; if `round` throws, records it as the
+  /// failed round and lets the exception propagate.
+  template <class Round>
+  void run_guarded(std::string_view label, Round&& round);
 
   /// The round skeleton shared by invoke_round and run_central_round:
   /// resets per-round scratch, runs `dispatch` (the callbacks), then
   /// merges staged frames, records metrics, audits space, and delivers.
-  /// If `dispatch` throws, the round is discarded (discard_round) and
-  /// the exception propagates.
   void round_body(std::string_view label, bool central_only,
                   const std::function<void()>& dispatch);
-
-  /// Undoes every send of the round whose dispatch threw, on every
-  /// machine: staged frames and runs, and (on a routed coordinator) the
-  /// records and peer-bucket generations it added to the worker
-  /// streams, back to the marks round_body took before dispatching.
-  /// Traffic pending from before the round stays pending.
-  void discard_round();
 
   /// One message in a sender's staging arena: destination plus the
   /// [offset, offset+len) extent in that arena's word buffer.
@@ -446,55 +437,16 @@ class Engine : private exec::ShardJobPlane {
   /// destinations at or above local_end_ live in workers.
   bool routed() const { return local_end_ < topology_.num_machines; }
 
-  /// A worker shard's record stream on the coordinator: records
-  /// encoded here (shard 0's sends, or inboxes adopted at set_shards)
-  /// in `owned`, and where the peer buckets of each round go between
-  /// them. Segment i is owned[segments[i-1].end, segments[i].end)
-  /// followed by the buckets every worker sent in generation
-  /// `generation` (0: none), in shard order.
+  /// A worker shard's round input on the coordinator: the records
+  /// encoded here (shard 0's sends, or inboxes adopted at set_shards),
+  /// then the peer buckets every worker sent it in generation
+  /// `generation` (0: none), in shard order. That order is sender-id
+  /// order, as every round routes shard 0's sends before it applies
+  /// any worker's data.
   struct Stream {
-    struct Segment {
-      std::uint64_t end;
-      std::uint64_t generation;
-    };
-    std::vector<std::byte> owned;
-    std::vector<Segment> segments;
-
-    /// Appends `bytes` owned bytes and returns where to write them.
-    std::byte* append(std::uint64_t bytes);
-    /// Places generation `generation`'s peer buckets after everything
-    /// appended so far (once per generation).
-    void add_generation(std::uint64_t generation);
-    void clear() {
-      owned.clear();
-      segments.clear();
-    }
-
-    /// How far the stream reached: rewind(mark()) drops whatever is
-    /// appended or placed after the mark was taken.
-    struct Mark {
-      std::uint64_t owned = 0;
-      std::size_t segments = 0;
-      Segment back{};
-    };
-    Mark mark() const {
-      return {owned.size(), segments.size(),
-              segments.empty() ? Segment{} : segments.back()};
-    }
-    void rewind(const Mark& m) {
-      owned.resize(m.owned);
-      segments.resize(m.segments);
-      if (!segments.empty()) segments.back() = m.back;
-    }
+    std::vector<std::byte> records;
+    std::uint64_t generation = 0;
   };
-
-  /// Coordinator, at set_shards: re-encodes the in-process inbox index
-  /// `frames` (words in `arenas`) of every worker machine as records on
-  /// `streams`, counting its messages in `counts`.
-  void adopt_worker_inboxes(std::vector<std::vector<InboxFrame>>& frames,
-                            const std::vector<Outbox>& arenas,
-                            std::vector<Stream>& streams,
-                            std::vector<std::uint64_t>& counts);
 
   Topology topology_;
   std::shared_ptr<exec::Executor> executor_;
@@ -508,10 +460,12 @@ class Engine : private exec::ShardJobPlane {
   };
   std::vector<Registered> rounds_;
   bool job_started_ = false;
+  // Empty until a round call throws; then it names that round, and
+  // every later round call throws std::logic_error carrying it.
+  std::string failed_round_;
   // Registered rounds run so far in the job. The process backend names
-  // a round's peer buckets by it (their generation); unlike the round
-  // index, it never repeats, even when a round throws before it is
-  // recorded.
+  // a round's peer buckets by it (their generation): a worker counts
+  // the round controls it serves, and sees no central round.
   std::uint64_t job_rounds_ = 0;
   // staging_[m] = machine m's outgoing arena for the current round; only
   // machine m's callback (its sends and writers) touches it, so sends
@@ -545,29 +499,14 @@ class Engine : private exec::ShardJobPlane {
   std::uint32_t own_shard_ = 0;
   std::vector<std::uint32_t> shard_of_;
   std::uint64_t local_end_ = 0;
-  // Coordinator: stream_[b] = worker shard b's records for this round,
-  // next_stream_[b] = those being collected for the next one. Records
-  // only append, so after a SpaceLimitExceeded the pending generation
-  // is delivered ahead of the next one, as next_frames_ is in-process.
+  // Coordinator: stream_[b] = worker shard b's input for this round,
+  // next_stream_[b] = the one being collected for the next.
   std::vector<Stream> stream_;
   std::vector<Stream> next_stream_;
-  // Coordinator: deliveries_ counts routed deliveries; installed_[b] is
-  // its value when worker shard b last received an input, so a round
-  // that follows no delivery tells the worker to keep its inbox.
-  std::uint64_t deliveries_ = 0;
-  std::vector<std::uint64_t> installed_;
   // Coordinator: message counts of worker machines, whose inbox index
   // lives in the worker (inbox_words_ covers every machine).
   std::vector<std::uint64_t> inbox_count_;
   std::vector<std::uint64_t> next_inbox_count_;
-  // Marks taken before each dispatch, for discard_round: the staged
-  // words per machine (words of a round whose audit threw stay there,
-  // pending) and, on a routed coordinator, the worker streams and the
-  // worker machines' pending totals.
-  std::vector<std::uint64_t> staged_mark_;
-  std::vector<Stream::Mark> stream_mark_;
-  std::vector<std::uint64_t> count_mark_;
-  std::vector<std::uint64_t> words_mark_;
   // Per-destination frame and word totals: built by serialize_machines,
   // read and checked by apply_machines and apply_round_input.
   std::vector<std::uint64_t> route_frames_;
@@ -633,18 +572,12 @@ inline void MachineContext::send_coalesced(MachineId to,
 inline MessageWriter::MessageWriter(Engine& engine, MachineId from,
                                     MachineId to)
     : engine_(&engine), from_(from), to_(to),
-      begin_(engine.staging_[from].words.size()),
-      uncaught_on_open_(std::uncaught_exceptions()) {
+      begin_(engine.staging_[from].words.size()) {
   engine.writer_open_[from] = 1;
 }
 
 inline MessageWriter::~MessageWriter() {
   if (done_) return;
-  if (std::uncaught_exceptions() > uncaught_on_open_) {
-    // Dying on the unwind path: roll the partial message back.
-    cancel();
-    return;
-  }
   Engine::Outbox& out = engine_->staging_[from_];
   const std::uint64_t len = out.words.size() - begin_;
   out.frames.push_back({to_, begin_, len});

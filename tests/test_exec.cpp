@@ -401,14 +401,15 @@ TEST(ProcessShardExecutor, KilledWorkerSurfacesTypedErrorNotHang) {
     EXPECT_NE(what.find("signal"), std::string::npos) << what;
   }
   // Reconnect refusal: the dead worker's resident mirrors are gone, so
-  // a respawned worker could not rejoin mid-job. Every further round on
-  // the failed job must fail typed instead of silently recomputing.
+  // a respawned worker could not rejoin mid-job. The engine refuses
+  // every further round of the failed job, naming the round that failed,
+  // instead of silently recomputing.
   try {
     e.invoke_round(r_doomed, {Word{0}});
-    FAIL() << "expected WorkerError (reconnect refusal)";
-  } catch (const exec::WorkerError& err) {
-    EXPECT_EQ(err.shard, 1u);
-    EXPECT_NE(std::string(err.what()).find("refusing"), std::string::npos)
+    FAIL() << "expected std::logic_error (reconnect refusal)";
+  } catch (const std::logic_error& err) {
+    EXPECT_NE(std::string(err.what()).find("round 2 ('doomed')"),
+              std::string::npos)
         << err.what();
   }
 }
@@ -725,12 +726,12 @@ class LoopbackShardExecutor final : public exec::Executor {
     }
     const std::span<const std::byte> input =
         std::span<const std::byte>(in).subspan(3);
-    std::vector<std::uint64_t> generations;
-    std::uint64_t keep_from = 0;
-    worker->peer_generations(input, generations, keep_from);
+    ++generation_;
+    named.push_back(worker->peer_generation(input));
     worker->apply_round_input(input, bucket());
+    // Installed, every bucket older than this round is dead.
     std::erase_if(held, [&](const auto& kv) {
-      return kv.first.first < keep_from;
+      return kv.first.first < generation_;
     });
     round_inputs.push_back(std::move(in));
     for (std::uint64_t m = 0; m < split_; ++m) fn(m);
@@ -743,7 +744,7 @@ class LoopbackShardExecutor final : public exec::Executor {
     std::vector<std::byte> out(std::begin(kPrefix), std::end(kPrefix));
     out.insert(out.end(), parts[0].begin(), parts[0].end());
     coordinator->apply_machines(1, std::span<const std::byte>(out).subspan(3));
-    held[{++generation_, 1}] = parts[1];
+    held[{generation_, 1}] = parts[1];
     shard_data.push_back(std::move(out));
   }
   std::string_view name() const override { return "loopback-shards"; }
@@ -765,6 +766,8 @@ class LoopbackShardExecutor final : public exec::Executor {
   exec::ShardJobPlane* coordinator = nullptr;
   exec::ShardJobPlane* worker;
   std::vector<std::vector<std::byte>> round_inputs;
+  /// The peer generation each round input named.
+  std::vector<std::uint64_t> named;
   std::vector<std::vector<std::byte>> shard_data;
   /// Buckets by (generation, sender shard).
   std::map<std::pair<std::uint64_t, std::uint32_t>, std::vector<std::byte>>
@@ -887,17 +890,17 @@ TEST(ShardWireLayout, RecordPayloadsMatchKnownBytes) {
                                    .record(2, 0, {41, 42})
                                    .bytes);
 
-  // kRoundControl for shard 1 before "read": keep round 2's buckets on;
-  // no reuse; one segment of 32 coordinator bytes followed by the
-  // buckets of round 1; machine 2's frame count and word total; then
-  // shard 0's own sends. Shard 1's bucket of round 1 completes the
-  // inbox in sender-id order.
+  // kRoundControl for shard 1 before "read": the buckets of round 1
+  // follow the coordinator's records; machine 2's frame count and word
+  // total; then shard 0's own sends. Shard 1's bucket of round 1
+  // completes the inbox in sender-id order.
   EXPECT_EQ(cap.round_inputs[1], Wire()
-                                     .lanes({2, 0, 1, 12 + 20, 1})
+                                     .lanes({1})
                                      .lanes({3, 2})
                                      .record(0, 2, {})
                                      .record(1, 2, {31})
                                      .bytes);
+  EXPECT_EQ(cap.named, (std::vector<std::uint64_t>{0, 1}));
   // Round 1's buckets were dropped once the "read" input was installed;
   // "read" sent nothing.
   ASSERT_EQ(cap.held.size(), 1u);
@@ -905,7 +908,7 @@ TEST(ShardWireLayout, RecordPayloadsMatchKnownBytes) {
 
   // Before the first round every inbox is empty; after "read" nothing
   // was sent.
-  EXPECT_EQ(cap.round_inputs[0], Wire().lanes({1, 0, 0, 0, 0}).bytes);
+  EXPECT_EQ(cap.round_inputs[0], Wire().lanes({0, 0, 0}).bytes);
   EXPECT_EQ(cap.shard_data[1],
             Wire().lanes({0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0}).bytes);
 
@@ -941,44 +944,36 @@ TEST(ShardWireLayout, WorkerRefusesMalformedRoundInput) {
       job.loop->worker->apply_round_input(bytes, job.loop->bucket());
     };
   };
-  // Keep round 2 on, no reuse, one segment of `size` coordinator bytes
-  // followed by the buckets of round `generation`, then machine 2's
-  // totals.
-  const auto head = [](std::uint64_t size, std::uint64_t generation,
+  // The buckets of round `generation` follow the coordinator's records;
+  // then machine 2's totals.
+  const auto head = [](std::uint64_t generation,
                        std::initializer_list<std::uint64_t> totals) {
     Wire w(false);
-    w.lanes({2, 0, 1, size, generation}).lanes(totals);
+    w.lanes({generation}).lanes(totals);
     return w;
   };
   // Shard 1 owns machine 2 only; the coordinator's records come from
   // shard 0's machines [0, 2).
-  expect_bad_payload(apply(head(20, 0, {1, 1}).record(0, 1, {7})),
+  expect_bad_payload(apply(head(0, {1, 1}).record(0, 1, {7})),
                      "record destination 1 outside [2, 3)");
-  expect_bad_payload(apply(head(20, 0, {1, 1}).record(2, 2, {7})),
+  expect_bad_payload(apply(head(0, {1, 1}).record(2, 2, {7})),
                      "record sender 2 outside [0, 2)");
-  expect_bad_payload(apply(head(20, 0, {1, 5}).header(0, 2, 5).lanes({7})),
+  expect_bad_payload(apply(head(0, {1, 5}).header(0, 2, 5).lanes({7})),
                      "record length 5 runs past the payload");
-  expect_bad_payload(apply(head(8, 0, {1, 1}).lanes({7})),
+  expect_bad_payload(apply(head(0, {1, 1}).lanes({7})),
                      "truncated record header");
   // Totals that disagree with the records, in frames and in words.
-  expect_bad_payload(apply(head(20, 0, {2, 1}).record(0, 2, {7})),
+  expect_bad_payload(apply(head(0, {2, 1}).record(0, 2, {7})),
                      "its totals say 2 of 1");
-  expect_bad_payload(apply(head(20, 0, {1, 2}).record(0, 2, {7})),
+  expect_bad_payload(apply(head(0, {1, 2}).record(0, 2, {7})),
                      "its totals say 1 of 2");
-  expect_bad_payload(apply(head(0, 0, {1})), "inbox word total");
-  // A segment table that does not match the coordinator bytes.
-  expect_bad_payload(apply(head(28, 0, {1, 1}).record(0, 2, {7})),
-                     "segments hold more coordinator bytes");
-  expect_bad_payload(apply(head(12, 0, {1, 1}).record(0, 2, {7})),
-                     "segments hold 12 coordinator bytes, the input "
-                     "carries 20");
+  expect_bad_payload(apply(head(0, {1})), "inbox word total");
+  expect_bad_payload(apply(Wire(false)), "peer generation");
   // Buckets of a round the worker does not hold (round 1's is held:
   // machine 2's record {43} to itself).
-  expect_bad_payload(apply(head(0, 5, {0, 0})), "no bucket held for round 5");
-  EXPECT_NO_THROW(apply(head(0, 1, {1, 1}))());
-  expect_bad_payload(apply(head(0, 1, {0, 0})), "its totals say 0 of 0");
-  // The reuse flag carries nothing after it.
-  expect_bad_payload(apply(Wire(false).lanes({2, 1, 0})), "reuse flag");
+  expect_bad_payload(apply(head(5, {0, 0})), "no bucket held for round 5");
+  EXPECT_NO_THROW(apply(head(1, {1, 1}))());
+  expect_bad_payload(apply(head(1, {0, 0})), "its totals say 0 of 0");
 }
 
 TEST(ShardWireLayout, CoordinatorRefusesMalformedShardData) {

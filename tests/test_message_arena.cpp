@@ -1,11 +1,12 @@
 // Tests for the flat-buffer message layer: the MessageWriter / send
 // arena encode paths, coalesced sends, span-view decode, slab move-merge
-// delivery, pending traffic after a failed space audit, and equality of
-// the two encode paths on adversarial workloads, across execution
-// backends.
+// delivery, the end of a job at a round that throws, and equality of the
+// two encode paths on adversarial workloads, across execution backends.
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <span>
@@ -13,6 +14,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "mrlr/exec/process_shard_executor.hpp"
 #include "mrlr/exec/serial_executor.hpp"
@@ -154,16 +157,16 @@ TEST(InboxView, RangeIndexAndCountsAgree) {
   e.invoke_round(check);
 }
 
-// ------------------------------------- pending traffic after a throw --
+// ----------------------------------------- a round that throws ends it --
 
-/// A backend the pending-traffic cases run on. Under the process
-/// backend the violating sender, machine 3 of 4, sits on a worker.
-struct PendingBackend {
+/// A backend the cases below run on. Under the process backend machine
+/// 3 of 4 sits on a worker and machine 0 in the coordinator.
+struct EngineBackend {
   const char* name;
   std::shared_ptr<exec::Executor> (*make)();
 };
 
-void PrintTo(const PendingBackend& backend, std::ostream* os) {
+void PrintTo(const EngineBackend& backend, std::ostream* os) {
   *os << backend.name;
 }
 
@@ -178,124 +181,144 @@ void record_inbox(const MachineContext& ctx, Transcript& out) {
   }
 }
 
-class PendingInbox : public ::testing::TestWithParam<PendingBackend> {
+class OnEachBackend : public ::testing::TestWithParam<EngineBackend> {
  protected:
   Engine make_engine(std::uint64_t cap) const {
     return Engine(topo(4, cap), GetParam().make());
   }
 };
 
-TEST_P(PendingInbox, StagedMessagesSurviveSpaceThrow) {
-  // The violating round's traffic is not delivered when the audit
-  // throws; it stays staged and arrives, intact, at the end of the next
-  // round.
-  Engine e = make_engine(/*cap=*/4);
-  const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
-    if (ctx.id() == 3) ctx.send(0, {1, 2, 3, 4, 5});
-  });
-  const RoundId idle = e.define_round("idle", [](MachineContext&, Params) {});
-  EXPECT_THROW(e.invoke_round(send), SpaceLimitExceeded);
-  EXPECT_EQ(e.inbox_size(0), 0u);  // not delivered by the failed round
-  e.invoke_round(idle);
-  EXPECT_EQ(e.inbox_size(0), 1u);
-  EXPECT_EQ(e.inbox_words(0), 5u);
-  // The 5-word inbox is over the cap: the callback still observes it
-  // (callbacks run before the audit), and then the audit throws.
-  Transcript got;
-  const auto read = [&](MachineContext& ctx) { record_inbox(ctx, got); };
-  EXPECT_THROW(e.run_central_round("read", read), SpaceLimitExceeded);
-  EXPECT_EQ(got, (Transcript{{3, 1, 2, 3, 4, 5}}));
+/// Round calls on an engine whose round `failed` threw: every later
+/// invoke_round and run_central_round throws std::logic_error naming
+/// it, and runs nothing.
+class FailedEngine : public OnEachBackend {
+ protected:
+  static void expect_refused(Engine& e, RoundId round,
+                             const std::string& failed) {
+    const auto expect_names_failed = [&](const std::function<void()>& call) {
+      try {
+        call();
+        ADD_FAILURE() << "a round ran after " << failed << " threw";
+      } catch (const std::logic_error& err) {
+        EXPECT_NE(std::string(err.what()).find(failed), std::string::npos)
+            << err.what();
+      }
+    };
+    const std::uint64_t rounds = e.metrics().rounds();
+    expect_names_failed([&] { e.invoke_round(round, {0}); });
+    expect_names_failed([&] {
+      e.run_central_round("central", [](MachineContext&) {
+        ADD_FAILURE() << "central round ran";
+      });
+    });
+    EXPECT_EQ(e.metrics().rounds(), rounds);
+  }
+
+  /// After the engine is gone no worker process of it is left, running
+  /// or unreaped.
+  static void expect_no_children() {
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+  }
+
+  /// A round in which every machine sends the central machine and
+  /// machine 2 a word each, plainly and coalesced; with parameter
+  /// `thrower` + 1, machine `thrower` then throws with a MessageWriter
+  /// open.
+  static RoundId define_sends(Engine& e) {
+    return e.define_round("send", [](MachineContext& ctx, Params ps) {
+      ctx.send(kCentral, {ctx.id()});
+      ctx.send_coalesced(2, {ctx.id()});
+      if (ps[0] == ctx.id() + 1) {
+        MessageWriter w = ctx.begin_message(2);
+        w.push(99);
+        throw std::runtime_error("machine " + std::to_string(ctx.id()));
+      }
+    });
+  }
+};
+
+TEST_P(FailedEngine, AuditThrow) {
+  {
+    Engine e = make_engine(/*cap=*/4);
+    const RoundId send = define_sends(e);
+    const RoundId violate =
+        e.define_round("violate", [](MachineContext& ctx, Params) {
+          if (ctx.id() == 3) ctx.send(0, {1, 2, 3, 4, 5});  // outbox 5 > 4
+        });
+    e.invoke_round(send, {0});
+    EXPECT_THROW(e.invoke_round(violate), SpaceLimitExceeded);
+    expect_refused(e, send, "round 2 ('violate')");
+  }
+  expect_no_children();
 }
 
-TEST_P(PendingInbox, NoDoubleDeliveryWhenEngineReusedAfterThrow) {
-  // Regression: staged frames must be consumed by the merge even when
-  // the audit throws, or the next round re-merges them and every
-  // message from the violating round arrives twice. Under the process
-  // backend the pending words must also survive the next round's data
-  // from the same worker.
-  Engine e = make_engine(/*cap=*/4);
-  const RoundId violate =
-      e.define_round("violate", [](MachineContext& ctx, Params) {
-        if (ctx.id() == 3) ctx.send(0, {1, 2, 3, 4, 5});  // outbox 5 > 4
-      });
-  const RoundId after =
-      e.define_round("after", [](MachineContext& ctx, Params) {
-        if (ctx.id() == 3) ctx.send(0, {9});
-      });
-  EXPECT_THROW(e.invoke_round(violate), SpaceLimitExceeded);
-  // Next round is legal (outbox 1 <= cap; the violating message was
-  // never delivered so machine 0's current inbox is still empty) and
-  // must deliver the pending message exactly once, ahead of the new
-  // traffic.
-  e.invoke_round(after);
-  EXPECT_EQ(e.inbox_size(0), 2u);
-  EXPECT_EQ(e.inbox_words(0), 6u);
-  // The delivered 6-word inbox now itself exceeds the cap: the central
-  // round observes it, and the audit then reports the violation.
-  Transcript got;
-  const auto read = [&](MachineContext& ctx) { record_inbox(ctx, got); };
-  EXPECT_THROW(e.run_central_round("read", read), SpaceLimitExceeded);
-  EXPECT_EQ(got, (Transcript{{3, 1, 2, 3, 4, 5}, {3, 9}}));
-}
-
-TEST_P(PendingInbox, GenerationsReachWorkerMachinesInOrder) {
-  // A resident-words violation leaves traffic pending towards the
-  // central machine and towards machine 2, a worker machine under the
-  // process backend, from the coordinator's shard and from workers.
-  // The next round's traffic is delivered behind it, each generation in
-  // sender-id order, exactly as the serial simulation does.
-  Engine e = make_engine(/*cap=*/16);
-  const RoundId violate =
-      e.define_round("violate", [](MachineContext& ctx, Params) {
-        if (ctx.id() == 0) ctx.send(2, {7});
-        if (ctx.id() == 3) {
-          ctx.send(0, {1, 2, 3});
-          ctx.send(2, {4, 5});
-          ctx.charge_resident(100);
-        }
-      });
-  const RoundId after =
-      e.define_round("after", [](MachineContext& ctx, Params) {
-        if (ctx.id() == 1) ctx.send(2, {11});
-        if (ctx.id() == 3) {
-          ctx.send(0, {9});
-          ctx.send(2, {10});
-        }
-      });
-  Transcript central;
-  const RoundId report =
-      e.define_round("report", [&central](MachineContext& ctx, Params) {
-        if (ctx.is_central()) record_inbox(ctx, central);
-        if (ctx.id() != 2) return;
-        // Machine 2 forwards what it read to the central machine.
-        Transcript read;
-        record_inbox(ctx, read);
-        for (const std::vector<Word>& entry : read) ctx.send(kCentral, entry);
-      });
-  EXPECT_THROW(e.invoke_round(violate), SpaceLimitExceeded);
-  EXPECT_EQ(e.inbox_size(0), 0u);
-  EXPECT_EQ(e.inbox_size(2), 0u);
-  e.invoke_round(after);
-  EXPECT_EQ(e.inbox_size(0), 2u);
-  EXPECT_EQ(e.inbox_words(0), 4u);
-  EXPECT_EQ(e.inbox_size(2), 4u);
-  EXPECT_EQ(e.inbox_words(2), 5u);
-  e.invoke_round(report);
-  Transcript forwarded;
-  e.run_central_round("collect", [&](MachineContext& ctx) {
-    for (const MessageView msg : ctx.messages()) {
-      forwarded.emplace_back(msg.payload.begin(), msg.payload.end());
+TEST_P(FailedEngine, CoordinatorCallbackThrow) {
+  {
+    Engine e = make_engine(/*cap=*/1 << 20);
+    const RoundId send = define_sends(e);
+    e.invoke_round(send, {0});
+    try {
+      e.invoke_round(send, {1});  // machine 0 throws
+      ADD_FAILURE() << "expected the callback's exception";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "machine 0");
     }
-  });
-  EXPECT_EQ(central, (Transcript{{3, 1, 2, 3}, {3, 9}}));
-  EXPECT_EQ(forwarded, (Transcript{{0, 7}, {3, 4, 5}, {1, 11}, {3, 10}}));
+    expect_refused(e, send, "round 2 ('send')");
+  }
+  expect_no_children();
 }
 
-TEST_P(PendingInbox, TrafficFromBeforeTheJobReachesWorkerMachines) {
+TEST_P(FailedEngine, WorkerCallbackThrow) {
+  // Under the process backend machine 3 throws in a worker, and the
+  // coordinator rethrows it as ShardCallbackError.
+  {
+    Engine e = make_engine(/*cap=*/1 << 20);
+    const RoundId send = define_sends(e);
+    e.invoke_round(send, {0});
+    e.run_central_round("drain", [](MachineContext&) {});
+    try {
+      e.invoke_round(send, {4});  // machine 3 throws
+      ADD_FAILURE() << "expected the callback's exception";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find("machine 3"), std::string::npos)
+          << err.what();
+    }
+    expect_refused(e, send, "round 3 ('send')");
+  }
+  expect_no_children();
+}
+
+TEST_P(FailedEngine, CentralRoundThrow) {
+  // Once after the job started, and once before it: the refused
+  // invoke_round then starts no job at all.
+  for (const bool started : {true, false}) {
+    {
+      Engine e = make_engine(/*cap=*/1 << 20);
+      const RoundId send = define_sends(e);
+      if (started) e.invoke_round(send, {0});
+      EXPECT_THROW(e.run_central_round("fail",
+                                       [](MachineContext& ctx) {
+                                         ctx.send_coalesced(1, {4});
+                                         throw std::runtime_error("central");
+                                       }),
+                   std::runtime_error);
+      expect_refused(e, send, started ? "round 2 ('fail')" : "round 1 ('fail')");
+    }
+    expect_no_children();
+  }
+}
+
+// --------------------------------------- traffic from before the job --
+
+class JobStart : public OnEachBackend {};
+
+TEST_P(JobStart, TrafficFromBeforeTheJobReachesWorkerMachines) {
   // Central rounds run before the first registered round starts the
-  // job: one delivers a message to machine 3, another leaves one for
-  // machine 2 pending. Under the process backend both must join the
-  // worker shards' streams when the job starts.
+  // job. The last one's deliveries, to machines 2 and 3, must join the
+  // worker shards' first inputs under the process backend; what the
+  // first one sent machine 3 was consumed by the second.
   Engine e = make_engine(/*cap=*/16);
   Transcript central;
   const RoundId report =
@@ -309,50 +332,49 @@ TEST_P(PendingInbox, TrafficFromBeforeTheJobReachesWorkerMachines) {
         for (const std::vector<Word>& entry : read) ctx.send(kCentral, entry);
       });
   e.run_central_round("greet",
-                      [](MachineContext& ctx) { ctx.send(3, {5}); });
-  EXPECT_THROW(e.run_central_round("violate",
-                                   [](MachineContext& ctx) {
-                                     ctx.send(2, {6});
-                                     ctx.charge_resident(100);
-                                   }),
-               SpaceLimitExceeded);
-  e.invoke_round(report);  // machine 3 forwards {5}; {6} reaches 2
+                      [](MachineContext& ctx) { ctx.send(3, {4}); });
+  e.run_central_round("greet again", [](MachineContext& ctx) {
+    ctx.send(3, {5});
+    ctx.send(2, {6});
+  });
   EXPECT_EQ(e.inbox_size(2), 1u);
-  e.invoke_round(report);  // machine 2 forwards {6}
+  EXPECT_EQ(e.inbox_size(3), 1u);
+  e.invoke_round(report);  // machines 2 and 3 forward what they read
   e.run_central_round("collect",
                       [&](MachineContext& ctx) { record_inbox(ctx, central); });
-  EXPECT_EQ(central, (Transcript{{3, 0, 5}, {2, 0, 6}}));
+  EXPECT_EQ(central, (Transcript{{2, 0, 6}, {3, 0, 5}}));
 }
 
 const auto kBackends = ::testing::Values(
-    PendingBackend{"serial",
-                   []() -> std::shared_ptr<exec::Executor> {
-                     return std::make_shared<exec::SerialExecutor>();
-                   }},
-    PendingBackend{"threads2",
-                   []() -> std::shared_ptr<exec::Executor> {
-                     return std::make_shared<exec::ThreadPoolExecutor>(2);
-                   }},
-    PendingBackend{"process2",
-                   []() -> std::shared_ptr<exec::Executor> {
-                     return std::make_shared<exec::ProcessShardExecutor>(2);
-                   }},
-    PendingBackend{"process3",
-                   []() -> std::shared_ptr<exec::Executor> {
-                     return std::make_shared<exec::ProcessShardExecutor>(3);
-                   }});
+    EngineBackend{"serial",
+                  []() -> std::shared_ptr<exec::Executor> {
+                    return std::make_shared<exec::SerialExecutor>();
+                  }},
+    EngineBackend{"threads2",
+                  []() -> std::shared_ptr<exec::Executor> {
+                    return std::make_shared<exec::ThreadPoolExecutor>(2);
+                  }},
+    EngineBackend{"process2",
+                  []() -> std::shared_ptr<exec::Executor> {
+                    return std::make_shared<exec::ProcessShardExecutor>(2);
+                  }},
+    EngineBackend{"process3",
+                  []() -> std::shared_ptr<exec::Executor> {
+                    return std::make_shared<exec::ProcessShardExecutor>(3);
+                  }});
 
-std::string backend_name(const ::testing::TestParamInfo<PendingBackend>& info) {
+std::string backend_name(const ::testing::TestParamInfo<EngineBackend>& info) {
   return info.param.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, PendingInbox, kBackends, backend_name);
+INSTANTIATE_TEST_SUITE_P(Backends, FailedEngine, kBackends, backend_name);
+INSTANTIATE_TEST_SUITE_P(Backends, JobStart, kBackends, backend_name);
 
 // ---------------------------------------------------- coalesced sends --
 
 /// The coalescing cases run on the same backends. The sender, machine 3
 /// of 4, sits on a worker under the process backend.
-class Coalesced : public PendingInbox {
+class Coalesced : public OnEachBackend {
  protected:
   /// Defines a round in which every machine reports its inbox, each
   /// message as (receiver, sender, payload...): the central machine into
@@ -430,99 +452,6 @@ TEST_P(Coalesced, CentralRoundRunsAreFramedToo) {
   collect(e, got);
   EXPECT_EQ(got, (Transcript{{0, 0, 0, 4}, {1, 0, 1, 5}, {2, 0, 2, 6},
                              {3, 0, 3, 7}}));
-}
-
-TEST_P(Coalesced, ThrowingCallbackDeliversNoPartOfItsRuns) {
-  Engine e = make_engine(/*cap=*/1 << 20);
-  const RoundId fail = e.define_round("fail", [](MachineContext& ctx, Params) {
-    if (ctx.id() != 3) return;
-    ctx.send_coalesced(0, {1, 2});
-    ctx.send_coalesced(2, {3});
-    throw std::runtime_error("callback failed");
-  });
-  const RoundId idle = e.define_round("idle", [](MachineContext&, Params) {});
-  EXPECT_THROW(e.invoke_round(fail), std::runtime_error);
-  EXPECT_THROW(e.run_central_round("fail",
-                                   [](MachineContext& ctx) {
-                                     ctx.send_coalesced(1, {4});
-                                     throw std::runtime_error("central");
-                                   }),
-               std::runtime_error);
-  e.invoke_round(idle);
-  for (MachineId m = 0; m < 4; ++m) {
-    EXPECT_EQ(e.inbox_size(m), 0u) << "machine " << m;
-  }
-  EXPECT_EQ(e.metrics().per_round().back().total_sent, 0u);
-}
-
-TEST_P(Coalesced, ThrownRoundDeliversNothingOnRetry) {
-  // Every machine sends the central machine and machine 3 one message
-  // each (even ids plainly, odd ids coalesced); with parameter 1,
-  // machine 3 then throws. The machines that returned normally staged
-  // their sends, and so did machine 3's plain send; none of it may
-  // reach an inbox, so the retry delivers exactly its own 4 + 4.
-  Engine e = make_engine(/*cap=*/1 << 20);
-  const RoundId send =
-      e.define_round("send", [](MachineContext& ctx, Params ps) {
-        for (const MachineId to : {kCentral, MachineId{3}}) {
-          if (ctx.id() % 2 == 0) {
-            ctx.send(to, {ctx.id()});
-          } else {
-            ctx.send_coalesced(to, {ctx.id()});
-          }
-        }
-        if (ctx.id() == 3 && ps[0] == 1) {
-          throw std::runtime_error("first try");
-        }
-      });
-  Transcript got;
-  const RoundId report = define_report(e, got);
-  EXPECT_THROW(e.invoke_round(send, {1}), std::runtime_error);
-  e.invoke_round(send, {0});
-  EXPECT_EQ(e.inbox_size(kCentral), 4u);
-  EXPECT_EQ(e.inbox_words(kCentral), 4u);
-  EXPECT_EQ(e.inbox_size(3), 4u);
-  EXPECT_EQ(e.metrics().per_round().back().total_sent, 8u);
-  e.invoke_round(report);
-  collect(e, got);
-  EXPECT_EQ(got, (Transcript{{0, 0, 0}, {0, 1, 1}, {0, 2, 2}, {0, 3, 3},
-                             {3, 0, 0}, {3, 1, 1}, {3, 2, 2}, {3, 3, 3}}));
-  e.invoke_round(report);
-  for (MachineId m = 0; m < 4; ++m) {
-    EXPECT_EQ(e.inbox_size(m), 0u) << "machine " << m;
-  }
-}
-
-TEST_P(Coalesced, RunOfAThrowingAuditIsDeliveredOnce) {
-  // A resident-words violation leaves the framed runs pending like any
-  // other staged message: they arrive once, ahead of the next round's.
-  Engine e = make_engine(/*cap=*/16);
-  const RoundId violate =
-      e.define_round("violate", [](MachineContext& ctx, Params) {
-        if (ctx.id() != 3) return;
-        ctx.send_coalesced(2, {1});
-        ctx.send_coalesced(0, {2});
-        ctx.send_coalesced(2, {3});
-        ctx.charge_resident(100);
-      });
-  const RoundId after =
-      e.define_round("after", [](MachineContext& ctx, Params) {
-        if (ctx.id() == 3) ctx.send_coalesced(2, {4});
-      });
-  Transcript got;
-  const RoundId report = define_report(e, got);
-  EXPECT_THROW(e.invoke_round(violate), SpaceLimitExceeded);
-  EXPECT_EQ(e.inbox_size(2), 0u);
-  e.invoke_round(after);
-  EXPECT_EQ(e.inbox_size(0), 1u);
-  EXPECT_EQ(e.inbox_size(2), 2u);
-  e.invoke_round(report);
-  collect(e, got);
-  EXPECT_EQ(got, (Transcript{{0, 3, 2}, {2, 3, 1, 3}, {2, 3, 4}}));
-  e.invoke_round(report);
-  for (MachineId m = 0; m < 4; ++m) {
-    EXPECT_EQ(e.inbox_size(m), 0u) << "machine " << m;
-  }
 }
 
 TEST_P(Coalesced, MessageCounterFallsWhileWordsStayEqual) {

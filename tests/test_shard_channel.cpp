@@ -262,14 +262,14 @@ TEST(Handshake, RoundTripAcceptsAndEchoes) {
 
 TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   // Regression pin for the version bump: a peer still speaking frame
-  // protocol version 4 (buckets relayed by the coordinator) must be
-  // refused by a version-5 build at the handshake, with both numbers in
-  // the error on BOTH sides of the wire, instead of misreading every
-  // data frame.
-  static_assert(kFrameVersion == 5,
+  // protocol version 5 (round inputs with a keep generation, a reuse
+  // flag and a segment table) must be refused by a version-6 build at
+  // the handshake, with both numbers in the error on BOTH sides of the
+  // wire, instead of misreading every data frame.
+  static_assert(kFrameVersion == 6,
                 "update the forged version below when bumping again");
   auto [a, b] = make_socketpair_channel();
-  const auto hello = forge_hello(/*version=*/4, /*shard=*/2, /*nonce=*/7);
+  const auto hello = forge_hello(/*version=*/5, /*shard=*/2, /*nonce=*/7);
   a.write_all(hello.data(), hello.size());
   try {
     (void)handshake_accept(b, nullptr);
@@ -277,8 +277,8 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
     EXPECT_NE(what.find("version 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 6"), std::string::npos) << what;
   }
   // The refusal ack reaches the stale connector before the drop: its
   // status decodes as a version mismatch and names the responder's
@@ -294,7 +294,7 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   std::uint16_t status = 0;
   std::memcpy(&acked_version, ack + 4, 2);
   std::memcpy(&status, ack + 6, 2);
-  EXPECT_EQ(acked_version, 5);
+  EXPECT_EQ(acked_version, 6);
   EXPECT_EQ(status,
             static_cast<std::uint16_t>(HandshakeStatus::kVersionMismatch));
 }
@@ -328,7 +328,7 @@ TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
     EXPECT_NE(what.find("version 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("version 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 6"), std::string::npos) << what;
   }
   responder.join();
 }
@@ -543,13 +543,19 @@ TEST(JobBootstrap, RefusesShardTablesThatAreNotOnePartition) {
   JobBootstrap flags = sample_bootstrap();
   flags.flags |= 1ull << 10;
   expect_bootstrap_refused(flags, "unknown flag bits 0x400");
+  for (const std::uint64_t count : {0ull, 1025ull}) {
+    JobBootstrap threads = sample_bootstrap();
+    threads.threads = count;
+    expect_bootstrap_refused(threads, "thread count " + std::to_string(count) +
+                                          " is outside [1, 1024]");
+  }
 }
 
 TEST(JobBootstrap, RefusesTruncatedShardTable) {
   std::vector<std::byte> bytes = encode_bootstrap(sample_bootstrap());
-  // The shard count sits after five u64 fields; a count no payload can
+  // The shard count sits after six u64 fields; a count no payload can
   // carry fails before any range is read.
-  put_u64(bytes.data() + 40, 1ull << 40);
+  put_u64(bytes.data() + 48, 1ull << 40);
   try {
     (void)decode_bootstrap(bytes);
     FAIL() << "accepted an oversized shard count";
@@ -569,9 +575,10 @@ class StubPlane final : public ShardJobPlane {
   void serialize_round_input(
       std::uint32_t, std::vector<std::byte>&,
       std::vector<std::span<const std::byte>>&) override {}
-  void peer_generations(std::span<const std::byte>,
-                        std::vector<std::uint64_t>&,
-                        std::uint64_t&) const override {}
+  std::uint64_t peer_generation(
+      std::span<const std::byte>) const override {
+    return 0;
+  }
   void apply_round_input(std::span<const std::byte>,
                          const PeerBucketFn&) override {}
   void serialize_machines(std::vector<std::vector<std::byte>>&) override {}

@@ -105,6 +105,18 @@ TEST(FrameChecksum, EveryLaneTailOrderAndLengthMatter) {
   EXPECT_NE(frame_checksum(longer), want);
 }
 
+TEST(FrameChecksum, PartsWithAnEmptyPartMatchTheConcatenation) {
+  // An empty part after a partial block: its data() is null, and the
+  // checksum must neither copy from it nor differ from the whole.
+  const std::vector<std::byte> whole = kat_payload();
+  const std::span<const std::byte> all(whole);
+  const std::span<const std::byte> parts[] = {all.first(5),
+                                              std::span<const std::byte>(),
+                                              all.subspan(5)};
+  ASSERT_EQ(parts[1].data(), nullptr);
+  EXPECT_EQ(frame_checksum_parts(parts), frame_checksum(whole));
+}
+
 TEST(FrameRoundTrip, EmptySmallAndLargePayloads) {
   for (const std::size_t size : {0u, 1u, 7u, 8u, 9u, 100000u}) {
     MemChannel ch;

@@ -10,6 +10,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +21,7 @@
 #include <unistd.h>
 
 #include "mrlr/core/params.hpp"
+#include "mrlr/exec/process_shard_executor.hpp"
 #include "mrlr/exec/shard_channel.hpp"
 #include "mrlr/exec/shard_transport.hpp"
 #include "mrlr/exec/shard_worker.hpp"
@@ -25,6 +29,7 @@
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/jobs/job_spec.hpp"
 #include "mrlr/jobs/worker.hpp"
+#include "mrlr/mrc/engine.hpp"
 #include "mrlr/obs/telemetry.hpp"
 #include "mrlr/setcover/generators.hpp"
 #include "mrlr/util/rng.hpp"
@@ -128,8 +133,7 @@ TEST(TcpExecutor, AllDriversByteIdenticalSerialVsTcp) {
 TEST(TcpExecutor, ComposedShardsThreadsByteIdenticalSerialVsTcp) {
   // --threads x --shards over real TCP workers: K=2 shards (one remote)
   // each running its machine range on a T=4 shard-local pool, with the
-  // thread count carried by the kBootstrapThreads field of the wire
-  // bootstrap. A representative driver subset — matching (weights),
+  // thread count carried by the wire bootstrap. A representative driver subset — matching (weights),
   // vertex-cover (per-vertex extras), set-cover-greedy (central
   // selection), colour-edge (grouped rounds) — must be byte-identical
   // to its serial run.
@@ -267,6 +271,48 @@ TEST(TcpExecutor, WorkerStoppedAfterBootstrapFailsTypedWithinTheBound) {
       << what;
   EXPECT_NE(what.find("sent nothing for 1500 ms"), std::string::npos) << what;
   EXPECT_LT(elapsed, std::chrono::seconds(8));
+}
+
+TEST(TcpExecutor, RoundAfterAFailedRoundIsRefused) {
+  // A TCP worker that accepts the job and then drops its connection in
+  // the first round: that round fails typed, and the engine refuses
+  // every later round, naming the round that failed.
+  exec::TcpListener listener("127.0.0.1", 0);
+  std::thread worker([&] {
+    try {
+      exec::TcpChannel ch = listener.accept_channel();
+      const exec::HandshakeHello h = exec::handshake_accept(ch, nullptr);
+      (void)exec::expect_frame(ch, exec::FrameKind::kJobSetup, h.shard, 0);
+      exec::send_bootstrap_ack(ch, h.shard, true, {});
+      (void)exec::read_frame(ch);  // the first round control
+      ch.close_now();
+    } catch (...) {
+    }
+  });
+  exec::ProcessBackendConfig cfg;
+  cfg.workers = {{"127.0.0.1", listener.port()}};
+  cfg.connect_timeout = std::chrono::milliseconds(2000);
+  cfg.job_spec = {std::byte{1}};  // never decoded: the worker is a stub
+  exec::ScopedProcessBackendConfig guard(std::move(cfg));
+  {
+    mrc::Topology t;
+    t.num_machines = 4;
+    mrc::Engine e(t, std::make_shared<exec::ProcessShardExecutor>(2));
+    const mrc::RoundId ping = e.define_round(
+        "ping", [](mrc::MachineContext& ctx, std::span<const mrc::Word>) {
+          ctx.send(mrc::kCentral, {ctx.id()});
+        });
+    EXPECT_THROW(e.invoke_round(ping), exec::WorkerError);
+    try {
+      e.invoke_round(ping);
+      FAIL() << "expected std::logic_error";
+    } catch (const std::logic_error& err) {
+      EXPECT_NE(std::string(err.what()).find("round 1 ('ping')"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+  worker.join();
 }
 
 TEST(TcpExecutor, MissingEndpointsRefusedUpFront) {

@@ -306,12 +306,11 @@ std::span<const std::byte> held_bucket(std::uint32_t sender,
   return bucket;
 }
 
-/// Shard 1's round input: keep round 2 on, one segment of shard 0's
-/// records followed by round 1's buckets; machine 2 holds three records
-/// of two words.
+/// Shard 1's round input: round 1's buckets follow shard 0's records;
+/// machine 2 holds three records of two words.
 Bytes round_input() {
   Bytes in;
-  for (const std::uint64_t v : {2, 0, 1, 12 + 20, 1, 3, 2}) put_u64(in, v);
+  for (const std::uint64_t v : {1, 3, 2}) put_u64(in, v);
   put_record(in, 0, 2, {});
   put_record(in, 1, 2, {31});
   return in;
@@ -386,14 +385,15 @@ TEST(WirePins, EncodersProduceKnownBytes) {
   EXPECT_EQ(pin(serve::encode_health_reply(sample_health())),
             0xA017A3C6EC192FDCull);
   EXPECT_EQ(pin(exec::encode_bootstrap(sample_bootstrap(1))),
-            0xB9ABA0CFBCA03BFDull);
+            0x45F2B7D1A9B9901Dull);
   EXPECT_EQ(pin(exec::encode_bootstrap(sample_bootstrap(4))),
-            0xDF248A044F89C3F2ull);
+            0xF17E64457C8A758Eull);
   EXPECT_EQ(pin(telemetry_window()), 0xBB138DB19B992706ull);
-  // Frame version 5: kShardData keeps only the shard-0 bucket, and
-  // every frame header carries the new version.
+  // Frame version 6: the bootstrap always carries the thread count, and
+  // every frame header carries the new version. kShardData keeps only
+  // the shard-0 bucket, as in version 5.
   EXPECT_EQ(pin(shard_data()), 0x5BA655FF044DC07Dull);
-  EXPECT_EQ(pin(status_frame()), 0xB3A4FC5C2EBC4E5Dull);
+  EXPECT_EQ(pin(status_frame()), 0x17BCE45BE25C2E15ull);
 }
 
 // ------------------------------------------------------------- fuzz --
@@ -661,9 +661,7 @@ TEST(WireFuzz, EngineDataPlane) {
   std::unique_ptr<PlaneUnderTest> plane;
   fuzz("round input", round_input(), 13,
        [&](std::span<const std::byte> in) {
-         std::vector<std::uint64_t> generations;
-         std::uint64_t keep_from = 0;
-         plane->plane->peer_generations(in, generations, keep_from);
+         (void)plane->plane->peer_generation(in);
          plane->plane->apply_round_input(in, held_bucket);
        },
        [&] { plane = std::make_unique<PlaneUnderTest>(1); });

@@ -8,7 +8,7 @@
 //            [--eps E] [--b B] [--dist uniform|exp|int|polarized]
 //            [--threads T] [--backend serial|threads|process]
 //            [--shards K] [--workers HOST:PORT,...]
-//            [--graph FILE] [--sets FILE] [--trace]
+//            [--graph FILE] [--sets FILE]
 //            [--telemetry-out FILE] [--telemetry-format jsonl|chrome]
 //   mrlr_cli worker --listen [HOST:]PORT [--max-jobs N]
 //   mrlr_cli serve --listen [HOST:]PORT [--budget-words W]
@@ -61,7 +61,7 @@
 //   mrlr_cli matching --n 5000 --c 0.4 --mu 0.2
 //   mrlr_cli gen gnm-density --n 100000 --c 0.5 --out big.mgb
 //   mrlr_cli convert --in big.mgb --out big.txt
-//   mrlr_cli colour-vertex --graph big.mgb --trace
+//   mrlr_cli colour-vertex --graph big.mgb
 
 #include <algorithm>
 #include <cstring>
@@ -111,7 +111,6 @@ struct Options {
   mrlr::graph::WeightDist dist = mrlr::graph::WeightDist::kUniform;
   std::optional<std::string> graph_file;
   std::optional<std::string> sets_file;
-  bool trace = false;
   std::string telemetry_out;  ///< empty = telemetry stays off
   mrlr::obs::ExportFormat telemetry_format = mrlr::obs::ExportFormat::kJsonl;
 };
@@ -192,7 +191,7 @@ void usage() {
          "[--seed S] [--eps E] [--b B] [--dist D] [--threads T] "
          "[--backend serial|threads|process] [--shards K] "
          "[--workers HOST:PORT,...] "
-         "[--graph FILE] [--sets FILE] [--trace] "
+         "[--graph FILE] [--sets FILE] "
          "[--telemetry-out FILE] [--telemetry-format jsonl|chrome]\n"
          "       mrlr_cli worker --listen [HOST:]PORT [--max-jobs N]\n"
          "       mrlr_cli serve --listen [HOST:]PORT [--budget-words W] "
@@ -324,8 +323,6 @@ std::optional<Options> parse(int argc, char** argv) {
       o.graph_file = f.value();
     } else if (flag == "--sets") {
       o.sets_file = f.value();
-    } else if (flag == "--trace") {
-      o.trace = true;
     } else if (flag == "--telemetry-out") {
       o.telemetry_out = f.value();
     } else if (flag == "--telemetry-format") {

@@ -12,6 +12,7 @@
 #include <iostream>
 #include <map>
 #include <span>
+#include <vector>
 
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/mrc/engine.hpp"
@@ -63,11 +64,12 @@ int main() {
         std::map<Word, Word> local;
         for (const auto& [vertex, d] : degree) ++local[d];
         ctx.charge_resident(2 * (degree.size() + local.size()));
-        mrc::MessageWriter out = ctx.begin_message(mrc::kCentral);
+        std::vector<Word> out;
         for (const auto& [d, count] : local) {
-          out.push(d);
-          out.push(count);
+          out.push_back(d);
+          out.push_back(count);
         }
+        ctx.send(mrc::kCentral, out);
       });
 
   engine.invoke_round(map);

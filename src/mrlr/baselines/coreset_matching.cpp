@@ -85,12 +85,13 @@ CoresetMatchingResult coreset_matching(const graph::Graph& g,
           if (part[e] == ctx.id()) mine.push_back(e);
         }
         const auto core = local_greedy(g, std::move(mine));
-        mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
+        thread_local std::vector<Word> msg;
+        msg.clear();
         for (const EdgeId e : core) {
-          msg.push(e);
-          msg.push(core::pack_double(g.weight(e)));
+          msg.push_back(e);
+          msg.push_back(core::pack_double(g.weight(e)));
         }
-        if (msg.empty()) msg.cancel();
+        if (!msg.empty()) ctx.send(mrc::kCentral, msg);
       });
   engine.invoke_round(r_coreset);
 

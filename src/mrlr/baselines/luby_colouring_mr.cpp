@@ -122,7 +122,8 @@ LubyColouringResult luby_colouring_mr(const graph::Graph& g,
             if (c == proposal[v] && u < v) beaten[v] = 1;
           }
         }
-        mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
+        thread_local std::vector<Word> msg;
+        msg.clear();
         const std::vector<std::uint32_t>& colour = colour_by[id];
         for (VertexId v = static_cast<VertexId>(id); v < g.num_vertices();
              v = static_cast<VertexId>(v + machines)) {
@@ -130,11 +131,11 @@ LubyColouringResult luby_colouring_mr(const graph::Graph& g,
             continue;
           }
           if (!beaten[v]) {
-            msg.push(v);
-            msg.push(proposal[v]);
+            msg.push_back(v);
+            msg.push_back(proposal[v]);
           }
         }
-        if (msg.empty()) msg.cancel();
+        if (!msg.empty()) ctx.send(mrc::kCentral, msg);
       });
 
   while (uncoloured > 0 && res.phases < params.max_iterations) {

@@ -107,13 +107,14 @@ LubyMrResult luby_mis_mr(const graph::Graph& g, const MrParams& params) {
             }
           }
         }
-        mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
+        thread_local std::vector<Word> msg;
+        msg.clear();
         const std::vector<char>& live = live_by[id];
         for (VertexId v = static_cast<VertexId>(id); v < g.num_vertices();
              v = static_cast<VertexId>(v + machines)) {
-          if (live[v] && !beaten[v]) msg.push(v);
+          if (live[v] && !beaten[v]) msg.push_back(v);
         }
-        if (msg.empty()) msg.cancel();
+        if (!msg.empty()) ctx.send(mrc::kCentral, msg);
       });
 
   while (remaining > 0 && res.phases < params.max_iterations) {

@@ -132,6 +132,7 @@ SamplePruneResult sample_prune_set_cover(const setcover::SetSystem& sys,
         ctx.charge_resident(footprint[id]);
         const std::vector<char>& cov = covered_by[id];
         Rng rng = root.stream((guard << 20) ^ id);
+        thread_local std::vector<Word> msg;
         for (SetId l = static_cast<SetId>(id); l < n;
              l = static_cast<SetId>(l + machines)) {
           if (residual_dist[l] == 0 || threshold <= 0.0) continue;
@@ -139,12 +140,11 @@ SamplePruneResult sample_prune_set_cover(const setcover::SetSystem& sys,
                            sys.weight(l);
           if (r < threshold) continue;
           if (!rng.bernoulli(p)) continue;
-          mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-          msg.push(l);
-          msg.push(core::pack_double(sys.weight(l)));
+          msg.assign({l, core::pack_double(sys.weight(l))});
           for (const ElementId j : sys.set(l)) {
-            if (!cov[j]) msg.push(j);
+            if (!cov[j]) msg.push_back(j);
           }
+          ctx.send(mrc::kCentral, msg);
         }
       });
 

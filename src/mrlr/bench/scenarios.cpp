@@ -860,11 +860,13 @@ ShuffleStats run_shuffle(const graph::Graph& g, std::uint64_t machines,
                        {inc.edge, core::pack_double(g.weight(inc.edge))});
             }
           } else if (g.degree(v) > 0) {
-            mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
+            thread_local std::vector<mrc::Word> msg;
+            msg.clear();
             for (const graph::Incidence& inc : g.neighbours(v)) {
-              msg.push(inc.edge);
-              msg.push(core::pack_double(g.weight(inc.edge)));
+              msg.push_back(inc.edge);
+              msg.push_back(core::pack_double(g.weight(inc.edge)));
             }
+            ctx.send(mrc::kCentral, msg);
           }
         }
       });

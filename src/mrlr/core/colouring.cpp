@@ -78,16 +78,16 @@ ColouringResult mr_vertex_colouring(const graph::Graph& g,
   // group(v) (Algorithm 5 line 7).
   const mrc::RoundId r_ship = engine.define_round(
       "ship-groups", [&](MachineContext& ctx, std::span<const Word>) {
+        thread_local std::vector<Word> msg;
         for (VertexId v = 0; v < g.num_vertices(); ++v) {
           if (owner_of(v, plan.kappa) != ctx.id()) continue;
-          mrc::MessageWriter msg =
-              ctx.begin_message(static_cast<mrc::MachineId>(group[v]));
-          msg.push(v);
+          msg.assign({v});
           for (const graph::Incidence& inc : g.neighbours(v)) {
             if (group[inc.neighbour] == group[v]) {
-              msg.push(inc.neighbour);
+              msg.push_back(inc.neighbour);
             }
           }
+          ctx.send(static_cast<mrc::MachineId>(group[v]), msg);
         }
       });
 
@@ -118,13 +118,13 @@ ColouringResult mr_vertex_colouring(const graph::Graph& g,
         for (const std::uint32_t c : colours) {
           used = std::max<std::uint64_t>(used, c + 1);
         }
-        mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-        msg.push(ctx.id());
-        msg.push(used);
+        thread_local std::vector<Word> msg;
+        msg.assign({ctx.id(), used});
         for (std::uint32_t k = 0; k < members.size(); ++k) {
-          msg.push(members[k]);
-          msg.push(colours[k]);
+          msg.push_back(members[k]);
+          msg.push_back(colours[k]);
         }
+        ctx.send(mrc::kCentral, msg);
       });
 
   std::vector<std::uint32_t> local_colour(g.num_vertices(), 0);
@@ -234,13 +234,13 @@ ColouringResult mr_edge_colouring(const graph::Graph& g,
         for (const std::uint32_t c : colours) {
           used = std::max<std::uint64_t>(used, c + 1);
         }
-        mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-        msg.push(ctx.id());
-        msg.push(used);
+        thread_local std::vector<Word> msg;
+        msg.assign({ctx.id(), used});
         for (std::uint32_t k = 0; k < members.size(); ++k) {
-          msg.push(members[k]);
-          msg.push(colours[k]);
+          msg.push_back(members[k]);
+          msg.push_back(colours[k]);
         }
+        ctx.send(mrc::kCentral, msg);
       });
 
   std::vector<std::uint32_t> local_colour(g.num_edges(), 0);

@@ -241,7 +241,8 @@ GreedySetCoverMrResult greedy_set_cover_mr(const setcover::SetSystem& sys,
         const std::span<const Word> sizes = ps.subspan(2);
         const MachineId id = ctx.id();
         ctx.charge_resident(footprint[id]);
-        mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
+        thread_local std::vector<Word> msg;
+        msg.clear();
         for (SetId l = static_cast<SetId>(id); l < n;
              l = static_cast<SetId>(l + machines)) {
           if (excluded[l] || residual_dist[l] == 0) continue;
@@ -251,11 +252,11 @@ GreedySetCoverMrResult greedy_set_cover_mr(const setcover::SetSystem& sys,
           const std::uint64_t i = class_of(residual_dist[l]);
           if (sizes[i] == 0) continue;
           for (const std::uint64_t j : sample_groups(iter, l, i, sizes[i])) {
-            msg.push(base_of_class[i] + j);
-            msg.push(l);
+            msg.push_back(base_of_class[i] + j);
+            msg.push_back(l);
           }
         }
-        if (msg.empty()) msg.cancel();
+        if (!msg.empty()) ctx.send(mrc::kCentral, msg);
       });
 
   // Ship the sampled sets' residual element lists to central (only
@@ -268,6 +269,7 @@ GreedySetCoverMrResult greedy_set_cover_mr(const setcover::SetSystem& sys,
         const MachineId id = ctx.id();
         ctx.charge_resident(footprint[id]);
         const std::vector<char>& cov = covered_by[id];
+        thread_local std::vector<Word> msg;
         for (SetId l = static_cast<SetId>(id); l < n;
              l = static_cast<SetId>(l + machines)) {
           if (excluded[l] || residual_dist[l] == 0) continue;
@@ -277,14 +279,12 @@ GreedySetCoverMrResult greedy_set_cover_mr(const setcover::SetSystem& sys,
           const std::uint64_t i = class_of(residual_dist[l]);
           if (sizes[i] == 0) continue;
           for (const std::uint64_t j : sample_groups(iter, l, i, sizes[i])) {
-            mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-            msg.push(base_of_class[i] + j);
-            msg.push(l);
-            msg.push(pack_double(sys.weight(l)));
-            msg.push(residual_dist[l]);
+            msg.assign({base_of_class[i] + j, l, pack_double(sys.weight(l)),
+                        residual_dist[l]});
             for (const ElementId jj : sys.set(l)) {
-              if (!cov[jj]) msg.push(jj);
+              if (!cov[jj]) msg.push_back(jj);
             }
+            ctx.send(mrc::kCentral, msg);
           }
         }
       });

@@ -191,6 +191,7 @@ HungryCliqueResult hungry_clique(const graph::Graph& g,
         const MachineId id = ctx.id();
         ctx.charge_resident(footprint[id]);
         Rng rng = root.stream((salt << 20) ^ id);
+        thread_local std::vector<Word> msg;
         for (VertexId v = static_cast<VertexId>(id);
              v < g.num_vertices();
              v = static_cast<VertexId>(v + machines)) {
@@ -200,12 +201,11 @@ HungryCliqueResult hungry_clique(const graph::Graph& g,
             if (!rng.bernoulli(p_sample)) continue;
             group = rng.uniform(num_groups);
           }
-          mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-          msg.push(group);
-          msg.push(v);
+          msg.assign({group, v});
           for (const Incidence& inc : g.neighbours(v)) {
-            if (active_by[id][inc.neighbour]) msg.push(inc.neighbour);
+            if (active_by[id][inc.neighbour]) msg.push_back(inc.neighbour);
           }
+          ctx.send(mrc::kCentral, msg);
         }
       });
 

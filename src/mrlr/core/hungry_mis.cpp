@@ -182,6 +182,7 @@ class MisJob {
           const MachineId id = ctx.id();
           ctx.charge_resident(cl_.footprint[id]);
           Rng rng = root_.stream((salt << 20) ^ id);
+          thread_local std::vector<Word> msg;
           for (VertexId v = static_cast<VertexId>(id);
                v < g_.num_vertices();
                v = static_cast<VertexId>(v + machines_)) {
@@ -196,15 +197,13 @@ class MisJob {
               if (!rng.bernoulli(p_sample)) continue;
               group = rng.uniform(num_groups);
             }
-            mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-            msg.push(group);
-            msg.push(v);
-            msg.push(degree(id, v));
+            msg.assign({group, v, degree(id, v)});
             for (const Incidence& inc : g_.neighbours(v)) {
               if (!dominated_by_[id][inc.neighbour]) {
-                msg.push(inc.neighbour);
+                msg.push_back(inc.neighbour);
               }
             }
+            ctx.send(mrc::kCentral, msg);
           }
         });
 
@@ -214,18 +213,18 @@ class MisJob {
         "ship-residual", [this](MachineContext& ctx, std::span<const Word>) {
           const MachineId id = ctx.id();
           ctx.charge_resident(cl_.footprint[id]);
+          thread_local std::vector<Word> msg;
           for (VertexId v = static_cast<VertexId>(id);
                v < g_.num_vertices();
                v = static_cast<VertexId>(v + machines_)) {
             if (dominated_by_[id][v]) continue;
-            mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-            msg.push(v);
-            msg.push(degree(id, v));
+            msg.assign({v, degree(id, v)});
             for (const Incidence& inc : g_.neighbours(v)) {
               if (!dominated_by_[id][inc.neighbour]) {
-                msg.push(inc.neighbour);
+                msg.push_back(inc.neighbour);
               }
             }
+            ctx.send(mrc::kCentral, msg);
           }
         });
   }

@@ -39,8 +39,9 @@ struct MrParams {
   /// pool of num_threads threads (K x T concurrent callbacks). Results
   /// stay byte-identical at any (K, T) setting.
   std::uint64_t num_shards = 1;
-  /// Sample-size multiplier ablation (DESIGN.md §5): scales the paper's
-  /// sampling probability (2*eta/|U_r| for Alg. 1, eta/|E_i| for Alg. 4).
+  /// Sample-size multiplier ablation (swept by the compare/boost/*
+  /// bench scenarios): scales the paper's sampling probability
+  /// (2*eta/|U_r| for Alg. 1, eta/|E_i| for Alg. 4).
   double sample_boost = 1.0;
 };
 

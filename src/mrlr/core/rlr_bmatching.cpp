@@ -208,6 +208,7 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
         const bool ship_all = ps[1] != 0;
         ctx.charge_resident(footprint[ctx.id()]);
         Rng rng = root_rng.stream((iter << 20) ^ ctx.id());
+        thread_local std::vector<Word> msg;
         for (VertexId v = static_cast<VertexId>(ctx.id()); v < n;
              v = static_cast<VertexId>(v + machines)) {
           std::vector<EdgeId> alive;
@@ -233,12 +234,12 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
               for (const auto k : pick) chosen.push_back(alive[k]);
             }
           }
-          mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-          msg.push(v);
+          msg.assign({v});
           for (const EdgeId e : chosen) {
-            msg.push(e);
-            msg.push(pack_double(g.weight(e)));
+            msg.push_back(e);
+            msg.push_back(pack_double(g.weight(e)));
           }
+          ctx.send(mrc::kCentral, msg);
         }
       });
 

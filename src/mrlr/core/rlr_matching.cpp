@@ -140,17 +140,19 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
         const double p = unpack_double(ps[2]);
         ctx.charge_resident(footprint[ctx.id()]);
         Rng rng = root_rng.stream((iter << 20) ^ ctx.id());
+        thread_local std::vector<Word> msg;
         for (VertexId v = static_cast<VertexId>(ctx.id()); v < n;
              v = static_cast<VertexId>(v + machines)) {
-          mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
+          msg.clear();
           const char* lv = live.data() + g.first_slot(v);
           for (const graph::Incidence& inc : g.neighbours(v)) {
             if (!*lv++) continue;
             if (ship_all || rng.bernoulli(p)) {
-              msg.push(inc.edge);
-              msg.push(pack_double(g.weight(inc.edge)));
+              msg.push_back(inc.edge);
+              msg.push_back(pack_double(g.weight(inc.edge)));
             }
           }
+          ctx.send(mrc::kCentral, msg);
         }
       });
 

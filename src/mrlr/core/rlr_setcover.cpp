@@ -91,14 +91,14 @@ RlrSetCoverResult rlr_set_cover(const setcover::SetSystem& sys,
         const double p = unpack_double(ps[1]);
         ctx.charge_resident(footprint[ctx.id()]);
         Rng rng = root_rng.stream((iter << 20) ^ ctx.id());
+        thread_local std::vector<Word> msg;
         for (ElementId j = static_cast<ElementId>(ctx.id()); j < m;
              j = static_cast<ElementId>(j + sz.machines)) {
           if (!active[j] || !rng.bernoulli(p)) continue;
           const auto owners = sys.sets_containing(j);
-          mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-          msg.push(j);
-          msg.push(owners.size());
-          for (const SetId i : owners) msg.push(i);
+          msg.assign({j, owners.size()});
+          msg.insert(msg.end(), owners.begin(), owners.end());
+          ctx.send(mrc::kCentral, msg);
         }
       });
   // Tree-broadcast of the newly covered sets; the apply hook marks them

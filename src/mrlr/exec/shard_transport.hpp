@@ -15,7 +15,7 @@
 //
 //       offset  size  field
 //       0       4     magic     0x3146534D ("MSF1")
-//       4       2     version   6 (kFrameVersion)
+//       4       2     version   7 (kFrameVersion)
 //       6       2     kind      FrameKind
 //       8       4     shard     sender shard index
 //       12      4     reserved  must be zero
@@ -164,6 +164,8 @@ std::pair<FdChannel, FdChannel> make_socketpair_channel();
 // ------------------------------------------------------------ frames --
 
 inline constexpr std::uint32_t kFrameMagic = 0x3146534Du;  // "MSF1"
+/// Version 7 drops the writer-open word from kShardData's per-machine
+/// accounting record, which is now two words: outbox and resident.
 /// Version 6 shrinks kRoundControl's round input to one peer-bucket
 /// generation, the per-machine totals and the coordinator's records,
 /// and always carries the shard-local thread count in kJobSetup.
@@ -182,7 +184,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x3146534Du;  // "MSF1"
 /// bootstrap (machine range, round-label table, optional job spec). An
 /// older peer is refused during the handshake with a typed kBadVersion
 /// naming both versions, instead of failing every frame's checksum.
-inline constexpr std::uint16_t kFrameVersion = 6;
+inline constexpr std::uint16_t kFrameVersion = 7;
 
 /// Sanity cap on a single frame payload (1 TiB of words is far beyond
 /// any simulated round): an adversarial or corrupt length field fails

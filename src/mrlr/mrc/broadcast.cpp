@@ -49,8 +49,8 @@ JobBroadcast::JobBroadcast(Engine& engine, std::string label, ApplyFn apply)
         const MachineId m = ctx.id();
         const std::uint64_t gen = ps[0];
         const bool drain = ps[2] != 0;
-        if (gen_[m] != gen && ctx.inbox_size() > 0) {
-          const MessageView msg = ctx.message(0);
+        if (gen_[m] != gen && !ctx.messages().empty()) {
+          const MessageView msg = ctx.messages()[0];
           held_[m].assign(msg.payload.begin(), msg.payload.end());
           gen_[m] = gen;
         }

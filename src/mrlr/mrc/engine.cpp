@@ -24,20 +24,11 @@ void MachineContext::send(MachineId to, std::initializer_list<Word> payload) {
 
 void MachineContext::send(MachineId to, std::span<const Word> payload) {
   MRLR_REQUIRE(to < engine_.num_machines(), "send to nonexistent machine");
-  MRLR_REQUIRE(!engine_.writer_open_[id_],
-               "send while this machine's MessageWriter is open");
   Engine::Outbox& out = engine_.staging_[id_];
   const std::uint64_t offset = out.words.size();
   out.words.insert(out.words.end(), payload.begin(), payload.end());
   out.frames.push_back({to, offset, payload.size()});
   engine_.outbox_words_[id_] += payload.size();
-}
-
-MessageWriter MachineContext::begin_message(MachineId to) {
-  MRLR_REQUIRE(to < engine_.num_machines(), "send to nonexistent machine");
-  MRLR_REQUIRE(!engine_.writer_open_[id_],
-               "at most one MessageWriter per machine may be open");
-  return MessageWriter(engine_, id_, to);
 }
 
 void MachineContext::charge_resident(std::uint64_t words) {
@@ -62,7 +53,6 @@ Engine::Engine(Topology topology, std::shared_ptr<exec::Executor> executor)
   inbox_words_.assign(machines, 0);
   next_frames_.resize(machines);
   next_inbox_words_.assign(machines, 0);
-  writer_open_.assign(machines, 0);
   outbox_words_.assign(machines, 0);
   resident_words_.assign(machines, 0);
   local_end_ = machines;
@@ -91,8 +81,6 @@ RoundId Engine::define_round(std::string label, RoundFn fn) {
 void Engine::frame_runs(MachineId m) {
   Runs& r = runs_[m];
   if (r.pieces.empty()) return;
-  MRLR_REQUIRE(!writer_open_[m],
-               "MessageWriter left open past its machine's callback");
   // A counting sort of the pieces by destination. `at` is a cursor per
   // machine, all zero between calls; it is per thread, not per machine,
   // so the engine keeps no per-(sender, destination) table (a callback
@@ -218,8 +206,6 @@ void Engine::round_body(std::string_view label, bool central_only,
   // of worker senders decoded here were counted by their worker.
   std::uint64_t messages = 0;
   for (MachineId s = 0; s < machines; ++s) {
-    MRLR_REQUIRE(!writer_open_[s],
-                 "MessageWriter left open across the round barrier");
     if (s < local_end_) messages += staging_[s].frames.size();
     for (const Frame& f : staging_[s].frames) {
       next_frames_[f.to].push_back({s, f.offset, f.len});
@@ -498,7 +484,6 @@ void Engine::apply_round_input(std::span<const std::byte> bytes,
     staging_[m].frames.clear();
     outbox_words_[m] = 0;
     resident_words_[m] = 0;
-    writer_open_[m] = 0;
   }
   // Only machines [first, last) run here and their inboxes are rebuilt
   // below, so every slab and inbox index from the previous input is
@@ -567,13 +552,12 @@ void Engine::serialize_machines(std::vector<std::vector<std::byte>>& parts) {
   obs::count("engine.messages", messages);
   parts.resize(shards);
   for (std::vector<std::byte>& part : parts) part.clear();
-  std::byte* p = grow(parts[0], 8 * (3 * (last - first) + 2 * machines + 1 +
+  std::byte* p = grow(parts[0], 8 * (2 * (last - first) + 2 * machines + 1 +
                                      shards) +
                                     bucket[0]);
   for (std::uint64_t m = first; m < last; ++m) {
     p = store<std::uint64_t>(p, outbox_words_[m]);
     p = store<std::uint64_t>(p, resident_words_[m]);
-    p = store<std::uint64_t>(p, writer_open_[m]);
   }
   for (std::uint64_t d = 0; d < machines; ++d) {
     p = store<std::uint64_t>(p, route_frames_[d]);
@@ -650,7 +634,6 @@ void Engine::apply_machines(std::uint32_t shard,
   for (std::uint64_t m = first; m < last; ++m) {
     outbox_words_[m] = r.u64("outbox words");
     resident_words_[m] = r.u64("resident words");
-    writer_open_[m] = static_cast<char>(r.flag("writer-open"));
   }
   for (std::uint64_t d = 0; d < machines; ++d) {
     route_frames_[d] = r.u64("destination frame count");

@@ -61,10 +61,9 @@
 // the mailboxes and the cost accounting. Under a threaded backend, round
 // callbacks must write only machine-disjoint algorithm state (per-machine
 // slots or id-strided vector elements); shared reductions belong in
-// messages to the central machine. Batched sends follow the same rule: a
-// MessageWriter appends to its own machine's arena, so at most one
-// writer per machine may be open at a time, and plain sends may not
-// interleave with an open writer.
+// messages to the central machine. A callback that builds a message word
+// by word does so in a buffer of its own and hands it to send, which
+// copies it into the machine's arena.
 //
 // Coalesced sends (MachineContext::send_coalesced) append words to the
 // sending machine's run for a destination instead of framing a message
@@ -110,42 +109,6 @@ class SpaceLimitExceeded : public std::runtime_error {
 
 class Engine;
 class MachineContext;
-
-/// Zero-copy batched message builder: words push straight into the
-/// sending machine's staging arena; the frame is committed when the
-/// writer is destroyed (or discarded entirely via cancel()). A writer
-/// that dies while its callback throws commits what it holds, but the
-/// throw ends the job (see the engine's header comment), so that frame
-/// is never delivered. At most one writer per machine may be open at a
-/// time, and MachineContext::send may not be called while one is open —
-/// frames must stay contiguous.
-class MessageWriter {
- public:
-  MessageWriter(const MessageWriter&) = delete;
-  MessageWriter& operator=(const MessageWriter&) = delete;
-  ~MessageWriter();
-
-  void push(Word w);
-  void append(std::span<const Word> words);
-
-  /// Words written so far.
-  std::uint64_t size() const;
-  bool empty() const { return size() == 0; }
-
-  /// Rolls the arena back to the pre-writer state: no message is sent
-  /// and nothing is charged. The writer is dead afterwards.
-  void cancel();
-
- private:
-  friend class MachineContext;
-  MessageWriter(Engine& engine, MachineId from, MachineId to);
-
-  Engine* engine_;
-  MachineId from_;
-  MachineId to_;
-  std::uint64_t begin_;
-  bool done_ = false;
-};
 
 /// Lightweight range over one machine's delivered messages, yielding
 /// MessageView spans into the senders' slabs. Valid only during the
@@ -206,12 +169,6 @@ class MachineContext {
   /// invalidated by the end of the round.
   InboxView messages() const;
 
-  /// Number of messages delivered this round.
-  std::size_t inbox_size() const;
-
-  /// The i-th delivered message as a zero-copy view.
-  MessageView message(std::size_t i) const;
-
   /// Total words in the inbox (precomputed; O(1)).
   std::uint64_t inbox_words() const;
 
@@ -229,10 +186,6 @@ class MachineContext {
   /// One append is capped at 2^32 - 1 words.
   void send_coalesced(MachineId to, std::span<const Word> words);
   void send_coalesced(MachineId to, std::initializer_list<Word> words);
-
-  /// Zero-copy batched send: returns a writer appending directly to
-  /// this machine's arena. The message is framed when the writer dies.
-  MessageWriter begin_message(MachineId to);
 
   /// Declare the words of algorithm state resident on this machine during
   /// this round. Algorithms must call this with an honest figure; the
@@ -320,7 +273,6 @@ class Engine : private exec::ShardJobPlane {
 
  private:
   friend class MachineContext;
-  friend class MessageWriter;
   friend class InboxView;
 
   /// ShardJobPlane (see exec/executor.hpp for the round protocol). One
@@ -332,10 +284,10 @@ class Engine : private exec::ShardJobPlane {
   ///     machine of B its inbox frame count and word total, and the
   ///     coordinator's records;
   ///   * kShardData from worker shard A: per machine of A, its outbox
-  ///     words, resident words and writer-open flag; per destination
-  ///     machine of the job, the frame count and word total A sent it;
-  ///     the bucket count K and K bucket byte lengths; then the bucket
-  ///     of records bound for shard 0, in sender-id then send order;
+  ///     words and resident words; per destination machine of the job,
+  ///     the frame count and word total A sent it; the bucket count K
+  ///     and K bucket byte lengths; then the bucket of records bound for
+  ///     shard 0, in sender-id then send order;
   ///   * kPeerBucket from A to B: A's bucket for B (serialize_machines'
   ///     part B), which B files under its generation (job_rounds_).
   /// The coordinator decodes the shard-0 bucket into staging_, so the
@@ -468,9 +420,9 @@ class Engine : private exec::ShardJobPlane {
   // the round controls it serves, and sees no central round.
   std::uint64_t job_rounds_ = 0;
   // staging_[m] = machine m's outgoing arena for the current round; only
-  // machine m's callback (its sends and writers) touches it, so sends
-  // never contend. After the barrier the arenas are merged by frame
-  // index and then moved wholesale into slabs_.
+  // machine m's sends touch it, so sends never contend. After the
+  // barrier the arenas are merged by frame index and then moved
+  // wholesale into slabs_.
   std::vector<Outbox> staging_;
   // slabs_[s] = sender s's arena from the previous round, backing this
   // round's inboxes. Spent slabs are recycled as staging buffers.
@@ -484,9 +436,6 @@ class Engine : private exec::ShardJobPlane {
   // Merge scratch for the next round's inbox index.
   std::vector<std::vector<InboxFrame>> next_frames_;
   std::vector<std::uint64_t> next_inbox_words_;
-  // writer_open_[m] = machine m has a live MessageWriter (its frame is
-  // still growing, so no other send may interleave).
-  std::vector<char> writer_open_;
   // Per-round scratch, reset in round_body; slot m is written only by
   // machine m's callback.
   std::vector<std::uint64_t> outbox_words_;
@@ -533,14 +482,6 @@ inline InboxView MachineContext::messages() const {
   return InboxView(engine_, id_);
 }
 
-inline std::size_t MachineContext::inbox_size() const {
-  return engine_.inbox_frames_[id_].size();
-}
-
-inline MessageView MachineContext::message(std::size_t i) const {
-  return engine_.view_message(id_, i);
-}
-
 inline std::uint64_t MachineContext::inbox_words() const {
   return engine_.inbox_words_[id_];
 }
@@ -548,8 +489,6 @@ inline std::uint64_t MachineContext::inbox_words() const {
 inline void MachineContext::send_coalesced(MachineId to,
                                            std::span<const Word> words) {
   MRLR_REQUIRE(to < engine_.num_machines(), "send to nonexistent machine");
-  MRLR_REQUIRE(!engine_.writer_open_[id_],
-               "send while this machine's MessageWriter is open");
   MRLR_REQUIRE(words.size() <= UINT32_MAX,
                "send_coalesced: one append exceeds 2^32 - 1 words");
   if (words.empty()) return;
@@ -567,44 +506,6 @@ inline void MachineContext::send_coalesced(MachineId to,
 inline void MachineContext::send_coalesced(MachineId to,
                                            std::initializer_list<Word> words) {
   send_coalesced(to, std::span<const Word>(words.begin(), words.size()));
-}
-
-inline MessageWriter::MessageWriter(Engine& engine, MachineId from,
-                                    MachineId to)
-    : engine_(&engine), from_(from), to_(to),
-      begin_(engine.staging_[from].words.size()) {
-  engine.writer_open_[from] = 1;
-}
-
-inline MessageWriter::~MessageWriter() {
-  if (done_) return;
-  Engine::Outbox& out = engine_->staging_[from_];
-  const std::uint64_t len = out.words.size() - begin_;
-  out.frames.push_back({to_, begin_, len});
-  engine_->outbox_words_[from_] += len;
-  engine_->writer_open_[from_] = 0;
-}
-
-inline void MessageWriter::push(Word w) {
-  MRLR_DEBUG_REQUIRE(!done_, "MessageWriter: push after cancel");
-  engine_->staging_[from_].words.push_back(w);
-}
-
-inline void MessageWriter::append(std::span<const Word> words) {
-  MRLR_DEBUG_REQUIRE(!done_, "MessageWriter: append after cancel");
-  auto& buf = engine_->staging_[from_].words;
-  buf.insert(buf.end(), words.begin(), words.end());
-}
-
-inline std::uint64_t MessageWriter::size() const {
-  MRLR_DEBUG_REQUIRE(!done_, "MessageWriter: size after cancel");
-  return engine_->staging_[from_].words.size() - begin_;
-}
-
-inline void MessageWriter::cancel() {
-  engine_->staging_[from_].words.resize(begin_);
-  engine_->writer_open_[from_] = 0;
-  done_ = true;
 }
 
 }  // namespace mrlr::mrc

@@ -1,6 +1,7 @@
 #pragma once
-// Execution trace reporting: turn an Engine's metrics into tables / CSV
-// for the bench harness and EXPERIMENTS.md.
+// Execution trace reporting: turn an Engine's metrics into a per-round
+// table (examples/mapreduce_primer.cpp prints one) or CSV (the tests
+// compare traces across backends with it).
 
 #include <iosfwd>
 

@@ -1,6 +1,6 @@
 #pragma once
 // Exact solvers for small instances, used to certify approximation ratios
-// in tests and the quality bench (FIG-Q in DESIGN.md).
+// in the tests.
 
 #include <cstdint>
 #include <optional>

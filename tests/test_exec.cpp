@@ -230,10 +230,9 @@ std::string run_synthetic(std::shared_ptr<exec::Executor> ex,
         // Ship this machine's delivery order to central; converge-cast
         // is the process-clean replacement for writing a host-side
         // slot.
-        mrc::MessageWriter msg = ctx.begin_message(mrc::kCentral);
-        for (const auto& view : ctx.messages()) {
-          msg.push(view.from);
-        }
+        std::vector<Word> msg;
+        for (const auto& view : ctx.messages()) msg.push_back(view.from);
+        ctx.send(mrc::kCentral, msg);
       });
 
   e.invoke_round(r_scatter);
@@ -247,8 +246,7 @@ std::string run_synthetic(std::shared_ptr<exec::Executor> ex,
   std::vector<std::string> delivery(machines);
   e.run_central_round("collect-observations", [&](MachineContext& ctx) {
     // Messages arrive in sender-id order: one line per machine.
-    for (std::size_t i = 0; i < ctx.inbox_size(); ++i) {
-      const mrc::MessageView msg = ctx.message(i);
+    for (const mrc::MessageView msg : ctx.messages()) {
       std::string line;
       for (const mrc::Word w : msg.payload) {
         line += std::to_string(w) + ",";
@@ -297,10 +295,11 @@ TEST(EngineDeterminism, DeliveryOrderIsSenderIdOrder) {
   const mrc::RoundId check = e.define_round(
       "check", [](MachineContext& ctx, std::span<const Word>) {
         if (ctx.id() != 2) return;
-        ASSERT_EQ(ctx.inbox_size(), 8u);
+        const mrc::InboxView inbox = ctx.messages();
+        ASSERT_EQ(inbox.size(), 8u);
         for (MachineId s = 0; s < 8; ++s) {
-          EXPECT_EQ(ctx.message(s).from, s);
-          EXPECT_EQ(ctx.message(s).payload[0], s);
+          EXPECT_EQ(inbox[s].from, s);
+          EXPECT_EQ(inbox[s].payload[0], s);
         }
       });
   e.invoke_round(fanout);
@@ -466,7 +465,7 @@ TEST(ProcessShardExecutor, LongRoundIsNotSilence) {
   for (const Word slow : {Word{3}, Word{0}}) {  // a worker's, then shard 0's
     e.invoke_round(r_slow, {slow});
     e.run_central_round("count", [](MachineContext& ctx) {
-      EXPECT_EQ(ctx.inbox_size(), 4u);
+      EXPECT_EQ(ctx.messages().size(), 4u);
     });
   }
 }
@@ -503,9 +502,10 @@ TEST(ProcessShardExecutor, WorkersHoldOnlyTheirOwnChannels) {
   e.invoke_round(r_count);
   EXPECT_EQ(open_sockets() - before, kShards - 1);
   e.run_central_round("check", [&](MachineContext& ctx) {
-    ASSERT_EQ(ctx.inbox_size(), kShards);
+    const mrc::InboxView inbox = ctx.messages();
+    ASSERT_EQ(inbox.size(), kShards);
     for (std::size_t i = 1; i < kShards; ++i) {
-      EXPECT_EQ(ctx.message(i).payload[0], kShards - 1) << "shard " << i;
+      EXPECT_EQ(inbox[i].payload[0], kShards - 1) << "shard " << i;
     }
   });
 }
@@ -814,8 +814,8 @@ using Inbox = std::vector<std::pair<MachineId, std::vector<Word>>>;
 using Inboxes = std::vector<Inbox>;
 
 /// Hand-built 3-machine job. "seed": machine 0 sends {11, 12} to 1 and
-/// an empty message to 2; machine 1 writes {21, 22, 23} to 0 through a
-/// MessageWriter and sends {31} to 2; machine 2 sends {41, 42} to 0 and
+/// an empty message to 2; machine 1 sends {21, 22, 23} to 0 and {31}
+/// to 2; machine 2 sends {41, 42} to 0 and
 /// {43} to itself and declares 5 resident words. "read": every machine
 /// records its inbox into `seen`.
 void define_known_rounds(mrc::Engine& e, Inboxes& seen) {
@@ -824,11 +824,7 @@ void define_known_rounds(mrc::Engine& e, Inboxes& seen) {
       ctx.send(1, {11, 12});
       ctx.send(2, std::vector<Word>{});
     } else if (ctx.id() == 1) {
-      {
-        mrc::MessageWriter w = ctx.begin_message(0);
-        w.push(21);
-        w.append(std::vector<Word>{22, 23});
-      }
+      ctx.send(0, {21, 22, 23});
       ctx.send(2, {31});
     } else {
       ctx.send(0, {41, 42});
@@ -879,12 +875,12 @@ TEST(ShardWireLayout, RecordPayloadsMatchKnownBytes) {
   ASSERT_EQ(cap.round_inputs.size(), 2u);
   ASSERT_EQ(cap.shard_data.size(), 2u);
 
-  // kShardData after "seed": machine 2's outbox words, resident words
-  // and writer-open flag; (frames, words) it sent each of machines 0..2;
+  // kShardData after "seed": machine 2's outbox words and resident
+  // words; (frames, words) it sent each of machines 0..2;
   // the bucket count and byte lengths; then shard 0's bucket. Shard 1's
   // bucket stays with the worker.
   EXPECT_EQ(cap.shard_data[0], Wire()
-                                   .lanes({3, 5, 0})
+                                   .lanes({3, 5})
                                    .lanes({1, 2, 0, 0, 1, 1})
                                    .lanes({2, 12 + 16, 12 + 8})
                                    .record(2, 0, {41, 42})
@@ -910,7 +906,7 @@ TEST(ShardWireLayout, RecordPayloadsMatchKnownBytes) {
   // was sent.
   EXPECT_EQ(cap.round_inputs[0], Wire().lanes({0, 0, 0}).bytes);
   EXPECT_EQ(cap.shard_data[1],
-            Wire().lanes({0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0}).bytes);
+            Wire().lanes({0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0}).bytes);
 
   // Every machine read what the serial engine delivers.
   Inboxes serial(3);
@@ -989,7 +985,7 @@ TEST(ShardWireLayout, CoordinatorRefusesMalformedShardData) {
   const auto reply = [](std::initializer_list<std::uint64_t> totals,
                         std::initializer_list<std::uint64_t> buckets) {
     Wire w(false);
-    w.lanes({2, 0, 0}).lanes(totals).lanes(buckets);
+    w.lanes({2, 0}).lanes(totals).lanes(buckets);
     return w;
   };
   EXPECT_NO_THROW(apply(reply({1, 2, 0, 0, 0, 0}, {2, 28, 0})
@@ -1009,7 +1005,7 @@ TEST(ShardWireLayout, CoordinatorRefusesMalformedShardData) {
                                .record(2, 0, {41, 42})),
                      "exceeds the frame payload cap");
   expect_bad_payload(apply(Wire(false)
-                               .lanes({4, 0, 0})
+                               .lanes({4, 0})
                                .lanes({1, 2, 0, 0, 0, 0})
                                .lanes({2, 28, 0})
                                .record(2, 0, {41, 42})),
@@ -1027,7 +1023,7 @@ TEST(ShardWireLayout, CoordinatorRefusesMalformedShardData) {
                                .record(2, 0, {41, 42})),
                      "carries more than the totals of machine 0");
   expect_bad_payload(apply(Wire(false)
-                               .lanes({3, 0, 0})
+                               .lanes({3, 0})
                                .lanes({1, 2, 0, 0, 0, 0})
                                .lanes({2, 28, 0})
                                .record(2, 0, {41, 42})),

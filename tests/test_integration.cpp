@@ -175,8 +175,8 @@ TEST(Integration, SpaceViolationsRecordedWhenNotEnforced) {
 }
 
 TEST(Integration, SampleBoostAblationStillCorrect) {
-  // DESIGN.md ablation: changing the sampling constant must not affect
-  // correctness, only round counts.
+  // The compare/boost/* ablation: changing the sampling constant must
+  // not affect correctness, only round counts.
   Rng rng(13);
   Graph g = graph::gnm(150, 2000, rng);
   g = g.with_weights(

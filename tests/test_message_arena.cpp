@@ -1,7 +1,7 @@
-// Tests for the flat-buffer message layer: the MessageWriter / send
-// arena encode paths, coalesced sends, span-view decode, slab move-merge
-// delivery, the end of a job at a round that throws, and equality of the
-// two encode paths on adversarial workloads, across execution backends.
+// Tests for the flat-buffer message layer: the send and coalesced-send
+// arena encode paths, span-view decode, slab move-merge delivery, the end
+// of a job at a round that throws, and byte-identical delivery of
+// adversarial workloads across execution backends.
 
 #include <gtest/gtest.h>
 
@@ -38,66 +38,43 @@ Topology topo(std::uint64_t machines, std::uint64_t cap = 1 << 20) {
 
 using Params = std::span<const Word>;
 
-// ------------------------------------------------------- writer basics --
+// --------------------------------------------------------- send basics --
 
-TEST(MessageWriter, BuildsOneContiguousMessage) {
+TEST(Send, BuildsOneContiguousMessage) {
   Engine e(topo(3));
   const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
     if (ctx.id() != 1) return;
-    MessageWriter w = ctx.begin_message(2);
-    w.push(10);
+    std::vector<Word> msg{10};
     const std::vector<Word> tail{11, 12};
-    w.append(tail);
-    EXPECT_EQ(w.size(), 3u);
+    msg.insert(msg.end(), tail.begin(), tail.end());
+    ctx.send(2, msg);
+    msg.assign({13});  // the buffer is the caller's again after send
   });
   const RoundId recv = e.define_round("recv", [](MachineContext& ctx, Params) {
     if (ctx.id() != 2) return;
-    ASSERT_EQ(ctx.inbox_size(), 1u);
-    const MessageView m = ctx.message(0);
+    ASSERT_EQ(ctx.messages().size(), 1u);
+    const MessageView m = ctx.messages()[0];
     EXPECT_EQ(m.from, 1u);
     EXPECT_EQ(std::vector<Word>(m.payload.begin(), m.payload.end()),
               (std::vector<Word>{10, 11, 12}));
   });
   e.invoke_round(send);
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 3u);
   e.invoke_round(recv);
 }
 
-TEST(MessageWriter, CancelSendsNothingAndChargesNothing) {
+TEST(Send, EmptySendDeliversEmptyMessage) {
+  // An empty span and an empty initializer list both deliver a 0-word
+  // message: a placeholder whose index the receiver can read.
   Engine e(topo(2));
   const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
     if (!ctx.is_central()) return;
-    {
-      MessageWriter w = ctx.begin_message(1);
-      w.push(1);
-      w.push(2);
-      w.cancel();
-    }
-    // The arena must have rolled back: a subsequent message is intact.
-    ctx.send(1, {7});
-  });
-  const RoundId recv = e.define_round("recv", [](MachineContext& ctx, Params) {
-    if (ctx.id() != 1) return;
-    ASSERT_EQ(ctx.inbox_size(), 1u);
-    ASSERT_EQ(ctx.message(0).payload.size(), 1u);
-    EXPECT_EQ(ctx.message(0).payload[0], 7u);
-  });
-  e.invoke_round(send);
-  EXPECT_EQ(e.metrics().per_round().back().total_sent, 1u);
-  e.invoke_round(recv);
-}
-
-TEST(MessageWriter, EmptyCommitDeliversEmptyMessage) {
-  // Parity with send: an empty writer and send(to, {}) both
-  // deliver a 0-word message.
-  Engine e(topo(2));
-  const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
-    if (!ctx.is_central()) return;
-    { MessageWriter w = ctx.begin_message(1); }
     ctx.send(1, std::vector<Word>{});
+    ctx.send(1, {});
   });
   const RoundId recv = e.define_round("recv", [](MachineContext& ctx, Params) {
     if (ctx.id() != 1) return;
-    EXPECT_EQ(ctx.inbox_size(), 2u);
+    EXPECT_EQ(ctx.messages().size(), 2u);
     EXPECT_EQ(ctx.inbox_words(), 0u);
     for (const MessageView m : ctx.messages()) {
       EXPECT_TRUE(m.payload.empty());
@@ -105,27 +82,6 @@ TEST(MessageWriter, EmptyCommitDeliversEmptyMessage) {
   });
   e.invoke_round(send);
   e.invoke_round(recv);
-}
-
-TEST(MessageWriter, InterleavedPlainSendDies) {
-  Engine e(topo(2));
-  const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
-    if (!ctx.is_central()) return;
-    MessageWriter w = ctx.begin_message(1);
-    w.push(1);
-    ctx.send(1, {2});  // would corrupt w's frame
-  });
-  EXPECT_DEATH(e.invoke_round(send), "MessageWriter");
-}
-
-TEST(MessageWriter, SecondOpenWriterDies) {
-  Engine e(topo(2));
-  const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
-    if (!ctx.is_central()) return;
-    MessageWriter a = ctx.begin_message(1);
-    MessageWriter b = ctx.begin_message(1);
-  });
-  EXPECT_DEATH(e.invoke_round(send), "MessageWriter");
 }
 
 // ------------------------------------------------------- view parity --
@@ -140,14 +96,13 @@ TEST(InboxView, RangeIndexAndCountsAgree) {
   const RoundId check = e.define_round("check", [](MachineContext& ctx,
                                                    Params) {
     const InboxView inbox = ctx.messages();
-    ASSERT_EQ(inbox.size(), ctx.inbox_size());
     ASSERT_EQ(inbox.size(), 4u);
     EXPECT_EQ(ctx.inbox_words(), 12u);
     std::size_t i = 0;
     for (const MessageView v : inbox) {
       EXPECT_EQ(v.from, i);
       EXPECT_EQ(inbox[i].from, v.from);
-      EXPECT_EQ(ctx.message(i).payload.data(), v.payload.data());
+      EXPECT_EQ(inbox[i].payload.data(), v.payload.data());
       EXPECT_EQ(std::vector<Word>(v.payload.begin(), v.payload.end()),
                 (std::vector<Word>{i, ctx.id(), 99}));
       ++i;
@@ -224,15 +179,14 @@ class FailedEngine : public OnEachBackend {
 
   /// A round in which every machine sends the central machine and
   /// machine 2 a word each, plainly and coalesced; with parameter
-  /// `thrower` + 1, machine `thrower` then throws with a MessageWriter
-  /// open.
+  /// `thrower` + 1, machine `thrower` then stages one more message to
+  /// machine 2 and throws.
   static RoundId define_sends(Engine& e) {
     return e.define_round("send", [](MachineContext& ctx, Params ps) {
       ctx.send(kCentral, {ctx.id()});
       ctx.send_coalesced(2, {ctx.id()});
       if (ps[0] == ctx.id() + 1) {
-        MessageWriter w = ctx.begin_message(2);
-        w.push(99);
+        ctx.send(2, {99});
         throw std::runtime_error("machine " + std::to_string(ctx.id()));
       }
     });
@@ -495,18 +449,6 @@ TEST_P(Coalesced, MessageCounterFallsWhileWordsStayEqual) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, Coalesced, kBackends, backend_name);
 
-TEST(SendCoalesced, WhileWriterOpenDies) {
-  Engine e(topo(2));
-  const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
-    if (!ctx.is_central()) return;
-    MessageWriter w = ctx.begin_message(1);
-    w.push(1);
-    ctx.send_coalesced(1, {2});  // would land inside w's frame
-  });
-  EXPECT_DEATH(e.invoke_round(send),
-               "send while this machine's MessageWriter is open");
-}
-
 // -------------------------------------------- adversarial round-trips --
 
 /// One message of a synthetic workload.
@@ -576,82 +518,81 @@ std::vector<SentMsg> make_workload(Shape shape, std::uint64_t machines,
 }
 
 /// How run_fingerprint encodes each message.
-enum class Encode { kWriter, kSend, kCoalesced };
+enum class Encode { kSend, kCoalesced };
 
 /// Runs the workload through one engine round and fingerprints every
 /// delivered (receiver, sender, payload) plus the full metrics trace.
-/// `encode` selects the send path: MessageWriter, send or
-/// send_coalesced.
+/// `encode` selects the send path: send or send_coalesced. Each machine
+/// ships what it read to the central machine as one message of
+/// {inbox words, then (from, len, payload) per delivered message}, so the
+/// fingerprint is read the same way on every backend.
 std::string run_fingerprint(const std::vector<SentMsg>& ms,
                             std::uint64_t machines, Encode encode,
                             std::shared_ptr<exec::Executor> ex) {
   Engine e(topo(machines), std::move(ex));
-  std::vector<std::string> lines(machines);
   const RoundId send = e.define_round("send", [&](MachineContext& ctx,
                                                   Params) {
     for (const SentMsg& m : ms) {
       if (m.from != ctx.id()) continue;
-      if (encode == Encode::kWriter) {
-        MessageWriter w = ctx.begin_message(m.to);
-        w.append(m.payload);
-      } else if (encode == Encode::kSend) {
+      if (encode == Encode::kSend) {
         ctx.send(m.to, m.payload);
       } else {
         ctx.send_coalesced(m.to, m.payload);
       }
     }
   });
-  const RoundId recv = e.define_round("recv", [&](MachineContext& ctx,
-                                                  Params) {
-    std::ostringstream os;
-    os << "machine " << ctx.id() << " words=" << ctx.inbox_words() << "\n";
+  const RoundId recv = e.define_round("recv", [](MachineContext& ctx,
+                                                 Params) {
+    std::vector<Word> read{ctx.inbox_words()};
     for (const MessageView m : ctx.messages()) {
-      os << "  from " << m.from << ":";
-      for (const Word w : m.payload) os << " " << w;
-      os << "\n";
+      read.push_back(m.from);
+      read.push_back(m.payload.size());
+      read.insert(read.end(), m.payload.begin(), m.payload.end());
     }
-    lines[ctx.id()] = os.str();  // per-machine slot: no race
+    ctx.send(kCentral, read);
   });
   e.invoke_round(send);
   e.invoke_round(recv);
   std::ostringstream os;
-  for (const std::string& l : lines) os << l;
+  e.run_central_round("collect", [&os](MachineContext& ctx) {
+    for (const MessageView m : ctx.messages()) {
+      const std::span<const Word> r = m.payload;
+      os << "machine " << m.from << " words=" << r[0] << "\n";
+      for (std::size_t i = 1; i < r.size(); i += 2 + r[i + 1]) {
+        os << "  from " << r[i] << ":";
+        for (std::size_t k = 0; k < r[i + 1]; ++k) os << " " << r[i + 2 + k];
+        os << "\n";
+      }
+    }
+  });
   write_trace_csv(e.metrics(), os);
   return os.str();
 }
 
-TEST(ArenaRoundTrip, WriterMatchesSendOnAdversarialShapes) {
-  for (const Shape shape : {Shape::kEmpty, Shape::kMaxLen, Shape::kManyTiny,
-                            Shape::kAllToOne, Shape::kMixed}) {
-    for (const std::uint64_t machines : {1ull, 3ull, 8ull}) {
-      const auto ms =
-          make_workload(shape, machines, 100 + static_cast<int>(shape));
-      const std::string plain = run_fingerprint(
-          ms, machines, Encode::kSend,
-          std::make_shared<exec::SerialExecutor>());
-      const std::string writer = run_fingerprint(
-          ms, machines, Encode::kWriter,
-          std::make_shared<exec::SerialExecutor>());
-      EXPECT_EQ(plain, writer)
-          << "shape=" << static_cast<int>(shape) << " machines=" << machines;
-    }
-  }
-}
-
 TEST(ArenaRoundTrip, ByteIdenticalAcrossBackends) {
-  for (const Shape shape : {Shape::kManyTiny, Shape::kAllToOne,
-                            Shape::kMixed}) {
+  // Across the wire too: under the process backend the empty messages
+  // and each sender's send order must reach the receivers as they do in
+  // process, since a receiver may tell senders' messages apart by index.
+  for (const Shape shape : {Shape::kEmpty, Shape::kManyTiny,
+                            Shape::kAllToOne, Shape::kMixed}) {
     const std::uint64_t machines = 8;
     const auto ms = make_workload(shape, machines, 7);
     const std::string serial = run_fingerprint(
-        ms, machines, Encode::kWriter,
+        ms, machines, Encode::kSend,
         std::make_shared<exec::SerialExecutor>());
     for (const unsigned threads : {1u, 2u, 8u}) {
       EXPECT_EQ(serial,
                 run_fingerprint(
-                    ms, machines, Encode::kWriter,
+                    ms, machines, Encode::kSend,
                     std::make_shared<exec::ThreadPoolExecutor>(threads)))
           << "shape=" << static_cast<int>(shape) << " threads=" << threads;
+    }
+    for (const unsigned shards : {2u, 3u}) {
+      EXPECT_EQ(serial,
+                run_fingerprint(
+                    ms, machines, Encode::kSend,
+                    std::make_shared<exec::ProcessShardExecutor>(shards)))
+          << "shape=" << static_cast<int>(shape) << " shards=" << shards;
     }
   }
 }
@@ -685,8 +626,8 @@ TEST(ArenaReuse, SteadyStateRoundsStayCorrect) {
     const std::uint64_t round = ps[0];
     // Check what arrived from the previous round.
     if (round > 0) {
-      ASSERT_EQ(ctx.inbox_size(), 1u);
-      const MessageView m = ctx.message(0);
+      ASSERT_EQ(ctx.messages().size(), 1u);
+      const MessageView m = ctx.messages()[0];
       const auto expect_from = static_cast<MachineId>(
           (ctx.id() + machines - (round - 1) % machines) % machines);
       EXPECT_EQ(m.from, expect_from);
@@ -697,10 +638,9 @@ TEST(ArenaReuse, SteadyStateRoundsStayCorrect) {
     // Send to a rotating neighbour with a round-varying length.
     const auto to =
         static_cast<MachineId>((ctx.id() + round % machines) % machines);
-    MessageWriter w = ctx.begin_message(to);
-    w.push(round);
-    w.push(ctx.id());
-    for (std::uint64_t k = 0; k < round % 3; ++k) w.push(k);
+    std::vector<Word> msg{round, ctx.id()};
+    for (std::uint64_t k = 0; k < round % 3; ++k) msg.push_back(k);
+    ctx.send(to, msg);
   });
   for (std::uint64_t round = 0; round < 60; ++round) {
     e.invoke_round(shift, {round});

@@ -46,8 +46,8 @@ TEST(Engine, DeliversMessagesNextRound) {
   });
   const RoundId recv = e.define_round("recv", [&](MachineContext& ctx, Params) {
     if (ctx.id() == 3) {
-      ASSERT_EQ(ctx.inbox_size(), 1u);
-      const MessageView m = ctx.message(0);
+      ASSERT_EQ(ctx.messages().size(), 1u);
+      const MessageView m = ctx.messages()[0];
       got.assign(m.payload.begin(), m.payload.end());
       from = m.from;
     } else {
@@ -102,8 +102,9 @@ TEST(Engine, SelfSendAllowed) {
   });
   const RoundId recv = e.define_round("recv", [&](MachineContext& ctx,
                                                   Params) {
-    if (ctx.id() == 0 && ctx.inbox_size() > 0) {
-      seen = ctx.message(0).from == 0 && ctx.message(0).payload[0] == 5;
+    const InboxView inbox = ctx.messages();
+    if (ctx.id() == 0 && !inbox.empty()) {
+      seen = inbox[0].from == 0 && inbox[0].payload[0] == 5;
     }
   });
   e.invoke_round(send);
@@ -137,7 +138,7 @@ TEST(Engine, CentralInboxTracked) {
   });
   e.invoke_round(send);
   e.run_central_round("recv", [](MachineContext& ctx) {
-    EXPECT_EQ(ctx.inbox_size(), 2u);
+    EXPECT_EQ(ctx.messages().size(), 2u);
   });
   EXPECT_EQ(e.metrics().max_central_inbox(), 2u);
 }
@@ -211,7 +212,7 @@ TEST(Engine, CentralRoundConsumesEveryInbox) {
   e.invoke_round(send);
   EXPECT_EQ(e.inbox_size(2), 1u);
   e.run_central_round("c", [](MachineContext& ctx) {
-    EXPECT_EQ(ctx.inbox_size(), 1u);
+    EXPECT_EQ(ctx.messages().size(), 1u);
   });
   for (MachineId m = 0; m < 3; ++m) EXPECT_EQ(e.inbox_size(m), 0u);
 }

@@ -262,14 +262,14 @@ TEST(Handshake, RoundTripAcceptsAndEchoes) {
 
 TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   // Regression pin for the version bump: a peer still speaking frame
-  // protocol version 5 (round inputs with a keep generation, a reuse
-  // flag and a segment table) must be refused by a version-6 build at
-  // the handshake, with both numbers in the error on BOTH sides of the
+  // protocol version 6 (a writer-open word in every kShardData
+  // accounting record) must be refused by a version-7 build at the
+  // handshake, with both numbers in the error on BOTH sides of the
   // wire, instead of misreading every data frame.
-  static_assert(kFrameVersion == 6,
+  static_assert(kFrameVersion == 7,
                 "update the forged version below when bumping again");
   auto [a, b] = make_socketpair_channel();
-  const auto hello = forge_hello(/*version=*/5, /*shard=*/2, /*nonce=*/7);
+  const auto hello = forge_hello(/*version=*/6, /*shard=*/2, /*nonce=*/7);
   a.write_all(hello.data(), hello.size());
   try {
     (void)handshake_accept(b, nullptr);
@@ -277,8 +277,8 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 5"), std::string::npos) << what;
     EXPECT_NE(what.find("version 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 7"), std::string::npos) << what;
   }
   // The refusal ack reaches the stale connector before the drop: its
   // status decodes as a version mismatch and names the responder's
@@ -294,7 +294,7 @@ TEST(Handshake, OldVersionHelloRefusedNamingBothVersions) {
   std::uint16_t status = 0;
   std::memcpy(&acked_version, ack + 4, 2);
   std::memcpy(&status, ack + 6, 2);
-  EXPECT_EQ(acked_version, 6);
+  EXPECT_EQ(acked_version, 7);
   EXPECT_EQ(status,
             static_cast<std::uint16_t>(HandshakeStatus::kVersionMismatch));
 }
@@ -328,7 +328,7 @@ TEST(Handshake, ConnectorReportsVersionRefusalNamingBothVersions) {
     EXPECT_EQ(e.kind, TransportError::Kind::kBadVersion);
     const std::string what = e.what();
     EXPECT_NE(what.find("version 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("version 6"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 7"), std::string::npos) << what;
   }
   responder.join();
 }

@@ -389,11 +389,12 @@ TEST(WirePins, EncodersProduceKnownBytes) {
   EXPECT_EQ(pin(exec::encode_bootstrap(sample_bootstrap(4))),
             0xF17E64457C8A758Eull);
   EXPECT_EQ(pin(telemetry_window()), 0xBB138DB19B992706ull);
-  // Frame version 6: the bootstrap always carries the thread count, and
-  // every frame header carries the new version. kShardData keeps only
-  // the shard-0 bucket, as in version 5.
-  EXPECT_EQ(pin(shard_data()), 0x5BA655FF044DC07Dull);
-  EXPECT_EQ(pin(status_frame()), 0x17BCE45BE25C2E15ull);
+  // Frame version 7: kShardData's per-machine accounting record is two
+  // words (outbox, resident), and every frame header carries the new
+  // version. kShardData keeps only the shard-0 bucket, as since
+  // version 5.
+  EXPECT_EQ(pin(shard_data()), 0xE60BE93F7D6D2BAEull);
+  EXPECT_EQ(pin(status_frame()), 0x13F47D4CFDE86AB5ull);
 }
 
 // ------------------------------------------------------------- fuzz --

@@ -709,19 +709,11 @@ int run_bench_cmd(int argc, char** argv) {
     }
   }
   if (backend) {
-    if (*backend == "process") {
-      options.context.process_backend = true;
-      options.context.shards =
-          std::max<std::uint64_t>(2, options.context.shards);
-    } else if (*backend == "threads") {
-      if (options.context.threads <= 1) options.context.threads = 0;
-    } else if (*backend == "serial") {
-      options.context.threads = 1;
-    } else {
-      std::cerr << "unknown backend " << *backend
-                << " (expected serial|threads|process)\n";
+    if (!apply_backend(*backend, options.context.threads,
+                       options.context.shards)) {
       return 2;
     }
+    options.context.process_backend = *backend == "process";
   }
   if (!options.list_only && options.groups.empty() &&
       options.scenarios.empty()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mrlr/core/owner_slots.hpp"
 #include "mrlr/seq/local_ratio_matching.hpp"
 #include "mrlr/util/math.hpp"
 #include "mrlr/util/require.hpp"
@@ -54,12 +55,26 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
 
   // Edge e lives on owner_of(e); vertex v (and its adjacency list) on
   // owner_of(v). Footprints per machine (job-immutable).
+  const OwnerLayout edge_slots(m, machines);
   std::vector<std::uint64_t> footprint(machines, 0);
+  std::vector<std::uint64_t> alive_cnt(machines, 0);  // owned alive edges
+  for (MachineId o = 0; o < machines; ++o) {
+    const std::uint64_t owned = edge_slots.end(o) - edge_slots.begin(o);
+    footprint[o] += 4 * owned;  // id + endpoints + weight
+    alive_cnt[o] = owned;       // first-iteration count is all edges (historic)
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    footprint[owner_of(v, machines)] += 1 + g.degree(v);
+  }
 
   // Worker-resident per-machine state (the process-clean contract):
   // every slot below is mutated only by its owner machine's callbacks,
   // so a persistent worker keeps its shard's slots current across
-  // rounds without ever reading coordinator memory.
+  // rounds without ever reading coordinator memory. The slots are
+  // machine-major and owner-filled (owner_slots.hpp): the host maps
+  // them untouched, and each machine fills its own in iteration 0's
+  // count round, so a forked worker faults only its own machines'
+  // pages.
   //
   // An edge is alive iff its modified weight w(e) - phi(u) - phi(v) is
   // positive: process() raises both endpoint phis by the (positive)
@@ -68,36 +83,25 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
   // an edge that died stays dead, and nothing about it is sent again.
   //
   // The liveness view is per incidence: the owner of v keeps one flag
-  // per adjacency slot of v, live[first_slot(v) + k] for the edge at
-  // neighbours(v)[k], so sampling and phi forwarding scan v's list and
-  // its flags in order. Edge owners keep one record per edge: its
-  // weight, its first endpoint, and the two phi halves (apart, so the
-  // float subtraction order matches MatchingLocalRatio::modified_weight
-  // exactly), refreshed only while the edge is live. The recompute
-  // round reads its edges in triple order, scattered over the owned
-  // edges, so each edge's fields share one cache line (two records
-  // per line).
+  // per adjacency slot of v, live[incidences.base(v) + k] for the edge
+  // at neighbours(v)[k], so sampling and phi forwarding scan v's list
+  // and its flags in order. Edge owners keep one record per edge,
+  // edge_state[edge_slots.slot(e)]: its weight, its first endpoint,
+  // and the two phi halves (apart, so the float subtraction order
+  // matches MatchingLocalRatio::modified_weight exactly), refreshed
+  // only while the edge is live. The recompute round reads its edges
+  // in triple order, scattered over the owned edges, so each edge's
+  // fields share one cache line (two records per line).
   struct alignas(32) EdgeState {
     double w;
     double phi[2];  // phi(u), phi(v)
     VertexId u;
   };
-  std::vector<std::uint64_t> alive_cnt(machines, 0);  // owned alive edges
-  std::vector<EdgeState> edge_state(m);  // edge-owner slots
-  std::vector<char> live(2 * m, 0);      // owner_of(v) slots, per incidence
-  for (EdgeId e = 0; e < m; ++e) {
-    const MachineId o = owner_of(e, machines);
-    footprint[o] += 4;  // id + endpoints + weight
-    ++alive_cnt[o];     // first-iteration count is all edges (historic)
-    edge_state[e] = {g.weight(e), {0.0, 0.0}, g.edge(e).u};
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    footprint[owner_of(v, machines)] += 1 + g.degree(v);
-    char* lv = live.data() + g.first_slot(v);
-    for (const graph::Incidence& inc : g.neighbours(v)) {
-      *lv++ = g.weight(inc.edge) > 0.0 ? 1 : 0;  // == lr.edge_alive now
-    }
-  }
+  OwnerArray<EdgeState> edge_state(edge_slots.size());
+  const OwnerRuns incidences(n, machines, [&](std::uint64_t v) {
+    return g.degree(static_cast<VertexId>(v));
+  });
+  OwnerArray<char> live(incidences.size());
 
   RlrMatchingResult res;
   Rng root_rng(params.seed);
@@ -109,9 +113,26 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
   // previous iteration's recompute round addressed to vertex owners.
   // A notice names the dead incidence by its slot, (v << 32) | k for
   // the edge at neighbours(v)[k], so clearing it is one write.
+  // Iteration 0's count round is also the owner fill: each machine
+  // writes its own edge records and incidence flags (no notices are
+  // pending then).
   const mrc::RoundId r_count = engine.define_round(
-      "count|Ei|", [&](MachineContext& ctx, std::span<const Word>) {
+      "count|Ei|", [&](MachineContext& ctx, std::span<const Word> ps) {
         ctx.charge_resident(footprint[ctx.id()] + 1);
+        if (ps[0] == 0) {
+          std::uint64_t s = edge_slots.begin(ctx.id());
+          for (std::uint64_t e = ctx.id(); e < m; e += machines) {
+            const auto id = static_cast<EdgeId>(e);
+            edge_state[s++] = {g.weight(id), {0.0, 0.0}, g.edge(id).u};
+          }
+          for (std::uint64_t v = ctx.id(); v < n; v += machines) {
+            const auto id = static_cast<VertexId>(v);
+            char* lv = live.data() + incidences.base(v);
+            for (const graph::Incidence& inc : g.neighbours(id)) {
+              *lv++ = g.weight(inc.edge) > 0.0 ? 1 : 0;  // == lr.edge_alive
+            }
+          }
+        }
         for (const mrc::MessageView msg : ctx.messages()) {
           for (const Word w : msg.payload) {
             const auto v = static_cast<VertexId>(w >> 32);
@@ -120,7 +141,7 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
                                    k < g.degree(v),
                                "death notice for a slot this machine does "
                                "not own");
-            live[g.first_slot(v) + k] = 0;
+            live[incidences.base(v) + k] = 0;
           }
         }
         ctx.send(mrc::kCentral, {alive_cnt[ctx.id()]});
@@ -144,7 +165,7 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
         for (VertexId v = static_cast<VertexId>(ctx.id()); v < n;
              v = static_cast<VertexId>(v + machines)) {
           msg.clear();
-          const char* lv = live.data() + g.first_slot(v);
+          const char* lv = live.data() + incidences.base(v);
           for (const graph::Incidence& inc : g.neighbours(v)) {
             if (!*lv++) continue;
             if (ship_all || rng.bernoulli(p)) {
@@ -171,7 +192,7 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
             const auto v = static_cast<VertexId>(msg.payload[i]);
             const Word phi_w = msg.payload[i + 1];
             const std::span<const graph::Incidence> nb = g.neighbours(v);
-            const char* lv = live.data() + g.first_slot(v);
+            const char* lv = live.data() + incidences.base(v);
             for (std::size_t k = 0; k < nb.size(); ++k) {
               if (!lv[k]) continue;
               ctx.send_coalesced(owner_of(nb[k].edge, machines),
@@ -195,7 +216,7 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
           for (std::size_t i = 0; i + 2 < msg.payload.size(); i += 3) {
             const auto e = static_cast<EdgeId>(msg.payload[i]);
             const auto v = static_cast<VertexId>(msg.payload[i + 1] >> 32);
-            EdgeState& es = edge_state[e];
+            EdgeState& es = edge_state[edge_slots.slot(e)];
             es.phi[es.u == v ? 0 : 1] = unpack_double(msg.payload[i + 2]);
           }
         }
@@ -204,7 +225,7 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
           for (std::size_t i = 0; i + 2 < msg.payload.size(); i += 3) {
             const auto e = static_cast<EdgeId>(msg.payload[i]);
             const Word slot = msg.payload[i + 1];
-            const EdgeState& es = edge_state[e];
+            const EdgeState& es = edge_state[edge_slots.slot(e)];
             if (es.w - es.phi[0] - es.phi[1] > 0.0) {
               ++live_triples;
             } else {

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -403,7 +404,11 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
   // land in the next window: every wire byte reaches the coordinator's
   // counters from both ends, except the last round's trailing frames.
   obs::Telemetry::Mark tel_mark;
-  if (telemetry) tel_mark = tel.mark();
+  std::optional<std::uint64_t> fault_mark;
+  if (telemetry) {
+    tel_mark = tel.mark();
+    obs::count_minor_faults(fault_mark);
+  }
   const std::string control_context =
       "worker shard " + std::to_string(shard) + ": round control frame";
 
@@ -617,6 +622,9 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
     // of that round's buckets are delivered.
     pump.run([&] { return pump.all_sent(); });
     if (telemetry) {
+      // This round's faults: from the previous round's snapshot (or
+      // the job's start) until every bucket is sent.
+      obs::count_minor_faults(fault_mark);
       std::vector<std::byte> window = tel.serialize_since(tel_mark);
       tel_mark = tel.mark();
       pump.send(0, FrameKind::kShardTelemetry, shard, sequence,

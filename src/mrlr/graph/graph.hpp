@@ -102,11 +102,6 @@ class Graph {
     return {adj_.data() + offsets_[v], adj_.data() + offsets_[v + 1]};
   }
 
-  /// Index of v's first adjacency slot: neighbours(v)[k] is slot
-  /// first_slot(v) + k of the 2m slots, so per-incidence state can live
-  /// in one flat array.
-  std::uint64_t first_slot(VertexId v) const { return offsets_[v]; }
-
   std::uint64_t max_degree() const { return max_degree_; }
 
   /// Total weight of all edges.

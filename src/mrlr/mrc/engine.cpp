@@ -56,6 +56,7 @@ Engine::Engine(Topology topology, std::shared_ptr<exec::Executor> executor)
   outbox_words_.assign(machines, 0);
   resident_words_.assign(machines, 0);
   local_end_ = machines;
+  obs::count_minor_faults(fault_mark_);
 }
 
 Engine::~Engine() {
@@ -286,6 +287,7 @@ void Engine::round_body(std::string_view label, bool central_only,
   if (telemetry) {
     tel.record_span(obs::Phase::kRound, round_start, tel.now_ns(), round_ix,
                     std::string(label));
+    obs::count_minor_faults(fault_mark_);
   }
 }
 

@@ -81,6 +81,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -419,6 +420,10 @@ class Engine : private exec::ShardJobPlane {
   // a round's peer buckets by it (their generation): a worker counts
   // the round controls it serves, and sees no central round.
   std::uint64_t job_rounds_ = 0;
+  // Telemetry only: this process's minor-fault count when the engine
+  // was built or its last round ended, so each round's delta also
+  // covers the host code before it.
+  std::optional<std::uint64_t> fault_mark_;
   // staging_[m] = machine m's outgoing arena for the current round; only
   // machine m's sends touch it, so sends never contend. After the
   // barrier the arenas are merged by frame index and then moved

@@ -1,5 +1,7 @@
 #include "mrlr/obs/telemetry.hpp"
 
+#include <sys/resource.h>
+
 #include "mrlr/exec/shard_transport.hpp"
 
 namespace mrlr::obs {
@@ -212,6 +214,25 @@ ScopedSpan::~ScopedSpan() {
   if (!armed_) return;
   Telemetry& t = Telemetry::instance();
   t.record_span(phase_, start_, t.now_ns(), round_, std::move(label_));
+}
+
+std::uint64_t minor_faults() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
+
+void count_minor_faults(std::optional<std::uint64_t>& mark) {
+  Telemetry& t = Telemetry::instance();
+  if (!t.enabled()) return;
+  const std::uint64_t now = minor_faults();
+  if (mark) {
+    const std::uint64_t delta = now - *mark;
+    t.add_counter("proc.minor_faults", delta);
+    t.add_counter("proc.minor_faults.shard" + std::to_string(t.shard()),
+                  delta);
+  }
+  mark = now;
 }
 
 }  // namespace mrlr::obs

@@ -191,4 +191,15 @@ inline void count(std::string_view name, std::uint64_t delta = 1) {
   if (t.enabled()) t.add_counter(name, delta);
 }
 
+/// This process's minor page faults so far (getrusage(RUSAGE_SELF)'s
+/// ru_minflt), copy-on-write faults after a fork included.
+std::uint64_t minor_faults();
+
+/// Adds this process's minor faults since `mark` to the counter
+/// proc.minor_faults and to proc.minor_faults.shard<k> for this
+/// process's shard k, then moves `mark` to now. A call with no mark
+/// only sets it. When telemetry is off it does nothing, not even the
+/// getrusage call.
+void count_minor_faults(std::optional<std::uint64_t>& mark);
+
 }  // namespace mrlr::obs

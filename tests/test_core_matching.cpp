@@ -513,6 +513,113 @@ TEST(RlrMatchingPins, PhiAndNoticesTravelOnlyAlongLiveEdges) {
   }
 }
 
+// ------------------------------------------ owner-filled worker state --
+
+// Hand-built graphs for the owner fill: isolated vertices (no incidence
+// slots), zero-weight edges (their flags start dead), and an edge count
+// that does not split evenly over the machines (mu = 0, so M is
+// ceil(m / n)).
+struct OwnerFillCase {
+  std::string name;
+  Graph g;
+};
+
+std::vector<OwnerFillCase> owner_fill_cases() {
+  std::vector<OwnerFillCase> cases;
+  const auto build = [](std::uint64_t n, std::uint64_t core,
+                        std::uint64_t m, std::uint64_t zero_every,
+                        std::uint64_t salt) {
+    // The first m pairs of [0, core) in a salted order; vertex 2 and
+    // every vertex from `core` on stay isolated.
+    std::vector<std::pair<std::uint64_t, graph::Edge>> pairs;
+    for (graph::VertexId u = 0; u < core; ++u) {
+      for (graph::VertexId v = u + 1; v < core; ++v) {
+        if (u == 2 || v == 2) continue;
+        pairs.push_back({mix64(salt ^ (std::uint64_t{u} << 32 | v)), {u, v}});
+      }
+    }
+    std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    std::vector<graph::Edge> edges;
+    std::vector<double> weights;
+    for (std::uint64_t e = 0; e < m; ++e) {
+      edges.push_back(pairs[e].second);
+      // Ties and zeros: small integer weights, every zero_every-th 0.
+      weights.push_back(e % zero_every == 0
+                            ? 0.0
+                            : static_cast<double>(pairs[e].first % 7 + 1));
+    }
+    return Graph(n, std::move(edges), std::move(weights));
+  };
+  cases.push_back({"sampled", build(30, 24, 151, 5, 11)});     // M = 6
+  cases.push_back({"mostly-zero", build(16, 14, 67, 2, 29)});  // M = 5
+  cases.push_back({"one-short", build(20, 18, 99, 3, 47)});    // M = 5
+  return cases;
+}
+
+std::string owner_fill_fingerprint(const RlrMatchingResult& r) {
+  std::string out = pin_fingerprint(r);
+  out += " failed=" + std::to_string(r.outcome.failed) +
+         " comm=" + std::to_string(r.outcome.total_communication);
+  for (const mrc::RoundMetrics& rm : r.per_round) {
+    out += " " + rm.label + ":" + std::to_string(rm.total_sent) + "/" +
+           std::to_string(rm.max_resident);
+  }
+  return out;
+}
+
+TEST(RlrMatchingOwnerSlots, HandBuiltGraphsAgreeAcrossBackends) {
+  // Each machine fills its own slots in iteration 0's count round, so
+  // the cases stop after 0 and 1 iterations too, and every backend
+  // must see the same state: serial, 4 threads, 2 to 4 shards.
+  for (const OwnerFillCase& c : owner_fill_cases()) {
+    const std::uint64_t n = c.g.num_vertices();
+    const std::uint64_t m = c.g.num_edges();
+    const std::uint64_t machines = ceil_div(m, n);
+    ASSERT_GE(machines, 5u) << c.name;
+    ASSERT_NE(m % machines, 0u) << c.name;
+    for (const std::uint64_t max_iterations : {0u, 1u, 2000u}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        MrParams p = test_params(seed, /*mu=*/0.0);
+        p.max_iterations = max_iterations;
+        const RlrMatchingResult serial = rlr_matching(c.g, p);
+        EXPECT_TRUE(graph::is_matching(c.g, serial.matching));
+        if (max_iterations == 0) {
+          EXPECT_EQ(serial.outcome.rounds, 0u);
+        } else {
+          // The filled state is the right one, not just the same one:
+          // iteration 0 forwards phi along every positive-weight edge,
+          // one 3-word triple from each endpoint.
+          std::uint64_t positive = 0;
+          for (graph::EdgeId e = 0; e < m; ++e) {
+            if (c.g.weight(e) > 0.0) ++positive;
+          }
+          const auto forward = std::find_if(
+              serial.per_round.begin(), serial.per_round.end(),
+              [](const mrc::RoundMetrics& rm) {
+                return rm.label == "forward-phi";
+              });
+          ASSERT_NE(forward, serial.per_round.end()) << c.name;
+          EXPECT_EQ(forward->total_sent, 6 * positive) << c.name;
+        }
+        const std::string want = owner_fill_fingerprint(serial);
+        const std::string where = c.name + " max_iterations=" +
+                                  std::to_string(max_iterations) +
+                                  " seed=" + std::to_string(seed);
+        for (const auto& [threads, shards] :
+             {std::pair{4ull, 1ull}, {1ull, 2ull}, {1ull, 3ull},
+              {1ull, 4ull}}) {
+          p.num_threads = threads;
+          p.num_shards = shards;
+          EXPECT_EQ(owner_fill_fingerprint(rlr_matching(c.g, p)), want)
+              << where << " threads=" << threads << " shards=" << shards;
+        }
+      }
+    }
+  }
+}
+
 // ----------------------------------------- Algorithm 7 (b-matching) --
 
 TEST(SeqBMatchingLocalRatio, FeasibleAndApproximate) {

@@ -545,6 +545,21 @@ MatchingResult run_sharded_matching(std::uint64_t shards = 4,
           r.outcome.total_communication, r.outcome.failed};
 }
 
+TEST_F(TelemetryTest, SerialEngineCountsFaultsOnlyWhileEnabled) {
+  Telemetry& t = Telemetry::instance();
+  const MatchingResult off = run_sharded_matching(/*shards=*/1);
+  EXPECT_EQ(t.snapshot().counters.count("proc.minor_faults"), 0u);
+
+  t.enable();
+  EXPECT_EQ(run_sharded_matching(/*shards=*/1), off);
+  t.disable();
+  const TelemetrySnapshot snap = t.snapshot();
+  ASSERT_EQ(snap.counters.count("proc.minor_faults"), 1u);
+  EXPECT_GT(snap.counters.at("proc.minor_faults"), 0u);
+  EXPECT_EQ(snap.counters.at("proc.minor_faults.shard0"),
+            snap.counters.at("proc.minor_faults"));
+}
+
 TEST_F(TelemetryTest, ProcessBackendMergesAllShardProfiles) {
   const MatchingResult off = run_sharded_matching();
   ASSERT_FALSE(off.failed);
@@ -588,6 +603,17 @@ TEST_F(TelemetryTest, ProcessBackendMergesAllShardProfiles) {
   EXPECT_GT(snap.counters.at("exec.frames_received"), 0u);
   EXPECT_GT(snap.counters.at("exec.wire_bytes_out"), 0u);
   EXPECT_EQ(snap.counters.at("engine.rounds"), on.rounds);
+
+  // Every process counts its own page faults, and the per-shard
+  // counters add up to the total.
+  std::uint64_t faults = 0;
+  for (const std::uint32_t shard : {0u, 1u, 2u, 3u}) {
+    const std::string name = "proc.minor_faults.shard" + std::to_string(shard);
+    ASSERT_EQ(snap.counters.count(name), 1u) << name;
+    EXPECT_GT(snap.counters.at(name), 0u) << name;
+    faults += snap.counters.at(name);
+  }
+  EXPECT_EQ(snap.counters.at("proc.minor_faults"), faults);
 
   // The merged profile renders: every shard appears in the breakdown.
   const obs::ProfileReport report = obs::build_report(snap);

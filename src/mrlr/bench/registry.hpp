@@ -25,17 +25,20 @@
 namespace mrlr::bench {
 
 struct RunContext {
-  /// Execution backend threads for scenarios that honor the session
-  /// knob (f1 scenarios); scenarios whose *subject* is the thread count
-  /// pin their own value and ignore this.
+  /// Execution backend threads (per shard under the process backend)
+  /// for every scenario that runs a jobs-registry driver at the session
+  /// backend; scenarios whose *subject* is the backend (exec/*) pin
+  /// their own value and ignore this.
   std::uint64_t threads = 1;
 
-  /// `mrlr_cli bench --backend process [--shards K]`: scenarios that
-  /// honor the session backend (the rlr-matching family and the compare
-  /// group) run their driver with num_shards = shards; the rest keep
-  /// their pinned backend. Either way every non-timing result field
-  /// must equal the committed baseline — that is the backend
-  /// determinism contract the perf-smoke CI job checks.
+  /// `mrlr_cli bench --backend process [--shards K]`: every scenario
+  /// that runs a jobs-registry driver at the session backend (the f1,
+  /// rounds, space, compare and large rows) runs it with num_shards =
+  /// shards; the exec/* rows and large/setcover-greedy/k4 keep their
+  /// pinned backend, and rows with no driver ignore it. Either way
+  /// every non-timing result field must equal the committed baseline —
+  /// that is the backend determinism contract the perf-smoke CI job
+  /// checks.
   bool process_backend = false;
   std::uint64_t shards = 2;
 };

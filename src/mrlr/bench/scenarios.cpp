@@ -3,7 +3,14 @@
 //
 // Every scenario pins its instance seed, so all non-timing fields
 // (rounds, space, quality, determinism hash) are exactly reproducible
-// and diffable against bench/baseline.json. Groups:
+// and diffable against bench/baseline.json. A scenario whose subject is
+// a jobs-registry algorithm builds a jobs::JobSpec on its pinned
+// instance and runs it through run_job_row, which applies the session
+// backend and takes the row's cost columns, quality, validity and
+// determinism hash (jobs::determinism_hash) from the JobResult. Only
+// the rows whose subject is not a registry driver (shuffle, io, the
+// broadcast tree, the streaming and sample-and-prune comparisons, the
+// serve daemon) measure and hash by hand. Groups:
 //   paper-f1     — Figure 1 rows: solution quality vs a sequential
 //                  reference plus the round/space cost columns;
 //   rounds-vs-mu — round-scaling curves (Thm 2.3/5.5 bound, Alg 2 vs 6,
@@ -35,16 +42,7 @@
 #include "mrlr/bench/instances.hpp"
 #include "mrlr/bench/registry.hpp"
 
-#include "mrlr/baselines/filtering_matching.hpp"
-#include "mrlr/baselines/luby_mr.hpp"
 #include "mrlr/baselines/sample_prune_setcover.hpp"
-#include "mrlr/core/colouring.hpp"
-#include "mrlr/core/greedy_setcover_mr.hpp"
-#include "mrlr/core/hungry_clique.hpp"
-#include "mrlr/core/hungry_mis.hpp"
-#include "mrlr/core/rlr_bmatching.hpp"
-#include "mrlr/core/rlr_matching.hpp"
-#include "mrlr/core/rlr_setcover.hpp"
 #include "mrlr/graph/io.hpp"
 #include "mrlr/graph/validate.hpp"
 #include "mrlr/mrc/broadcast.hpp"
@@ -96,6 +94,12 @@ double per_second(double count, double seconds) {
   return count / std::max(seconds, 1e-12);
 }
 
+/// `value` relative to a reference value; 0 when the reference is not
+/// positive (the schema's "n/a").
+double ratio(double value, double reference) {
+  return reference > 0 ? value / reference : 0.0;
+}
+
 void fill_outcome(BenchResult& r, const core::MrOutcome& o) {
   r.rounds = o.rounds;
   r.iterations = o.iterations;
@@ -105,41 +109,77 @@ void fill_outcome(BenchResult& r, const core::MrOutcome& o) {
   r.failed = r.failed || o.failed || o.space_violations > 0;
 }
 
-/// scenario_params plus the session's backend request. Every driver
-/// honors MrParams::num_shards (all are process-clean); under
-/// --backend process the scenario runs K persistent worker shards and
-/// must still reproduce the baseline bit-for-bit. The threads and
-/// shards that actually run are recorded in `res`, so the run manifest
-/// reports them.
-core::MrParams exec_params(double mu, std::uint64_t seed,
-                           const RunContext& ctx, BenchResult& res) {
-  res.threads = ctx.process_backend ? 1 : ctx.threads;
-  core::MrParams p = scenario_params(mu, seed, res.threads);
+/// Applies the backend `ctx` selects to `p`: ctx.threads threads (per
+/// shard under the process backend) and, under the process backend,
+/// ctx.shards persistent worker shards. The point that runs is recorded
+/// in `res` (threads, extra["shards"]), so the run manifest reports it.
+/// Every driver is process-clean, so no result column may depend on it.
+void use_backend(core::MrParams& p, const RunContext& ctx,
+                 BenchResult& res) {
+  p.num_threads = ctx.threads;
+  res.threads = ctx.threads;
   if (ctx.process_backend) {
-    p.num_shards = std::max<std::uint64_t>(2, ctx.shards);
-    res.extra["shards"] = static_cast<double>(p.num_shards);
+    p.num_shards = ctx.shards;
+    res.extra["shards"] = static_cast<double>(ctx.shards);
   }
-  return p;
+}
+
+/// The solution value a JobResult reports: the weight for weighted
+/// problems, the colour count for colourings, else the solution size.
+double job_quality(const jobs::JobResult& r) {
+  if (r.stat("weight") != nullptr) return r.stat_double("weight");
+  if (r.stat("colours") != nullptr) {
+    return static_cast<double>(r.stat_count("colours"));
+  }
+  return static_cast<double>(r.solution_size);
+}
+
+/// The one way a scenario runs a registry driver: `spec` at the backend
+/// `ctx` selects, timed around jobs::run_job (instance decode, driver
+/// and validator). The row takes its cost columns from the outcome, its
+/// quality from job_quality, its hash from jobs::determinism_hash, and
+/// fails on an invalid solution, a failed outcome or a space violation.
+/// The row's mu is the spec's. Returns the result, whose stats (stack,
+/// drops, lb, groups, ...) feed the row's own extras.
+jobs::JobResult run_job_row(jobs::JobSpec spec, const RunContext& ctx,
+                            BenchResult& res) {
+  res.mu = spec.params.mu;
+  use_backend(spec.params, ctx, res);
+  const Timer t;
+  jobs::JobResult out = jobs::run_job(spec);
+  res.wall_seconds = t.elapsed();
+  fill_outcome(res, out.outcome);
+  res.quality = job_quality(out);
+  res.failed = res.failed || !out.valid;
+  res.determinism_hash = jobs::determinism_hash(out);
+  return out;
 }
 
 // ------------------------------------------------------ paper-f1 ----
 
-// Figure 1 row: max weight matching (Theorem 5.6; mu = 0 is the
-// Appendix C regime). Baseline: sequential local ratio (same ratio-2
-// guarantee), as in the old bench_f1_matching.
+// Figure 1 rows: max weight matching (Theorem 5.6; mu = 0 is the
+// Appendix C regime), and the same family at nightly scale. Baseline:
+// sequential local ratio (same ratio-2 guarantee).
 void add_f1_matching(Registry& r) {
   struct Cfg {
+    std::string name;
     std::uint64_t n;
     double c, mu;
     std::vector<std::string> groups;
   };
   for (const Cfg& cfg : {
-           Cfg{1000, 0.4, 0.2, {"paper-f1", "smoke"}},
-           Cfg{1000, 0.4, 0.0, {"paper-f1"}},
-           Cfg{4000, 0.5, 0.25, {"paper-f1"}},
+           Cfg{"f1/matching/n1000-c0.40-mu0.20", 1000, 0.4, 0.2,
+               {"paper-f1", "smoke"}},
+           Cfg{"f1/matching/n1000-c0.40-mu0.00", 1000, 0.4, 0.0,
+               {"paper-f1"}},
+           Cfg{"f1/matching/n4000-c0.50-mu0.25", 4000, 0.5, 0.25,
+               {"paper-f1"}},
+           // ~1.2M edges. mu = 0.1 keeps 4*eta well below m, so the
+           // nightly curve tracks the real multi-iteration sampling
+           // path, not the ship-all endgame.
+           Cfg{"large/matching/n40000-c0.32", 40000, 0.32, 0.1, {"large"}},
        }) {
-    r.add({"f1/matching/n" + std::to_string(cfg.n) + "-c" + f2(cfg.c) +
-               "-mu" + f2(cfg.mu),
+    r.add({cfg.name,
            cfg.groups,
            "rlr matching (Alg 4 / App C) vs sequential local ratio",
            [cfg](const RunContext& ctx) {
@@ -148,26 +188,16 @@ void add_f1_matching(Registry& r) {
              res.family = "gnm-density";
              res.n = cfg.n;
              res.c = cfg.c;
-             res.mu = cfg.mu;
              const graph::Graph g = weighted_gnm(
                  cfg.n, cfg.c, WeightDist::kUniform, cfg.n + 17);
              res.m = g.num_edges();
-             const auto sq = seq::local_ratio_matching(g);
-             Timer t;
-             const auto out =
-                 core::rlr_matching(g, exec_params(cfg.mu, 1, ctx, res));
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
+             const jobs::JobResult out = run_job_row(
+                 jobs::graph_job("matching", g, scenario_params(cfg.mu, 1)),
+                 ctx, res);
              res.quality_vs_baseline =
-                 sq.weight > 0 ? out.weight / sq.weight : 0.0;
-             res.failed = res.failed || !graph::is_matching(g, out.matching);
-             HashAcc h;
-             h.mix_range(out.matching);
-             h.mix(out.weight);
-             res.determinism_hash = h.value();
+                 ratio(res.quality, seq::local_ratio_matching(g).weight);
              res.extra["stack_size"] =
-                 static_cast<double>(out.stack_size);
+                 static_cast<double>(out.stat_count("stack"));
              return res;
            }});
   }
@@ -196,32 +226,23 @@ void add_f1_vertex_cover(Registry& r) {
              res.family = "gnm-density";
              res.n = cfg.n;
              res.c = cfg.c;
-             res.mu = cfg.mu;
-             res.threads = ctx.threads;
              Rng rng(7 * cfg.n + 41);
              const graph::Graph g = graph::gnm_density(cfg.n, cfg.c, rng);
              res.m = g.num_edges();
              const auto w = graph::random_vertex_weights(
                  cfg.n, WeightDist::kUniform, rng);
-             const auto sys =
-                 setcover::SetSystem::vertex_cover_instance(g, w);
-             const auto sq = seq::local_ratio_set_cover(sys);
-             Timer t;
-             const auto out = core::rlr_vertex_cover(
-                 g, w, scenario_params(cfg.mu, 1, ctx.threads));
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
-             res.quality_vs_baseline =
-                 sq.weight > 0 ? out.weight / sq.weight : 0.0;
-             res.failed =
-                 res.failed || !graph::is_vertex_cover(g, out.cover);
-             HashAcc h;
-             h.mix_range(out.cover);
-             h.mix(out.weight);
-             res.determinism_hash = h.value();
+             jobs::JobSpec spec =
+                 jobs::graph_job("vertex-cover", g, scenario_params(cfg.mu, 1));
+             jobs::set_vertex_weights(spec, w);
+             const jobs::JobResult out =
+                 run_job_row(std::move(spec), ctx, res);
+             res.quality_vs_baseline = ratio(
+                 res.quality,
+                 seq::local_ratio_set_cover(
+                     setcover::SetSystem::vertex_cover_instance(g, w))
+                     .weight);
              res.extra["ratio_vs_lower_bound"] =
-                 out.lower_bound > 0 ? out.weight / out.lower_bound : 0.0;
+                 ratio(res.quality, out.stat_double("lb"));
              return res;
            }});
   }
@@ -250,28 +271,17 @@ void add_f1_setcover_f(Registry& r) {
              res.family = "bounded-frequency-f" + std::to_string(cfg.f);
              res.n = cfg.sets;
              res.m = cfg.universe;
-             res.mu = cfg.mu;
-             res.threads = ctx.threads;
              Rng rng(cfg.sets + cfg.universe + cfg.f);
              const auto sys = setcover::bounded_frequency(
                  cfg.sets, cfg.universe, cfg.f, WeightDist::kUniform, rng);
-             const auto sq = seq::local_ratio_set_cover(sys);
-             Timer t;
-             const auto out = core::rlr_set_cover(
-                 sys, scenario_params(cfg.mu, 1, ctx.threads));
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
+             const jobs::JobResult out = run_job_row(
+                 jobs::set_system_job("set-cover-f", sys,
+                                      scenario_params(cfg.mu, 1)),
+                 ctx, res);
              res.quality_vs_baseline =
-                 sq.weight > 0 ? out.weight / sq.weight : 0.0;
-             res.failed =
-                 res.failed || !setcover::is_cover(sys, out.cover);
-             HashAcc h;
-             h.mix_range(out.cover);
-             h.mix(out.weight);
-             res.determinism_hash = h.value();
+                 ratio(res.quality, seq::local_ratio_set_cover(sys).weight);
              res.extra["ratio_vs_lower_bound"] =
-                 out.lower_bound > 0 ? out.weight / out.lower_bound : 0.0;
+                 ratio(res.quality, out.stat_double("lb"));
              return res;
            }});
   }
@@ -299,28 +309,18 @@ void add_f1_setcover_greedy(Registry& r) {
              res.family = "many-sets";
              res.n = cfg.sets;
              res.m = cfg.universe;
-             res.mu = cfg.mu;
-             res.threads = ctx.threads;
              Rng rng(cfg.sets + cfg.universe);
              const auto sys = setcover::many_sets(
                  cfg.sets, cfg.universe, 12, WeightDist::kUniform, rng);
-             const auto sq = seq::greedy_set_cover(sys);
-             Timer t;
-             const auto out = core::greedy_set_cover_mr(
-                 sys, cfg.eps, scenario_params(cfg.mu, 1, ctx.threads));
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
+             jobs::JobSpec spec = jobs::set_system_job(
+                 "set-cover-greedy", sys, scenario_params(cfg.mu, 1));
+             jobs::add_driver_extras(spec, {.eps = cfg.eps}, 0);
+             const jobs::JobResult out =
+                 run_job_row(std::move(spec), ctx, res);
              res.quality_vs_baseline =
-                 sq.weight > 0 ? out.weight / sq.weight : 0.0;
-             res.failed =
-                 res.failed || !setcover::is_cover(sys, out.cover);
-             HashAcc h;
-             h.mix_range(out.cover);
-             h.mix(out.weight);
-             res.determinism_hash = h.value();
+                 ratio(res.quality, seq::greedy_set_cover(sys).weight);
              res.extra["level_drops"] =
-                 static_cast<double>(out.level_drops);
+                 static_cast<double>(out.stat_count("drops"));
              res.extra["eps"] = cfg.eps;
              return res;
            }});
@@ -350,27 +350,17 @@ void add_f1_bmatching(Registry& r) {
              res.family = "gnm-density";
              res.n = cfg.n;
              res.c = 0.45;
-             res.mu = 0.25;
-             res.threads = ctx.threads;
              const graph::Graph g = weighted_gnm(
                  cfg.n, 0.45, WeightDist::kUniform, cfg.n + cfg.b);
              res.m = g.num_edges();
+             jobs::JobSpec spec =
+                 jobs::graph_job("b-matching", g, scenario_params(0.25, 1));
+             jobs::add_driver_extras(spec, {.b = cfg.b, .eps = cfg.eps},
+                                     cfg.n);
+             run_job_row(std::move(spec), ctx, res);
              const std::vector<std::uint32_t> b(cfg.n, cfg.b);
-             const auto greedy = seq::greedy_b_matching(g, b);
-             Timer t;
-             const auto out = core::rlr_b_matching(
-                 g, b, cfg.eps, scenario_params(0.25, 1, ctx.threads));
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
              res.quality_vs_baseline =
-                 greedy.weight > 0 ? out.weight / greedy.weight : 0.0;
-             res.failed =
-                 res.failed || !graph::is_b_matching(g, out.matching, b);
-             HashAcc h;
-             h.mix_range(out.matching);
-             h.mix(out.weight);
-             res.determinism_hash = h.value();
+                 ratio(res.quality, seq::greedy_b_matching(g, b).weight);
              res.extra["eps"] = cfg.eps;
              res.extra["ratio_bound"] =
                  3.0 - 2.0 / std::max(2.0, double(cfg.b)) + 2.0 * cfg.eps;
@@ -379,70 +369,66 @@ void add_f1_bmatching(Registry& r) {
   }
 }
 
-// Figure 1 rows: MIS via hungry greedy, Alg 2 (O(1/mu^2)) and Alg 6
-// (O(c/mu)), plus the Luby-MR PRAM baseline. Quality baseline:
-// sequential Luby MIS size (same maximality guarantee).
-void add_f1_mis(Registry& r) {
+// Maximal independent set via hungry greedy, Alg 2 (O(1/mu^2)) and
+// Alg 6 (O(c/mu)), plus the Luby-MR PRAM baseline. The Figure 1 rows
+// compare the size with sequential Luby MIS (same maximality
+// guarantee); the FIG-R2 rows show Alg 2 sweeps growing ~1/mu^2 while
+// Alg 6 grows ~c/mu; the last row is nightly scale (~1.2M edges).
+void add_mis(Registry& r) {
   struct Cfg {
-    const char* variant;
+    std::string name;
     std::vector<std::string> groups;
+    std::string description;
+    std::string algorithm;  ///< jobs-registry name
+    std::uint64_t n;
+    double c, mu;
+    bool vs_luby;
   };
+  const std::string f1 = "maximal independent set vs sequential Luby";
+  const std::string r2 = "hungry MIS sweep count (Alg 2 ~1/mu^2 vs Alg 6 ~c/mu)";
   for (const Cfg& cfg : {
-           Cfg{"simple", {"paper-f1", "smoke"}},
-           Cfg{"improved", {"paper-f1", "smoke"}},
-           Cfg{"luby", {"paper-f1"}},
+           Cfg{"f1/mis-simple/n1000-c0.40-mu0.25", {"paper-f1", "smoke"},
+               f1, "mis-simple", 1000, 0.4, 0.25, true},
+           Cfg{"f1/mis-improved/n1000-c0.40-mu0.25", {"paper-f1", "smoke"},
+               f1, "mis", 1000, 0.4, 0.25, true},
+           Cfg{"f1/mis-luby/n1000-c0.40-mu0.25", {"paper-f1"}, f1,
+               "luby-mis", 1000, 0.4, 0.25, true},
+           Cfg{"rounds/mis-simple/mu0.10", {"rounds-vs-mu"}, r2, "mis-simple",
+               2000, 0.4, 0.1, false},
+           Cfg{"rounds/mis-simple/mu0.30", {"rounds-vs-mu"}, r2, "mis-simple",
+               2000, 0.4, 0.3, false},
+           Cfg{"rounds/mis-improved/mu0.10", {"rounds-vs-mu"}, r2, "mis",
+               2000, 0.4, 0.1, false},
+           Cfg{"rounds/mis-improved/mu0.30", {"rounds-vs-mu"}, r2, "mis",
+               2000, 0.4, 0.3, false},
+           Cfg{"large/mis-improved/n40000-c0.32", {"large"},
+               "hungry MIS (Alg 6), nightly scale", "mis", 40000, 0.32, 0.25,
+               false},
        }) {
-    const std::string variant = cfg.variant;
-    r.add({"f1/mis-" + variant + "/n1000-c0.40-mu0.25",
-           cfg.groups,
-           "maximal independent set (" + variant + ") vs sequential Luby",
-           [variant](const RunContext& ctx) {
-             const std::uint64_t n = 1000;
-             const double c = 0.4, mu = 0.25;
+    r.add({cfg.name, cfg.groups, cfg.description,
+           [cfg](const RunContext& ctx) {
              BenchResult res;
-             res.algo = "mis-" + variant;
+             // The row's label: mis-simple, mis-improved or mis-luby.
+             res.algo = cfg.algorithm == "mis"        ? "mis-improved"
+                        : cfg.algorithm == "luby-mis" ? "mis-luby"
+                                                      : cfg.algorithm;
              res.family = "gnm-density";
-             res.n = n;
-             res.c = c;
-             res.mu = mu;
-             res.threads = ctx.threads;
-             Rng rng(n + 40);
-             const graph::Graph g = graph::gnm_density(n, c, rng);
+             res.n = cfg.n;
+             res.c = cfg.c;
+             Rng rng(cfg.n + 40);
+             const graph::Graph g = graph::gnm_density(cfg.n, cfg.c, rng);
              res.m = g.num_edges();
-             Rng seq_rng(99);
-             const auto sq = seq::luby_mis(g, seq_rng);
-             Timer t;
-             std::vector<graph::VertexId> mis;
-             if (variant == "simple") {
-               auto out = core::hungry_mis_simple(
-                   g, scenario_params(mu, 1, ctx.threads));
-               res.wall_seconds = t.elapsed();
-               fill_outcome(res, out.outcome);
-               mis = std::move(out.independent_set);
-             } else if (variant == "improved") {
-               auto out = core::hungry_mis_improved(
-                   g, scenario_params(mu, 1, ctx.threads));
-               res.wall_seconds = t.elapsed();
-               fill_outcome(res, out.outcome);
-               mis = std::move(out.independent_set);
-             } else {
-               auto out = baselines::luby_mis_mr(
-                   g, scenario_params(mu, 2, ctx.threads));
-               res.wall_seconds = t.elapsed();
-               fill_outcome(res, out.outcome);
-               mis = std::move(out.independent_set);
+             const std::uint64_t seed = cfg.algorithm == "luby-mis" ? 2 : 1;
+             run_job_row(
+                 jobs::graph_job(cfg.algorithm, g, scenario_params(cfg.mu, seed)),
+                 ctx, res);
+             if (cfg.vs_luby) {
+               Rng seq_rng(99);
+               res.quality_vs_baseline =
+                   ratio(res.quality,
+                         static_cast<double>(
+                             seq::luby_mis(g, seq_rng).independent_set.size()));
              }
-             res.quality = static_cast<double>(mis.size());
-             res.quality_vs_baseline =
-                 sq.independent_set.empty()
-                     ? 0.0
-                     : res.quality /
-                           static_cast<double>(sq.independent_set.size());
-             res.failed = res.failed ||
-                          !graph::is_maximal_independent_set(g, mis);
-             HashAcc h;
-             h.mix_range(mis);
-             res.determinism_hash = h.value();
              return res;
            }});
   }
@@ -470,27 +456,14 @@ void add_f1_clique(Registry& r) {
              res.family = "planted-clique";
              res.n = cfg.n;
              res.c = cfg.c;
-             res.mu = cfg.mu;
-             res.threads = ctx.threads;
              Rng rng(cfg.n * 3 + 5);
              const graph::Graph g = graph::planted_clique(
                  cfg.n, ipow_real(cfg.n, 1.0 + cfg.c), cfg.n / 20, rng);
              res.m = g.num_edges();
-             const auto sq = seq::greedy_clique(g);
-             Timer t;
-             const auto out = core::hungry_clique(
-                 g, scenario_params(cfg.mu, 1, ctx.threads));
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = static_cast<double>(out.clique.size());
-             res.quality_vs_baseline =
-                 sq.empty() ? 0.0
-                            : res.quality / static_cast<double>(sq.size());
-             res.failed =
-                 res.failed || !graph::is_maximal_clique(g, out.clique);
-             HashAcc h;
-             h.mix_range(out.clique);
-             res.determinism_hash = h.value();
+             run_job_row(jobs::graph_job("clique", g, scenario_params(cfg.mu, 1)),
+                         ctx, res);
+             res.quality_vs_baseline = ratio(
+                 res.quality, static_cast<double>(seq::greedy_clique(g).size()));
              return res;
            }});
   }
@@ -498,70 +471,54 @@ void add_f1_clique(Registry& r) {
 
 // Figure 1 rows: (1+o(1))*Delta vertex / edge colouring (Thm 6.4/6.6).
 // Baselines: greedy (Delta+1) for vertices, Misra-Gries (Delta+1) for
-// edges — colour-count ratios, lower is better.
+// edges — colour-count ratios, lower is better. The nightly-scale row
+// (~1.2M edges) reports no baseline.
 void add_f1_colouring(Registry& r) {
   struct Cfg {
-    const char* kind;
+    std::string name;
+    std::string kind;
     std::uint64_t n;
+    double c;
+    bool vs_delta_plus_1;
     std::vector<std::string> groups;
   };
   for (const Cfg& cfg : {
-           Cfg{"vertex", 1000, {"paper-f1", "smoke"}},
-           Cfg{"edge", 1000, {"paper-f1"}},
-           Cfg{"vertex", 4000, {"paper-f1"}},
+           Cfg{"f1/colour-vertex/n1000-c0.40-mu0.20", "vertex", 1000, 0.4,
+               true, {"paper-f1", "smoke"}},
+           Cfg{"f1/colour-edge/n1000-c0.40-mu0.20", "edge", 1000, 0.4, true,
+               {"paper-f1"}},
+           Cfg{"f1/colour-vertex/n4000-c0.40-mu0.20", "vertex", 4000, 0.4,
+               true, {"paper-f1"}},
+           Cfg{"large/colour-vertex/n40000-c0.32", "vertex", 40000, 0.32,
+               false, {"large"}},
        }) {
-    const std::string kind = cfg.kind;
-    const std::uint64_t n = cfg.n;
-    r.add({"f1/colour-" + kind + "/n" + std::to_string(n) +
-               "-c0.40-mu0.20",
+    r.add({cfg.name,
            cfg.groups,
-           "mr " + kind + " colouring (Thm 6.4/6.6) vs Delta+1 baseline",
-           [kind, n](const RunContext& ctx) {
-             const double c = 0.4, mu = 0.2;
+           "mr " + cfg.kind + " colouring (Thm 6.4/6.6) vs Delta+1 baseline",
+           [cfg](const RunContext& ctx) {
              BenchResult res;
-             res.algo = "mr-colour-" + kind;
+             res.algo = "mr-colour-" + cfg.kind;
              res.family = "gnm-density";
-             res.n = n;
-             res.c = c;
-             res.mu = mu;
-             res.threads = ctx.threads;
-             Rng rng(n + 12);
-             const graph::Graph g = graph::gnm_density(n, c, rng);
+             res.n = cfg.n;
+             res.c = cfg.c;
+             Rng rng(cfg.n + 12);
+             const graph::Graph g = graph::gnm_density(cfg.n, cfg.c, rng);
              res.m = g.num_edges();
-             Timer t;
-             const auto out =
-                 kind == "vertex"
-                     ? core::mr_vertex_colouring(
-                           g, scenario_params(mu, 1, ctx.threads))
-                     : core::mr_edge_colouring(
-                           g, scenario_params(mu, 1, ctx.threads));
-             res.wall_seconds = t.elapsed();
-             res.failed = out.failed;
-             fill_outcome(res, out.outcome);
+             const jobs::JobResult out = run_job_row(
+                 jobs::graph_job("colour-" + cfg.kind, g, scenario_params(0.2, 1)),
+                 ctx, res);
+             res.extra["colours_over_delta"] =
+                 ratio(res.quality, static_cast<double>(g.max_degree()));
+             if (!cfg.vs_delta_plus_1) return res;
              const std::uint64_t base_colours =
-                 kind == "vertex"
+                 cfg.kind == "vertex"
                      ? graph::num_colours(seq::greedy_colouring(g))
                      : graph::num_colours(
                            seq::misra_gries_edge_colouring(g));
-             res.quality = static_cast<double>(out.colours_used);
              res.quality_vs_baseline =
-                 base_colours > 0
-                     ? res.quality / static_cast<double>(base_colours)
-                     : 0.0;
-             const bool proper =
-                 kind == "vertex"
-                     ? graph::is_proper_vertex_colouring(g, out.colour)
-                     : graph::is_proper_edge_colouring(g, out.colour);
-             res.failed = res.failed || !proper;
-             HashAcc h;
-             h.mix_range(out.colour);
-             h.mix(out.colours_used);
-             res.determinism_hash = h.value();
-             res.extra["colours_over_delta"] =
-                 g.max_degree() > 0
-                     ? res.quality / static_cast<double>(g.max_degree())
-                     : 0.0;
-             res.extra["groups"] = static_cast<double>(out.groups);
+                 ratio(res.quality, static_cast<double>(base_colours));
+             res.extra["groups"] =
+                 static_cast<double>(out.stat_count("groups"));
              return res;
            }});
   }
@@ -569,122 +526,54 @@ void add_f1_colouring(Registry& r) {
 
 // -------------------------------------------------- rounds-vs-mu ----
 
-// FIG-R1: sampling iterations against the ceil(c/mu)+1 bound.
+// FIG-R1: sampling iterations against the ceil(c/mu)+1 bound (a row
+// that needs more iterations than the bound fails), and the mu = 0
+// regime, where iterations grow ~log n with O(n) space (App C).
 void add_rounds_scaling(Registry& r) {
   struct Cfg {
-    double mu;
+    std::string name;
+    double c, mu;
+    std::uint64_t instance_seed;
     std::vector<std::string> groups;
   };
   for (const Cfg& cfg : {
-           Cfg{0.05, {"rounds-vs-mu"}},
-           Cfg{0.10, {"rounds-vs-mu"}},
-           Cfg{0.20, {"rounds-vs-mu", "smoke"}},
+           Cfg{"rounds/matching-cmu/mu0.05", 0.4, 0.05, 31, {"rounds-vs-mu"}},
+           Cfg{"rounds/matching-cmu/mu0.10", 0.4, 0.10, 31, {"rounds-vs-mu"}},
+           Cfg{"rounds/matching-cmu/mu0.20", 0.4, 0.20, 31,
+               {"rounds-vs-mu", "smoke"}},
+           Cfg{"rounds/matching-mu0/n2000", 0.45, 0.0, 77, {"rounds-vs-mu"}},
        }) {
-    r.add({"rounds/matching-cmu/mu" + f2(cfg.mu),
+    r.add({cfg.name,
            cfg.groups,
-           "rlr matching iterations vs the ceil(c/mu)+1 bound (Thm 5.5)",
+           cfg.mu > 0 ? "rlr matching iterations vs the ceil(c/mu)+1 bound "
+                        "(Thm 5.5)"
+                      : "mu = 0 matching: iterations ~ log n with O(n) "
+                        "space (App C)",
            [cfg](const RunContext& ctx) {
              const std::uint64_t n = 2000;
-             const double c = 0.4;
              BenchResult res;
-             res.algo = "rlr-mwm";
+             res.algo = cfg.mu > 0 ? "rlr-mwm" : "rlr-mwm-mu0";
              res.family = "gnm-density";
              res.n = n;
-             res.c = c;
-             res.mu = cfg.mu;
-             const graph::Graph g =
-                 weighted_gnm(n, c, WeightDist::kUniform, 31);
+             res.c = cfg.c;
+             const graph::Graph g = weighted_gnm(n, cfg.c, WeightDist::kUniform,
+                                                 cfg.instance_seed);
              res.m = g.num_edges();
-             Timer t;
-             const auto out =
-                 core::rlr_matching(g, exec_params(cfg.mu, 1, ctx, res));
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
-             const double bound = std::ceil(c / cfg.mu) + 1.0;
+             run_job_row(
+                 jobs::graph_job("matching", g, scenario_params(cfg.mu, 1)),
+                 ctx, res);
+             const double iterations = static_cast<double>(res.iterations);
+             if (cfg.mu == 0.0) {
+               res.extra["iters_per_log2_n"] =
+                   iterations / std::log2(static_cast<double>(n));
+               return res;
+             }
+             const double bound = std::ceil(cfg.c / cfg.mu) + 1.0;
+             res.failed = res.failed || iterations > bound;
              res.extra["iteration_bound"] = bound;
-             res.extra["within_bound"] =
-                 static_cast<double>(out.outcome.iterations) <= bound ? 1.0
-                                                                      : 0.0;
-             HashAcc h;
-             h.mix_range(out.matching);
-             h.mix(out.outcome.iterations);
-             res.determinism_hash = h.value();
+             res.extra["within_bound"] = iterations <= bound ? 1.0 : 0.0;
              return res;
            }});
-  }
-
-  r.add({"rounds/matching-mu0/n2000",
-         {"rounds-vs-mu"},
-         "mu = 0 matching: iterations ~ log n with O(n) space (App C)",
-         [](const RunContext& ctx) {
-           const std::uint64_t n = 2000;
-           BenchResult res;
-           res.algo = "rlr-mwm-mu0";
-           res.family = "gnm-density";
-           res.n = n;
-           res.c = 0.45;
-           res.mu = 0.0;
-           const graph::Graph g =
-               weighted_gnm(n, 0.45, WeightDist::kUniform, 77);
-           res.m = g.num_edges();
-           Timer t;
-           const auto out =
-               core::rlr_matching(g, exec_params(0.0, 1, ctx, res));
-           res.wall_seconds = t.elapsed();
-           fill_outcome(res, out.outcome);
-           res.quality = out.weight;
-           res.extra["iters_per_log2_n"] =
-               static_cast<double>(out.outcome.iterations) /
-               std::log2(static_cast<double>(n));
-           HashAcc h;
-           h.mix_range(out.matching);
-           h.mix(out.outcome.iterations);
-           res.determinism_hash = h.value();
-           return res;
-         }});
-
-  // FIG-R2: Alg 2 sweeps grow ~1/mu^2 while Alg 6 grows ~c/mu.
-  for (const char* variant : {"simple", "improved"}) {
-    for (const double mu : {0.1, 0.3}) {
-      const std::string v = variant;
-      r.add({"rounds/mis-" + v + "/mu" + f2(mu),
-             {"rounds-vs-mu"},
-             "hungry MIS sweep count (Alg 2 ~1/mu^2 vs Alg 6 ~c/mu)",
-             [v, mu](const RunContext& ctx) {
-               const std::uint64_t n = 2000;
-               const double c = 0.4;
-               BenchResult res;
-               res.algo = "mis-" + v;
-               res.family = "gnm-density";
-               res.n = n;
-               res.c = c;
-               res.mu = mu;
-               res.threads = ctx.threads;
-               Rng rng(n + 40);
-               const graph::Graph g = graph::gnm_density(n, c, rng);
-               res.m = g.num_edges();
-               Timer t;
-               const auto out =
-                   v == "simple"
-                       ? core::hungry_mis_simple(
-                             g, scenario_params(mu, 1, ctx.threads))
-                       : core::hungry_mis_improved(
-                             g, scenario_params(mu, 1, ctx.threads));
-               res.wall_seconds = t.elapsed();
-               fill_outcome(res, out.outcome);
-               res.quality =
-                   static_cast<double>(out.independent_set.size());
-               res.failed = res.failed ||
-                            !graph::is_maximal_independent_set(
-                                g, out.independent_set);
-               HashAcc h;
-               h.mix_range(out.independent_set);
-               h.mix(out.outcome.iterations);
-               res.determinism_hash = h.value();
-               return res;
-             }});
-    }
   }
 }
 
@@ -716,41 +605,23 @@ void add_space_scaling(Registry& r) {
              res.family = "gnm-density";
              res.n = n;
              res.c = c;
-             res.mu = mu;
-             // Only the matching branch honors the process backend
-             // (exec_params records what it runs).
-             res.threads = ctx.threads;
-             const std::uint64_t eta = ipow_real(n, 1.0 + mu);
-             Timer t;
+             jobs::JobSpec spec;
              if (algo == "matching") {
                const graph::Graph g =
                    weighted_gnm(n, c, WeightDist::kUniform, 13);
                res.m = g.num_edges();
-               const auto out =
-                   core::rlr_matching(g, exec_params(mu, 1, ctx, res));
-               res.wall_seconds = t.elapsed();
-               fill_outcome(res, out.outcome);
-               res.quality = out.weight;
-               HashAcc h;
-               h.mix_range(out.matching);
-               h.mix(out.weight);
-               res.determinism_hash = h.value();
+               spec = jobs::graph_job(algo, g, scenario_params(mu, 1));
              } else {
                Rng rng(n + 21);
                const graph::Graph g = graph::gnm_density(n, c, rng);
                res.m = g.num_edges();
-               const auto w = graph::random_vertex_weights(
-                   n, WeightDist::kUniform, rng);
-               const auto out = core::rlr_vertex_cover(
-                   g, w, scenario_params(mu, 1, ctx.threads));
-               res.wall_seconds = t.elapsed();
-               fill_outcome(res, out.outcome);
-               res.quality = out.weight;
-               HashAcc h;
-               h.mix_range(out.cover);
-               h.mix(out.weight);
-               res.determinism_hash = h.value();
+               spec = jobs::graph_job(algo, g, scenario_params(mu, 1));
+               jobs::set_vertex_weights(
+                   spec, graph::random_vertex_weights(
+                             n, WeightDist::kUniform, rng));
              }
+             run_job_row(std::move(spec), ctx, res);
+             const std::uint64_t eta = ipow_real(n, 1.0 + mu);
              res.extra["eta"] = static_cast<double>(eta);
              res.extra["space_over_eta"] =
                  static_cast<double>(res.max_machine_words) /
@@ -1110,15 +981,18 @@ void add_backends(Registry& r) {
              res.family = "gnm-density";
              res.n = n;
              res.c = c;
-             res.mu = mu;
-             res.threads = cfg.threads;
              const graph::Graph g =
                  weighted_gnm(n, c, WeightDist::kUniform, n + 3);
              res.m = g.num_edges();
-             core::MrParams params = scenario_params(mu, 1, cfg.threads);
-             params.num_shards = cfg.shards;
+             const RunContext pinned{cfg.threads,
+                                     cfg.backend != Backend::kThreads,
+                                     cfg.shards};
+             jobs::JobSpec spec =
+                 jobs::graph_job("matching", g, scenario_params(mu, 1));
+             use_backend(spec.params, pinned, res);
              // Fleet setup (fork + bind) stays outside the timer; a TCP
-             // run times connect, handshake, bootstrap shipping, and
+             // run times connect, handshake, bootstrap shipping (the
+             // workers replay the very spec the coordinator runs), and
              // the rounds themselves.
              std::optional<jobs::ScopedTcpLoopback> fleet;
              std::optional<exec::ScopedProcessBackendConfig> guard;
@@ -1126,25 +1000,11 @@ void add_backends(Registry& r) {
                fleet.emplace(static_cast<unsigned>(cfg.shards - 1));
                exec::ProcessBackendConfig pbc;
                pbc.workers = fleet->endpoints();
-               pbc.job_spec = jobs::encode_job_spec(
-                   jobs::graph_job("matching", g, params));
+               pbc.job_spec = jobs::encode_job_spec(spec);
                guard.emplace(std::move(pbc));
                res.manifest["backend"] = "tcp";
              }
-             Timer timer;
-             const auto out = core::rlr_matching(g, params);
-             res.wall_seconds = timer.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
-             res.failed =
-                 res.failed || !graph::is_matching(g, out.matching);
-             HashAcc h;
-             h.mix_range(out.matching);
-             h.mix(out.weight);
-             res.determinism_hash = h.value();
-             if (cfg.backend != Backend::kThreads) {
-               res.extra["shards"] = static_cast<double>(cfg.shards);
-             }
+             run_job_row(std::move(spec), pinned, res);
              return res;
            }});
   }
@@ -1152,22 +1012,17 @@ void add_backends(Registry& r) {
 
 // ------------------------------------------------------- drivers ----
 
-/// The solution value a JobResult reports: the weight for weighted
-/// problems, the colour count for colourings, else the solution size.
-double job_quality(const jobs::JobResult& r) {
-  if (r.stat("weight") != nullptr) return r.stat_double("weight");
-  if (r.stat("colours") != nullptr) {
-    return static_cast<double>(r.stat_count("colours"));
-  }
-  return static_cast<double>(r.solution_size);
-}
-
 // Per-driver process smoke, generated from the jobs registry: every
 // registered algorithm runs one pinned instance through jobs::run_job
 // twice, serially and then on 4 persistent worker shards. The scenario
 // fails unless both results are valid and their jobs::determinism_hash
 // values (solution ids, every stat, the engine cost metrics) are equal.
-// The reported cost and quality fields are the serial run's.
+// The reported cost and quality fields are the serial run's; the wall
+// time spans both runs. The set system is sized so that both set-cover
+// drivers split it over at least 4 machines (rlr set cover spreads the
+// 2400 elements 400^{1.1} per machine, greedy set cover the ~21k
+// incidences 2400^{1.1} per machine): the executor clamps K to the
+// machine count, so a smaller system would compare serial with serial.
 void add_process_drivers(Registry& r) {
   for (const jobs::AlgorithmInfo& algo : jobs::known_algorithms()) {
     const std::string name(algo.name);
@@ -1180,7 +1035,6 @@ void add_process_drivers(Registry& r) {
            [name, on_graph](const RunContext&) {
              BenchResult res;
              res.algo = name;
-             res.threads = 1;
              jobs::JobSpec spec;
              if (on_graph) {
                const graph::Graph g =
@@ -1194,23 +1048,19 @@ void add_process_drivers(Registry& r) {
              } else {
                Rng rng(4242);
                const auto sys = setcover::many_sets(
-                   400, 52, 12, WeightDist::kUniform, rng);
+                   400, 2400, 100, WeightDist::kUniform, rng);
                res.family = "many-sets";
                res.n = sys.num_sets();
                res.m = sys.total_incidences();
-               spec = jobs::set_system_job(name, sys, scenario_params(0.3, 1));
+               spec = jobs::set_system_job(name, sys, scenario_params(0.1, 1));
                jobs::add_driver_extras(spec, {}, 0);
              }
-             res.mu = spec.params.mu;
-             Timer t;
-             const jobs::JobResult serial = jobs::run_job(spec);
+             run_job_row(spec, RunContext{}, res);
              spec.params.num_shards = 4;
+             const Timer t;
              const jobs::JobResult sharded = jobs::run_job(spec);
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, serial.outcome);
-             res.quality = job_quality(serial);
-             res.determinism_hash = jobs::determinism_hash(serial);
-             res.failed = res.failed || !serial.valid || !sharded.valid ||
+             res.wall_seconds += t.elapsed();
+             res.failed = res.failed || !sharded.valid ||
                           jobs::determinism_hash(sharded) !=
                               res.determinism_hash;
              res.extra["shards"] = 4.0;
@@ -1241,54 +1091,43 @@ void add_compare(Registry& r) {
   // FIG-CMP1: weighted matching, RLR (ratio 2) vs the filtering family
   // (ratio 8 layered, unweighted). Expected: vs_baseline < 1 for the
   // baselines, with the gap largest on polarized weights.
+  struct MatchingRow {
+    const char* label;
+    const char* algorithm;  ///< jobs-registry name
+    double ratio_bound;     ///< 0: none stated
+  };
   for (const WeightDist dist : {WeightDist::kPolarized,
                                 WeightDist::kExponential,
                                 WeightDist::kUniform}) {
-    for (const char* which : {"rlr-mwm", "filtering-weighted",
-                              "filtering"}) {
-      const std::string algo = which;
+    for (const MatchingRow& row :
+         {MatchingRow{"rlr-mwm", "matching", 2.0},
+          MatchingRow{"filtering-weighted", "filtering-weighted", 8.0},
+          MatchingRow{"filtering", "filtering-matching", 0.0}}) {
+      const std::string algo = row.label;
       r.add({"compare/matching/" + dist_name(dist) + "/" + algo,
              {"compare"},
              "FIG-CMP1: " + algo + " weight vs rlr matching, " +
                  dist_name(dist) + " weights (quality_vs_baseline = "
                  "weight / rlr weight)",
-             [dist, algo](const RunContext& ctx) {
+             [dist, row](const RunContext& ctx) {
                BenchResult res;
-               res.algo = algo;
+               res.algo = row.label;
                res.family = "gnm-" + dist_name(dist);
                res.n = 1500;
                res.c = 0.45;
-               res.mu = 0.25;
                const graph::Graph g = weighted_gnm(1500, 0.45, dist, 23);
                res.m = g.num_edges();
-               const core::MrParams p = exec_params(0.25, 1, ctx, res);
-               Timer t;
-               const auto rlr = core::rlr_matching(g, p);
-               res.wall_seconds = t.elapsed();
-               std::optional<baselines::FilteringMatchingResult> other;
-               if (algo == "rlr-mwm") {
-                 res.extra["ratio_bound"] = 2.0;
-               } else {
-                 const Timer tb;
-                 other = algo == "filtering-weighted"
-                             ? baselines::filtering_weighted_matching(g, p)
-                             : baselines::filtering_matching(g, p);
-                 res.wall_seconds = tb.elapsed();
-                 if (algo == "filtering-weighted") {
-                   res.extra["ratio_bound"] = 8.0;
-                 }
+               const core::MrParams p = scenario_params(0.25, 1);
+               run_job_row(jobs::graph_job(row.algorithm, g, p), ctx, res);
+               const bool is_rlr = std::string(row.algorithm) == "matching";
+               const double rlr_weight =
+                   is_rlr ? res.quality
+                          : job_quality(jobs::run_job(
+                                jobs::graph_job("matching", g, p)));
+               res.quality_vs_baseline = ratio(res.quality, rlr_weight);
+               if (row.ratio_bound > 0) {
+                 res.extra["ratio_bound"] = row.ratio_bound;
                }
-               const auto& matching = other ? other->matching : rlr.matching;
-               const double weight = other ? other->weight : rlr.weight;
-               fill_outcome(res, other ? other->outcome : rlr.outcome);
-               res.quality = weight;
-               res.quality_vs_baseline =
-                   rlr.weight > 0 ? weight / rlr.weight : 0.0;
-               res.failed = res.failed || !graph::is_matching(g, matching);
-               HashAcc h;
-               h.mix_range(matching);
-               h.mix(weight);
-               res.determinism_hash = h.value();
                return res;
              }});
     }
@@ -1315,20 +1154,23 @@ void add_compare(Registry& r) {
                const auto sys = setcover::many_sets(
                    sets, 300, 10, WeightDist::kExponential, rng);
                res.m = sys.total_incidences();
-               std::vector<setcover::SetId> cover;
-               Timer t;
                if (algo == "greedy-mr") {
-                 const auto out = core::greedy_set_cover_mr(
-                     sys, 0.25, exec_params(0.4, 1, ctx, res));
-                 res.wall_seconds = t.elapsed();
-                 fill_outcome(res, out.outcome);
-                 res.quality = out.weight;
+                 jobs::JobSpec spec = jobs::set_system_job(
+                     "set-cover-greedy", sys, scenario_params(0.4, 1));
+                 jobs::add_driver_extras(spec, {.eps = 0.25}, 0);
+                 const jobs::JobResult out =
+                     run_job_row(std::move(spec), ctx, res);
                  res.extra["level_drops"] =
-                     static_cast<double>(out.level_drops);
-                 cover = out.cover;
-               } else if (algo == "sample-prune") {
-                 const auto out = baselines::sample_prune_set_cover(
-                     sys, 0.25, exec_params(0.4, 1, ctx, res));
+                     static_cast<double>(out.stat_count("drops"));
+                 return res;
+               }
+               std::vector<setcover::SetId> cover;
+               if (algo == "sample-prune") {
+                 core::MrParams p = scenario_params(0.4, 1);
+                 use_backend(p, ctx, res);
+                 const Timer t;
+                 const auto out =
+                     baselines::sample_prune_set_cover(sys, 0.25, p);
                  res.wall_seconds = t.elapsed();
                  fill_outcome(res, out.outcome);
                  res.quality = out.weight;
@@ -1336,6 +1178,7 @@ void add_compare(Registry& r) {
                      static_cast<double>(out.level_drops);
                  cover = out.cover;
                } else {
+                 const Timer t;
                  const auto out = seq::greedy_set_cover(sys);
                  res.wall_seconds = t.elapsed();
                  res.iterations = out.iterations;
@@ -1366,22 +1209,12 @@ void add_compare(Registry& r) {
              res.family = "gnm-density";
              res.n = 1500;
              res.c = 0.45;
-             res.mu = 0.2;
              const graph::Graph g =
                  weighted_gnm(1500, 0.45, WeightDist::kUniform, 29);
              res.m = g.num_edges();
-             core::MrParams p = exec_params(0.2, 3, ctx, res);
+             core::MrParams p = scenario_params(0.2, 3);
              p.sample_boost = boost;
-             Timer t;
-             const auto out = core::rlr_matching(g, p);
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
-             res.failed = res.failed || !graph::is_matching(g, out.matching);
-             HashAcc h;
-             h.mix_range(out.matching);
-             h.mix(out.weight);
-             res.determinism_hash = h.value();
+             run_job_row(jobs::graph_job("matching", g, p), ctx, res);
              res.extra["boost"] = boost;
              return res;
            }});
@@ -1402,28 +1235,21 @@ void add_compare(Registry& r) {
              res.family = "gnm-density";
              res.n = 1000;
              res.c = 0.45;
-             res.mu = 0.25;
              const graph::Graph g =
                  weighted_gnm(1000, 0.45, WeightDist::kUniform, 31);
              res.m = g.num_edges();
-             const std::vector<std::uint32_t> b(1000, 3);
-             const core::MrParams p = exec_params(0.25, 2, ctx, res);
-             Timer t;
-             const auto out = core::rlr_b_matching(g, b, eps, p);
-             res.wall_seconds = t.elapsed();
-             fill_outcome(res, out.outcome);
-             res.quality = out.weight;
-             res.failed =
-                 res.failed || !graph::is_b_matching(g, out.matching, b);
-             HashAcc h;
-             h.mix_range(out.matching);
-             h.mix(out.weight);
-             res.determinism_hash = h.value();
+             jobs::JobSpec spec =
+                 jobs::graph_job("b-matching", g, scenario_params(0.25, 2));
+             jobs::add_driver_extras(spec, {.b = 3, .eps = eps}, 1000);
+             const jobs::JobResult out =
+                 run_job_row(std::move(spec), ctx, res);
              res.extra["ratio_bound"] = 3.0 - 2.0 / 3.0 + 2.0 * eps;
-             res.extra["stack_size"] = static_cast<double>(out.stack_size);
+             res.extra["stack_size"] =
+                 static_cast<double>(out.stat_count("stack"));
              return res;
            }});
   }
+
 
   // FIG-CMP5: Paz-Schwartzman streaming vs the plain local ratio stack.
   // The eps-pruning that inspired the technique keeps the stack bounded
@@ -1482,111 +1308,9 @@ void add_compare(Registry& r) {
 // nightly-large workflow runs `bench --group all` on a schedule and
 // diffs the deterministic columns against the baseline. Seeds are
 // pinned like every other scenario, so nightly results are comparable
-// across commits.
+// across commits. The matching, MIS and colouring rows of this group
+// sit in their families' tables above.
 void add_large(Registry& r) {
-  r.add({"large/matching/n40000-c0.32",
-         {"large"},
-         "rlr matching, ~1.2M-edge weighted gnm (nightly scale)",
-         [](const RunContext& ctx) {
-           const std::uint64_t n = 40000;
-           // mu = 0.1 keeps 4*eta well below m, so the nightly curve
-           // tracks the real multi-iteration sampling path, not the
-           // ship-all endgame.
-           const double c = 0.32, mu = 0.1;
-           BenchResult res;
-           res.algo = "rlr-mwm";
-           res.family = "gnm-density";
-           res.n = n;
-           res.c = c;
-           res.mu = mu;
-           const graph::Graph g =
-               weighted_gnm(n, c, WeightDist::kUniform, n + 17);
-           res.m = g.num_edges();
-           const auto sq = seq::local_ratio_matching(g);
-           Timer t;
-           const auto out =
-               core::rlr_matching(g, exec_params(mu, 1, ctx, res));
-           res.wall_seconds = t.elapsed();
-           fill_outcome(res, out.outcome);
-           res.quality = out.weight;
-           res.quality_vs_baseline =
-               sq.weight > 0 ? out.weight / sq.weight : 0.0;
-           res.failed = res.failed || !graph::is_matching(g, out.matching);
-           HashAcc h;
-           h.mix_range(out.matching);
-           h.mix(out.weight);
-           res.determinism_hash = h.value();
-           return res;
-         }});
-
-  r.add({"large/mis-improved/n40000-c0.32",
-         {"large"},
-         "hungry MIS (Alg 6), ~1.2M-edge gnm (nightly scale)",
-         [](const RunContext& ctx) {
-           const std::uint64_t n = 40000;
-           const double c = 0.32, mu = 0.25;
-           BenchResult res;
-           res.algo = "mis-improved";
-           res.family = "gnm-density";
-           res.n = n;
-           res.c = c;
-           res.mu = mu;
-           res.threads = ctx.threads;
-           Rng rng(n + 40);
-           const graph::Graph g = graph::gnm_density(n, c, rng);
-           res.m = g.num_edges();
-           Timer t;
-           const auto out = core::hungry_mis_improved(
-               g, scenario_params(mu, 1, ctx.threads));
-           res.wall_seconds = t.elapsed();
-           fill_outcome(res, out.outcome);
-           res.quality = static_cast<double>(out.independent_set.size());
-           res.failed =
-               res.failed ||
-               !graph::is_maximal_independent_set(g, out.independent_set);
-           HashAcc h;
-           h.mix_range(out.independent_set);
-           res.determinism_hash = h.value();
-           return res;
-         }});
-
-  r.add({"large/colour-vertex/n40000-c0.32",
-         {"large"},
-         "mr vertex colouring, ~1.2M-edge gnm (nightly scale)",
-         [](const RunContext& ctx) {
-           const std::uint64_t n = 40000;
-           const double c = 0.32, mu = 0.2;
-           BenchResult res;
-           res.algo = "mr-colour-vertex";
-           res.family = "gnm-density";
-           res.n = n;
-           res.c = c;
-           res.mu = mu;
-           res.threads = ctx.threads;
-           Rng rng(n + 12);
-           const graph::Graph g = graph::gnm_density(n, c, rng);
-           res.m = g.num_edges();
-           Timer t;
-           const auto out = core::mr_vertex_colouring(
-               g, scenario_params(mu, 1, ctx.threads));
-           res.wall_seconds = t.elapsed();
-           res.failed = out.failed;
-           fill_outcome(res, out.outcome);
-           res.quality = static_cast<double>(out.colours_used);
-           res.failed =
-               res.failed ||
-               !graph::is_proper_vertex_colouring(g, out.colour);
-           HashAcc h;
-           h.mix_range(out.colour);
-           h.mix(out.colours_used);
-           res.determinism_hash = h.value();
-           res.extra["colours_over_delta"] =
-               g.max_degree() > 0
-                   ? res.quality / static_cast<double>(g.max_degree())
-                   : 0.0;
-           return res;
-         }});
-
   r.add({"large/setcover-greedy/k4",
          {"large"},
          "hungry greedy set cover, ~1M-incidence system on 4 persistent "
@@ -1599,27 +1323,14 @@ void add_large(Registry& r) {
            res.algo = "hungry-greedy-setcover";
            res.family = "many-sets";
            res.n = sets;
-           res.mu = 0.3;
-           res.threads = 1;
            Rng rng(sets + 9);
            const auto sys = setcover::many_sets(
                sets, universe, 20, WeightDist::kUniform, rng);
            res.m = sys.total_incidences();
-           core::MrParams params = scenario_params(0.3, 1, 1);
-           params.num_shards = 4;
-           Timer t;
-           const auto out =
-               core::greedy_set_cover_mr(sys, /*eps=*/0.3, params);
-           res.wall_seconds = t.elapsed();
-           fill_outcome(res, out.outcome);
-           res.quality = out.weight;
-           res.failed =
-               res.failed || !setcover::is_cover(sys, out.cover);
-           HashAcc h;
-           h.mix_range(out.cover);
-           h.mix(out.weight);
-           res.determinism_hash = h.value();
-           res.extra["shards"] = 4.0;
+           jobs::JobSpec spec = jobs::set_system_job(
+               "set-cover-greedy", sys, scenario_params(0.3, 1));
+           jobs::add_driver_extras(spec, {.eps = 0.3}, 0);
+           run_job_row(std::move(spec), RunContext{1, true, 4}, res);
            return res;
          }});
 
@@ -1841,7 +1552,7 @@ void register_builtin_scenarios(Registry& r) {
   add_f1_setcover_f(r);
   add_f1_setcover_greedy(r);
   add_f1_bmatching(r);
-  add_f1_mis(r);
+  add_mis(r);
   add_f1_clique(r);
   add_f1_colouring(r);
   add_rounds_scaling(r);

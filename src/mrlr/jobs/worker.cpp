@@ -315,14 +315,18 @@ void add_driver_extras(JobSpec& spec, const DriverKnobs& knobs,
     spec.extras["eps"] = {core::pack_double(knobs.eps)};
   } else if (a == "vertex-cover") {
     Rng rng(spec.params.seed ^ 0xC0FFEEull);
-    const auto w =
-        graph::random_vertex_weights(num_vertices, knobs.vertex_weights, rng);
-    auto& packed = spec.extras["w"];
-    packed.reserve(w.size());
-    for (const double v : w) packed.push_back(core::pack_double(v));
+    set_vertex_weights(spec, graph::random_vertex_weights(
+                                 num_vertices, knobs.vertex_weights, rng));
   } else if (a == "set-cover-greedy") {
     spec.extras["eps"] = {core::pack_double(knobs.eps)};
   }
+}
+
+void set_vertex_weights(JobSpec& spec, const std::vector<double>& w) {
+  auto& packed = spec.extras["w"];
+  packed.clear();
+  packed.reserve(w.size());
+  for (const double v : w) packed.push_back(core::pack_double(v));
 }
 
 const std::vector<AlgorithmInfo>& known_algorithms() {

@@ -77,6 +77,10 @@ struct DriverKnobs {
 void add_driver_extras(JobSpec& spec, const DriverKnobs& knobs,
                        std::uint64_t num_vertices);
 
+/// Sets vertex-cover's extra "w" to the given per-vertex weights (one
+/// per vertex of the spec's graph), for callers that pin their own.
+void set_vertex_weights(JobSpec& spec, const std::vector<double>& w);
+
 /// Runs the named driver on the spec's instance and returns its
 /// structured result (solution hash + size, validator verdict, outcome
 /// metrics, per-algorithm stats). Throws

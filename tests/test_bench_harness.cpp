@@ -13,11 +13,15 @@
 #include <sstream>
 
 #include "mrlr/bench/diff.hpp"
+#include "mrlr/bench/instances.hpp"
 #include "mrlr/bench/json.hpp"
 #include "mrlr/bench/manifest.hpp"
 #include "mrlr/bench/registry.hpp"
 #include "mrlr/bench/result.hpp"
+#include "mrlr/graph/generators.hpp"
 #include "mrlr/jobs/worker.hpp"
+#include "mrlr/util/math.hpp"
+#include "mrlr/util/rng.hpp"
 
 namespace mrlr::bench {
 namespace {
@@ -459,19 +463,57 @@ TEST(BenchDeterminism, ScenarioHashStableAcross128Threads) {
 }
 
 TEST(BenchDeterminism, RunnerResultMatchesDirectRun) {
-  // A scenario run through the registry produces a sane, reproducible
-  // result: nonzero hash, engine activity recorded, not failed.
+  // A job scenario's row is jobs::run_job on its pinned instance: the
+  // same hash, quality and cost columns as a spec built here directly.
   const Registry& r = builtin_registry();
   const Scenario* s = r.find("f1/clique/n500-c0.40-mu0.30");
   ASSERT_NE(s, nullptr);
-  const BenchResult a = s->run(RunContext{});
-  const BenchResult b = s->run(RunContext{});
-  EXPECT_FALSE(a.failed);
-  EXPECT_GT(a.rounds, 0u);
-  EXPECT_GT(a.m, 0u);
-  EXPECT_NE(a.determinism_hash, 0u);
-  EXPECT_EQ(a.determinism_hash, b.determinism_hash);
-  EXPECT_EQ(a.quality, b.quality);
+  const BenchResult row = s->run(RunContext{});
+
+  Rng rng(500 * 3 + 5);
+  const graph::Graph g = graph::planted_clique(
+      500, ipow_real(500, 1.0 + 0.4), 500 / 20, rng);
+  const jobs::JobResult direct =
+      jobs::run_job(jobs::graph_job("clique", g, scenario_params(0.3, 1)));
+  ASSERT_TRUE(direct.valid);
+  EXPECT_FALSE(row.failed);
+  EXPECT_GT(row.rounds, 0u);
+  EXPECT_EQ(row.m, g.num_edges());
+  EXPECT_EQ(row.determinism_hash, jobs::determinism_hash(direct));
+  EXPECT_EQ(row.quality, static_cast<double>(direct.solution_size));
+  EXPECT_EQ(row.rounds, direct.outcome.rounds);
+  EXPECT_EQ(row.iterations, direct.outcome.iterations);
+  EXPECT_EQ(row.max_machine_words, direct.outcome.max_machine_words);
+  EXPECT_EQ(row.shuffle_words, direct.outcome.total_communication);
+}
+
+TEST(BenchDeterminism, JobRowsHonorTheProcessBackend) {
+  // A registry-driver row runs on the session backend: under
+  // --backend process its manifest says so, and every result column
+  // equals the serial run's.
+  const Registry& r = builtin_registry();
+  const Scenario* s = r.find("f1/vertex-cover/n1000-c0.40-mu0.20");
+  ASSERT_NE(s, nullptr);
+  const BenchResult serial = s->run(RunContext{});
+  RunContext process;
+  process.process_backend = true;
+  process.shards = 2;
+  const BenchResult sharded = s->run(process);
+
+  EXPECT_EQ(run_manifest(serial).at("backend"), "serial");
+  const auto m = run_manifest(sharded);
+  EXPECT_EQ(m.at("backend"), "process");
+  EXPECT_EQ(m.at("shards"), "2");
+  EXPECT_FALSE(serial.failed);
+  EXPECT_FALSE(sharded.failed);
+  EXPECT_EQ(sharded.determinism_hash, serial.determinism_hash);
+  EXPECT_EQ(sharded.rounds, serial.rounds);
+  EXPECT_EQ(sharded.iterations, serial.iterations);
+  EXPECT_EQ(sharded.max_machine_words, serial.max_machine_words);
+  EXPECT_EQ(sharded.max_central_inbox, serial.max_central_inbox);
+  EXPECT_EQ(sharded.shuffle_words, serial.shuffle_words);
+  EXPECT_EQ(sharded.quality, serial.quality);
+  EXPECT_EQ(sharded.quality_vs_baseline, serial.quality_vs_baseline);
 }
 
 }  // namespace

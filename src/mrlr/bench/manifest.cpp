@@ -2,6 +2,8 @@
 
 #include <thread>
 
+#include "mrlr/git_describe.hpp"
+
 namespace mrlr::bench {
 
 std::map<std::string, std::string> run_manifest(const BenchResult& r) {
@@ -11,11 +13,7 @@ std::map<std::string, std::string> run_manifest(const BenchResult& r) {
 #else
   m.emplace("build_type", "unknown");
 #endif
-#ifdef MRLR_GIT_DESCRIBE
   m.emplace("git_describe", MRLR_GIT_DESCRIBE);
-#else
-  m.emplace("git_describe", "unknown");
-#endif
   const auto shards = r.extra.find("shards");
   m.emplace("backend", shards != r.extra.end() ? "process"
                        : r.threads > 1         ? "threads"

@@ -19,10 +19,9 @@ namespace mrlr::bench {
 /// scenario recorded none), and backend "process" when it recorded
 /// shards, else "threads" for more than one thread, else "serial". Keys
 /// the scenario set in r.manifest itself win (the TCP scenarios set
-/// backend "tcp"). build_type and git_describe come from compile
-/// definitions captured at configure time (MRLR_BUILD_TYPE /
-/// MRLR_GIT_DESCRIBE; "unknown" when the build system did not provide
-/// them — e.g. a stale configure or a non-git checkout).
+/// backend "tcp"). build_type is the configured MRLR_BUILD_TYPE;
+/// git_describe is `git describe` as of the last build (the generated
+/// mrlr/git_describe.hpp), "unknown" outside a git checkout.
 std::map<std::string, std::string> run_manifest(const BenchResult& r);
 
 }  // namespace mrlr::bench

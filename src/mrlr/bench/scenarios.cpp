@@ -54,6 +54,7 @@
 #include "mrlr/seq/local_ratio_matching.hpp"
 #include "mrlr/seq/local_ratio_setcover.hpp"
 #include "mrlr/seq/mis.hpp"
+#include "mrlr/exec/executor.hpp"
 #include "mrlr/exec/worker_launcher.hpp"
 #include "mrlr/jobs/job_result.hpp"
 #include "mrlr/jobs/job_spec.hpp"
@@ -112,12 +113,13 @@ void fill_outcome(BenchResult& r, const core::MrOutcome& o) {
 /// Applies the backend `ctx` selects to `p`: ctx.threads threads (per
 /// shard under the process backend) and, under the process backend,
 /// ctx.shards persistent worker shards. The point that runs is recorded
-/// in `res` (threads, extra["shards"]), so the run manifest reports it.
+/// in `res` (the resolved thread count, so 0 reads as the pool size it
+/// makes, and extra["shards"]), so the run manifest reports it.
 /// Every driver is process-clean, so no result column may depend on it.
 void use_backend(core::MrParams& p, const RunContext& ctx,
                  BenchResult& res) {
   p.num_threads = ctx.threads;
-  res.threads = ctx.threads;
+  res.threads = exec::resolve_num_threads(ctx.threads);
   if (ctx.process_backend) {
     p.num_shards = ctx.shards;
     res.extra["shards"] = static_cast<double>(ctx.shards);

@@ -102,6 +102,7 @@ class OwnerArray {
   const T& operator[](std::uint64_t slot) const { return data_[slot]; }
   /// Null when size() is 0 (a run of no slots still has a start).
   T* data() { return data_; }
+  const T* data() const { return data_; }
   std::uint64_t size() const { return size_; }
 
  private:

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <span>
 
+#include "mrlr/core/live_edges.hpp"
 #include "mrlr/util/math.hpp"
 #include "mrlr/util/require.hpp"
 
@@ -12,7 +13,6 @@ namespace mrlr::core {
 using graph::EdgeId;
 using graph::VertexId;
 using mrc::MachineContext;
-using mrc::MachineId;
 using mrc::Word;
 
 namespace {
@@ -55,7 +55,6 @@ class BMatchingLocalRatio {
   }
 
   double phi(VertexId v) const { return phi_[v]; }
-  std::uint64_t stack_size() const { return stack_.size(); }
 
   /// Greedy capacity-respecting unwind (Theorem D.1's last step).
   RlrBMatchingResult unwind() const {
@@ -142,179 +141,68 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
   BMatchingLocalRatio lr(g, b, eps);
   const std::uint64_t central_footprint = n + 2;
 
-  std::vector<std::uint64_t> footprint(machines, 0);
-  for (EdgeId e = 0; e < m; ++e) footprint[owner_of(e, machines)] += 4;
-  for (VertexId v = 0; v < n; ++v) {
-    footprint[owner_of(v, machines)] += 1 + g.degree(v);
-  }
+  // The distributed liveness state and the count, phi and recompute
+  // rounds, shared with rlr_matching (live_edges.hpp). The kill rule is
+  // lr.edge_alive's float expression, on the endpoint phis and the
+  // stacked flag that send-phi delivers to the edge owners.
+  LiveEdges edges(engine, g, CountCharge::kCountWordOnly,
+                  [eps](const EdgeState& es) {
+                    return !es.stacked &&
+                           es.w > (1.0 + eps) * (es.phi[0] + es.phi[1]);
+                  });
 
-  // Worker-resident distributed aliveness, mirroring rlr_matching.
-  //
-  // Edge owners (owner_of(e)) keep the shipped endpoint potentials in
-  // separate accumulators so the float expression below reproduces
-  // lr.edge_alive bit for bit, plus the centrally-announced stacked
-  // flag; they re-derive aliveness after each phi wave and send a
-  // one-word death notice to both endpoint owners on the alive->dead
-  // transition (monotone: phi only grows and stacking is permanent, so
-  // at most 2m notices ever flow).
-  //
-  // Endpoint owners (owner_of(u), owner_of(v)) keep alive_at_u/_v views
-  // that the sampling round reads; they decay only via death notices.
-  std::vector<double> phi_u_acc(m, 0.0);
-  std::vector<double> phi_v_acc(m, 0.0);
-  std::vector<char> owner_stacked(m, 0);
-  std::vector<char> owner_alive(m);
-  std::vector<char> alive_at_u(m);
-  std::vector<char> alive_at_v(m);
-  std::vector<std::uint64_t> alive_cnt(machines, 0);
-  for (EdgeId e = 0; e < m; ++e) {
-    const char alive0 = g.weight(e) > 0.0 ? 1 : 0;
-    owner_alive[e] = alive0;
-    alive_at_u[e] = alive0;
-    alive_at_v[e] = alive0;
-    // Historic quirk preserved: the first |E_i| count includes every
-    // edge, dead-at-weight-zero ones included.
-    ++alive_cnt[owner_of(e, machines)];
-  }
-
-  RlrBMatchingResult res;
+  std::uint64_t iterations = 0;
   const Rng root_rng(params.seed);  // immutable; streams only
   // Threshold for shipping everything: |E_i| < 2*b*ln(1/delta)*eta.
   const auto ship_all_below = static_cast<std::uint64_t>(
       2.0 * static_cast<double>(b_max) * ln_inv_delta *
       static_cast<double>(eta));
 
-  // Consume last iteration's death notices, then report the live count.
-  const mrc::RoundId r_count = engine.define_round(
-      "count|Ei|", [&](MachineContext& ctx, std::span<const Word>) {
-        const MachineId id = ctx.id();
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (const Word ew : msg.payload) {
-            const auto e = static_cast<EdgeId>(ew);
-            const graph::Edge& ed = g.edge(e);
-            if (owner_of(ed.u, machines) == id) alive_at_u[e] = 0;
-            if (owner_of(ed.v, machines) == id) alive_at_v[e] = 0;
-          }
-        }
-        ctx.charge_resident(1);
-        ctx.send(mrc::kCentral, {alive_cnt[id]});
-      });
-
-  // Vertex v draws b(v)*ln(1/delta)*n^mu alive incident edges (or all
-  // of them in the endgame) and ships {v, (e, w)...} to central.
+  // Vertex v draws b(v)*ln(1/delta)*n^mu of its live incident edges (or
+  // all of them in the endgame) and ships {v, (e, w)...} to central.
   const mrc::RoundId r_sample = engine.define_round(
       "sample", [&](MachineContext& ctx, std::span<const Word> ps) {
         const std::uint64_t iter = ps[0];
         const bool ship_all = ps[1] != 0;
-        ctx.charge_resident(footprint[ctx.id()]);
+        ctx.charge_resident(edges.footprint(ctx.id()));
         Rng rng = root_rng.stream((iter << 20) ^ ctx.id());
+        thread_local std::vector<EdgeId> alive;
         thread_local std::vector<Word> msg;
         for (VertexId v = static_cast<VertexId>(ctx.id()); v < n;
              v = static_cast<VertexId>(v + machines)) {
-          std::vector<EdgeId> alive;
+          alive.clear();
+          const char* lv = edges.live(v);
           for (const graph::Incidence& inc : g.neighbours(v)) {
-            const char is_alive = g.edge(inc.edge).u == v
-                                      ? alive_at_u[inc.edge]
-                                      : alive_at_v[inc.edge];
-            if (is_alive) alive.push_back(inc.edge);
+            if (*lv++) alive.push_back(inc.edge);
           }
           if (alive.empty()) continue;
-          std::vector<EdgeId> chosen;
-          if (ship_all) {
-            chosen = std::move(alive);
-          } else {
-            const auto want = static_cast<std::uint64_t>(
-                std::ceil(params.sample_boost * static_cast<double>(b[v]) *
-                          ln_inv_delta * static_cast<double>(n_mu)));
-            if (want >= alive.size()) {
-              chosen = std::move(alive);
-            } else {
-              const auto pick =
-                  rng.sample_without_replacement(alive.size(), want);
-              for (const auto k : pick) chosen.push_back(alive[k]);
-            }
-          }
           msg.assign({v});
-          for (const EdgeId e : chosen) {
+          const auto ship = [&](EdgeId e) {
             msg.push_back(e);
             msg.push_back(pack_double(g.weight(e)));
+          };
+          const auto want =
+              ship_all ? alive.size()
+                       : static_cast<std::uint64_t>(std::ceil(
+                             params.sample_boost *
+                             static_cast<double>(b[v]) * ln_inv_delta *
+                             static_cast<double>(n_mu)));
+          if (want >= alive.size()) {
+            for (const EdgeId e : alive) ship(e);
+          } else {
+            for (const auto k :
+                 rng.sample_without_replacement(alive.size(), want)) {
+              ship(alive[k]);
+            }
           }
           ctx.send(mrc::kCentral, msg);
         }
       });
 
-  // Forward the phi wave: {v, phi} pairs fan out as {e, v, phi} triples
-  // to the owners of v's incident edges, coalesced per owner (the
-  // receiver parses a flat run of triples); one-word stacked notices are
-  // recorded by the edge owner directly. The incoming send-phi messages
-  // stay one per pair or notice: their length tells the two apart.
-  const mrc::RoundId r_forward_phi = engine.define_round(
-      "forward-phi", [&](MachineContext& ctx, std::span<const Word>) {
-        ctx.charge_resident(footprint[ctx.id()]);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          if (msg.payload.size() == 1) {
-            owner_stacked[static_cast<EdgeId>(msg.payload[0])] = 1;
-            continue;
-          }
-          for (std::size_t k = 0; k + 1 < msg.payload.size(); k += 2) {
-            const auto v = static_cast<VertexId>(msg.payload[k]);
-            for (const graph::Incidence& inc : g.neighbours(v)) {
-              ctx.send_coalesced(owner_of(inc.edge, machines),
-                                 {inc.edge, v, msg.payload[k + 1]});
-            }
-          }
-        }
-      });
-
-  // Edge owners apply the phi triples, re-derive aliveness with the
-  // exact float expression of lr.edge_alive, and emit death notices
-  // (coalesced: the count round reads them as a flat run of edge ids).
-  const mrc::RoundId r_recompute = engine.define_round(
-      "recompute-alive", [&](MachineContext& ctx, std::span<const Word>) {
-        const MachineId id = ctx.id();
-        ctx.charge_resident(footprint[id]);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (std::size_t k = 0; k + 2 < msg.payload.size(); k += 3) {
-            const auto e = static_cast<EdgeId>(msg.payload[k]);
-            const auto v = static_cast<VertexId>(msg.payload[k + 1]);
-            const double phi = unpack_double(msg.payload[k + 2]);
-            if (g.edge(e).u == v) {
-              phi_u_acc[e] = phi;
-            } else {
-              phi_v_acc[e] = phi;
-            }
-          }
-        }
-        std::uint64_t count = 0;
-        for (EdgeId e = static_cast<EdgeId>(id); e < m;
-             e = static_cast<EdgeId>(e + machines)) {
-          const bool alive =
-              !owner_stacked[e] &&
-              g.weight(e) > (1.0 + eps) * (phi_u_acc[e] + phi_v_acc[e]);
-          if (owner_alive[e] && !alive) {
-            const graph::Edge& ed = g.edge(e);
-            ctx.send_coalesced(owner_of(ed.u, machines), {e});
-            if (owner_of(ed.v, machines) != owner_of(ed.u, machines)) {
-              ctx.send_coalesced(owner_of(ed.v, machines), {e});
-            }
-          }
-          owner_alive[e] = alive ? 1 : 0;
-          if (alive) ++count;
-        }
-        alive_cnt[id] = count;
-      });
-
   for (std::uint64_t iter = 0; iter < params.max_iterations; ++iter) {
-    engine.invoke_round(r_count);
-    std::uint64_t ei = 0;
-    engine.run_central_round("sum|Ei|", [&](MachineContext& ctx) {
-      ctx.charge_resident(ctx.inbox_words() + 1);
-      for (const mrc::MessageView msg : ctx.messages()) {
-        for (const Word w : msg.payload) ei += w;
-      }
-    });
+    const std::uint64_t ei = edges.count_live(iter);
     if (ei == 0) break;
-    ++res.outcome.iterations;
+    ++iterations;
     const bool ship_all = ei < ship_all_below;
 
     engine.invoke_round(r_sample, {iter, ship_all ? 1u : 0u});
@@ -355,25 +243,16 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
       }
     });
 
-    // --- Propagate phi (and the stacked set) and recompute aliveness. ---
-    engine.run_central_round("send-phi", [&](MachineContext& ctx) {
-      ctx.charge_resident(central_footprint);
-      for (VertexId v = 0; v < n; ++v) {
-        ctx.send(owner_of(v, machines), {v, pack_double(lr.phi(v))});
-      }
-      for (const EdgeId e : newly_stacked) {
-        ctx.send(owner_of(e, machines), {e});
-      }
-    });
-    engine.invoke_round(r_forward_phi);
-    engine.invoke_round(r_recompute);
+    // --- Propagate phi and the newly stacked edges, and recompute
+    // aliveness. ---
+    edges.propagate(central_footprint, [&](VertexId v) { return lr.phi(v); },
+                    newly_stacked);
   }
 
-  RlrBMatchingResult unwound = lr.unwind();
-  res.matching = std::move(unwound.matching);
-  res.weight = unwound.weight;
-  res.stack_size = unwound.stack_size;
+  RlrBMatchingResult res = lr.unwind();
+  res.outcome.iterations = iterations;
   res.outcome.fill_from(engine.metrics());
+  res.per_round = engine.metrics().per_round();
   return res;
 }
 

@@ -16,20 +16,22 @@
 // incident edges (delta = eps/(1+eps)); the central machine pops the
 // heaviest b(v) * ln(1/delta) of them per vertex. Lemma D.2: the maximum
 // degree drops by n^{mu/4} per iteration w.h.p.
+//
+// The distributed rounds are rlr_matching's (live_edges.hpp): the same
+// worker-resident, owner-filled liveness per incidence, with the
+// epsilon-adjusted kill rule and the stacked notices that send-phi
+// carries to the edge owners.
 
 #include <vector>
 
 #include "mrlr/core/params.hpp"
+#include "mrlr/core/rlr_matching.hpp"
 #include "mrlr/graph/graph.hpp"
 
 namespace mrlr::core {
 
-struct RlrBMatchingResult {
-  std::vector<graph::EdgeId> matching;
-  double weight = 0.0;
-  std::uint64_t stack_size = 0;
-  MrOutcome outcome;
-};
+/// A b-matching run reports what a matching run does.
+using RlrBMatchingResult = RlrMatchingResult;
 
 /// b[v] >= 1 is the capacity of vertex v; eps > 0 controls the
 /// epsilon-adjusted kill rule.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "mrlr/core/owner_slots.hpp"
+#include "mrlr/core/live_edges.hpp"
 #include "mrlr/seq/local_ratio_matching.hpp"
 #include "mrlr/util/math.hpp"
 #include "mrlr/util/require.hpp"
@@ -53,99 +53,19 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
   seq::MatchingLocalRatio lr(g);
   const std::uint64_t central_footprint = n + 2;
 
-  // Edge e lives on owner_of(e); vertex v (and its adjacency list) on
-  // owner_of(v). Footprints per machine (job-immutable).
-  const OwnerLayout edge_slots(m, machines);
-  std::vector<std::uint64_t> footprint(machines, 0);
-  std::vector<std::uint64_t> alive_cnt(machines, 0);  // owned alive edges
-  for (MachineId o = 0; o < machines; ++o) {
-    const std::uint64_t owned = edge_slots.end(o) - edge_slots.begin(o);
-    footprint[o] += 4 * owned;  // id + endpoints + weight
-    alive_cnt[o] = owned;       // first-iteration count is all edges (historic)
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    footprint[owner_of(v, machines)] += 1 + g.degree(v);
-  }
-
-  // Worker-resident per-machine state (the process-clean contract):
-  // every slot below is mutated only by its owner machine's callbacks,
-  // so a persistent worker keeps its shard's slots current across
-  // rounds without ever reading coordinator memory. The slots are
-  // machine-major and owner-filled (owner_slots.hpp): the host maps
-  // them untouched, and each machine fills its own in iteration 0's
-  // count round, so a forked worker faults only its own machines'
-  // pages.
-  //
-  // An edge is alive iff its modified weight w(e) - phi(u) - phi(v) is
-  // positive: process() raises both endpoint phis by the (positive)
-  // modified weight, so a stacked edge's modified weight is negative
-  // forever after — aliveness is a pure function of phi, and monotone:
-  // an edge that died stays dead, and nothing about it is sent again.
-  //
-  // The liveness view is per incidence: the owner of v keeps one flag
-  // per adjacency slot of v, live[incidences.base(v) + k] for the edge
-  // at neighbours(v)[k], so sampling and phi forwarding scan v's list
-  // and its flags in order. Edge owners keep one record per edge,
-  // edge_state[edge_slots.slot(e)]: its weight, its first endpoint,
-  // and the two phi halves (apart, so the float subtraction order
-  // matches MatchingLocalRatio::modified_weight exactly), refreshed
-  // only while the edge is live. The recompute round reads its edges
-  // in triple order, scattered over the owned edges, so each edge's
-  // fields share one cache line (two records per line).
-  struct alignas(32) EdgeState {
-    double w;
-    double phi[2];  // phi(u), phi(v)
-    VertexId u;
-  };
-  OwnerArray<EdgeState> edge_state(edge_slots.size());
-  const OwnerRuns incidences(n, machines, [&](std::uint64_t v) {
-    return g.degree(static_cast<VertexId>(v));
-  });
-  OwnerArray<char> live(incidences.size());
+  // The distributed liveness state and the count, phi and recompute
+  // rounds (live_edges.hpp). An edge is alive iff its modified weight
+  // w(e) - phi(u) - phi(v) is positive, subtracted in the order of
+  // MatchingLocalRatio::modified_weight: process() raises both endpoint
+  // phis by the (positive) modified weight, so a stacked edge's modified
+  // weight is negative forever after, and it needs no stacked notice.
+  LiveEdges edges(engine, g, CountCharge::kFootprint,
+                  [](const EdgeState& es) {
+                    return es.w - es.phi[0] - es.phi[1] > 0.0;
+                  });
 
   RlrMatchingResult res;
   Rng root_rng(params.seed);
-
-  // --- Registered rounds: defined before the first invoke so worker
-  // processes inherit the full registry at spawn. ---
-
-  // Owned-alive count to central; also consumes the death notices the
-  // previous iteration's recompute round addressed to vertex owners.
-  // A notice names the dead incidence by its slot, (v << 32) | k for
-  // the edge at neighbours(v)[k], so clearing it is one write.
-  // Iteration 0's count round is also the owner fill: each machine
-  // writes its own edge records and incidence flags (no notices are
-  // pending then).
-  const mrc::RoundId r_count = engine.define_round(
-      "count|Ei|", [&](MachineContext& ctx, std::span<const Word> ps) {
-        ctx.charge_resident(footprint[ctx.id()] + 1);
-        if (ps[0] == 0) {
-          std::uint64_t s = edge_slots.begin(ctx.id());
-          for (std::uint64_t e = ctx.id(); e < m; e += machines) {
-            const auto id = static_cast<EdgeId>(e);
-            edge_state[s++] = {g.weight(id), {0.0, 0.0}, g.edge(id).u};
-          }
-          for (std::uint64_t v = ctx.id(); v < n; v += machines) {
-            const auto id = static_cast<VertexId>(v);
-            char* lv = live.data() + incidences.base(v);
-            for (const graph::Incidence& inc : g.neighbours(id)) {
-              *lv++ = g.weight(inc.edge) > 0.0 ? 1 : 0;  // == lr.edge_alive
-            }
-          }
-        }
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (const Word w : msg.payload) {
-            const auto v = static_cast<VertexId>(w >> 32);
-            const std::uint64_t k = w & 0xFFFFFFFFu;
-            MRLR_DEBUG_REQUIRE(owner_of(v, machines) == ctx.id() && v < n &&
-                                   k < g.degree(v),
-                               "death notice for a slot this machine does "
-                               "not own");
-            live[incidences.base(v) + k] = 0;
-          }
-        }
-        ctx.send(mrc::kCentral, {alive_cnt[ctx.id()]});
-      });
 
   // Per-vertex sampling over live incidences; ship (edge, weight) pairs
   // to central. Every owned vertex sends exactly one message (possibly
@@ -159,13 +79,13 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
         const std::uint64_t iter = ps[0];
         const bool ship_all = ps[1] != 0;
         const double p = unpack_double(ps[2]);
-        ctx.charge_resident(footprint[ctx.id()]);
+        ctx.charge_resident(edges.footprint(ctx.id()));
         Rng rng = root_rng.stream((iter << 20) ^ ctx.id());
         thread_local std::vector<Word> msg;
         for (VertexId v = static_cast<VertexId>(ctx.id()); v < n;
              v = static_cast<VertexId>(v + machines)) {
           msg.clear();
-          const char* lv = live.data() + incidences.base(v);
+          const char* lv = edges.live(v);
           for (const graph::Incidence& inc : g.neighbours(v)) {
             if (!*lv++) continue;
             if (ship_all || rng.bernoulli(p)) {
@@ -177,77 +97,9 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
         }
       });
 
-  // Vertex owners forward phi along live incidences only, one
-  // (edge, (v << 32) | k, phi) triple for the edge at neighbours(v)[k]:
-  // the edge owner learns which endpoint's half it is, and the slot to
-  // name in a death notice. An edge alive at the start of the round
-  // gets exactly one triple from each endpoint, 6 |E_i| words in all.
-  // The receiver parses a flat run of 3-word records, so the triples
-  // bound for one edge owner are coalesced into one message.
-  const mrc::RoundId r_forward_phi = engine.define_round(
-      "forward-phi", [&](MachineContext& ctx, std::span<const Word>) {
-        ctx.charge_resident(footprint[ctx.id()]);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-            const auto v = static_cast<VertexId>(msg.payload[i]);
-            const Word phi_w = msg.payload[i + 1];
-            const std::span<const graph::Incidence> nb = g.neighbours(v);
-            const char* lv = live.data() + incidences.base(v);
-            for (std::size_t k = 0; k < nb.size(); ++k) {
-              if (!lv[k]) continue;
-              ctx.send_coalesced(owner_of(nb[k].edge, machines),
-                                 {nb[k].edge, (Word{v} << 32) | k, phi_w});
-            }
-          }
-        }
-      });
-
-  // Edge owners refresh the phi halves of their live edges, then
-  // recompute each one's modified weight from the triples: a live
-  // triple counts half a live edge, and a dead one sends its slot word
-  // back to its vertex owner as a death notice — 2 words per edge that
-  // died, delivered into the next iteration's count round, which reads
-  // them as a flat run of slot words, so they are coalesced. Dead edges
-  // get no triples and are never looked at again.
-  const mrc::RoundId r_recompute = engine.define_round(
-      "recompute-alive", [&](MachineContext& ctx, std::span<const Word>) {
-        ctx.charge_resident(footprint[ctx.id()]);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (std::size_t i = 0; i + 2 < msg.payload.size(); i += 3) {
-            const auto e = static_cast<EdgeId>(msg.payload[i]);
-            const auto v = static_cast<VertexId>(msg.payload[i + 1] >> 32);
-            EdgeState& es = edge_state[edge_slots.slot(e)];
-            es.phi[es.u == v ? 0 : 1] = unpack_double(msg.payload[i + 2]);
-          }
-        }
-        std::uint64_t live_triples = 0;
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (std::size_t i = 0; i + 2 < msg.payload.size(); i += 3) {
-            const auto e = static_cast<EdgeId>(msg.payload[i]);
-            const Word slot = msg.payload[i + 1];
-            const EdgeState& es = edge_state[edge_slots.slot(e)];
-            if (es.w - es.phi[0] - es.phi[1] > 0.0) {
-              ++live_triples;
-            } else {
-              ctx.send_coalesced(
-                  owner_of(static_cast<VertexId>(slot >> 32), machines),
-                  {slot});
-            }
-          }
-        }
-        alive_cnt[ctx.id()] = live_triples / 2;
-      });
-
   for (std::uint64_t iter = 0; iter < params.max_iterations; ++iter) {
     // --- 1. |E_i|: owned counts to central, summed centrally. ---
-    engine.invoke_round(r_count, {iter});
-    std::uint64_t ei = 0;
-    engine.run_central_round("sum|Ei|", [&](MachineContext& ctx) {
-      ctx.charge_resident(ctx.inbox_words() + 1);
-      for (const mrc::MessageView msg : ctx.messages()) {
-        for (const Word w : msg.payload) ei += w;
-      }
-    });
+    const std::uint64_t ei = edges.count_live(iter);
     if (ei == 0) break;
     ++res.outcome.iterations;
 
@@ -321,20 +173,11 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
       }
     });
 
-    // --- 4a. Central sends phi(v) to each vertex owner, as one run of
-    // (v, phi) pairs per owner. ---
-    engine.run_central_round("send-phi", [&](MachineContext& ctx) {
-      ctx.charge_resident(central_footprint);
-      for (VertexId v = 0; v < n; ++v) {
-        ctx.send_coalesced(owner_of(v, machines),
-                           {v, pack_double(lr.phi(v))});
-      }
-    });
-    // --- 4b. Vertex owners forward phi along live incidences. ---
-    engine.invoke_round(r_forward_phi);
-    // --- 4c. Edge owners recompute aliveness and counts, and send
-    // death notices to the vertex owners. ---
-    engine.invoke_round(r_recompute);
+    // --- 4. Central sends phi(v) to each vertex owner, vertex owners
+    // forward it along live incidences, and edge owners recompute
+    // aliveness and send death notices to the vertex owners. ---
+    edges.propagate(central_footprint, [&](VertexId v) { return lr.phi(v); },
+                    {});
   }
 
   res.stack_size = lr.stack_size();

@@ -44,7 +44,7 @@ struct RlrMatchingResult {
   std::uint64_t stack_size = 0;  ///< edges stacked before unwinding
   MrOutcome outcome;
   /// The engine's record of every round, in order (labels as defined
-  /// by the driver: "count|Ei|", "sample", "forward-phi", ...).
+  /// in live_edges.hpp and the driver: "count|Ei|", "sample", ...).
   std::vector<mrc::RoundMetrics> per_round;
 };
 

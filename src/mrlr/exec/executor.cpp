@@ -15,6 +15,13 @@ std::unique_ptr<Executor> make_executor(std::uint64_t num_threads) {
   return make_executor(num_threads, 1);
 }
 
+std::uint64_t resolve_num_threads(std::uint64_t num_threads) {
+  if (num_threads == 0) {
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  return std::min<std::uint64_t>(num_threads, 1024);
+}
+
 std::unique_ptr<Executor> make_executor(std::uint64_t num_threads,
                                         std::uint64_t num_shards) {
   if (WorkerSession* session = active_worker_session()) {
@@ -24,11 +31,7 @@ std::unique_ptr<Executor> make_executor(std::uint64_t num_threads,
     // over the session channel instead of launching workers of its own.
     return std::make_unique<WorkerShardExecutor>(session);
   }
-  std::uint64_t n = num_threads;
-  if (n == 0) {
-    n = std::max(1u, std::thread::hardware_concurrency());
-  }
-  n = std::min<std::uint64_t>(n, 1024);
+  const std::uint64_t n = resolve_num_threads(num_threads);
   if (num_shards > 1) {
     // The two knobs compose: K process shards, each running its machine
     // range on a shard-local pool of n threads. Pools are created after

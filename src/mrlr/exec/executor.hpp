@@ -210,4 +210,9 @@ std::unique_ptr<Executor> make_executor(std::uint64_t num_threads);
 std::unique_ptr<Executor> make_executor(std::uint64_t num_threads,
                                         std::uint64_t num_shards);
 
+/// The thread count make_executor runs a num_threads knob with: 0 means
+/// every hardware thread (at least one), and counts are clamped to 1024.
+/// Run manifests record this figure, not the knob.
+std::uint64_t resolve_num_threads(std::uint64_t num_threads);
+
 }  // namespace mrlr::exec

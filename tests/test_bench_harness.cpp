@@ -18,6 +18,7 @@
 #include "mrlr/bench/manifest.hpp"
 #include "mrlr/bench/registry.hpp"
 #include "mrlr/bench/result.hpp"
+#include "mrlr/exec/executor.hpp"
 #include "mrlr/graph/generators.hpp"
 #include "mrlr/jobs/worker.hpp"
 #include "mrlr/util/math.hpp"
@@ -224,6 +225,27 @@ TEST(BenchSchema, RunManifestOfBackendScenarios) {
   EXPECT_EQ(tm.at("backend"), "threads");
   EXPECT_EQ(tm.at("threads"), "2");
   EXPECT_EQ(tm.at("shards"), "1");
+}
+
+TEST(BenchSchema, RunManifestResolvesAllHardwareThreads) {
+  // --backend threads runs a driver row at threads = 0, which the
+  // executor sizes to the hardware: the manifest records that pool, as
+  // exec::make_executor resolves it, not the 0.
+  const Scenario* s =
+      builtin_registry().find("f1/vertex-cover/n1000-c0.40-mu0.20");
+  ASSERT_NE(s, nullptr);
+  RunContext all_hardware;
+  all_hardware.threads = 0;
+  const BenchResult row = s->run(all_hardware);
+  EXPECT_FALSE(row.failed);
+  const std::uint64_t pool = exec::resolve_num_threads(0);
+  ASSERT_GE(pool, 1u);
+  EXPECT_EQ(row.threads, pool);
+  const auto m = run_manifest(row);
+  EXPECT_EQ(m.at("threads"), std::to_string(pool));
+  EXPECT_EQ(m.at("backend"), pool > 1 ? "threads" : "serial");
+  EXPECT_EQ(m.at("shards"), "1");
+  EXPECT_EQ(row.determinism_hash, s->run(RunContext{}).determinism_hash);
 }
 
 TEST(BenchSchema, SchemaVersionCarriedAndEnforced) {

@@ -719,6 +719,339 @@ TEST(RlrBMatching, DeterministicForSeed) {
   EXPECT_EQ(a1.matching, a2.matching);
 }
 
+// One instance of the pinned b-matching sweep: a pin_graph family and
+// seed, capacities b(v) drawn from [1, b_cap], and the sampling boost.
+// A boost of 0.1 draws a tenth of Algorithm 7's per-vertex sample, so
+// some cases need a third iteration.
+struct BPinCase {
+  std::string family;
+  std::uint64_t seed;
+  double mu;
+  std::uint32_t b_cap;
+  double boost;
+};
+
+std::vector<BPinCase> b_pin_cases() {
+  std::vector<BPinCase> cases;
+  for (const char* family :
+       {"gnm_density", "chung_lu", "planted_clique", "complete", "path",
+        "isolated"}) {
+    for (const double mu : {0.0, 0.1, 0.2}) {
+      for (const std::uint32_t b_cap : {1u, 2u, 3u}) {
+        for (const double boost : {1.0, 0.1}) {
+          cases.push_back({family, b_cap, mu, b_cap, boost});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::vector<std::uint32_t> b_pin_capacities(const Graph& g,
+                                            const BPinCase& c) {
+  std::vector<std::uint32_t> b(g.num_vertices());
+  for (graph::VertexId v = 0; v < b.size(); ++v) {
+    b[v] = 1 + static_cast<std::uint32_t>(mix64(v ^ (c.seed << 40)) %
+                                          c.b_cap);
+  }
+  return b;
+}
+
+RlrBMatchingResult run_b_pin(const Graph& g, const BPinCase& c,
+                             std::uint64_t shards = 1) {
+  MrParams p = test_params(c.seed, c.mu);
+  p.sample_boost = c.boost;
+  p.num_shards = shards;
+  return rlr_b_matching(g, b_pin_capacities(g, c), /*eps=*/0.1, p);
+}
+
+TEST(RlrBMatchingPins, ResultsMatchTheirCapturedFingerprints) {
+  // Captured while Algorithm 7 kept its own per-edge liveness arrays:
+  // what it computes must not depend on how the machines track
+  // liveness, serially or on 3 worker shards.
+  const std::vector<std::string> want = {
+      "sol=a13c5fb23ed027c4 weight=40b64b1af5309d89 "
+      "stack=286 iters=2 rounds=16 words=2782",
+      "sol=209481c9ed6db4d6 weight=40b568d56ad3788e "
+      "stack=380 iters=3 rounds=23 words=1896",
+      "sol=56ac14c88b7a39b8 weight=410506c800000000 "
+      "stack=341 iters=2 rounds=16 words=2994",
+      "sol=91f1f9202d2f6b9b weight=41050cb000000000 "
+      "stack=390 iters=2 rounds=16 words=9092",
+      "sol=01d16cbecf43df78 weight=40d6662bd49e3a1e "
+      "stack=458 iters=2 rounds=16 words=3820",
+      "sol=eab9f7ce583b00d2 weight=40d6dc2ff661bfea "
+      "stack=495 iters=2 rounds=16 words=12258",
+      "sol=e257ec7a1e8a2ba4 weight=40b50ef985fbe08a "
+      "stack=276 iters=2 rounds=16 words=3602",
+      "sol=8e8e2de84c9de750 weight=40b73a02d2ff40fe "
+      "stack=312 iters=2 rounds=16 words=7899",
+      "sol=56643137006a3552 weight=4104b58000000000 "
+      "stack=325 iters=2 rounds=16 words=5082",
+      "sol=2f221e4df6971a35 weight=4105506000000000 "
+      "stack=401 iters=2 rounds=16 words=11327",
+      "sol=193a296c2a70e91a weight=40d72f85e21848a6 "
+      "stack=446 iters=2 rounds=16 words=6622",
+      "sol=c56f98e4b9d927a3 weight=40d6952d9abc031f "
+      "stack=497 iters=2 rounds=16 words=10410",
+      "sol=c83ac0a824ec8ca7 weight=40b47ffc2fa1a292 "
+      "stack=232 iters=2 rounds=16 words=5586",
+      "sol=c5bb353be4042eb2 weight=40b745754c924c35 "
+      "stack=301 iters=2 rounds=16 words=8222",
+      "sol=b11fcfd880e498a0 weight=4105319000000000 "
+      "stack=330 iters=2 rounds=16 words=7474",
+      "sol=7d0a1d96e7570626 weight=4105109000000000 "
+      "stack=383 iters=2 rounds=16 words=7657",
+      "sol=77fc79842867558a weight=40d8e20e9c93e84a "
+      "stack=488 iters=1 rounds=9 words=37370",
+      "sol=77fc79842867558a weight=40d8e20e9c93e84a "
+      "stack=488 iters=1 rounds=9 words=37370",
+      "sol=34e196f21dcb8334 weight=40b05b6ec4b29c3b "
+      "stack=270 iters=2 rounds=16 words=2402",
+      "sol=1fde5456b2affe4e weight=40b13fe446f8ebad "
+      "stack=289 iters=2 rounds=16 words=4725",
+      "sol=38df53bdebee63b8 weight=4103b5a800000000 "
+      "stack=309 iters=2 rounds=16 words=2994",
+      "sol=2300655510c25d0f weight=4103eb8000000000 "
+      "stack=363 iters=2 rounds=16 words=5134",
+      "sol=f511985783d3a806 weight=40d4f32cef12643e "
+      "stack=421 iters=2 rounds=16 words=3820",
+      "sol=8fb3debb082951e6 weight=40d5db810d710ab1 "
+      "stack=468 iters=2 rounds=16 words=6815",
+      "sol=c0fe993531f5e9e5 weight=40b0bbedd3a923fd "
+      "stack=235 iters=2 rounds=16 words=3609",
+      "sol=c3f20182ce769f10 weight=40b13e4b01d27e8a "
+      "stack=286 iters=2 rounds=16 words=5040",
+      "sol=d74f003fc3622e73 weight=4103e4a800000000 "
+      "stack=313 iters=2 rounds=16 words=5082",
+      "sol=ecf6d3e8b72cd21d weight=41040a8000000000 "
+      "stack=367 iters=2 rounds=16 words=5347",
+      "sol=a464178c474827b4 weight=40d653e91d07c86f "
+      "stack=412 iters=1 rounds=9 words=24602",
+      "sol=a464178c474827b4 weight=40d653e91d07c86f "
+      "stack=412 iters=1 rounds=9 words=24602",
+      "sol=7d63c0197baf5957 weight=40b07758dcc97a10 "
+      "stack=236 iters=2 rounds=16 words=5577",
+      "sol=a090a201652d7d05 weight=40b12ac865659632 "
+      "stack=275 iters=2 rounds=16 words=5577",
+      "sol=915843ffb99c5a35 weight=41052e0000000000 "
+      "stack=302 iters=1 rounds=9 words=24602",
+      "sol=915843ffb99c5a35 weight=41052e0000000000 "
+      "stack=302 iters=1 rounds=9 words=24602",
+      "sol=a464178c474827b4 weight=40d653e91d07c86f "
+      "stack=412 iters=1 rounds=9 words=24602",
+      "sol=a464178c474827b4 weight=40d653e91d07c86f "
+      "stack=412 iters=1 rounds=9 words=24602",
+      "sol=31919feb022b4a9c weight=40b1932609efbc31 "
+      "stack=273 iters=2 rounds=16 words=2402",
+      "sol=26a6411f6c3f7f57 weight=40b1cd4b27faf7ab "
+      "stack=306 iters=2 rounds=16 words=3830",
+      "sol=c12bfc2ee66f3930 weight=4102f7e800000000 "
+      "stack=307 iters=2 rounds=16 words=2994",
+      "sol=c2481d2c06d4c66f weight=4104478000000000 "
+      "stack=355 iters=2 rounds=16 words=4685",
+      "sol=eebcdc773ace0561 weight=40d549f59383acb4 "
+      "stack=400 iters=2 rounds=16 words=3820",
+      "sol=3e0b6fd6b2fa0200 weight=40d5a1d4931a0f95 "
+      "stack=433 iters=2 rounds=16 words=5682",
+      "sol=37d5e2408d653051 weight=40b15d0b4d90c8b7 "
+      "stack=234 iters=2 rounds=16 words=3602",
+      "sol=620d1bb89e01ac8a weight=40b1d31e5ef34a4c "
+      "stack=295 iters=2 rounds=16 words=3586",
+      "sol=dee7dbcfe5f12e26 weight=4105cc0800000000 "
+      "stack=315 iters=1 rounds=9 words=18162",
+      "sol=dee7dbcfe5f12e26 weight=4105cc0800000000 "
+      "stack=315 iters=1 rounds=9 words=18162",
+      "sol=c6f4f214b5dd0ce5 weight=40d70d1e0c2c3db7 "
+      "stack=417 iters=1 rounds=9 words=18194",
+      "sol=c6f4f214b5dd0ce5 weight=40d70d1e0c2c3db7 "
+      "stack=417 iters=1 rounds=9 words=18194",
+      "sol=ed4b7df920557d06 weight=40b32d4a540a958b "
+      "stack=175 iters=1 rounds=9 words=18194",
+      "sol=ed4b7df920557d06 weight=40b32d4a540a958b "
+      "stack=175 iters=1 rounds=9 words=18194",
+      "sol=dee7dbcfe5f12e26 weight=4105cc0800000000 "
+      "stack=315 iters=1 rounds=9 words=18162",
+      "sol=dee7dbcfe5f12e26 weight=4105cc0800000000 "
+      "stack=315 iters=1 rounds=9 words=18162",
+      "sol=c6f4f214b5dd0ce5 weight=40d70d1e0c2c3db7 "
+      "stack=417 iters=1 rounds=9 words=18194",
+      "sol=c6f4f214b5dd0ce5 weight=40d70d1e0c2c3db7 "
+      "stack=417 iters=1 rounds=9 words=18194",
+      "sol=9027cdc3d9c91a66 weight=409ed36e3e4b9562 "
+      "stack=97 iters=2 rounds=16 words=1165",
+      "sol=397c2a855cd0a49f weight=409e4be98cdf3fc0 "
+      "stack=143 iters=3 rounds=23 words=616",
+      "sol=cecba853924e3279 weight=40eadba000000000 "
+      "stack=116 iters=2 rounds=16 words=1320",
+      "sol=8b2598c8412f4f19 weight=40eb6fc000000000 "
+      "stack=134 iters=3 rounds=23 words=988",
+      "sol=da076c4874b52eaa weight=40bc93f8095362e2 "
+      "stack=153 iters=2 rounds=16 words=1230",
+      "sol=2a1cd34e746329e0 weight=40bd34c50a545284 "
+      "stack=175 iters=3 rounds=23 words=1699",
+      "sol=7769bce3e3699ee4 weight=409daddb65aafcac "
+      "stack=92 iters=2 rounds=16 words=1202",
+      "sol=7d87001aee7cbf59 weight=409f2c7839f5d684 "
+      "stack=133 iters=3 rounds=23 words=1188",
+      "sol=688f5b385d1454c1 weight=40ebdf8000000000 "
+      "stack=115 iters=2 rounds=16 words=1672",
+      "sol=c057c7bb1222b068 weight=40ed682000000000 "
+      "stack=124 iters=2 rounds=16 words=5797",
+      "sol=383e5f67c4f9cbeb weight=40be2805012d4289 "
+      "stack=153 iters=2 rounds=16 words=2122",
+      "sol=4e40c7be8e62c760 weight=40bd6b24d7d729a7 "
+      "stack=166 iters=2 rounds=16 words=5023",
+      "sol=2710d541136f9fb5 weight=409e3564e42647d8 "
+      "stack=88 iters=2 rounds=16 words=1802",
+      "sol=b67bf5c06187af29 weight=40a0067e2ed84d45 "
+      "stack=104 iters=2 rounds=16 words=4468",
+      "sol=74ab008e57fbd53b weight=40ec97a000000000 "
+      "stack=118 iters=2 rounds=16 words=2460",
+      "sol=0d77365500772ac9 weight=40ebe58000000000 "
+      "stack=134 iters=2 rounds=16 words=4316",
+      "sol=2f0edf8fdceff30f weight=40be1bf651bcde66 "
+      "stack=157 iters=2 rounds=16 words=3090",
+      "sol=8f36b5464acf264f weight=40bd007567e80d13 "
+      "stack=167 iters=2 rounds=16 words=3480",
+      "sol=4c7f159d32ab4e3a weight=409ee167e1a5406b "
+      "stack=200 iters=1 rounds=9 words=2094",
+      "sol=4c7f159d32ab4e3a weight=409ee167e1a5406b "
+      "stack=200 iters=1 rounds=9 words=2094",
+      "sol=8a4dc0c8f760947c weight=40fb266000000000 "
+      "stack=223 iters=1 rounds=9 words=2094",
+      "sol=8a4dc0c8f760947c weight=40fb266000000000 "
+      "stack=223 iters=1 rounds=9 words=2094",
+      "sol=c4554f1842ca4cf5 weight=40c698a7a661a94d "
+      "stack=240 iters=1 rounds=9 words=2094",
+      "sol=c4554f1842ca4cf5 weight=40c698a7a661a94d "
+      "stack=240 iters=1 rounds=9 words=2094",
+      "sol=4c7f159d32ab4e3a weight=409ee167e1a5406b "
+      "stack=200 iters=1 rounds=9 words=2094",
+      "sol=4c7f159d32ab4e3a weight=409ee167e1a5406b "
+      "stack=200 iters=1 rounds=9 words=2094",
+      "sol=8a4dc0c8f760947c weight=40fb266000000000 "
+      "stack=223 iters=1 rounds=9 words=2094",
+      "sol=8a4dc0c8f760947c weight=40fb266000000000 "
+      "stack=223 iters=1 rounds=9 words=2094",
+      "sol=c4554f1842ca4cf5 weight=40c698a7a661a94d "
+      "stack=240 iters=1 rounds=9 words=2094",
+      "sol=c4554f1842ca4cf5 weight=40c698a7a661a94d "
+      "stack=240 iters=1 rounds=9 words=2094",
+      "sol=4c7f159d32ab4e3a weight=409ee167e1a5406b "
+      "stack=200 iters=1 rounds=9 words=2094",
+      "sol=4c7f159d32ab4e3a weight=409ee167e1a5406b "
+      "stack=200 iters=1 rounds=9 words=2094",
+      "sol=8a4dc0c8f760947c weight=40fb266000000000 "
+      "stack=223 iters=1 rounds=9 words=2094",
+      "sol=8a4dc0c8f760947c weight=40fb266000000000 "
+      "stack=223 iters=1 rounds=9 words=2094",
+      "sol=c4554f1842ca4cf5 weight=40c698a7a661a94d "
+      "stack=240 iters=1 rounds=9 words=2094",
+      "sol=c4554f1842ca4cf5 weight=40c698a7a661a94d "
+      "stack=240 iters=1 rounds=9 words=2094",
+      "sol=800cfc0a0dbbd83c weight=40981be410961ae4 "
+      "stack=90 iters=2 rounds=16 words=2515",
+      "sol=8b5ce4e8664d6cdb weight=409965e0e8f48101 "
+      "stack=96 iters=2 rounds=16 words=2515",
+      "sol=49c7be78e15023f6 weight=40ecf16000000000 "
+      "stack=100 iters=1 rounds=9 words=8502",
+      "sol=49c7be78e15023f6 weight=40ecf16000000000 "
+      "stack=100 iters=1 rounds=9 words=8502",
+      "sol=1d465a319a4d2b88 weight=40bf1a4aa6dc6262 "
+      "stack=148 iters=1 rounds=9 words=8502",
+      "sol=1d465a319a4d2b88 weight=40bf1a4aa6dc6262 "
+      "stack=148 iters=1 rounds=9 words=8502",
+      "sol=c33ba45ff8179e87 weight=409b3c7dfb52ec04 "
+      "stack=56 iters=1 rounds=9 words=8502",
+      "sol=c33ba45ff8179e87 weight=409b3c7dfb52ec04 "
+      "stack=56 iters=1 rounds=9 words=8502",
+      "sol=49c7be78e15023f6 weight=40ecf16000000000 "
+      "stack=100 iters=1 rounds=9 words=8502",
+      "sol=49c7be78e15023f6 weight=40ecf16000000000 "
+      "stack=100 iters=1 rounds=9 words=8502",
+      "sol=1d465a319a4d2b88 weight=40bf1a4aa6dc6262 "
+      "stack=148 iters=1 rounds=9 words=8502",
+      "sol=1d465a319a4d2b88 weight=40bf1a4aa6dc6262 "
+      "stack=148 iters=1 rounds=9 words=8502",
+      "sol=c33ba45ff8179e87 weight=409b3c7dfb52ec04 "
+      "stack=56 iters=1 rounds=9 words=8502",
+      "sol=c33ba45ff8179e87 weight=409b3c7dfb52ec04 "
+      "stack=56 iters=1 rounds=9 words=8502",
+      "sol=49c7be78e15023f6 weight=40ecf16000000000 "
+      "stack=100 iters=1 rounds=9 words=8502",
+      "sol=49c7be78e15023f6 weight=40ecf16000000000 "
+      "stack=100 iters=1 rounds=9 words=8502",
+      "sol=1d465a319a4d2b88 weight=40bf1a4aa6dc6262 "
+      "stack=148 iters=1 rounds=9 words=8502",
+      "sol=1d465a319a4d2b88 weight=40bf1a4aa6dc6262 "
+      "stack=148 iters=1 rounds=9 words=8502",
+  };
+  const std::vector<BPinCase> cases = b_pin_cases();
+  ASSERT_EQ(cases.size(), want.size());
+  std::uint64_t max_iterations = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const BPinCase& c = cases[i];
+    const Graph g = pin_graph(c.family, c.seed);
+    for (const std::uint64_t shards : {1u, 3u}) {
+      const RlrBMatchingResult r = run_b_pin(g, c, shards);
+      ASSERT_FALSE(r.outcome.failed) << c.family;
+      EXPECT_TRUE(graph::is_b_matching(g, r.matching, b_pin_capacities(g, c)))
+          << c.family;
+      EXPECT_EQ(pin_fingerprint(r), want[i])
+          << c.family << " mu=" << c.mu << " b_cap=" << c.b_cap
+          << " boost=" << c.boost << " shards=" << shards;
+      max_iterations = std::max(max_iterations, r.outcome.iterations);
+    }
+  }
+  EXPECT_GE(max_iterations, 3u);
+}
+
+TEST(RlrBMatchingPins, PhiAndNoticesTravelOnlyAlongLiveEdges) {
+  // Algorithm 7 runs Algorithm 4's rounds, so its traffic obeys the
+  // same counts: per iteration i with |E_i| live edges and d_i deaths,
+  // forward-phi ships 6|E_i| words and recompute-alive 2 d_i, and the
+  // loop ends once every live edge died. send-phi ships a (v, phi)
+  // pair per vertex plus one notice word per edge stacked in the
+  // iteration, so the notices add up to the stack.
+  for (const std::uint64_t shards : {1u, 3u}) {
+    for (const BPinCase& c : b_pin_cases()) {
+      const Graph g = pin_graph(c.family, c.seed);
+      const RlrBMatchingResult r = run_b_pin(g, c, shards);
+      ASSERT_FALSE(r.outcome.failed);
+      std::vector<std::uint64_t> send, forward, recompute;
+      for (const mrc::RoundMetrics& rm : r.per_round) {
+        if (rm.label == "send-phi") send.push_back(rm.total_sent);
+        if (rm.label == "forward-phi") forward.push_back(rm.total_sent);
+        if (rm.label == "recompute-alive") recompute.push_back(rm.total_sent);
+      }
+      const std::string where = c.family + " mu=" + std::to_string(c.mu) +
+                                " b_cap=" + std::to_string(c.b_cap) +
+                                " boost=" + std::to_string(c.boost) +
+                                " shards=" + std::to_string(shards);
+      ASSERT_EQ(forward.size(), r.outcome.iterations) << where;
+      ASSERT_EQ(recompute.size(), forward.size()) << where;
+      ASSERT_EQ(send.size(), forward.size()) << where;
+      std::uint64_t live = 0;
+      for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+        if (g.weight(e) > 0.0) ++live;
+      }
+      std::uint64_t stacked = 0;
+      for (std::size_t i = 0; i < forward.size(); ++i) {
+        EXPECT_EQ(forward[i], 6 * live) << where << " iteration " << i;
+        ASSERT_EQ(recompute[i] % 2, 0u) << where << " iteration " << i;
+        const std::uint64_t deaths = recompute[i] / 2;
+        ASSERT_LE(deaths, live) << where << " iteration " << i;
+        ASSERT_GE(send[i], 2 * g.num_vertices()) << where;
+        stacked += send[i] - 2 * g.num_vertices();
+        live -= deaths;
+      }
+      EXPECT_EQ(live, 0u) << where;
+      EXPECT_EQ(stacked, r.stack_size) << where;
+    }
+  }
+}
+
 TEST(RlrBMatching, RejectsBadInputs) {
   const Graph g(2, {{0, 1}});
   EXPECT_DEATH((void)rlr_b_matching(g, {1, 1}, 0.0, test_params()),

@@ -216,7 +216,7 @@ TEST(JobsRunJob, FingerprintsMatchPreRefactorGoldens) {
       "coreset=314 failed=0 iters=1 rounds=2 words=1128 central=628 "
       "comm=628 violations=0",
       "b-matching sol=eb7533cce14873c8 weight=40c6846694ba976c stack=167 "
-      "failed=0 iters=1 rounds=9 words=7650 central=7498 comm=22316 "
+      "failed=0 iters=1 rounds=9 words=7650 central=7498 comm=22671 "
       "violations=0",
       "vertex-cover sol=877019e692449859 weight=407ac0624dd2f1a9 "
       "lb=406cc851eb851eba failed=0 iters=2 rounds=16 words=2645 "
@@ -327,7 +327,7 @@ TEST(JobsReport, RenderMatchesCapturedCliOutput) {
         {std::move(s), info,
          "b-matching (b=2, eps=0.2): 270 edges, weight 24740.3, valid=1",
          "cost: rounds=9 iterations=1 max_words/machine=21386 "
-         "central_inbox=21084 total_comm=62845 violations=0"});
+         "central_inbox=21084 total_comm=63665 violations=0"});
   }
   {
     jobs::JobSpec s = jobs::graph_job("vertex-cover", gu, params);

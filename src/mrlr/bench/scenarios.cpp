@@ -690,7 +690,7 @@ void add_space_scaling(Registry& r) {
 
 // ------------------------------------------------------- shuffle ----
 
-enum class ShufflePattern { kTiny, kBatched };
+enum class ShufflePattern { kTiny, kBatched, kCoalesced };
 
 struct ShuffleStats {
   double seconds = 0.0;
@@ -701,9 +701,11 @@ struct ShuffleStats {
 };
 
 /// The shuffle workload: tiny per-incidence messages (per-message
-/// overhead) and one batched message per vertex (per-word throughput),
-/// on rlr_matching's machine layout. Receivers consume every word, so
-/// both encode and decode sides are timed.
+/// overhead), one batched message per vertex (per-word throughput), and
+/// the tiny records coalesced per (sender, destination) the way
+/// rlr_matching's forward-phi ships them, on rlr_matching's machine
+/// layout. Receivers consume every word, so both encode and decode sides
+/// are timed.
 ShuffleStats run_shuffle(const graph::Graph& g, std::uint64_t machines,
                          ShufflePattern pattern, std::uint64_t rounds) {
   mrc::Topology topo;
@@ -732,6 +734,12 @@ ShuffleStats run_shuffle(const graph::Graph& g, std::uint64_t machines,
               ctx.send(core::owner_of(inc.edge, machines),
                        {inc.edge, core::pack_double(g.weight(inc.edge))});
             }
+          } else if (pattern == ShufflePattern::kCoalesced) {
+            for (const graph::Incidence& inc : g.neighbours(v)) {
+              ctx.send_coalesced(
+                  core::owner_of(inc.edge, machines),
+                  {inc.edge, core::pack_double(g.weight(inc.edge))});
+            }
           } else if (g.degree(v) > 0) {
             thread_local std::vector<mrc::Word> msg;
             msg.clear();
@@ -758,6 +766,18 @@ ShuffleStats run_shuffle(const graph::Graph& g, std::uint64_t machines,
   if (pattern == ShufflePattern::kTiny) {
     s.messages = rounds * twice_m;
     s.words = rounds * 2 * twice_m;
+  } else if (pattern == ShufflePattern::kCoalesced) {
+    // One message per (vertex owner, edge owner) pair with traffic.
+    std::vector<char> pair(machines * machines, 0);
+    for (graph::VertexId v = 0; v < n; ++v) {
+      for (const graph::Incidence& inc : g.neighbours(v)) {
+        pair[(v % machines) * machines + core::owner_of(inc.edge, machines)] =
+            1;
+      }
+    }
+    s.messages = rounds * static_cast<std::uint64_t>(
+                              std::count(pair.begin(), pair.end(), 1));
+    s.words = rounds * 2 * twice_m;
   } else {
     std::uint64_t senders = 0;
     for (graph::VertexId v = 0; v < n; ++v) {
@@ -770,7 +790,7 @@ ShuffleStats run_shuffle(const graph::Graph& g, std::uint64_t machines,
 }
 
 void add_shuffle(Registry& r) {
-  for (const char* pattern : {"tiny", "batched"}) {
+  for (const char* pattern : {"tiny", "batched", "coalesced"}) {
     const std::string pat = pattern;
     r.add({"shuffle/" + pat + "-arena",
            {"shuffle", "smoke"},
@@ -795,8 +815,9 @@ void add_shuffle(Registry& r) {
              const std::uint64_t rounds = 4;
              const ShuffleStats s = run_shuffle(
                  g, machines,
-                 pat == "tiny" ? ShufflePattern::kTiny
-                               : ShufflePattern::kBatched,
+                 pat == "tiny"      ? ShufflePattern::kTiny
+                 : pat == "batched" ? ShufflePattern::kBatched
+                                    : ShufflePattern::kCoalesced,
                  rounds);
              res.wall_seconds = s.seconds;
              res.rounds = rounds + 1;  // + final drain round

@@ -57,18 +57,13 @@ struct alignas(32) EdgeState {
   char stacked;
 };
 
-/// What a count round charges as resident besides its count word: the
-/// machine's whole footprint, or nothing more.
-enum class CountCharge { kFootprint, kCountWordOnly };
-
 template <class Alive>
 class LiveEdges {
  public:
   /// Defines the count, forward-phi and recompute-alive rounds on
   /// `engine`; construct it before the engine's first invoke_round.
   /// `alive(es)` is the kill rule: true while the edge stays live.
-  LiveEdges(mrc::Engine& engine, const graph::Graph& g, CountCharge charge,
-            Alive alive)
+  LiveEdges(mrc::Engine& engine, const graph::Graph& g, Alive alive)
       : engine_(engine),
         g_(g),
         alive_(alive),
@@ -98,12 +93,10 @@ class LiveEdges {
     // machine writes its own edge records and incidence flags (no
     // notices are pending then).
     r_count_ = engine.define_round(
-        "count|Ei|", [this, charge](mrc::MachineContext& ctx,
-                                    std::span<const mrc::Word> ps) {
+        "count|Ei|",
+        [this](mrc::MachineContext& ctx, std::span<const mrc::Word> ps) {
           const std::uint64_t n = g_.num_vertices();
-          ctx.charge_resident(
-              (charge == CountCharge::kFootprint ? footprint_[ctx.id()] : 0) +
-              1);
+          ctx.charge_resident(footprint_[ctx.id()] + 1);
           if (ps[0] == 0) {
             std::uint64_t s = edge_slots_.begin(ctx.id());
             for (std::uint64_t e = ctx.id(); e < g_.num_edges();

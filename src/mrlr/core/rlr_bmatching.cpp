@@ -145,11 +145,9 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
   // rounds, shared with rlr_matching (live_edges.hpp). The kill rule is
   // lr.edge_alive's float expression, on the endpoint phis and the
   // stacked flag that send-phi delivers to the edge owners.
-  LiveEdges edges(engine, g, CountCharge::kCountWordOnly,
-                  [eps](const EdgeState& es) {
-                    return !es.stacked &&
-                           es.w > (1.0 + eps) * (es.phi[0] + es.phi[1]);
-                  });
+  LiveEdges edges(engine, g, [eps](const EdgeState& es) {
+    return !es.stacked && es.w > (1.0 + eps) * (es.phi[0] + es.phi[1]);
+  });
 
   std::uint64_t iterations = 0;
   const Rng root_rng(params.seed);  // immutable; streams only

@@ -59,10 +59,9 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
   // MatchingLocalRatio::modified_weight: process() raises both endpoint
   // phis by the (positive) modified weight, so a stacked edge's modified
   // weight is negative forever after, and it needs no stacked notice.
-  LiveEdges edges(engine, g, CountCharge::kFootprint,
-                  [](const EdgeState& es) {
-                    return es.w - es.phi[0] - es.phi[1] > 0.0;
-                  });
+  LiveEdges edges(engine, g, [](const EdgeState& es) {
+    return es.w - es.phi[0] - es.phi[1] > 0.0;
+  });
 
   RlrMatchingResult res;
   Rng root_rng(params.seed);

@@ -624,7 +624,7 @@ void serve_job_rounds(ShardChannel& ch, std::uint32_t shard,
     if (telemetry) {
       // This round's faults: from the previous round's snapshot (or
       // the job's start) until every bucket is sent.
-      obs::count_minor_faults(fault_mark);
+      obs::count_minor_faults(fault_mark, plane.round_label(round_id));
       std::vector<std::byte> window = tel.serialize_since(tel_mark);
       tel_mark = tel.mark();
       pump.send(0, FrameKind::kShardTelemetry, shard, sequence,

@@ -27,7 +27,7 @@ void MachineContext::send(MachineId to, std::span<const Word> payload) {
   Engine::Outbox& out = engine_.staging_[id_];
   const std::uint64_t offset = out.words.size();
   out.words.insert(out.words.end(), payload.begin(), payload.end());
-  out.frames.push_back({to, offset, payload.size()});
+  out.frames.push_back({to, 0, offset, payload.size()});
   engine_.outbox_words_[id_] += payload.size();
 }
 
@@ -48,7 +48,6 @@ Engine::Engine(Topology topology, std::shared_ptr<exec::Executor> executor)
   const std::uint64_t machines = topology_.num_machines;
   staging_.resize(machines);
   slabs_.resize(machines);
-  runs_.resize(machines);
   inbox_frames_.resize(machines);
   inbox_words_.assign(machines, 0);
   next_frames_.resize(machines);
@@ -79,44 +78,31 @@ RoundId Engine::define_round(std::string label, RoundFn fn) {
   return static_cast<RoundId>(rounds_.size() - 1);
 }
 
+void detail::grow_run_hints(std::size_t machines) {
+  thread_local std::vector<std::uint32_t> hints;
+  hints.resize(std::max(machines, 2 * hints.size()), 0);
+  run_hints = {hints.data(), hints.size()};
+}
+
+void Engine::Outbox::clear() {
+  words.clear();
+  for (std::size_t i = 0; i < run_to.size(); ++i) runs[i].clear();
+  run_to.clear();
+  frames.clear();
+}
+
 void Engine::frame_runs(MachineId m) {
-  Runs& r = runs_[m];
-  if (r.pieces.empty()) return;
-  // A counting sort of the pieces by destination. `at` is a cursor per
-  // machine, all zero between calls; it is per thread, not per machine,
-  // so the engine keeps no per-(sender, destination) table (a callback
-  // runs start to finish on one thread). No inbox shows the order of
-  // one sender's runs; sorting the destinations makes the staged frame
-  // order, and with it the wire encoding, independent of which
-  // destination the callback appended to first.
-  thread_local std::vector<std::uint64_t> at;
-  thread_local std::vector<MachineId> dests;
-  if (at.size() < num_machines()) at.resize(num_machines(), 0);
-  dests.clear();
-  for (const Piece& p : r.pieces) {
-    if (at[p.to] == 0) dests.push_back(p.to);
-    at[p.to] += p.len;
-  }
-  std::sort(dests.begin(), dests.end());
   Outbox& out = staging_[m];
-  std::uint64_t next = out.words.size();
-  for (const MachineId d : dests) {
-    out.frames.push_back({d, next, at[d]});
-    const std::uint64_t len = at[d];
-    at[d] = next;
-    next += len;
+  const auto plain = static_cast<std::ptrdiff_t>(out.frames.size());
+  for (std::uint32_t i = 0; i < out.run_to.size(); ++i) {
+    out.frames.push_back({out.run_to[i], i + 1, 0, out.runs[i].size()});
+    outbox_words_[m] += out.runs[i].size();
   }
-  out.words.resize(next);
-  const Word* src = r.words.data();
-  for (const Piece& p : r.pieces) {
-    std::memcpy(out.words.data() + at[p.to], src, p.len * sizeof(Word));
-    at[p.to] += p.len;
-    src += p.len;
-  }
-  for (const MachineId d : dests) at[d] = 0;
-  outbox_words_[m] += r.words.size();
-  r.words.clear();
-  r.pieces.clear();
+  // No inbox shows the order of one sender's runs; sorting them by
+  // destination makes the staged frame order, and with it the wire
+  // encoding, independent of which destination was appended to first.
+  std::sort(out.frames.begin() + plain, out.frames.end(),
+            [](const Frame& a, const Frame& b) { return a.to < b.to; });
 }
 
 template <class Round>
@@ -209,7 +195,7 @@ void Engine::round_body(std::string_view label, bool central_only,
   for (MachineId s = 0; s < machines; ++s) {
     if (s < local_end_) messages += staging_[s].frames.size();
     for (const Frame& f : staging_[s].frames) {
-      next_frames_[f.to].push_back({s, f.offset, f.len});
+      next_frames_[f.to].push_back({s, f.buf, f.offset, f.len});
       next_inbox_words_[f.to] += f.len;
     }
   }
@@ -250,25 +236,25 @@ void Engine::round_body(std::string_view label, bool central_only,
         offender_words, topology_.words_per_machine);
   }
 
-  // Deliver: the staging arenas move wholesale into the slab role (no
-  // payload copy), and the spent slabs — whose views died with this
-  // round — are recycled as next round's staging buffers, keeping their
-  // capacity so steady-state rounds never touch the allocator.
+  // Deliver: the staging outboxes, runs included, move wholesale into
+  // the slab role (no payload copy), and the spent slabs — whose views
+  // died with this round — are recycled as next round's staging
+  // buffers, keeping their capacity so steady-state rounds never touch
+  // the allocator.
   staging_.swap(slabs_);
   if (telemetry) {
-    // Recycled slabs that kept their capacity are the allocations
-    // steady-state rounds avoid.
+    // Recycled slabs whose arena or any run kept its capacity are the
+    // allocations steady-state rounds avoid.
     std::uint64_t reused = 0;
     for (const Outbox& out : staging_) {
-      if (out.words.capacity() > 0) ++reused;
+      bool kept = out.words.capacity() > 0;
+      for (const std::vector<Word>& run : out.runs) kept |= run.capacity() > 0;
+      reused += kept ? 1 : 0;
     }
     tel.add_counter("engine.slab_reuses", reused);
     tel.add_counter("engine.rounds", 1);
   }
-  for (Outbox& out : staging_) {
-    out.words.clear();
-    out.frames.clear();
-  }
+  for (Outbox& out : staging_) out.clear();
   inbox_frames_.swap(next_frames_);
   inbox_words_.swap(next_inbox_words_);
   for (MachineId m = 0; m < machines; ++m) {
@@ -287,7 +273,7 @@ void Engine::round_body(std::string_view label, bool central_only,
   if (telemetry) {
     tel.record_span(obs::Phase::kRound, round_start, tel.now_ns(), round_ix,
                     std::string(label));
-    obs::count_minor_faults(fault_mark_);
+    obs::count_minor_faults(fault_mark_, label);
   }
 }
 
@@ -449,7 +435,7 @@ void Engine::set_shards(std::span<const std::uint64_t> bounds,
   for (std::uint64_t m = local_end_; m < machines; ++m) {
     for (const InboxFrame& f : inbox_frames_[m]) {
       store_record(grow(stream_[shard_of_[m]].records, record_bytes(f.len)),
-                   f.from, m, slabs_[f.from].words.data() + f.offset, f.len);
+                   f.from, m, slabs_[f.from].data(f.buf, f.offset), f.len);
     }
     inbox_count_[m] = inbox_frames_[m].size();
     inbox_frames_[m].clear();
@@ -482,8 +468,7 @@ void Engine::apply_round_input(std::span<const std::byte> bytes,
   const std::uint64_t first = shard_bounds_[own_shard_];
   const std::uint64_t last = shard_bounds_[own_shard_ + 1];
   for (std::uint64_t m = first; m < last; ++m) {
-    staging_[m].words.clear();
-    staging_[m].frames.clear();
+    staging_[m].clear();
     outbox_words_[m] = 0;
     resident_words_[m] = 0;
   }
@@ -491,10 +476,7 @@ void Engine::apply_round_input(std::span<const std::byte> bytes,
   // below, so every slab and inbox index from the previous input is
   // stale — clear them all (capacity is kept, so steady-state rounds
   // still avoid the allocator).
-  for (Outbox& o : slabs_) {
-    o.words.clear();
-    o.frames.clear();
-  }
+  for (Outbox& o : slabs_) o.clear();
   for (std::vector<InboxFrame>& f : inbox_frames_) f.clear();
   std::fill(inbox_words_.begin(), inbox_words_.end(), 0);
 
@@ -507,7 +489,7 @@ void Engine::apply_round_input(std::span<const std::byte> bytes,
   const auto install = [&](MachineId from, MachineId to,
                            const std::byte* payload, std::uint64_t len) {
     const std::uint64_t offset = append_words(slabs_[from].words, payload, len);
-    inbox_frames_[to].push_back({from, offset, len});
+    inbox_frames_[to].push_back({from, 0, offset, len});
     inbox_words_[to] += len;
   };
   // Sender-id order: the coordinator's records (all from shard 0),
@@ -574,7 +556,7 @@ void Engine::serialize_machines(std::vector<std::vector<std::byte>>& parts) {
     const Outbox& o = staging_[m];
     for (const Frame& f : o.frames) {
       std::byte*& q = at[shard_of_[f.to]];
-      q = store_record(q, m, f.to, o.words.data() + f.offset, f.len);
+      q = store_record(q, m, f.to, o.data(f.buf, f.offset), f.len);
     }
   }
   MRLR_DEBUG_REQUIRE(at[0] == parts[0].data() + parts[0].size(),
@@ -615,7 +597,7 @@ void Engine::route_local_sends() {
         continue;
       }
       std::byte*& q = at[shard_of_[f.to]];
-      q = store_record(q, s, f.to, o.words.data() + f.offset, f.len);
+      q = store_record(q, s, f.to, o.data(f.buf, f.offset), f.len);
       ++next_inbox_count_[f.to];
       next_inbox_words_[f.to] += f.len;
     }
@@ -716,7 +698,7 @@ void Engine::apply_machines(std::uint32_t shard,
                    Outbox& o = staging_[from];
                    const std::uint64_t offset =
                        append_words(o.words, payload, len);
-                   o.frames.push_back({to, offset, len});
+                   o.frames.push_back({to, 0, offset, len});
                  });
   for (std::uint64_t d = 0; d < local_end_; ++d) {
     if (route_frames_[d] != 0 || route_words_[d] != 0) {

@@ -48,13 +48,14 @@
 // determinism makes every experiment replayable from its seed.
 //
 // Message storage (the flat-buffer shuffle): each machine's staging slot
-// is one contiguous Word buffer plus a small (to, offset, len) frame
-// index — no per-message heap allocation. The post-barrier merge builds
-// per-destination frame indexes in sender-id order and then moves the
-// arena slabs wholesale into the delivered position; payload words are
-// written exactly once, at send time (coalesced words twice: into the
-// run, then into the arena when the run is framed). Callbacks read their
-// inbox as MessageView spans into the senders' slabs via messages().
+// is one contiguous Word buffer for its plain sends, one run buffer per
+// destination of its coalesced sends, and a small (to, buffer, offset,
+// len) frame index — no per-message heap allocation. The post-barrier
+// merge builds per-destination frame indexes in sender-id order and then
+// moves the slots wholesale into the delivered position; payload words
+// are written exactly once, at send time, coalesced ones included.
+// Callbacks read their inbox as MessageView spans into the senders' slabs
+// via messages().
 //
 // Per-machine algorithm state is owned by the algorithms themselves
 // (typically a std::vector sized by num_machines); the engine owns only
@@ -66,14 +67,16 @@
 // copies it into the machine's arena.
 //
 // Coalesced sends (MachineContext::send_coalesced) append words to the
-// sending machine's run for a destination instead of framing a message
-// per call. When the callback returns, the engine frames each non-empty
-// run as one message, after that callback's plain sends and in ascending
-// destination order. A receiver therefore sees one message per (sender,
-// destination) holding the appended words in append order, which is
-// only the same traffic to a receiver that parses its inbox as a flat
-// run of fixed-width records. Words, rounds and space accounting are those of
-// the equivalent plain sends; only the message count falls.
+// sending machine's run buffer for a destination instead of framing a
+// message per call. When the callback returns, the engine frames each run
+// in place as one message, after that callback's plain sends and in
+// ascending destination order. A receiver therefore sees one message per
+// (sender, destination) holding the appended words in append order,
+// which is only the same traffic to a receiver that parses its inbox as
+// a flat run of fixed-width records. Words, rounds and space accounting
+// are those of the equivalent plain sends; only the message count falls.
+// A machine opens one run per destination it appends to, so its runs
+// never outnumber its frames.
 
 #include <cstddef>
 #include <cstdint>
@@ -184,7 +187,6 @@ class MachineContext {
   /// framed after the callback's plain sends, in ascending destination
   /// order; boundaries between appends are not kept, so use it only
   /// towards receivers that parse a flat run of fixed-width records.
-  /// One append is capped at 2^32 - 1 words.
   void send_coalesced(MachineId to, std::span<const Word> words);
   void send_coalesced(MachineId to, std::initializer_list<Word> words);
 
@@ -336,45 +338,45 @@ class Engine : private exec::ShardJobPlane {
   void round_body(std::string_view label, bool central_only,
                   const std::function<void()>& dispatch);
 
-  /// One message in a sender's staging arena: destination plus the
-  /// [offset, offset+len) extent in that arena's word buffer.
+  /// One message in a sender's outbox: destination plus the
+  /// [offset, offset+len) extent of buffer `buf` (see Outbox::data).
   struct Frame {
     MachineId to;
+    std::uint32_t buf;
     std::uint64_t offset;
     std::uint64_t len;
   };
 
-  /// Per-sender round arena: one flat word buffer plus the frame index.
-  /// Buffers keep their capacity across rounds, so steady-state rounds
-  /// allocate nothing.
+  /// Per-sender round outbox: the plain-send arena, the coalesced runs
+  /// (runs[i] holds the words appended for run_to[i]; buffers past
+  /// run_to.size() are empty spares) and the frame index. Buffers keep
+  /// their capacity across rounds, so steady-state rounds allocate
+  /// nothing.
   struct Outbox {
     std::vector<Word> words;
+    std::vector<std::vector<Word>> runs;
+    std::vector<MachineId> run_to;
     std::vector<Frame> frames;
+
+    /// Where a message starts: buffer 0 is the arena, buffer i + 1 run i.
+    const Word* data(std::uint32_t buf, std::uint64_t offset) const {
+      return (buf == 0 ? words.data() : runs[buf - 1].data()) + offset;
+    }
+    /// This round's run for `to`, opened on its first append.
+    std::vector<Word>& run(MachineId to);
+    /// Empties the arena, the runs and the index, keeping capacity.
+    void clear();
   };
 
-  /// One send_coalesced append, in append order: `len` words of the
-  /// run buffer, bound for `to`.
-  struct Piece {
-    MachineId to;
-    std::uint32_t len;
-  };
-
-  /// A machine's coalesced runs while its callback runs: the appended
-  /// words and their pieces, emptied when the callback returns. Buffers
-  /// keep their capacity across rounds.
-  struct Runs {
-    std::vector<Word> words;
-    std::vector<Piece> pieces;
-  };
-
-  /// Frames machine m's runs into its staging arena, one message per
-  /// destination in ascending destination order, and empties them.
+  /// Frames machine m's runs in place, one message per destination in
+  /// ascending destination order, after its plain sends.
   void frame_runs(MachineId m);
 
   /// Inbox index entry: the message occupies
-  /// slabs_[from].words[offset, offset+len).
+  /// slabs_[from].data(buf, offset)[0, len).
   struct InboxFrame {
     MachineId from;
+    std::uint32_t buf;
     std::uint64_t offset;
     std::uint64_t len;
   };
@@ -382,7 +384,7 @@ class Engine : private exec::ShardJobPlane {
   /// Zero-copy view of delivered message i of machine m.
   MessageView view_message(MachineId m, std::size_t i) const {
     const InboxFrame& f = inbox_frames_[m][i];
-    return {f.from, {slabs_[f.from].words.data() + f.offset,
+    return {f.from, {slabs_[f.from].data(f.buf, f.offset),
                      static_cast<std::size_t>(f.len)}};
   }
 
@@ -424,16 +426,14 @@ class Engine : private exec::ShardJobPlane {
   // was built or its last round ended, so each round's delta also
   // covers the host code before it.
   std::optional<std::uint64_t> fault_mark_;
-  // staging_[m] = machine m's outgoing arena for the current round; only
+  // staging_[m] = machine m's outbox for the current round; only
   // machine m's sends touch it, so sends never contend. After the
-  // barrier the arenas are merged by frame index and then moved
+  // barrier the outboxes are merged by frame index and then moved
   // wholesale into slabs_.
   std::vector<Outbox> staging_;
-  // slabs_[s] = sender s's arena from the previous round, backing this
+  // slabs_[s] = sender s's outbox from the previous round, backing this
   // round's inboxes. Spent slabs are recycled as staging buffers.
   std::vector<Outbox> slabs_;
-  // runs_[m] = machine m's coalesced runs; empty outside m's callback.
-  std::vector<Runs> runs_;
   // inbox_frames_[m] = this round's messages for machine m, in
   // (sender id, send order) order; words live in slabs_.
   std::vector<std::vector<InboxFrame>> inbox_frames_;
@@ -491,21 +491,38 @@ inline std::uint64_t MachineContext::inbox_words() const {
   return engine_.inbox_words_[id_];
 }
 
+namespace detail {
+/// Per-thread hint for Outbox::run: at[to] is the run a machine last
+/// opened for `to` on this thread. A callback runs start to finish on
+/// one thread, so within it the hint is exact; across callbacks (or
+/// engines) it may be stale, so the outbox's own run_to decides.
+struct RunHints {
+  std::uint32_t* at = nullptr;
+  std::size_t size = 0;
+};
+constinit inline thread_local RunHints run_hints;
+/// Grows this thread's hints to cover destinations below `machines`.
+void grow_run_hints(std::size_t machines);
+}  // namespace detail
+
+inline std::vector<Word>& Engine::Outbox::run(MachineId to) {
+  detail::RunHints& hints = detail::run_hints;
+  if (to >= hints.size) detail::grow_run_hints(std::size_t{to} + 1);
+  std::uint32_t& i = hints.at[to];
+  if (i >= run_to.size() || run_to[i] != to) {
+    i = static_cast<std::uint32_t>(run_to.size());
+    run_to.push_back(to);
+    if (runs.size() == i) runs.emplace_back();
+  }
+  return runs[i];
+}
+
 inline void MachineContext::send_coalesced(MachineId to,
                                            std::span<const Word> words) {
   MRLR_REQUIRE(to < engine_.num_machines(), "send to nonexistent machine");
-  MRLR_REQUIRE(words.size() <= UINT32_MAX,
-               "send_coalesced: one append exceeds 2^32 - 1 words");
   if (words.empty()) return;
-  Engine::Runs& r = engine_.runs_[id_];
-  r.words.insert(r.words.end(), words.begin(), words.end());
-  const auto len = static_cast<std::uint32_t>(words.size());
-  if (!r.pieces.empty() && r.pieces.back().to == to &&
-      r.pieces.back().len <= UINT32_MAX - len) {
-    r.pieces.back().len += len;
-  } else {
-    r.pieces.push_back({to, len});
-  }
+  std::vector<Word>& run = engine_.staging_[id_].run(to);
+  run.insert(run.end(), words.begin(), words.end());
 }
 
 inline void MachineContext::send_coalesced(MachineId to,

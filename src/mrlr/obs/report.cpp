@@ -153,13 +153,20 @@ void render_report(const ProfileReport& report, std::ostream& os,
   if (!report.by_round_label.empty()) {
     std::vector<std::vector<std::string>> rows;
     for (const auto& [label, stat] : report.by_round_label) {
+      // Minor page faults of every process while rounds of this label
+      // ran (the engine's and workers' proc.minor_faults.round.<label>).
+      const auto faults =
+          report.counters.find("proc.minor_faults.round." + label);
       rows.push_back({label.empty() ? "-" : label,
                       std::to_string(stat.spans), fmt_seconds(stat.total_ns),
-                      fmt_percent(stat.total_ns, report.round_total_ns)});
+                      fmt_percent(stat.total_ns, report.round_total_ns),
+                      faults == report.counters.end()
+                          ? "-"
+                          : std::to_string(faults->second)});
     }
     if (markdown) os << "### Per-round-label totals\n\n";
-    emit_table({"round", "spans", "total_s", "% of round"}, rows, os,
-               markdown);
+    emit_table({"round", "spans", "total_s", "% of round", "faults"}, rows,
+               os, markdown);
     os << "\n";
   }
 

@@ -222,7 +222,8 @@ std::uint64_t minor_faults() {
   return static_cast<std::uint64_t>(ru.ru_minflt);
 }
 
-void count_minor_faults(std::optional<std::uint64_t>& mark) {
+void count_minor_faults(std::optional<std::uint64_t>& mark,
+                        std::optional<std::string_view> round) {
   Telemetry& t = Telemetry::instance();
   if (!t.enabled()) return;
   const std::uint64_t now = minor_faults();
@@ -231,6 +232,9 @@ void count_minor_faults(std::optional<std::uint64_t>& mark) {
     t.add_counter("proc.minor_faults", delta);
     t.add_counter("proc.minor_faults.shard" + std::to_string(t.shard()),
                   delta);
+    if (round) {
+      t.add_counter("proc.minor_faults.round." + std::string(*round), delta);
+    }
   }
   mark = now;
 }

@@ -196,10 +196,12 @@ inline void count(std::string_view name, std::uint64_t delta = 1) {
 std::uint64_t minor_faults();
 
 /// Adds this process's minor faults since `mark` to the counter
-/// proc.minor_faults and to proc.minor_faults.shard<k> for this
-/// process's shard k, then moves `mark` to now. A call with no mark
-/// only sets it. When telemetry is off it does nothing, not even the
-/// getrusage call.
-void count_minor_faults(std::optional<std::uint64_t>& mark);
+/// proc.minor_faults, to proc.minor_faults.shard<k> for this process's
+/// shard k and, when `round` names the round that just ended, to
+/// proc.minor_faults.round.<round>; then moves `mark` to now. A call
+/// with no mark only sets it. When telemetry is off it does nothing,
+/// not even the getrusage call.
+void count_minor_faults(std::optional<std::uint64_t>& mark,
+                        std::optional<std::string_view> round = {});
 
 }  // namespace mrlr::obs

@@ -447,6 +447,83 @@ TEST_P(Coalesced, MessageCounterFallsWhileWordsStayEqual) {
   EXPECT_EQ(coalesced.second, plain.second);
 }
 
+TEST_P(Coalesced, AThrownCallbackLeavesNoRunBehind) {
+  // The central machine opens runs for 3, 1 and 2 and throws before
+  // they are framed. A fresh engine then appends to the same
+  // destinations in another order; the run lookup must not take the
+  // first engine's run order for its own, so each inbox holds exactly
+  // the fresh engine's words.
+  {
+    Engine e = make_engine(/*cap=*/1 << 20);
+    const RoundId fail = e.define_round("fail", [](MachineContext& ctx,
+                                                   Params) {
+      if (!ctx.is_central()) return;
+      ctx.send_coalesced(3, {90});
+      ctx.send_coalesced(1, {91});
+      ctx.send_coalesced(2, {92});
+      throw std::runtime_error("after the appends");
+    });
+    EXPECT_THROW(e.invoke_round(fail), std::runtime_error);
+  }
+  Engine e = make_engine(/*cap=*/1 << 20);
+  const RoundId send = e.define_round("send", [](MachineContext& ctx, Params) {
+    if (!ctx.is_central()) return;
+    ctx.send_coalesced(2, {1});
+    ctx.send_coalesced(1, {2});
+    ctx.send_coalesced(2, {3});
+    ctx.send_coalesced(3, {4});
+  });
+  Transcript got;
+  const RoundId report = define_report(e, got);
+  e.invoke_round(send);
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 4u);
+  e.invoke_round(report);
+  collect(e, got);
+  EXPECT_EQ(got, (Transcript{{1, 0, 2}, {2, 0, 1, 3}, {3, 0, 4}}));
+}
+
+TEST_P(Coalesced, RecycledRunsCarryOnlyTheirRoundsWords) {
+  // Machine 3 coalesces to {3, 1} in one round and to {2, 0, 3} in the
+  // next, between plain sends. The second round runs on the buffers
+  // the first one delivered from, so a run left over from the first
+  // round would show up in its inboxes.
+  Engine e = make_engine(/*cap=*/1 << 20);
+  const RoundId send = e.define_round("send", [](MachineContext& ctx,
+                                                 Params ps) {
+    if (ctx.id() != 3) return;
+    if (ps[0] == 0) {
+      ctx.send_coalesced(3, {1, 2});
+      ctx.send(1, {100});
+      ctx.send_coalesced(1, {3});
+      ctx.send_coalesced(3, {4});
+    } else {
+      ctx.send_coalesced(2, {5});
+      ctx.send_coalesced(0, {6, 7});
+      ctx.send(3, {200});
+      ctx.send_coalesced(3, {8});
+      ctx.send_coalesced(2, {9, 10});
+    }
+  });
+  Transcript got;
+  const RoundId report = define_report(e, got);
+  e.invoke_round(send, {0});
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 5u);
+  e.invoke_round(report);
+  collect(e, got);
+  EXPECT_EQ(got, (Transcript{{1, 3, 100}, {1, 3, 3}, {3, 3, 1, 2, 4}}));
+
+  got.clear();
+  e.invoke_round(send, {1});
+  EXPECT_EQ(e.metrics().per_round().back().total_sent, 7u);
+  EXPECT_EQ(e.inbox_size(1), 0u);
+  e.invoke_round(report);
+  collect(e, got);
+  EXPECT_EQ(got, (Transcript{{0, 3, 6, 7},
+                             {2, 3, 5, 9, 10},
+                             {3, 3, 200},
+                             {3, 3, 8}}));
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, Coalesced, kBackends, backend_name);
 
 // -------------------------------------------- adversarial round-trips --

@@ -13,6 +13,8 @@
 #include <set>
 #include <span>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mrlr/bench/json.hpp"
@@ -378,6 +380,7 @@ TEST_F(TelemetryTest, BuildReportTotalsRoundsByLabel) {
   snap.spans.push_back(SpanRecord{Phase::kRound, 0, 2, 130, 20, "sample"});
   // Only round spans count: a worker's callback span is not a round.
   snap.spans.push_back(SpanRecord{Phase::kCallback, 1, 0, 5, 80, "send"});
+  snap.counters["proc.minor_faults.round.sample"] = 42;
 
   const obs::ProfileReport report = obs::build_report(snap);
   ASSERT_EQ(report.by_round_label.size(), 2u);
@@ -390,7 +393,9 @@ TEST_F(TelemetryTest, BuildReportTotalsRoundsByLabel) {
   std::ostringstream md;
   obs::render_report(report, md, /*markdown=*/true);
   EXPECT_NE(md.str().find("### Per-round-label totals"), std::string::npos);
-  EXPECT_NE(md.str().find("| sample | 2 | 0.000000 | 80.0% |"),
+  EXPECT_NE(md.str().find("| sample | 2 | 0.000000 | 80.0% | 42 |"),
+            std::string::npos);
+  EXPECT_NE(md.str().find("| send | 1 | 0.000000 | 20.0% | - |"),
             std::string::npos);
 }
 
@@ -560,6 +565,35 @@ TEST_F(TelemetryTest, SerialEngineCountsFaultsOnlyWhileEnabled) {
             snap.counters.at("proc.minor_faults"));
 }
 
+/// Sum of the proc.minor_faults.round.<label> counters, and their labels.
+std::pair<std::uint64_t, std::set<std::string>> faults_by_round_label(
+    const TelemetrySnapshot& snap) {
+  const std::string prefix = "proc.minor_faults.round.";
+  std::uint64_t sum = 0;
+  std::set<std::string> labels;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    sum += value;
+    labels.insert(name.substr(prefix.size()));
+  }
+  return {sum, labels};
+}
+
+TEST_F(TelemetryTest, RoundLabelFaultsAddUpToTheTotal) {
+  // Each round's end adds the faults since the previous one to its
+  // label's counter too, so on a serial job the per-label counters
+  // split proc.minor_faults with nothing left over.
+  Telemetry& t = Telemetry::instance();
+  t.enable();
+  ASSERT_FALSE(run_sharded_matching(/*shards=*/1).failed);
+  t.disable();
+  const TelemetrySnapshot snap = t.snapshot();
+  const auto [sum, labels] = faults_by_round_label(snap);
+  EXPECT_EQ(labels.count("count|Ei|"), 1u);
+  EXPECT_EQ(labels.count("forward-phi"), 1u);
+  EXPECT_EQ(sum, snap.counters.at("proc.minor_faults"));
+}
+
 TEST_F(TelemetryTest, ProcessBackendMergesAllShardProfiles) {
   const MatchingResult off = run_sharded_matching();
   ASSERT_FALSE(off.failed);
@@ -614,6 +648,8 @@ TEST_F(TelemetryTest, ProcessBackendMergesAllShardProfiles) {
     faults += snap.counters.at(name);
   }
   EXPECT_EQ(snap.counters.at("proc.minor_faults"), faults);
+  // Workers label their rounds' faults too.
+  EXPECT_EQ(faults_by_round_label(snap).first, faults);
 
   // The merged profile renders: every shard appears in the breakdown.
   const obs::ProfileReport report = obs::build_report(snap);

@@ -49,20 +49,15 @@ CoresetMatchingResult coreset_matching(const graph::Graph& g,
         1, ceil_div(std::max<std::uint64_t>(m, 1), eta));
   }
 
-  mrc::Topology topo;
-  topo.num_machines = machines;
   // The central machine holds the coreset union: up to M * n/2 edges at
   // 2 words each, plus the per-part input of m/M edges.
-  topo.words_per_machine =
+  mrc::Engine engine(core::engine_topology(
+      params, machines,
       static_cast<std::uint64_t>(
           params.slack *
           static_cast<double>(std::max(eta, machines * n))) +
-      64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(n, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
+          64,
+      n));
 
   // Random partition of edges into parts (seeded).
   Rng rng(params.seed);
@@ -85,13 +80,10 @@ CoresetMatchingResult coreset_matching(const graph::Graph& g,
           if (part[e] == ctx.id()) mine.push_back(e);
         }
         const auto core = local_greedy(g, std::move(mine));
-        thread_local std::vector<Word> msg;
-        msg.clear();
         for (const EdgeId e : core) {
-          msg.push_back(e);
-          msg.push_back(core::pack_double(g.weight(e)));
+          ctx.send_coalesced(mrc::kCentral,
+                             {e, core::pack_double(g.weight(e))});
         }
-        if (!msg.empty()) ctx.send(mrc::kCentral, msg);
       });
   engine.invoke_round(r_coreset);
 

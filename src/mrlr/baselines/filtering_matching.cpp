@@ -66,13 +66,7 @@ class FilterLoop {
                  std::vector<EdgeId>& out, core::MrOutcome& outcome) {
     for (std::uint64_t iter = 0; iter < params.max_iterations; ++iter) {
       engine_.invoke_round(r_count_, {iter == 0 ? 1u : 0u, layer});
-      std::uint64_t alive_total = 0;
-      engine_.run_central_round("sum|E|", [&](MachineContext& ctx) {
-        ctx.charge_resident(ctx.inbox_words() + 1);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (const Word w : msg.payload) alive_total += w;
-        }
-      });
+      const std::uint64_t alive_total = mrc::central_sum(engine_, "sum|E|");
       if (alive_total == 0) break;
       ++outcome.iterations;
 
@@ -182,17 +176,12 @@ FilteringMatchingResult filtering_matching(const graph::Graph& g,
   const std::uint64_t n = std::max<std::uint64_t>(g.num_vertices(), 2);
   const std::uint64_t eta = ipow_real(n, 1.0 + params.mu, 1);
 
-  mrc::Topology topo;
-  topo.num_machines = std::max<std::uint64_t>(
-      1, ceil_div(std::max<std::uint64_t>(g.num_edges(), 1), eta));
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack * static_cast<double>(eta)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(n, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
+  mrc::Engine engine(core::engine_topology(
+      params,
+      std::max<std::uint64_t>(
+          1, ceil_div(std::max<std::uint64_t>(g.num_edges(), 1), eta)),
+      static_cast<std::uint64_t>(params.slack * static_cast<double>(eta)) + 64,
+      n));
 
   FilteringMatchingResult res;
   std::vector<char> used(g.num_vertices(), 0);
@@ -210,17 +199,12 @@ FilteringMatchingResult filtering_weighted_matching(const graph::Graph& g,
   const std::uint64_t n = std::max<std::uint64_t>(g.num_vertices(), 2);
   const std::uint64_t eta = ipow_real(n, 1.0 + params.mu, 1);
 
-  mrc::Topology topo;
-  topo.num_machines = std::max<std::uint64_t>(
-      1, ceil_div(std::max<std::uint64_t>(g.num_edges(), 1), eta));
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack * static_cast<double>(eta)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(n, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
+  mrc::Engine engine(core::engine_topology(
+      params,
+      std::max<std::uint64_t>(
+          1, ceil_div(std::max<std::uint64_t>(g.num_edges(), 1), eta)),
+      static_cast<std::uint64_t>(params.slack * static_cast<double>(eta)) + 64,
+      n));
 
   FilteringMatchingResult res;
   if (g.num_edges() == 0) return res;

@@ -28,18 +28,12 @@ LubyColouringResult luby_colouring_mr(const graph::Graph& g,
   const std::uint64_t n = std::max<std::uint64_t>(g.num_vertices(), 2);
   const std::uint64_t eta = ipow_real(n, 1.0 + params.mu, 1);
 
-  mrc::Topology topo;
-  topo.num_machines = std::max<std::uint64_t>(
+  const std::uint64_t machines = std::max<std::uint64_t>(
       1, ceil_div(std::max<std::uint64_t>(g.num_edges(), 1), eta));
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack * static_cast<double>(eta)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(n, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
-  const std::uint64_t machines = topo.num_machines;
+  mrc::Engine engine(core::engine_topology(
+      params, machines,
+      static_cast<std::uint64_t>(params.slack * static_cast<double>(eta)) + 64,
+      n));
 
   std::vector<std::uint64_t> footprint(machines, 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -122,20 +116,14 @@ LubyColouringResult luby_colouring_mr(const graph::Graph& g,
             if (c == proposal[v] && u < v) beaten[v] = 1;
           }
         }
-        thread_local std::vector<Word> msg;
-        msg.clear();
         const std::vector<std::uint32_t>& colour = colour_by[id];
         for (VertexId v = static_cast<VertexId>(id); v < g.num_vertices();
              v = static_cast<VertexId>(v + machines)) {
           if (colour[v] != kUncoloured || proposal[v] == kUncoloured) {
             continue;
           }
-          if (!beaten[v]) {
-            msg.push_back(v);
-            msg.push_back(proposal[v]);
-          }
+          if (!beaten[v]) ctx.send_coalesced(mrc::kCentral, {v, proposal[v]});
         }
-        if (!msg.empty()) ctx.send(mrc::kCentral, msg);
       });
 
   while (uncoloured > 0 && res.phases < params.max_iterations) {

@@ -21,18 +21,12 @@ LubyMrResult luby_mis_mr(const graph::Graph& g, const MrParams& params) {
   const std::uint64_t n = std::max<std::uint64_t>(g.num_vertices(), 2);
   const std::uint64_t eta = ipow_real(n, 1.0 + params.mu, 1);
 
-  mrc::Topology topo;
-  topo.num_machines = std::max<std::uint64_t>(
+  const std::uint64_t machines = std::max<std::uint64_t>(
       1, ceil_div(std::max<std::uint64_t>(g.num_edges(), 1), eta));
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack * static_cast<double>(eta)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(n, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
-  const std::uint64_t machines = topo.num_machines;
+  mrc::Engine engine(core::engine_topology(
+      params, machines,
+      static_cast<std::uint64_t>(params.slack * static_cast<double>(eta)) + 64,
+      n));
 
   std::vector<std::uint64_t> footprint(machines, 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -107,14 +101,11 @@ LubyMrResult luby_mis_mr(const graph::Graph& g, const MrParams& params) {
             }
           }
         }
-        thread_local std::vector<Word> msg;
-        msg.clear();
         const std::vector<char>& live = live_by[id];
         for (VertexId v = static_cast<VertexId>(id); v < g.num_vertices();
              v = static_cast<VertexId>(v + machines)) {
-          if (live[v] && !beaten[v]) msg.push_back(v);
+          if (live[v] && !beaten[v]) ctx.send_coalesced(mrc::kCentral, {v});
         }
-        if (!msg.empty()) ctx.send(mrc::kCentral, msg);
       });
 
   while (remaining > 0 && res.phases < params.max_iterations) {

@@ -27,19 +27,14 @@ SamplePruneResult sample_prune_set_cover(const setcover::SetSystem& sys,
   const std::uint64_t m = std::max<std::uint64_t>(sys.universe_size(), 2);
   const std::uint64_t cap_base = ipow_real(m, 1.0 + params.mu, 1);
 
-  mrc::Topology topo;
-  topo.num_machines = std::max<std::uint64_t>(
+  const std::uint64_t machines = std::max<std::uint64_t>(
       1, ceil_div(sys.total_incidences() + n, cap_base));
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack *
-                               static_cast<double>(cap_base)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(m, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
-  const std::uint64_t machines = topo.num_machines;
+  mrc::Engine engine(core::engine_topology(
+      params, machines,
+      static_cast<std::uint64_t>(params.slack *
+                                 static_cast<double>(cap_base)) +
+          64,
+      m));
 
   std::vector<std::uint64_t> footprint(machines, 0);
   for (SetId l = 0; l < n; ++l) {
@@ -157,13 +152,8 @@ SamplePruneResult sample_prune_set_cover(const setcover::SetSystem& sys,
       ++guard;
       ++res.outcome.iterations;
       engine.invoke_round(r_count, {core::pack_double(threshold)});
-      std::uint64_t qualifying = 0;
-      engine.run_central_round("sum-qualifying", [&](MachineContext& ctx) {
-        ctx.charge_resident(ctx.inbox_words() + 1);
-        for (const mrc::MessageView msg : ctx.messages()) {
-          for (const Word w : msg.payload) qualifying += w;
-        }
-      });
+      const std::uint64_t qualifying =
+          mrc::central_sum(engine, "sum-qualifying");
       if (qualifying == 0) break;
 
       const double p = std::min(1.0, static_cast<double>(budget) /

@@ -698,6 +698,8 @@ struct ShuffleStats {
   std::uint64_t words = 0;
   std::uint64_t checksum = 0;
   std::uint64_t total_sent = 0;
+  std::uint64_t max_machine_words = 0;
+  std::uint64_t max_central_inbox = 0;
 };
 
 /// The shuffle workload: tiny per-incidence messages (per-message
@@ -762,6 +764,8 @@ ShuffleStats run_shuffle(const graph::Graph& g, std::uint64_t machines,
   for (const auto& rm : engine.metrics().per_round()) {
     s.total_sent += rm.total_sent;
   }
+  s.max_machine_words = engine.metrics().max_machine_words();
+  s.max_central_inbox = engine.metrics().max_central_inbox();
   const std::uint64_t twice_m = 2 * g.num_edges();
   if (pattern == ShufflePattern::kTiny) {
     s.messages = rounds * twice_m;
@@ -822,6 +826,8 @@ void add_shuffle(Registry& r) {
              res.wall_seconds = s.seconds;
              res.rounds = rounds + 1;  // + final drain round
              res.shuffle_words = s.total_sent;
+             res.max_machine_words = s.max_machine_words;
+             res.max_central_inbox = s.max_central_inbox;
              res.extra["messages"] = static_cast<double>(s.messages);
              res.extra["msgs_per_sec"] =
                  per_second(static_cast<double>(s.messages), s.seconds);
@@ -1418,6 +1424,8 @@ void add_large(Registry& r) {
            res.wall_seconds = s.seconds;
            res.rounds = rounds + 1;
            res.shuffle_words = s.total_sent;
+           res.max_machine_words = s.max_machine_words;
+           res.max_central_inbox = s.max_central_inbox;
            res.extra["messages"] = static_cast<double>(s.messages);
            res.extra["msgs_per_sec"] =
                per_second(static_cast<double>(s.messages), s.seconds);

@@ -46,18 +46,12 @@ ColouringResult mr_vertex_colouring(const graph::Graph& g,
   ColouringResult res;
   res.groups = plan.kappa;
 
-  mrc::Topology topo;
-  topo.num_machines = plan.kappa;
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack *
-                               static_cast<double>(plan.group_edge_cap)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(
-      2, ipow_real(std::max<std::uint64_t>(g.num_vertices(), 2), params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
+  mrc::Engine engine(engine_topology(
+      params, plan.kappa,
+      static_cast<std::uint64_t>(params.slack *
+                                 static_cast<double>(plan.group_edge_cap)) +
+          64,
+      std::max<std::uint64_t>(g.num_vertices(), 2)));
 
   // Random group per vertex (job-immutable once drawn).
   Rng rng(params.seed);
@@ -118,13 +112,10 @@ ColouringResult mr_vertex_colouring(const graph::Graph& g,
         for (const std::uint32_t c : colours) {
           used = std::max<std::uint64_t>(used, c + 1);
         }
-        thread_local std::vector<Word> msg;
-        msg.assign({ctx.id(), used});
+        ctx.send_coalesced(mrc::kCentral, {ctx.id(), used});
         for (std::uint32_t k = 0; k < members.size(); ++k) {
-          msg.push_back(members[k]);
-          msg.push_back(colours[k]);
+          ctx.send_coalesced(mrc::kCentral, {members[k], colours[k]});
         }
-        ctx.send(mrc::kCentral, msg);
       });
 
   std::vector<std::uint32_t> local_colour(g.num_vertices(), 0);
@@ -171,18 +162,12 @@ ColouringResult mr_edge_colouring(const graph::Graph& g,
   ColouringResult res;
   res.groups = plan.kappa;
 
-  mrc::Topology topo;
-  topo.num_machines = plan.kappa;
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack *
-                               static_cast<double>(plan.group_edge_cap)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(
-      2, ipow_real(std::max<std::uint64_t>(g.num_vertices(), 2), params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
+  mrc::Engine engine(engine_topology(
+      params, plan.kappa,
+      static_cast<std::uint64_t>(params.slack *
+                                 static_cast<double>(plan.group_edge_cap)) +
+          64,
+      std::max<std::uint64_t>(g.num_vertices(), 2)));
 
   // Random group per *edge* (Remark 6.5).
   Rng rng(params.seed);
@@ -234,13 +219,10 @@ ColouringResult mr_edge_colouring(const graph::Graph& g,
         for (const std::uint32_t c : colours) {
           used = std::max<std::uint64_t>(used, c + 1);
         }
-        thread_local std::vector<Word> msg;
-        msg.assign({ctx.id(), used});
+        ctx.send_coalesced(mrc::kCentral, {ctx.id(), used});
         for (std::uint32_t k = 0; k < members.size(); ++k) {
-          msg.push_back(members[k]);
-          msg.push_back(colours[k]);
+          ctx.send_coalesced(mrc::kCentral, {members[k], colours[k]});
         }
-        ctx.send(mrc::kCentral, msg);
       });
 
   std::vector<std::uint32_t> local_colour(g.num_edges(), 0);

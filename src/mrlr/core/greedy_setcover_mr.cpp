@@ -64,19 +64,14 @@ GreedySetCoverMrResult greedy_set_cover_mr(const setcover::SetSystem& sys,
   // Theorem 4.6 regime: machines store sets, O(m^{1+mu} log n) words each.
   const std::uint64_t cap_base = ipow_real(m, 1.0 + params.mu, 1);
   const double logn = std::log2(static_cast<double>(std::max<std::uint64_t>(n, 2))) + 1.0;
-  mrc::Topology topo;
-  topo.num_machines = std::max<std::uint64_t>(
+  const std::uint64_t machines = std::max<std::uint64_t>(
       1, ceil_div(sys.total_incidences() + n, cap_base));
-  topo.words_per_machine =
+  mrc::Engine engine(engine_topology(
+      params, machines,
       static_cast<std::uint64_t>(params.slack * logn *
                                  static_cast<double>(cap_base)) +
-      64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(m, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
-  const std::uint64_t machines = topo.num_machines;
+          64,
+      m));
 
   std::vector<std::uint64_t> footprint(machines, 0);
   for (SetId l = 0; l < n; ++l) {

@@ -103,18 +103,12 @@ HungryCliqueResult hungry_clique(const graph::Graph& g,
   const double alpha = params.mu / 2.0;
   const std::uint64_t eta = ipow_real(n, 1.0 + params.mu, 1);
 
-  mrc::Topology topo;
-  topo.num_machines = std::max<std::uint64_t>(
+  const std::uint64_t machines = std::max<std::uint64_t>(
       1, ceil_div(std::max<std::uint64_t>(g.num_edges(), 1), eta));
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack * static_cast<double>(eta)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(n, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
-  const std::uint64_t machines = topo.num_machines;
+  mrc::Engine engine(engine_topology(
+      params, machines,
+      static_cast<std::uint64_t>(params.slack * static_cast<double>(eta)) + 64,
+      n));
 
   std::vector<std::uint64_t> footprint(machines, 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -244,17 +238,6 @@ HungryCliqueResult hungry_clique(const graph::Graph& g,
         }
       });
 
-  const auto central_sum = [&](std::string_view label) {
-    std::uint64_t total = 0;
-    engine.run_central_round(label, [&](MachineContext& ctx) {
-      ctx.charge_resident(ctx.inbox_words() + 1);
-      for (const mrc::MessageView msg : ctx.messages()) {
-        for (const Word w : msg.payload) total += w;
-      }
-    });
-    return total;
-  };
-
   const auto relabel_rounds = [&](const std::vector<VertexId>& removed) {
     bcast.run(std::vector<Word>(removed.begin(), removed.end()));
     engine.run_central_round("send-sigma", [&](MachineContext& ctx) {
@@ -280,7 +263,7 @@ HungryCliqueResult hungry_clique(const graph::Graph& g,
     while (res.outcome.iterations < params.max_iterations) {
       ++res.outcome.iterations;
       engine.invoke_round(r_count, {threshold});
-      const std::uint64_t vh = central_sum("sum|VH|");
+      const std::uint64_t vh = mrc::central_sum(engine, "sum|VH|");
       if (vh == 0) break;
 
       const bool mop_up = vh < heavy_cap;

@@ -288,11 +288,11 @@ class MisJob {
   /// Registered counting helpers; each pairs with a central sum round.
   std::uint64_t count_heavy(std::uint64_t threshold) {
     engine_.invoke_round(r_count_heavy_, {threshold});
-    return central_sum("sum|VH|");
+    return mrc::central_sum(engine_, "sum|VH|");
   }
   std::uint64_t degree_sum() {
     engine_.invoke_round(r_degsum_);
-    return central_sum("sum|Ek|");
+    return mrc::central_sum(engine_, "sum|Ek|");
   }
   std::vector<Word> class_sizes() {
     engine_.invoke_round(r_classes_);
@@ -332,17 +332,6 @@ class MisJob {
     }
   }
 
-  std::uint64_t central_sum(std::string_view label) {
-    std::uint64_t total = 0;
-    engine_.run_central_round(label, [&](MachineContext& ctx) {
-      ctx.charge_resident(ctx.inbox_words() + 1);
-      for (const mrc::MessageView msg : ctx.messages()) {
-        for (const Word w : msg.payload) total += w;
-      }
-    });
-    return total;
-  }
-
   mrc::Engine& engine_;
   const graph::Graph& g_;
   const Cluster& cl_;
@@ -370,16 +359,11 @@ HungryMisResult hungry_mis_simple(const graph::Graph& g,
   const double alpha = params.mu / 2.0;
   const Cluster cl = make_cluster(g, params.mu);
 
-  mrc::Topology topo;
-  topo.num_machines = cl.machines;
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack * static_cast<double>(cl.eta)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(n, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
+  mrc::Engine engine(engine_topology(
+      params, cl.machines,
+      static_cast<std::uint64_t>(params.slack * static_cast<double>(cl.eta)) +
+          64,
+      n));
 
   MisState state(g);
   HungryMisResult res;
@@ -445,16 +429,11 @@ HungryMisResult hungry_mis_improved(const graph::Graph& g,
       static_cast<std::uint64_t>(std::ceil(1.0 / alpha));
   const Cluster cl = make_cluster(g, params.mu);
 
-  mrc::Topology topo;
-  topo.num_machines = cl.machines;
-  topo.words_per_machine = static_cast<std::uint64_t>(
-                               params.slack * static_cast<double>(cl.eta)) +
-                           64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(n, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
+  mrc::Engine engine(engine_topology(
+      params, cl.machines,
+      static_cast<std::uint64_t>(params.slack * static_cast<double>(cl.eta)) +
+          64,
+      n));
 
   // Degree-class boundaries: class i holds n^{1-i*alpha} <= d < n^{1-(i-1)*alpha}.
   auto class_of = [n, alpha, num_classes](std::uint64_t d) -> std::uint64_t {

@@ -40,6 +40,7 @@
 #include "mrlr/core/owner_slots.hpp"
 #include "mrlr/core/params.hpp"
 #include "mrlr/graph/graph.hpp"
+#include "mrlr/mrc/broadcast.hpp"
 #include "mrlr/mrc/engine.hpp"
 #include "mrlr/util/require.hpp"
 
@@ -228,14 +229,7 @@ class LiveEdges {
   /// the start of iteration `iter`.
   std::uint64_t count_live(std::uint64_t iter) {
     engine_.invoke_round(r_count_, {iter});
-    std::uint64_t ei = 0;
-    engine_.run_central_round("sum|Ei|", [&](mrc::MachineContext& ctx) {
-      ctx.charge_resident(ctx.inbox_words() + 1);
-      for (const mrc::MessageView msg : ctx.messages()) {
-        for (const mrc::Word w : msg.payload) ei += w;
-      }
-    });
-    return ei;
+    return mrc::central_sum(engine_, "sum|Ei|");
   }
 
   /// Rounds send-phi, forward-phi and recompute-alive. The central

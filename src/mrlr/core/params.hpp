@@ -2,11 +2,13 @@
 // Shared parameters, outcome fields and small encoding helpers for the
 // paper's MapReduce algorithms.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "mrlr/mrc/engine.hpp"
+#include "mrlr/util/math.hpp"
 #include "mrlr/util/rng.hpp"
 
 namespace mrlr::core {
@@ -32,18 +34,37 @@ struct MrParams {
   /// Results are byte-identical at any setting; only wall-clock changes.
   std::uint64_t num_threads = 1;
   /// Process-sharded backend, forwarded to Topology::num_shards by
-  /// every driver (all are process-clean; see the contract on the peek
-  /// accessors in mrc/engine.hpp). K > 1 = K persistent worker shard
-  /// processes spawned once per job, 0/1 = in-process. Composes with
-  /// num_threads: each shard runs its machine range on a shard-local
-  /// pool of num_threads threads (K x T concurrent callbacks). Results
-  /// stay byte-identical at any (K, T) setting.
+  /// engine_topology (every driver is process-clean; see the contract
+  /// on the peek accessors in mrc/engine.hpp). K > 1 = K persistent
+  /// worker shard processes spawned once per job, 0/1 = in-process.
+  /// Composes with num_threads: each shard runs its machine range on a
+  /// shard-local pool of num_threads threads (K x T concurrent
+  /// callbacks). Results stay byte-identical at any (K, T) setting.
   std::uint64_t num_shards = 1;
   /// Sample-size multiplier ablation (swept by the compare/boost/*
   /// bench scenarios): scales the paper's sampling probability
   /// (2*eta/|U_r| for Alg. 1, eta/|E_i| for Alg. 4).
   double sample_boost = 1.0;
 };
+
+/// The engine topology of one driver run: `machines` machines capped at
+/// `words_per_machine` words each (both come from the driver's theorem),
+/// broadcast trees of fanout max(2, fanout_base^mu) (the paper's n^mu-ary
+/// trees, with the driver's n or m as the base), and the space audit and
+/// backend knobs of `params`.
+inline mrc::Topology engine_topology(const MrParams& params,
+                                     std::uint64_t machines,
+                                     std::uint64_t words_per_machine,
+                                     std::uint64_t fanout_base) {
+  return mrc::Topology{
+      .num_machines = machines,
+      .words_per_machine = words_per_machine,
+      .fanout =
+          std::max<std::uint64_t>(2, ipow_real(fanout_base, params.mu, 2)),
+      .enforce = params.enforce_space,
+      .num_threads = params.num_threads,
+      .num_shards = std::max<std::uint64_t>(1, params.num_shards)};
+}
 
 /// Round-robin ownership of `count` items over `machines` machines.
 /// Deterministic and balanced; items are placed "arbitrarily" in the

@@ -122,20 +122,17 @@ RlrBMatchingResult rlr_b_matching(const graph::Graph& g,
       std::max<std::uint64_t>(1, ipow_real(std::max<std::uint64_t>(n, 2),
                                            params.mu));
 
-  mrc::Topology topo;
-  topo.num_machines = std::max<std::uint64_t>(1, ceil_div(std::max<std::uint64_t>(m, 1), eta));
-  // Theorem D.3: O(b log(1/eps) n^{1+mu}) words per machine.
-  topo.words_per_machine =
+  const std::uint64_t machines =
+      std::max<std::uint64_t>(1, ceil_div(std::max<std::uint64_t>(m, 1), eta));
+  // Theorem D.3: O(b log(1/eps) n^{1+mu}) words per machine. The fanout
+  // base max(n, 2) makes the tree fanout max(2, n_mu).
+  mrc::Engine engine(engine_topology(
+      params, machines,
       static_cast<std::uint64_t>(params.slack * static_cast<double>(b_max) *
                                  (1.0 + ln_inv_delta) *
                                  static_cast<double>(eta)) +
-      64;
-  topo.fanout = std::max<std::uint64_t>(2, n_mu);
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
-  const std::uint64_t machines = topo.num_machines;
+          64,
+      std::max<std::uint64_t>(n, 2)));
 
   // Central machine's local ratio state: coordinator-resident.
   BMatchingLocalRatio lr(g, b, eps);

@@ -23,8 +23,8 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
       std::max<std::uint64_t>(1, ipow_real(std::max<std::uint64_t>(n, 2),
                                            1.0 + params.mu));
 
-  mrc::Topology topo;
-  topo.num_machines = std::max<std::uint64_t>(1, ceil_div(std::max<std::uint64_t>(m, 1), eta));
+  const std::uint64_t machines =
+      std::max<std::uint64_t>(1, ceil_div(std::max<std::uint64_t>(m, 1), eta));
   // Central words in one iteration: at most 8*eta sampled edges (the
   // Algorithm 4 fail threshold, scaled by sample_boost) at 2 words each,
   // or 4*|E_i| < 16*eta words in the ship-all endgame, plus the decoded
@@ -33,19 +33,14 @@ RlrMatchingResult rlr_matching(const graph::Graph& g,
   // table (n words). slack/16 scales that requirement (the default
   // slack of 16 grants it exactly; smaller slack under-provisions, which
   // the failure-injection tests use to prove the audit is live).
-  topo.words_per_machine =
+  const std::uint64_t words_per_machine =
       static_cast<std::uint64_t>(
           (params.slack / 16.0) *
           (24.0 * std::max(1.0, params.sample_boost) *
                static_cast<double>(eta) +
            2.0 * static_cast<double>(n))) +
       64;
-  topo.fanout = std::max<std::uint64_t>(2, ipow_real(n, params.mu, 2));
-  topo.enforce = params.enforce_space;
-  topo.num_threads = params.num_threads;
-  topo.num_shards = std::max<std::uint64_t>(1, params.num_shards);
-  mrc::Engine engine(topo);
-  const std::uint64_t machines = topo.num_machines;
+  mrc::Engine engine(engine_topology(params, machines, words_per_machine, n));
 
   // Central state: phi values + stack (Theorem 5.6). The central
   // machine is always coordinator-resident, so this stays a plain host

@@ -18,9 +18,16 @@
 // because Algorithm 1 is an instantiation of the sequential method with
 // a randomized processing order.
 //
-// The f = 2 case (weighted vertex cover) replaces the tree broadcast by
-// two direct forwarding rounds (central -> set owner -> element owners),
-// which is what drops the round bound from O((c/mu)^2) to O(c/mu).
+// Both drivers run this one loop (CoverLoop in rlr_setcover.cpp), on
+// `sys` or on the f = 2 instance of a graph. Each supplies only its
+// sample message ({j, |T_j|, T_j...} for a set system, {j, u, v} for an
+// edge), its extra per-machine footprint (vertex owners' adjacency lists
+// for vertex cover), its result conversion and its step 4:
+//   * set cover tree-broadcasts C, and every machine marks the sets in
+//     its mirror of C and deactivates its elements that meet one;
+//   * vertex cover forwards instead, in two direct rounds (central ->
+//     vertex owner -> edge owners), which is what drops the round bound
+//     from O((c/mu)^2) to O(c/mu).
 
 #include <vector>
 

@@ -35,6 +35,17 @@ std::uint64_t broadcast_rounds(std::uint64_t machines, std::uint64_t fanout) {
   return depth;
 }
 
+std::uint64_t central_sum(Engine& engine, std::string_view label) {
+  std::uint64_t total = 0;
+  engine.run_central_round(label, [&](MachineContext& ctx) {
+    ctx.charge_resident(ctx.inbox_words() + 1);
+    for (const MessageView msg : ctx.messages()) {
+      for (const Word w : msg.payload) total += w;
+    }
+  });
+  return total;
+}
+
 JobBroadcast::JobBroadcast(Engine& engine, std::string label, ApplyFn apply)
     : engine_(&engine),
       apply_(std::move(apply)),

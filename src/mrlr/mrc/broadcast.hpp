@@ -9,11 +9,15 @@
 // JobBroadcast runs *real* rounds on the engine: the traffic is audited
 // against the space cap like any algorithm traffic, so the space-safety
 // claim of Theorem 2.4 is checked rather than assumed.
+//
+// central_sum is the reverse direction for one count: every machine
+// sends its count to the central machine, which adds them in one round.
 
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mrlr/mrc/engine.hpp"
@@ -43,6 +47,11 @@ std::uint64_t broadcast_rounds(std::uint64_t machines, std::uint64_t fanout);
 /// only by that machine's own callback, so persistent workers carry it
 /// across rounds. On a single-machine topology depth is 0, and the
 /// drain round still runs so `apply` fires.
+/// Converge-cast of one count: a central round, labelled `label`, in
+/// which the central machine charges its inbox plus one word and sums
+/// every word the machines sent it in the round before. Returns the sum.
+std::uint64_t central_sum(Engine& engine, std::string_view label);
+
 class JobBroadcast {
  public:
   using ApplyFn = std::function<void(MachineContext&, std::span<const Word>)>;
